@@ -37,7 +37,6 @@ struct Config {
     store_gets: usize,
     rebuild_ns: Vec<usize>,
     rebuild_trap_n: usize,
-    rebuild_threads: Vec<usize>,
     rebuild_reps: usize,
     tcp_workers: usize,
     tcp_hosts_per_worker: usize,
@@ -75,7 +74,6 @@ impl Config {
             // boundary-free cost.
             rebuild_ns: vec![1024, 3072, 4096],
             rebuild_trap_n: 128,
-            rebuild_threads: vec![1, 4],
             rebuild_reps: 5,
             tcp_workers: 4,
             tcp_hosts_per_worker: 2,
@@ -110,7 +108,6 @@ impl Config {
             store_gets: 400,
             rebuild_ns: vec![3072, 4096, 16_384],
             rebuild_trap_n: 128,
-            rebuild_threads: vec![1, 4],
             rebuild_reps: 5,
             tcp_workers: 4,
             tcp_hosts_per_worker: 4,
@@ -310,7 +307,6 @@ fn main() {
             &cfg.rebuild_ns,
             cfg.rebuild_trap_n,
             &cfg.batch_sizes,
-            &cfg.rebuild_threads,
             cfg.rebuild_reps,
             cfg.seed,
         );

@@ -1487,11 +1487,11 @@ pub fn store(ns: &[usize], hosts: usize, gets: usize, seed: u64) -> Table {
     t
 }
 
-/// Full vs incremental apply latency: per structure × `n` × batch size ×
-/// thread count, the one-host latency of landing an insert batch, a
-/// remove batch, and a churn round (insert then remove) through the
-/// original full-rebuild path (`apply_*_batch_full`) and the dirty-set
-/// incremental path (`apply_*_batch_threads`), plus their ratio. The two
+/// Full vs incremental apply latency: per structure × `n` × batch size,
+/// the one-host latency of landing an insert batch, a remove batch, and a
+/// churn round (insert then remove) through the original full-rebuild path
+/// (`apply_*_batch_full`) and the dirty-set incremental path
+/// (`apply_*_batch`), plus their ratio. The two
 /// paths are timed back to back within each repetition and the medians
 /// reported, so load spikes hit both columns alike instead of skewing the
 /// ratio. Emitted as the committed `BENCH_rebuild.json` artifact.
@@ -1499,7 +1499,6 @@ pub fn rebuild(
     ns: &[usize],
     trap_n: usize,
     batch_sizes: &[usize],
-    threads: &[usize],
     reps: usize,
     seed: u64,
 ) -> Table {
@@ -1516,22 +1515,12 @@ pub fn rebuild(
             "full_us",
             "incr_us",
             "speedup",
-            "threads",
         ],
     );
     let max_batch = batch_sizes.iter().copied().max().unwrap_or(0);
     for &n in ns {
         let pool: Vec<u64> = (0..(n + max_batch) as u64).map(|i| i * 37 + 5).collect();
-        rebuild_rows::<SortedLinkedList>(
-            &mut t,
-            "onedim-list",
-            &pool,
-            n,
-            batch_sizes,
-            threads,
-            reps,
-            seed,
-        );
+        rebuild_rows::<SortedLinkedList>(&mut t, "onedim-list", &pool, n, batch_sizes, reps, seed);
     }
     if let Some(&n) = ns.last() {
         let pool: Vec<GridPoint<2>> = (0..(n + max_batch) as u32)
@@ -1543,7 +1532,6 @@ pub fn rebuild(
             &pool,
             n,
             batch_sizes,
-            threads,
             reps,
             seed,
         );
@@ -1553,7 +1541,7 @@ pub fn rebuild(
         let pool: Vec<String> = (0..(n + max_batch) as u32)
             .map(|i| format!("{:032b}", i.wrapping_mul(2_654_435_761)))
             .collect();
-        rebuild_rows::<CompressedTrie>(&mut t, "trie", &pool, n, batch_sizes, threads, reps, seed);
+        rebuild_rows::<CompressedTrie>(&mut t, "trie", &pool, n, batch_sizes, reps, seed);
     }
     // The trapezoidal map's superlinear build keeps its sizes small
     // elsewhere in the harness too; disjoint x-ranges per slot keep every
@@ -1565,35 +1553,23 @@ pub fn rebuild(
             Segment::new((x, y), (x + 600, y + 3))
         })
         .collect();
-    rebuild_rows::<TrapezoidalMap>(
-        &mut t,
-        "trapezoid",
-        &pool,
-        trap_n,
-        batch_sizes,
-        threads,
-        reps,
-        seed,
-    );
+    rebuild_rows::<TrapezoidalMap>(&mut t, "trapezoid", &pool, trap_n, batch_sizes, reps, seed);
     t
 }
 
 /// One structure's sweep for [`rebuild`]: batch sizes large enough to hit
 /// the incremental path's dirty-fraction fallback are skipped (there is
 /// nothing incremental to measure).
-#[allow(clippy::too_many_arguments)]
 fn rebuild_rows<D>(
     t: &mut Table,
     name: &str,
     pool: &[D::Item],
     n: usize,
     batch_sizes: &[usize],
-    threads: &[usize],
     reps: usize,
     seed: u64,
 ) where
-    D: skipweb_structures::RangeDetermined + PartialEq + Send + Sync,
-    D::Item: Send + Sync,
+    D: skipweb_structures::RangeDetermined + PartialEq,
 {
     use skipweb_core::SkipWeb;
     use std::time::Instant;
@@ -1615,53 +1591,50 @@ fn rebuild_rows<D>(
             .collect();
         let removes: Vec<D::Item> = inserts.iter().map(|(it, _)| it.clone()).collect();
 
-        for &workers in threads {
-            let mut full_ins = Vec::with_capacity(reps);
-            let mut full_rem = Vec::with_capacity(reps);
-            let mut incr_ins = Vec::with_capacity(reps);
-            let mut incr_rem = Vec::with_capacity(reps);
-            for rep in 0..reps {
-                let mut oracle = base.clone();
-                let start = Instant::now();
-                oracle.apply_insert_batch_full(inserts.clone());
-                full_ins.push(start.elapsed().as_secs_f64());
-                let mut w = base.clone();
-                let start = Instant::now();
-                w.apply_insert_batch_threads(inserts.clone(), workers);
-                incr_ins.push(start.elapsed().as_secs_f64());
-                if rep == 0 {
-                    // Parity insurance on the numbers being reported.
-                    assert!(w == oracle, "incremental insert diverged from full rebuild");
-                }
-                let start = Instant::now();
-                oracle.apply_remove_batch_full(&removes);
-                full_rem.push(start.elapsed().as_secs_f64());
-                let start = Instant::now();
-                w.apply_remove_batch_threads(&removes, workers);
-                incr_rem.push(start.elapsed().as_secs_f64());
-                if rep == 0 {
-                    assert!(w == oracle, "incremental remove diverged from full rebuild");
-                }
+        let mut full_ins = Vec::with_capacity(reps);
+        let mut full_rem = Vec::with_capacity(reps);
+        let mut incr_ins = Vec::with_capacity(reps);
+        let mut incr_rem = Vec::with_capacity(reps);
+        for rep in 0..reps {
+            let mut oracle = base.clone();
+            let start = Instant::now();
+            oracle.apply_insert_batch_full(inserts.clone());
+            full_ins.push(start.elapsed().as_secs_f64());
+            let mut w = base.clone();
+            let start = Instant::now();
+            w.apply_insert_batch(inserts.clone());
+            incr_ins.push(start.elapsed().as_secs_f64());
+            if rep == 0 {
+                // Parity insurance on the numbers being reported.
+                assert!(w == oracle, "incremental insert diverged from full rebuild");
             }
-            let full_churn: Vec<f64> = full_ins.iter().zip(&full_rem).map(|(a, b)| a + b).collect();
-            let incr_churn: Vec<f64> = incr_ins.iter().zip(&incr_rem).map(|(a, b)| a + b).collect();
-            for (op, full, incr) in [
-                ("insert", &full_ins, &incr_ins),
-                ("remove", &full_rem, &incr_rem),
-                ("churn", &full_churn, &incr_churn),
-            ] {
-                let (full_us, incr_us) = (median_us(full), median_us(incr));
-                t.push(vec![
-                    name.to_string(),
-                    n.to_string(),
-                    batch.to_string(),
-                    op.to_string(),
-                    f2(full_us),
-                    f2(incr_us),
-                    f2(full_us / incr_us.max(f64::MIN_POSITIVE)),
-                    workers.to_string(),
-                ]);
+            let start = Instant::now();
+            oracle.apply_remove_batch_full(&removes);
+            full_rem.push(start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            w.apply_remove_batch(&removes);
+            incr_rem.push(start.elapsed().as_secs_f64());
+            if rep == 0 {
+                assert!(w == oracle, "incremental remove diverged from full rebuild");
             }
+        }
+        let full_churn: Vec<f64> = full_ins.iter().zip(&full_rem).map(|(a, b)| a + b).collect();
+        let incr_churn: Vec<f64> = incr_ins.iter().zip(&incr_rem).map(|(a, b)| a + b).collect();
+        for (op, full, incr) in [
+            ("insert", &full_ins, &incr_ins),
+            ("remove", &full_rem, &incr_rem),
+            ("churn", &full_churn, &incr_churn),
+        ] {
+            let (full_us, incr_us) = (median_us(full), median_us(incr));
+            t.push(vec![
+                name.to_string(),
+                n.to_string(),
+                batch.to_string(),
+                op.to_string(),
+                f2(full_us),
+                f2(incr_us),
+                f2(full_us / incr_us.max(f64::MIN_POSITIVE)),
+            ]);
         }
     }
 }
@@ -1869,8 +1842,8 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_experiment_covers_structures_ops_and_threads() {
-        let t = rebuild(&[256], 96, &[1, 8], &[1, 2], 1, 7);
+    fn rebuild_experiment_covers_structures_and_ops() {
+        let t = rebuild(&[256], 96, &[1, 8], 1, 7);
         assert!(!t.rows.is_empty());
         for structure in ["onedim-list", "quadtree-2d", "trie", "trapezoid"] {
             assert!(
@@ -1880,12 +1853,6 @@ mod tests {
         }
         for op in ["insert", "remove", "churn"] {
             assert!(t.rows.iter().any(|r| r[3] == op), "missing op {op}");
-        }
-        for threads in ["1", "2"] {
-            assert!(
-                t.rows.iter().any(|r| r[7] == threads),
-                "missing threads={threads}"
-            );
         }
         for row in &t.rows {
             assert!(

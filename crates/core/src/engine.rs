@@ -42,7 +42,13 @@
 //!
 //! Every in-flight operation carries an [`Arc`] of the immutable topology
 //! snapshot it was admitted under, and an update's repair ends in a single
-//! atomic snapshot swap. A query therefore *never observes a half-applied
+//! atomic snapshot swap. A snapshot is the web's own level sets (an
+//! `Arc<SkipWeb>`, which a [`GlobalRef`] indexes directly) plus the
+//! logical→physical host fold in effect — the engine keeps no second copy
+//! of the hierarchy. A publish shares the authoritative web's `Arc`; the
+//! next apply clones it on write, sharing the structure and hyperlinks of
+//! every level set its repair leaves alone; a membership change swaps only
+//! the fold. A query therefore *never observes a half-applied
 //! update*: it sees either the structure entirely before or entirely after
 //! each update — operations serialize at their snapshot-capture and
 //! snapshot-publish points, and old snapshots are reclaimed automatically
@@ -162,9 +168,8 @@ use skipweb_net::wan::{SimWanConfig, SimWanTransport};
 use skipweb_net::{HostId, HostTraffic, TransportStats};
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 
-use crate::levels::parent_key;
-use crate::placement::{Blocking, Replication};
-use crate::skipweb::SkipWeb;
+use crate::placement::Replication;
+use crate::skipweb::{LevelSet, SkipWeb};
 
 /// Globally unique address of a range: level, set index, range index — the
 /// "address" half of the paper's `(host, address)` pointers (§2.3). Refs are
@@ -526,38 +531,25 @@ pub struct UpdateReply {
     pub hops: u32,
 }
 
-/// One level set as the engine sees it: the deterministic structure
-/// description, its down-hyperlinks, and the (physical) hosts storing each
-/// range.
-#[derive(Debug)]
-struct TopoSet<D: RangeDetermined> {
-    structure: D,
-    /// Per range: hyperlinks into the parent set one level down. Empty at
-    /// level 0.
-    down: Vec<Vec<RangeId>>,
-    /// Per range: the hosts storing a copy (owner-hosted: exactly one;
-    /// bucketed: every block host whose cone the range belongs to).
-    hosts: Vec<Vec<HostId>>,
-    /// Index of the parent set one level down (0 at level 0).
-    parent: u32,
-}
-
-/// One immutable snapshot of the routing topology. The current snapshot is
-/// swapped atomically when an update applies or the membership changes;
-/// every in-flight message holds the snapshot it routes under, so old
-/// snapshots are reclaimed when their last message drains.
+/// One immutable snapshot of the routing topology: the web's own level
+/// sets — the only topology representation; a [`GlobalRef`] indexes
+/// straight into them — plus the placement fold in effect and a version.
+/// The current snapshot is swapped atomically when an update applies or the
+/// membership changes; every in-flight message holds the snapshot it routes
+/// under, so old snapshots are reclaimed when their last message drains.
+///
+/// A publish never copies the web: the snapshot shares the engine state's
+/// `Arc`, and the *next* apply clones-on-write, sharing every level set's
+/// structure and hyperlinks that its repair leaves alone. A membership-only
+/// publish swaps `ctl` over the same web.
 #[derive(Debug)]
 pub(crate) struct Topology<D: RangeDetermined> {
-    levels: Vec<Vec<TopoSet<D>>>,
-    /// Per level: set key → set index, for locating an item's set during
-    /// the bottom-up repair walk.
-    key_to_set: Vec<HashMap<u64, u32>>,
-    /// Item → level bit string, for remove repairs and duplicate checks.
-    membership: BTreeMap<D::Item, u64>,
-    blocking: Blocking,
-    /// Per ground item: the host and address where its operations start
-    /// (the "root node for that host" of §1.1).
-    origins: Vec<(HostId, GlobalRef)>,
+    pub(crate) web: Arc<SkipWeb<D>>,
+    /// The logical→physical host fold, applied at route time to the web's
+    /// logical `range_host` copies. While the web's host count stays within
+    /// `ctl.phys` and nothing is excluded the fold is the identity, so
+    /// owner-hosted message accounting matches the simulator exactly.
+    pub(crate) ctl: PlacementCtl,
     /// Monotone snapshot counter: every publish (update apply,
     /// decommission, spawn-host, heal) bumps it, so replicas that routed an
     /// operation under an old snapshot can tell they were stale.
@@ -565,8 +557,20 @@ pub(crate) struct Topology<D: RangeDetermined> {
 }
 
 impl<D: RangeDetermined> Topology<D> {
-    fn set(&self, at: GlobalRef) -> &TopoSet<D> {
-        &self.levels[at.level as usize][at.set as usize]
+    fn set(&self, at: GlobalRef) -> &LevelSet<D> {
+        &self.web.level_structs()[at.level as usize].sets[at.set as usize]
+    }
+
+    /// The address where `origin_item`'s operations start (the "root node
+    /// for that host" of §1.1) and the logical hosts storing it.
+    fn origin(&self, origin_item: usize) -> (GlobalRef, &[HostId]) {
+        let (set, entry) = self.web.origin_entry(origin_item);
+        let at = GlobalRef {
+            level: self.web.top_level() as u16,
+            set: set as u32,
+            range: entry.0,
+        };
+        (at, &self.set(at).range_host[entry.index()])
     }
 }
 
@@ -608,104 +612,33 @@ impl PlacementCtl {
     }
 }
 
-/// Builds a topology snapshot from `web` under the placement `ctl`. While
-/// the web's host count stays within `ctl.phys` and nothing is excluded,
-/// the fold is the identity, so owner-hosted message accounting matches the
-/// simulator exactly.
-pub(crate) fn build_topology<D: Routable + Send + Sync + 'static>(
-    web: &SkipWeb<D>,
-    ctl: &PlacementCtl,
-    version: u64,
-) -> Topology<D> {
-    let fold = |h: HostId| ctl.fold(h);
-    let levels = web.level_structs();
-    let topo_levels: Vec<Vec<TopoSet<D>>> = levels
-        .iter()
-        .enumerate()
-        .map(|(lvl, level)| {
-            level
-                .sets
-                .iter()
-                .map(|set| {
-                    let parent = if lvl == 0 {
-                        0
-                    } else {
-                        let pkey = parent_key(set.key, lvl as u32);
-                        levels[lvl - 1].set_by_key[&pkey]
-                    };
-                    TopoSet {
-                        structure: set.structure.clone(),
-                        down: set.down.clone(),
-                        hosts: set
-                            .range_host
-                            .iter()
-                            .map(|copies| {
-                                // Folding can alias distinct logical hosts;
-                                // keep first occurrences so the primary copy
-                                // stays copies[0].
-                                let mut mapped: Vec<HostId> = Vec::new();
-                                for h in copies.iter().copied().map(fold) {
-                                    if !mapped.contains(&h) {
-                                        mapped.push(h);
-                                    }
-                                }
-                                mapped
-                            })
-                            .collect(),
-                        parent,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let key_to_set = levels.iter().map(|l| l.set_by_key.clone()).collect();
-    let membership = web
-        .ground()
-        .iter()
-        .cloned()
-        .zip(web.item_bits().iter().copied())
-        .collect();
-    let top = web.top_level() as usize;
-    let top_level = &levels[top];
-    let origins = (0..web.len())
-        .map(|g| {
-            let set_idx = top_level.set_of_item[g] as usize;
-            let set = &top_level.sets[set_idx];
-            let entry = set
-                .structure
-                .entry_of_item(top_level.local_of_item[g] as usize);
-            (
-                fold(set.range_host[entry.index()][0]),
-                GlobalRef {
-                    level: top as u16,
-                    set: set_idx as u32,
-                    range: entry.0,
-                },
-            )
-        })
-        .collect();
-    Topology {
-        levels: topo_levels,
-        key_to_set,
-        membership,
-        blocking: web.blocking(),
-        origins,
-        version,
-    }
-}
-
-/// Resolves a replicated range to a host from the perspective of `me`: the
-/// co-located copy when one exists (free to act on), else the nearest
-/// surviving copy in replica order (decommissioned hosts still serve while
+/// Resolves a replicated range — its logical `copies`, folded onto physical
+/// hosts by `ctl` — to a host from the perspective of `me`: the co-located
+/// copy when one exists (free to act on), else the nearest surviving copy
+/// in replica order (`routable`: decommissioned hosts still serve while
 /// they drain; only crashed ones are skipped). `None` when every copy has
-/// crashed — more failures than the replication factor tolerates.
-fn pick_alive(copies: &[HostId], me: HostId, membership: &Membership) -> Option<HostId> {
-    if copies.contains(&me) {
-        // The executing host is by definition functioning, whatever the
-        // membership snapshot says.
-        return Some(me);
+/// crashed — more failures than the replication factor tolerates. Folding
+/// can alias distinct logical hosts; membership and first-match are both
+/// blind to the repeats, so the folded list is never materialized.
+fn pick_alive(
+    copies: &[HostId],
+    ctl: &PlacementCtl,
+    me: HostId,
+    routable: impl Fn(HostId) -> bool,
+) -> Option<HostId> {
+    let mut nearest = None;
+    for &copy in copies {
+        let host = ctl.fold(copy);
+        if host == me {
+            // The executing host is by definition functioning, whatever
+            // the membership snapshot says.
+            return Some(me);
+        }
+        if nearest.is_none() && routable(host) {
+            nearest = Some(host);
+        }
     }
-    copies.iter().copied().find(|&h| membership.is_routable(h))
+    nearest
 }
 
 /// Outcome of processing an operation "as far as we can internally" (§2.5).
@@ -747,17 +680,20 @@ fn route_step<D: Routable + Send + Sync + 'static>(
                     !candidates.is_empty(),
                     "hyperlinks of a subset range into its superset cannot be empty"
                 );
-                let parent_level = at.level - 1;
-                let parent = &topo.levels[parent_level as usize][set.parent as usize];
-                let entry = parent.structure.best_entry(candidates, q);
+                let parent = GlobalRef {
+                    level: at.level - 1,
+                    set: topo.web.parent_set_index(u32::from(at.level), set) as u32,
+                    range: 0,
+                };
+                let entry = topo.set(parent).structure.best_entry(candidates, q);
                 GlobalRef {
-                    level: parent_level,
-                    set: set.parent,
                     range: entry.0,
+                    ..parent
                 }
             }
         };
-        match pick_alive(&topo.set(next).hosts[next.range as usize], me, membership) {
+        let copies = &topo.set(next).range_host[next.range as usize];
+        match pick_alive(copies, &topo.ctl, me, |h| membership.is_routable(h)) {
             Some(host) if host == me => {
                 // Process as far as we can internally (§2.5): free.
                 at = next;
@@ -768,12 +704,11 @@ fn route_step<D: Routable + Send + Sync + 'static>(
     }
 }
 
-/// The ordered hosts an update's bottom-up repair must act on (§4): for
-/// every level the item belongs to, the hosts of the ranges conflicting
-/// with the item's probe range — mirroring the simulator's
-/// `meter_update_neighbourhood` visit for visit, so the walk's host
-/// transitions equal the metered messages when every host is alive. Dead
-/// hosts are steered around via their alive replicas; `None` when some
+/// The ordered hosts an update's bottom-up repair must act on (§4): the
+/// web's own [`SkipWeb::walk_update_neighbourhood`] — the walk the
+/// simulator meters — under this snapshot's placement fold, so the walk's
+/// host transitions equal the metered messages when every host is alive.
+/// Dead hosts are steered around via their alive replicas; `None` when some
 /// range has no alive replica left (the update is unavailable under this
 /// snapshot). Empty trail for a remove whose item is not in the snapshot.
 fn repair_trail<D: Routable + Send + Sync + 'static>(
@@ -784,30 +719,21 @@ fn repair_trail<D: Routable + Send + Sync + 'static>(
 ) -> Option<Vec<HostId>> {
     let bits = match kind {
         UpdateKind::Insert { bits } => bits,
-        UpdateKind::Remove => match topo.membership.get(item) {
-            Some(&bits) => bits,
+        UpdateKind::Remove => match topo.web.bits_of(item) {
+            Some(bits) => bits,
             None => return Some(Vec::new()),
         },
     };
-    let probe_range = D::probe_range(item);
     let mut trail = Vec::new();
-    let complete = crate::skipweb::walk_update_neighbourhood(
-        bits,
-        topo.blocking,
-        topo.levels.len(),
-        |level, key| topo.key_to_set[level as usize].get(&key).copied(),
-        |level, set_idx| {
-            let set = &topo.levels[level as usize][set_idx as usize];
-            set.structure
-                .conflicts(&probe_range)
-                .into_iter()
-                .map(|r| set.hosts[r.index()].clone())
-                .collect()
-        },
-        |host| membership.is_routable(host),
-        |host| trail.push(host),
-    );
-    complete.then_some(trail)
+    topo.web
+        .walk_update_neighbourhood(
+            item,
+            bits,
+            |host| topo.ctl.fold(host),
+            |host| membership.is_routable(host),
+            |host| trail.push(host),
+        )
+        .then_some(trail)
 }
 
 /// Most recent update outcomes remembered for exactly-once resubmits; old
@@ -818,7 +744,11 @@ const APPLIED_OPS_CAP: usize = 1 << 16;
 /// update applies (which includes the structural rebuild), so its lock is
 /// off the read path.
 struct EngineState<D: Routable + Send + Sync + 'static> {
-    web: SkipWeb<D>,
+    /// The same `Arc` the current snapshot holds. An apply mutates it
+    /// clone-on-write (`Arc::make_mut`) under the state lock: in-flight
+    /// operations keep the previous web, and the copy shares every level
+    /// set's structure and hyperlinks the repair does not replace.
+    web: Arc<SkipWeb<D>>,
     /// Draws origins and level bits for the convenience
     /// [`DistributedSkipWeb::insert`] / [`DistributedSkipWeb::remove`]
     /// entry points (explicit-bits APIs bypass it).
@@ -916,10 +846,6 @@ struct Shared<D: Routable + Send + Sync + 'static> {
     /// The wait-and-retry policy newly registered clients start with
     /// ([`FabricBuilder::timeouts`]).
     default_timeouts: Timeouts,
-    /// Worker threads for the apply path's dirty-set rebuild stage
-    /// ([`FabricBuilder::apply_threads`]); `1` repairs on the applying
-    /// host's own actor thread.
-    apply_threads: usize,
 }
 
 impl<D: Routable + Send + Sync + 'static> Shared<D> {
@@ -928,11 +854,11 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
         self.topo.lock().clone()
     }
 
-    /// Rebuilds and publishes the topology from the current web and
-    /// placement, additionally excluding every host the membership reports
-    /// as dead or decommissioned, with a bumped snapshot version. The
-    /// caller must hold the state lock, so publish order equals apply
-    /// order.
+    /// Publishes the current web under the current placement, additionally
+    /// excluding every host the membership reports as dead or
+    /// decommissioned, with a bumped snapshot version — `O(1)` in the web:
+    /// the snapshot shares the state's `Arc`. The caller must hold the
+    /// state lock, so publish order equals apply order.
     fn republish(&self, st: &EngineState<D>, membership: &Membership) {
         let mut ctl = st.placement.clone();
         for h in membership.dead_hosts() {
@@ -941,9 +867,12 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
         for h in membership.decommissioned_hosts() {
             ctl.excluded.insert(h.0);
         }
-        let version = self.topo.lock().version + 1;
-        let next = Arc::new(build_topology(&st.web, &ctl, version));
-        *self.topo.lock() = next;
+        let mut topo = self.topo.lock();
+        *topo = Arc::new(Topology {
+            web: Arc::clone(&st.web),
+            ctl,
+            version: topo.version + 1,
+        });
     }
 }
 
@@ -1070,7 +999,8 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         let mut local: Vec<RangeId> = Vec::new();
         let mut remote: BTreeMap<HostId, Vec<RangeId>> = BTreeMap::new();
         for r in ranges {
-            match pick_alive(&set.hosts[r.index()], me, membership) {
+            let copies = &set.range_host[r.index()];
+            match pick_alive(copies, &msg.topo.ctl, me, |h| membership.is_routable(h)) {
                 Some(h) if h == me => local.push(r),
                 Some(h) => remote.entry(h).or_default().push(r),
                 None => {
@@ -1176,7 +1106,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                         // A duplicate insert (or a remove that lost its
                         // target to a concurrent update) stops at the locus,
                         // paying only the lookup — as in the simulator.
-                        let present = msg.topo.membership.contains_key(&u.item);
+                        let present = msg.topo.web.bits_of(&u.item).is_some();
                         let noop = match u.kind {
                             UpdateKind::Insert { .. } => present,
                             UpdateKind::Remove => !present,
@@ -1356,9 +1286,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                             st.record_outcome(metas[j].3, false);
                         }
                     }
-                    let applied = st
-                        .web
-                        .apply_insert_batch_threads(batch, self.shared.apply_threads);
+                    let applied = Arc::make_mut(&mut st.web).apply_insert_batch(batch);
                     for (j, a) in slots.into_iter().zip(applied) {
                         outcomes[j] = a;
                         st.record_outcome(metas[j].3, a);
@@ -1366,9 +1294,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                     }
                 } else {
                     let items: Vec<D::Item> = run.iter().map(|&j| ops[j].1.clone()).collect();
-                    let applied = st
-                        .web
-                        .apply_remove_batch_threads(&items, self.shared.apply_threads);
+                    let applied = Arc::make_mut(&mut st.web).apply_remove_batch(&items);
                     for (&j, a) in run.iter().zip(applied) {
                         outcomes[j] = a;
                         st.record_outcome(metas[j].3, a);
@@ -1751,7 +1677,6 @@ enum Threads {
 /// [`capacity`](Self::capacity)), replication override
 /// ([`replicate`](Self::replicate)), transport ([`wan`](Self::wan) /
 /// [`transport`](Self::transport) / [`spawn_tcp`](Self::spawn_tcp)),
-/// apply-path parallelism ([`apply_threads`](Self::apply_threads)),
 /// client timeout policy ([`timeouts`](Self::timeouts)), and durability
 /// ([`durability`](Self::durability) /
 /// [`restore_ledger`](Self::restore_ledger)) — then
@@ -1777,7 +1702,6 @@ pub struct FabricBuilder<'w, D: Routable + Send + Sync + 'static> {
     timeouts: Timeouts,
     durability: Option<Arc<dyn Durability<D>>>,
     ledger: Vec<((ClientId, u64), bool)>,
-    apply_threads: usize,
 }
 
 impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
@@ -1793,24 +1717,7 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
             timeouts: Timeouts::DEFAULT,
             durability: None,
             ledger: Vec::new(),
-            apply_threads: 1,
         }
-    }
-
-    /// Fans the apply path's dirty-set rebuild stage out over `t` worker
-    /// threads (default 1: the applying host repairs on its own actor
-    /// thread). The repaired structure is byte-identical at any thread
-    /// count — only the wall-clock cost of large batches changes — and the
-    /// workers live only for the duration of one apply, inside the state
-    /// lock, so snapshot-publish and WAL ordering are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is zero.
-    pub fn apply_threads(mut self, t: usize) -> Self {
-        assert!(t > 0, "the apply path needs at least one thread");
-        self.apply_threads = t;
-        self
     }
 
     /// Folds the web's logical hosts onto at most `hosts` physical actor
@@ -1920,10 +1827,18 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
         }
     }
 
-    fn build_shared(&self, web: &SkipWeb<D>, capacity: usize) -> Arc<Shared<D>> {
+    /// Engine state and first snapshot start as the same `Arc`: one clone
+    /// of the caller's web, sharing its level sets' structures and
+    /// hyperlinks.
+    fn build_shared(&self, web: SkipWeb<D>, capacity: usize) -> Arc<Shared<D>> {
         assert!(capacity > 0, "a network needs at least one host");
         let placement = PlacementCtl::new(capacity);
-        let topo = Arc::new(build_topology(web, &placement, 0));
+        let web = Arc::new(web);
+        let topo = Arc::new(Topology {
+            web: Arc::clone(&web),
+            ctl: placement.clone(),
+            version: 0,
+        });
         let mut applied_ops = HashMap::new();
         let mut applied_order = std::collections::VecDeque::new();
         for &(key, applied) in &self.ledger {
@@ -1933,7 +1848,7 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
         }
         Arc::new(Shared {
             state: Mutex::new(EngineState {
-                web: web.clone(),
+                web,
                 rng: StdRng::seed_from_u64(0x736b_6970_7765_6221),
                 placement,
                 applied_ops,
@@ -1942,7 +1857,6 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
             topo: Mutex::new(topo),
             durability: self.durability.clone(),
             default_timeouts: self.timeouts,
-            apply_threads: self.apply_threads,
         })
     }
 
@@ -1950,7 +1864,7 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
     pub fn spawn(self) -> DistributedSkipWeb<D> {
         let web = self.resolve_web();
         let capacity = self.resolve_capacity(&web);
-        let shared = self.build_shared(&web, capacity);
+        let shared = self.build_shared(web.into_owned(), capacity);
         let runtime = match self.transport {
             Some(transport) => {
                 Runtime::spawn_with_transport(capacity, transport, |_h| EngineActor {
@@ -2008,7 +1922,7 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
     pub fn spawn_tcp(self, cfg: TcpConfig) -> std::io::Result<DistributedSkipWeb<D>> {
         let web = self.resolve_web();
         let capacity = cfg.owners.len().max(1);
-        let shared = self.build_shared(&web, capacity);
+        let shared = self.build_shared(web.into_owned(), capacity);
         let codec = {
             let enc_shared = Arc::clone(&shared);
             TcpCodec {
@@ -2117,10 +2031,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         gather: bool,
     ) -> Result<u64, RuntimeError> {
         let topo = self.shared.current_topo();
-        assert!(
-            origin_item < topo.origins.len(),
-            "origin item out of bounds"
-        );
+        assert!(origin_item < topo.web.len(), "origin item out of bounds");
         let corr = client.next_corr.fetch_add(1, Ordering::Relaxed);
         // A host can die between the membership check and the send; the
         // failed send proves the fresh membership now reports it dead, so
@@ -2173,10 +2084,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         reqs: Vec<D::Request>,
     ) -> Result<Vec<u64>, RuntimeError> {
         let topo = self.shared.current_topo();
-        assert!(
-            origin_item < topo.origins.len(),
-            "origin item out of bounds"
-        );
+        assert!(origin_item < topo.web.len(), "origin item out of bounds");
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
@@ -2230,14 +2138,11 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         topo: &Topology<D>,
         origin_item: usize,
     ) -> Result<(HostId, GlobalRef), RuntimeError> {
-        let (host, at) = topo.origins[origin_item];
+        let (at, copies) = topo.origin(origin_item);
         let membership = self.runtime.membership();
-        if membership.is_routable(host) {
-            return Ok((host, at));
-        }
-        topo.set(at).hosts[at.range as usize]
+        copies
             .iter()
-            .copied()
+            .map(|&h| topo.ctl.fold(h))
             .find(|&h| membership.is_routable(h))
             .map(|h| (h, at))
             .ok_or(RuntimeError::Unavailable)
@@ -2505,11 +2410,11 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         // Mirror the simulator's lookup rule: inserts route on a non-empty
         // web; removes route when the item is present and not the last one.
         let routes = match kind {
-            UpdateKind::Insert { .. } => !topo.origins.is_empty(),
-            UpdateKind::Remove => topo.origins.len() > 1 && topo.membership.contains_key(item),
+            UpdateKind::Insert { .. } => !topo.web.is_empty(),
+            UpdateKind::Remove => topo.web.len() > 1 && topo.web.bits_of(item).is_some(),
         };
         if routes {
-            assert!(origin < topo.origins.len(), "origin item out of bounds");
+            assert!(origin < topo.web.len(), "origin item out of bounds");
             let (host, at) = self.entry_point(topo, origin)?;
             Ok((host, at, UpdatePhase::Route))
         } else {
@@ -2731,7 +2636,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                     // The snapshot may have shrunk since the origin was
                     // chosen; clamp it — the lookup origin only seeds the
                     // descent, any valid item works.
-                    let origin = origin.min(topo.origins.len().saturating_sub(1));
+                    let origin = origin.min(topo.web.len().saturating_sub(1));
                     corr = self.submit_update_at(
                         client,
                         topo,
@@ -2811,7 +2716,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         // Draw the origin against the same snapshot the update is admitted
         // under, so a concurrent apply can never shrink it out of bounds.
         let topo = self.shared.current_topo();
-        let len = topo.origins.len();
+        let len = topo.web.len();
         let (origin, bits) = {
             let mut st = self.shared.state.lock();
             let origin = if len > 0 { st.rng.gen_range(0..len) } else { 0 };
@@ -2837,7 +2742,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     ) -> Result<UpdateReply, RuntimeError> {
         // Same snapshot for origin draw and admission (see `insert`).
         let topo = self.shared.current_topo();
-        let len = topo.origins.len();
+        let len = topo.web.len();
         let origin = if len > 0 {
             self.shared.state.lock().rng.gen_range(0..len)
         } else {
@@ -2892,7 +2797,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         client: &EngineClient<D>,
         items: Vec<D::Item>,
     ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let len = self.shared.current_topo().origins.len();
+        let len = self.shared.current_topo().web.len();
         let planned: Vec<(usize, UpdateKind, D::Item)> = {
             let mut st = self.shared.state.lock();
             items
@@ -2943,7 +2848,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         client: &EngineClient<D>,
         items: Vec<D::Item>,
     ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let len = self.shared.current_topo().origins.len();
+        let len = self.shared.current_topo().web.len();
         let planned: Vec<(usize, UpdateKind, D::Item)> = {
             let mut st = self.shared.state.lock();
             items
@@ -3132,7 +3037,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// themselves back.
     pub fn restore(&self, web: SkipWeb<D>, ledger: Vec<((ClientId, u64), bool)>) {
         let st = &mut *self.shared.state.lock();
-        st.web = web;
+        st.web = Arc::new(web);
         st.applied_ops.clear();
         st.applied_order.clear();
         for (key, applied) in ledger {
@@ -3235,6 +3140,8 @@ mod tests {
     use crate::multidim::{
         QuadtreeAnswer, QuadtreeRequest, QuadtreeSkipWeb, TrapezoidSkipWeb, TrieSkipWeb,
     };
+    use proptest::collection;
+    use proptest::prelude::*;
     use skipweb_net::sim::MessageMeter;
     use skipweb_structures::quadtree::PointKey;
     use skipweb_structures::trapezoid::Segment;
@@ -3542,7 +3449,188 @@ mod tests {
             }
             writer.join().unwrap();
         });
+        // An operation routed under snapshot `v` answers from `v` even
+        // after `v + 1` publishes: the message carries its snapshot, and
+        // the apply's clone-on-write leaves that web untouched.
+        let client = dist.client();
+        let v = dist.shared.current_topo();
+        let before = dist.query(&client, 0, 5_031).unwrap().answer;
+        assert!(dist.insert(&client, 5_031).unwrap().applied);
+        assert_eq!(dist.shared.current_topo().version, v.version + 1);
+        let (at, copies) = v.origin(0);
+        client
+            .inner
+            .send(
+                copies[0],
+                FabricMsg::One(EngineMsg {
+                    op: EngineOp::Query {
+                        req: 5_031u64,
+                        gather: false,
+                    },
+                    at,
+                    client: client.id(),
+                    corr: u64::MAX,
+                    hops: 0,
+                    topo: Arc::clone(&v),
+                }),
+            )
+            .unwrap();
+        let stale = client.recv_corr(u64::MAX, Duration::from_secs(10)).unwrap();
+        assert_eq!(stale.try_into_answer().unwrap(), before);
+        assert_eq!(dist.query(&client, 0, 5_031).unwrap().answer, Some(5_031));
         dist.shutdown();
+    }
+
+    /// The sharing contract of one publish: every set of `new` that the
+    /// repair for an update with tower `bits` (`None`: no update) neither
+    /// rebuilt nor re-linked is the very allocation `old` holds. Returns
+    /// how many structures were shared and how many rebuilt.
+    fn assert_untouched_sets_are_shared<D: Routable>(
+        old: &SkipWeb<D>,
+        new: &SkipWeb<D>,
+        bits: Option<u64>,
+    ) -> (usize, usize) {
+        use crate::levels::set_key;
+        let (mut shared, mut rebuilt) = (0, 0);
+        for (level, tables) in (0u32..).zip(new.level_structs()) {
+            let Some(old_tables) = old.level_structs().get(level as usize) else {
+                continue; // a freshly grown top level has no predecessor
+            };
+            let dirty = bits.map(|b| set_key(b, level));
+            let relinked = bits.filter(|_| level > 0).map(|b| set_key(b, level - 1));
+            for set in &tables.sets {
+                let Some(&i) = old_tables.set_by_key.get(&set.key) else {
+                    continue;
+                };
+                let was = &old_tables.sets[i as usize];
+                if Some(set.key) == dirty {
+                    assert!(!Arc::ptr_eq(&set.structure, &was.structure));
+                    rebuilt += 1;
+                    continue;
+                }
+                assert!(
+                    Arc::ptr_eq(&set.structure, &was.structure),
+                    "L{level} set {:#x}: structure copied",
+                    set.key
+                );
+                shared += 1;
+                // Re-linked: the children of the rebuilt set one level down.
+                if relinked.is_none() || Some(set_key(set.key, level - 1)) != relinked {
+                    assert!(
+                        Arc::ptr_eq(&set.down, &was.down),
+                        "L{level} set {:#x}: hyperlinks copied",
+                        set.key
+                    );
+                }
+            }
+        }
+        (shared, rebuilt)
+    }
+
+    #[test]
+    fn a_publish_shares_every_set_the_repair_left_alone() {
+        let keys: Vec<u64> = (0..1024).map(|i| i * 10).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(48).build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(4)
+            .spawn();
+        let client = dist.client();
+        // Caller, engine state and snapshot start out sharing every set.
+        let v0 = dist.shared.current_topo();
+        assert!(Arc::ptr_eq(&v0.web, &dist.shared.state.lock().web));
+        let (shared, rebuilt) = assert_untouched_sets_are_shared(web.inner(), &v0.web, None);
+        assert_eq!(rebuilt, 0, "nothing was repaired yet");
+        assert_eq!(
+            shared,
+            v0.web.level_structs().iter().map(|l| l.sets.len()).sum()
+        );
+
+        let bits = 0x5EED_B175;
+        assert!(dist.insert_with(&client, 3, 5_555, bits).unwrap().applied);
+        let v1 = dist.shared.current_topo();
+        assert!(Arc::ptr_eq(&v1.web, &dist.shared.state.lock().web));
+        let (shared, rebuilt) = assert_untouched_sets_are_shared(&v0.web, &v1.web, Some(bits));
+        assert!(
+            rebuilt >= 2 && shared > 8 * rebuilt,
+            "{shared} vs {rebuilt}"
+        );
+        // The caller's web still shares them too; `v0` itself is untouched.
+        assert_untouched_sets_are_shared(web.inner(), &v1.web, Some(bits));
+        assert_eq!(v0.web.len(), 1024);
+
+        let bits = v1.web.bits_of(&4_440).expect("an original key");
+        assert!(dist.remove_with(&client, 7, 4_440).unwrap().applied);
+        let v2 = dist.shared.current_topo();
+        let (shared, rebuilt) = assert_untouched_sets_are_shared(&v1.web, &v2.web, Some(bits));
+        assert!(
+            rebuilt >= 2 && shared > 8 * rebuilt,
+            "{shared} vs {rebuilt}"
+        );
+        assert_eq!((v1.web.len(), v2.web.len()), (1025, 1024));
+        dist.shutdown();
+    }
+
+    #[test]
+    fn membership_publishes_swap_the_placement_over_the_same_web() {
+        let keys: Vec<u64> = (0..256).map(|i| i * 3).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(49).build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(6)
+            .spawn();
+        let v0 = dist.shared.current_topo();
+        dist.heal();
+        let v1 = dist.shared.current_topo();
+        dist.decommission(HostId(2)).unwrap();
+        let v2 = dist.shared.current_topo();
+        let host = dist.spawn_host();
+        let v3 = dist.shared.current_topo();
+        for (before, after) in [(&v0, &v1), (&v1, &v2), (&v2, &v3)] {
+            assert!(
+                Arc::ptr_eq(&before.web, &after.web),
+                "the web is not copied"
+            );
+            assert_eq!(after.version, before.version + 1);
+        }
+        assert!(Arc::ptr_eq(&v3.web, &dist.shared.state.lock().web));
+        // Only the fold changed: host 2's share moved, host 6 joined.
+        assert_eq!(v2.ctl.fold(HostId(2)), HostId(3));
+        assert_eq!(v3.ctl.fold(host), host);
+        dist.shutdown();
+    }
+
+    proptest! {
+        /// Why the route-time fold needs no de-duplication: over the folded
+        /// copies, `contains` and first-match pick exactly the host they
+        /// picked from the first-occurrence-de-duplicated host table the
+        /// snapshot used to bake.
+        #[test]
+        fn route_time_fold_picks_what_the_deduplicated_table_did(
+            phys in 1usize..10,
+            excluded in collection::vec(0u32..10, 0..6),
+            copies in collection::vec(0u32..64, 1..6),
+            me in 0u32..10,
+            dead in collection::vec(0u32..10, 0..8),
+        ) {
+            let ctl = PlacementCtl {
+                phys,
+                excluded: excluded.into_iter().filter(|&h| (h as usize) < phys).collect(),
+            };
+            let copies: Vec<HostId> = copies.into_iter().map(HostId).collect();
+            let me = HostId(me % phys as u32);
+            let routable = |h: HostId| !dead.contains(&h.0);
+            let mut baked: Vec<HostId> = Vec::new();
+            for h in copies.iter().map(|&h| ctl.fold(h)) {
+                if !baked.contains(&h) {
+                    baked.push(h);
+                }
+            }
+            let want = if baked.contains(&me) {
+                Some(me)
+            } else {
+                baked.iter().copied().find(|&h| routable(h))
+            };
+            prop_assert_eq!(pick_alive(&copies, &ctl, me, routable), want);
+        }
     }
 
     /// Blocks until `host` shows up dead in the engine's membership view
@@ -3995,7 +4083,8 @@ mod tests {
         // the tombstone beats the send (failover at submit), the blocking
         // call must land the insert exactly once.
         let topo = dist.shared.current_topo();
-        let (entry_host, _) = topo.origins[0];
+        // One thread per logical host: the fold is the identity.
+        let entry_host = topo.origin(0).1[0];
         client
             .inner
             .send(

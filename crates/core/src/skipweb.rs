@@ -2,6 +2,7 @@
 //! and updates (§4), generic over any range-determined link structure.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,18 +15,21 @@ use crate::levels::{draw_bits, group_by_key, level_count, parent_key, set_key};
 use crate::placement::{Blocking, Replication};
 
 /// One level-`ℓ` set `S_b` with its structure `D(S_b)`, hyperlinks, and
-/// host placement.
+/// host placement. The structure and the hyperlink lists sit behind `Arc`s:
+/// a clone of the web (the copy-on-write an engine apply forces while a
+/// published snapshot still holds the previous web) shares both with every
+/// set the repair neither rebuilt nor re-linked.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LevelSet<D: RangeDetermined> {
     /// The `ℓ`-bit key `b` of this set.
     pub key: u64,
     /// The structure `D(S_b)`.
-    pub structure: D,
+    pub structure: Arc<D>,
     /// Structure item index → ground item index.
     pub ground: Vec<u32>,
     /// Per range: hyperlinks to the conflicting ranges `C(Q, S_{b'})` in the
     /// parent set one level down (§2.3). Empty at level 0.
-    pub down: Vec<Vec<RangeId>>,
+    pub down: Arc<[Vec<RangeId>]>,
     /// Per range: the hosts storing a copy of it. Owner-hosted placement
     /// keeps a single copy; bucketed placement replicates non-basic ranges
     /// onto every block host whose cone they belong to (§2.4.1 notes that
@@ -66,8 +70,7 @@ struct RepairPlan {
     remap: Vec<u32>,
 }
 
-/// One dirty set to rebuild — the items are disjoint across jobs, which is
-/// what lets the rebuild stage fan out across threads.
+/// One dirty set to rebuild.
 #[derive(Debug)]
 struct BuildJob {
     level: u32,
@@ -75,43 +78,6 @@ struct BuildJob {
     /// New ground indices of the members, ascending — which is canonical
     /// order, since the spliced ground set is canonically sorted.
     members: Vec<u32>,
-}
-
-/// Runs `f` over `jobs` on up to `threads` scoped workers, preserving
-/// result order. Jobs are dealt round-robin: rebuild jobs arrive sorted
-/// bottom-up (level 0 — the whole ground set — first), so the few big
-/// low-level jobs land on distinct workers.
-fn par_map<J: Sync, T: Send>(jobs: &[J], threads: usize, f: impl Fn(&J) -> T + Sync) -> Vec<T> {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(f).collect();
-    }
-    let workers = threads.min(jobs.len());
-    let mut out: Vec<Option<T>> = Vec::with_capacity(jobs.len());
-    out.resize_with(jobs.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || {
-                    let mut part = Vec::new();
-                    let mut i = w;
-                    while i < jobs.len() {
-                        part.push((i, f(&jobs[i])));
-                        i += workers;
-                    }
-                    part
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, v) in handle.join().expect("apply worker panicked") {
-                out[i] = Some(v);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("round-robin covers every job"))
-        .collect()
 }
 
 /// Points every range's copy list at its owning item's host — the
@@ -163,8 +129,7 @@ fn permute_by_remap(arr: &mut Vec<u32>, remap: &[u32], n_new: usize, adjust: imp
 /// splice), emptied sets are dropped, new sets land at their key-sorted
 /// position, and the level's item maps are brought back in sync. `jobs` /
 /// `built` are this level's slice of the repair plan (see
-/// `SkipWeb::split_installs`); each level's merge touches only its own
-/// tables, so the threaded apply path runs this over levels in parallel.
+/// `SkipWeb::split_installs`).
 fn install_level<D: RangeDetermined>(
     level: &mut Level<D>,
     li: u32,
@@ -561,10 +526,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let start_messages = meter.messages();
         let top = self.top_level() as usize;
         let mut level = top;
-        let mut set_idx = self.levels[top].set_of_item[origin_item] as usize;
-        let mut entry = self.levels[top].sets[set_idx]
-            .structure
-            .entry_of_item(self.levels[top].local_of_item[origin_item] as usize);
+        let (mut set_idx, mut entry) = self.origin_entry(origin_item);
         let mut per_level_touches = Vec::with_capacity(top + 1);
         // Non-basic ranges are replicated across block hosts; which copy the
         // walk reads is only determined once the descent reaches the basic
@@ -610,7 +572,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 !candidates.is_empty(),
                 "hyperlinks of a subset range into its superset cannot be empty"
             );
-            let parent_idx = self.parent_set_index(level as u32, set.key);
+            let parent_idx = self.parent_set_index(level as u32, set);
             let parent = &self.levels[level - 1].sets[parent_idx];
             entry = parent.structure.best_entry(candidates, q);
             level -= 1;
@@ -618,9 +580,26 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
     }
 
-    fn parent_set_index(&self, level: u32, key: u64) -> usize {
-        let pkey = parent_key(key, level);
-        self.levels[(level - 1) as usize].set_by_key[&pkey] as usize
+    /// Index, within level `level - 1`, of the parent of the level-`level`
+    /// set `set` — the set its down-hyperlinks point into, which is the one
+    /// holding its items one level down (sets above level 0 are never
+    /// empty). Two indexed reads rather than a `set_by_key` probe: this
+    /// sits on every level descent of a query, where hashing the key and
+    /// the probe's two cold cache lines measurably slow reads.
+    pub(crate) fn parent_set_index(&self, level: u32, set: &LevelSet<D>) -> usize {
+        self.levels[(level - 1) as usize].set_of_item[set.ground[0] as usize] as usize
+    }
+
+    /// Where operations from `origin_item` enter the web — the "root node
+    /// for that host" of §1.1: the item's top-level set index and its entry
+    /// range there.
+    pub(crate) fn origin_entry(&self, origin_item: usize) -> (usize, RangeId) {
+        let top = &self.levels[self.top_level() as usize];
+        let set_idx = top.set_of_item[origin_item] as usize;
+        let entry = top.sets[set_idx]
+            .structure
+            .entry_of_item(top.local_of_item[origin_item] as usize);
+        (set_idx, entry)
     }
 
     /// Inserts `item`, charging the §4 bottom-up repair messages to `meter`.
@@ -709,14 +688,13 @@ impl<D: RangeDetermined> SkipWeb<D> {
         item: &D::Item,
         meter: &mut MessageMeter,
     ) -> bool {
-        let Ok(pos) = self.ground.binary_search_by(|g| D::canonical_cmp(g, item)) else {
+        let Some(bits) = self.bits_of(item) else {
             return false;
         };
         if let Some(o) = origin {
             let q = D::item_query(item);
             let _ = self.query(o, &q, meter);
         }
-        let bits = self.item_bits[pos];
         self.meter_update_neighbourhood(item, bits, meter);
         let applied = self.apply_remove_batch(std::slice::from_ref(item));
         debug_assert!(applied[0], "the item was just located");
@@ -746,7 +724,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     pub fn apply_insert_batch(&mut self, items: Vec<(D::Item, u64)>) -> Vec<bool> {
         let (applied, plan) = self.stage_inserts(items, false);
         if let Some(plan) = plan {
-            self.repair_serial(plan);
+            self.repair(plan);
         }
         applied
     }
@@ -768,7 +746,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     pub fn apply_remove_batch(&mut self, items: &[D::Item]) -> Vec<bool> {
         let (applied, plan) = self.stage_removes(items, false);
         if let Some(plan) = plan {
-            self.repair_serial(plan);
+            self.repair(plan);
         }
         applied
     }
@@ -1045,10 +1023,10 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
     }
 
-    /// Runs a repair plan on the calling thread. The threaded variant is
-    /// [`apply_insert_batch_threads`](Self::apply_insert_batch_threads) /
-    /// [`apply_remove_batch_threads`](Self::apply_remove_batch_threads).
-    fn repair_serial(&mut self, plan: RepairPlan) {
+    /// Runs a repair plan: rebuild the dirty sets, merge them into the level
+    /// tables, recompute the hyperlinks the rebuilds invalidated, and finish
+    /// the host tables.
+    fn repair(&mut self, plan: RepairPlan) {
         let built = plan.builds.iter().map(|j| self.exec_build(j)).collect();
         let links = self.install_sets(&plan, built);
         let downs = links.iter().map(|&j| self.exec_link(j)).collect();
@@ -1260,10 +1238,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
         Ok(())
     }
 
-    /// Rebuilds one dirty set from its (already-spliced) members — the
-    /// parallelizable unit of the repair: reads the ground set immutably
-    /// and returns an owned set, with hyperlinks and placement filled in by
-    /// the later stages.
+    /// Rebuilds one dirty set from its (already-spliced) members: reads the
+    /// ground set immutably and returns an owned set, with hyperlinks and
+    /// placement filled in by the later stages.
     fn exec_build(&self, job: &BuildJob) -> LevelSet<D> {
         let items: Vec<D::Item> = job
             .members
@@ -1281,10 +1258,10 @@ impl<D: RangeDetermined> SkipWeb<D> {
             "splice must preserve the canonical order (canonical_cmp contract)"
         );
         let num_ranges = structure.num_ranges();
-        // Owner-hosted primaries are fused into the (parallelizable) build:
-        // each range's copy list starts at its owning item's host, so the
-        // repair path never needs the full placement sweep. Bucketed webs
-        // get their placement wholesale from `assign_bucketed` instead.
+        // Owner-hosted primaries are fused into the build: each range's
+        // copy list starts at its owning item's host, so the repair path
+        // never needs the full placement sweep. Bucketed webs get their
+        // placement wholesale from `assign_bucketed` instead.
         let range_host = if matches!(self.blocking, Blocking::OwnerHosted) {
             structure
                 .range_ids()
@@ -1299,17 +1276,16 @@ impl<D: RangeDetermined> SkipWeb<D> {
         };
         LevelSet {
             key: job.key,
-            structure,
+            structure: Arc::new(structure),
             ground: job.members.clone(),
-            down: vec![Vec::new(); num_ranges],
+            down: vec![Vec::new(); num_ranges].into(),
             range_host,
         }
     }
 
     /// Splits the `(level, key)`-sorted build jobs and their rebuilt sets
     /// into per-level chunks aligned with `self.levels`, so each level's
-    /// merge becomes self-contained — which is what lets the threaded
-    /// apply path fan [`install_level`] out.
+    /// merge ([`install_level`]) is self-contained.
     fn split_installs(
         plan: &RepairPlan,
         built: Vec<LevelSet<D>>,
@@ -1399,8 +1375,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
             .collect()
     }
 
-    /// Recomputes one set's hyperlinks into its parent (§2.3) — the second
-    /// parallelizable unit: reads the installed levels immutably.
+    /// Recomputes one set's hyperlinks into its parent (§2.3), reading the
+    /// installed levels immutably.
     fn exec_link(&self, (level, set_idx): (u32, u32)) -> Vec<Vec<RangeId>> {
         let set = &self.levels[level as usize].sets[set_idx as usize];
         let pkey = parent_key(set.key, level);
@@ -1414,16 +1390,22 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
     fn install_links(&mut self, jobs: &[(u32, u32)], downs: Vec<Vec<Vec<RangeId>>>) {
         for (&(level, set_idx), down) in jobs.iter().zip(downs) {
-            self.levels[level as usize].sets[set_idx as usize].down = down;
+            self.levels[level as usize].sets[set_idx as usize].down = down.into();
         }
     }
 
-    /// Whether `item` is stored — a binary search against the canonical
-    /// ground order.
-    fn contains_item(&self, item: &D::Item) -> bool {
+    /// The level bit string of `item` when it is stored — a binary search
+    /// against the canonical ground order.
+    pub(crate) fn bits_of(&self, item: &D::Item) -> Option<u64> {
         self.ground
             .binary_search_by(|g| D::canonical_cmp(g, item))
-            .is_ok()
+            .ok()
+            .map(|pos| self.item_bits[pos])
+    }
+
+    /// Whether `item` is stored.
+    fn contains_item(&self, item: &D::Item) -> bool {
+        self.bits_of(item).is_some()
     }
 
     /// Per-item level bit strings, aligned with [`ground`](Self::ground).
@@ -1431,31 +1413,73 @@ impl<D: RangeDetermined> SkipWeb<D> {
         &self.item_bits
     }
 
-    /// Visits the hosts of the ranges conflicting with `item`'s entry
-    /// neighbourhood at every level the item belongs to — the message cost
-    /// of the bottom-up repair of §4. Uses the item's singleton structure to
-    /// materialize its node range.
+    /// Charges `meter` the bottom-up repair of §4 for `item` with tower
+    /// `bits`. The simulator models the paper's fail-free network: hosts
+    /// are the web's logical ones and every replica is alive, so the walk
+    /// cannot abort.
     fn meter_update_neighbourhood(&self, item: &D::Item, bits: u64, meter: &mut MessageMeter) {
-        let probe_range = D::probe_range(item);
-        // The simulator models the paper's fail-free network, so every
-        // replica is alive and the walk cannot abort.
-        let complete = walk_update_neighbourhood(
-            bits,
-            self.blocking,
-            self.levels.len(),
-            |level, key| self.levels[level as usize].set_by_key.get(&key).copied(),
-            |level, set_idx| {
-                let set = &self.levels[level as usize].sets[set_idx as usize];
-                set.structure
-                    .conflicts(&probe_range)
-                    .into_iter()
-                    .map(|r| set.range_host[r.index()].clone())
-                    .collect()
-            },
-            |_| true,
-            |host| meter.visit(host),
-        );
+        let complete =
+            self.walk_update_neighbourhood(item, bits, |h| h, |_| true, |h| meter.visit(h));
         debug_assert!(complete, "fail-free walks always complete");
+    }
+
+    /// The single §4 repair walk both cost models drive: enumerates,
+    /// bottom-up, one host per range conflicting with `item`'s probe range
+    /// at every level selected by `bits`, applying the stratum-anchor rule
+    /// (within a stratum, non-basic neighbourhoods act on the copy
+    /// co-located with the basic block just repaired). The simulator's meter
+    /// and the distributed engine's repair trail both call this, so their
+    /// message accounting cannot drift apart.
+    ///
+    /// `host_of` maps the web's logical hosts onto the hosts the caller
+    /// meters (the simulator passes the identity, the engine its placement
+    /// fold); `alive` filters which of those may be acted on (the simulator
+    /// passes `|_| true`; the engine its membership view, which is how a
+    /// repair steers around crashed hosts); `visit` observes each acted-on
+    /// host in walk order. Levels where the item opens a brand-new set have
+    /// nothing to repair and are skipped.
+    ///
+    /// Returns `false` — aborting the walk — when some range has no alive
+    /// replica: more hosts crashed than the replication factor covers, so
+    /// the repair cannot complete. With every host alive the walk always
+    /// returns `true`.
+    pub(crate) fn walk_update_neighbourhood(
+        &self,
+        item: &D::Item,
+        bits: u64,
+        host_of: impl Fn(HostId) -> HostId,
+        mut alive: impl FnMut(HostId) -> bool,
+        mut visit: impl FnMut(HostId),
+    ) -> bool {
+        let probe_range = D::probe_range(item);
+        let mut anchor: Option<HostId> = None;
+        for (level, tables) in (0u32..).zip(&self.levels) {
+            let Some(&set_idx) = tables.set_by_key.get(&set_key(bits, level)) else {
+                continue;
+            };
+            let set = &tables.sets[set_idx as usize];
+            let basic = self.blocking.is_basic(level);
+            for (i, r) in set
+                .structure
+                .conflicts(&probe_range)
+                .into_iter()
+                .enumerate()
+            {
+                let mut replicas = set.range_host[r.index()].iter().map(|&h| host_of(h));
+                let host = match anchor {
+                    Some(a) if replicas.clone().any(|h| h == a) && alive(a) => a,
+                    _ => match replicas.find(|&h| alive(h)) {
+                        Some(h) => h,
+                        None => return false,
+                    },
+                };
+                visit(host);
+                if basic && i == 0 {
+                    anchor = Some(host);
+                }
+            }
+        }
+        true
     }
 
     /// Rebuilds levels, hyperlinks and placement from the current ground
@@ -1509,9 +1533,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 let num_ranges = structure.num_ranges();
                 sets.push(LevelSet {
                     key,
-                    structure,
+                    structure: Arc::new(structure),
                     ground,
-                    down: vec![Vec::new(); num_ranges],
+                    down: vec![Vec::new(); num_ranges].into(),
                     range_host: vec![Vec::new(); num_ranges],
                 });
             }
@@ -1521,9 +1545,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 let num_ranges = structure.num_ranges();
                 sets.push(LevelSet {
                     key: 0,
-                    structure,
+                    structure: Arc::new(structure),
                     ground: Vec::new(),
-                    down: vec![Vec::new(); num_ranges],
+                    down: vec![Vec::new(); num_ranges].into(),
                     range_host: vec![Vec::new(); num_ranges],
                 });
                 set_by_key.insert(0, 0);
@@ -1536,20 +1560,16 @@ impl<D: RangeDetermined> SkipWeb<D> {
             });
         }
 
+        self.levels = levels;
+
         // --- Hyperlinks (§2.3) ----------------------------------------------
         for level in 1..=k {
-            let (lower, upper) = levels.split_at_mut(level as usize);
-            let parent_level = &lower[level as usize - 1];
-            for set in &mut upper[0].sets {
-                let pkey = parent_key(set.key, level);
-                let parent = &parent_level.sets[parent_level.set_by_key[&pkey] as usize];
-                for r in set.structure.range_ids() {
-                    set.down[r.index()] = parent.structure.conflicts(&set.structure.range(r));
-                }
+            for set_idx in 0..self.levels[level as usize].sets.len() as u32 {
+                let down = self.exec_link((level, set_idx));
+                self.levels[level as usize].sets[set_idx as usize].down = down.into();
             }
         }
 
-        self.levels = levels;
         self.assign_hosts();
     }
 
@@ -1649,8 +1669,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 continue;
             }
             for set_idx in 0..self.levels[level_idx].sets.len() {
-                let key = self.levels[level_idx].sets[set_idx].key;
-                let parent_idx = self.parent_set_index(level_idx as u32, key);
+                let parent_idx =
+                    self.parent_set_index(level_idx as u32, &self.levels[level_idx].sets[set_idx]);
                 for r_idx in 0..self.levels[level_idx].sets[set_idx].range_host.len() {
                     let mut hosts: Vec<HostId> = Vec::new();
                     for t in &self.levels[level_idx].sets[set_idx].down[r_idx] {
@@ -1672,11 +1692,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let top = self.top_level() as usize;
         self.host_of_item = (0..self.ground.len())
             .map(|g| {
-                let set = &self.levels[top].sets[self.levels[top].set_of_item[g] as usize];
-                let entry = set
-                    .structure
-                    .entry_of_item(self.levels[top].local_of_item[g] as usize);
-                set.range_host[entry.index()][0]
+                let (set_idx, entry) = self.origin_entry(g);
+                self.levels[top].sets[set_idx].range_host[entry.index()][0]
             })
             .collect();
     }
@@ -1731,7 +1748,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
         // Hyperlink references point across levels.
         for level_idx in 1..self.levels.len() {
             for set in &self.levels[level_idx].sets {
-                let parent_idx = self.parent_set_index(level_idx as u32, set.key);
+                let parent_idx = self.parent_set_index(level_idx as u32, set);
                 let parent = &self.levels[level_idx - 1].sets[parent_idx];
                 for r in set.structure.range_ids() {
                     for (c, &host) in set.range_host[r.index()].iter().enumerate() {
@@ -1767,148 +1784,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
     pub(crate) fn level_structs(&self) -> &[Level<D>] {
         &self.levels
     }
-}
-
-/// The threaded apply variants. Dirty sets hold disjoint item groups and
-/// each rebuild reads the spliced ground set immutably, so the repair's two
-/// heavy stages — set rebuilds and hyperlink recomputes — fan out across a
-/// [`std::thread::scope`] worker pool. Exposed to deployments as
-/// [`FabricBuilder::apply_threads`](crate::engine::FabricBuilder::apply_threads).
-impl<D> SkipWeb<D>
-where
-    D: RangeDetermined + Send + Sync,
-    D::Item: Send + Sync,
-{
-    /// [`apply_insert_batch`](Self::apply_insert_batch) with the dirty-set
-    /// rebuilds fanned out over `threads` scoped workers. `threads <= 1`
-    /// runs on the calling thread. The result is byte-identical either way
-    /// (jobs are deterministic and installed in plan order).
-    pub fn apply_insert_batch_threads(
-        &mut self,
-        items: Vec<(D::Item, u64)>,
-        threads: usize,
-    ) -> Vec<bool> {
-        let (applied, plan) = self.stage_inserts(items, false);
-        if let Some(plan) = plan {
-            self.repair_threads(plan, threads);
-        }
-        applied
-    }
-
-    /// [`apply_remove_batch`](Self::apply_remove_batch) with the dirty-set
-    /// rebuilds fanned out over `threads` scoped workers.
-    pub fn apply_remove_batch_threads(&mut self, items: &[D::Item], threads: usize) -> Vec<bool> {
-        let (applied, plan) = self.stage_removes(items, false);
-        if let Some(plan) = plan {
-            self.repair_threads(plan, threads);
-        }
-        applied
-    }
-
-    fn repair_threads(&mut self, plan: RepairPlan, threads: usize) {
-        if threads <= 1 {
-            return self.repair_serial(plan);
-        }
-        let built = par_map(&plan.builds, threads, |j| self.exec_build(j));
-        let links = self.install_sets_threads(&plan, built, threads);
-        let downs = par_map(&links, threads, |&j| self.exec_link(j));
-        self.install_links(&links, downs);
-        self.finish_hosts();
-        self.debug_check_invariants();
-    }
-
-    /// [`install_sets`](Self::install_sets) with the per-level merges
-    /// chunked across `threads` scoped workers. Once the build jobs are
-    /// sliced per level, each merge touches only its own level's tables —
-    /// and every level costs roughly `O(n)` (the item-map permutes), so
-    /// the chunks balance. The link-job enumeration stays serial: it is a
-    /// cheap scan of the dirty key set.
-    fn install_sets_threads(
-        &mut self,
-        plan: &RepairPlan,
-        built: Vec<LevelSet<D>>,
-        threads: usize,
-    ) -> Vec<(u32, u32)> {
-        let n = self.ground.len();
-        let owner_hosted = matches!(self.blocking, Blocking::OwnerHosted);
-        let parts = Self::split_installs(plan, built, self.levels.len());
-        let mut work: Vec<InstallWork<'_, D>> = (0u32..)
-            .zip(self.levels.iter_mut())
-            .zip(parts)
-            .map(|((li, level), (jobs, sets))| (li, level, jobs, sets))
-            .collect();
-        let chunk = work.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for batch in work.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for (li, level, jobs, sets) in batch.iter_mut() {
-                        let sets = std::mem::take(sets);
-                        install_level(level, *li, jobs, sets, plan, n, owner_hosted);
-                    }
-                });
-            }
-        });
-        drop(work);
-        self.link_jobs(plan)
-    }
-}
-
-/// One level's unit of parallel install work: the level index, the level
-/// itself, and its slice of the repair plan's build jobs with their
-/// rebuilt sets (see `SkipWeb::install_sets_threads`).
-type InstallWork<'a, D> = (u32, &'a mut Level<D>, &'a [BuildJob], Vec<LevelSet<D>>);
-
-/// The single §4 repair walk both cost models drive: enumerates, bottom-up,
-/// one host per range conflicting with the update's probe at every level
-/// selected by `bits`, applying the stratum-anchor rule (within a stratum,
-/// non-basic neighbourhoods act on the copy co-located with the basic block
-/// just repaired). The simulator's meter and the distributed engine's
-/// repair trail both call this, so their message accounting cannot drift
-/// apart.
-///
-/// `set_of(level, key)` resolves the item's set at a level (`None` when the
-/// item opens a brand-new set there); `conflict_replicas(level, set)`
-/// yields the replica host list of each conflicting range, in conflict
-/// order; `alive` filters which replicas may be acted on (the simulator's
-/// fail-free model passes `|_| true`; the engine passes its membership
-/// view, which is how a repair steers around crashed hosts); `visit`
-/// observes each acted-on host in walk order.
-///
-/// Returns `false` — aborting the walk — when some range has no alive
-/// replica: more hosts crashed than the replication factor covers, so the
-/// repair cannot complete. With every host alive the walk always returns
-/// `true` and visits exactly the hosts the pre-failover walk visited.
-pub(crate) fn walk_update_neighbourhood(
-    bits: u64,
-    blocking: Blocking,
-    num_levels: usize,
-    mut set_of: impl FnMut(u32, u64) -> Option<u32>,
-    mut conflict_replicas: impl FnMut(u32, u32) -> Vec<Vec<HostId>>,
-    mut alive: impl FnMut(HostId) -> bool,
-    mut visit: impl FnMut(HostId),
-) -> bool {
-    let mut anchor: Option<HostId> = None;
-    for level in 0..num_levels as u32 {
-        let key = set_key(bits, level);
-        let Some(set_idx) = set_of(level, key) else {
-            continue;
-        };
-        let basic = blocking.is_basic(level);
-        for (i, replicas) in conflict_replicas(level, set_idx).into_iter().enumerate() {
-            let host = match anchor {
-                Some(a) if replicas.contains(&a) && alive(a) => a,
-                _ => match replicas.iter().copied().find(|&h| alive(h)) {
-                    Some(h) => h,
-                    None => return false,
-                },
-            };
-            visit(host);
-            if basic && i == 0 {
-                anchor = Some(host);
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -287,7 +287,7 @@ mod tests {
     use skipweb_structures::SortedLinkedList;
 
     use super::*;
-    use crate::engine::{build_topology, PlacementCtl};
+    use crate::engine::PlacementCtl;
     use crate::multidim::{PrefixAnswer, QuadtreeAnswer, QuadtreeRequest};
     use crate::skipweb::SkipWeb;
 
@@ -298,8 +298,11 @@ mod tests {
         D: WireCodec + Send + Sync + 'static,
         D::Item: Ord,
     {
-        let web = SkipWeb::<D>::builder(items).build();
-        Arc::new(build_topology(&web, &PlacementCtl::new(2), 0))
+        Arc::new(Topology {
+            web: Arc::new(SkipWeb::<D>::builder(items).build()),
+            ctl: PlacementCtl::new(2),
+            version: 0,
+        })
     }
 
     /// Drives one envelope through encode → decode → re-encode and checks

@@ -2,9 +2,9 @@
 //! over all four structures must leave the incrementally repaired web
 //! **byte-identical** — ground set, bit assignment, every level set's
 //! structure, hyperlinks, and placement — to a web maintained through the
-//! original full-rebuild path, at `apply_threads` ∈ {1, 4}. Skip-webs are
-//! range-determined (§2.1): the surviving items plus their bit strings
-//! uniquely determine the hierarchy, so any divergence is a repair bug.
+//! original full-rebuild path. Skip-webs are range-determined (§2.1): the
+//! surviving items plus their bit strings uniquely determine the hierarchy,
+//! so any divergence is a repair bug.
 //!
 //! The scenarios are sized to exercise both sides of the fallback
 //! threshold: webs start above the incremental minimum (so small batches
@@ -21,8 +21,6 @@ use skipwebs::structures::{
     CompressedQuadtree, CompressedTrie, RangeDetermined, Segment, SortedLinkedList, TrapezoidalMap,
 };
 
-const THREAD_COUNTS: [usize; 2] = [1, 4];
-
 /// One churn step: a batch of pool slots to insert or to remove. Slots may
 /// repeat (within a batch or against the stored set) — the duplicate /
 /// absent flags must match between the two paths too.
@@ -37,46 +35,37 @@ fn slot_bits(slot: u32, seed: u64) -> u64 {
         ^ seed
 }
 
-/// Drives the same churn through the incremental (threaded) apply and the
+/// Drives the same churn through the incremental apply and the
 /// full-rebuild reference apply, asserting identical applied flags and a
 /// byte-identical structure after every batch.
 fn assert_churn_parity<D>(pool: &[D::Item], initial: usize, steps: &[Step], seed: u64)
 where
-    D: RangeDetermined + PartialEq + Send + Sync,
-    D::Item: Send + Sync,
+    D: RangeDetermined + PartialEq,
 {
-    for threads in THREAD_COUNTS {
-        let base: Vec<D::Item> = pool[..initial].to_vec();
-        let mut incremental = SkipWeb::<D>::builder(base.clone()).seed(seed).build();
-        let mut full = SkipWeb::<D>::builder(base).seed(seed).build();
-        assert_eq!(incremental, full, "builders must agree before any churn");
-        for (step, (inserting, slots)) in steps.iter().enumerate() {
-            let (got, want) = if *inserting {
-                let batch: Vec<(D::Item, u64)> = slots
-                    .iter()
-                    .map(|&s| (pool[s as usize].clone(), slot_bits(s, seed)))
-                    .collect();
-                (
-                    incremental.apply_insert_batch_threads(batch.clone(), threads),
-                    full.apply_insert_batch_full(batch),
-                )
-            } else {
-                let batch: Vec<D::Item> = slots.iter().map(|&s| pool[s as usize].clone()).collect();
-                (
-                    incremental.apply_remove_batch_threads(&batch, threads),
-                    full.apply_remove_batch_full(&batch),
-                )
-            };
-            assert_eq!(
-                got, want,
-                "applied flags diverged at step {step} (threads={threads})"
-            );
-            assert_eq!(
-                incremental, full,
-                "structures diverged at step {step} (threads={threads})"
-            );
-            assert_eq!(incremental.ground(), full.ground());
-        }
+    let base: Vec<D::Item> = pool[..initial].to_vec();
+    let mut incremental = SkipWeb::<D>::builder(base.clone()).seed(seed).build();
+    let mut full = SkipWeb::<D>::builder(base).seed(seed).build();
+    assert_eq!(incremental, full, "builders must agree before any churn");
+    for (step, (inserting, slots)) in steps.iter().enumerate() {
+        let (got, want) = if *inserting {
+            let batch: Vec<(D::Item, u64)> = slots
+                .iter()
+                .map(|&s| (pool[s as usize].clone(), slot_bits(s, seed)))
+                .collect();
+            (
+                incremental.apply_insert_batch(batch.clone()),
+                full.apply_insert_batch_full(batch),
+            )
+        } else {
+            let batch: Vec<D::Item> = slots.iter().map(|&s| pool[s as usize].clone()).collect();
+            (
+                incremental.apply_remove_batch(&batch),
+                full.apply_remove_batch_full(&batch),
+            )
+        };
+        assert_eq!(got, want, "applied flags diverged at step {step}");
+        assert_eq!(incremental, full, "structures diverged at step {step}");
+        assert_eq!(incremental.ground(), full.ground());
     }
 }
 
@@ -164,7 +153,7 @@ fn replicated_owner_hosted_webs_repair_identically() {
             })
             .collect();
         assert_eq!(
-            incremental.apply_insert_batch_threads(inserts.clone(), 4),
+            incremental.apply_insert_batch(inserts.clone()),
             full.apply_insert_batch_full(inserts)
         );
         assert_eq!(incremental, full, "insert round {round}");
@@ -172,7 +161,7 @@ fn replicated_owner_hosted_webs_repair_identically() {
             .map(|j| pool[((round * 97 + j * 43) % 512) as usize])
             .collect();
         assert_eq!(
-            incremental.apply_remove_batch_threads(&removes, 4),
+            incremental.apply_remove_batch(&removes),
             full.apply_remove_batch_full(&removes)
         );
         assert_eq!(incremental, full, "remove round {round}");
@@ -203,7 +192,7 @@ fn bucketed_and_replicated_webs_repair_identically() {
             })
             .collect();
         assert_eq!(
-            incremental.apply_insert_batch_threads(inserts.clone(), 4),
+            incremental.apply_insert_batch(inserts.clone()),
             full.apply_insert_batch_full(inserts)
         );
         assert_eq!(incremental, full, "insert round {round}");
@@ -211,7 +200,7 @@ fn bucketed_and_replicated_webs_repair_identically() {
             .map(|j| pool[((round * 101 + j * 47) % 512) as usize])
             .collect();
         assert_eq!(
-            incremental.apply_remove_batch_threads(&removes, 4),
+            incremental.apply_remove_batch(&removes),
             full.apply_remove_batch_full(&removes)
         );
         assert_eq!(incremental, full, "remove round {round}");
