@@ -169,7 +169,7 @@ use skipweb_net::{HostId, HostTraffic, TransportStats};
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 
 use crate::placement::Replication;
-use crate::skipweb::{LevelSet, SkipWeb};
+use crate::skipweb::{Copies, LevelSet, SkipWeb};
 
 /// Globally unique address of a range: level, set index, range index — the
 /// "address" half of the paper's `(host, address)` pointers (§2.3). Refs are
@@ -546,7 +546,7 @@ pub struct UpdateReply {
 pub(crate) struct Topology<D: RangeDetermined> {
     pub(crate) web: Arc<SkipWeb<D>>,
     /// The logical→physical host fold, applied at route time to the web's
-    /// logical `range_host` copies. While the web's host count stays within
+    /// logical [`copies`](SkipWeb::copies). While the web's host count stays within
     /// `ctl.phys` and nothing is excluded the fold is the identity, so
     /// owner-hosted message accounting matches the simulator exactly.
     pub(crate) ctl: PlacementCtl,
@@ -561,16 +561,22 @@ impl<D: RangeDetermined> Topology<D> {
         &self.web.level_structs()[at.level as usize].sets[at.set as usize]
     }
 
+    /// The logical hosts storing a copy of the range at `at`.
+    fn copies(&self, at: GlobalRef) -> Copies<'_> {
+        self.web
+            .copies(at.level as usize, self.set(at), RangeId(at.range))
+    }
+
     /// The address where `origin_item`'s operations start (the "root node
     /// for that host" of §1.1) and the logical hosts storing it.
-    fn origin(&self, origin_item: usize) -> (GlobalRef, &[HostId]) {
+    fn origin(&self, origin_item: usize) -> (GlobalRef, Copies<'_>) {
         let (set, entry) = self.web.origin_entry(origin_item);
         let at = GlobalRef {
             level: self.web.top_level() as u16,
             set: set as u32,
             range: entry.0,
         };
-        (at, &self.set(at).range_host[entry.index()])
+        (at, self.copies(at))
     }
 }
 
@@ -621,13 +627,13 @@ impl PlacementCtl {
 /// can alias distinct logical hosts; membership and first-match are both
 /// blind to the repeats, so the folded list is never materialized.
 fn pick_alive(
-    copies: &[HostId],
+    copies: impl Iterator<Item = HostId>,
     ctl: &PlacementCtl,
     me: HostId,
     routable: impl Fn(HostId) -> bool,
 ) -> Option<HostId> {
     let mut nearest = None;
-    for &copy in copies {
+    for copy in copies {
         let host = ctl.fold(copy);
         if host == me {
             // The executing host is by definition functioning, whatever
@@ -675,7 +681,7 @@ fn route_step<D: Routable + Send + Sync + 'static>(
             None if at.level == 0 => return RouteOutcome::AtLocus(at),
             // … or descend through the down-hyperlinks (§2.3).
             None => {
-                let candidates = &set.down[at.range as usize];
+                let candidates = set.down.row(at.range as usize);
                 assert!(
                     !candidates.is_empty(),
                     "hyperlinks of a subset range into its superset cannot be empty"
@@ -692,8 +698,9 @@ fn route_step<D: Routable + Send + Sync + 'static>(
                 }
             }
         };
-        let copies = &topo.set(next).range_host[next.range as usize];
-        match pick_alive(copies, &topo.ctl, me, |h| membership.is_routable(h)) {
+        match pick_alive(topo.copies(next), &topo.ctl, me, |h| {
+            membership.is_routable(h)
+        }) {
             Some(host) if host == me => {
                 // Process as far as we can internally (§2.5): free.
                 at = next;
@@ -859,7 +866,14 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
     /// decommissioned, with a bumped snapshot version — `O(1)` in the web:
     /// the snapshot shares the state's `Arc`. The caller must hold the
     /// state lock, so publish order equals apply order.
-    fn republish(&self, st: &EngineState<D>, membership: &Membership) {
+    ///
+    /// Returns the snapshot it replaced. When no in-flight message holds
+    /// that snapshot any more, dropping it frees everything the previous
+    /// web did not share with the new one — so the caller drops it only
+    /// after releasing the state lock, and never under `topo`, which every
+    /// client submit takes.
+    #[must_use = "drop the retired snapshot after releasing the state lock"]
+    fn republish(&self, st: &EngineState<D>, membership: &Membership) -> Arc<Topology<D>> {
         let mut ctl = st.placement.clone();
         for h in membership.dead_hosts() {
             ctl.excluded.insert(h.0);
@@ -868,11 +882,12 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
             ctl.excluded.insert(h.0);
         }
         let mut topo = self.topo.lock();
-        *topo = Arc::new(Topology {
+        let next = Arc::new(Topology {
             web: Arc::clone(&st.web),
             ctl,
             version: topo.version + 1,
         });
+        std::mem::replace(&mut *topo, next)
     }
 }
 
@@ -999,7 +1014,10 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         let mut local: Vec<RangeId> = Vec::new();
         let mut remote: BTreeMap<HostId, Vec<RangeId>> = BTreeMap::new();
         for r in ranges {
-            let copies = &set.range_host[r.index()];
+            let copies = msg.topo.copies(GlobalRef {
+                range: r.0,
+                ..locus
+            });
             match pick_alive(copies, &msg.topo.ctl, me, |h| membership.is_routable(h)) {
                 Some(h) if h == me => local.push(r),
                 Some(h) => remote.entry(h).or_default().push(r),
@@ -1245,7 +1263,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
             ops.push((u.kind, u.item));
         }
         let mut outcomes: Vec<bool> = vec![false; n];
-        {
+        let retired = {
             let st = &mut *self.shared.state.lock();
             let mut any_applied = false;
             // Ops that reach the apply step this turn (ledger echoes are
@@ -1325,13 +1343,14 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                     durability.append(ctx.host(), &records);
                 }
             }
-            if any_applied {
-                // Publish while still holding the state lock so snapshot
-                // order equals apply order; the topo lock itself is only
-                // held for the pointer swap.
-                self.shared.republish(st, membership);
-            }
-        }
+            // Publish while still holding the state lock so snapshot order
+            // equals apply order; the topo lock itself is only held for the
+            // pointer swap.
+            any_applied.then(|| self.shared.republish(st, membership))
+        };
+        // The previous web's last reference, typically: freed with neither
+        // lock held.
+        drop(retired);
         for (i, (client, corr, hops, _)) in metas.into_iter().enumerate() {
             ctx.reply(
                 client,
@@ -2141,8 +2160,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         let (at, copies) = topo.origin(origin_item);
         let membership = self.runtime.membership();
         copies
-            .iter()
-            .map(|&h| topo.ctl.fold(h))
+            .map(|h| topo.ctl.fold(h))
             .find(|&h| membership.is_routable(h))
             .map(|h| (h, at))
             .ok_or(RuntimeError::Unavailable)
@@ -2963,20 +2981,24 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         // The whole operation — guard included — runs under the state lock,
         // so concurrent decommissions serialize and the second caller sees
         // the first one's drained host when it re-reads the membership.
-        let st = &mut *self.shared.state.lock();
-        let membership = self.runtime.membership();
-        if !membership.is_alive(host) {
-            return Err(RuntimeError::HostDown(host));
-        }
-        if membership.alive_count() <= 1 {
-            return Err(RuntimeError::Unavailable);
-        }
-        st.placement.excluded.insert(host.0);
-        self.shared.republish(st, &membership);
-        // Only after the re-homed snapshot is published does the host stop
-        // being a routing target; everything already addressed to it under
-        // old snapshots is still delivered and processed.
-        self.runtime.decommission(host);
+        let retired = {
+            let st = &mut *self.shared.state.lock();
+            let membership = self.runtime.membership();
+            if !membership.is_alive(host) {
+                return Err(RuntimeError::HostDown(host));
+            }
+            if membership.alive_count() <= 1 {
+                return Err(RuntimeError::Unavailable);
+            }
+            st.placement.excluded.insert(host.0);
+            let retired = self.shared.republish(st, &membership);
+            // Only after the re-homed snapshot is published does the host
+            // stop being a routing target; everything already addressed to
+            // it under old snapshots is still delivered and processed.
+            self.runtime.decommission(host);
+            retired
+        };
+        drop(retired); // outside the state lock
         Ok(())
     }
 
@@ -2984,12 +3006,15 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// onto it (the fold modulus grows to cover the new host). Returns the
     /// new host's id. Safe to call concurrently with queries and updates.
     pub fn spawn_host(&self) -> HostId {
-        let st = &mut *self.shared.state.lock();
-        let host = self.runtime.add_host(EngineActor {
-            shared: Arc::clone(&self.shared),
-        });
-        st.placement.phys = host.index() + 1;
-        self.shared.republish(st, &self.runtime.membership());
+        let (host, retired) = {
+            let st = &mut *self.shared.state.lock();
+            let host = self.runtime.add_host(EngineActor {
+                shared: Arc::clone(&self.shared),
+            });
+            st.placement.phys = host.index() + 1;
+            (host, self.shared.republish(st, &self.runtime.membership()))
+        };
+        drop(retired); // outside the state lock
         host
     }
 
@@ -2998,8 +3023,11 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// dead host, so even a `k = 1` web regains availability (any update
     /// apply does the same implicitly).
     pub fn heal(&self) {
-        let st = &*self.shared.state.lock();
-        self.shared.republish(st, &self.runtime.membership());
+        let retired = {
+            let st = &*self.shared.state.lock();
+            self.shared.republish(st, &self.runtime.membership())
+        };
+        drop(retired); // outside the state lock
     }
 
     /// The current ground set zipped with each item's level bit string, in
@@ -3036,14 +3064,20 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// [`rejoin_host`](Self::rejoin_host) to bring the crashed hosts
     /// themselves back.
     pub fn restore(&self, web: SkipWeb<D>, ledger: Vec<((ClientId, u64), bool)>) {
-        let st = &mut *self.shared.state.lock();
-        st.web = Arc::new(web);
-        st.applied_ops.clear();
-        st.applied_order.clear();
-        for (key, applied) in ledger {
-            st.record_outcome(key, applied);
-        }
-        self.shared.republish(st, &self.runtime.membership());
+        let retired = {
+            let st = &mut *self.shared.state.lock();
+            let replaced = std::mem::replace(&mut st.web, Arc::new(web));
+            st.applied_ops.clear();
+            st.applied_order.clear();
+            for (key, applied) in ledger {
+                st.record_outcome(key, applied);
+            }
+            (
+                replaced,
+                self.shared.republish(st, &self.runtime.membership()),
+            )
+        };
+        drop(retired); // the old web and snapshot, outside the state lock
     }
 
     /// Revives a crashed host in place (fresh mailbox and actor thread,
@@ -3053,17 +3087,18 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// tombstoned forever. Returns `false` unless the host is currently
     /// dead.
     pub fn rejoin_host(&self, host: HostId) -> bool {
-        let st = &*self.shared.state.lock();
-        let revived = self.runtime.revive(
-            host,
-            EngineActor {
-                shared: Arc::clone(&self.shared),
-            },
-        );
-        if revived {
-            self.shared.republish(st, &self.runtime.membership());
-        }
-        revived
+        let retired = {
+            let st = &*self.shared.state.lock();
+            self.runtime
+                .revive(
+                    host,
+                    EngineActor {
+                        shared: Arc::clone(&self.shared),
+                    },
+                )
+                .then(|| self.shared.republish(st, &self.runtime.membership()))
+        };
+        retired.is_some() // and dropped here, outside the state lock
     }
 
     /// Cumulative transport-level counters (messages carried, losses,
@@ -3457,11 +3492,11 @@ mod tests {
         let before = dist.query(&client, 0, 5_031).unwrap().answer;
         assert!(dist.insert(&client, 5_031).unwrap().applied);
         assert_eq!(dist.shared.current_topo().version, v.version + 1);
-        let (at, copies) = v.origin(0);
+        let (at, mut copies) = v.origin(0);
         client
             .inner
             .send(
-                copies[0],
+                copies.next().unwrap(),
                 FabricMsg::One(EngineMsg {
                     op: EngineOp::Query {
                         req: 5_031u64,
@@ -3483,8 +3518,11 @@ mod tests {
 
     /// The sharing contract of one publish: every set of `new` that the
     /// repair for an update with tower `bits` (`None`: no update) neither
-    /// rebuilt nor re-linked is the very allocation `old` holds. Returns
-    /// how many structures were shared and how many rebuilt.
+    /// rebuilt nor re-linked is the very allocation `old` holds — structure
+    /// and hyperlink table both. A bucketed web's host tables are shared
+    /// across a copy that repairs nothing; a repair renumbers the blocks of
+    /// the whole web, so it replaces them all. Returns how many structures
+    /// were shared and how many rebuilt.
     fn assert_untouched_sets_are_shared<D: Routable>(
         old: &SkipWeb<D>,
         new: &SkipWeb<D>,
@@ -3499,10 +3537,10 @@ mod tests {
             let dirty = bits.map(|b| set_key(b, level));
             let relinked = bits.filter(|_| level > 0).map(|b| set_key(b, level - 1));
             for set in &tables.sets {
-                let Some(&i) = old_tables.set_by_key.get(&set.key) else {
+                let Some(i) = old_tables.set_index(set.key) else {
                     continue;
                 };
-                let was = &old_tables.sets[i as usize];
+                let was = &old_tables.sets[i];
                 if Some(set.key) == dirty {
                     assert!(!Arc::ptr_eq(&set.structure, &was.structure));
                     rebuilt += 1;
@@ -3521,6 +3559,16 @@ mod tests {
                         "L{level} set {:#x}: hyperlinks copied",
                         set.key
                     );
+                }
+                match (&set.hosted, &was.hosted) {
+                    (None, None) => {}
+                    (Some(now), Some(then)) => assert_eq!(
+                        Arc::ptr_eq(now, then),
+                        bits.is_none(),
+                        "L{level} set {:#x}: host table",
+                        set.key
+                    ),
+                    _ => panic!("L{level} set {:#x}: placement changed kind", set.key),
                 }
             }
         }
@@ -3567,6 +3615,32 @@ mod tests {
             "{shared} vs {rebuilt}"
         );
         assert_eq!((v1.web.len(), v2.web.len()), (1025, 1024));
+        dist.shutdown();
+
+        // Bucketed placement stores a host table per set: shared like the
+        // rest until a repair re-blocks the web.
+        let keys: Vec<u64> = (0..512).map(|i| i * 10).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys)
+            .seed(48)
+            .bucketed(32)
+            .build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(4)
+            .spawn();
+        let client = dist.client();
+        let v0 = dist.shared.current_topo();
+        let (shared, _) = assert_untouched_sets_are_shared(web.inner(), &v0.web, None);
+        assert_eq!(
+            shared,
+            v0.web.level_structs().iter().map(|l| l.sets.len()).sum()
+        );
+        assert!(dist.insert_with(&client, 3, 2_555, bits).unwrap().applied);
+        let v1 = dist.shared.current_topo();
+        let (shared, rebuilt) = assert_untouched_sets_are_shared(&v0.web, &v1.web, Some(bits));
+        assert!(
+            rebuilt >= 2 && shared > 8 * rebuilt,
+            "{shared} vs {rebuilt}"
+        );
         dist.shutdown();
     }
 
@@ -3629,7 +3703,7 @@ mod tests {
             } else {
                 baked.iter().copied().find(|&h| routable(h))
             };
-            prop_assert_eq!(pick_alive(&copies, &ctl, me, routable), want);
+            prop_assert_eq!(pick_alive(copies.iter().copied(), &ctl, me, routable), want);
         }
     }
 
@@ -4084,7 +4158,7 @@ mod tests {
         // call must land the insert exactly once.
         let topo = dist.shared.current_topo();
         // One thread per logical host: the fold is the identity.
-        let entry_host = topo.origin(0).1[0];
+        let entry_host = topo.origin(0).1.next().unwrap();
         client
             .inner
             .send(

@@ -38,6 +38,7 @@
 //! assert!(outcome.messages <= 40); // O(log n) expected
 //! ```
 
+mod csr;
 pub mod distributed;
 pub mod engine;
 pub mod levels;

@@ -743,7 +743,7 @@ impl<const D: usize> QuadtreeSkipWeb<D> {
         let levels = self.web.level_structs();
         let set = &levels[0].sets[0];
         let points = scan_box(&set.structure, outcome.locus, &lo, &hi, |r| {
-            meter.visit(set.range_host[r.index()][0])
+            meter.visit(self.web.primary(0, set, r))
         });
         BoxOutcome {
             points,

@@ -216,7 +216,7 @@ impl OneDimSkipWeb {
         let mut keys = Vec::new();
         let mut cur = outcome.locus;
         loop {
-            meter.visit(set.range_host[cur.index()][0]);
+            meter.visit(self.web.primary(0, set, cur));
             let iv = base.range(cur);
             if iv.is_singleton() {
                 if let Endpoint::Key(x) = iv.lo() {

@@ -1,7 +1,30 @@
 //! The skip-web structure: levels, hyperlinks, placement, queries (§2.3–2.5)
 //! and updates (§4), generic over any range-determined link structure.
+//!
+//! # Layout
+//!
+//! A web is a short list of [`Level`]s, and everything per range or per item
+//! inside a level is a flat array or is derived — nothing is one heap block
+//! per range:
+//!
+//! * a level's sets partition the ground set, so their member lists are one
+//!   `members` array (a permutation of `0..n` grouped by key-sorted set; a
+//!   [`LevelSet`] keeps its `(start, len)`), with `set_of_item` as the one
+//!   inverse the read path needs. The sets are key-sorted, so a set is found
+//!   by key with a binary search;
+//! * a set's `down` hyperlinks — and, under bucketed placement, its per-range
+//!   host lists — are offset + data tables ([`Csr`]) behind an `Arc`;
+//! * owner-hosted placement is not stored: a range lives on its owner item's
+//!   host (§2.4), which [`SkipWeb::copies`] reads off the set's members.
+//!
+//! A clone of the web — the copy-on-write an engine apply forces while a
+//! published snapshot still holds the previous web — therefore copies three
+//! arrays per level (`sets`, `members`, `set_of_item`) and three per web
+//! (`ground`, `item_bits`, `host_of_item`), and bumps a reference count for
+//! every structure and table; dropping the previous web frees those arrays
+//! plus whatever the repair replaced.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -11,42 +34,133 @@ use skipweb_net::sim::{MessageMeter, SimNetwork};
 use skipweb_net::HostId;
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 
+use crate::csr::Csr;
 use crate::levels::{draw_bits, group_by_key, level_count, parent_key, set_key};
 use crate::placement::{Blocking, Replication};
 
-/// One level-`ℓ` set `S_b` with its structure `D(S_b)`, hyperlinks, and
-/// host placement. The structure and the hyperlink lists sit behind `Arc`s:
-/// a clone of the web (the copy-on-write an engine apply forces while a
-/// published snapshot still holds the previous web) shares both with every
-/// set the repair neither rebuilt nor re-linked.
+/// One level-`ℓ` set `S_b` with its structure `D(S_b)`, hyperlinks, and —
+/// when it is not derived — host placement. The structure and both tables
+/// sit behind `Arc`s: a clone of the web shares them with every set the
+/// repair neither rebuilt nor re-linked.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LevelSet<D: RangeDetermined> {
     /// The `ℓ`-bit key `b` of this set.
     pub key: u64,
     /// The structure `D(S_b)`.
     pub structure: Arc<D>,
-    /// Structure item index → ground item index.
-    pub ground: Vec<u32>,
+    /// Where this set's members start in its level's `members` array.
+    pub start: u32,
+    /// How many members it has. Structure item `i` is ground item
+    /// `members[start + i]`.
+    pub len: u32,
     /// Per range: hyperlinks to the conflicting ranges `C(Q, S_{b'})` in the
-    /// parent set one level down (§2.3). Empty at level 0.
-    pub down: Arc<[Vec<RangeId>]>,
-    /// Per range: the hosts storing a copy of it. Owner-hosted placement
-    /// keeps a single copy; bucketed placement replicates non-basic ranges
-    /// onto every block host whose cone they belong to (§2.4.1 notes that
-    /// "copies of some of these ranges may be stored on multiple hosts").
-    pub range_host: Vec<Vec<HostId>>,
+    /// parent set one level down (§2.3). Every row is empty at level 0.
+    pub down: Arc<Csr<RangeId>>,
+    /// Per range: the hosts storing a copy of it, under bucketed placement —
+    /// which replicates non-basic ranges onto every block host whose cone
+    /// they belong to (§2.4.1 notes that "copies of some of these ranges may
+    /// be stored on multiple hosts"). `None` under owner-hosted placement,
+    /// where the copies are a function of the set ([`SkipWeb::copies`]).
+    pub hosted: Option<Arc<Csr<HostId>>>,
+}
+
+impl<D: RangeDetermined> LevelSet<D> {
+    /// This set's slice of its level's `members` array.
+    fn span(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// The stored host list of range `r`: empty while placement is derived
+    /// or not yet assigned.
+    fn listed(&self, r: RangeId) -> &[HostId] {
+        self.hosted.as_ref().map_or(&[], |t| t.row(r.index()))
+    }
 }
 
 /// All sets of one level.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Level<D: RangeDetermined> {
+    /// The level's sets, strictly ascending by key.
     pub sets: Vec<LevelSet<D>>,
-    /// Ground item index → set index within this level.
+    /// Every ground item index exactly once, grouped by set in `sets` order
+    /// and ascending — which is canonical order — within a set.
+    pub members: Vec<u32>,
+    /// Ground item index → set index within this level (the inverse of
+    /// `members`' grouping).
     pub set_of_item: Vec<u32>,
-    /// Ground item index → item index inside its set's structure.
-    pub local_of_item: Vec<u32>,
-    /// Set key → set index.
-    pub set_by_key: HashMap<u64, u32>,
+}
+
+impl<D: RangeDetermined> Level<D> {
+    /// The ground item indices of `set`, in its structure's item order.
+    pub(crate) fn members_of(&self, set: &LevelSet<D>) -> &[u32] {
+        &self.members[set.span()]
+    }
+
+    /// Index of the set keyed `key`, when the level has one.
+    pub(crate) fn set_index(&self, key: u64) -> Option<usize> {
+        self.sets.binary_search_by_key(&key, |s| s.key).ok()
+    }
+
+    /// Appends a freshly built set — `members` in its structure's item
+    /// order — with no hyperlinks and no host table yet; the link and
+    /// placement stages fill those in.
+    fn push_built(&mut self, key: u64, structure: Arc<D>, members: &[u32]) {
+        debug_assert_eq!(structure.len(), members.len());
+        self.sets.push(LevelSet {
+            key,
+            down: Arc::new(Csr::empty(structure.num_ranges())),
+            structure,
+            start: self.members.len() as u32,
+            len: members.len() as u32,
+            hosted: None,
+        });
+        self.members.extend_from_slice(members);
+    }
+
+    /// Recomputes `set_of_item` from `members` for a ground set of `n`.
+    fn index_members(&mut self, n: usize) {
+        self.set_of_item.clear();
+        self.set_of_item.resize(n, 0);
+        for (si, set) in self.sets.iter().enumerate() {
+            for &g in &self.members[set.span()] {
+                self.set_of_item[g as usize] = si as u32;
+            }
+        }
+    }
+}
+
+/// The hosts storing a copy of one range, primary first — see
+/// [`SkipWeb::copies`]. Cloneable and allocation-free, so a caller can scan
+/// it for a particular host and then take the first alive one.
+#[derive(Debug, Clone)]
+pub(crate) enum Copies<'a> {
+    /// Owner-hosted: the owner item's host, then its ring successors.
+    Ring {
+        /// The next host to yield.
+        next: u32,
+        /// How many are left to yield.
+        left: u32,
+        /// The ring's size.
+        hosts: u32,
+    },
+    /// Bucketed: the stored list.
+    Listed(std::iter::Copied<std::slice::Iter<'a, HostId>>),
+}
+
+impl Iterator for Copies<'_> {
+    type Item = HostId;
+
+    fn next(&mut self) -> Option<HostId> {
+        match self {
+            Copies::Ring { next, left, hosts } => {
+                *left = left.checked_sub(1)?;
+                let host = HostId(*next);
+                *next = if *next + 1 == *hosts { 0 } else { *next + 1 };
+                Some(host)
+            }
+            Copies::Listed(row) => row.next(),
+        }
+    }
 }
 
 /// Below this many stored items a full rebuild is cheaper than planning an
@@ -80,183 +194,51 @@ struct BuildJob {
     members: Vec<u32>,
 }
 
-/// Points every range's copy list at its owning item's host — the
-/// owner-hosted placement sweep of the full-rebuild path. (The repair
-/// path never runs it: rebuilt sets are born with owner primaries and
-/// kept sets have theirs remapped in place during the install.)
-/// Clear-and-push keeps each copy list's buffer across reassignments.
-fn owner_host_sweep<D: RangeDetermined>(levels: &mut [Level<D>]) {
-    for level in levels {
-        for set in &mut level.sets {
-            for r in set.structure.range_ids() {
-                let owner_local = set.structure.owner(r);
-                let owner_ground = set.ground.get(owner_local).copied().unwrap_or(0);
-                let copies = &mut set.range_host[r.index()];
-                copies.clear();
-                copies.push(HostId(owner_ground));
-            }
-        }
-    }
-}
-
-/// Moves `adjust(arr[g])` to `arr[remap[g]]` in place for an
-/// order-preserving splice remap, then sizes `arr` to `n_new`. Growing
-/// remaps copy back-to-front (every target sits at or beyond its source,
-/// and strictly beyond any smaller source's target), shrinking ones
-/// front-to-back (targets trail their sources), skipping the `u32::MAX`
-/// holes of removed entries — so every read still sees the original value.
-fn permute_by_remap(arr: &mut Vec<u32>, remap: &[u32], n_new: usize, adjust: impl Fn(u32) -> u32) {
-    let n_old = remap.len();
-    debug_assert_eq!(arr.len(), n_old);
-    if n_new >= n_old {
-        arr.resize(n_new, 0);
-        for g in (0..n_old).rev() {
-            arr[remap[g] as usize] = adjust(arr[g]);
-        }
-    } else {
-        for g in 0..n_old {
-            let target = remap[g];
-            if target != u32::MAX {
-                arr[target as usize] = adjust(arr[g]);
-            }
-        }
-        arr.truncate(n_new);
-    }
-}
-
-/// Merges one level's rebuilt sets into its tables: old sets keep their
-/// structures and hyperlinks verbatim (ground indices remapped through the
-/// splice), emptied sets are dropped, new sets land at their key-sorted
-/// position, and the level's item maps are brought back in sync. `jobs` /
-/// `built` are this level's slice of the repair plan (see
-/// `SkipWeb::split_installs`).
-fn install_level<D: RangeDetermined>(
+/// Merges one level's rebuilt structures into its tables: old sets keep
+/// their structures, hyperlinks and host tables verbatim, emptied sets are
+/// dropped, new sets land at their key-sorted position, and the level's two
+/// item arrays are rewritten for the spliced ground order — kept sets'
+/// members through `remap`, rebuilt ones from their jobs. `incoming` is the
+/// plan's `(level, key)`-sorted build jobs with their rebuilt structures,
+/// advanced past this level's.
+fn install_level<'a, D: RangeDetermined>(
     level: &mut Level<D>,
     li: u32,
-    jobs: &[BuildJob],
-    built: Vec<LevelSet<D>>,
+    incoming: &mut std::iter::Peekable<impl Iterator<Item = (&'a BuildJob, Arc<D>)>>,
     plan: &RepairPlan,
     n: usize,
-    owner_hosted: bool,
 ) {
     let (dirty, remap) = (&plan.dirty, &plan.remap[..]);
-    debug_assert!(jobs.iter().all(|j| j.level == li));
-    let mut incoming = jobs.iter().zip(built).peekable();
-    // A freshly grown top level has no maps to update in place.
-    let fresh_level = level.set_of_item.len() != remap.len();
     let old_sets = std::mem::take(&mut level.sets);
-    let mut sets: Vec<LevelSet<D>> = Vec::with_capacity(old_sets.len() + 1);
-    // A set added or dropped mid-level shifts every later set's index by
-    // one. `breaks` records, per add/drop, the old index it happened
-    // before — turning the old→new index fix-up into a prefix count
-    // instead of a wholesale map rebuild.
-    let mut breaks: Vec<u32> = Vec::new();
-    let mut added: Vec<(u64, u32)> = Vec::new();
-    let mut dropped_keys: Vec<u64> = Vec::new();
-    let mut old_idx: u32 = 0;
+    let old_members = std::mem::replace(&mut level.members, Vec::with_capacity(n));
+    level.sets.reserve(old_sets.len() + 1);
     for mut set in old_sets {
-        while incoming.peek().is_some_and(|(j, _)| j.key < set.key) {
-            let (job, built_set) = incoming.next().expect("peeked");
-            added.push((job.key, sets.len() as u32));
-            breaks.push(old_idx);
-            sets.push(built_set);
+        while let Some((job, fresh)) = incoming.next_if(|(j, _)| j.level == li && j.key < set.key) {
+            level.push_built(job.key, fresh, &job.members);
         }
         if dirty.contains(&(li, set.key)) {
-            // Replaced by its rebuilt version — or emptied: drop.
-            if incoming.peek().is_some_and(|(j, _)| j.key == set.key) {
-                sets.push(incoming.next().expect("peeked").1);
-            } else {
-                dropped_keys.push(set.key);
-                breaks.push(old_idx);
+            // Replaced by its rebuilt version — or emptied: dropped.
+            if let Some((job, rebuilt)) =
+                incoming.next_if(|(j, _)| j.level == li && j.key == set.key)
+            {
+                level.push_built(job.key, rebuilt, &job.members);
             }
-        } else {
-            // Untouched sets never contain removed items (a removed item
-            // dirties its set at every level), so every entry remaps
-            // cleanly.
-            for g in &mut set.ground {
-                *g = remap[*g as usize];
-                debug_assert!(*g != u32::MAX);
-            }
-            if owner_hosted {
-                // Each range's primary copy is its owning item — a member
-                // of this clean set — so the owner-hosted placement remaps
-                // right along with the ground entries; replicas beyond the
-                // primary are ring successors of stale host ids, dropped
-                // here and regrown by `extend_replicas`.
-                for copies in &mut set.range_host {
-                    copies.truncate(1);
-                    if let Some(primary) = copies.first_mut() {
-                        primary.0 = remap[primary.0 as usize];
-                        debug_assert!(primary.0 != u32::MAX);
-                    }
-                }
-            }
-            sets.push(set);
+            continue;
         }
-        old_idx += 1;
+        // Untouched sets never contain removed items (a removed item dirties
+        // its set at every level), so every member remaps cleanly — and
+        // monotonically, so the slice stays ascending.
+        let old = &old_members[set.span()];
+        set.start = level.members.len() as u32;
+        level.members.extend(old.iter().map(|&g| remap[g as usize]));
+        debug_assert!(level.members_of(&set).iter().all(|&g| g != u32::MAX));
+        level.sets.push(set);
     }
-    for (job, built_set) in incoming {
-        added.push((job.key, sets.len() as u32));
-        breaks.push(old_idx);
-        sets.push(built_set);
+    while let Some((job, fresh)) = incoming.next_if(|(j, _)| j.level == li) {
+        level.push_built(job.key, fresh, &job.members);
     }
-    if fresh_level {
-        // Build the maps wholesale; every slot is covered because the sets
-        // partition the ground set.
-        let mut set_of_item = vec![0u32; n];
-        let mut local_of_item = vec![0u32; n];
-        level.set_by_key = sets
-            .iter()
-            .enumerate()
-            .map(|(si, s)| (s.key, si as u32))
-            .collect();
-        for (si, set) in sets.iter().enumerate() {
-            for (local, &g) in set.ground.iter().enumerate() {
-                set_of_item[g as usize] = si as u32;
-                local_of_item[g as usize] = local as u32;
-            }
-        }
-        level.set_of_item = set_of_item;
-        level.local_of_item = local_of_item;
-    } else {
-        // Untouched items keep their map entries verbatim modulo the index
-        // shifts: permute them to the spliced ground positions in place
-        // (folding the shift fix-up into the copy), then patch only the
-        // rebuilt sets' members — which include every item the batch
-        // touched. A single plan only ever adds sets (inserts never empty
-        // one) or only drops them (removes never create one), so the shift
-        // direction is uniform.
-        debug_assert!(added.is_empty() || dropped_keys.is_empty());
-        let delta: i64 = if dropped_keys.is_empty() { 1 } else { -1 };
-        let adjust = |si: u32| -> u32 {
-            if breaks.is_empty() {
-                return si;
-            }
-            let crossed = breaks.partition_point(|&b| b <= si) as i64;
-            (i64::from(si) + delta * crossed) as u32
-        };
-        for key in &dropped_keys {
-            level.set_by_key.remove(key);
-        }
-        if !breaks.is_empty() {
-            for v in level.set_by_key.values_mut() {
-                *v = adjust(*v);
-            }
-        }
-        for &(key, idx) in &added {
-            level.set_by_key.insert(key, idx);
-        }
-        permute_by_remap(&mut level.set_of_item, remap, n, adjust);
-        permute_by_remap(&mut level.local_of_item, remap, n, |local| local);
-        for job in jobs {
-            let si = level.set_by_key[&job.key];
-            for (local, &g) in job.members.iter().enumerate() {
-                level.set_of_item[g as usize] = si;
-                level.local_of_item[g as usize] = local as u32;
-            }
-        }
-    }
-    level.sets = sets;
+    debug_assert_eq!(level.members.len(), n, "the sets partition the ground");
+    level.index_members(n);
 }
 
 /// Result of a skip-web query descent.
@@ -470,7 +452,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
         self.levels[level as usize]
             .sets
             .iter()
-            .map(|s| s.ground.len())
+            .map(|s| s.len as usize)
             .collect()
     }
 
@@ -533,29 +515,27 @@ impl<D: RangeDetermined> SkipWeb<D> {
         // level below (the block holding the query's cone stores the whole
         // stratum, §2.4.1). Defer their host resolution until that anchor is
         // known, then charge the co-located copy when one exists.
-        let mut pending: Vec<Vec<HostId>> = Vec::new();
+        let mut pending: Vec<Copies<'_>> = Vec::new();
         loop {
             let set = &self.levels[level].sets[set_idx];
             let path = set.structure.search_path(entry, q);
             if self.blocking.is_basic(level as u32) {
-                for (i, r) in path.iter().enumerate() {
-                    let host = set.range_host[r.index()][0];
+                for (i, &r) in path.iter().enumerate() {
+                    let host = self.primary(level, set, r);
                     if i == 0 {
-                        for replicas in pending.drain(..) {
-                            let copy = if replicas.contains(&host) {
+                        for mut replicas in pending.drain(..) {
+                            let co_located = replicas.clone().any(|h| h == host);
+                            meter.visit(if co_located {
                                 host
                             } else {
-                                replicas[0]
-                            };
-                            meter.visit(copy);
+                                replicas.next().unwrap_or(host)
+                            });
                         }
                     }
                     meter.visit(host);
                 }
             } else {
-                for r in &path {
-                    pending.push(set.range_host[r.index()].clone());
-                }
+                pending.extend(path.iter().map(|&r| self.copies(level, set, r)));
             }
             per_level_touches.push(path.len() as u32);
             let locus = *path.last().expect("search paths include their start");
@@ -567,7 +547,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     per_level_touches,
                 };
             }
-            let candidates = &set.down[locus.index()];
+            let candidates = set.down.row(locus.index());
             assert!(
                 !candidates.is_empty(),
                 "hyperlinks of a subset range into its superset cannot be empty"
@@ -583,23 +563,72 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// Index, within level `level - 1`, of the parent of the level-`level`
     /// set `set` — the set its down-hyperlinks point into, which is the one
     /// holding its items one level down (sets above level 0 are never
-    /// empty). Two indexed reads rather than a `set_by_key` probe: this
-    /// sits on every level descent of a query, where hashing the key and
-    /// the probe's two cold cache lines measurably slow reads.
+    /// empty). Two indexed reads rather than a key search: this sits on
+    /// every level descent of a query.
     pub(crate) fn parent_set_index(&self, level: u32, set: &LevelSet<D>) -> usize {
-        self.levels[(level - 1) as usize].set_of_item[set.ground[0] as usize] as usize
+        let first = self.levels[level as usize].members[set.start as usize];
+        self.levels[(level - 1) as usize].set_of_item[first as usize] as usize
     }
 
     /// Where operations from `origin_item` enter the web — the "root node
     /// for that host" of §1.1: the item's top-level set index and its entry
-    /// range there.
+    /// range there. A top-level set is a handful of items, so the item's
+    /// position in it is a short binary search of its (ascending) members.
     pub(crate) fn origin_entry(&self, origin_item: usize) -> (usize, RangeId) {
         let top = &self.levels[self.top_level() as usize];
         let set_idx = top.set_of_item[origin_item] as usize;
-        let entry = top.sets[set_idx]
-            .structure
-            .entry_of_item(top.local_of_item[origin_item] as usize);
-        (set_idx, entry)
+        let set = &top.sets[set_idx];
+        let local = top
+            .members_of(set)
+            .partition_point(|&g| (g as usize) < origin_item);
+        (set_idx, set.structure.entry_of_item(local))
+    }
+
+    /// The ground item owning range `r` of `set` (a level-`level` set), as
+    /// a host id — the owner-hosted home of the range (§2.4): an item's
+    /// tower of ranges lives on the item's host.
+    fn owner_host(&self, level: usize, set: &LevelSet<D>, r: RangeId) -> HostId {
+        let members = self.levels[level].members_of(set);
+        if members.is_empty() {
+            // The one empty set of an empty web still has a (universe) range.
+            return HostId(0);
+        }
+        // Indexed, not `get`: a range id from a corrupt address must stop
+        // here rather than be routed on.
+        HostId(members[set.structure.owner(r)])
+    }
+
+    /// The hosts storing a copy of range `r` of `set`, a set of level
+    /// `level`, primary first. Under owner-hosted placement this is derived:
+    /// the owner item's host and its next `k - 1` successors on the ring of
+    /// host ids (all of them when there are fewer than `k` hosts). Under
+    /// bucketed placement it is the row `assign_bucketed` stored.
+    pub(crate) fn copies<'a>(
+        &'a self,
+        level: usize,
+        set: &'a LevelSet<D>,
+        r: RangeId,
+    ) -> Copies<'a> {
+        match &set.hosted {
+            Some(table) => Copies::Listed(table.row(r.index()).iter().copied()),
+            None => {
+                let hosts = self.hosts.max(1);
+                Copies::Ring {
+                    next: self.owner_host(level, set, r).0,
+                    left: self.replication.k.min(hosts) as u32,
+                    hosts: hosts as u32,
+                }
+            }
+        }
+    }
+
+    /// The first of [`copies`](Self::copies): the authoritative copy the
+    /// cost model charges.
+    pub(crate) fn primary(&self, level: usize, set: &LevelSet<D>, r: RangeId) -> HostId {
+        match &set.hosted {
+            Some(table) => table.row(r.index())[0],
+            None => self.owner_host(level, set, r),
+        }
     }
 
     /// Inserts `item`, charging the §4 bottom-up repair messages to `meter`.
@@ -788,9 +817,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 debug_assert_eq!(want, self.levels.len() + 1);
                 self.levels.push(Level {
                     sets: Vec::new(),
+                    members: Vec::new(),
                     set_of_item: Vec::new(),
-                    local_of_item: Vec::new(),
-                    set_by_key: HashMap::new(),
                 });
                 true
             }
@@ -1028,10 +1056,12 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// the host tables.
     fn repair(&mut self, plan: RepairPlan) {
         let built = plan.builds.iter().map(|j| self.exec_build(j)).collect();
-        let links = self.install_sets(&plan, built);
-        let downs = links.iter().map(|&j| self.exec_link(j)).collect();
-        self.install_links(&links, downs);
-        self.finish_hosts();
+        self.install_sets(&plan, built);
+        for (level, set_idx) in self.link_jobs(&plan) {
+            let down = self.exec_link(level, set_idx);
+            self.levels[level].sets[set_idx].down = Arc::new(down);
+        }
+        self.assign_hosts();
         self.debug_check_invariants();
     }
 
@@ -1054,15 +1084,19 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// * **Membership** — at every level, each item sits in exactly the set
     ///   keyed by its bit prefix (`set_key(bits, ℓ)`), which makes level
     ///   membership monotone in level (a level-`ℓ` set key extends the
-    ///   level-`ℓ-1` key); `set_of_item` / `local_of_item` form a
-    ///   permutation consistent with each set's `ground`, and `set_by_key`
-    ///   indexes the sets bijectively.
-    /// * **Hyperlinks** — at level 0 all `down` lists are empty; above it,
-    ///   each range's `down` list equals its conflict list in the parent
+    ///   level-`ℓ-1` key).
+    /// * **Layout** — the sets are strictly key-sorted; `members` is a
+    ///   permutation of `0..n` that the sets' `(start, len)` slices tile in
+    ///   order, each slice ascending and matching its structure's items;
+    ///   `set_of_item` is its inverse; every per-range table has
+    ///   `num_ranges + 1` monotone offsets.
+    /// * **Hyperlinks** — at level 0 all `down` rows are empty; above it,
+    ///   each range's `down` row equals its conflict list in the parent
     ///   set one level down (§2.3).
     /// * **Placement** — every range of every set is hosted somewhere, the
     ///   copies are distinct, and all host ids (including `host_of_item`)
-    ///   are in range.
+    ///   are in range; a host table is stored exactly under bucketed
+    ///   placement.
     ///
     /// Intended for `debug_assert!` after incremental applies and for tests;
     /// the sweep recomputes every conflict list, so it is far too slow for
@@ -1102,41 +1136,62 @@ impl<D: RangeDetermined> SkipWeb<D> {
             }
         }
 
+        let bucketed = matches!(self.blocking, Blocking::Bucketed { .. });
         for (li, level) in self.levels.iter().enumerate() {
-            let li = li as u32;
-            if level.set_of_item.len() != n || level.local_of_item.len() != n {
-                return Err(format!("level {li}: item maps not sized to the ground set"));
-            }
-            if level.set_by_key.len() != level.sets.len() {
+            if level.set_of_item.len() != n || level.members.len() != n {
                 return Err(format!(
-                    "level {li}: {} keys index {} sets",
-                    level.set_by_key.len(),
-                    level.sets.len()
+                    "level {li}: item arrays not sized to the ground set"
+                ));
+            }
+            if let Some(w) = level.sets.windows(2).find(|w| w[0].key >= w[1].key) {
+                return Err(format!(
+                    "level {li}: set keys {:#x}, {:#x} not strictly ascending",
+                    w[0].key, w[1].key
                 ));
             }
             let mut claimed = vec![false; n];
+            let mut tiled = 0usize;
             for (si, set) in level.sets.iter().enumerate() {
-                let si = si as u32;
-                if level.set_by_key.get(&set.key) != Some(&si) {
+                if set.start as usize != tiled {
                     return Err(format!(
-                        "level {li}: set {si} (key {:#x}) not indexed by its key",
-                        set.key
+                        "level {li} set {si}: members start at {}, previous sets end at {tiled}",
+                        set.start
                     ));
                 }
-                if set.structure.len() != set.ground.len() {
+                tiled += set.len as usize;
+                if tiled > n {
+                    return Err(format!("level {li} set {si}: members overrun the level"));
+                }
+                if set.structure.len() != set.len as usize {
                     return Err(format!(
-                        "level {li} set {si}: structure holds {} items, ground map {}",
+                        "level {li} set {si}: structure holds {} items, member slice {}",
                         set.structure.len(),
-                        set.ground.len()
+                        set.len
                     ));
                 }
                 let num_ranges = set.structure.num_ranges();
-                if set.down.len() != num_ranges || set.range_host.len() != num_ranges {
+                let tables_fit = set.down.rows() == num_ranges
+                    && set.down.is_well_formed()
+                    && set
+                        .hosted
+                        .as_ref()
+                        .is_none_or(|t| t.rows() == num_ranges && t.is_well_formed());
+                if !tables_fit {
                     return Err(format!(
-                        "level {li} set {si}: down/range_host not sized to {num_ranges} ranges"
+                        "level {li} set {si}: a per-range table is not {num_ranges} well-formed rows"
                     ));
                 }
-                for (local, &g) in set.ground.iter().enumerate() {
+                if set.hosted.is_some() != bucketed {
+                    return Err(format!(
+                        "level {li} set {si}: host table stored = {}, bucketed = {bucketed}",
+                        set.hosted.is_some()
+                    ));
+                }
+                let members = level.members_of(set);
+                if members.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(format!("level {li} set {si}: members not ascending"));
+                }
+                for (local, &g) in members.iter().enumerate() {
                     let g = g as usize;
                     if g >= n {
                         return Err(format!(
@@ -1152,7 +1207,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     // Bit-prefix membership; keys nest across levels, so
                     // passing here at every level is exactly the "membership
                     // monotone in level" property.
-                    let want_key = set_key(self.item_bits[g], li);
+                    let want_key = set_key(self.item_bits[g], li as u32);
                     if set.key != want_key {
                         return Err(format!(
                             "level {li} set {si}: item {g} has prefix {want_key:#x} but sits in set keyed {:#x}",
@@ -1164,59 +1219,62 @@ impl<D: RangeDetermined> SkipWeb<D> {
                             "level {li} set {si}: structure item {local} diverges from ground item {g}"
                         ));
                     }
-                    if level.set_of_item[g] != si || level.local_of_item[g] as usize != local {
+                    if level.set_of_item[g] as usize != si {
                         return Err(format!(
-                            "level {li}: item map points item {g} at ({}, {}), set says ({si}, {local})",
-                            level.set_of_item[g], level.local_of_item[g]
+                            "level {li}: set_of_item points item {g} at set {}, members say {si}",
+                            level.set_of_item[g]
                         ));
                     }
                 }
             }
-            // With per-item claims unique and the maps agreeing, any
-            // unclaimed item means some level fails to cover the ground set.
+            // With per-item claims unique and the slices tiling `members`,
+            // any unclaimed item means the level fails to cover the ground.
             if let Some(g) = claimed.iter().position(|&c| !c) {
                 return Err(format!("level {li}: item {g} belongs to no set"));
             }
 
+            let (mut want, mut copies) = (Vec::new(), Vec::new());
             for (si, set) in level.sets.iter().enumerate() {
-                let parent = (li > 0)
-                    .then(|| {
-                        let below = &self.levels[li as usize - 1];
-                        let pkey = parent_key(set.key, li);
-                        below
-                            .set_by_key
-                            .get(&pkey)
-                            .map(|&pi| &below.sets[pi as usize])
-                            .ok_or_else(|| {
-                                format!(
-                                    "level {li} set {si}: no parent set keyed {pkey:#x} one level down"
-                                )
-                            })
-                    })
-                    .transpose()?;
-                for r in set.structure.range_ids() {
-                    let down = &set.down[r.index()];
-                    match parent {
-                        None => {
-                            if !down.is_empty() {
-                                return Err(format!(
-                                    "level 0 set {si}: {r} carries {} down links",
-                                    down.len()
-                                ));
-                            }
+                let parent = match li.checked_sub(1) {
+                    None => None,
+                    Some(below) => {
+                        let pkey = parent_key(set.key, li as u32);
+                        let tables = &self.levels[below];
+                        let pi = tables.set_index(pkey).ok_or_else(|| {
+                            format!(
+                                "level {li} set {si}: no parent set keyed {pkey:#x} one level down"
+                            )
+                        })?;
+                        if pi != self.parent_set_index(li as u32, set) {
+                            return Err(format!(
+                                "level {li} set {si}: first member's set below is not the parent {pkey:#x}"
+                            ));
                         }
-                        Some(parent) => {
-                            let want = parent.structure.conflicts(&set.structure.range(r));
-                            if *down != want {
-                                return Err(format!(
-                                    "level {li} set {si}: {r} down links diverge from the parent conflict list ({down:?} vs {want:?})"
-                                ));
-                            }
-                        }
+                        Some(&tables.sets[pi])
                     }
-                    let copies = &set.range_host[r.index()];
+                };
+                for r in set.structure.range_ids() {
+                    let down = set.down.row(r.index());
+                    want.clear();
+                    if let Some(parent) = parent {
+                        parent
+                            .structure
+                            .conflicts_into(&set.structure.range(r), &mut want);
+                    }
+                    if down != want {
+                        return Err(format!(
+                            "level {li} set {si}: {r} down links diverge from the parent conflict list ({down:?} vs {want:?})"
+                        ));
+                    }
+                    copies.clear();
+                    copies.extend(self.copies(li, set, r));
                     if copies.is_empty() {
                         return Err(format!("level {li} set {si}: {r} is hosted nowhere"));
+                    }
+                    if copies[0] != self.primary(li, set, r) {
+                        return Err(format!(
+                            "level {li} set {si}: {r} primary is not its first copy"
+                        ));
                     }
                     for (i, host) in copies.iter().enumerate() {
                         if host.0 >= hosts {
@@ -1238,10 +1296,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
         Ok(())
     }
 
-    /// Rebuilds one dirty set from its (already-spliced) members: reads the
-    /// ground set immutably and returns an owned set, with hyperlinks and
-    /// placement filled in by the later stages.
-    fn exec_build(&self, job: &BuildJob) -> LevelSet<D> {
+    /// Rebuilds one dirty set's structure from its (already-spliced)
+    /// members; hyperlinks and placement are filled in by the later stages.
+    fn exec_build(&self, job: &BuildJob) -> Arc<D> {
         let items: Vec<D::Item> = job
             .members
             .iter()
@@ -1257,101 +1314,28 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     .all(|(it, &g)| *it == self.ground[g as usize]),
             "splice must preserve the canonical order (canonical_cmp contract)"
         );
-        let num_ranges = structure.num_ranges();
-        // Owner-hosted primaries are fused into the build: each range's
-        // copy list starts at its owning item's host, so the repair path
-        // never needs the full placement sweep. Bucketed webs get their
-        // placement wholesale from `assign_bucketed` instead.
-        let range_host = if matches!(self.blocking, Blocking::OwnerHosted) {
-            structure
-                .range_ids()
-                .map(|r| {
-                    let owner_local = structure.owner(r);
-                    let owner_ground = job.members.get(owner_local).copied().unwrap_or(0);
-                    vec![HostId(owner_ground)]
-                })
-                .collect()
-        } else {
-            vec![Vec::new(); num_ranges]
-        };
-        LevelSet {
-            key: job.key,
-            structure: Arc::new(structure),
-            ground: job.members.clone(),
-            down: vec![Vec::new(); num_ranges].into(),
-            range_host,
-        }
+        Arc::new(structure)
     }
 
-    /// Splits the `(level, key)`-sorted build jobs and their rebuilt sets
-    /// into per-level chunks aligned with `self.levels`, so each level's
-    /// merge ([`install_level`]) is self-contained.
-    fn split_installs(
-        plan: &RepairPlan,
-        built: Vec<LevelSet<D>>,
-        levels: usize,
-    ) -> Vec<(&[BuildJob], Vec<LevelSet<D>>)> {
-        let mut built_iter = built.into_iter();
-        let mut cursor = 0usize;
-        let parts: Vec<(&[BuildJob], Vec<LevelSet<D>>)> = (0..levels as u32)
-            .map(|li| {
-                let s = cursor;
-                while cursor < plan.builds.len() && plan.builds[cursor].level == li {
-                    cursor += 1;
-                }
-                let jobs = &plan.builds[s..cursor];
-                let sets: Vec<LevelSet<D>> = built_iter.by_ref().take(jobs.len()).collect();
-                (jobs, sets)
-            })
-            .collect();
+    /// Merges the rebuilt structures into the level tables, level by level
+    /// ([`install_level`]).
+    fn install_sets(&mut self, plan: &RepairPlan, built: Vec<Arc<D>>) {
+        let n = self.ground.len();
+        let mut incoming = plan.builds.iter().zip(built).peekable();
+        for (li, level) in (0u32..).zip(&mut self.levels) {
+            install_level(level, li, &mut incoming, plan, n);
+        }
         debug_assert!(
-            cursor == plan.builds.len() && built_iter.next().is_none(),
+            incoming.next().is_none(),
             "every rebuilt set must land on a level"
         );
-        parts
-    }
-
-    /// Merges the rebuilt sets into the level tables — old sets keep their
-    /// structures and hyperlinks verbatim (ground indices remapped through
-    /// the splice), emptied sets are dropped, new sets land at their
-    /// key-sorted position — and recomputes the per-level item maps.
-    /// Returns the sets whose hyperlinks must be recomputed: every rebuilt
-    /// set plus the children of rebuilt parents (their `down` arrays index
-    /// into the parent's new structure).
-    fn install_sets(&mut self, plan: &RepairPlan, built: Vec<LevelSet<D>>) -> Vec<(u32, u32)> {
-        let n = self.ground.len();
-        let owner_hosted = matches!(self.blocking, Blocking::OwnerHosted);
-        let parts = Self::split_installs(plan, built, self.levels.len());
-        for ((li, level), (jobs, sets)) in (0u32..).zip(self.levels.iter_mut()).zip(parts) {
-            install_level(level, li, jobs, sets, plan, n, owner_hosted);
-        }
-        self.link_jobs(plan)
-    }
-
-    /// Host-table finisher for the repair path. Owner-hosted placement was
-    /// fused into the repair itself — rebuilt sets are born with owner
-    /// primaries ([`exec_build`](Self::exec_build)) and kept sets have
-    /// theirs remapped in place ([`install_level`]) — leaving only the host
-    /// count, the item homes, and the replica regrowth. Bucketed placement
-    /// numbers blocks sequentially over the whole web, so it reruns
-    /// [`assign_hosts`](Self::assign_hosts) wholesale.
-    fn finish_hosts(&mut self) {
-        match self.blocking {
-            Blocking::OwnerHosted => {
-                let n = self.ground.len();
-                self.hosts = n.max(1);
-                self.host_of_item.clear();
-                self.host_of_item.extend((0..n).map(|i| HostId(i as u32)));
-                self.extend_replicas();
-            }
-            Blocking::Bucketed { .. } => self.assign_hosts(),
-        }
     }
 
     /// The hyperlink recompute jobs a repair implies: every rebuilt set
-    /// plus the children of rebuilt parents, resolved to surviving
+    /// plus the children of rebuilt parents (their `down` tables index into
+    /// the parent's new structure), resolved to surviving
     /// `(level, set_index)` pairs.
-    fn link_jobs(&self, plan: &RepairPlan) -> Vec<(u32, u32)> {
+    fn link_jobs(&self, plan: &RepairPlan) -> Vec<(usize, usize)> {
         let mut link_keys: BTreeSet<(u32, u64)> = BTreeSet::new();
         let top = (self.levels.len() - 1) as u32;
         for &(level, key) in &plan.dirty {
@@ -1367,31 +1351,22 @@ impl<D: RangeDetermined> SkipWeb<D> {
         link_keys
             .into_iter()
             .filter_map(|(level, key)| {
-                self.levels[level as usize]
-                    .set_by_key
-                    .get(&key)
-                    .map(|&si| (level, si))
+                let level = level as usize;
+                Some((level, self.levels[level].set_index(key)?))
             })
             .collect()
     }
 
     /// Recomputes one set's hyperlinks into its parent (§2.3), reading the
-    /// installed levels immutably.
-    fn exec_link(&self, (level, set_idx): (u32, u32)) -> Vec<Vec<RangeId>> {
-        let set = &self.levels[level as usize].sets[set_idx as usize];
-        let pkey = parent_key(set.key, level);
-        let parent_level = &self.levels[level as usize - 1];
-        let parent = &parent_level.sets[parent_level.set_by_key[&pkey] as usize];
-        set.structure
-            .range_ids()
-            .map(|r| parent.structure.conflicts(&set.structure.range(r)))
-            .collect()
-    }
-
-    fn install_links(&mut self, jobs: &[(u32, u32)], downs: Vec<Vec<Vec<RangeId>>>) {
-        for (&(level, set_idx), down) in jobs.iter().zip(downs) {
-            self.levels[level as usize].sets[set_idx as usize].down = down.into();
-        }
+    /// installed levels immutably. `level` must be above 0.
+    fn exec_link(&self, level: usize, set_idx: usize) -> Csr<RangeId> {
+        let set = &self.levels[level].sets[set_idx];
+        let parent = &self.levels[level - 1].sets[self.parent_set_index(level as u32, set)];
+        debug_assert_eq!(parent.key, parent_key(set.key, level as u32));
+        Csr::build(set.structure.num_ranges(), |r, out| {
+            let range = set.structure.range(RangeId(r as u32));
+            parent.structure.conflicts_into(&range, out);
+        })
     }
 
     /// The level bit string of `item` when it is stored — a binary search
@@ -1453,19 +1428,17 @@ impl<D: RangeDetermined> SkipWeb<D> {
     ) -> bool {
         let probe_range = D::probe_range(item);
         let mut anchor: Option<HostId> = None;
-        for (level, tables) in (0u32..).zip(&self.levels) {
-            let Some(&set_idx) = tables.set_by_key.get(&set_key(bits, level)) else {
+        let mut conflicts = Vec::new();
+        for (level, tables) in self.levels.iter().enumerate() {
+            let Some(set_idx) = tables.set_index(set_key(bits, level as u32)) else {
                 continue;
             };
-            let set = &tables.sets[set_idx as usize];
-            let basic = self.blocking.is_basic(level);
-            for (i, r) in set
-                .structure
-                .conflicts(&probe_range)
-                .into_iter()
-                .enumerate()
-            {
-                let mut replicas = set.range_host[r.index()].iter().map(|&h| host_of(h));
+            let set = &tables.sets[set_idx];
+            let basic = self.blocking.is_basic(level as u32);
+            conflicts.clear();
+            set.structure.conflicts_into(&probe_range, &mut conflicts);
+            for (i, &r) in conflicts.iter().enumerate() {
+                let mut replicas = self.copies(level, set, r).map(&host_of);
                 let host = match anchor {
                     Some(a) if replicas.clone().any(|h| h == a) && alive(a) => a,
                     _ => match replicas.find(|&h| alive(h)) {
@@ -1502,130 +1475,64 @@ impl<D: RangeDetermined> SkipWeb<D> {
         self.ground = canonical.items().to_vec();
         self.item_bits = bits;
 
-        let item_index: BTreeMap<&D::Item, u32> = self
-            .ground
-            .iter()
-            .enumerate()
-            .map(|(i, it)| (it, i as u32))
-            .collect();
-
         // --- Levels ---------------------------------------------------------
         let mut levels: Vec<Level<D>> = Vec::with_capacity(k as usize + 1);
         for level in 0..=k {
             let groups = group_by_key(&self.item_bits, level);
-            let mut sets = Vec::with_capacity(groups.len());
-            let mut set_of_item = vec![0u32; n];
-            let mut local_of_item = vec![0u32; n];
-            let mut set_by_key = HashMap::with_capacity(groups.len());
+            let mut tables = Level {
+                sets: Vec::with_capacity(groups.len().max(1)),
+                members: Vec::with_capacity(n),
+                set_of_item: Vec::new(),
+            };
             for (key, members) in groups {
-                let items: Vec<D::Item> = members
-                    .iter()
-                    .map(|&g| self.ground[g as usize].clone())
-                    .collect();
-                let structure = D::build(items);
-                let ground: Vec<u32> = structure.items().iter().map(|it| item_index[it]).collect();
-                let set_idx = sets.len() as u32;
-                for (local, &g) in ground.iter().enumerate() {
-                    set_of_item[g as usize] = set_idx;
-                    local_of_item[g as usize] = local as u32;
-                }
-                set_by_key.insert(key, set_idx);
-                let num_ranges = structure.num_ranges();
-                sets.push(LevelSet {
+                let job = BuildJob {
+                    level,
                     key,
-                    structure: Arc::new(structure),
-                    ground,
-                    down: vec![Vec::new(); num_ranges].into(),
-                    range_host: vec![Vec::new(); num_ranges],
-                });
+                    members,
+                };
+                tables.push_built(key, self.exec_build(&job), &job.members);
             }
             if n == 0 {
                 // Keep a single empty level-0 set for uniformity.
-                let structure = D::build(Vec::new());
-                let num_ranges = structure.num_ranges();
-                sets.push(LevelSet {
-                    key: 0,
-                    structure: Arc::new(structure),
-                    ground: Vec::new(),
-                    down: vec![Vec::new(); num_ranges].into(),
-                    range_host: vec![Vec::new(); num_ranges],
-                });
-                set_by_key.insert(0, 0);
+                tables.push_built(0, Arc::new(D::build(Vec::new())), &[]);
             }
-            levels.push(Level {
-                sets,
-                set_of_item,
-                local_of_item,
-                set_by_key,
-            });
+            tables.index_members(n);
+            levels.push(tables);
         }
 
         self.levels = levels;
 
         // --- Hyperlinks (§2.3) ----------------------------------------------
-        for level in 1..=k {
-            for set_idx in 0..self.levels[level as usize].sets.len() as u32 {
-                let down = self.exec_link((level, set_idx));
-                self.levels[level as usize].sets[set_idx as usize].down = down.into();
+        for level in 1..=k as usize {
+            for set_idx in 0..self.levels[level].sets.len() {
+                let down = self.exec_link(level, set_idx);
+                self.levels[level].sets[set_idx].down = Arc::new(down);
             }
         }
 
         self.assign_hosts();
     }
 
-    /// Computes `range_host` for every set per the blocking strategy, plus
-    /// per-item home hosts.
+    /// Places every range per the blocking strategy, plus per-item home
+    /// hosts. Owner-hosted placement stores nothing per range — it is
+    /// derived from the sets' members ([`copies`](Self::copies)).
     fn assign_hosts(&mut self) {
-        let n = self.ground.len();
         match self.blocking {
             Blocking::OwnerHosted => {
+                let n = self.ground.len();
                 self.hosts = n.max(1);
                 self.host_of_item.clear();
                 self.host_of_item.extend((0..n).map(|i| HostId(i as u32)));
-                owner_host_sweep(&mut self.levels);
-                if n == 0 {
-                    self.host_of_item.clear();
-                }
             }
             Blocking::Bucketed { .. } => self.assign_bucketed(),
-        }
-        self.extend_replicas();
-    }
-
-    /// The replication pass layered over either blocking strategy: extends
-    /// every range's copy list to `k` distinct hosts by walking the ring of
-    /// host ids upward from the primary. The primary stays `copies[0]`, so
-    /// all single-copy accounting (and the `k = 1` default) is untouched.
-    fn extend_replicas(&mut self) {
-        let hosts = self.hosts.max(1) as u32;
-        let k = self.replication.k.min(hosts as usize);
-        if k <= 1 {
-            return;
-        }
-        for level in &mut self.levels {
-            for set in &mut level.sets {
-                for copies in &mut set.range_host {
-                    let primary = copies[0].0;
-                    let mut next = primary;
-                    while copies.len() < k {
-                        next = (next + 1) % hosts;
-                        if next == primary {
-                            break; // full circle: fewer hosts than k
-                        }
-                        let candidate = HostId(next);
-                        if !copies.contains(&candidate) {
-                            copies.push(candidate);
-                        }
-                    }
-                }
-            }
         }
     }
 
     /// The bucketed placement of §2.4.1: basic levels are chopped into
     /// blocks of contiguous ranges (one host each); non-basic ranges follow
     /// their hyperlink chain down to the basic level and live with the block
-    /// they land on.
+    /// they land on. The replication pass then extends every list to `k`
+    /// hosts.
     fn assign_bucketed(&mut self) {
         let block_size = self.blocking.block_size();
         let mut next_host: u32 = 0;
@@ -1644,6 +1551,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 // follows the structure's canonical layout.
                 let mut order: Vec<RangeId> = set.structure.range_ids().collect();
                 order.sort_by_key(|r| (set.structure.owner(*r), r.index()));
+                let mut block_of = vec![HostId(0); order.len()];
                 for r in order {
                     if fill == block_size || !started {
                         if started {
@@ -1652,9 +1560,12 @@ impl<D: RangeDetermined> SkipWeb<D> {
                         started = true;
                         fill = 0;
                     }
-                    set.range_host[r.index()] = vec![HostId(next_host)];
+                    block_of[r.index()] = HostId(next_host);
                     fill += 1;
                 }
+                set.hosted = Some(Arc::new(Csr::build(block_of.len(), |r, out| {
+                    out.push(block_of[r]);
+                })));
             }
             if started {
                 next_host += 1; // close the level's last open block
@@ -1664,38 +1575,65 @@ impl<D: RangeDetermined> SkipWeb<D> {
         // copy of a range they hyperlink to one level down (so each block's
         // whole non-basic cone is co-located with it, as §2.4.1 describes).
         // Ascending level order guarantees the level below is already placed.
+        let mut cone: Vec<HostId> = Vec::new();
         for level_idx in 1..self.levels.len() {
             if self.blocking.is_basic(level_idx as u32) {
                 continue;
             }
             for set_idx in 0..self.levels[level_idx].sets.len() {
-                let parent_idx =
-                    self.parent_set_index(level_idx as u32, &self.levels[level_idx].sets[set_idx]);
-                for r_idx in 0..self.levels[level_idx].sets[set_idx].range_host.len() {
-                    let mut hosts: Vec<HostId> = Vec::new();
-                    for t in &self.levels[level_idx].sets[set_idx].down[r_idx] {
-                        hosts.extend(
-                            self.levels[level_idx - 1].sets[parent_idx].range_host[t.index()]
-                                .iter()
-                                .copied(),
-                        );
+                let set = &self.levels[level_idx].sets[set_idx];
+                let parent_idx = self.parent_set_index(level_idx as u32, set);
+                let below = &self.levels[level_idx - 1].sets[parent_idx];
+                let cones = Csr::build(set.down.rows(), |r, out| {
+                    cone.clear();
+                    for t in set.down.row(r) {
+                        cone.extend_from_slice(below.listed(*t));
                     }
-                    hosts.sort_unstable();
-                    hosts.dedup();
-                    debug_assert!(!hosts.is_empty(), "non-basic range must have a cone");
-                    self.levels[level_idx].sets[set_idx].range_host[r_idx] = hosts;
-                }
+                    cone.sort_unstable();
+                    cone.dedup();
+                    debug_assert!(!cone.is_empty(), "non-basic range must have a cone");
+                    out.extend_from_slice(&cone);
+                });
+                self.levels[level_idx].sets[set_idx].hosted = Some(Arc::new(cones));
             }
         }
         self.hosts = (next_host as usize).max(1);
+        self.extend_replicas();
         // Item homes: the host of the item's top-level entry range.
         let top = self.top_level() as usize;
         self.host_of_item = (0..self.ground.len())
             .map(|g| {
                 let (set_idx, entry) = self.origin_entry(g);
-                self.levels[top].sets[set_idx].range_host[entry.index()][0]
+                self.primary(top, &self.levels[top].sets[set_idx], entry)
             })
             .collect();
+    }
+
+    /// The replication pass over a bucketed placement: extends every range's
+    /// stored list to `k` distinct hosts by walking the ring of host ids
+    /// upward from the primary. The primary stays first, so all single-copy
+    /// accounting (and the `k = 1` default) is untouched.
+    fn extend_replicas(&mut self) {
+        let hosts = self.hosts.max(1) as u32;
+        let k = self.replication.k.min(hosts as usize);
+        if k <= 1 {
+            return;
+        }
+        for set in self.levels.iter_mut().flat_map(|l| &mut l.sets) {
+            set.hosted = Some(Arc::new(Csr::build(set.down.rows(), |r, out| {
+                let start = out.len();
+                out.extend_from_slice(set.listed(RangeId(r as u32)));
+                let primary = out[start].0;
+                let mut next = (primary + 1) % hosts;
+                // A full circle means fewer hosts than `k`.
+                while out.len() - start < k && next != primary {
+                    if !out[start..].contains(&HostId(next)) {
+                        out.push(HostId(next));
+                    }
+                    next = (next + 1) % hosts;
+                }
+            })));
+        }
     }
 
     /// Registers the web's storage and reference footprint with a simulated
@@ -1713,17 +1651,16 @@ impl<D: RangeDetermined> SkipWeb<D> {
             self.hosts
         );
         net.set_items(self.len());
-        for level in &self.levels {
+        for (li, level) in self.levels.iter().enumerate() {
             for set in &level.sets {
                 for r in set.structure.range_ids() {
                     let neighbors = set.structure.neighbors(r);
-                    let down = &set.down[r.index()];
-                    let copies = &set.range_host[r.index()];
-                    for (c, &host) in copies.iter().enumerate() {
+                    let down = set.down.row(r.index());
+                    for (c, host) in self.copies(li, set, r).enumerate() {
                         let mut local = 0u64;
                         let mut remote = 0u64;
-                        for nb in &neighbors {
-                            if set.range_host[nb.index()].contains(&host) {
+                        for &nb in &neighbors {
+                            if self.copies(li, set, nb).any(|h| h == host) {
                                 local += 1;
                             } else {
                                 remote += 1;
@@ -1751,11 +1688,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 let parent_idx = self.parent_set_index(level_idx as u32, set);
                 let parent = &self.levels[level_idx - 1].sets[parent_idx];
                 for r in set.structure.range_ids() {
-                    for (c, &host) in set.range_host[r.index()].iter().enumerate() {
+                    for (c, host) in self.copies(level_idx, set, r).enumerate() {
                         let mut local = 0u64;
                         let mut remote = 0u64;
-                        for t in &set.down[r.index()] {
-                            if parent.range_host[t.index()].contains(&host) {
+                        for &t in set.down.row(r.index()) {
+                            if self.copies(level_idx - 1, parent, t).any(|h| h == host) {
                                 local += 1;
                             } else {
                                 remote += 1;
@@ -1789,12 +1726,129 @@ impl<D: RangeDetermined> SkipWeb<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
     use skipweb_structures::linked_list::SortedLinkedList;
 
     fn web(n: u64, seed: u64) -> SkipWeb<SortedLinkedList> {
         SkipWeb::builder((0..n).map(|i| i * 10).collect())
             .seed(seed)
             .build()
+    }
+
+    /// The per-range copy lists the web used to store, level → set → range:
+    /// the oracle [`SkipWeb::copies`] is held to.
+    type RangeHost = Vec<Vec<Vec<Vec<HostId>>>>;
+
+    /// The web's stored copy lists as they stand — meaningful for an
+    /// unreplicated bucketed web, whose rows are the block placement.
+    fn listed_range_host<D: RangeDetermined>(web: &SkipWeb<D>) -> RangeHost {
+        let per_set = |(li, level): (usize, &Level<D>)| {
+            let per_range = |set: &LevelSet<D>| {
+                set.structure
+                    .range_ids()
+                    .map(|r| web.copies(li, set, r).collect())
+                    .collect()
+            };
+            level.sets.iter().map(per_range).collect()
+        };
+        web.levels.iter().enumerate().map(per_set).collect()
+    }
+
+    /// Points every range's copy list at its owning item's host — the
+    /// owner-hosted placement sweep the full rebuild used to run.
+    fn owner_host_sweep<D: RangeDetermined>(web: &SkipWeb<D>) -> RangeHost {
+        let per_set = |level: &Level<D>| {
+            let per_range = |set: &LevelSet<D>| {
+                let ground = level.members_of(set);
+                set.structure
+                    .range_ids()
+                    .map(|r| {
+                        let owner_local = set.structure.owner(r);
+                        let owner_ground = ground.get(owner_local).copied().unwrap_or(0);
+                        vec![HostId(owner_ground)]
+                    })
+                    .collect()
+            };
+            level.sets.iter().map(per_range).collect()
+        };
+        web.levels.iter().map(per_set).collect()
+    }
+
+    /// The replication pass the web used to run over its stored lists:
+    /// extends every copy list to `k` distinct hosts by walking the ring of
+    /// host ids upward from the primary.
+    fn extend_replicas(range_host: &mut RangeHost, replication: Replication, hosts: usize) {
+        let hosts = hosts.max(1) as u32;
+        let k = replication.k.min(hosts as usize);
+        if k <= 1 {
+            return;
+        }
+        for copies in range_host.iter_mut().flatten().flatten() {
+            let primary = copies[0].0;
+            let mut next = primary;
+            while copies.len() < k {
+                next = (next + 1) % hosts;
+                if next == primary {
+                    break; // full circle: fewer hosts than k
+                }
+                let candidate = HostId(next);
+                if !copies.contains(&candidate) {
+                    copies.push(candidate);
+                }
+            }
+        }
+    }
+
+    /// What the deleted materialising placement code would have stored for
+    /// `web`: owner primaries, or the unreplicated block placement of the
+    /// same items and towers, extended to `k` replicas.
+    fn materialized_range_host(web: &SkipWeb<SortedLinkedList>) -> RangeHost {
+        let mut range_host = match web.blocking {
+            Blocking::OwnerHosted => owner_host_sweep(web),
+            Blocking::Bucketed { .. } => {
+                listed_range_host(&web.with_replication(Replication::NONE))
+            }
+        };
+        extend_replicas(&mut range_host, web.replication, web.hosts);
+        range_host
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The derived (owner-hosted) and stored (bucketed) copies of every
+        /// range equal the lists the web used to materialise, through
+        /// incremental repairs and full rebuilds alike.
+        #[test]
+        fn copies_match_the_materialized_placement(
+            n in 1u64..160,
+            k in 1usize..=4,
+            bucketed in any::<bool>(),
+            memory in 4usize..48,
+            seed in 0u64..1000,
+            steps in collection::vec((any::<bool>(), collection::vec(0u64..400, 1..12)), 0..6),
+        ) {
+            let mut builder = SkipWeb::<SortedLinkedList>::builder((0..n).map(|i| i * 5).collect())
+                .seed(seed)
+                .replicate(k);
+            if bucketed {
+                builder = builder.bucketed(memory);
+            }
+            let mut web = builder.build();
+            for (round, (inserting, keys)) in steps.iter().enumerate() {
+                if round > 0 {
+                    if *inserting {
+                        let batch = keys.iter().map(|&key| (key, key.wrapping_mul(seed | 1))).collect();
+                        web.apply_insert_batch(batch);
+                    } else {
+                        web.apply_remove_batch(keys);
+                    }
+                }
+                prop_assert_eq!(web.check_invariants(), Ok(()));
+                prop_assert_eq!(listed_range_host(&web), materialized_range_host(&web));
+            }
+        }
     }
 
     #[test]
@@ -1959,16 +2013,17 @@ mod tests {
             .build();
         assert_eq!(w.replication().k, 3);
         let plain = web(64, 5);
-        for (level, plain_level) in w.level_structs().iter().zip(plain.level_structs()) {
-            for (set, plain_set) in level.sets.iter().zip(&plain_level.sets) {
-                for (copies, plain_copies) in set.range_host.iter().zip(&plain_set.range_host) {
+        for (li, level) in w.level_structs().iter().enumerate() {
+            for (set, plain_set) in level.sets.iter().zip(&plain.level_structs()[li].sets) {
+                for r in set.structure.range_ids() {
+                    let copies: Vec<HostId> = w.copies(li, set, r).collect();
                     assert!(copies.len() >= 3, "range has {} copies", copies.len());
                     let mut unique = copies.clone();
                     unique.sort_unstable();
                     unique.dedup();
                     assert_eq!(unique.len(), copies.len(), "replicas must be distinct");
                     // The primary copy is exactly the unreplicated placement.
-                    assert_eq!(copies[0], plain_copies[0]);
+                    assert_eq!(copies[0], plain.primary(li, plain_set, r));
                 }
             }
         }
@@ -1991,10 +2046,10 @@ mod tests {
             .seed(6)
             .replicate(64)
             .build();
-        for level in w.level_structs() {
+        for (li, level) in w.level_structs().iter().enumerate() {
             for set in &level.sets {
-                for copies in &set.range_host {
-                    assert!(copies.len() <= w.hosts());
+                for r in set.structure.range_ids() {
+                    assert!(w.copies(li, set, r).count() <= w.hosts());
                 }
             }
         }

@@ -241,9 +241,16 @@ impl RangeDetermined for SortedLinkedList {
     }
 
     fn conflicts(&self, external: &KeyInterval) -> Vec<RangeId> {
+        let mut out = Vec::new();
+        self.conflicts_into(external, &mut out);
+        out
+    }
+
+    fn conflicts_into(&self, external: &KeyInterval, out: &mut Vec<RangeId>) {
         let m = self.m();
         if m == 0 {
-            return vec![RangeId(0)];
+            out.push(RangeId(0));
+            return;
         }
         // Ranges are contiguous on the line, so the conflict list is the run
         // of positions between the leftmost and rightmost intersecting range.
@@ -268,7 +275,7 @@ impl RangeDetermined for SortedLinkedList {
                 Err(j) => 2 * j,
             },
         };
-        (lo_pos..=hi_pos).map(|p| self.id_at(p)).collect()
+        out.extend((lo_pos..=hi_pos).map(|p| self.id_at(p)));
     }
 }
 

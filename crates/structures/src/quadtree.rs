@@ -459,9 +459,15 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
     }
 
     fn conflicts(&self, external: &Cell<D>) -> Vec<RangeId> {
+        let mut out = Vec::new();
+        self.conflicts_into(external, &mut out);
+        out
+    }
+
+    fn conflicts_into(&self, external: &Cell<D>, out: &mut Vec<RangeId>) {
         let n = self.nodes.len() as u32;
         let u = self.deepest_containing(external);
-        let mut out = vec![RangeId(u as u32)];
+        out.push(RangeId(u as u32));
         for (&c, &l) in self.nodes[u]
             .children
             .iter()
@@ -472,7 +478,6 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
                 out.push(RangeId(c));
             }
         }
-        out
     }
 }
 

@@ -156,6 +156,15 @@ pub trait RangeDetermined: Clone + fmt::Debug {
     /// from the structure of a subset (or superset) of this ground set.
     fn conflicts(&self, external: &Self::Range) -> Vec<RangeId>;
 
+    /// Appends [`conflicts(external)`](Self::conflicts) to `out` — the form
+    /// the hierarchy's hyperlink pass and repair walks call once per range,
+    /// filling one shared buffer instead of allocating a list each time.
+    /// The default goes through `conflicts`; structures that can enumerate
+    /// the list directly override it (and derive `conflicts` from it).
+    fn conflicts_into(&self, external: &Self::Range, out: &mut Vec<RangeId>) {
+        out.extend(self.conflicts(external));
+    }
+
     /// A query point probing the location of `item` — used by updates (§4)
     /// to route to the neighbourhood an insertion or deletion will modify.
     fn item_query(item: &Self::Item) -> Self::Query;

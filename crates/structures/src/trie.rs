@@ -253,6 +253,104 @@ impl CompressedTrie {
         None
     }
 
+    /// The locus of `qb` and the number of its bytes that lie on the trie.
+    fn locate_bytes(&self, qb: &[u8]) -> (RangeId, usize) {
+        let (node, matched) = self.walk(qb);
+        let node_len = self.nodes[node].prefix_len as usize;
+        if matched == node_len {
+            return (RangeId(node as u32), matched);
+        }
+        // The locus sits inside the child edge continuing with q[node_len].
+        for (&c, &e) in self.nodes[node]
+            .children
+            .iter()
+            .zip(&self.nodes[node].child_edges)
+        {
+            let cs = self.str_of(c as usize);
+            if cs.len() > node_len && cs[node_len] == qb[node_len] {
+                return (RangeId((self.nodes.len() + e as usize) as u32), matched);
+            }
+        }
+        (RangeId(node as u32), matched)
+    }
+
+    /// The walk from `from` to `locate(q)` along trie links: `touch` sees
+    /// every range in order, both endpoints included, and ends the walk
+    /// early by returning `false`.
+    fn search_walk(&self, from: RangeId, q: &str, mut touch: impl FnMut(RangeId) -> bool) {
+        let n = self.nodes.len();
+        let qb = q.as_bytes();
+        let (target, matched) = self.locate_bytes(qb);
+        if !touch(from) {
+            return;
+        }
+        // Normalize the cursor to a node; an edge start walks to its deeper
+        // endpoint unless it already covers the locus.
+        let mut cur = if from.index() < n {
+            from.index()
+        } else {
+            if from == target {
+                return;
+            }
+            let (p, c) = self.edge_ends[from.index() - n];
+            // Move toward the locus: up if this edge is not on q's line.
+            let next = if is_prefix(self.str_of(c as usize), &qb[..matched]) {
+                c
+            } else {
+                p
+            };
+            if !touch(RangeId(next)) {
+                return;
+            }
+            next as usize
+        };
+        // Ascend until str(cur) lies on the matched line. The locus itself
+        // can be an edge on this ascent (the query diverges inside the edge
+        // the start node hangs from); the walk ends on first touch instead
+        // of overshooting to the parent and returning.
+        while !is_prefix(self.str_of(cur), &qb[..matched]) {
+            let node = &self.nodes[cur];
+            let parent = node.parent.expect("the root lies on every line");
+            if let Some(pe) = node.parent_edge {
+                let eid = RangeId((n + pe as usize) as u32);
+                if !touch(eid) || eid == target {
+                    return;
+                }
+            }
+            if !touch(RangeId(parent)) {
+                return;
+            }
+            cur = parent as usize;
+        }
+        // Descend along the matched line to the locus.
+        loop {
+            if RangeId(cur as u32) == target {
+                return;
+            }
+            let cur_len = self.nodes[cur].prefix_len as usize;
+            let mut moved = false;
+            for (&c, &e) in self.nodes[cur]
+                .children
+                .iter()
+                .zip(&self.nodes[cur].child_edges)
+            {
+                let cs = self.str_of(c as usize);
+                if cur_len < matched && cs[cur_len] == qb[cur_len] {
+                    let eid = RangeId((n + e as usize) as u32);
+                    if !touch(eid) || eid == target || !touch(RangeId(c)) {
+                        return;
+                    }
+                    cur = c as usize;
+                    moved = true;
+                    break;
+                }
+            }
+            if !moved {
+                return;
+            }
+        }
+    }
+
     fn build_rec(&mut self, lo: usize, hi: usize, parent: Option<u32>) -> u32 {
         debug_assert!(lo < hi);
         let node_idx = self.nodes.len() as u32;
@@ -413,96 +511,31 @@ impl RangeDetermined for CompressedTrie {
     }
 
     fn locate(&self, q: &String) -> RangeId {
-        let qb = q.as_bytes();
-        let (node, matched) = self.walk(qb);
-        let node_len = self.nodes[node].prefix_len as usize;
-        if matched == node_len {
-            return RangeId(node as u32);
-        }
-        // The locus sits inside the child edge continuing with q[node_len].
-        for (&c, &e) in self.nodes[node]
-            .children
-            .iter()
-            .zip(&self.nodes[node].child_edges)
-        {
-            let cs = self.str_of(c as usize);
-            if cs.len() > node_len && cs[node_len] == qb[node_len] {
-                return RangeId((self.nodes.len() + e as usize) as u32);
-            }
-        }
-        RangeId(node as u32)
+        self.locate_bytes(q.as_bytes()).0
     }
 
     fn search_path(&self, from: RangeId, q: &String) -> Vec<RangeId> {
-        let n = self.nodes.len();
-        let qb = q.as_bytes();
-        let matched = self.matched_len(qb);
-        let target = self.locate(q);
-        let mut path = vec![from];
-        // Normalize the cursor to a node; an edge start walks to its deeper
-        // endpoint unless it already covers the locus.
-        let mut cur = if from.index() < n {
-            from.index()
-        } else {
-            if from == target {
-                return path;
+        let mut path = Vec::new();
+        self.search_walk(from, q, |r| {
+            path.push(r);
+            true
+        });
+        path
+    }
+
+    fn search_step(&self, from: RangeId, q: &String) -> Option<RangeId> {
+        // The same walk, cut short at the first range after `from` — no
+        // path is materialized per step.
+        let mut touched = 0;
+        let mut next = None;
+        self.search_walk(from, q, |r| {
+            touched += 1;
+            if touched == 2 {
+                next = Some(r);
             }
-            let (p, c) = self.edge_ends[from.index() - n];
-            // Move toward the locus: up if this edge is not on q's line.
-            let next = if is_prefix(self.str_of(c as usize), &qb[..matched]) {
-                c
-            } else {
-                p
-            };
-            path.push(RangeId(next));
-            next as usize
-        };
-        // Ascend until str(cur) lies on the matched line. The locus itself
-        // can be an edge on this ascent (the query diverges inside the edge
-        // the start node hangs from); the walk ends on first touch instead
-        // of overshooting to the parent and returning.
-        while !is_prefix(self.str_of(cur), &qb[..matched]) {
-            let node = &self.nodes[cur];
-            let parent = node.parent.expect("the root lies on every line");
-            if let Some(pe) = node.parent_edge {
-                let eid = RangeId((n + pe as usize) as u32);
-                path.push(eid);
-                if eid == target {
-                    return path;
-                }
-            }
-            path.push(RangeId(parent));
-            cur = parent as usize;
-        }
-        // Descend along the matched line to the locus.
-        loop {
-            if RangeId(cur as u32) == target {
-                return path;
-            }
-            let cur_len = self.nodes[cur].prefix_len as usize;
-            let mut moved = false;
-            for (&c, &e) in self.nodes[cur]
-                .children
-                .iter()
-                .zip(&self.nodes[cur].child_edges)
-            {
-                let cs = self.str_of(c as usize);
-                if cur_len < matched && cs[cur_len] == qb[cur_len] {
-                    let eid = RangeId((n + e as usize) as u32);
-                    path.push(eid);
-                    if eid == target {
-                        return path;
-                    }
-                    path.push(RangeId(c));
-                    cur = c as usize;
-                    moved = true;
-                    break;
-                }
-            }
-            if !moved {
-                return path;
-            }
-        }
+            touched < 2
+        });
+        next
     }
 
     fn best_entry(&self, candidates: &[RangeId], q: &String) -> RangeId {
@@ -524,15 +557,23 @@ impl RangeDetermined for CompressedTrie {
     }
 
     fn conflicts(&self, external: &TrieRange) -> Vec<RangeId> {
+        let mut out = Vec::new();
+        self.conflicts_into(external, &mut out);
+        out
+    }
+
+    fn conflicts_into(&self, external: &TrieRange, out: &mut Vec<RangeId>) {
         let n = self.nodes.len();
         let a = external.start();
         let b = external.end();
         let Some(pos_a) = self.position_of(a) else {
-            return Vec::new();
+            return;
         };
-        let mut out: Vec<RangeId> = Vec::new();
+        // De-duplicate against this call's own entries only: `out` may
+        // already hold other lists.
+        let base = out.len();
         let push = |id: RangeId, out: &mut Vec<RangeId>| {
-            if !out.contains(&id) {
+            if !out[base..].contains(&id) {
                 out.push(id);
             }
         };
@@ -543,13 +584,13 @@ impl RangeDetermined for CompressedTrie {
         } else {
             // `a` sits strictly inside an edge: that edge conflicts; continue
             // from its child endpoint if still on the line toward b.
-            push(pos_a, &mut out);
+            push(pos_a, out);
             let (_, c) = self.edge_ends[pos_a.index() - n];
             let cs = self.str_of(c as usize);
             if !is_prefix(cs, b) {
                 // The edge dives past b or off the line; if its child string
                 // extends b within the edge, the edge is the sole conflict.
-                return out;
+                return;
             }
             c as usize
         };
@@ -558,9 +599,9 @@ impl RangeDetermined for CompressedTrie {
             debug_assert!(is_prefix(a, cur_s) || is_prefix(cur_s, a));
             if is_prefix(a, cur_s) {
                 // Node on the path [a, b].
-                push(RangeId(cur as u32), &mut out);
+                push(RangeId(cur as u32), out);
                 if let Some(pe) = self.nodes[cur].parent_edge {
-                    push(RangeId((n + pe as usize) as u32), &mut out);
+                    push(RangeId((n + pe as usize) as u32), out);
                 }
             }
             // Every child edge touches str(cur) ∈ [a, b], hence conflicts.
@@ -572,7 +613,7 @@ impl RangeDetermined for CompressedTrie {
                 .zip(&self.nodes[cur].child_edges)
             {
                 if is_prefix(a, cur_s) {
-                    push(RangeId((n + e as usize) as u32), &mut out);
+                    push(RangeId((n + e as usize) as u32), out);
                 }
                 let cs = self.str_of(c as usize);
                 if cur_len < b.len() && cs[cur_len] == b[cur_len] && is_prefix(cs, b) {
@@ -584,7 +625,6 @@ impl RangeDetermined for CompressedTrie {
                 None => break,
             }
         }
-        out
     }
 }
 

@@ -1,6 +1,8 @@
 //! Statistical validation of all four set-halving lemmas across seeds, plus
 //! property tests for the trapezoid conflict identity (Lemma 5) on random
-//! general-position inputs.
+//! general-position inputs, and for the agreement of every structure's
+//! hot-path forms (`search_step`, `conflicts_into`) with the list-returning
+//! ones they shortcut.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,6 +31,60 @@ fn banded_segments(n: usize, seed: u64) -> Vec<Segment> {
             )
         })
         .collect()
+}
+
+/// Holds `d`'s allocation-free hot paths to the forms they shortcut, from
+/// every range, for every query, against a half-sample's ranges:
+///
+/// * `search_step(from, q)` is the second range of `search_path(from, q)`
+///   wherever `exact_from(from)` says the structure promises that — from
+///   any range for structures that derive the step from the path's walk,
+///   from node ranges for the two whose links step direction-aware (a link
+///   the walk just came up through continues upward instead of replaying
+///   the path's child-first normalization);
+/// * stepping repeatedly from any range ends where the path does;
+/// * `conflicts_into` appends exactly `conflicts`, leaving what the buffer
+///   already held alone.
+fn assert_hot_paths_agree<D: RangeDetermined>(
+    d: &D,
+    coarse: &D,
+    queries: &[D::Query],
+    exact_from: impl Fn(RangeId) -> bool,
+) {
+    for q in queries {
+        for from in d.range_ids() {
+            let path = d.search_path(from, q);
+            assert_eq!(path[0], from);
+            if exact_from(from) {
+                assert_eq!(
+                    d.search_step(from, q),
+                    path.get(1).copied(),
+                    "from {from} toward {q:?}"
+                );
+            }
+            let (mut at, mut steps) = (from, 0);
+            while let Some(next) = d.search_step(at, q) {
+                at = next;
+                steps += 1;
+                assert!(
+                    steps <= 2 * d.num_ranges() + 2,
+                    "stepping from {from} cycles"
+                );
+            }
+            assert_eq!(Some(&at), path.last(), "from {from} toward {q:?}");
+        }
+    }
+    let externals = coarse
+        .range_ids()
+        .map(|r| coarse.range(r))
+        .chain(d.range_ids().map(|r| d.range(r)));
+    for external in externals {
+        let held = [RangeId(u32::MAX), RangeId(0)];
+        let mut out = held.to_vec();
+        d.conflicts_into(&external, &mut out);
+        assert_eq!(out[..2], held);
+        assert_eq!(out[2..], d.conflicts(&external), "C({external:?}, S)");
+    }
 }
 
 #[test]
@@ -224,6 +280,69 @@ proptest! {
             1 + a + 2 * b + 3 * c,
             "identity for n={}, seed={}", n, seed
         );
+    }
+
+    #[test]
+    fn list_hot_paths_agree(
+        keys in proptest::collection::vec(0u64..500, 0..40),
+        queries in proptest::collection::vec(0u64..520, 1..8),
+        seed in 0u64..100,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let half = keys.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+        let d = SortedLinkedList::build(keys);
+        assert_hot_paths_agree(&d, &SortedLinkedList::build(half), &queries, |_| true);
+    }
+
+    #[test]
+    fn quadtree_hot_paths_agree(
+        coords in proptest::collection::vec((0u32..64, 0u32..u32::MAX), 0..40),
+        queries in proptest::collection::vec((0u32..64, 0u32..u32::MAX), 1..8),
+        seed in 0u64..100,
+    ) {
+        let point = |(x, y): (u32, u32)| PointKey::new([x << 26, y]);
+        let pts: Vec<PointKey<2>> = coords.into_iter().map(point).collect();
+        let queries: Vec<PointKey<2>> = queries.into_iter().map(point).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let half = pts.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+        let d = CompressedQuadtree::<2>::build(pts);
+        let nodes = d.num_nodes();
+        let coarse = CompressedQuadtree::<2>::build(half);
+        assert_hot_paths_agree(&d, &coarse, &queries, |from| from.index() < nodes);
+    }
+
+    #[test]
+    fn trie_hot_paths_agree(
+        words in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..7), 0..40),
+        queries in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..9), 1..8),
+        seed in 0u64..100,
+    ) {
+        let word = |w: Vec<u8>| w.into_iter().map(|c| (b'a' + c) as char).collect::<String>();
+        let words: Vec<String> = words.into_iter().map(word).collect();
+        let queries: Vec<String> = queries.into_iter().map(word).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let half = words.iter().filter(|_| rng.gen_bool(0.5)).cloned().collect();
+        let d = CompressedTrie::build(words);
+        assert_hot_paths_agree(&d, &CompressedTrie::build(half), &queries, |_| true);
+    }
+
+    #[test]
+    fn trapezoid_hot_paths_agree(
+        n in 0usize..10,
+        seed in 0u64..500,
+        probes in proptest::collection::vec((-10i64..30, -1i64..11), 1..6),
+    ) {
+        let all = banded_segments(n, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
+        let half = all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+        // Off every wall (endpoint x's are 1 mod 4) and every segment (bands
+        // span ±20 around multiples of 100).
+        let queries: Vec<(i64, i64)> =
+            probes.into_iter().map(|(x, band)| (x * 4 + 3, band * 100 + 49)).collect();
+        let d = TrapezoidalMap::build(all);
+        let nodes = d.num_trapezoids();
+        let coarse = TrapezoidalMap::build(half);
+        assert_hot_paths_agree(&d, &coarse, &queries, |from| from.index() < nodes);
     }
 
     /// Quadtree descent work between a half-sample and the full set stays
