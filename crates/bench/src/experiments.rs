@@ -1571,7 +1571,7 @@ fn rebuild_rows<D>(
 ) where
     D: skipweb_structures::RangeDetermined + PartialEq,
 {
-    use skipweb_core::SkipWeb;
+    use skipweb_core::{SkipWeb, Update};
     use std::time::Instant;
 
     let base = SkipWeb::<D>::builder(pool[..n].to_vec()).seed(seed).build();
@@ -1579,45 +1579,39 @@ fn rebuild_rows<D>(
         if batch == 0 || batch * 4 >= n || n + batch > pool.len() {
             continue;
         }
-        let inserts: Vec<(D::Item, u64)> = pool[n..n + batch]
+        let inserts: Vec<Update<D::Item>> = pool[n..n + batch]
             .iter()
             .enumerate()
-            .map(|(i, it)| {
-                (
-                    it.clone(),
-                    (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed,
-                )
+            .map(|(i, item)| Update::Insert {
+                item: item.clone(),
+                bits: (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed,
             })
             .collect();
-        let removes: Vec<D::Item> = inserts.iter().map(|(it, _)| it.clone()).collect();
+        let removes: Vec<Update<D::Item>> = pool[n..n + batch]
+            .iter()
+            .map(|item| Update::Remove { item: item.clone() })
+            .collect();
 
-        let mut full_ins = Vec::with_capacity(reps);
-        let mut full_rem = Vec::with_capacity(reps);
-        let mut incr_ins = Vec::with_capacity(reps);
-        let mut incr_rem = Vec::with_capacity(reps);
+        // Seconds per rep: [insert, remove] × [full rebuild, incremental].
+        let mut secs = [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]];
         for rep in 0..reps {
-            let mut oracle = base.clone();
-            let start = Instant::now();
-            oracle.apply_insert_batch_full(inserts.clone());
-            full_ins.push(start.elapsed().as_secs_f64());
-            let mut w = base.clone();
-            let start = Instant::now();
-            w.apply_insert_batch(inserts.clone());
-            incr_ins.push(start.elapsed().as_secs_f64());
-            if rep == 0 {
+            let (mut oracle, mut w) = (base.clone(), base.clone());
+            for (op, batch) in [&inserts, &removes].into_iter().enumerate() {
+                let (for_full, for_incr) = (batch.clone(), batch.clone());
+                let start = Instant::now();
+                oracle.apply_full(for_full);
+                secs[op][0].push(start.elapsed().as_secs_f64());
+                let start = Instant::now();
+                w.apply(for_incr);
+                secs[op][1].push(start.elapsed().as_secs_f64());
                 // Parity insurance on the numbers being reported.
-                assert!(w == oracle, "incremental insert diverged from full rebuild");
-            }
-            let start = Instant::now();
-            oracle.apply_remove_batch_full(&removes);
-            full_rem.push(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            w.apply_remove_batch(&removes);
-            incr_rem.push(start.elapsed().as_secs_f64());
-            if rep == 0 {
-                assert!(w == oracle, "incremental remove diverged from full rebuild");
+                assert!(
+                    rep > 0 || w == oracle,
+                    "incremental apply diverged from full rebuild"
+                );
             }
         }
+        let [[full_ins, incr_ins], [full_rem, incr_rem]] = secs;
         let full_churn: Vec<f64> = full_ins.iter().zip(&full_rem).map(|(a, b)| a + b).collect();
         let incr_churn: Vec<f64> = incr_ins.iter().zip(&incr_rem).map(|(a, b)| a + b).collect();
         for (op, full, incr) in [

@@ -15,6 +15,7 @@ use skipweb_structures::linked_list::SortedLinkedList;
 
 use crate::engine::{DistributedSkipWeb, EngineClient, EngineHealth, UpdateReply};
 use crate::onedim::OneDimSkipWeb;
+use crate::skipweb::Update;
 
 pub use crate::engine::GlobalRef;
 
@@ -118,7 +119,9 @@ impl DistributedOneDim {
     /// Inserts a batch of keys through the live network, coalescing routing
     /// and repair messages per destination host and applying the ones that
     /// land together under a single rebuild (see
-    /// [`DistributedSkipWeb::insert_batch`]).
+    /// [`DistributedSkipWeb::update_batch`]); each key's lookup origin and
+    /// level bits come from the engine's seeded generator, as for
+    /// [`insert`](Self::insert).
     ///
     /// # Errors
     ///
@@ -129,11 +132,16 @@ impl DistributedOneDim {
         client: &OneDimClient,
         keys: Vec<u64>,
     ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        self.inner.insert_batch(client, keys)
+        let insert = |item| {
+            let (origin, bits) = self.inner.draw_entry();
+            (origin, Update::Insert { item, bits })
+        };
+        self.inner
+            .update_batch(client, keys.into_iter().map(insert).collect())
     }
 
     /// Removes a batch of keys through the live network (see
-    /// [`DistributedSkipWeb::remove_batch`]). Absent keys complete as free
+    /// [`DistributedSkipWeb::update_batch`]). Absent keys complete as free
     /// no-ops, like the simulator.
     ///
     /// # Errors
@@ -145,7 +153,9 @@ impl DistributedOneDim {
         client: &OneDimClient,
         keys: Vec<u64>,
     ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        self.inner.remove_batch(client, keys)
+        let remove = |item| (self.inner.draw_entry().0, Update::Remove { item });
+        self.inner
+            .update_batch(client, keys.into_iter().map(remove).collect())
     }
 
     /// Inserts `key` through the live network (§4): routes to the key's

@@ -29,14 +29,14 @@
 //!   own shard, and otherwise sends one message handing the query to a host
 //!   that stores the next range. Replicated ranges prefer the co-located
 //!   copy, so bucketed placement pays only on basic-stratum crossings.
-//! * **Updates (§4).** `Insert`/`Remove` operations ride the *same*
-//!   forwarding loop: the op first routes to the item's level-0 locus like a
-//!   query, then walks the conflict neighbourhoods the structural change
-//!   rewires, bottom-up, level by level — paying one message per host
-//!   crossing, exactly what the cost-model simulator meters in
-//!   [`SkipWeb::insert_with`] / [`SkipWeb::remove_with`]. The host that
-//!   completes the repair applies the structural change and publishes a new
-//!   topology snapshot.
+//! * **Updates (§4).** An [`Update`] — insert or remove, one type at every
+//!   layer — rides the *same* forwarding loop: the op first routes to the
+//!   item's level-0 locus like a query, then walks the conflict
+//!   neighbourhoods the structural change rewires, bottom-up, level by
+//!   level — paying one message per host crossing, exactly what the
+//!   cost-model simulator meters in [`SkipWeb::update_with`]. The host that
+//!   completes the repair applies the structural change
+//!   ([`SkipWeb::apply`]) and publishes a new topology snapshot.
 //!
 //! # Consistency under concurrent churn
 //!
@@ -104,17 +104,17 @@
 //! The paper's congestion analysis assumes many concurrent operations share
 //! the fabric; the batched layer makes them share *envelopes* too:
 //!
-//! * **Batching.** [`query_batch`](DistributedSkipWeb::query_batch) /
-//!   [`insert_batch`](DistributedSkipWeb::insert_batch) /
-//!   [`remove_batch`](DistributedSkipWeb::remove_batch) submit many keys
-//!   under one correlation group. All ops enter at the origin's root in one
+//! * **Batching.** [`query_batch`](DistributedSkipWeb::query_batch) and
+//!   [`update_batch`](DistributedSkipWeb::update_batch) submit many ops
+//!   under one snapshot. Ops that share an entry host enter in one
 //!   message, and at every hop the ops that agree on their next host are
 //!   coalesced into a single [`FabricMsg::Batch`] envelope — metered as
 //!   **one** host crossing. Updates whose repair trails end on one host in
-//!   the same handler turn apply under one state lock, one structural
-//!   rebuild per same-kind run, and one snapshot publish. Answers, applied
-//!   flags, and final structures are byte-identical to the serial paths; a
-//!   batch of N ops crosses strictly fewer host boundaries.
+//!   the same handler turn — inserts and removes in any mix — apply under
+//!   one state lock, one [`SkipWeb::apply`] and one snapshot publish.
+//!   Answers, applied flags, and final structures are byte-identical to
+//!   the serial paths; a batch of N ops crosses strictly fewer host
+//!   boundaries.
 //! * **Scatter-gather reports.**
 //!   [`query_scatter`](DistributedSkipWeb::query_scatter) splits a range
 //!   report (quadtree box, trie prefix) at its locus across the hosts
@@ -169,7 +169,7 @@ use skipweb_net::{HostId, HostTraffic, TransportStats};
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 
 use crate::placement::Replication;
-use crate::skipweb::{Copies, LevelSet, SkipWeb};
+use crate::skipweb::{Copies, LevelSet, SkipWeb, Update};
 
 /// Globally unique address of a range: level, set index, range index — the
 /// "address" half of the paper's `(host, address)` pointers (§2.3). Refs are
@@ -262,7 +262,7 @@ pub trait Routable: RangeDetermined<Item: Send + Sync + 'static> {
 }
 
 /// What an [`EngineMsg`] is carrying through the fabric.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum EngineOp<D: Routable> {
     /// A query descending toward its target's locus. With `gather` set, a
     /// range-reporting request is split at the locus into per-host sub-scans
@@ -290,28 +290,15 @@ pub(crate) enum EngineOp<D: Routable> {
 }
 
 /// The update half of [`EngineOp`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct UpdateOp<D: Routable> {
-    pub(crate) kind: UpdateKind,
-    pub(crate) item: D::Item,
+    pub(crate) update: Update<D::Item>,
     pub(crate) phase: UpdatePhase,
     /// Identity of the *logical* operation, stable across timeout-resubmits
     /// (the correlation id of the first attempt). The apply path keys its
     /// idempotence record on `(client, op_id)`, so a resubmitted update that
     /// already landed is echoed, never applied twice.
     pub(crate) op_id: u64,
-}
-
-/// Which structural change an update performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum UpdateKind {
-    /// Insert the item at the levels selected by `bits`.
-    Insert {
-        /// The item's level membership bit string (§2.3).
-        bits: u64,
-    },
-    /// Remove the item (its stored bits come from the snapshot).
-    Remove,
 }
 
 /// Where an update is in its two-phase life (§4): routing to the item's
@@ -345,11 +332,25 @@ pub struct EngineMsg<D: Routable> {
     pub(crate) topo: Arc<Topology<D>>,
 }
 
+impl<D: Routable + Send + Sync + 'static> EngineMsg<D> {
+    /// Ends this operation here: replies `body` to its client.
+    fn reply(&self, ctx: &mut Context<'_, FabricMsg<D>, EngineReply<D>>, body: ReplyBody<D>) {
+        ctx.reply(
+            self.client,
+            EngineReply {
+                corr: self.corr,
+                hops: self.hops,
+                body,
+            },
+        );
+    }
+}
+
 /// The wire envelope hosts exchange: a single operation, or a coalesced
 /// batch of operations that were all bound for the same next host. A batch
 /// envelope is metered as **one** host crossing however many ops it carries
 /// — the congestion lever of §2.5 the batched entry points
-/// ([`DistributedSkipWeb::query_batch`], `insert_batch`, `remove_batch`)
+/// ([`DistributedSkipWeb::query_batch`], [`DistributedSkipWeb::update_batch`])
 /// pull: at every hop, ops that agree on their next host share an envelope.
 #[derive(Debug)]
 pub enum FabricMsg<D: Routable> {
@@ -363,6 +364,15 @@ pub enum FabricMsg<D: Routable> {
 #[derive(Debug)]
 pub struct BatchMsg<D: Routable> {
     pub(crate) ops: Vec<EngineMsg<D>>,
+}
+
+/// Wraps a group of ops bound for one host: a bare message for a single op,
+/// a coalesced batch envelope otherwise.
+fn envelope<D: Routable>(ops: Vec<EngineMsg<D>>) -> FabricMsg<D> {
+    match <[EngineMsg<D>; 1]>::try_from(ops) {
+        Ok([only]) => FabricMsg::One(only),
+        Err(ops) => FabricMsg::Batch(BatchMsg { ops }),
+    }
 }
 
 /// Reply delivered to the submitting client: the correlation id, the remote
@@ -430,6 +440,14 @@ impl<D: Routable> ReplyBody<D> {
             ReplyBody::Unavailable => ReplyKind::Unavailable,
         }
     }
+
+    /// The error of an accessor that asked for `expected` and found this.
+    fn mismatch(&self, expected: ReplyKind) -> ReplyMismatch {
+        ReplyMismatch {
+            expected,
+            got: self.kind(),
+        }
+    }
 }
 
 /// A reply carried a different payload than the accessor asked for. With
@@ -466,10 +484,7 @@ impl<D: Routable> EngineReply<D> {
     pub fn try_answer(&self) -> Result<&D::Answer, ReplyMismatch> {
         match &self.body {
             ReplyBody::Answer(a) => Ok(a),
-            other => Err(ReplyMismatch {
-                expected: ReplyKind::Answer,
-                got: other.kind(),
-            }),
+            other => Err(other.mismatch(ReplyKind::Answer)),
         }
     }
 
@@ -482,10 +497,7 @@ impl<D: Routable> EngineReply<D> {
     pub fn try_into_answer(self) -> Result<D::Answer, ReplyMismatch> {
         match self.body {
             ReplyBody::Answer(a) => Ok(a),
-            other => Err(ReplyMismatch {
-                expected: ReplyKind::Answer,
-                got: other.kind(),
-            }),
+            other => Err(other.mismatch(ReplyKind::Answer)),
         }
     }
 
@@ -498,10 +510,7 @@ impl<D: Routable> EngineReply<D> {
     pub fn try_applied(&self) -> Result<bool, ReplyMismatch> {
         match &self.body {
             ReplyBody::Updated { applied } => Ok(*applied),
-            other => Err(ReplyMismatch {
-                expected: ReplyKind::Updated,
-                got: other.kind(),
-            }),
+            other => Err(other.mismatch(ReplyKind::Updated)),
         }
     }
 }
@@ -529,6 +538,36 @@ pub struct UpdateReply {
     /// repair walk (§4) — equal to the simulator's metered `U(n)` for
     /// owner-hosted placement.
     pub hops: u32,
+}
+
+impl<D: Routable> QueryReply<D> {
+    /// The final reply of a query's wait loop, as the blocking entry points
+    /// return it.
+    fn of(reply: EngineReply<D>) -> Self {
+        match reply.body {
+            ReplyBody::Answer(answer) => QueryReply {
+                corr: reply.corr,
+                answer,
+                hops: reply.hops,
+            },
+            other => unreachable!("a query resolved to {:?}", other.kind()),
+        }
+    }
+}
+
+impl UpdateReply {
+    /// The final reply of an update's wait loop, as the blocking entry
+    /// points return it.
+    fn of<D: Routable>(reply: EngineReply<D>) -> Self {
+        match reply.body {
+            ReplyBody::Updated { applied } => UpdateReply {
+                corr: reply.corr,
+                applied,
+                hops: reply.hops,
+            },
+            other => unreachable!("an update resolved to {:?}", other.kind()),
+        }
+    }
 }
 
 /// One immutable snapshot of the routing topology: the web's own level
@@ -681,20 +720,13 @@ fn route_step<D: Routable + Send + Sync + 'static>(
             None if at.level == 0 => return RouteOutcome::AtLocus(at),
             // … or descend through the down-hyperlinks (§2.3).
             None => {
-                let candidates = set.down.row(at.range as usize);
-                assert!(
-                    !candidates.is_empty(),
-                    "hyperlinks of a subset range into its superset cannot be empty"
-                );
-                let parent = GlobalRef {
-                    level: at.level - 1,
-                    set: topo.web.parent_set_index(u32::from(at.level), set) as u32,
-                    range: 0,
-                };
-                let entry = topo.set(parent).structure.best_entry(candidates, q);
+                let (parent, entry) =
+                    topo.web
+                        .descend(u32::from(at.level), set, RangeId(at.range), q);
                 GlobalRef {
+                    level: at.level - 1,
+                    set: parent as u32,
                     range: entry.0,
-                    ..parent
                 }
             }
         };
@@ -720,13 +752,14 @@ fn route_step<D: Routable + Send + Sync + 'static>(
 /// snapshot). Empty trail for a remove whose item is not in the snapshot.
 fn repair_trail<D: Routable + Send + Sync + 'static>(
     topo: &Topology<D>,
-    item: &D::Item,
-    kind: UpdateKind,
+    update: &Update<D::Item>,
     membership: &Membership,
 ) -> Option<Vec<HostId>> {
-    let bits = match kind {
-        UpdateKind::Insert { bits } => bits,
-        UpdateKind::Remove => match topo.web.bits_of(item) {
+    // The tower the repair walks: an insert brings its own, a remove's is
+    // the stored one.
+    let bits = match *update {
+        Update::Insert { bits, .. } => bits,
+        Update::Remove { ref item } => match topo.web.bits_of(item) {
             Some(bits) => bits,
             None => return Some(Vec::new()),
         },
@@ -734,7 +767,7 @@ fn repair_trail<D: Routable + Send + Sync + 'static>(
     let mut trail = Vec::new();
     topo.web
         .walk_update_neighbourhood(
-            item,
+            update.item(),
             bits,
             |host| topo.ctl.fold(host),
             |host| membership.is_routable(host),
@@ -773,34 +806,31 @@ struct EngineState<D: Routable + Send + Sync + 'static> {
 }
 
 impl<D: Routable + Send + Sync + 'static> EngineState<D> {
-    /// Records the outcome of a logical update the first time it reaches
-    /// apply; replays keep the original outcome.
-    fn record_outcome(&mut self, key: (ClientId, u64), applied: bool) {
+    /// Claims the ledger slot of a logical update the first time it reaches
+    /// apply, with `applied` as its outcome so far; `false` — leaving the
+    /// recorded outcome alone — when the slot is taken: the op is a replay.
+    fn record_outcome(&mut self, key: (ClientId, u64), applied: bool) -> bool {
         use std::collections::hash_map::Entry;
-        if let Entry::Vacant(slot) = self.applied_ops.entry(key) {
-            slot.insert(applied);
-            self.applied_order.push_back(key);
-            while self.applied_order.len() > APPLIED_OPS_CAP {
-                if let Some(old) = self.applied_order.pop_front() {
-                    self.applied_ops.remove(&old);
-                }
+        match self.applied_ops.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(applied);
+                self.applied_order.push_back(key);
+                true
+            }
+            Entry::Occupied(_) => false,
+        }
+    }
+
+    /// Evicts the oldest ledger entries past [`APPLIED_OPS_CAP`]. Run once
+    /// a turn has resolved every outcome it claimed, so nothing it still
+    /// has to read is evicted under it.
+    fn trim_ledger(&mut self) {
+        while self.applied_order.len() > APPLIED_OPS_CAP {
+            if let Some(old) = self.applied_order.pop_front() {
+                self.applied_ops.remove(&old);
             }
         }
     }
-}
-
-/// The structural change one durable record describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DurableKind {
-    /// An insert, with the level bit string that shapes the item's tower —
-    /// logged so recovery can rebuild the identical hierarchy
-    /// ([`SkipWebBuilder::bits`](crate::skipweb::SkipWebBuilder::bits)).
-    Insert {
-        /// The tower's level bits.
-        bits: u64,
-    },
-    /// A remove.
-    Remove,
 }
 
 /// One update that reached the apply step, as handed to a [`Durability`]
@@ -812,10 +842,11 @@ pub struct DurableOp<'a, D: Routable> {
     pub client: ClientId,
     /// The client-scoped operation id (resubmits reuse it).
     pub op_id: u64,
-    /// Insert (with tower bits) or remove.
-    pub kind: DurableKind,
-    /// The item the operation targets.
-    pub item: &'a D::Item,
+    /// The structural change. An insert carries the level bit string that
+    /// shapes the item's tower — logged so recovery can rebuild the
+    /// identical hierarchy
+    /// ([`SkipWebBuilder::bits`](crate::skipweb::SkipWebBuilder::bits)).
+    pub update: &'a Update<D::Item>,
     /// Whether the web changed (`false` for duplicate inserts, absent
     /// removes, and inadmissible items — logged anyway so replay restores
     /// the ledger entry and keeps resubmits exactly-once across a crash).
@@ -825,10 +856,9 @@ pub struct DurableOp<'a, D: Routable> {
 /// A write-ahead sink for the engine's apply path. [`FabricBuilder::
 /// durability`](FabricBuilder::durability) installs one per deployment;
 /// the applying host then calls [`append`](Self::append) **under the same
-/// state lock as the structural change** (`apply_insert_batch` /
-/// `apply_remove_batch`), before the new topology snapshot publishes. Log
-/// order therefore equals apply order, and no operation can be observed by
-/// queries before it is logged.
+/// state lock as the structural change** ([`SkipWeb::apply`]), before the
+/// new topology snapshot publishes. Log order therefore equals apply order,
+/// and no operation can be observed by queries before it is logged.
 ///
 /// Only operations that reach the apply step arrive here: idempotence-
 /// ledger echoes (timeout-resubmits of already-landed ops) and locus-side
@@ -897,60 +927,61 @@ pub struct EngineActor<D: Routable + Send + Sync + 'static> {
     shared: Arc<Shared<D>>,
 }
 
-/// What one handler turn accumulates before anything leaves the host: ops
-/// to hand off — bucketed per `(class, destination)` so every destination
-/// gets exactly one envelope, the batching layer's coalescing — and updates
-/// whose repair trail ended here, applied together under one state lock and
-/// one snapshot publish.
+/// One handler turn: the host running it, the membership view it routes
+/// under, and what it accumulates before anything leaves the host — ops to
+/// hand off, bucketed per `(class, destination)` so every destination gets
+/// exactly one envelope (the batching layer's coalescing), and updates whose
+/// repair trail ended here, applied together under one state lock and one
+/// snapshot publish.
 struct Turn<D: Routable> {
+    me: HostId,
+    /// One membership snapshot per hop: each forward re-checks liveness,
+    /// which is what lets routing steer around hosts that die mid-query.
+    membership: Arc<Membership>,
     forwards: BTreeMap<(TrafficClass, HostId), Vec<EngineMsg<D>>>,
     applies: Vec<EngineMsg<D>>,
 }
 
 impl<D: Routable> Turn<D> {
-    fn new() -> Self {
-        Turn {
-            forwards: BTreeMap::new(),
-            applies: Vec::new(),
-        }
-    }
-
     fn forward(&mut self, host: HostId, msg: EngineMsg<D>, class: TrafficClass) {
         self.forwards.entry((class, host)).or_default().push(msg);
     }
 }
 
 impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
+    /// Advances one op "as far as it can internally" (§2.5) on this host.
     fn drive(
         &self,
-        me: HostId,
         msg: EngineMsg<D>,
         ctx: &mut Context<'_, FabricMsg<D>, EngineReply<D>>,
-        membership: &Membership,
         turn: &mut Turn<D>,
     ) {
-        match msg.op {
-            EngineOp::Query { .. } => self.drive_query(me, msg, ctx, membership, turn),
-            EngineOp::Update(_) => self.drive_update(me, msg, ctx, membership, turn),
-            EngineOp::Scatter { .. } => self.drive_scatter(msg, ctx),
+        match &msg.op {
+            EngineOp::Query { .. } => self.drive_query(msg, ctx, turn),
+            EngineOp::Update(_) => self.drive_update(msg, ctx, turn),
+            // One scattered sub-scan: the partial answer supported by this
+            // host's share of the report's ranges, streamed straight back
+            // to the client.
+            EngineOp::Scatter { req, ranges, of } => {
+                let answer = msg.topo.set(msg.at).structure.partial_answer(ranges, req);
+                msg.reply(ctx, ReplyBody::Partial { answer, of: *of });
+            }
         }
     }
 
     fn drive_query(
         &self,
-        me: HostId,
         mut msg: EngineMsg<D>,
         ctx: &mut Context<'_, FabricMsg<D>, EngineReply<D>>,
-        membership: &Membership,
         turn: &mut Turn<D>,
     ) {
         let EngineOp::Query { ref req, gather } = msg.op else {
             unreachable!("drive_query only sees queries");
         };
         let q = D::target(req);
-        match route_step(&msg.topo, me, msg.at, &q, membership) {
+        match route_step(&msg.topo, turn.me, msg.at, &q, &turn.membership) {
             RouteOutcome::AtLocus(locus) => {
-                if gather && self.try_scatter(me, locus, &msg, ctx, membership, turn) {
+                if gather && self.try_scatter(locus, &msg, ctx, turn) {
                     return;
                 }
                 let answer = msg
@@ -958,30 +989,14 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                     .set(locus)
                     .structure
                     .answer(RangeId(locus.range), req);
-                ctx.reply(
-                    msg.client,
-                    EngineReply {
-                        corr: msg.corr,
-                        hops: msg.hops,
-                        body: ReplyBody::Answer(answer),
-                    },
-                );
+                msg.reply(ctx, ReplyBody::Answer(answer));
             }
             RouteOutcome::Forward { next, host } => {
                 msg.at = next;
                 msg.hops += 1;
                 turn.forward(host, msg, TrafficClass::Query);
             }
-            RouteOutcome::Unavailable => {
-                ctx.reply(
-                    msg.client,
-                    EngineReply {
-                        corr: msg.corr,
-                        hops: msg.hops,
-                        body: ReplyBody::Unavailable,
-                    },
-                );
-            }
+            RouteOutcome::Unavailable => msg.reply(ctx, ReplyBody::Unavailable),
         }
     }
 
@@ -994,13 +1009,12 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
     /// scatterable report or the whole output is already local.
     fn try_scatter(
         &self,
-        me: HostId,
         locus: GlobalRef,
         msg: &EngineMsg<D>,
         ctx: &mut Context<'_, FabricMsg<D>, EngineReply<D>>,
-        membership: &Membership,
         turn: &mut Turn<D>,
     ) -> bool {
+        let me = turn.me;
         let EngineOp::Query { ref req, .. } = msg.op else {
             return false;
         };
@@ -1018,21 +1032,16 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                 range: r.0,
                 ..locus
             });
-            match pick_alive(copies, &msg.topo.ctl, me, |h| membership.is_routable(h)) {
+            match pick_alive(copies, &msg.topo.ctl, me, |h| {
+                turn.membership.is_routable(h)
+            }) {
                 Some(h) if h == me => local.push(r),
                 Some(h) => remote.entry(h).or_default().push(r),
                 None => {
                     // Part of the output lost every replica: fail the whole
                     // report fast instead of returning a silently truncated
                     // answer.
-                    ctx.reply(
-                        msg.client,
-                        EngineReply {
-                            corr: msg.corr,
-                            hops: msg.hops,
-                            body: ReplyBody::Unavailable,
-                        },
-                    );
+                    msg.reply(ctx, ReplyBody::Unavailable);
                     return true;
                 }
             }
@@ -1061,51 +1070,15 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         }
         if !local.is_empty() {
             let answer = set.structure.partial_answer(&local, req);
-            ctx.reply(
-                msg.client,
-                EngineReply {
-                    corr: msg.corr,
-                    hops: msg.hops,
-                    body: ReplyBody::Partial { answer, of },
-                },
-            );
+            msg.reply(ctx, ReplyBody::Partial { answer, of });
         }
         true
     }
 
-    /// Executes one scattered sub-scan: the partial answer supported by this
-    /// host's share of the report's ranges, streamed straight back to the
-    /// client.
-    fn drive_scatter(
-        &self,
-        msg: EngineMsg<D>,
-        ctx: &mut Context<'_, FabricMsg<D>, EngineReply<D>>,
-    ) {
-        let EngineOp::Scatter {
-            ref req,
-            ref ranges,
-            of,
-        } = msg.op
-        else {
-            unreachable!("drive_scatter only sees scatters");
-        };
-        let answer = msg.topo.set(msg.at).structure.partial_answer(ranges, req);
-        ctx.reply(
-            msg.client,
-            EngineReply {
-                corr: msg.corr,
-                hops: msg.hops,
-                body: ReplyBody::Partial { answer, of },
-            },
-        );
-    }
-
     fn drive_update(
         &self,
-        me: HostId,
         mut msg: EngineMsg<D>,
         ctx: &mut Context<'_, FabricMsg<D>, EngineReply<D>>,
-        membership: &Membership,
         turn: &mut Turn<D>,
     ) {
         let EngineOp::Update(ref u) = msg.op else {
@@ -1113,8 +1086,8 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         };
         match u.phase {
             UpdatePhase::Route => {
-                let q = D::item_query(&u.item);
-                match route_step(&msg.topo, me, msg.at, &q, membership) {
+                let q = D::item_query(u.update.item());
+                match route_step(&msg.topo, turn.me, msg.at, &q, &turn.membership) {
                     RouteOutcome::Forward { next, host } => {
                         msg.at = next;
                         msg.hops += 1;
@@ -1124,12 +1097,8 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                         // A duplicate insert (or a remove that lost its
                         // target to a concurrent update) stops at the locus,
                         // paying only the lookup — as in the simulator.
-                        let present = msg.topo.web.bits_of(&u.item).is_some();
-                        let noop = match u.kind {
-                            UpdateKind::Insert { .. } => present,
-                            UpdateKind::Remove => !present,
-                        };
-                        if noop {
+                        let present = msg.topo.web.bits_of(u.update.item()).is_some();
+                        if u.update.is_insert() == present {
                             // The locus's current view can be the *result*
                             // of this very op's first attempt (applied, but
                             // its reply was lost in transit): consult the
@@ -1144,48 +1113,23 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                                 .get(&(msg.client, u.op_id))
                                 .copied()
                                 .unwrap_or(false);
-                            ctx.reply(
-                                msg.client,
-                                EngineReply {
-                                    corr: msg.corr,
-                                    hops: msg.hops,
-                                    body: ReplyBody::Updated { applied },
-                                },
-                            );
+                            msg.reply(ctx, ReplyBody::Updated { applied });
                         } else {
                             // The repair trail is computed exactly once,
                             // here at repair start, and rides in the
                             // message from now on.
-                            match repair_trail(&msg.topo, &u.item, u.kind, membership) {
-                                Some(trail) => {
-                                    self.continue_repair(me, 0, trail, msg, membership, turn)
-                                }
-                                None => ctx.reply(
-                                    msg.client,
-                                    EngineReply {
-                                        corr: msg.corr,
-                                        hops: msg.hops,
-                                        body: ReplyBody::Unavailable,
-                                    },
-                                ),
+                            match repair_trail(&msg.topo, &u.update, &turn.membership) {
+                                Some(trail) => self.continue_repair(0, trail, msg, turn),
+                                None => msg.reply(ctx, ReplyBody::Unavailable),
                             }
                         }
                     }
-                    RouteOutcome::Unavailable => {
-                        ctx.reply(
-                            msg.client,
-                            EngineReply {
-                                corr: msg.corr,
-                                hops: msg.hops,
-                                body: ReplyBody::Unavailable,
-                            },
-                        );
-                    }
+                    RouteOutcome::Unavailable => msg.reply(ctx, ReplyBody::Unavailable),
                 }
             }
             UpdatePhase::Repair { cursor, ref trail } => {
                 let trail = trail.clone();
-                self.continue_repair(me, cursor, trail, msg, membership, turn);
+                self.continue_repair(cursor, trail, msg, turn);
             }
         }
     }
@@ -1200,19 +1144,15 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
     /// turn's apply step.
     fn continue_repair(
         &self,
-        me: HostId,
         start: usize,
         trail: Vec<HostId>,
         mut msg: EngineMsg<D>,
-        membership: &Membership,
         turn: &mut Turn<D>,
     ) {
-        let mut cursor = start;
-        while cursor < trail.len()
-            && (trail[cursor] == me || !membership.is_routable(trail[cursor]))
-        {
-            cursor += 1;
-        }
+        let stays = |h: HostId| h == turn.me || !turn.membership.is_routable(h);
+        let cursor = (start..trail.len())
+            .find(|&i| !stays(trail[i]))
+            .unwrap_or(trail.len());
         if cursor < trail.len() {
             let host = trail[cursor];
             let EngineOp::Update(ref mut u) = msg.op else {
@@ -1227,18 +1167,22 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
     }
 
     /// The final step of the turn's updates: atomically apply every
-    /// structural change that completed its repair here — consecutive
-    /// same-kind runs install with **one** structural rebuild each
-    /// ([`SkipWeb::apply_insert_batch`]) and the whole group publishes
-    /// **one** new topology snapshot — then reply per op. In-flight
-    /// operations keep their old snapshots, so none of them ever observes
-    /// an update half-applied.
+    /// structural change that completed its repair here — inserts and
+    /// removes in whatever mix, with **one** [`SkipWeb::apply`] (one
+    /// copy-on-write of the web, one structural repair) and **one** new
+    /// topology snapshot — then reply per op. In-flight operations keep
+    /// their old snapshots, so none of them ever observes an update
+    /// half-applied.
     ///
-    /// Exactly-once: each op's `(client, op_id)` is looked up in the
-    /// idempotence ledger first. A timeout-resubmit whose first attempt
-    /// already landed is *echoed* with the recorded outcome instead of
-    /// applied again — without this, a resubmitted insert could double-apply
+    /// Exactly-once: each op claims its `(client, op_id)` slot in the
+    /// idempotence ledger, in op order. A timeout-resubmit whose first
+    /// attempt already landed — in an earlier turn, or earlier in this one,
+    /// when a delayed original shares an envelope with its resubmit —
+    /// finds the slot taken and is *echoed* the recorded outcome instead of
+    /// applied again; without this, a resubmitted insert could double-apply
     /// (e.g. re-insert an item a concurrent remove had since deleted).
+    /// Admission ([`Routable::admissible`]) is judged against the web as
+    /// the turn found it.
     fn apply_turn(
         &self,
         applies: Vec<EngineMsg<D>>,
@@ -1246,8 +1190,9 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         membership: &Membership,
     ) {
         let n = applies.len();
-        let mut metas: Vec<(ClientId, u64, u32, (ClientId, u64))> = Vec::with_capacity(n);
-        let mut ops: Vec<(UpdateKind, D::Item)> = Vec::with_capacity(n);
+        let mut metas: Vec<(ClientId, u64, u32)> = Vec::with_capacity(n);
+        let mut keys: Vec<(ClientId, u64)> = Vec::with_capacity(n);
+        let mut updates: Vec<Update<D::Item>> = Vec::with_capacity(n);
         for msg in applies {
             let EngineMsg {
                 op: EngineOp::Update(u),
@@ -1259,107 +1204,74 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
             else {
                 unreachable!("applies are updates");
             };
-            metas.push((client, corr, hops, (client, u.op_id)));
-            ops.push((u.kind, u.item));
+            metas.push((client, corr, hops));
+            keys.push((client, u.op_id));
+            updates.push(u.update);
         }
         let mut outcomes: Vec<bool> = vec![false; n];
         let retired = {
             let st = &mut *self.shared.state.lock();
-            let mut any_applied = false;
             // Ops that reach the apply step this turn (ledger echoes are
-            // excluded): what a durability sink gets to log.
-            let mut fresh: Vec<usize> = Vec::new();
-            let mut i = 0;
-            while i < n {
-                let key = metas[i].3;
-                if let Some(&a) = st.applied_ops.get(&key) {
-                    // Resubmit of an op that already landed: echo, don't
-                    // re-apply (and don't re-log).
-                    outcomes[i] = a;
-                    i += 1;
-                    continue;
+            // excluded) — what a durability sink gets to log — and, of
+            // those, the admissible ones `apply` gets to see.
+            let mut fresh: Vec<usize> = Vec::with_capacity(n);
+            let mut staged: Vec<usize> = Vec::with_capacity(n);
+            for (i, update) in updates.iter().enumerate() {
+                if !st.record_outcome(keys[i], false) {
+                    continue; // a replay: echoed below
                 }
-                // Accumulate the longest run of un-replayed same-kind ops;
-                // each run costs one rebuild.
-                let inserting = matches!(ops[i].0, UpdateKind::Insert { .. });
-                let mut run: Vec<usize> = Vec::new();
-                while i < n
-                    && !st.applied_ops.contains_key(&metas[i].3)
-                    && matches!(ops[i].0, UpdateKind::Insert { .. }) == inserting
-                {
-                    run.push(i);
-                    i += 1;
+                fresh.push(i);
+                if !update.is_insert() || st.web.base().admissible(update.item()) {
+                    staged.push(i);
                 }
-                if inserting {
-                    let mut batch: Vec<(D::Item, u64)> = Vec::with_capacity(run.len());
-                    let mut slots: Vec<usize> = Vec::with_capacity(run.len());
-                    for &j in &run {
-                        let UpdateKind::Insert { bits } = ops[j].0 else {
-                            unreachable!("insert runs hold inserts");
-                        };
-                        if st.web.base().admissible(&ops[j].1) {
-                            batch.push((ops[j].1.clone(), bits));
-                            slots.push(j);
-                        } else {
-                            st.record_outcome(metas[j].3, false);
-                        }
-                    }
-                    let applied = Arc::make_mut(&mut st.web).apply_insert_batch(batch);
-                    for (j, a) in slots.into_iter().zip(applied) {
-                        outcomes[j] = a;
-                        st.record_outcome(metas[j].3, a);
-                        any_applied |= a;
-                    }
-                } else {
-                    let items: Vec<D::Item> = run.iter().map(|&j| ops[j].1.clone()).collect();
-                    let applied = Arc::make_mut(&mut st.web).apply_remove_batch(&items);
-                    for (&j, a) in run.iter().zip(applied) {
-                        outcomes[j] = a;
-                        st.record_outcome(metas[j].3, a);
-                        any_applied |= a;
-                    }
-                }
-                fresh.extend(run);
             }
-            if let Some(durability) = &self.shared.durability {
+            if !staged.is_empty() {
+                let batch = staged.iter().map(|&i| updates[i].clone()).collect();
+                let applied = Arc::make_mut(&mut st.web).apply(batch);
+                for (&i, a) in staged.iter().zip(applied) {
+                    st.applied_ops.insert(keys[i], a);
+                }
+            }
+            // Every claim is resolved: fresh ops read their own outcome,
+            // replays the one their first attempt recorded.
+            for (outcome, key) in outcomes.iter_mut().zip(&keys) {
+                *outcome = st.applied_ops[key];
+            }
+            st.trim_ledger();
+            if let (Some(durability), false) = (&self.shared.durability, fresh.is_empty()) {
                 // Write-ahead append under the same state lock as the
                 // structural change, before the snapshot publishes: log
                 // order equals apply order, and nothing is observable by
                 // queries before it is durable.
                 let records: Vec<DurableOp<'_, D>> = fresh
                     .iter()
-                    .map(|&j| DurableOp {
-                        client: metas[j].3 .0,
-                        op_id: metas[j].3 .1,
-                        kind: match ops[j].0 {
-                            UpdateKind::Insert { bits } => DurableKind::Insert { bits },
-                            UpdateKind::Remove => DurableKind::Remove,
-                        },
-                        item: &ops[j].1,
-                        applied: outcomes[j],
+                    .map(|&i| DurableOp {
+                        client: keys[i].0,
+                        op_id: keys[i].1,
+                        update: &updates[i],
+                        applied: outcomes[i],
                     })
                     .collect();
-                if !records.is_empty() {
-                    durability.append(ctx.host(), &records);
-                }
+                durability.append(ctx.host(), &records);
             }
             // Publish while still holding the state lock so snapshot order
             // equals apply order; the topo lock itself is only held for the
             // pointer swap.
-            any_applied.then(|| self.shared.republish(st, membership))
+            fresh
+                .iter()
+                .any(|&i| outcomes[i])
+                .then(|| self.shared.republish(st, membership))
         };
         // The previous web's last reference, typically: freed with neither
         // lock held.
         drop(retired);
-        for (i, (client, corr, hops, _)) in metas.into_iter().enumerate() {
+        for ((client, corr, hops), applied) in metas.into_iter().zip(outcomes) {
             ctx.reply(
                 client,
                 EngineReply {
                     corr,
                     hops,
-                    body: ReplyBody::Updated {
-                        applied: outcomes[i],
-                    },
+                    body: ReplyBody::Updated { applied },
                 },
             );
         }
@@ -1376,35 +1288,31 @@ impl<D: Routable + Send + Sync + 'static> Actor for EngineActor<D> {
         msg: FabricMsg<D>,
         ctx: &mut Context<'_, FabricMsg<D>, EngineReply<D>>,
     ) {
-        let me = ctx.host();
-        // One membership snapshot per hop: each forward re-checks liveness,
-        // which is what lets routing steer around hosts that die mid-query.
-        let membership = ctx.membership();
-        let mut turn = Turn::new();
+        let mut turn = Turn {
+            me: ctx.host(),
+            membership: ctx.membership(),
+            forwards: BTreeMap::new(),
+            applies: Vec::new(),
+        };
         match msg {
-            FabricMsg::One(m) => self.drive(me, m, ctx, &membership, &mut turn),
+            FabricMsg::One(m) => self.drive(m, ctx, &mut turn),
             FabricMsg::Batch(batch) => {
                 // Every op advances "as far as it can internally" here, then
                 // re-coalesces with the others by next destination below.
                 for m in batch.ops {
-                    self.drive(me, m, ctx, &membership, &mut turn);
+                    self.drive(m, ctx, &mut turn);
                 }
             }
         }
         if !turn.applies.is_empty() {
             let applies = std::mem::take(&mut turn.applies);
-            self.apply_turn(applies, ctx, &membership);
+            self.apply_turn(applies, ctx, &turn.membership);
         }
-        for ((class, host), mut msgs) in turn.forwards {
-            if msgs.len() == 1 {
-                ctx.send_class(
-                    host,
-                    FabricMsg::One(msgs.pop().expect("len checked")),
-                    class,
-                );
-            } else {
-                let ops = msgs.len() as u32;
-                ctx.send_multi(host, FabricMsg::Batch(BatchMsg { ops: msgs }), class, ops);
+        for ((class, host), msgs) in turn.forwards {
+            let ops = msgs.len() as u32;
+            match envelope(msgs) {
+                one @ FabricMsg::One(_) => ctx.send_class(host, one, class),
+                batch => ctx.send_multi(host, batch, class, ops),
             }
         }
     }
@@ -1533,6 +1441,12 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
         self.next_corr.fetch_max(floor, Ordering::Relaxed);
     }
 
+    /// The next unused correlation id: uniqueness only, nothing
+    /// synchronizes on the value.
+    fn alloc_corr(&self) -> u64 {
+        self.next_corr.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Replaces this client's wait-and-retry policy. Operations already
     /// blocking keep the policy they started with.
     pub fn set_timeouts(&self, timeouts: Timeouts) {
@@ -1591,30 +1505,7 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
     /// Propagates runtime errors ([`RuntimeError::Timeout`], host down or
     /// panicked, disconnect).
     pub fn recv_any(&self, timeout: Duration) -> Result<EngineReply<D>, RuntimeError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let mut pending = self.pending.lock();
-                if !pending.is_empty() {
-                    return Ok(pending.remove(0));
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RuntimeError::Timeout);
-            }
-            // Short slices so a thread blocked here notices replies that a
-            // concurrent `recv_corr` on the shared client drained from the
-            // channel and parked in the pending buffer.
-            let slice = (deadline - now).min(Duration::from_millis(25));
-            match self.inner.recv_timeout(slice) {
-                // Late reply to an abandoned correlation id: drop and count.
-                Ok(reply) if self.is_stale(reply.corr) => self.inner.note_stale_reply(),
-                Ok(reply) => return Ok(reply),
-                Err(RuntimeError::Timeout) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        self.recv_where(|_| true, timeout)
     }
 
     /// Receives the reply for the operation submitted with correlation id
@@ -1627,11 +1518,22 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
     /// Propagates runtime errors ([`RuntimeError::Timeout`], host down or
     /// panicked, disconnect).
     pub fn recv_corr(&self, corr: u64, timeout: Duration) -> Result<EngineReply<D>, RuntimeError> {
+        self.recv_where(|id| id == corr, timeout)
+    }
+
+    /// The first reply whose correlation id `wanted` accepts: a parked one,
+    /// else the next to arrive within `timeout` — parking the others, and
+    /// dropping (and counting) late replies to abandoned ids.
+    fn recv_where(
+        &self,
+        wanted: impl Fn(u64) -> bool,
+        timeout: Duration,
+    ) -> Result<EngineReply<D>, RuntimeError> {
         let deadline = Instant::now() + timeout;
         loop {
             {
                 let mut pending = self.pending.lock();
-                if let Some(i) = pending.iter().position(|r| r.corr == corr) {
+                if let Some(i) = pending.iter().position(|r| wanted(r.corr)) {
                     return Ok(pending.remove(i));
                 }
             }
@@ -1640,18 +1542,13 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
                 return Err(RuntimeError::Timeout);
             }
             // Short slices so concurrent users of a shared client notice
-            // replies another thread parked for them.
+            // replies another thread drained from the channel and parked
+            // for them.
             let slice = (deadline - now).min(Duration::from_millis(25));
             match self.inner.recv_timeout(slice) {
-                Ok(reply) if reply.corr == corr => return Ok(reply),
-                Ok(reply) => {
-                    if self.is_stale(reply.corr) {
-                        // Late reply to an abandoned id: drop and count.
-                        self.inner.note_stale_reply();
-                    } else {
-                        self.pending.lock().push(reply);
-                    }
-                }
+                Ok(reply) if self.is_stale(reply.corr) => self.inner.note_stale_reply(),
+                Ok(reply) if wanted(reply.corr) => return Ok(reply),
+                Ok(reply) => self.pending.lock().push(reply),
                 Err(RuntimeError::Timeout) => {}
                 Err(e) => return Err(e),
             }
@@ -1666,6 +1563,42 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<EngineReply<D>, RuntimeError> {
         self.recv_any(timeout)
     }
+}
+
+/// A client-side operation between admission and its final reply: what was
+/// asked, where it enters the web, and the correlation id of its current
+/// attempt.
+struct InFlight<D: Routable> {
+    origin: usize,
+    op: EngineOp<D>,
+    corr: u64,
+}
+
+impl<D: Routable + Send + Sync + 'static> InFlight<D> {
+    /// A new logical operation of `client`. An update is tagged with its
+    /// first correlation id as its op id, which every resubmit keeps.
+    fn new(client: &EngineClient<D>, origin: usize, mut op: EngineOp<D>) -> Self {
+        let corr = client.alloc_corr();
+        if let EngineOp::Update(u) = &mut op {
+            u.op_id = corr;
+        }
+        InFlight { origin, op, corr }
+    }
+}
+
+/// A query as a client admits it.
+fn query_op<D: Routable>(req: D::Request, gather: bool) -> EngineOp<D> {
+    EngineOp::Query { req, gather }
+}
+
+/// An update as a client admits it; planning sets the phase it enters in
+/// and [`InFlight::new`] its op id.
+fn update_op<D: Routable>(update: Update<D::Item>) -> EngineOp<D> {
+    EngineOp::Update(UpdateOp {
+        update,
+        phase: UpdatePhase::Route,
+        op_id: 0,
+    })
 }
 
 /// A running distributed skip-web over structure `D`: one actor thread per
@@ -2017,7 +1950,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         origin_item: usize,
         req: D::Request,
     ) -> Result<u64, RuntimeError> {
-        self.submit_query(client, origin_item, req, false)
+        self.submit_op(client, origin_item, query_op(req, false))
     }
 
     /// Like [`submit`](Self::submit), but the query scatter-gathers at its
@@ -2039,53 +1972,16 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         origin_item: usize,
         req: D::Request,
     ) -> Result<u64, RuntimeError> {
-        self.submit_query(client, origin_item, req, true)
+        self.submit_op(client, origin_item, query_op(req, true))
     }
 
-    fn submit_query(
-        &self,
-        client: &EngineClient<D>,
-        origin_item: usize,
-        req: D::Request,
-        gather: bool,
-    ) -> Result<u64, RuntimeError> {
-        let topo = self.shared.current_topo();
-        assert!(origin_item < topo.web.len(), "origin item out of bounds");
-        let corr = client.next_corr.fetch_add(1, Ordering::Relaxed);
-        // A host can die between the membership check and the send; the
-        // failed send proves the fresh membership now reports it dead, so
-        // re-resolving converges on a replica (or on Unavailable).
-        for _ in 0..4 {
-            let (host, at) = self.entry_point(&topo, origin_item)?;
-            match client.inner.send(
-                host,
-                FabricMsg::One(EngineMsg {
-                    op: EngineOp::Query {
-                        req: req.clone(),
-                        gather,
-                    },
-                    at,
-                    client: client.id(),
-                    corr,
-                    hops: 0,
-                    topo: Arc::clone(&topo),
-                }),
-            ) {
-                Ok(()) => return Ok(corr),
-                Err(RuntimeError::HostPanicked(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(RuntimeError::Unavailable)
-    }
-
-    /// Submits a whole batch of queries under one correlation group without
-    /// waiting, returning the per-op correlation ids in submission order.
-    /// All ops enter at `origin_item`'s root in **one** envelope, and at
-    /// every later hop the ops that agree on their next host keep sharing
-    /// an envelope ([`FabricMsg::Batch`], metered as a single crossing) —
-    /// so a batch of N queries crosses strictly fewer host boundaries than
-    /// N serial submissions while returning byte-identical answers.
+    /// Submits a whole batch of queries under one snapshot without waiting,
+    /// returning the per-op correlation ids in submission order. All ops
+    /// enter at `origin_item`'s root in **one** envelope, and at every later
+    /// hop the ops that agree on their next host keep sharing an envelope
+    /// ([`FabricMsg::Batch`], metered as a single crossing) — so a batch of
+    /// N queries crosses strictly fewer host boundaries than N serial
+    /// submissions while returning byte-identical answers.
     ///
     /// # Errors
     ///
@@ -2103,51 +1999,73 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         reqs: Vec<D::Request>,
     ) -> Result<Vec<u64>, RuntimeError> {
         let topo = self.shared.current_topo();
-        assert!(origin_item < topo.web.len(), "origin item out of bounds");
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let corrs: Vec<u64> = reqs
-            .iter()
-            .map(|_| client.next_corr.fetch_add(1, Ordering::Relaxed))
+        let flights: Vec<InFlight<D>> = reqs
+            .into_iter()
+            .map(|req| InFlight::new(client, origin_item, query_op(req, false)))
             .collect();
-        // A host can die between resolution and send (which consumes the
-        // envelope): rebuild against the fresh membership and retry, as in
-        // `submit`.
-        for _ in 0..4 {
-            let (host, at) = self.entry_point(&topo, origin_item)?;
-            let ops: Vec<EngineMsg<D>> = reqs
-                .iter()
-                .zip(&corrs)
-                .map(|(req, &corr)| EngineMsg {
-                    op: EngineOp::Query {
-                        req: req.clone(),
-                        gather: false,
-                    },
-                    at,
-                    client: client.id(),
-                    corr,
-                    hops: 0,
-                    topo: Arc::clone(&topo),
-                })
-                .collect();
-            match client.inner.send(host, Self::envelope(ops)) {
-                Ok(()) => return Ok(corrs),
-                Err(RuntimeError::HostPanicked(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(RuntimeError::Unavailable)
+        self.admit(client, &topo, &flights)?;
+        Ok(flights.iter().map(|f| f.corr).collect())
     }
 
-    /// Wraps a group of ops bound for one host: a bare message for a single
-    /// op, a coalesced batch envelope otherwise.
-    fn envelope(mut ops: Vec<EngineMsg<D>>) -> FabricMsg<D> {
-        if ops.len() == 1 {
-            FabricMsg::One(ops.pop().expect("len checked"))
-        } else {
-            FabricMsg::Batch(BatchMsg { ops })
-        }
+    /// Submits an insert with an explicit level bit string without waiting,
+    /// returning its correlation id. Driving the simulator's
+    /// [`SkipWeb::insert_with`] with the same `(origin, bits)` yields the
+    /// same structure and — for owner-hosted placement within capacity —
+    /// the same message count.
+    ///
+    /// `origin` names the ground item whose root the lookup phase starts
+    /// from; it is ignored when the web is empty (there is nothing to look
+    /// up, matching the simulator).
+    ///
+    /// # Errors
+    ///
+    /// Propagates runtime errors (host down or panicked).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is out of bounds on a non-empty web.
+    pub fn submit_insert(
+        &self,
+        client: &EngineClient<D>,
+        origin: usize,
+        item: D::Item,
+        bits: u64,
+    ) -> Result<u64, RuntimeError> {
+        self.submit_op(client, origin, update_op(Update::Insert { item, bits }))
+    }
+
+    /// Submits a remove without waiting, returning its correlation id. The
+    /// counterpart of [`SkipWeb::remove_with`]: `origin` is ignored when
+    /// the simulator would skip the lookup (item absent from the snapshot,
+    /// or a single-item web).
+    ///
+    /// # Errors
+    ///
+    /// Propagates runtime errors (host down or panicked).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is out of bounds when the lookup phase runs.
+    pub fn submit_remove(
+        &self,
+        client: &EngineClient<D>,
+        origin: usize,
+        item: D::Item,
+    ) -> Result<u64, RuntimeError> {
+        self.submit_op(client, origin, update_op(Update::Remove { item }))
+    }
+
+    /// Admits one new operation under the current snapshot without waiting.
+    fn submit_op(
+        &self,
+        client: &EngineClient<D>,
+        origin: usize,
+        op: EngineOp<D>,
+    ) -> Result<u64, RuntimeError> {
+        let topo = self.shared.current_topo();
+        let flight = InFlight::new(client, origin, op);
+        self.admit(client, &topo, std::slice::from_ref(&flight))?;
+        Ok(flight.corr)
     }
 
     /// Resolves `origin_item`'s entry host under `topo`, failing over to an
@@ -2157,6 +2075,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         topo: &Topology<D>,
         origin_item: usize,
     ) -> Result<(HostId, GlobalRef), RuntimeError> {
+        assert!(origin_item < topo.web.len(), "origin item out of bounds");
         let (at, copies) = topo.origin(origin_item);
         let membership = self.runtime.membership();
         copies
@@ -2164,6 +2083,285 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             .find(|&h| membership.is_routable(h))
             .map(|h| (h, at))
             .ok_or(RuntimeError::Unavailable)
+    }
+
+    /// Resolves where an update enters the fabric under `topo`: the origin's
+    /// root for the lookup phase, or the head of the repair trail when the
+    /// simulator's lookup rule skips the lookup (empty web, absent remove,
+    /// single-item web).
+    fn plan_update(
+        &self,
+        topo: &Topology<D>,
+        origin: usize,
+        update: &Update<D::Item>,
+    ) -> Result<(HostId, GlobalRef, UpdatePhase), RuntimeError> {
+        // Mirror the simulator's lookup rule: inserts route on a non-empty
+        // web; removes route when the item is present and not the last one.
+        let routes = match update {
+            Update::Insert { .. } => !topo.web.is_empty(),
+            Update::Remove { item } => topo.web.len() > 1 && topo.web.bits_of(item).is_some(),
+        };
+        if routes {
+            let (host, at) = self.entry_point(topo, origin)?;
+            Ok((host, at, UpdatePhase::Route))
+        } else {
+            // No lookup phase: enter the repair trail directly. The client
+            // injection is free (as is the meter's first visit), so hops
+            // still equal the simulator's messages.
+            let membership = self.runtime.membership();
+            let trail = repair_trail(topo, update, &membership).ok_or(RuntimeError::Unavailable)?;
+            let host = match trail.first().copied() {
+                Some(h) => h,
+                // Empty trail (e.g. an absent remove): any alive host can
+                // complete the no-op.
+                None => membership
+                    .alive_hosts()
+                    .into_iter()
+                    .next()
+                    .ok_or(RuntimeError::Unavailable)?,
+            };
+            let at = GlobalRef {
+                level: 0,
+                set: 0,
+                range: 0,
+            };
+            Ok((host, at, UpdatePhase::Repair { cursor: 0, trail }))
+        }
+    }
+
+    /// Plans one attempt of `flight` under `topo`: the host it enters at —
+    /// failing over around dead hosts — and the message to hand that host.
+    fn plan(
+        &self,
+        client: &EngineClient<D>,
+        topo: &Arc<Topology<D>>,
+        flight: &InFlight<D>,
+    ) -> Result<(HostId, EngineMsg<D>), RuntimeError> {
+        let mut op = flight.op.clone();
+        let (host, at) = match &mut op {
+            EngineOp::Update(u) => {
+                let (host, at, phase) = self.plan_update(topo, flight.origin, &u.update)?;
+                u.phase = phase;
+                (host, at)
+            }
+            _ => self.entry_point(topo, flight.origin)?,
+        };
+        let msg = EngineMsg {
+            op,
+            at,
+            client: client.id(),
+            corr: flight.corr,
+            hops: 0,
+            topo: Arc::clone(topo),
+        };
+        Ok((host, msg))
+    }
+
+    /// Delivers one operation on its own. A host can die between the
+    /// membership check and the send (which consumes the message); the
+    /// failed send proves the fresh membership now reports it dead, so
+    /// re-planning converges on a replica (or on `Unavailable`).
+    fn send_one(
+        &self,
+        client: &EngineClient<D>,
+        topo: &Arc<Topology<D>>,
+        flight: &InFlight<D>,
+    ) -> Result<(), RuntimeError> {
+        for _ in 0..4 {
+            let (host, msg) = self.plan(client, topo, flight)?;
+            match client.inner.send(host, FabricMsg::One(msg)) {
+                Ok(()) => return Ok(()),
+                Err(RuntimeError::HostPanicked(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Err(RuntimeError::Unavailable)
+    }
+
+    /// The one admission path, for queries and updates, one op or many:
+    /// plans every op under the shared snapshot and buckets them by entry
+    /// host so each host receives **one** envelope — the fabric keeps
+    /// coalescing them per destination at every later hop. When an
+    /// envelope's host died between planning and send, taking the envelope
+    /// with it, each of its ops is re-planned against the fresh membership
+    /// and delivered on its own, instead of leaving the whole group to
+    /// crawl through per-op timeout resubmits.
+    ///
+    /// On failure some ops may already be in flight: every correlation id
+    /// of the failed call is abandoned, so their replies are dropped on
+    /// arrival instead of parked.
+    fn admit(
+        &self,
+        client: &EngineClient<D>,
+        topo: &Arc<Topology<D>>,
+        flights: &[InFlight<D>],
+    ) -> Result<(), RuntimeError> {
+        let sent = (|| {
+            if let [only] = flights {
+                return self.send_one(client, topo, only);
+            }
+            let mut groups = BTreeMap::new();
+            for flight in flights {
+                let (host, msg) = self.plan(client, topo, flight)?;
+                let (group, msgs): &mut (Vec<_>, Vec<_>) = groups.entry(host).or_default();
+                group.push(flight);
+                msgs.push(msg);
+            }
+            for (host, (group, msgs)) in groups {
+                match client.inner.send(host, envelope(msgs)) {
+                    Ok(()) => {}
+                    Err(RuntimeError::HostPanicked(_)) => {
+                        for flight in group {
+                            self.send_one(client, topo, flight)?;
+                        }
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(())
+        })();
+        if sent.is_err() {
+            for flight in flights {
+                client.mark_stale(flight.corr);
+            }
+        }
+        sent
+    }
+
+    /// Waits for one operation's outcome — the one wait loop, for queries
+    /// and updates: gathers scatter partials when the locus split a report,
+    /// and resubmits on a timeout per the client's [`Timeouts`] policy.
+    /// Returns the final reply: an [`Answer`](ReplyBody::Answer) (merged,
+    /// for a scattered report) or an [`Updated`](ReplyBody::Updated), under
+    /// the correlation id of the attempt that produced it.
+    ///
+    /// A timeout normally signals an operation lost in a crashed host's
+    /// mailbox, so the small lossless budget (default 1, spent only while a
+    /// host is dead) suffices. On a lossy transport *any* hop can silently
+    /// drop the operation even with every host alive, so the wider lossy
+    /// budget applies: retry on every timeout (see
+    /// [`Timeouts::lossy_resubmits`] for the residual-failure math).
+    ///
+    /// Retries are always safe. Queries are idempotent. A resubmitted
+    /// update keeps its op id, and the apply path's idempotence ledger,
+    /// keyed on `(client, op_id)`, makes it exactly-once: if the first
+    /// attempt actually landed, the resubmit is echoed its recorded outcome
+    /// instead of applying again. The abandoned correlation id's late
+    /// replies are dropped and counted.
+    fn collect(
+        &self,
+        client: &EngineClient<D>,
+        flight: &InFlight<D>,
+    ) -> Result<EngineReply<D>, RuntimeError> {
+        let policy = client.timeouts();
+        let timeout = match flight.op {
+            EngineOp::Update(_) => policy.update,
+            _ => policy.query,
+        };
+        let lossy = self.runtime.transport_lossy();
+        let max_resubmits = if lossy {
+            policy.lossy_resubmits
+        } else {
+            policy.resubmits
+        };
+        let mut corr = flight.corr;
+        let mut resubmits = 0usize;
+        let mut parts: Vec<D::Answer> = Vec::new();
+        let mut hops_max = 0u32;
+        loop {
+            match client.recv_corr(corr, timeout) {
+                Ok(reply) => match reply.body {
+                    ReplyBody::Answer(_) | ReplyBody::Updated { .. } => return Ok(reply),
+                    ReplyBody::Partial { answer, of } => {
+                        hops_max = hops_max.max(reply.hops);
+                        parts.push(answer);
+                        if parts.len() as u32 >= of {
+                            return Ok(EngineReply {
+                                corr,
+                                hops: hops_max,
+                                body: ReplyBody::Answer(D::merge_answers(parts)),
+                            });
+                        }
+                    }
+                    ReplyBody::Unavailable => {
+                        // Stragglers of a partially-delivered report are
+                        // dropped on arrival, not parked.
+                        client.mark_stale(corr);
+                        return Err(RuntimeError::Unavailable);
+                    }
+                },
+                Err(RuntimeError::Timeout)
+                    if resubmits < max_resubmits
+                        && (lossy || self.runtime.membership().first_dead().is_some()) =>
+                {
+                    resubmits += 1;
+                    // The attempt is abandoned: if it was merely slow (not
+                    // lost), its late replies are discarded rather than
+                    // parked in the pending buffer forever.
+                    client.mark_stale(corr);
+                    parts.clear();
+                    hops_max = 0;
+                    let topo = self.shared.current_topo();
+                    let retry = InFlight {
+                        // The snapshot may have shrunk since the origin was
+                        // chosen; clamp it — the origin only seeds the
+                        // descent, any valid item works.
+                        origin: flight.origin.min(topo.web.len().saturating_sub(1)),
+                        op: flight.op.clone(),
+                        corr: client.alloc_corr(),
+                    };
+                    self.admit(client, &topo, std::slice::from_ref(&retry))?;
+                    corr = retry.corr;
+                }
+                Err(e) => {
+                    client.mark_stale(corr);
+                    return Err(e);
+                }
+            }
+        }
+    }
+
+    /// Runs one new operation end to end under `topo`: admits it, then
+    /// waits for its outcome.
+    fn run(
+        &self,
+        client: &EngineClient<D>,
+        topo: &Arc<Topology<D>>,
+        origin: usize,
+        op: EngineOp<D>,
+    ) -> Result<EngineReply<D>, RuntimeError> {
+        let flight = InFlight::new(client, origin, op);
+        self.admit(client, topo, std::slice::from_ref(&flight))?;
+        self.collect(client, &flight)
+    }
+
+    /// Runs a batch of new operations end to end under one snapshot,
+    /// returning the final replies in submission order. The first failing
+    /// op aborts the collection, abandoning the remaining in-flight ops:
+    /// their replies must not sit in the pending buffer where a later recv
+    /// would misread them.
+    fn run_batch(
+        &self,
+        client: &EngineClient<D>,
+        ops: impl Iterator<Item = (usize, EngineOp<D>)>,
+    ) -> Result<Vec<EngineReply<D>>, RuntimeError> {
+        let flights: Vec<InFlight<D>> = ops
+            .map(|(origin, op)| InFlight::new(client, origin, op))
+            .collect();
+        self.admit(client, &self.shared.current_topo(), &flights)?;
+        let mut replies = Vec::with_capacity(flights.len());
+        for (i, flight) in flights.iter().enumerate() {
+            match self.collect(client, flight) {
+                Ok(reply) => replies.push(reply),
+                Err(e) => {
+                    for stale in &flights[i + 1..] {
+                        client.mark_stale(stale.corr);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(replies)
     }
 
     /// Runs one query end to end, blocking up to the client's query timeout
@@ -2189,8 +2387,9 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         origin_item: usize,
         req: D::Request,
     ) -> Result<QueryReply<D>, RuntimeError> {
-        let corr = self.submit(client, origin_item, req.clone())?;
-        self.collect_query(client, corr, origin_item, req, false)
+        let topo = self.shared.current_topo();
+        self.run(client, &topo, origin_item, query_op(req, false))
+            .map(QueryReply::of)
     }
 
     /// Runs one scatter-gather range report end to end: the descent routes
@@ -2222,8 +2421,9 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         origin_item: usize,
         req: D::Request,
     ) -> Result<QueryReply<D>, RuntimeError> {
-        let corr = self.submit_scatter(client, origin_item, req.clone())?;
-        self.collect_query(client, corr, origin_item, req, true)
+        let topo = self.shared.current_topo();
+        self.run(client, &topo, origin_item, query_op(req, true))
+            .map(QueryReply::of)
     }
 
     /// Runs a whole batch of queries end to end (see
@@ -2248,428 +2448,11 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         origin_item: usize,
         reqs: Vec<D::Request>,
     ) -> Result<Vec<QueryReply<D>>, RuntimeError> {
-        let corrs = self.submit_batch(client, origin_item, reqs.clone())?;
-        let mut replies = Vec::with_capacity(corrs.len());
-        for (i, (&corr, req)) in corrs.iter().zip(reqs).enumerate() {
-            match self.collect_query(client, corr, origin_item, req, false) {
-                Ok(reply) => replies.push(reply),
-                Err(e) => {
-                    // Abandon the uncollected tail: their replies must not
-                    // sit in the pending buffer where a later recv would
-                    // misread them.
-                    for &stale in &corrs[i + 1..] {
-                        client.mark_stale(stale);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(replies)
-    }
-
-    /// Waits for one query's outcome: gathers scatter partials when the
-    /// locus split the report, and resubmits once on a timeout while a host
-    /// is dead — the signature of a request (or partial) lost in a crashed
-    /// host's mailbox. Queries are idempotent, so the retry is always safe;
-    /// the abandoned correlation id's late replies are dropped and counted.
-    fn collect_query(
-        &self,
-        client: &EngineClient<D>,
-        mut corr: u64,
-        origin_item: usize,
-        req: D::Request,
-        scatter: bool,
-    ) -> Result<QueryReply<D>, RuntimeError> {
-        let policy = client.timeouts();
-        let timeout = policy.query;
-        // A timeout normally signals a request lost in a crashed host's
-        // mailbox, so the small lossless budget (default 1, spent only
-        // while a host is dead) suffices. On a lossy transport *any* hop
-        // can silently drop the operation even with every host alive, so
-        // the wider lossy budget applies: retry on every timeout (see
-        // [`Timeouts::lossy_resubmits`] for the residual-failure math).
-        let lossy = self.runtime.transport_lossy();
-        let max_resubmits = if lossy {
-            policy.lossy_resubmits
-        } else {
-            policy.resubmits
-        };
-        let mut resubmits = 0usize;
-        let mut parts: Vec<D::Answer> = Vec::new();
-        let mut hops_max = 0u32;
-        loop {
-            match client.recv_corr(corr, timeout) {
-                Ok(reply) => {
-                    hops_max = hops_max.max(reply.hops);
-                    match reply.body {
-                        ReplyBody::Answer(answer) => {
-                            return Ok(QueryReply {
-                                corr,
-                                answer,
-                                hops: reply.hops,
-                            })
-                        }
-                        ReplyBody::Partial { answer, of } => {
-                            parts.push(answer);
-                            if parts.len() as u32 >= of {
-                                return Ok(QueryReply {
-                                    corr,
-                                    answer: D::merge_answers(std::mem::take(&mut parts)),
-                                    hops: hops_max,
-                                });
-                            }
-                        }
-                        ReplyBody::Unavailable => {
-                            // Stragglers of a partially-delivered report are
-                            // dropped on arrival, not parked.
-                            client.mark_stale(corr);
-                            return Err(RuntimeError::Unavailable);
-                        }
-                        ReplyBody::Updated { .. } => {
-                            unreachable!("query correlation id matched an update")
-                        }
-                    }
-                }
-                Err(RuntimeError::Timeout)
-                    if resubmits < max_resubmits
-                        && (lossy || self.runtime.membership().first_dead().is_some()) =>
-                {
-                    resubmits += 1;
-                    // The first attempt is abandoned: if it was merely slow
-                    // (not lost), its late replies are discarded rather than
-                    // parked in the pending buffer forever.
-                    client.mark_stale(corr);
-                    parts.clear();
-                    hops_max = 0;
-                    corr = if scatter {
-                        self.submit_scatter(client, origin_item, req.clone())?
-                    } else {
-                        self.submit(client, origin_item, req.clone())?
-                    };
-                }
-                Err(e) => {
-                    client.mark_stale(corr);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Submits an insert with an explicit level bit string without waiting,
-    /// returning its correlation id. Driving the simulator's
-    /// [`SkipWeb::insert_with`] with the same `(origin, bits)` yields the
-    /// same structure and — for owner-hosted placement within capacity —
-    /// the same message count.
-    ///
-    /// `origin` names the ground item whose root the lookup phase starts
-    /// from; it is ignored when the web is empty (there is nothing to look
-    /// up, matching the simulator).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors (host down or panicked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin` is out of bounds on a non-empty web.
-    pub fn submit_insert(
-        &self,
-        client: &EngineClient<D>,
-        origin: usize,
-        item: D::Item,
-        bits: u64,
-    ) -> Result<u64, RuntimeError> {
-        self.submit_update(client, origin, UpdateKind::Insert { bits }, item)
-    }
-
-    /// Submits a remove without waiting, returning its correlation id. The
-    /// counterpart of [`SkipWeb::remove_with`]: `origin` is ignored when
-    /// the simulator would skip the lookup (item absent from the snapshot,
-    /// or a single-item web).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors (host down or panicked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin` is out of bounds when the lookup phase runs.
-    pub fn submit_remove(
-        &self,
-        client: &EngineClient<D>,
-        origin: usize,
-        item: D::Item,
-    ) -> Result<u64, RuntimeError> {
-        self.submit_update(client, origin, UpdateKind::Remove, item)
-    }
-
-    fn submit_update(
-        &self,
-        client: &EngineClient<D>,
-        origin: usize,
-        kind: UpdateKind,
-        item: D::Item,
-    ) -> Result<u64, RuntimeError> {
-        let topo = self.shared.current_topo();
-        self.submit_update_at(client, topo, origin, kind, item, None)
-    }
-
-    /// Resolves where an update enters the fabric under `topo`: the origin's
-    /// root for the lookup phase, or the head of the repair trail when the
-    /// simulator's lookup rule skips the lookup (empty web, absent remove,
-    /// single-item web).
-    fn plan_update(
-        &self,
-        topo: &Topology<D>,
-        origin: usize,
-        kind: UpdateKind,
-        item: &D::Item,
-    ) -> Result<(HostId, GlobalRef, UpdatePhase), RuntimeError> {
-        // Mirror the simulator's lookup rule: inserts route on a non-empty
-        // web; removes route when the item is present and not the last one.
-        let routes = match kind {
-            UpdateKind::Insert { .. } => !topo.web.is_empty(),
-            UpdateKind::Remove => topo.web.len() > 1 && topo.web.bits_of(item).is_some(),
-        };
-        if routes {
-            assert!(origin < topo.web.len(), "origin item out of bounds");
-            let (host, at) = self.entry_point(topo, origin)?;
-            Ok((host, at, UpdatePhase::Route))
-        } else {
-            // No lookup phase: enter the repair trail directly. The client
-            // injection is free (as is the meter's first visit), so hops
-            // still equal the simulator's messages.
-            let membership = self.runtime.membership();
-            let trail =
-                repair_trail(topo, item, kind, &membership).ok_or(RuntimeError::Unavailable)?;
-            let host = match trail.first().copied() {
-                Some(h) => h,
-                // Empty trail (e.g. an absent remove): any alive host can
-                // complete the no-op.
-                None => membership
-                    .alive_hosts()
-                    .into_iter()
-                    .next()
-                    .ok_or(RuntimeError::Unavailable)?,
-            };
-            let at = GlobalRef {
-                level: 0,
-                set: 0,
-                range: 0,
-            };
-            Ok((host, at, UpdatePhase::Repair { cursor: 0, trail }))
-        }
-    }
-
-    /// Admits an update against an already-captured snapshot, so callers
-    /// that derived `origin` from that same snapshot (the convenience
-    /// `insert`/`remove`) can never race a concurrent apply into an
-    /// out-of-bounds origin. `op_id` is `None` for a first attempt (the
-    /// fresh correlation id becomes the logical op id) and `Some` on a
-    /// timeout-resubmit, which re-tags the new attempt with the *original*
-    /// op id so the apply path stays exactly-once.
-    fn submit_update_at(
-        &self,
-        client: &EngineClient<D>,
-        topo: Arc<Topology<D>>,
-        origin: usize,
-        kind: UpdateKind,
-        item: D::Item,
-        op_id: Option<u64>,
-    ) -> Result<u64, RuntimeError> {
-        let corr = client.next_corr.fetch_add(1, Ordering::Relaxed);
-        let op_id = op_id.unwrap_or(corr);
-        // As in `submit`: a host dying between resolution and send makes
-        // the send fail fast, and re-resolving against the now-updated
-        // membership converges on a replica.
-        for _ in 0..4 {
-            let (host, at, phase) = self.plan_update(&topo, origin, kind, &item)?;
-            match client.inner.send(
-                host,
-                FabricMsg::One(EngineMsg {
-                    op: EngineOp::Update(UpdateOp {
-                        kind,
-                        item: item.clone(),
-                        phase,
-                        op_id,
-                    }),
-                    at,
-                    client: client.id(),
-                    corr,
-                    hops: 0,
-                    topo: Arc::clone(&topo),
-                }),
-            ) {
-                Ok(()) => return Ok(corr),
-                Err(RuntimeError::HostPanicked(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(RuntimeError::Unavailable)
-    }
-
-    /// Submits a batch of updates under one snapshot without waiting,
-    /// returning the per-op correlation ids in submission order. Ops whose
-    /// entry host agrees are injected as **one** envelope, and the fabric
-    /// keeps coalescing them per destination at every later hop (routing,
-    /// repair, and the final applies — which install under a single state
-    /// lock with one structural rebuild per same-kind run and one snapshot
-    /// publish).
-    fn submit_update_batch(
-        &self,
-        client: &EngineClient<D>,
-        ops: &[(usize, UpdateKind, D::Item)],
-    ) -> Result<Vec<u64>, RuntimeError> {
-        let topo = self.shared.current_topo();
-        let corrs: Vec<u64> = ops
-            .iter()
-            .map(|_| client.next_corr.fetch_add(1, Ordering::Relaxed))
-            .collect();
-        let make = |i: usize, at: GlobalRef, phase: UpdatePhase| {
-            let (_, kind, ref item) = ops[i];
-            EngineMsg {
-                op: EngineOp::Update(UpdateOp {
-                    kind,
-                    item: item.clone(),
-                    phase,
-                    op_id: corrs[i],
-                }),
-                at,
-                client: client.id(),
-                corr: corrs[i],
-                hops: 0,
-                topo: Arc::clone(&topo),
-            }
-        };
-        // Plan every op under the shared snapshot, then bucket by entry
-        // host so each host receives one envelope.
-        let mut groups: BTreeMap<HostId, Vec<usize>> = BTreeMap::new();
-        let mut plans: Vec<(GlobalRef, UpdatePhase)> = Vec::with_capacity(ops.len());
-        let sent = (|| -> Result<(), RuntimeError> {
-            for (i, (origin, kind, item)) in ops.iter().enumerate() {
-                let (host, at, phase) = self.plan_update(&topo, *origin, *kind, item)?;
-                groups.entry(host).or_default().push(i);
-                plans.push((at, phase));
-            }
-            for (host, idxs) in groups {
-                let msgs: Vec<EngineMsg<D>> = idxs
-                    .iter()
-                    .map(|&i| make(i, plans[i].0, plans[i].1.clone()))
-                    .collect();
-                match client.inner.send(host, Self::envelope(msgs)) {
-                    Ok(()) => continue,
-                    Err(RuntimeError::HostPanicked(_)) => {}
-                    Err(e) => return Err(e),
-                }
-                // The group's entry host died between planning and send,
-                // taking the envelope with it: immediately re-plan each op
-                // against the fresh membership and deliver it individually
-                // — as the serial submit path would — instead of leaving
-                // the whole group to crawl through per-op timeout
-                // resubmits.
-                for &i in &idxs {
-                    let (origin, kind, item) = &ops[i];
-                    let mut delivered = false;
-                    for _ in 0..4 {
-                        let (h, at, phase) = self.plan_update(&topo, *origin, *kind, item)?;
-                        match client.inner.send(h, FabricMsg::One(make(i, at, phase))) {
-                            Ok(()) => {
-                                delivered = true;
-                                break;
-                            }
-                            Err(RuntimeError::HostPanicked(_)) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    if !delivered {
-                        return Err(RuntimeError::Unavailable);
-                    }
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = sent {
-            // Some ops may already be in flight: abandon every correlation
-            // id of the failed batch so their replies are dropped on
-            // arrival instead of parked.
-            for &corr in &corrs {
-                client.mark_stale(corr);
-            }
-            return Err(e);
-        }
-        Ok(corrs)
-    }
-
-    /// Waits for one update's outcome, resubmitting once — re-tagged with
-    /// the original `op_id` — when the wait times out while a host is dead
-    /// (the signature of an update lost in a crashed host's mailbox). The
-    /// apply path's idempotence ledger makes the retry exactly-once: if the
-    /// first attempt actually landed, the resubmit is echoed its recorded
-    /// outcome instead of applying again.
-    fn collect_update(
-        &self,
-        client: &EngineClient<D>,
-        mut corr: u64,
-        op_id: u64,
-        origin: usize,
-        kind: UpdateKind,
-        item: &D::Item,
-    ) -> Result<UpdateReply, RuntimeError> {
-        let policy = client.timeouts();
-        let timeout = policy.update;
-        // Same budget split as `collect_query` under a lossy transport;
-        // resubmitted updates stay exactly-once through the idempotence
-        // ledger keyed on `(client, op_id)`.
-        let lossy = self.runtime.transport_lossy();
-        let max_resubmits = if lossy {
-            policy.lossy_resubmits
-        } else {
-            policy.resubmits
-        };
-        let mut resubmits = 0usize;
-        loop {
-            match client.recv_corr(corr, timeout) {
-                Ok(reply) => {
-                    return match reply.body {
-                        ReplyBody::Updated { applied } => Ok(UpdateReply {
-                            corr,
-                            applied,
-                            hops: reply.hops,
-                        }),
-                        ReplyBody::Unavailable => Err(RuntimeError::Unavailable),
-                        ReplyBody::Answer(_) | ReplyBody::Partial { .. } => {
-                            unreachable!("update correlation id matched a query")
-                        }
-                    };
-                }
-                Err(RuntimeError::Timeout)
-                    if resubmits < max_resubmits
-                        && (lossy || self.runtime.membership().first_dead().is_some()) =>
-                {
-                    resubmits += 1;
-                    // Abandon the first attempt: its late reply (if it was
-                    // merely slow, not lost) is dropped and counted.
-                    client.mark_stale(corr);
-                    let topo = self.shared.current_topo();
-                    // The snapshot may have shrunk since the origin was
-                    // chosen; clamp it — the lookup origin only seeds the
-                    // descent, any valid item works.
-                    let origin = origin.min(topo.web.len().saturating_sub(1));
-                    corr = self.submit_update_at(
-                        client,
-                        topo,
-                        origin,
-                        kind,
-                        item.clone(),
-                        Some(op_id),
-                    )?;
-                }
-                Err(e) => {
-                    client.mark_stale(corr);
-                    return Err(e);
-                }
-            }
-        }
+        let ops = reqs
+            .into_iter()
+            .map(|req| (origin_item, query_op(req, false)));
+        let replies = self.run_batch(client, ops)?;
+        Ok(replies.into_iter().map(QueryReply::of).collect())
     }
 
     /// Runs one insert end to end with an explicit origin and bit string
@@ -2691,9 +2474,14 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         item: D::Item,
         bits: u64,
     ) -> Result<UpdateReply, RuntimeError> {
-        let kind = UpdateKind::Insert { bits };
-        let corr = self.submit_update(client, origin, kind, item.clone())?;
-        self.collect_update(client, corr, corr, origin, kind, &item)
+        let topo = self.shared.current_topo();
+        self.run(
+            client,
+            &topo,
+            origin,
+            update_op(Update::Insert { item, bits }),
+        )
+        .map(UpdateReply::of)
     }
 
     /// Runs one remove end to end with an explicit origin (see
@@ -2714,8 +2502,27 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         origin: usize,
         item: D::Item,
     ) -> Result<UpdateReply, RuntimeError> {
-        let corr = self.submit_remove(client, origin, item.clone())?;
-        self.collect_update(client, corr, corr, origin, UpdateKind::Remove, &item)
+        let topo = self.shared.current_topo();
+        self.run(client, &topo, origin, update_op(Update::Remove { item }))
+            .map(UpdateReply::of)
+    }
+
+    /// Draws a lookup origin valid under `topo` (0 on an empty web, where
+    /// it is ignored) and a level bit string from the engine's seeded
+    /// generator.
+    fn draw(&self, topo: &Topology<D>) -> (usize, u64) {
+        let len = topo.web.len();
+        let mut st = self.shared.state.lock();
+        let origin = if len > 0 { st.rng.gen_range(0..len) } else { 0 };
+        (origin, st.rng.gen())
+    }
+
+    /// A lookup origin valid under the current snapshot and a level bit
+    /// string, drawn from the engine's seeded generator — what
+    /// [`insert`](Self::insert) and [`remove`](Self::remove) draw, for
+    /// callers assembling an [`update_batch`](Self::update_batch).
+    pub fn draw_entry(&self) -> (usize, u64) {
+        self.draw(&self.shared.current_topo())
     }
 
     /// Runs one insert end to end, drawing the lookup origin and the
@@ -2734,15 +2541,14 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         // Draw the origin against the same snapshot the update is admitted
         // under, so a concurrent apply can never shrink it out of bounds.
         let topo = self.shared.current_topo();
-        let len = topo.web.len();
-        let (origin, bits) = {
-            let mut st = self.shared.state.lock();
-            let origin = if len > 0 { st.rng.gen_range(0..len) } else { 0 };
-            (origin, st.rng.gen())
-        };
-        let kind = UpdateKind::Insert { bits };
-        let corr = self.submit_update_at(client, topo, origin, kind, item.clone(), None)?;
-        self.collect_update(client, corr, corr, origin, kind, &item)
+        let (origin, bits) = self.draw(&topo);
+        self.run(
+            client,
+            &topo,
+            origin,
+            update_op(Update::Insert { item, bits }),
+        )
+        .map(UpdateReply::of)
     }
 
     /// Runs one remove end to end, drawing the lookup origin from the
@@ -2760,28 +2566,31 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     ) -> Result<UpdateReply, RuntimeError> {
         // Same snapshot for origin draw and admission (see `insert`).
         let topo = self.shared.current_topo();
-        let len = topo.web.len();
-        let origin = if len > 0 {
-            self.shared.state.lock().rng.gen_range(0..len)
-        } else {
-            0
-        };
-        let corr =
-            self.submit_update_at(client, topo, origin, UpdateKind::Remove, item.clone(), None)?;
-        self.collect_update(client, corr, corr, origin, UpdateKind::Remove, &item)
+        let (origin, _) = self.draw(&topo);
+        self.run(client, &topo, origin, update_op(Update::Remove { item }))
+            .map(UpdateReply::of)
     }
 
-    /// Runs a batch of inserts with explicit `(origin, item, bits)` triples
-    /// end to end — the deterministic batched counterpart of
-    /// [`insert_with`](Self::insert_with), returning per-op outcomes in
-    /// submission order. All ops are admitted under one snapshot, coalesce
-    /// per destination host at every hop ([`FabricMsg::Batch`]), and the
-    /// applies that land on one host together install with a single
-    /// structural rebuild and a single snapshot publish — so a batch of N
-    /// inserts crosses fewer host boundaries than N serial calls while
-    /// leaving byte-identical state and applied flags (for distinct items;
-    /// ops on the *same* item race by arrival order, as concurrent serial
-    /// clients would). Lost ops resubmit exactly-once like `insert_with`.
+    /// Runs a batch of updates — `(origin, update)` pairs, inserts and
+    /// removes in any mix — end to end, returning per-op outcomes in
+    /// submission order: the batched counterpart of
+    /// [`insert_with`](Self::insert_with) / [`remove_with`](Self::remove_with).
+    /// All ops are admitted under one snapshot, coalesce per destination
+    /// host at every hop ([`FabricMsg::Batch`]), and the ones whose repairs
+    /// end on one host together install with a single structural repair
+    /// and a single snapshot publish ([`SkipWeb::apply`]) — so a batch of N
+    /// updates crosses fewer host boundaries than N serial calls while
+    /// leaving byte-identical state and applied flags.
+    ///
+    /// Ops on *distinct* items commute, so the outcome equals the serial
+    /// one whatever route each op takes. Ops on the *same* item behave like
+    /// concurrent serial clients: each is planned under the batch's one
+    /// snapshot — an insert of an item stored under it stops at the locus
+    /// as a duplicate even when the batch removes the item first — and the
+    /// ones that reach the apply step resolve in arrival order, which is
+    /// submission order when they travel together (one envelope all the
+    /// way, as on a single host). Lost ops resubmit exactly-once like the
+    /// single-op calls.
     ///
     /// # Errors
     ///
@@ -2790,129 +2599,31 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     ///
     /// # Panics
     ///
-    /// Panics if an origin is out of bounds on a non-empty web.
-    pub fn insert_batch_with(
-        &self,
-        client: &EngineClient<D>,
-        ops: Vec<(usize, D::Item, u64)>,
-    ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let planned: Vec<(usize, UpdateKind, D::Item)> = ops
-            .into_iter()
-            .map(|(origin, item, bits)| (origin, UpdateKind::Insert { bits }, item))
-            .collect();
-        self.update_batch(client, planned)
-    }
-
-    /// Runs a batch of inserts end to end, drawing each op's lookup origin
-    /// and level bits from the engine's seeded generator — the batched
-    /// counterpart of [`insert`](Self::insert).
-    ///
-    /// # Errors
-    ///
-    /// As [`insert`](Self::insert), per op.
-    pub fn insert_batch(
-        &self,
-        client: &EngineClient<D>,
-        items: Vec<D::Item>,
-    ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let len = self.shared.current_topo().web.len();
-        let planned: Vec<(usize, UpdateKind, D::Item)> = {
-            let mut st = self.shared.state.lock();
-            items
-                .into_iter()
-                .map(|item| {
-                    let origin = if len > 0 { st.rng.gen_range(0..len) } else { 0 };
-                    let bits: u64 = st.rng.gen();
-                    (origin, UpdateKind::Insert { bits }, item)
-                })
-                .collect()
-        };
-        self.update_batch(client, planned)
-    }
-
-    /// Runs a batch of removes with explicit `(origin, item)` pairs end to
-    /// end — the batched counterpart of [`remove_with`](Self::remove_with);
-    /// see [`insert_batch_with`](Self::insert_batch_with) for the batching
-    /// semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`remove_with`](Self::remove_with), per op.
-    ///
-    /// # Panics
-    ///
     /// Panics if an origin is out of bounds when its lookup phase runs.
-    pub fn remove_batch_with(
+    pub fn update_batch(
         &self,
         client: &EngineClient<D>,
-        ops: Vec<(usize, D::Item)>,
+        ops: Vec<(usize, Update<D::Item>)>,
     ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let planned: Vec<(usize, UpdateKind, D::Item)> = ops
+        let ops = ops
             .into_iter()
-            .map(|(origin, item)| (origin, UpdateKind::Remove, item))
-            .collect();
-        self.update_batch(client, planned)
+            .map(|(origin, update)| (origin, update_op(update)));
+        let replies = self.run_batch(client, ops)?;
+        Ok(replies.into_iter().map(UpdateReply::of).collect())
     }
 
-    /// Runs a batch of removes end to end, drawing lookup origins from the
-    /// engine's seeded generator — the batched counterpart of
-    /// [`remove`](Self::remove).
-    ///
-    /// # Errors
-    ///
-    /// As [`remove`](Self::remove), per op.
-    pub fn remove_batch(
-        &self,
-        client: &EngineClient<D>,
-        items: Vec<D::Item>,
-    ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let len = self.shared.current_topo().web.len();
-        let planned: Vec<(usize, UpdateKind, D::Item)> = {
-            let mut st = self.shared.state.lock();
-            items
-                .into_iter()
-                .map(|item| {
-                    let origin = if len > 0 { st.rng.gen_range(0..len) } else { 0 };
-                    (origin, UpdateKind::Remove, item)
-                })
-                .collect()
-        };
-        self.update_batch(client, planned)
-    }
-
-    fn update_batch(
-        &self,
-        client: &EngineClient<D>,
-        ops: Vec<(usize, UpdateKind, D::Item)>,
-    ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        let corrs = self.submit_update_batch(client, &ops)?;
-        let mut replies = Vec::with_capacity(corrs.len());
-        for (i, (&corr, (origin, kind, item))) in corrs.iter().zip(ops).enumerate() {
-            match self.collect_update(client, corr, corr, origin, kind, &item) {
-                Ok(reply) => replies.push(reply),
-                Err(e) => {
-                    // Abandon the uncollected tail (see `query_batch`).
-                    for &stale in &corrs[i + 1..] {
-                        client.mark_stale(stale);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(replies)
-    }
-
-    /// A snapshot of the current ground set, in canonical order.
+    /// A snapshot of the current ground set, in canonical order — read,
+    /// like [`len`](Self::len) and [`health`](Self::health), off the
+    /// published topology snapshot, never waiting on an apply in progress.
+    /// An update publishes before it replies, so a client reads its own
+    /// writes.
     pub fn ground(&self) -> Vec<D::Item> {
-        self.shared.state.lock().web.ground().to_vec()
+        self.shared.current_topo().web.ground().to_vec()
     }
 
     /// Number of items currently stored.
     pub fn len(&self) -> usize {
-        self.shared.state.lock().web.len()
+        self.shared.topo.lock().web.len()
     }
 
     /// Whether the web currently stores no items.
@@ -2948,13 +2659,13 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// factor in effect, and the current topology-snapshot version.
     pub fn health(&self) -> EngineHealth {
         let membership = self.runtime.membership();
-        let replication = self.shared.state.lock().web.replication().k;
+        let topo = self.shared.current_topo();
         EngineHealth {
             alive: membership.alive_hosts(),
             dead: membership.dead_hosts(),
             decommissioned: membership.decommissioned_hosts(),
-            replication,
-            topology_version: self.shared.current_topo().version,
+            replication: topo.web.replication().k,
+            topology_version: topo.version,
         }
     }
 
@@ -3072,6 +2783,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             for (key, applied) in ledger {
                 st.record_outcome(key, applied);
             }
+            st.trim_ledger();
             (
                 replaced,
                 self.shared.republish(st, &self.runtime.membership()),
@@ -3737,8 +3449,7 @@ mod tests {
                 HostId(5),
                 FabricMsg::One(EngineMsg {
                     op: EngineOp::Update(UpdateOp {
-                        kind: UpdateKind::Insert { bits: 1 },
-                        item: 7,
+                        update: Update::Insert { item: 7, bits: 1 },
                         phase: UpdatePhase::Route,
                         op_id: 777,
                     }),
@@ -3939,38 +3650,26 @@ mod tests {
             let serial_reply = serial.query(&cs, 5, q).unwrap();
             assert_eq!(reply.hops, serial_reply.hops, "route length for q={q}");
         }
-        // Updates: same (origin, item, bits) triples through both paths
+        // Updates: the same `(origin, update)` pairs through both paths
         // leave identical flags and ground sets, with coalesced envelopes
         // metered on the batch side. One shared origin and clustered keys
         // keep the routes overlapping, so the batch demonstrably coalesces.
-        let ins: Vec<(usize, u64, u64)> = (0..12u64)
-            .map(|i| (3usize, 901 + i * 2, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-            .collect();
-        let serial_flags: Vec<bool> = ins
-            .iter()
-            .map(|&(o, k, b)| serial.insert_with(&cs, o, k, b).unwrap().applied)
-            .collect();
-        let batch_flags: Vec<bool> = batched
-            .insert_batch_with(&cb, ins.clone())
-            .unwrap()
-            .into_iter()
-            .map(|r| r.applied)
-            .collect();
-        assert_eq!(batch_flags, serial_flags);
-        assert_eq!(batched.ground(), serial.ground());
-        let rem: Vec<(usize, u64)> = ins.iter().map(|&(o, k, _)| (o, k)).collect();
-        let serial_flags: Vec<bool> = rem
-            .iter()
-            .map(|&(o, k)| serial.remove_with(&cs, o, k).unwrap().applied)
-            .collect();
-        let batch_flags: Vec<bool> = batched
-            .remove_batch_with(&cb, rem)
-            .unwrap()
-            .into_iter()
-            .map(|r| r.applied)
-            .collect();
-        assert_eq!(batch_flags, serial_flags);
-        assert_eq!(batched.ground(), serial.ground());
+        let ins = (0..12u64).map(|i| Update::Insert {
+            item: 901 + i * 2,
+            bits: i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        });
+        let rem = (0..12u64).map(|i| Update::Remove { item: 901 + i * 2 });
+        for round in [ins.collect::<Vec<_>>(), rem.collect()] {
+            // A batch of one is the serial path.
+            let one = |update: &Update<u64>| serial.update_batch(&cs, vec![(3, update.clone())]);
+            let serial_flags: Vec<bool> =
+                round.iter().map(|u| one(u).unwrap()[0].applied).collect();
+            let batch = round.into_iter().map(|update| (3, update)).collect();
+            let replies = batched.update_batch(&cb, batch).unwrap();
+            let batch_flags: Vec<bool> = replies.iter().map(|r| r.applied).collect();
+            assert_eq!(batch_flags, serial_flags);
+            assert_eq!(batched.ground(), serial.ground());
+        }
         assert!(
             batched.traffic().total_update_batch_ops() > 0,
             "update coalescing must be metered"
@@ -4073,27 +3772,14 @@ mod tests {
         let client = dist.client();
         // First attempt of the logical insert lands normally.
         let topo = dist.shared.current_topo();
-        let corr0 = dist
-            .submit_update_at(
-                &client,
-                topo,
-                3,
-                UpdateKind::Insert { bits: 0xBEEF },
-                333,
-                None,
-            )
+        let insert = update_op(Update::Insert {
+            item: 333,
+            bits: 0xBEEF,
+        });
+        let first = InFlight::new(&client, 3, insert);
+        dist.admit(&client, &topo, std::slice::from_ref(&first))
             .unwrap();
-        let first = dist
-            .collect_update(
-                &client,
-                corr0,
-                corr0,
-                3,
-                UpdateKind::Insert { bits: 0xBEEF },
-                &333,
-            )
-            .unwrap();
-        assert!(first.applied);
+        assert!(UpdateReply::of(dist.collect(&client, &first).unwrap()).applied);
         assert!(dist.ground().contains(&333));
         // A concurrent client removes the key before the (simulated)
         // timeout-resubmit of the original attempt arrives.
@@ -4105,26 +3791,14 @@ mod tests {
         // the ledger this second attempt would double-apply and resurrect
         // the removed key.
         let topo = dist.shared.current_topo();
-        let corr1 = dist
-            .submit_update_at(
-                &client,
-                topo,
-                3,
-                UpdateKind::Insert { bits: 0xBEEF },
-                333,
-                Some(corr0),
-            )
+        let again = InFlight {
+            origin: 3,
+            op: first.op.clone(),
+            corr: client.alloc_corr(),
+        };
+        dist.admit(&client, &topo, std::slice::from_ref(&again))
             .unwrap();
-        let replay = dist
-            .collect_update(
-                &client,
-                corr1,
-                corr0,
-                3,
-                UpdateKind::Insert { bits: 0xBEEF },
-                &333,
-            )
-            .unwrap();
+        let replay = UpdateReply::of(dist.collect(&client, &again).unwrap());
         assert!(replay.applied, "echoed outcome reports the first landing");
         assert!(
             !dist.ground().contains(&333),
@@ -4135,6 +3809,89 @@ mod tests {
             version,
             "an echoed replay publishes no new snapshot"
         );
+        dist.shutdown();
+    }
+
+    #[test]
+    fn a_resubmit_sharing_a_turn_with_its_original_is_echoed_not_reapplied() {
+        let keys: Vec<u64> = (0..32).map(|i| i * 4).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(50).build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(1)
+            .spawn();
+        let client = dist.client();
+        // A delayed original and its timeout-resubmit — same op id, two
+        // correlation ids — coalesced into one envelope: on a single host
+        // both finish their repair in the same handler turn.
+        let topo = dist.shared.current_topo();
+        let (at, _) = topo.origin(3);
+        let attempt = |corr| EngineMsg {
+            op: EngineOp::Update(UpdateOp {
+                update: Update::Insert {
+                    item: 333,
+                    bits: 0xBEEF,
+                },
+                phase: UpdatePhase::Route,
+                op_id: 900,
+            }),
+            at,
+            client: client.id(),
+            corr,
+            hops: 0,
+            topo: Arc::clone(&topo),
+        };
+        let ops = vec![attempt(900), attempt(901)];
+        client
+            .inner
+            .send(HostId(0), FabricMsg::Batch(BatchMsg { ops }))
+            .unwrap();
+        // The client only listens to the resubmit's correlation id; it must
+        // hear that the insert landed, as the original does.
+        for corr in [901, 900] {
+            let reply = client.recv_corr(corr, Duration::from_secs(10)).unwrap();
+            assert_eq!(reply.try_applied(), Ok(true), "attempt {corr}");
+        }
+        assert_eq!(dist.ground().iter().filter(|&&k| k == 333).count(), 1);
+        assert_eq!(dist.len(), 33);
+        assert_eq!(dist.health().topology_version, topo.version + 1);
+        assert_eq!(dist.applied_ledger(), [((client.id(), 900), true)]);
+        dist.shutdown();
+    }
+
+    #[test]
+    fn reads_answer_from_the_published_snapshot_while_an_apply_holds_the_state_lock() {
+        let keys: Vec<u64> = (0..48).map(|i| i * 5).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys.clone())
+            .seed(51)
+            .replicate(2)
+            .build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(4)
+            .spawn();
+        let client = dist.client();
+        assert!(dist.insert_with(&client, 0, 7, 0xF00D).unwrap().applied);
+        // An apply in progress: the state lock is held and the web under it
+        // is already ahead of the published snapshot.
+        let mut st = dist.shared.state.lock();
+        let ahead = vec![Update::Remove { item: 7 }, Update::Remove { item: 10 }];
+        assert_eq!(Arc::make_mut(&mut st.web).apply(ahead), [true, true]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let dist = &dist;
+            scope.spawn(move || {
+                let reads = (dist.len(), dist.is_empty(), dist.ground(), dist.health());
+                tx.send(reads).unwrap();
+            });
+            // A reader that queues behind the lock fails here instead of
+            // hanging the suite: release the lock before judging.
+            let reads = rx.recv_timeout(Duration::from_secs(10));
+            drop(st);
+            let (len, empty, ground, health) = reads.expect("reads waited for the state lock");
+            let mut published = keys.clone();
+            published.insert(2, 7);
+            assert_eq!((len, empty, ground), (49, false, published));
+            assert_eq!((health.replication, health.topology_version), (2, 1));
+        });
         dist.shutdown();
     }
 

@@ -11,7 +11,11 @@
 //! top-level structure, doing expected `O(1)` work per level (§2.5); updates
 //! repair the hierarchy bottom-up (§4).
 //!
-//! * [`skipweb::SkipWeb`] — the generic structure.
+//! * [`skipweb::SkipWeb`] — the generic structure. An update is one type
+//!   at every layer, [`Update`], and [`SkipWeb::apply`] resolves a batch of
+//!   them — inserts and removes in any mix, in op order — in one staging
+//!   pass and one dirty-set repair, byte-identical to the full rebuild
+//!   ([`SkipWeb::apply_full`], the test oracle).
 //! * [`onedim`] — one-dimensional nearest-neighbour skip-webs and the
 //!   bucketed variant (Table 1's last two rows).
 //! * [`multidim`] — quadtree/octree point location and approximate nearest
@@ -19,10 +23,11 @@
 //! * [`engine`] — the generic distributed engine: any of the above served
 //!   by the threaded actor runtime with real message passing, correlation-id
 //!   clients, per-host traffic counters, and live dynamic updates (§4):
-//!   inserts/removes route to their locus, repair the conflict
+//!   an [`Update`] routes to its locus, repairs the conflict
 //!   neighbourhoods bottom-up paying one message per host crossing, and
-//!   apply as an atomic topology-snapshot swap, so concurrent queries never
-//!   observe a half-applied update.
+//!   applies as an atomic topology-snapshot swap, so concurrent queries
+//!   never observe a half-applied update. One admission path and one wait
+//!   loop serve every client call, single or batched.
 //! * [`distributed`] — the stable 1-D entry point, a thin wrapper over
 //!   [`engine`].
 //!
@@ -49,4 +54,4 @@ pub mod skipweb;
 pub mod wire;
 
 pub use placement::Blocking;
-pub use skipweb::{QueryOutcome, SkipWeb, SkipWebBuilder};
+pub use skipweb::{QueryOutcome, SkipWeb, SkipWebBuilder, Update};

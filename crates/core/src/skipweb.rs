@@ -3,19 +3,19 @@
 //!
 //! # Layout
 //!
-//! A web is a short list of [`Level`]s, and everything per range or per item
+//! A web is a short list of `Level`s, and everything per range or per item
 //! inside a level is a flat array or is derived — nothing is one heap block
 //! per range:
 //!
 //! * a level's sets partition the ground set, so their member lists are one
 //!   `members` array (a permutation of `0..n` grouped by key-sorted set; a
-//!   [`LevelSet`] keeps its `(start, len)`), with `set_of_item` as the one
+//!   `LevelSet` keeps its `(start, len)`), with `set_of_item` as the one
 //!   inverse the read path needs. The sets are key-sorted, so a set is found
 //!   by key with a binary search;
 //! * a set's `down` hyperlinks — and, under bucketed placement, its per-range
-//!   host lists — are offset + data tables ([`Csr`]) behind an `Arc`;
+//!   host lists — are offset + data tables (`Csr`) behind an `Arc`;
 //! * owner-hosted placement is not stored: a range lives on its owner item's
-//!   host (§2.4), which [`SkipWeb::copies`] reads off the set's members.
+//!   host (§2.4), which `SkipWeb::copies` reads off the set's members.
 //!
 //! A clone of the web — the copy-on-write an engine apply forces while a
 //! published snapshot still holds the previous web — therefore copies three
@@ -161,6 +161,56 @@ impl Iterator for Copies<'_> {
             Copies::Listed(row) => row.next(),
         }
     }
+}
+
+/// One structural change to a skip-web — the only form an update takes, from
+/// a client's call ([`DistributedSkipWeb::update_batch`]) through the wire
+/// and the durability log down to [`SkipWeb::apply`]. §4 of the paper
+/// treats insertion and deletion as one bottom-up repair of the same
+/// conflict neighbourhoods; so does every layer here.
+///
+/// [`DistributedSkipWeb::update_batch`]: crate::engine::DistributedSkipWeb::update_batch
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Update<I> {
+    /// Store `item`, at the levels its bit string selects. A no-op
+    /// (`applied == false`) when the item is already stored.
+    Insert {
+        /// The item to store.
+        item: I,
+        /// The item's level membership bit string (§2.3): at level `ℓ` it
+        /// joins the set keyed by the low `ℓ` bits.
+        bits: u64,
+    },
+    /// Delete `item`. A no-op when it is not stored.
+    Remove {
+        /// The item to delete.
+        item: I,
+    },
+}
+
+impl<I> Update<I> {
+    /// The item this update stores or deletes.
+    pub fn item(&self) -> &I {
+        match self {
+            Update::Insert { item, .. } | Update::Remove { item } => item,
+        }
+    }
+
+    /// Whether this is an [`Insert`](Update::Insert).
+    pub fn is_insert(&self) -> bool {
+        matches!(self, Update::Insert { .. })
+    }
+}
+
+/// One item a batch touches, while [`SkipWeb::stage`] resolves the batch's
+/// ops against it in order.
+struct Touched<I> {
+    item: I,
+    /// Where the item sits in the pre-batch ground order (`Ok`), or where it
+    /// would be spliced in (`Err`).
+    slot: Result<usize, usize>,
+    /// The item's bits after the ops so far; `None` while it is not stored.
+    now: Option<u64>,
 }
 
 /// Below this many stored items a full rebuild is cheaper than planning an
@@ -547,17 +597,32 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     per_level_touches,
                 };
             }
-            let candidates = set.down.row(locus.index());
-            assert!(
-                !candidates.is_empty(),
-                "hyperlinks of a subset range into its superset cannot be empty"
-            );
-            let parent_idx = self.parent_set_index(level as u32, set);
-            let parent = &self.levels[level - 1].sets[parent_idx];
-            entry = parent.structure.best_entry(candidates, q);
+            (set_idx, entry) = self.descend(level as u32, set, locus, q);
             level -= 1;
-            set_idx = parent_idx;
         }
+    }
+
+    /// The §2.3 level descent, the step between two levels of every query
+    /// and update route: from `locus` — the level locus of `q` in `set`, a
+    /// set of level `level ≥ 1` — through its down-hyperlinks into the
+    /// parent set one level down. Returns the parent's set index and the
+    /// entry range there, the hyperlink target best placed for `q`
+    /// ([`RangeDetermined::best_entry`]).
+    pub(crate) fn descend(
+        &self,
+        level: u32,
+        set: &LevelSet<D>,
+        locus: RangeId,
+        q: &D::Query,
+    ) -> (usize, RangeId) {
+        let candidates = set.down.row(locus.index());
+        assert!(
+            !candidates.is_empty(),
+            "hyperlinks of a subset range into its superset cannot be empty"
+        );
+        let parent_idx = self.parent_set_index(level, set);
+        let parent = &self.levels[(level - 1) as usize].sets[parent_idx];
+        (parent_idx, parent.structure.best_entry(candidates, q))
     }
 
     /// Index, within level `level - 1`, of the parent of the level-`level`
@@ -635,32 +700,18 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// Returns `false` (and charges only the lookup) when the item is
     /// already present.
     pub fn insert(&mut self, item: D::Item, meter: &mut MessageMeter) -> bool {
-        let origin = if self.is_empty() {
-            None
+        let origin = (!self.is_empty()).then(|| self.rng.gen_range(0..self.len()));
+        // A duplicate is rejected at its locus without consuming a bit
+        // string.
+        let bits = if self.contains_item(&item) {
+            0
         } else {
-            Some(self.rng.gen_range(0..self.len()))
+            self.rng.gen()
         };
-        if self.contains_item(&item) {
-            // Route to the duplicate's locus (the paper's step 1) so the
-            // failed insert still pays its lookup, then reject it without
-            // consuming a bit string.
-            if let Some(o) = origin {
-                let q = D::item_query(&item);
-                let _ = self.query(o, &q, meter);
-            }
-            return false;
-        }
-        let bits: u64 = self.rng.gen();
-        self.insert_with(origin, item, bits, meter)
+        self.update_with(origin, Update::Insert { item, bits }, meter)
     }
 
-    /// Deterministic insert: routes from `origin` (when given) to the
-    /// item's level-0 locus, charges the §4 repair neighbourhoods, and
-    /// installs the item at the levels selected by `bits`. This is the
-    /// entry point the distributed engine mirrors hop for hop — driving
-    /// the simulator and a [`crate::engine::DistributedSkipWeb`] with the
-    /// same `(origin, bits)` yields identical structures and message
-    /// counts. Returns `false` when the item is already present.
+    /// [`update_with`](Self::update_with) for an insert.
     ///
     /// # Panics
     ///
@@ -672,20 +723,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
         bits: u64,
         meter: &mut MessageMeter,
     ) -> bool {
-        // Route to the item's level-0 locus first (the paper's step 1).
-        if let Some(o) = origin {
-            let q = D::item_query(&item);
-            let _ = self.query(o, &q, meter);
-        }
-        if self.contains_item(&item) {
-            return false;
-        }
-        // Charge the per-level conflict neighbourhoods that the insertion
-        // rewires, bottom-up (§4): the ranges conflicting with the item's
-        // new node range at every level it joins.
-        self.meter_update_neighbourhood(&item, bits, meter);
-        self.apply_insert(item, bits);
-        true
+        self.update_with(origin, Update::Insert { item, bits }, meter)
     }
 
     /// Removes `item`, charging the symmetric §4 repair messages. Returns
@@ -694,19 +732,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
         if !self.contains_item(item) {
             return false;
         }
-        let origin = if self.len() > 1 {
-            Some(self.rng.gen_range(0..self.len()))
-        } else {
-            None
-        };
+        let origin = (self.len() > 1).then(|| self.rng.gen_range(0..self.len()));
         self.remove_with(origin, item, meter)
     }
 
-    /// Deterministic remove: routes from `origin` (when given) to the
-    /// item's locus and charges the symmetric §4 repair — the counterpart
-    /// of [`insert_with`](Self::insert_with) that the distributed engine
-    /// mirrors. Returns `false` (charging nothing) when the item was not
-    /// present.
+    /// [`update_with`](Self::update_with) for a remove.
     ///
     /// # Panics
     ///
@@ -717,74 +747,92 @@ impl<D: RangeDetermined> SkipWeb<D> {
         item: &D::Item,
         meter: &mut MessageMeter,
     ) -> bool {
-        let Some(bits) = self.bits_of(item) else {
+        self.update_with(origin, Update::Remove { item: item.clone() }, meter)
+    }
+
+    /// The deterministic update every simulator entry point runs: routes
+    /// from `origin` (when given) to the item's level-0 locus — the paper's
+    /// step 1 — charges the §4 repair of the conflict neighbourhoods the
+    /// change rewires, bottom-up, and applies it. This is what the
+    /// distributed engine mirrors hop for hop: driving the simulator and a
+    /// [`crate::engine::DistributedSkipWeb`] with the same `(origin,
+    /// update)` yields identical structures and message counts.
+    ///
+    /// Returns `false` when nothing changed: a duplicate insert pays its
+    /// lookup and stops at the locus, an absent remove is free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is out of bounds.
+    pub fn update_with(
+        &mut self,
+        origin: Option<usize>,
+        update: Update<D::Item>,
+        meter: &mut MessageMeter,
+    ) -> bool {
+        let stored = self.bits_of(update.item());
+        // The tower whose neighbourhoods the repair rewires: an insert's
+        // own, a remove's stored one — none when the update is a no-op.
+        let (routes, tower) = match update {
+            Update::Insert { bits, .. } => (true, stored.is_none().then_some(bits)),
+            Update::Remove { .. } => (stored.is_some(), stored),
+        };
+        if let Some(o) = origin.filter(|_| routes) {
+            let _ = self.query(o, &D::item_query(update.item()), meter);
+        }
+        let Some(bits) = tower else {
             return false;
         };
-        if let Some(o) = origin {
-            let q = D::item_query(item);
-            let _ = self.query(o, &q, meter);
-        }
-        self.meter_update_neighbourhood(item, bits, meter);
-        let applied = self.apply_remove_batch(std::slice::from_ref(item));
-        debug_assert!(applied[0], "the item was just located");
+        self.meter_update_neighbourhood(update.item(), bits, meter);
+        let applied = self.apply(vec![update]);
+        debug_assert!(applied[0], "the update was just checked against the ground");
         true
     }
 
-    /// Installs `item` at the levels selected by `bits` without any
-    /// metering — the structural half of an insert, applied by the
-    /// distributed engine once its repair walk has already paid the
-    /// messages. Returns `false` for duplicates.
-    pub(crate) fn apply_insert(&mut self, item: D::Item, bits: u64) -> bool {
-        self.apply_insert_batch(vec![(item, bits)])[0]
+    /// Applies a batch of updates — inserts and removes in any mix — in
+    /// **one** structural repair: the apply half of every update path, with
+    /// no metering (the distributed engine calls it once its repair walks
+    /// have paid the messages).
+    ///
+    /// The ops resolve in order, with sequential semantics: the returned
+    /// per-op flags are the ones applying the ops one at a time would give
+    /// (`false` for an insert of an item stored at that point and for a
+    /// remove of one that is not), so a batch may insert, remove and
+    /// re-insert one item, and a re-insert may carry new bits. The final
+    /// structure is identical to that of the one-at-a-time applies (the
+    /// hierarchy is fully determined by the surviving ground set and its
+    /// bit strings) and byte-identical to a from-scratch
+    /// [`apply_full`](Self::apply_full), but only the level sets the
+    /// batch's *net* change dirties are rebuilt: an item with bit string
+    /// `b` belongs at level `ℓ` to exactly the set keyed by its `ℓ`-bit
+    /// prefix, so a batch touches a bounded `(level, key)` collection and
+    /// every other set is reused verbatim.
+    pub fn apply(&mut self, ops: Vec<Update<D::Item>>) -> Vec<bool> {
+        let (applied, plan) = self.stage(ops, false);
+        if let Some(plan) = plan {
+            self.repair(plan);
+        }
+        applied
     }
 
-    /// Installs a batch of `(item, bits)` pairs in **one** structural
-    /// repair — the apply half of the engine's batched update path. The
-    /// final structure is identical to applying the pairs one at a time
-    /// (the hierarchy is fully determined by the surviving ground set and
-    /// its bit strings), and byte-identical to a from-scratch
-    /// [`apply_insert_batch_full`](Self::apply_insert_batch_full), but only
-    /// the level sets the batch dirties are rebuilt: an item with bit
-    /// string `b` belongs at level `ℓ` to exactly the set keyed by its
-    /// `ℓ`-bit prefix, so a batch touches a bounded `(level, key)`
-    /// collection and every other set is reused verbatim. Returns the
-    /// per-item applied flags in input order; duplicates — against the
-    /// stored set or earlier in the same batch — come back `false`.
+    /// [`apply`](Self::apply) through the full-rebuild path: every level
+    /// set is rebuilt from scratch. The reference oracle — the parity
+    /// proptests hold the incremental path to it byte for byte, and the
+    /// `rebuild` bench experiment measures the two against each other.
+    pub fn apply_full(&mut self, ops: Vec<Update<D::Item>>) -> Vec<bool> {
+        self.stage(ops, true).0
+    }
+
+    /// [`apply`](Self::apply) for a batch of inserts.
     pub fn apply_insert_batch(&mut self, items: Vec<(D::Item, u64)>) -> Vec<bool> {
-        let (applied, plan) = self.stage_inserts(items, false);
-        if let Some(plan) = plan {
-            self.repair(plan);
-        }
-        applied
+        let insert = |(item, bits)| Update::Insert { item, bits };
+        self.apply(items.into_iter().map(insert).collect())
     }
 
-    /// [`apply_insert_batch`](Self::apply_insert_batch) through the
-    /// original full-rebuild path: every level set is rebuilt from scratch.
-    /// Kept as the reference implementation — the parity proptests assert
-    /// the incremental path matches it byte for byte, and the `rebuild`
-    /// bench experiment measures the two against each other.
-    pub fn apply_insert_batch_full(&mut self, items: Vec<(D::Item, u64)>) -> Vec<bool> {
-        self.stage_inserts(items, true).0
-    }
-
-    /// Removes a batch of items in **one** structural repair — the
-    /// structural half of distributed removes, the counterpart of
-    /// [`apply_insert_batch`](Self::apply_insert_batch), with the same
-    /// dirty-set incrementality. Returns the per-item applied flags in
-    /// input order (`false` for absent items and repeats within the batch).
+    /// [`apply`](Self::apply) for a batch of removes.
     pub fn apply_remove_batch(&mut self, items: &[D::Item]) -> Vec<bool> {
-        let (applied, plan) = self.stage_removes(items, false);
-        if let Some(plan) = plan {
-            self.repair(plan);
-        }
-        applied
-    }
-
-    /// [`apply_remove_batch`](Self::apply_remove_batch) through the
-    /// original full-rebuild path — the reference implementation for parity
-    /// tests and the rebuild benchmark.
-    pub fn apply_remove_batch_full(&mut self, items: &[D::Item]) -> Vec<bool> {
-        self.stage_removes(items, true).0
+        let remove = |item: &D::Item| Update::Remove { item: item.clone() };
+        self.apply(items.iter().map(remove).collect())
     }
 
     /// Whether an incremental repair is impossible or not worth planning:
@@ -831,138 +879,106 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
     }
 
-    /// Insert staging: dedups the batch, splices the fresh items into the
-    /// canonical ground order (one merge pass — no whole-set `D::build`
-    /// reorder), and computes the dirty-set repair plan. Returns the
-    /// per-item applied flags, plus `None` when nothing changed or the
-    /// full-rebuild fallback already ran (`force_full`, or
-    /// [`must_rebuild_fully`](Self::must_rebuild_fully)).
-    fn stage_inserts(
+    /// The one staging pass: resolves a batch's ops in order against the
+    /// canonical ground set, merges their net change into the ground order
+    /// — fresh items spliced in, removed ones dropped, re-inserted ones
+    /// re-bitted, in a single pass with no whole-set `D::build` reorder —
+    /// and computes the dirty-set repair plan. Returns the per-op applied
+    /// flags, plus `None` when nothing changed or the full rebuild already
+    /// ran (`force_full`, or [`must_rebuild_fully`](Self::must_rebuild_fully)).
+    fn stage(
         &mut self,
-        items: Vec<(D::Item, u64)>,
+        ops: Vec<Update<D::Item>>,
         force_full: bool,
     ) -> (Vec<bool>, Option<RepairPlan>) {
-        let mut applied = Vec::with_capacity(items.len());
-        // Membership and batch-internal dedup in one pass: `fresh` is kept
-        // sorted under the canonical order, so each candidate costs one
-        // binary search against the ground set and one against the batch —
-        // replacing the old per-item `ground.contains` linear scans.
-        let mut fresh: Vec<(D::Item, u64)> = Vec::new();
-        for (item, bits) in items {
-            if self.contains_item(&item) {
-                applied.push(false);
-                continue;
-            }
-            match fresh.binary_search_by(|(f, _)| D::canonical_cmp(f, &item)) {
-                Ok(_) => applied.push(false),
-                Err(pos) => {
-                    fresh.insert(pos, (item, bits));
-                    applied.push(true);
+        let mut applied = Vec::with_capacity(ops.len());
+        // Every item the batch names, in canonical order: an op costs one
+        // binary search against the batch and — the first time its item
+        // comes up — one against the ground set.
+        let mut touched: Vec<Touched<D::Item>> = Vec::new();
+        for op in ops {
+            let (item, inserting) = match op {
+                Update::Insert { item, bits } => (item, Some(bits)),
+                Update::Remove { item } => (item, None),
+            };
+            let t = match touched.binary_search_by(|t| D::canonical_cmp(&t.item, &item)) {
+                Ok(t) => t,
+                Err(t) => {
+                    let slot = self.ground.binary_search_by(|g| D::canonical_cmp(g, &item));
+                    let now = slot.ok().map(|pos| self.item_bits[pos]);
+                    touched.insert(t, Touched { item, slot, now });
+                    t
                 }
+            };
+            // An insert applies to an absent item, a remove to a stored one.
+            let now = &mut touched[t].now;
+            let applies = inserting.is_some() == now.is_none();
+            if applies {
+                *now = inserting;
             }
+            applied.push(applies);
         }
-        if fresh.is_empty() {
-            return (applied, None);
-        }
-        let n_old = self.ground.len();
-        let n_new = n_old + fresh.len();
-        if force_full || self.must_rebuild_fully(n_old, n_new, fresh.len()) {
-            for (item, bits) in fresh {
-                self.ground.push(item);
-                self.item_bits.push(bits);
-            }
-            self.rebuild();
-            return (applied, None);
-        }
-        // Splice: merge the sorted fresh items into the (already canonical)
-        // ground order, recording the old→new index remap as a side effect.
-        let mut ground = Vec::with_capacity(n_new);
-        let mut bits_vec = Vec::with_capacity(n_new);
-        let mut remap = Vec::with_capacity(n_old);
-        let mut dirty_bits = Vec::with_capacity(fresh.len());
-        let mut fresh_iter = fresh.into_iter().peekable();
-        let old_items = std::mem::take(&mut self.ground);
-        let old_bits = std::mem::take(&mut self.item_bits);
-        for (item, bits) in old_items.into_iter().zip(old_bits) {
-            while fresh_iter
-                .peek()
-                .is_some_and(|(f, _)| D::canonical_cmp(f, &item).is_lt())
-            {
-                let (f, fb) = fresh_iter.next().expect("peeked");
-                dirty_bits.push(fb);
-                ground.push(f);
-                bits_vec.push(fb);
-            }
-            remap.push(ground.len() as u32);
-            ground.push(item);
-            bits_vec.push(bits);
-        }
-        for (f, fb) in fresh_iter {
-            dirty_bits.push(fb);
-            ground.push(f);
-            bits_vec.push(fb);
-        }
-        self.ground = ground;
-        self.item_bits = bits_vec;
-        let grew_top = self.sync_level_count();
-        let plan = self.plan_from_dirty_bits(&dirty_bits, remap, grew_top);
-        (applied, Some(plan))
-    }
-
-    /// Remove staging: resolves the batch against the canonical order,
-    /// compacts the ground set in a single pass (replacing the old
-    /// per-item `position` scans and shifting `Vec::remove`s), and computes
-    /// the dirty-set repair plan — or runs the full-rebuild fallback.
-    fn stage_removes(
-        &mut self,
-        items: &[D::Item],
-        force_full: bool,
-    ) -> (Vec<bool>, Option<RepairPlan>) {
-        let mut applied = Vec::with_capacity(items.len());
-        let n_old = self.ground.len();
-        let mut doomed = vec![false; n_old];
-        let mut changed = 0usize;
-        for item in items {
-            match self.ground.binary_search_by(|g| D::canonical_cmp(g, item)) {
-                Ok(pos) if !doomed[pos] => {
-                    doomed[pos] = true;
-                    changed += 1;
-                    applied.push(true);
-                }
-                _ => applied.push(false),
-            }
-        }
+        // The batch's net change: what the ops left different from the
+        // stored state, however many of them it took.
+        let was = |t: &Touched<D::Item>| t.slot.ok().map(|pos| self.item_bits[pos]);
+        let changed = touched.iter().filter(|t| t.now != was(t)).count();
         if changed == 0 {
             return (applied, None);
         }
-        let n_new = n_old - changed;
+        let n_old = self.ground.len();
+        let n_new = n_old + touched.iter().filter(|t| t.now.is_some()).count()
+            - touched.iter().filter(|t| t.slot.is_ok()).count();
         let full = force_full || self.must_rebuild_fully(n_old, n_new, changed);
-        // One compaction pass either way, building the old→new remap
-        // (`u32::MAX` marks the removed slots).
-        let mut remap = vec![u32::MAX; n_old];
+        // Merge: one pass over the (already canonical) ground order with
+        // the touched items riding along, recording the old→new index remap
+        // (`u32::MAX` for removed items) and the bits of every changed
+        // tower, old and new, as side effects.
+        let mut ground = Vec::with_capacity(n_new);
+        let mut bits_vec = Vec::with_capacity(n_new);
+        let mut remap = Vec::with_capacity(n_old);
         let mut dirty_bits = Vec::with_capacity(changed);
-        let mut write = 0usize;
-        for read in 0..n_old {
-            if doomed[read] {
-                dirty_bits.push(self.item_bits[read]);
-                continue;
+        let mut touched = touched.into_iter().peekable();
+        let mut old = std::mem::take(&mut self.ground)
+            .into_iter()
+            .zip(std::mem::take(&mut self.item_bits));
+        for pos in 0..=n_old {
+            // Fresh items that sort before the stored item at `pos`.
+            while let Some(t) = touched.next_if(|t| t.slot == Err(pos)) {
+                if let Some(bits) = t.now {
+                    dirty_bits.push(bits);
+                    ground.push(t.item);
+                    bits_vec.push(bits);
+                }
             }
-            if write != read {
-                self.ground.swap(write, read);
-                self.item_bits.swap(write, read);
+            let Some((item, bits)) = old.next() else {
+                break;
+            };
+            // The stored item itself: kept, kept under new bits, or dropped.
+            let now = match touched.next_if(|t| t.slot == Ok(pos)) {
+                Some(t) => t.now,
+                None => Some(bits),
+            };
+            if now != Some(bits) {
+                dirty_bits.push(bits);
+                dirty_bits.extend(now);
             }
-            remap[read] = write as u32;
-            write += 1;
+            match now {
+                Some(bits) => {
+                    remap.push(ground.len() as u32);
+                    ground.push(item);
+                    bits_vec.push(bits);
+                }
+                None => remap.push(u32::MAX),
+            }
         }
-        self.ground.truncate(write);
-        self.item_bits.truncate(write);
+        self.ground = ground;
+        self.item_bits = bits_vec;
         if full {
             self.rebuild();
             return (applied, None);
         }
         let grew_top = self.sync_level_count();
-        debug_assert!(!grew_top, "removals cannot raise the level count");
-        let plan = self.plan_from_dirty_bits(&dirty_bits, remap, false);
+        let plan = self.plan_from_dirty_bits(&dirty_bits, remap, grew_top);
         (applied, Some(plan))
     }
 
@@ -2102,38 +2118,25 @@ mod tests {
 
     #[test]
     fn batch_applies_match_sequential_applies() {
-        let mut batch = web(24, 13);
-        let mut seq = web(24, 13);
-        let inserts: Vec<(u64, u64)> = (0..6).map(|i| (5 + i * 37, i * 0x9E37 + 11)).collect();
-        // A mid-batch duplicate (value already inserted earlier in the same
-        // batch) and a stored duplicate must both come back `false`.
-        let mut with_dups = inserts.clone();
-        with_dups.push(inserts[0]);
-        with_dups.push((10, 0));
-        let flags = batch.apply_insert_batch(with_dups.clone());
-        let want: Vec<bool> = with_dups
-            .iter()
-            .map(|&(k, b)| seq.apply_insert(k, b))
+        // 24 items: below the incremental minimum, so every apply here takes
+        // the full-rebuild fallback.
+        let (mut batch, mut seq) = (web(24, 13), web(24, 13));
+        let insert = |item: u64, bits: u64| Update::Insert { item, bits };
+        let mut ops: Vec<Update<u64>> = (0..6)
+            .map(|i| insert(5 + i * 37, i * 0x9E37 + 11))
             .collect();
-        assert_eq!(flags, want);
-        assert_eq!(batch.ground(), seq.ground());
-        let removes: Vec<u64> = vec![5, 100, 99_999, 5];
-        let flags = batch.apply_remove_batch(&removes);
-        let want: Vec<bool> = removes
+        // A value inserted earlier in the batch, a stored one, and removes
+        // of a just-inserted, a stored, an absent and an already-removed
+        // value: the flags must be the one-at-a-time ones.
+        ops.extend([insert(5, 1), insert(10, 0)]);
+        ops.extend([5, 100, 99_999, 5].map(|item| Update::Remove { item }));
+        let want: Vec<bool> = ops
             .iter()
-            .map(|k| seq.apply_remove_batch(std::slice::from_ref(k))[0])
+            .map(|op| seq.apply(vec![op.clone()])[0])
             .collect();
-        assert_eq!(flags, want);
-        assert_eq!(batch.ground(), seq.ground());
-        // Identical hierarchies: same query loci everywhere.
-        for q in [0u64, 42, 151, 500] {
-            let mut m1 = MessageMeter::new();
-            let mut m2 = MessageMeter::new();
-            assert_eq!(
-                batch.query(0, &q, &mut m1).locus,
-                seq.query(0, &q, &mut m2).locus
-            );
-        }
+        assert_eq!(want[6..], [false, false, true, true, false, false]);
+        assert_eq!(batch.apply(ops), want);
+        assert!(batch == seq, "identical hierarchies");
     }
 
     #[test]

@@ -38,8 +38,9 @@ use skipweb_structures::traits::RangeId;
 
 use crate::engine::{
     BatchMsg, EngineMsg, EngineOp, EngineReply, FabricMsg, GlobalRef, ReplyBody, Routable,
-    Topology, UpdateKind, UpdateOp, UpdatePhase,
+    Topology, UpdateOp, UpdatePhase,
 };
+use crate::skipweb::Update;
 
 /// A [`Routable`] structure whose leaf types can cross process boundaries:
 /// byte-level encode/decode for requests, answers, and items. Implemented
@@ -79,12 +80,12 @@ fn encode_engine_msg<D: WireCodec>(msg: &EngineMsg<D>, buf: &mut Vec<u8>) {
         }
         EngineOp::Update(up) => {
             put_u8(buf, 1);
-            match up.kind {
-                UpdateKind::Insert { bits } => {
+            match up.update {
+                Update::Insert { bits, .. } => {
                     put_u8(buf, 0);
                     put_u64(buf, bits);
                 }
-                UpdateKind::Remove => put_u8(buf, 1),
+                Update::Remove { .. } => put_u8(buf, 1),
             }
             match &up.phase {
                 UpdatePhase::Route => put_u8(buf, 0),
@@ -98,7 +99,7 @@ fn encode_engine_msg<D: WireCodec>(msg: &EngineMsg<D>, buf: &mut Vec<u8>) {
                 }
             }
             put_u64(buf, up.op_id);
-            D::encode_item(&up.item, buf);
+            D::encode_item(up.update.item(), buf);
         }
         EngineOp::Scatter { req, ranges, of } => {
             put_u8(buf, 2);
@@ -130,11 +131,9 @@ fn decode_engine_msg<D: WireCodec>(
             req: D::decode_request(r)?,
         },
         1 => {
-            let kind = match r.read_u8()? {
-                0 => UpdateKind::Insert {
-                    bits: r.read_u64()?,
-                },
-                1 => UpdateKind::Remove,
+            let bits = match r.read_u8()? {
+                0 => Some(r.read_u64()?),
+                1 => None,
                 _ => return None,
             };
             let phase = match r.read_u8()? {
@@ -153,8 +152,10 @@ fn decode_engine_msg<D: WireCodec>(
             let op_id = r.read_u64()?;
             let item = D::decode_item(r)?;
             EngineOp::Update(UpdateOp {
-                kind,
-                item,
+                update: match bits {
+                    Some(bits) => Update::Insert { item, bits },
+                    None => Update::Remove { item },
+                },
                 phase,
                 op_id,
             })
@@ -376,14 +377,15 @@ mod tests {
             gather: seed.is_multiple_of(2),
         });
         let insert = mk(EngineOp::Update(UpdateOp {
-            kind: UpdateKind::Insert { bits: seed },
-            item: item.clone(),
+            update: Update::Insert {
+                item: item.clone(),
+                bits: seed,
+            },
             phase: UpdatePhase::Route,
             op_id: seed.wrapping_mul(3),
         }));
         let remove = mk(EngineOp::Update(UpdateOp {
-            kind: UpdateKind::Remove,
-            item,
+            update: Update::Remove { item: item.clone() },
             phase: UpdatePhase::Repair {
                 cursor: (seed % 5) as usize,
                 trail: (0..seed % 6).map(|h| HostId(h as u32)).collect(),
@@ -399,8 +401,7 @@ mod tests {
             ops: vec![
                 mk(EngineOp::Query { req, gather: false }),
                 mk(EngineOp::Update(UpdateOp {
-                    kind: UpdateKind::Insert { bits: !seed },
-                    item: insert_item_clone(&insert),
+                    update: Update::Insert { item, bits: !seed },
                     phase: UpdatePhase::Route,
                     op_id: seed,
                 })),
@@ -413,13 +414,6 @@ mod tests {
             FabricMsg::One(scatter),
             batch,
         ]
-    }
-
-    fn insert_item_clone<D: WireCodec>(msg: &EngineMsg<D>) -> D::Item {
-        match &msg.op {
-            EngineOp::Update(up) => up.item.clone(),
-            _ => unreachable!(),
-        }
     }
 
     /// All four reply bodies, with `Partial { of }` edge values and
@@ -588,6 +582,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The update layout of the module docs, byte for byte: carrying an
+    /// [`Update`] instead of a kind + item pair must not move a byte.
+    #[test]
+    fn update_envelopes_keep_their_wire_bytes() {
+        use skipweb_net::wire::{put_u16, put_u32, put_u64, put_u8};
+        let topo = topo::<SortedLinkedList>(vec![1, 2, 3]);
+        let encoded = |update| {
+            encode_fabric_msg(&FabricMsg::One(EngineMsg::<SortedLinkedList> {
+                op: EngineOp::Update(UpdateOp {
+                    update,
+                    phase: UpdatePhase::Repair {
+                        cursor: 1,
+                        trail: vec![HostId(4), HostId(6)],
+                    },
+                    op_id: 13,
+                }),
+                at: GlobalRef {
+                    level: 3,
+                    set: 5,
+                    range: 7,
+                },
+                client: ClientId(9),
+                corr: 11,
+                hops: 2,
+                topo: Arc::clone(&topo),
+            }))
+        };
+        // `kind` is the one field that differs: 0 · bits, or 1.
+        let expected = |kind: &[u8]| {
+            let mut buf = vec![0]; // FabricMsg::One
+            put_u16(&mut buf, 3);
+            put_u32(&mut buf, 5);
+            put_u32(&mut buf, 7);
+            put_u64(&mut buf, 9);
+            put_u64(&mut buf, 11);
+            put_u32(&mut buf, 2);
+            put_u8(&mut buf, 1); // op: update
+            buf.extend_from_slice(kind);
+            put_u8(&mut buf, 1); // phase: repair · cursor · trail
+            put_u64(&mut buf, 1);
+            for word in [2, 4, 6] {
+                put_u32(&mut buf, word);
+            }
+            put_u64(&mut buf, 13); // op id
+            put_u64(&mut buf, 42); // item
+            buf
+        };
+        let bits = 0xBEEF_u64;
+        let insert = [&[0u8][..], &bits.to_le_bytes()].concat();
+        assert_eq!(
+            encoded(Update::Insert { item: 42, bits }),
+            expected(&insert)
+        );
+        assert_eq!(encoded(Update::Remove { item: 42 }), expected(&[1]));
     }
 
     /// A vertical or out-of-`i32` segment on the wire must decode to

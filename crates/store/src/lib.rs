@@ -36,10 +36,8 @@
 pub mod wal;
 
 use parking_lot::Mutex;
-use skipweb_core::engine::{
-    DistributedSkipWeb, Durability, DurableKind, DurableOp, EngineClient, Timeouts,
-};
-use skipweb_core::skipweb::SkipWeb;
+use skipweb_core::engine::{DistributedSkipWeb, Durability, DurableOp, EngineClient, Timeouts};
+use skipweb_core::skipweb::{SkipWeb, Update};
 use skipweb_net::runtime::RuntimeError;
 use skipweb_net::HostId;
 use skipweb_structures::SortedLinkedList;
@@ -166,11 +164,10 @@ impl Durability<SortedLinkedList> for StoreDurability {
     fn append(&self, host: HostId, ops: &[DurableOp<'_, SortedLinkedList>]) {
         let mut b = self.backing.lock();
         for op in ops {
-            let key = *op.item;
             b.seq += 1;
             let seq = b.seq;
-            let rec = match op.kind {
-                DurableKind::Insert { bits } => {
+            let rec = match *op.update {
+                Update::Insert { item: key, bits } => {
                     // The put registered its value before submitting; a
                     // replayed log must not depend on that in-memory map,
                     // so the bytes ride in the record itself.
@@ -194,7 +191,7 @@ impl Durability<SortedLinkedList> for StoreDurability {
                         value,
                     }
                 }
-                DurableKind::Remove => {
+                Update::Remove { item: key } => {
                     if op.applied {
                         b.values.remove(&key);
                     }

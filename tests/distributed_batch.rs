@@ -1,6 +1,6 @@
 //! Batch/serial parity, property-tested: driving the same mixed churn
-//! workload through the `*_batch` entry points and the one-at-a-time paths
-//! must return byte-identical answers, identical applied flags, and
+//! workload through `query_batch` / `update_batch` and the one-at-a-time
+//! paths must return byte-identical answers, identical applied flags, and
 //! identical final structures on every deployment size — while the batch
 //! side's coalesced envelopes cross *fewer* metered host boundaries. This
 //! is the release-mode gate CI runs by name alongside the parity suite.
@@ -12,9 +12,12 @@
 use proptest::collection;
 use proptest::prelude::*;
 
-use skipwebs::core::engine::DistributedSkipWeb;
+use skipwebs::core::engine::{DistributedSkipWeb, EngineClient};
 use skipwebs::core::multidim::{QuadtreeRequest, QuadtreeSkipWeb, TrieSkipWeb};
 use skipwebs::core::onedim::OneDimSkipWeb;
+use skipwebs::core::Update;
+use skipwebs::store::StoreBuilder;
+use skipwebs::structures::SortedLinkedList;
 
 const HOST_COUNTS: [usize; 3] = [1, 4, 16];
 
@@ -126,7 +129,7 @@ proptest! {
 
     /// The satellite gate: the same randomized mixed churn workload —
     /// query rounds, insert rounds, remove rounds — through `query_batch` /
-    /// `insert_batch_with` / `remove_batch_with` versus the serial
+    /// `update_batch` versus the serial
     /// `query` / `insert_with` / `remove_with`, on {1, 4, 16} hosts:
     /// identical answers, identical applied flags, identical final ground
     /// sets, and never more metered crossings on the batch side.
@@ -167,42 +170,24 @@ proptest! {
                 let mut fresh: Vec<u64> = values.iter().map(|v| (v * 2 + 1) % 99_991).collect();
                 fresh.sort_unstable();
                 fresh.dedup();
-                let ins: Vec<(usize, u64, u64)> = fresh
+                let ins: Vec<(usize, Update<u64>)> = fresh
                     .iter()
-                    .enumerate()
-                    .map(|(i, &k)| (origin, k, bitseed.wrapping_mul(i as u64 + 1)))
+                    .zip(1u64..)
+                    .map(|(&item, i)| (origin, Update::Insert { item, bits: bitseed.wrapping_mul(i) }))
                     .collect();
-                let serial_flags: Vec<bool> = ins
-                    .iter()
-                    .map(|&(o, k, b)| {
-                        serial.insert_with(&cs, o, k, b).expect("runtime alive").applied
-                    })
-                    .collect();
-                let batch_flags: Vec<bool> = batched
-                    .insert_batch_with(&cb, ins)
-                    .expect("runtime alive")
-                    .into_iter()
-                    .map(|r| r.applied)
-                    .collect();
-                prop_assert_eq!(batch_flags, serial_flags, "insert round {}", round);
+                let want = serial_flags(&serial, &cs, &ins);
+                prop_assert_eq!(batch_flags(&batched, &cb, ins), want, "insert round {}", round);
                 prop_assert_eq!(batched.ground(), serial.ground(), "after inserts {}", round);
 
                 // Remove round: the freshly inserted keys plus one absent
                 // probe — applied flags and final state must agree.
-                let mut rem: Vec<(usize, u64)> =
-                    fresh.iter().map(|&k| (origin, k)).collect();
-                rem.push((origin, 999_999));
-                let serial_flags: Vec<bool> = rem
+                let rem: Vec<(usize, Update<u64>)> = fresh
                     .iter()
-                    .map(|&(o, k)| serial.remove_with(&cs, o, k).expect("runtime alive").applied)
+                    .chain([&999_999])
+                    .map(|&item| (origin, Update::Remove { item }))
                     .collect();
-                let batch_flags: Vec<bool> = batched
-                    .remove_batch_with(&cb, rem)
-                    .expect("runtime alive")
-                    .into_iter()
-                    .map(|r| r.applied)
-                    .collect();
-                prop_assert_eq!(batch_flags, serial_flags, "remove round {}", round);
+                let want = serial_flags(&serial, &cs, &rem);
+                prop_assert_eq!(batch_flags(&batched, &cb, rem), want, "remove round {}", round);
                 prop_assert_eq!(batched.ground(), serial.ground(), "after removes {}", round);
             }
             // Coalescing can only remove crossings, never add them.
@@ -216,5 +201,115 @@ proptest! {
             serial.shutdown();
             batched.shutdown();
         }
+    }
+}
+
+type Fabric = DistributedSkipWeb<SortedLinkedList>;
+type Client = EngineClient<SortedLinkedList>;
+
+/// The applied flags of `ops` run one at a time through the serial entry
+/// points.
+fn serial_flags(fabric: &Fabric, client: &Client, ops: &[(usize, Update<u64>)]) -> Vec<bool> {
+    let run = |&(origin, ref update): &(usize, Update<u64>)| match *update {
+        Update::Insert { item, bits } => fabric.insert_with(client, origin, item, bits),
+        Update::Remove { item } => fabric.remove_with(client, origin, item),
+    };
+    ops.iter()
+        .map(|op| run(op).expect("runtime alive").applied)
+        .collect()
+}
+
+/// The applied flags of `ops` run as one `update_batch`.
+fn batch_flags(fabric: &Fabric, client: &Client, ops: Vec<(usize, Update<u64>)>) -> Vec<bool> {
+    let replies = fabric.update_batch(client, ops).expect("runtime alive");
+    replies.into_iter().map(|r| r.applied).collect()
+}
+
+/// One `update_batch` may mix inserts and removes: it must leave the flags
+/// and the ground set of the serial `insert_with` / `remove_with` calls,
+/// and a store that logged the batched history must recover the same web —
+/// same items, same towers.
+///
+/// Ops on distinct items commute, so those rounds run on every host count.
+/// Ops on one item resolve in the order they reach the apply step, which is
+/// submission order when they travel together: the same-item round runs on
+/// one host, where the whole batch is one envelope and one apply turn. (It
+/// leaves out the one sequence a batch resolves differently from serial
+/// calls: every op is planned under the batch's one snapshot, so an insert
+/// of an item stored under it stops at the locus as a duplicate even when
+/// the batch removed the item first.)
+#[test]
+fn mixed_update_batch_matches_serial_calls_and_recovers_the_same_web() {
+    let insert = |origin: usize, item: u64, salt: u64| {
+        let bits = (item ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (origin, Update::Insert { item, bits })
+    };
+    let remove = |origin: usize, item: u64| (origin, Update::Remove { item });
+    for hosts in [1usize, 4] {
+        let scratch = format!("skipweb-batch-{}-mixed-{hosts}", std::process::id());
+        let dir = std::env::temp_dir().join(scratch);
+        let store = StoreBuilder::new(&dir)
+            .hosts(hosts)
+            .checkpoint_every(0)
+            .open()
+            .expect("open store");
+        let empty = OneDimSkipWeb::builder(Vec::new()).build();
+        let serial = DistributedSkipWeb::builder(empty.inner())
+            .capacity(hosts)
+            .spawn();
+        let batched = store.fabric();
+
+        // Populate: 40 distinct keys (origins are ignored while empty).
+        let mut rounds: Vec<Vec<(usize, Update<u64>)>> =
+            vec![(0..40u64).map(|i| insert(0, i * 10, 1)).collect()];
+        // Mixed, distinct items: removes of stored keys interleaved with
+        // fresh inserts, an absent remove and a duplicate insert.
+        rounds.push(
+            (0..12u64)
+                .flat_map(|i| {
+                    let origin = (i as usize * 7) % 40;
+                    [remove(origin, i * 30), insert(origin, i * 30 + 5, 2)]
+                })
+                .chain([remove(3, 9_999), insert(4, 370, 3)])
+                .collect(),
+        );
+        if hosts == 1 {
+            rounds.push(vec![
+                // Absent key: insert → remove → insert under other bits.
+                insert(1, 777, 4),
+                remove(2, 777),
+                insert(3, 777, 5),
+                // Inserted twice: the second — other bits — is a no-op.
+                insert(4, 888, 6),
+                insert(5, 888, 7),
+                // Removed twice: the second is a no-op.
+                remove(6, 390),
+                remove(7, 390),
+                // Inserted and removed again: no net change.
+                insert(8, 999, 8),
+                remove(9, 999),
+            ]);
+        }
+        let client = serial.client();
+        for (round, ops) in rounds.into_iter().enumerate() {
+            let want = serial_flags(&serial, &client, &ops);
+            let got = batch_flags(batched, store.client(), ops);
+            assert_eq!(got, want, "hosts={hosts} round {round}");
+            assert_eq!(
+                batched.ground_with_bits(),
+                serial.ground_with_bits(),
+                "hosts={hosts} round {round}"
+            );
+        }
+
+        // Crash everything; the log alone must bring the same web back.
+        for host in batched.health().alive {
+            batched.kill_host(host);
+        }
+        store.recover().expect("recover");
+        assert_eq!(batched.ground_with_bits(), serial.ground_with_bits());
+        serial.shutdown();
+        store.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,18 +6,19 @@
 //!
 //! Queries are checked per batch; dynamic updates are checked under
 //! randomized interleavings of inserts, removes, and queries: driving
-//! `SkipWeb::insert_with` / `remove_with` and the engine with the same
-//! `(origin, bits)` must keep answers *and* per-operation hop counts
-//! identical throughout the churn.
+//! `SkipWeb::update_with` and the engine with the same `(origin, update)`
+//! must keep answers *and* per-operation hop counts identical throughout
+//! the churn.
 
 use proptest::collection;
 use proptest::prelude::*;
 
-use skipwebs::core::engine::DistributedSkipWeb;
+use skipwebs::core::engine::{DistributedSkipWeb, EngineClient, Routable};
 use skipwebs::core::multidim::{
     QuadtreeAnswer, QuadtreeRequest, QuadtreeSkipWeb, TrapezoidSkipWeb, TrieSkipWeb,
 };
 use skipwebs::core::onedim::OneDimSkipWeb;
+use skipwebs::core::{SkipWeb, Update};
 use skipwebs::net::MessageMeter;
 use skipwebs::structures::{PointKey, Segment};
 
@@ -28,6 +29,28 @@ fn slot_segment(slot: u32) -> Segment {
     let x = i64::from(slot) * 1_000;
     let y = i64::from(slot % 13) * 40;
     Segment::new((x, y), (x + 600, y + 3))
+}
+
+/// Drives one update from the same origin through the simulator and the
+/// live engine, asserts they agree on whether it applied, and returns what
+/// each paid: the engine's remote hops and the simulator's metered
+/// messages.
+fn update_both<D: Routable + Send + Sync + 'static>(
+    sim: &mut SkipWeb<D>,
+    dist: &DistributedSkipWeb<D>,
+    client: &EngineClient<D>,
+    origin: usize,
+    update: &Update<D::Item>,
+) -> (u64, u64) {
+    // The simulator only routes a remove's lookup for >1 stored items.
+    let sim_origin = (update.is_insert() || sim.len() > 1).then_some(origin);
+    let mut meter = MessageMeter::new();
+    let sim_applied = sim.update_with(sim_origin, update.clone(), &mut meter);
+    let reply = dist
+        .update_batch(client, vec![(origin, update.clone())])
+        .expect("runtime alive")[0];
+    assert_eq!(reply.applied, sim_applied, "{update:?}");
+    (u64::from(reply.hops), meter.messages())
 }
 
 proptest! {
@@ -102,8 +125,8 @@ proptest! {
         for (i, &(value, bits, action)) in ops.iter().enumerate() {
             let origin = (i * 13 + 7) % web.len();
             // Keep at least two keys so removals never empty the web.
-            let action = if web.len() <= 2 { 0 } else { action % 3 };
-            match action {
+            let kind = if web.len() <= 2 { 0 } else { action % 3 };
+            match kind {
                 0 => {
                     // Query: answer and hop parity mid-churn.
                     let sim = web.nearest(origin, value);
@@ -111,38 +134,18 @@ proptest! {
                     prop_assert_eq!(reply.answer, Some(sim.answer.nearest), "q={}", value);
                     prop_assert_eq!(u64::from(reply.hops), sim.messages, "query hops q={}", value);
                 }
-                1 => {
-                    // Insert with a shared (origin, bits) pair.
-                    let mut meter = MessageMeter::new();
-                    let sim_applied =
-                        web.inner_mut().insert_with(Some(origin), value, bits, &mut meter);
-                    let reply = dist
-                        .insert_with(&client, origin, value, bits)
-                        .expect("runtime alive");
-                    prop_assert_eq!(reply.applied, sim_applied, "insert {}", value);
-                    prop_assert_eq!(
-                        u64::from(reply.hops), meter.messages(), "insert hops {}", value
-                    );
-                }
                 _ => {
-                    // Remove: target a present key half the time.
-                    let target = if action % 2 == 0 {
-                        web.keys()[value as usize % web.len()]
-                    } else {
-                        value
+                    // Insert with a shared (origin, bits) pair, or remove —
+                    // a present key half the time, else (likely) an absent one.
+                    let update = match (kind, action % 2) {
+                        (1, _) => Update::Insert { item: value, bits },
+                        (_, 0) => Update::Remove {
+                            item: web.keys()[value as usize % web.len()],
+                        },
+                        _ => Update::Remove { item: value },
                     };
-                    // The simulator only routes a lookup for >1 stored items.
-                    let sim_origin = (web.len() > 1).then_some(origin);
-                    let mut meter = MessageMeter::new();
-                    let sim_applied =
-                        web.inner_mut().remove_with(sim_origin, &target, &mut meter);
-                    let reply = dist
-                        .remove_with(&client, origin, target)
-                        .expect("runtime alive");
-                    prop_assert_eq!(reply.applied, sim_applied, "remove {}", target);
-                    prop_assert_eq!(
-                        u64::from(reply.hops), meter.messages(), "remove hops {}", target
-                    );
+                    let (hops, sim) = update_both(web.inner_mut(), &dist, &client, origin, &update);
+                    prop_assert_eq!(hops, sim, "hops of {:?}", update);
                 }
             }
             prop_assert!(!web.is_empty(), "churn never empties the web here");
@@ -176,8 +179,8 @@ proptest! {
             let origin = (i * 11 + 3) % web.len();
             let p = PointKey::new([value as u32, (value >> 32) as u32]);
             // Keep at least two points so removals never empty the web.
-            let action = if web.len() <= 2 { 0 } else { action % 3 };
-            match action {
+            let kind = if web.len() <= 2 { 0 } else { action % 3 };
+            match kind {
                 0 => {
                     let sim = web.locate_point(origin, p);
                     let reply = dist
@@ -193,35 +196,16 @@ proptest! {
                     );
                     prop_assert_eq!(u64::from(reply.hops), sim.messages, "hops {:?}", p);
                 }
-                1 => {
-                    let mut meter = MessageMeter::new();
-                    let sim_applied =
-                        web.inner_mut().insert_with(Some(origin), p, bits, &mut meter);
-                    let reply = dist
-                        .insert_with(&client, origin, p, bits)
-                        .expect("runtime alive");
-                    prop_assert_eq!(reply.applied, sim_applied, "insert {:?}", p);
-                    prop_assert_eq!(
-                        u64::from(reply.hops), meter.messages(), "insert hops {:?}", p
-                    );
-                }
                 _ => {
-                    let target = if action % 2 == 0 {
-                        web.points()[value as usize % web.len()]
-                    } else {
-                        p
+                    let update = match (kind, action % 2) {
+                        (1, _) => Update::Insert { item: p, bits },
+                        (_, 0) => Update::Remove {
+                            item: web.points()[value as usize % web.len()],
+                        },
+                        _ => Update::Remove { item: p },
                     };
-                    let sim_origin = (web.len() > 1).then_some(origin);
-                    let mut meter = MessageMeter::new();
-                    let sim_applied =
-                        web.inner_mut().remove_with(sim_origin, &target, &mut meter);
-                    let reply = dist
-                        .remove_with(&client, origin, target)
-                        .expect("runtime alive");
-                    prop_assert_eq!(reply.applied, sim_applied, "remove {:?}", target);
-                    prop_assert_eq!(
-                        u64::from(reply.hops), meter.messages(), "remove hops {:?}", target
-                    );
+                    let (hops, sim) = update_both(web.inner_mut(), &dist, &client, origin, &update);
+                    prop_assert_eq!(hops, sim, "hops of {:?}", update);
                 }
             }
             prop_assert!(!web.is_empty(), "churn never empties the web here");
@@ -248,8 +232,8 @@ proptest! {
             let origin = (i * 17 + 5) % web.len();
             let s = format!("{:04}-suffix", value % 10_000);
             // Keep at least two strings so removals never empty the web.
-            let action = if web.len() <= 2 { 0 } else { action % 3 };
-            match action {
+            let kind = if web.len() <= 2 { 0 } else { action % 3 };
+            match kind {
                 0 => {
                     let prefix = format!("{:04}", value % 10_000);
                     let sim = web.prefix_search(origin, &prefix);
@@ -262,36 +246,16 @@ proptest! {
                         u64::from(reply.hops), sim.messages, "query hops {:?}", &prefix
                     );
                 }
-                1 => {
-                    let mut meter = MessageMeter::new();
-                    let sim_applied = web
-                        .inner_mut()
-                        .insert_with(Some(origin), s.clone(), bits, &mut meter);
-                    let reply = dist
-                        .insert_with(&client, origin, s.clone(), bits)
-                        .expect("runtime alive");
-                    prop_assert_eq!(reply.applied, sim_applied, "insert {:?}", &s);
-                    prop_assert_eq!(
-                        u64::from(reply.hops), meter.messages(), "insert hops {:?}", &s
-                    );
-                }
                 _ => {
-                    let target = if action % 2 == 0 {
-                        web.strings()[value as usize % web.len()].clone()
-                    } else {
-                        s
+                    let update = match (kind, action % 2) {
+                        (1, _) => Update::Insert { item: s, bits },
+                        (_, 0) => Update::Remove {
+                            item: web.strings()[value as usize % web.len()].clone(),
+                        },
+                        _ => Update::Remove { item: s },
                     };
-                    let sim_origin = (web.len() > 1).then_some(origin);
-                    let mut meter = MessageMeter::new();
-                    let sim_applied =
-                        web.inner_mut().remove_with(sim_origin, &target, &mut meter);
-                    let reply = dist
-                        .remove_with(&client, origin, target.clone())
-                        .expect("runtime alive");
-                    prop_assert_eq!(reply.applied, sim_applied, "remove {:?}", &target);
-                    prop_assert_eq!(
-                        u64::from(reply.hops), meter.messages(), "remove hops {:?}", &target
-                    );
+                    let (hops, sim) = update_both(web.inner_mut(), &dist, &client, origin, &update);
+                    prop_assert_eq!(hops, sim, "hops of {:?}", update);
                 }
             }
             prop_assert!(!web.is_empty(), "churn never empties the web here");
@@ -315,8 +279,8 @@ proptest! {
             let origin = (i * 7 + 3) % web.len();
             let seg = slot_segment(slot);
             // Keep at least two segments so removals never empty the web.
-            let action = if web.len() <= 2 { 0 } else { action % 3 };
-            match action {
+            let kind = if web.len() <= 2 { 0 } else { action % 3 };
+            match kind {
                 0 => {
                     // Query: exact answer parity; trapezoid step walks may
                     // reroute on BFS tie-breaks, so hops get a budget
@@ -333,40 +297,18 @@ proptest! {
                         "hops {} vs sim {} for {:?}", reply.hops, sim.messages, q
                     );
                 }
-                1 => {
-                    // Insert with a shared (origin, bits) pair. Slots are in
-                    // general position by construction, so the simulator
-                    // (which has no admission gate) never panics.
-                    let mut meter = MessageMeter::new();
-                    let sim_applied =
-                        web.inner_mut().insert_with(Some(origin), seg, bits, &mut meter);
-                    let reply = dist
-                        .insert_with(&client, origin, seg, bits)
-                        .expect("runtime alive");
-                    prop_assert_eq!(reply.applied, sim_applied, "insert {:?}", seg);
-                    prop_assert!(
-                        u64::from(reply.hops) <= 4 * meter.messages() + 16,
-                        "insert hops {} vs sim {}", reply.hops, meter.messages()
-                    );
-                }
                 _ => {
-                    let target = if action % 2 == 0 {
-                        web.segments()[slot as usize % web.len()]
-                    } else {
-                        seg
+                    // Slots are in general position by construction, so the
+                    // simulator (which has no admission gate) never panics.
+                    let update = match (kind, action % 2) {
+                        (1, _) => Update::Insert { item: seg, bits },
+                        (_, 0) => Update::Remove {
+                            item: web.segments()[slot as usize % web.len()],
+                        },
+                        _ => Update::Remove { item: seg },
                     };
-                    let sim_origin = (web.len() > 1).then_some(origin);
-                    let mut meter = MessageMeter::new();
-                    let sim_applied =
-                        web.inner_mut().remove_with(sim_origin, &target, &mut meter);
-                    let reply = dist
-                        .remove_with(&client, origin, target)
-                        .expect("runtime alive");
-                    prop_assert_eq!(reply.applied, sim_applied, "remove {:?}", target);
-                    prop_assert!(
-                        u64::from(reply.hops) <= 4 * meter.messages() + 16,
-                        "remove hops {} vs sim {}", reply.hops, meter.messages()
-                    );
+                    let (hops, sim) = update_both(web.inner_mut(), &dist, &client, origin, &update);
+                    prop_assert!(hops <= 4 * sim + 16, "{:?}: hops {} vs sim {}", update, hops, sim);
                 }
             }
             prop_assert!(!web.is_empty(), "churn never empties the web here");
