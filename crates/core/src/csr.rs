@@ -1,11 +1,12 @@
 //! A flat table of variable-length rows: one offset array, one data array.
 //!
-//! The per-range tables of a level set — its `down` hyperlinks and, under
-//! bucketed placement, its host lists — are read row by row and replaced
-//! wholesale, never edited in place. Stored as offset + data they cost two
-//! heap blocks per set however many ranges it has, sit behind one `Arc` that
-//! a clone of the web bumps instead of copying, and put a row's entries next
-//! to its neighbours' instead of behind a `Vec` header each.
+//! The one per-range table a level set stores — its host lists, under
+//! bucketed placement; hyperlinks are derived, not tabulated — is read row
+//! by row and replaced wholesale, never edited in place. Stored as offset +
+//! data it costs two heap blocks per set however many ranges it has, sits
+//! behind one `Arc` that a clone of the web bumps instead of copying, and
+//! puts a row's entries next to its neighbours' instead of behind a `Vec`
+//! header each.
 
 /// Row `i` is `data[offsets[i]..offsets[i + 1]]`; `offsets` has one entry
 /// more than there are rows and never decreases.
@@ -38,14 +39,6 @@ impl<T> Csr<T> {
         Csr {
             offsets: offsets.into(),
             data: data.into(),
-        }
-    }
-
-    /// A table of `rows` empty rows.
-    pub(crate) fn empty(rows: usize) -> Self {
-        Csr {
-            offsets: vec![0; rows + 1].into(),
-            data: Box::default(),
         }
     }
 
@@ -85,15 +78,5 @@ mod tests {
             assert_eq!(csr.row(i), *want);
         }
         assert!(csr.is_well_formed());
-    }
-
-    #[test]
-    fn empty_tables_have_empty_rows() {
-        let csr = Csr::<u32>::empty(3);
-        assert_eq!(csr.rows(), 3);
-        assert!((0..3).all(|i| csr.row(i).is_empty()));
-        assert!(csr.is_well_formed());
-        assert_eq!(csr, Csr::build(3, |_, _| {}));
-        assert_eq!(Csr::<u32>::empty(0).rows(), 0);
     }
 }

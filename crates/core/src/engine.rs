@@ -9,9 +9,13 @@
 //! * **Addressing (§2.3).** Every range of every level set gets a
 //!   [`GlobalRef`] — `(level, set, range)` — and the placement computed by
 //!   the builder assigns each ref one or more hosts. The pair
-//!   `(host, GlobalRef)` is exactly the paper's *(host, address)* pointer:
-//!   list neighbours, down-hyperlinks, and query origins are all stored in
-//!   this form.
+//!   `(host, GlobalRef)` is exactly the paper's *(host, address)* pointer,
+//!   the form list neighbours, hyperlinks and query origins all take. None
+//!   of them is a stored table: neighbours come from the structure, origins
+//!   from the level's member arrays, and a range's hyperlinks — its
+//!   conflict list in the parent set — are computed by the host that
+//!   descends through them (`SkipWeb::hyperlinks`), which
+//!   range-determinism (§2.1) makes the same list everywhere.
 //! * **Sharding (§2.4).** A host's shard is the set of ranges placed on it
 //!   (owner-hosted: each item's tower; bucketed: a block plus its non-basic
 //!   cone). A host may only *act* on ranges of its own shard; touching any
@@ -23,7 +27,7 @@
 //! * **Forwarding (§2.5).** A query enters at its origin item's root and
 //!   descends level by level. At each range the host asks the structure for
 //!   one navigation step ([`RangeDetermined::search_step`]); at a level
-//!   locus it follows the down-hyperlinks (picking the continuation with
+//!   locus it follows the hyperlinks (picking the continuation with
 //!   [`RangeDetermined::best_entry`]). The host loops — *"processes the
 //!   query as far as it can internally"* — while the next range is in its
 //!   own shard, and otherwise sends one message handing the query to a host
@@ -46,8 +50,8 @@
 //! `Arc<SkipWeb>`, which a [`GlobalRef`] indexes directly) plus the
 //! logical→physical host fold in effect — the engine keeps no second copy
 //! of the hierarchy. A publish shares the authoritative web's `Arc`; the
-//! next apply clones it on write, sharing the structure and hyperlinks of
-//! every level set its repair leaves alone; a membership change swaps only
+//! next apply clones it on write, sharing the structure of every level set
+//! its repair leaves alone; a membership change swaps only
 //! the fold. A query therefore *never observes a half-applied
 //! update*: it sees either the structure entirely before or entirely after
 //! each update — operations serialize at their snapshot-capture and
@@ -578,9 +582,9 @@ impl UpdateReply {
 /// under, so old snapshots are reclaimed when their last message drains.
 ///
 /// A publish never copies the web: the snapshot shares the engine state's
-/// `Arc`, and the *next* apply clones-on-write, sharing every level set's
-/// structure and hyperlinks that its repair leaves alone. A membership-only
-/// publish swaps `ctl` over the same web.
+/// `Arc`, and the *next* apply clones-on-write, sharing the structure of
+/// every level set its repair leaves alone. A membership-only publish swaps
+/// `ctl` over the same web.
 #[derive(Debug)]
 pub(crate) struct Topology<D: RangeDetermined> {
     pub(crate) web: Arc<SkipWeb<D>>,
@@ -707,6 +711,8 @@ fn route_step<D: Routable + Send + Sync + 'static>(
     q: &D::Query,
     membership: &Membership,
 ) -> RouteOutcome {
+    // The walk's one hyperlink buffer: a level descent allocates nothing.
+    let mut links = Vec::new();
     loop {
         let set = topo.set(at);
         let next = match set.structure.search_step(RangeId(at.range), q) {
@@ -718,11 +724,12 @@ fn route_step<D: Routable + Send + Sync + 'static>(
             },
             // Level locus reached: done at the ground level …
             None if at.level == 0 => return RouteOutcome::AtLocus(at),
-            // … or descend through the down-hyperlinks (§2.3).
+            // … or descend through the hyperlinks (§2.3).
             None => {
+                let locus = RangeId(at.range);
                 let (parent, entry) =
                     topo.web
-                        .descend(u32::from(at.level), set, RangeId(at.range), q);
+                        .descend(u32::from(at.level), set, locus, q, &mut links);
                 GlobalRef {
                     level: at.level - 1,
                     set: parent as u32,
@@ -787,7 +794,7 @@ struct EngineState<D: Routable + Send + Sync + 'static> {
     /// The same `Arc` the current snapshot holds. An apply mutates it
     /// clone-on-write (`Arc::make_mut`) under the state lock: in-flight
     /// operations keep the previous web, and the copy shares every level
-    /// set's structure and hyperlinks the repair does not replace.
+    /// set's structure the repair does not replace.
     web: Arc<SkipWeb<D>>,
     /// Draws origins and level bits for the convenience
     /// [`DistributedSkipWeb::insert`] / [`DistributedSkipWeb::remove`]
@@ -1304,16 +1311,18 @@ impl<D: Routable + Send + Sync + 'static> Actor for EngineActor<D> {
                 }
             }
         }
-        if !turn.applies.is_empty() {
-            let applies = std::mem::take(&mut turn.applies);
-            self.apply_turn(applies, ctx, &turn.membership);
-        }
+        // Forwards leave first: an op that only passes through this host
+        // must not wait out the apply of an update it shared an envelope
+        // with.
         for ((class, host), msgs) in turn.forwards {
             let ops = msgs.len() as u32;
             match envelope(msgs) {
                 one @ FabricMsg::One(_) => ctx.send_class(host, one, class),
                 batch => ctx.send_multi(host, batch, class, ops),
             }
+        }
+        if !turn.applies.is_empty() {
+            self.apply_turn(turn.applies, ctx, &turn.membership);
         }
     }
 }
@@ -1780,8 +1789,7 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
     }
 
     /// Engine state and first snapshot start as the same `Arc`: one clone
-    /// of the caller's web, sharing its level sets' structures and
-    /// hyperlinks.
+    /// of the caller's web, sharing its level sets' structures.
     fn build_shared(&self, web: SkipWeb<D>, capacity: usize) -> Arc<Shared<D>> {
         assert!(capacity > 0, "a network needs at least one host");
         let placement = PlacementCtl::new(capacity);
@@ -3228,13 +3236,13 @@ mod tests {
         dist.shutdown();
     }
 
-    /// The sharing contract of one publish: every set of `new` that the
-    /// repair for an update with tower `bits` (`None`: no update) neither
-    /// rebuilt nor re-linked is the very allocation `old` holds — structure
-    /// and hyperlink table both. A bucketed web's host tables are shared
-    /// across a copy that repairs nothing; a repair renumbers the blocks of
-    /// the whole web, so it replaces them all. Returns how many structures
-    /// were shared and how many rebuilt.
+    /// The sharing contract of one publish: the structure of every set of
+    /// `new` that the repair for an update with tower `bits` (`None`: no
+    /// update) did not rebuild is the very allocation `old` holds. A
+    /// bucketed web's host tables are shared across a copy that repairs
+    /// nothing; a repair renumbers the blocks of the whole web, so it
+    /// replaces them all. Returns how many structures were shared and how
+    /// many rebuilt.
     fn assert_untouched_sets_are_shared<D: Routable>(
         old: &SkipWeb<D>,
         new: &SkipWeb<D>,
@@ -3247,7 +3255,6 @@ mod tests {
                 continue; // a freshly grown top level has no predecessor
             };
             let dirty = bits.map(|b| set_key(b, level));
-            let relinked = bits.filter(|_| level > 0).map(|b| set_key(b, level - 1));
             for set in &tables.sets {
                 let Some(i) = old_tables.set_index(set.key) else {
                     continue;
@@ -3264,14 +3271,6 @@ mod tests {
                     set.key
                 );
                 shared += 1;
-                // Re-linked: the children of the rebuilt set one level down.
-                if relinked.is_none() || Some(set_key(set.key, level - 1)) != relinked {
-                    assert!(
-                        Arc::ptr_eq(&set.down, &was.down),
-                        "L{level} set {:#x}: hyperlinks copied",
-                        set.key
-                    );
-                }
                 match (&set.hosted, &was.hosted) {
                     (None, None) => {}
                     (Some(now), Some(then)) => assert_eq!(
@@ -3855,6 +3854,99 @@ mod tests {
         assert_eq!(dist.len(), 33);
         assert_eq!(dist.health().topology_version, topo.version + 1);
         assert_eq!(dist.applied_ledger(), [((client.id(), 900), true)]);
+        dist.shutdown();
+    }
+
+    #[test]
+    fn a_turns_forwards_leave_before_its_apply_takes_the_state_lock() {
+        let keys: Vec<u64> = (0..64).map(|i| i * 4).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(52).build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(2)
+            .spawn();
+        let client = dist.client();
+        let topo = dist.shared.current_topo();
+        let membership = dist.membership();
+        let (me, other) = (HostId(0), HostId(1));
+        // A query that enters at `me`, must forward, and is answered by the
+        // other host without coming back.
+        let leaves_for_good = |&(origin, q): &(usize, u64)| {
+            let (at, copies) = topo.origin(origin);
+            let enters_here = pick_alive(copies, &topo.ctl, me, |_| true) == Some(me);
+            let RouteOutcome::Forward { next, host } = route_step(&topo, me, at, &q, &membership)
+            else {
+                return false;
+            };
+            let ends_there = matches!(
+                route_step(&topo, host, next, &q, &membership),
+                RouteOutcome::AtLocus(_)
+            );
+            enters_here && host == other && ends_there
+        };
+        let (origin, q) = (0..64usize)
+            .flat_map(|origin| (0..64u64).map(move |i| (origin, i * 4 + 1)))
+            .find(leaves_for_good)
+            .expect("some query crosses from host 0 to host 1 once");
+        let want = dist.query(&client, origin, q).unwrap().answer;
+        let msg = |op, corr| EngineMsg {
+            op,
+            at: topo.origin(origin).0,
+            client: client.id(),
+            corr,
+            hops: 0,
+            topo: Arc::clone(&topo),
+        };
+        // One envelope: that query, and an update whose repair trail ends on
+        // `me`, so this turn applies it.
+        let (read, write) = (client.alloc_corr(), client.alloc_corr());
+        let ops = vec![
+            msg(
+                EngineOp::Query {
+                    req: q,
+                    gather: false,
+                },
+                read,
+            ),
+            msg(
+                EngineOp::Update(UpdateOp {
+                    update: Update::Insert {
+                        item: 333,
+                        bits: 0xBEEF,
+                    },
+                    phase: UpdatePhase::Repair {
+                        cursor: 0,
+                        trail: vec![me],
+                    },
+                    op_id: write,
+                }),
+                write,
+            ),
+        ];
+        // The apply blocks on the state lock for as long as this thread
+        // holds it; the query's answer must arrive meanwhile.
+        let st = dist.shared.state.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let client = &client;
+            scope.spawn(move || {
+                client
+                    .inner
+                    .send(me, FabricMsg::Batch(BatchMsg { ops }))
+                    .unwrap();
+                tx.send(client.recv_corr(read, Duration::from_secs(5)))
+                    .unwrap();
+            });
+            // Release the lock before judging, so a failure cannot hang.
+            let answered = rx.recv_timeout(Duration::from_secs(10));
+            drop(st);
+            let reply = answered
+                .expect("the helper reports")
+                .expect("the query waited out the apply");
+            assert_eq!(reply.try_into_answer().unwrap(), want);
+        });
+        let applied = client.recv_corr(write, Duration::from_secs(10)).unwrap();
+        assert_eq!(applied.try_applied(), Ok(true));
+        assert!(dist.ground().contains(&333));
         dist.shutdown();
     }
 

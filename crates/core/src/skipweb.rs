@@ -12,17 +12,23 @@
 //!   `LevelSet` keeps its `(start, len)`), with `set_of_item` as the one
 //!   inverse the read path needs. The sets are key-sorted, so a set is found
 //!   by key with a binary search;
-//! * a set's `down` hyperlinks — and, under bucketed placement, its per-range
-//!   host lists — are offset + data tables (`Csr`) behind an `Arc`;
-//! * owner-hosted placement is not stored: a range lives on its owner item's
-//!   host (§2.4), which `SkipWeb::copies` reads off the set's members.
+//! * hyperlinks are not stored: a range's links into the parent set are its
+//!   conflict list `C(Q, S_b')` there (§2.3), a pure function of the two
+//!   structures (§2.1), which `SkipWeb::hyperlinks` computes where a route,
+//!   the accounting or the bucketed placement reads it. An update therefore
+//!   has no link stage: rebuilding a set re-links nothing, neither the set
+//!   nor the children whose links index the rebuilt structure's ids;
+//! * owner-hosted placement is not stored either: a range lives on its owner
+//!   item's host (§2.4), which `SkipWeb::copies` reads off the set's members.
+//!   Bucketed placement keeps one offset + data table (`Csr`) of hosts per
+//!   set, behind an `Arc`.
 //!
 //! A clone of the web — the copy-on-write an engine apply forces while a
 //! published snapshot still holds the previous web — therefore copies three
 //! arrays per level (`sets`, `members`, `set_of_item`) and three per web
 //! (`ground`, `item_bits`, `host_of_item`), and bumps a reference count for
-//! every structure and table; dropping the previous web frees those arrays
-//! plus whatever the repair replaced.
+//! every structure (and host table); dropping the previous web frees those
+//! arrays plus whatever the repair replaced.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -38,10 +44,11 @@ use crate::csr::Csr;
 use crate::levels::{draw_bits, group_by_key, level_count, parent_key, set_key};
 use crate::placement::{Blocking, Replication};
 
-/// One level-`ℓ` set `S_b` with its structure `D(S_b)`, hyperlinks, and —
-/// when it is not derived — host placement. The structure and both tables
-/// sit behind `Arc`s: a clone of the web shares them with every set the
-/// repair neither rebuilt nor re-linked.
+/// One level-`ℓ` set `S_b` with its structure `D(S_b)` and — when it is not
+/// derived — host placement. Its hyperlinks into the parent set are derived
+/// ([`SkipWeb::hyperlinks`]). The structure and the host table sit behind
+/// `Arc`s: a clone of the web shares them with every set the repair did not
+/// rebuild.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LevelSet<D: RangeDetermined> {
     /// The `ℓ`-bit key `b` of this set.
@@ -53,9 +60,6 @@ pub(crate) struct LevelSet<D: RangeDetermined> {
     /// How many members it has. Structure item `i` is ground item
     /// `members[start + i]`.
     pub len: u32,
-    /// Per range: hyperlinks to the conflicting ranges `C(Q, S_{b'})` in the
-    /// parent set one level down (§2.3). Every row is empty at level 0.
-    pub down: Arc<Csr<RangeId>>,
     /// Per range: the hosts storing a copy of it, under bucketed placement —
     /// which replicates non-basic ranges onto every block host whose cone
     /// they belong to (§2.4.1 notes that "copies of some of these ranges may
@@ -102,13 +106,11 @@ impl<D: RangeDetermined> Level<D> {
     }
 
     /// Appends a freshly built set — `members` in its structure's item
-    /// order — with no hyperlinks and no host table yet; the link and
-    /// placement stages fill those in.
+    /// order — with no host table yet; the placement stage fills that in.
     fn push_built(&mut self, key: u64, structure: Arc<D>, members: &[u32]) {
         debug_assert_eq!(structure.len(), members.len());
         self.sets.push(LevelSet {
             key,
-            down: Arc::new(Csr::empty(structure.num_ranges())),
             structure,
             start: self.members.len() as u32,
             len: members.len() as u32,
@@ -245,7 +247,7 @@ struct BuildJob {
 }
 
 /// Merges one level's rebuilt structures into its tables: old sets keep
-/// their structures, hyperlinks and host tables verbatim, emptied sets are
+/// their structures and host tables verbatim, emptied sets are
 /// dropped, new sets land at their key-sorted position, and the level's two
 /// item arrays are rewritten for the spliced ground order — kept sets'
 /// members through `remap`, rebuilt ones from their jobs. `incoming` is the
@@ -322,11 +324,13 @@ pub struct SkipWeb<D: RangeDetermined> {
 }
 
 /// Structural equality: two webs are equal when their ground sets, bit
-/// assignments, level hierarchies (sets, hyperlinks, placement) and host
-/// maps all match byte for byte. The insertion rng is deliberately
-/// excluded — it only affects *future* random draws, not the structure —
-/// so the parity tests can compare an incrementally repaired web against a
-/// fully rebuilt one.
+/// assignments, level hierarchies (each set's key, structure, member slice
+/// and stored host table) and host maps all match byte for byte. Hyperlinks
+/// are not compared because nothing stores them: equal structures have
+/// equal conflict lists. The insertion rng is deliberately excluded — it
+/// only affects *future* random draws, not the structure — so the parity
+/// tests can compare an incrementally repaired web against a fully rebuilt
+/// one.
 impl<D: RangeDetermined + PartialEq> PartialEq for SkipWeb<D> {
     fn eq(&self, other: &Self) -> bool {
         self.ground == other.ground
@@ -566,6 +570,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
         // stratum, §2.4.1). Defer their host resolution until that anchor is
         // known, then charge the co-located copy when one exists.
         let mut pending: Vec<Copies<'_>> = Vec::new();
+        // The walk's one hyperlink buffer: a level descent allocates nothing.
+        let mut links: Vec<RangeId> = Vec::new();
         loop {
             let set = &self.levels[level].sets[set_idx];
             let path = set.structure.search_path(entry, q);
@@ -588,7 +594,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 pending.extend(path.iter().map(|&r| self.copies(level, set, r)));
             }
             per_level_touches.push(path.len() as u32);
-            let locus = *path.last().expect("search paths include their start");
+            // A search path includes its start.
+            let locus = path.last().copied().unwrap_or(entry);
             if level == 0 {
                 debug_assert!(pending.is_empty(), "level 0 is always basic");
                 return QueryOutcome {
@@ -597,36 +604,59 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     per_level_touches,
                 };
             }
-            (set_idx, entry) = self.descend(level as u32, set, locus, q);
+            (set_idx, entry) = self.descend(level as u32, set, locus, q, &mut links);
             level -= 1;
         }
     }
 
     /// The §2.3 level descent, the step between two levels of every query
     /// and update route: from `locus` — the level locus of `q` in `set`, a
-    /// set of level `level ≥ 1` — through its down-hyperlinks into the
-    /// parent set one level down. Returns the parent's set index and the
-    /// entry range there, the hyperlink target best placed for `q`
-    /// ([`RangeDetermined::best_entry`]).
+    /// set of level `level ≥ 1` — through its hyperlinks into the parent set
+    /// one level down. Returns the parent's set index and the entry range
+    /// there, the hyperlink target best placed for `q`
+    /// ([`RangeDetermined::best_entry`]). The hyperlinks are computed into
+    /// `links`, the caller's scratch buffer for the whole walk.
     pub(crate) fn descend(
         &self,
         level: u32,
         set: &LevelSet<D>,
         locus: RangeId,
         q: &D::Query,
+        links: &mut Vec<RangeId>,
     ) -> (usize, RangeId) {
-        let candidates = set.down.row(locus.index());
+        let parent_idx = self.hyperlinks(level, set, locus, links);
         assert!(
-            !candidates.is_empty(),
+            !links.is_empty(),
             "hyperlinks of a subset range into its superset cannot be empty"
         );
+        let parent = &self.levels[(level - 1) as usize].sets[parent_idx];
+        (parent_idx, parent.structure.best_entry(links, q))
+    }
+
+    /// The hyperlinks of range `r` of `set`, a set of level `level ≥ 1`: its
+    /// conflict list `C(Q, S_b')` in the parent set (§2.3), written over
+    /// `out`. Returns the parent's set index. Nothing stores these lists —
+    /// range-determinism (§2.1) makes them a function of the two structures
+    /// — so this is where every reader gets them: the descent, the `M(n)`
+    /// accounting, the bucketed cones and the invariant sweep.
+    pub(crate) fn hyperlinks(
+        &self,
+        level: u32,
+        set: &LevelSet<D>,
+        r: RangeId,
+        out: &mut Vec<RangeId>,
+    ) -> usize {
         let parent_idx = self.parent_set_index(level, set);
         let parent = &self.levels[(level - 1) as usize].sets[parent_idx];
-        (parent_idx, parent.structure.best_entry(candidates, q))
+        out.clear();
+        parent
+            .structure
+            .conflicts_into(&set.structure.range(r), out);
+        parent_idx
     }
 
     /// Index, within level `level - 1`, of the parent of the level-`level`
-    /// set `set` — the set its down-hyperlinks point into, which is the one
+    /// set `set` — the set its hyperlinks point into, which is the one
     /// holding its items one level down (sets above level 0 are never
     /// empty). Two indexed reads rather than a key search: this sits on
     /// every level descent of a query.
@@ -856,8 +886,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// by at most one level, per [`must_rebuild_fully`]'s guard. A grown
     /// top level starts empty and returns `true`: the caller's repair plan
     /// marks every item's set there dirty, so the install stage populates
-    /// it. A dropped level just vanishes — no `down` link points upward
-    /// into it.
+    /// it. A dropped level just vanishes — hyperlinks only point downward.
     fn sync_level_count(&mut self) -> bool {
         let want = level_count(self.ground.len()) as usize + 1;
         match want.cmp(&self.levels.len()) {
@@ -1068,15 +1097,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
     }
 
     /// Runs a repair plan: rebuild the dirty sets, merge them into the level
-    /// tables, recompute the hyperlinks the rebuilds invalidated, and finish
-    /// the host tables.
+    /// tables, and finish the host tables. There is no link stage —
+    /// hyperlinks are derived ([`hyperlinks`](Self::hyperlinks)).
     fn repair(&mut self, plan: RepairPlan) {
         let built = plan.builds.iter().map(|j| self.exec_build(j)).collect();
         self.install_sets(&plan, built);
-        for (level, set_idx) in self.link_jobs(&plan) {
-            let down = self.exec_link(level, set_idx);
-            self.levels[level].sets[set_idx].down = Arc::new(down);
-        }
         self.assign_hosts();
         self.debug_check_invariants();
     }
@@ -1104,18 +1129,19 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// * **Layout** — the sets are strictly key-sorted; `members` is a
     ///   permutation of `0..n` that the sets' `(start, len)` slices tile in
     ///   order, each slice ascending and matching its structure's items;
-    ///   `set_of_item` is its inverse; every per-range table has
+    ///   `set_of_item` is its inverse; a stored host table has
     ///   `num_ranges + 1` monotone offsets.
-    /// * **Hyperlinks** — at level 0 all `down` rows are empty; above it,
-    ///   each range's `down` row equals its conflict list in the parent
-    ///   set one level down (§2.3).
+    /// * **Hyperlinks** — every set above level 0 has its parent one level
+    ///   down, and every range of it a non-empty conflict list there (§2.3):
+    ///   the property each level descent relies on. The lists themselves are
+    ///   derived, so there is no stored copy to diverge.
     /// * **Placement** — every range of every set is hosted somewhere, the
     ///   copies are distinct, and all host ids (including `host_of_item`)
     ///   are in range; a host table is stored exactly under bucketed
     ///   placement.
     ///
     /// Intended for `debug_assert!` after incremental applies and for tests;
-    /// the sweep recomputes every conflict list, so it is far too slow for
+    /// the sweep computes every conflict list, so it is far too slow for
     /// release hot paths.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.ground.len();
@@ -1186,15 +1212,13 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     ));
                 }
                 let num_ranges = set.structure.num_ranges();
-                let tables_fit = set.down.rows() == num_ranges
-                    && set.down.is_well_formed()
-                    && set
-                        .hosted
-                        .as_ref()
-                        .is_none_or(|t| t.rows() == num_ranges && t.is_well_formed());
-                if !tables_fit {
+                let table_fits = set
+                    .hosted
+                    .as_ref()
+                    .is_none_or(|t| t.rows() == num_ranges && t.is_well_formed());
+                if !table_fits {
                     return Err(format!(
-                        "level {li} set {si}: a per-range table is not {num_ranges} well-formed rows"
+                        "level {li} set {si}: the host table is not {num_ranges} well-formed rows"
                     ));
                 }
                 if set.hosted.is_some() != bucketed {
@@ -1249,38 +1273,27 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 return Err(format!("level {li}: item {g} belongs to no set"));
             }
 
-            let (mut want, mut copies) = (Vec::new(), Vec::new());
+            let (mut links, mut copies) = (Vec::new(), Vec::new());
             for (si, set) in level.sets.iter().enumerate() {
-                let parent = match li.checked_sub(1) {
-                    None => None,
-                    Some(below) => {
-                        let pkey = parent_key(set.key, li as u32);
-                        let tables = &self.levels[below];
-                        let pi = tables.set_index(pkey).ok_or_else(|| {
-                            format!(
-                                "level {li} set {si}: no parent set keyed {pkey:#x} one level down"
-                            )
-                        })?;
-                        if pi != self.parent_set_index(li as u32, set) {
+                if li > 0 {
+                    let pkey = parent_key(set.key, li as u32);
+                    let pi = self.levels[li - 1].set_index(pkey).ok_or_else(|| {
+                        format!("level {li} set {si}: no parent set keyed {pkey:#x} one level down")
+                    })?;
+                    if pi != self.parent_set_index(li as u32, set) {
+                        return Err(format!(
+                            "level {li} set {si}: first member's set below is not the parent {pkey:#x}"
+                        ));
+                    }
+                }
+                for r in set.structure.range_ids() {
+                    if li > 0 {
+                        self.hyperlinks(li as u32, set, r, &mut links);
+                        if links.is_empty() {
                             return Err(format!(
-                                "level {li} set {si}: first member's set below is not the parent {pkey:#x}"
+                                "level {li} set {si}: {r} conflicts with no range of its parent set"
                             ));
                         }
-                        Some(&tables.sets[pi])
-                    }
-                };
-                for r in set.structure.range_ids() {
-                    let down = set.down.row(r.index());
-                    want.clear();
-                    if let Some(parent) = parent {
-                        parent
-                            .structure
-                            .conflicts_into(&set.structure.range(r), &mut want);
-                    }
-                    if down != want {
-                        return Err(format!(
-                            "level {li} set {si}: {r} down links diverge from the parent conflict list ({down:?} vs {want:?})"
-                        ));
                     }
                     copies.clear();
                     copies.extend(self.copies(li, set, r));
@@ -1313,7 +1326,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     }
 
     /// Rebuilds one dirty set's structure from its (already-spliced)
-    /// members; hyperlinks and placement are filled in by the later stages.
+    /// members; placement is filled in by the later stage.
     fn exec_build(&self, job: &BuildJob) -> Arc<D> {
         let items: Vec<D::Item> = job
             .members
@@ -1345,44 +1358,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
             incoming.next().is_none(),
             "every rebuilt set must land on a level"
         );
-    }
-
-    /// The hyperlink recompute jobs a repair implies: every rebuilt set
-    /// plus the children of rebuilt parents (their `down` tables index into
-    /// the parent's new structure), resolved to surviving
-    /// `(level, set_index)` pairs.
-    fn link_jobs(&self, plan: &RepairPlan) -> Vec<(usize, usize)> {
-        let mut link_keys: BTreeSet<(u32, u64)> = BTreeSet::new();
-        let top = (self.levels.len() - 1) as u32;
-        for &(level, key) in &plan.dirty {
-            if level >= 1 {
-                link_keys.insert((level, key));
-            }
-            if level < top {
-                // Children of a level-`ℓ` set extend its key by bit `ℓ`.
-                link_keys.insert((level + 1, key));
-                link_keys.insert((level + 1, key | (1u64 << level)));
-            }
-        }
-        link_keys
-            .into_iter()
-            .filter_map(|(level, key)| {
-                let level = level as usize;
-                Some((level, self.levels[level].set_index(key)?))
-            })
-            .collect()
-    }
-
-    /// Recomputes one set's hyperlinks into its parent (§2.3), reading the
-    /// installed levels immutably. `level` must be above 0.
-    fn exec_link(&self, level: usize, set_idx: usize) -> Csr<RangeId> {
-        let set = &self.levels[level].sets[set_idx];
-        let parent = &self.levels[level - 1].sets[self.parent_set_index(level as u32, set)];
-        debug_assert_eq!(parent.key, parent_key(set.key, level as u32));
-        Csr::build(set.structure.num_ranges(), |r, out| {
-            let range = set.structure.range(RangeId(r as u32));
-            parent.structure.conflicts_into(&range, out);
-        })
     }
 
     /// The level bit string of `item` when it is stored — a binary search
@@ -1471,9 +1446,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
         true
     }
 
-    /// Rebuilds levels, hyperlinks and placement from the current ground
-    /// set and bit assignment. Deterministic: bit strings fully determine
-    /// the hierarchy, so queries and accounting are reproducible.
+    /// Rebuilds levels and placement from the current ground set and bit
+    /// assignment. Deterministic: bit strings fully determine the hierarchy,
+    /// so queries and accounting are reproducible.
     fn rebuild(&mut self) {
         let n = self.ground.len();
         let k = level_count(n);
@@ -1517,15 +1492,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
 
         self.levels = levels;
-
-        // --- Hyperlinks (§2.3) ----------------------------------------------
-        for level in 1..=k as usize {
-            for set_idx in 0..self.levels[level].sets.len() {
-                let down = self.exec_link(level, set_idx);
-                self.levels[level].sets[set_idx].down = Arc::new(down);
-            }
-        }
-
         self.assign_hosts();
     }
 
@@ -1591,18 +1557,19 @@ impl<D: RangeDetermined> SkipWeb<D> {
         // copy of a range they hyperlink to one level down (so each block's
         // whole non-basic cone is co-located with it, as §2.4.1 describes).
         // Ascending level order guarantees the level below is already placed.
-        let mut cone: Vec<HostId> = Vec::new();
+        let (mut links, mut cone) = (Vec::new(), Vec::new());
         for level_idx in 1..self.levels.len() {
             if self.blocking.is_basic(level_idx as u32) {
                 continue;
             }
             for set_idx in 0..self.levels[level_idx].sets.len() {
                 let set = &self.levels[level_idx].sets[set_idx];
-                let parent_idx = self.parent_set_index(level_idx as u32, set);
-                let below = &self.levels[level_idx - 1].sets[parent_idx];
-                let cones = Csr::build(set.down.rows(), |r, out| {
+                let cones = Csr::build(set.structure.num_ranges(), |r, out| {
+                    let r = RangeId(r as u32);
+                    let parent_idx = self.hyperlinks(level_idx as u32, set, r, &mut links);
+                    let below = &self.levels[level_idx - 1].sets[parent_idx];
                     cone.clear();
-                    for t in set.down.row(r) {
+                    for t in &links {
                         cone.extend_from_slice(below.listed(*t));
                     }
                     cone.sort_unstable();
@@ -1636,7 +1603,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
             return;
         }
         for set in self.levels.iter_mut().flat_map(|l| &mut l.sets) {
-            set.hosted = Some(Arc::new(Csr::build(set.down.rows(), |r, out| {
+            let rows = set.structure.num_ranges();
+            set.hosted = Some(Arc::new(Csr::build(rows, |r, out| {
                 let start = out.len();
                 out.extend_from_slice(set.listed(RangeId(r as u32)));
                 let primary = out[start].0;
@@ -1667,59 +1635,42 @@ impl<D: RangeDetermined> SkipWeb<D> {
             self.hosts
         );
         net.set_items(self.len());
+        let mut links = Vec::new();
         for (li, level) in self.levels.iter().enumerate() {
             for set in &level.sets {
                 for r in set.structure.range_ids() {
                     let neighbors = set.structure.neighbors(r);
-                    let down = set.down.row(r.index());
+                    // Hyperlink references point across levels, into the
+                    // parent set; level 0 has none.
+                    links.clear();
+                    let parent = (li > 0).then(|| {
+                        let parent_idx = self.hyperlinks(li as u32, set, r, &mut links);
+                        &self.levels[li - 1].sets[parent_idx]
+                    });
                     for (c, host) in self.copies(li, set, r).enumerate() {
+                        let here = |mut copies: Copies<'_>| copies.any(|h| h == host);
                         let mut local = 0u64;
-                        let mut remote = 0u64;
                         for &nb in &neighbors {
-                            if self.copies(li, set, nb).any(|h| h == host) {
-                                local += 1;
-                            } else {
-                                remote += 1;
+                            local += u64::from(here(self.copies(li, set, nb)));
+                        }
+                        if let Some(parent) = parent {
+                            for &t in &links {
+                                local += u64::from(here(self.copies(li - 1, parent, t)));
                             }
                         }
+                        let pointers = (neighbors.len() + links.len()) as u64;
                         if c == 0 {
                             // The primary copy stores the range plus every
                             // pointer (each a (host, addr) pair).
-                            net.add_storage(host, 1 + neighbors.len() as u64 + down.len() as u64);
-                            net.add_refs(host, local, remote);
+                            net.add_storage(host, 1 + pointers);
+                            net.add_refs(host, local, pointers - local);
                         } else {
                             // Replicas serve the intra-block descent: the
-                            // range, its co-located pointers, and a single
+                            // range, its co-located pointers — list
+                            // neighbours and hyperlinks alike — and a single
                             // fallback pointer to the primary.
                             net.add_storage(host, 2 + local);
                             net.add_refs(host, local, 1);
-                        }
-                    }
-                }
-            }
-        }
-        // Hyperlink references point across levels.
-        for level_idx in 1..self.levels.len() {
-            for set in &self.levels[level_idx].sets {
-                let parent_idx = self.parent_set_index(level_idx as u32, set);
-                let parent = &self.levels[level_idx - 1].sets[parent_idx];
-                for r in set.structure.range_ids() {
-                    for (c, host) in self.copies(level_idx, set, r).enumerate() {
-                        let mut local = 0u64;
-                        let mut remote = 0u64;
-                        for &t in set.down.row(r.index()) {
-                            if self.copies(level_idx - 1, parent, t).any(|h| h == host) {
-                                local += 1;
-                            } else {
-                                remote += 1;
-                            }
-                        }
-                        if c == 0 {
-                            net.add_refs(host, local, remote);
-                        } else {
-                            // Replicas keep co-located hyperlinks only.
-                            net.add_refs(host, local, 0);
-                            net.add_storage(host, local);
                         }
                     }
                 }
@@ -1756,19 +1707,25 @@ mod tests {
     /// the oracle [`SkipWeb::copies`] is held to.
     type RangeHost = Vec<Vec<Vec<Vec<HostId>>>>;
 
-    /// The web's stored copy lists as they stand — meaningful for an
-    /// unreplicated bucketed web, whose rows are the block placement.
-    fn listed_range_host<D: RangeDetermined>(web: &SkipWeb<D>) -> RangeHost {
-        let per_set = |(li, level): (usize, &Level<D>)| {
+    /// `row(level, set, range)` of every range, level → set → range.
+    fn per_range<D: RangeDetermined, T>(
+        web: &SkipWeb<D>,
+        mut row: impl FnMut(usize, &LevelSet<D>, RangeId) -> T,
+    ) -> Vec<Vec<Vec<T>>> {
+        let mut per_set = |(li, level): (usize, &Level<D>)| {
             let per_range = |set: &LevelSet<D>| {
-                set.structure
-                    .range_ids()
-                    .map(|r| web.copies(li, set, r).collect())
-                    .collect()
+                let ids = set.structure.range_ids();
+                ids.map(|r| row(li, set, r)).collect()
             };
             level.sets.iter().map(per_range).collect()
         };
-        web.levels.iter().enumerate().map(per_set).collect()
+        web.levels.iter().enumerate().map(&mut per_set).collect()
+    }
+
+    /// The web's stored copy lists as they stand — meaningful for an
+    /// unreplicated bucketed web, whose rows are the block placement.
+    fn listed_range_host<D: RangeDetermined>(web: &SkipWeb<D>) -> RangeHost {
+        per_range(web, |li, set, r| web.copies(li, set, r).collect())
     }
 
     /// Points every range's copy list at its owning item's host — the
@@ -1863,6 +1820,120 @@ mod tests {
                 }
                 prop_assert_eq!(web.check_invariants(), Ok(()));
                 prop_assert_eq!(listed_range_host(&web), materialized_range_host(&web));
+            }
+        }
+    }
+
+    /// Every range's hyperlinks (none at level 0), with the parent set found
+    /// by key and the list asked of its structure directly: what
+    /// [`SkipWeb::hyperlinks`] must derive.
+    fn conflict_lists_by_key<D: RangeDetermined>(web: &SkipWeb<D>) -> Vec<Vec<Vec<Vec<RangeId>>>> {
+        per_range(web, |li, set, r| {
+            let Some(below) = li.checked_sub(1).map(|below| &web.levels[below]) else {
+                return Vec::new();
+            };
+            let parent = below
+                .set_index(parent_key(set.key, li as u32))
+                .expect("a parent set");
+            below.sets[parent]
+                .structure
+                .conflicts(&set.structure.range(r))
+        })
+    }
+
+    /// The same lists through [`SkipWeb::hyperlinks`].
+    fn derived_hyperlinks<D: RangeDetermined>(web: &SkipWeb<D>) -> Vec<Vec<Vec<Vec<RangeId>>>> {
+        let mut links = Vec::new();
+        per_range(web, |li, set, r| {
+            if li > 0 {
+                let parent = web.hyperlinks(li as u32, set, r, &mut links);
+                assert_eq!(parent, web.parent_set_index(li as u32, set));
+            }
+            links.clone()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Through mixed incremental applies, owner-hosted and bucketed, the
+        /// hyperlinks derived on the repaired web are the conflict lists of
+        /// a web rebuilt from scratch — no stored table stands in between.
+        #[test]
+        fn hyperlinks_are_the_conflict_lists_of_a_full_rebuild(
+            n in 64u64..200,
+            bucketed in any::<bool>(),
+            seed in 0u64..1000,
+            steps in collection::vec(collection::vec((any::<bool>(), 0u64..1200), 1..10), 1..5),
+        ) {
+            let mut builder = SkipWeb::<SortedLinkedList>::builder((0..n).map(|i| i * 5).collect())
+                .seed(seed);
+            if bucketed {
+                builder = builder.bucketed(24);
+            }
+            let mut web = builder.build();
+            let mut full = web.clone();
+            for step in steps {
+                let ops: Vec<Update<u64>> = step
+                    .into_iter()
+                    .map(|(inserting, item)| match inserting {
+                        true => Update::Insert { item, bits: item.wrapping_mul(seed | 1) },
+                        false => Update::Remove { item },
+                    })
+                    .collect();
+                prop_assert_eq!(web.apply(ops.clone()), full.apply_full(ops));
+                prop_assert_eq!(web.check_invariants(), Ok(()));
+                prop_assert_eq!(derived_hyperlinks(&web), conflict_lists_by_key(&full));
+            }
+        }
+    }
+
+    /// Routing over derived hyperlinks is bit-identical to routing over the
+    /// stored table it replaced: locus, messages and per-level touches of a
+    /// fixed workload, as the last commit with a `down` table answered it.
+    #[test]
+    fn queries_answer_as_they_did_over_stored_hyperlinks() {
+        // Per query: locus, messages, touches at the top level.
+        type Golden = [(u32, u64, u32); 6];
+        let owner_hosted: Golden = [
+            (707, 4, 2),
+            (831, 3, 2),
+            (956, 4, 2),
+            (373, 4, 2),
+            (1204, 6, 2),
+            (1328, 3, 4),
+        ];
+        let bucketed: Golden = [
+            (707, 2, 2),
+            (831, 2, 2),
+            (956, 2, 2),
+            (373, 2, 2),
+            (1204, 3, 2),
+            (1328, 3, 4),
+        ];
+        for (golden, memory) in [(owner_hosted, None), (bucketed, Some(32))] {
+            let mut builder =
+                SkipWeb::<SortedLinkedList>::builder((0..700).map(|i| i * 10).collect()).seed(21);
+            if let Some(memory) = memory {
+                builder = builder.bucketed(memory);
+            }
+            let mut w = builder.build();
+            let tower = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD;
+            w.apply_insert_batch((0..40).map(|i| (i * 173 + 5, tower(i))).collect());
+            w.apply_remove_batch(&(0..30).map(|i| i * 230).collect::<Vec<u64>>());
+            assert_eq!(w.len(), 706);
+            for (s, (locus, messages, top_touches)) in (0..).zip(golden) {
+                let q = s * 1231 + 7;
+                let out = w.query(w.random_origin(s), &q, &mut MessageMeter::new());
+                // Below the top level every search path is its start alone.
+                let mut touches = vec![1; 11];
+                touches[0] = top_touches;
+                let want = QueryOutcome {
+                    locus: RangeId(locus),
+                    messages,
+                    per_level_touches: touches,
+                };
+                assert_eq!(out, want, "bucketed: {memory:?}, query {q}");
             }
         }
     }

@@ -9,7 +9,11 @@
 //!   [`RangeId`]s,
 //! * [`RangeDetermined::conflicts`] enumerates the ranges of `D(S)` that
 //!   intersect a given range of `D(T)` for `T ⊆ S` — the conflict list
-//!   `C(Q, S)` of §2.2,
+//!   `C(Q, S)` of §2.2. The hierarchy stores no hyperlinks: every level
+//!   descent of a query materializes its locus
+//!   ([`RangeDetermined::range`]) and asks the parent structure for the
+//!   conflict list ([`RangeDetermined::conflicts_into`]), so both are
+//!   read-path hooks and should cost `O(answer)`, not `O(n)`,
 //! * [`RangeDetermined::search_path`] performs the *local* search a host runs
 //!   "as far as it can internally" (§2.5), reporting every range it touches so
 //!   the network meter can charge host crossings.
@@ -84,7 +88,9 @@ pub trait RangeDetermined: Clone + fmt::Debug {
     /// Number of ranges (nodes + links); valid ids are `0..num_ranges`.
     fn num_ranges(&self) -> usize;
 
-    /// Materializes the range for `id`.
+    /// Materializes the range for `id`. On the read path: a query calls
+    /// this once per level, for the level locus whose hyperlinks it is
+    /// about to follow.
     ///
     /// # Panics
     ///
@@ -157,10 +163,13 @@ pub trait RangeDetermined: Clone + fmt::Debug {
     fn conflicts(&self, external: &Self::Range) -> Vec<RangeId>;
 
     /// Appends [`conflicts(external)`](Self::conflicts) to `out` — the form
-    /// the hierarchy's hyperlink pass and repair walks call once per range,
-    /// filling one shared buffer instead of allocating a list each time.
-    /// The default goes through `conflicts`; structures that can enumerate
-    /// the list directly override it (and derive `conflicts` from it).
+    /// every level descent and repair walk calls, filling the walk's one
+    /// buffer instead of allocating a list each time: a range's hyperlinks
+    /// are this list, computed when a route reads them. The order must be a
+    /// function of the two structures alone ([`best_entry`](Self::best_entry)
+    /// sees it). The default goes through `conflicts`; structures that can
+    /// enumerate the list directly override it (and derive `conflicts` from
+    /// it).
     fn conflicts_into(&self, external: &Self::Range, out: &mut Vec<RangeId>) {
         out.extend(self.conflicts(external));
     }

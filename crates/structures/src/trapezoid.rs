@@ -750,20 +750,27 @@ impl RangeDetermined for TrapezoidalMap {
     }
 
     fn conflicts(&self, external: &Trapezoid) -> Vec<RangeId> {
+        let mut out = Vec::new();
+        self.conflicts_into(external, &mut out);
+        out
+    }
+
+    fn conflicts_into(&self, external: &Trapezoid, out: &mut Vec<RangeId>) {
         let n = self.node_count();
-        let mut out: Vec<RangeId> = (0..n)
-            .filter(|&i| self.traps[i].trap.overlaps(external))
-            .map(|i| RangeId(i as u32))
-            .collect();
-        let node_hits: Vec<bool> = (0..n)
-            .map(|i| self.traps[i].trap.overlaps(external))
-            .collect();
+        let base = out.len();
+        out.extend(
+            (0..n)
+                .filter(|&i| self.traps[i].trap.overlaps(external))
+                .map(|i| RangeId(i as u32)),
+        );
+        // A link conflicts when its far trapezoid does; the hits just pushed
+        // are ascending.
+        let hits = out.len();
         for (l, &(_, b)) in self.link_ends.iter().enumerate() {
-            if node_hits[b as usize] {
+            if out[base..hits].binary_search(&RangeId(b)).is_ok() {
                 out.push(RangeId((n + l) as u32));
             }
         }
-        out
     }
 }
 

@@ -37,15 +37,17 @@ fn lcp_len(a: &[u8], b: &[u8]) -> usize {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TrieRange {
-    start: Vec<u8>,
+    /// The last vertex; the first is its prefix of `start_len` bytes, so a
+    /// range is one string however long its path.
     end: Vec<u8>,
+    start_len: usize,
 }
 
 impl TrieRange {
     /// The singleton range of a node spelling `s`.
     pub fn point(s: Vec<u8>) -> Self {
         TrieRange {
-            start: s.clone(),
+            start_len: s.len(),
             end: s,
         }
     }
@@ -60,12 +62,15 @@ impl TrieRange {
             is_prefix(&start, &end),
             "trie range start must be a prefix of its end"
         );
-        TrieRange { start, end }
+        TrieRange {
+            start_len: start.len(),
+            end,
+        }
     }
 
     /// First vertex of the path.
     pub fn start(&self) -> &[u8] {
-        &self.start
+        &self.end[..self.start_len]
     }
 
     /// Last vertex of the path.
@@ -75,22 +80,19 @@ impl TrieRange {
 
     /// Whether the path passes through the prefix-tree vertex `s`.
     pub fn covers(&self, s: &[u8]) -> bool {
-        is_prefix(&self.start, s) && is_prefix(s, &self.end)
+        is_prefix(self.start(), s) && is_prefix(s, &self.end)
     }
 
     /// Whether two paths share a prefix-tree vertex — the conflict relation.
     pub fn intersects(&self, other: &TrieRange) -> bool {
-        let meet: &[u8] = if self.start.len() >= other.start.len() {
-            &self.start
-        } else {
-            &other.start
-        };
-        is_prefix(&self.start, meet)
-            && is_prefix(&other.start, meet)
+        let (a, b) = (self.start(), other.start());
+        let meet = if a.len() >= b.len() { a } else { b };
+        is_prefix(a, meet)
+            && is_prefix(b, meet)
             && is_prefix(meet, &self.end)
             && is_prefix(meet, &other.end)
             // starts must be comparable for `meet` to lie on both paths
-            && (is_prefix(&self.start, &other.start) || is_prefix(&other.start, &self.start))
+            && (is_prefix(a, b) || is_prefix(b, a))
     }
 }
 
@@ -99,7 +101,7 @@ impl fmt::Display for TrieRange {
         write!(
             f,
             "[{:?} -> {:?}]",
-            String::from_utf8_lossy(&self.start),
+            String::from_utf8_lossy(self.start()),
             String::from_utf8_lossy(&self.end)
         )
     }
@@ -465,11 +467,12 @@ impl RangeDetermined for CompressedTrie {
         if idx < n {
             TrieRange::point(self.str_of(idx).to_vec())
         } else {
+            // A child spells an extension of its parent's string.
             let (p, c) = self.edge_ends[idx - n];
-            TrieRange::path(
-                self.str_of(p as usize).to_vec(),
-                self.str_of(c as usize).to_vec(),
-            )
+            TrieRange {
+                start_len: self.nodes[p as usize].prefix_len as usize,
+                end: self.str_of(c as usize).to_vec(),
+            }
         }
     }
 

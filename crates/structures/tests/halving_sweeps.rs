@@ -1,8 +1,10 @@
 //! Statistical validation of all four set-halving lemmas across seeds, plus
 //! property tests for the trapezoid conflict identity (Lemma 5) on random
-//! general-position inputs, and for the agreement of every structure's
-//! hot-path forms (`search_step`, `conflicts_into`) with the list-returning
-//! ones they shortcut.
+//! general-position inputs, for the agreement of every structure's hot-path
+//! forms (`search_step`, `conflicts_into`) with the list-returning ones they
+//! shortcut, and for the property a skip-web's derived hyperlinks rest on:
+//! a subset's range always conflicts with the superset range holding any of
+//! its points.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -85,6 +87,42 @@ fn assert_hot_paths_agree<D: RangeDetermined>(
         assert_eq!(out[..2], held);
         assert_eq!(out[2..], d.conflicts(&external), "C({external:?}, S)");
     }
+}
+
+/// What a level descent relies on now that hyperlinks are computed, not
+/// stored: for `T ⊆ S`, every range `Q` of `coarse = D(T)` has a non-empty
+/// conflict list in `fine = D(S)`, and for every query point `q` lying in
+/// its own locus `Q` of `D(T)`, `lands(fine, C(Q, S), q)` — the list reaches
+/// `q`: it holds `D(S).locate(q)` itself where conflicting is plain
+/// intersection, and a range containing `q` for the quadtree, whose lists
+/// stop at the children of the deepest enclosing cell.
+fn assert_subset_ranges_link_into_the_superset<D: RangeDetermined>(
+    fine: &D,
+    coarse: &D,
+    queries: &[D::Query],
+    lands: impl Fn(&D, &[RangeId], &D::Query) -> bool,
+) {
+    let mut links = Vec::new();
+    for r in coarse.range_ids() {
+        links.clear();
+        fine.conflicts_into(&coarse.range(r), &mut links);
+        assert!(!links.is_empty(), "{r} of D(T) links nowhere in D(S)");
+    }
+    for q in queries {
+        let locus = coarse.locate(q);
+        links.clear();
+        fine.conflicts_into(&coarse.range(locus), &mut links);
+        assert!(
+            lands(fine, &links, q),
+            "C({locus}, S) = {links:?} misses {q:?}"
+        );
+    }
+}
+
+/// [`assert_subset_ranges_link_into_the_superset`]'s `lands` where a
+/// conflict is an intersection: the list holds the superset's locus.
+fn holds_the_locus<D: RangeDetermined>(fine: &D, links: &[RangeId], q: &D::Query) -> bool {
+    links.contains(&fine.locate(q))
 }
 
 #[test]
@@ -291,7 +329,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let half = keys.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
         let d = SortedLinkedList::build(keys);
-        assert_hot_paths_agree(&d, &SortedLinkedList::build(half), &queries, |_| true);
+        let coarse = SortedLinkedList::build(half);
+        assert_hot_paths_agree(&d, &coarse, &queries, |_| true);
+        assert_subset_ranges_link_into_the_superset(&d, &coarse, &queries, holds_the_locus);
     }
 
     #[test]
@@ -309,6 +349,9 @@ proptest! {
         let nodes = d.num_nodes();
         let coarse = CompressedQuadtree::<2>::build(half);
         assert_hot_paths_agree(&d, &coarse, &queries, |from| from.index() < nodes);
+        assert_subset_ranges_link_into_the_superset(&d, &coarse, &queries, |d, links, q| {
+            links.iter().any(|&r| d.range(r).contains_point(q))
+        });
     }
 
     #[test]
@@ -322,8 +365,17 @@ proptest! {
         let queries: Vec<String> = queries.into_iter().map(word).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let half = words.iter().filter(|_| rng.gen_bool(0.5)).cloned().collect();
+        let coarse = CompressedTrie::build(half);
+        // The points of a trie range are prefix-tree vertices: the prefixes
+        // of the subset's own words lie in their loci.
+        let vertices: Vec<String> = coarse
+            .items()
+            .iter()
+            .flat_map(|w| (0..=w.len()).map(|len| w[..len].to_owned()))
+            .collect();
         let d = CompressedTrie::build(words);
-        assert_hot_paths_agree(&d, &CompressedTrie::build(half), &queries, |_| true);
+        assert_hot_paths_agree(&d, &coarse, &queries, |_| true);
+        assert_subset_ranges_link_into_the_superset(&d, &coarse, &vertices, holds_the_locus);
     }
 
     #[test]
@@ -343,6 +395,7 @@ proptest! {
         let nodes = d.num_trapezoids();
         let coarse = TrapezoidalMap::build(half);
         assert_hot_paths_agree(&d, &coarse, &queries, |from| from.index() < nodes);
+        assert_subset_ranges_link_into_the_superset(&d, &coarse, &queries, holds_the_locus);
     }
 
     /// Quadtree descent work between a half-sample and the full set stays
