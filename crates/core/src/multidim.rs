@@ -581,8 +581,8 @@ pub(crate) fn points_from_nodes<const D: usize>(
 /// Builder that produces a typed wrapper around a generic skip-web.
 #[derive(Debug, Clone)]
 pub struct WrappedBuilder<D: RangeDetermined, W> {
-    inner: SkipWebBuilder<D>,
-    wrap: fn(SkipWeb<D>) -> W,
+    pub(crate) inner: SkipWebBuilder<D>,
+    pub(crate) wrap: fn(SkipWeb<D>) -> W,
 }
 
 impl<D: RangeDetermined, W> WrappedBuilder<D, W> {

@@ -10,8 +10,9 @@ use skipweb_structures::traits::{RangeDetermined, RangeId};
 use skipweb_structures::KeyInterval;
 
 use crate::engine::{DistributedSkipWeb, Routable};
-use crate::placement::{Blocking, Replication};
-use crate::skipweb::{SkipWeb, SkipWebBuilder};
+use crate::multidim::WrappedBuilder;
+use crate::placement::Blocking;
+use crate::skipweb::SkipWeb;
 
 /// The 1-D skip-web routes plain keys and answers with the nearest stored
 /// key, extracted from the level-0 locus interval alone — exactly the local
@@ -126,8 +127,9 @@ pub struct OneDimSkipWeb {
 impl OneDimSkipWeb {
     /// Starts building a 1-D skip-web over `keys`.
     pub fn builder(keys: Vec<u64>) -> OneDimSkipWebBuilder {
-        OneDimSkipWebBuilder {
+        WrappedBuilder {
             inner: SkipWeb::builder(keys),
+            wrap: |web| OneDimSkipWeb { web },
         }
     }
 
@@ -290,54 +292,7 @@ impl OneDimSkipWeb {
 }
 
 /// Builder returned by [`OneDimSkipWeb::builder`].
-#[derive(Debug, Clone)]
-pub struct OneDimSkipWebBuilder {
-    inner: SkipWebBuilder<SortedLinkedList>,
-}
-
-impl OneDimSkipWebBuilder {
-    /// Seeds the level randomization.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner = self.inner.seed(seed);
-        self
-    }
-
-    /// Uses bucketed placement with per-host memory `memory` (§2.4.1).
-    pub fn bucketed(mut self, memory: usize) -> Self {
-        self.inner = self.inner.bucketed(memory);
-        self
-    }
-
-    /// Uses an explicit blocking strategy.
-    pub fn blocking(mut self, blocking: Blocking) -> Self {
-        self.inner = self.inner.blocking(blocking);
-        self
-    }
-
-    /// Uses an explicit replication policy.
-    pub fn replication(mut self, replication: Replication) -> Self {
-        self.inner = self.inner.replication(replication);
-        self
-    }
-
-    /// Places every range on `k` hosts so the served web survives up to
-    /// `k - 1` host crashes (see [`Replication`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn replicate(mut self, k: usize) -> Self {
-        self.inner = self.inner.replicate(k);
-        self
-    }
-
-    /// Builds the web.
-    pub fn build(self) -> OneDimSkipWeb {
-        OneDimSkipWeb {
-            web: self.inner.build(),
-        }
-    }
-}
+pub type OneDimSkipWebBuilder = WrappedBuilder<SortedLinkedList, OneDimSkipWeb>;
 
 /// Extracts the nearest stored key to `q` from the level-0 locus interval,
 /// which is exactly the local information the answering host holds.

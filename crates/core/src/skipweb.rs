@@ -561,9 +561,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
         assert!(origin_item < self.len(), "origin item out of bounds");
         let start_messages = meter.messages();
         let top = self.top_level() as usize;
-        let mut level = top;
-        let (mut set_idx, mut entry) = self.origin_entry(origin_item);
-        let mut per_level_touches = Vec::with_capacity(top + 1);
+        let (set_idx, entry) = self.origin_entry(origin_item);
+        let mut at = (top, set_idx, entry);
+        let mut per_level_touches = vec![0; top + 1];
         // Non-basic ranges are replicated across block hosts; which copy the
         // walk reads is only determined once the descent reaches the basic
         // level below (the block holding the query's cone stores the whole
@@ -573,40 +573,57 @@ impl<D: RangeDetermined> SkipWeb<D> {
         // The walk's one hyperlink buffer: a level descent allocates nothing.
         let mut links: Vec<RangeId> = Vec::new();
         loop {
+            let (level, set_idx, r) = at;
             let set = &self.levels[level].sets[set_idx];
-            let path = set.structure.search_path(entry, q);
             if self.blocking.is_basic(level as u32) {
-                for (i, &r) in path.iter().enumerate() {
-                    let host = self.primary(level, set, r);
-                    if i == 0 {
-                        for mut replicas in pending.drain(..) {
-                            let co_located = replicas.clone().any(|h| h == host);
-                            meter.visit(if co_located {
-                                host
-                            } else {
-                                replicas.next().unwrap_or(host)
-                            });
-                        }
-                    }
-                    meter.visit(host);
+                let host = self.primary(level, set, r);
+                for mut replicas in pending.drain(..) {
+                    let co_located = replicas.clone().any(|h| h == host);
+                    meter.visit(if co_located {
+                        host
+                    } else {
+                        replicas.next().unwrap_or(host)
+                    });
                 }
+                meter.visit(host);
             } else {
-                pending.extend(path.iter().map(|&r| self.copies(level, set, r)));
+                pending.push(self.copies(level, set, r));
             }
-            per_level_touches.push(path.len() as u32);
-            // A search path includes its start.
-            let locus = path.last().copied().unwrap_or(entry);
-            if level == 0 {
+            per_level_touches[top - level] += 1;
+            let Some(next) = self.walk_step(at, q, &mut links) else {
                 debug_assert!(pending.is_empty(), "level 0 is always basic");
                 return QueryOutcome {
-                    locus,
+                    locus: r,
                     messages: meter.messages() - start_messages,
                     per_level_touches,
                 };
-            }
-            (set_idx, entry) = self.descend(level as u32, set, locus, q, &mut links);
-            level -= 1;
+            };
+            at = next;
         }
+    }
+
+    /// One step of the §2.5 walk, written once: from `at` — `(level, set
+    /// index, range)` — toward `q`'s level-0 locus. Searches inside the
+    /// level as far as the structure goes ([`RangeDetermined::search_step`]),
+    /// then follows the level locus's hyperlinks one level down
+    /// ([`descend`](Self::descend), into `links`, the caller's scratch
+    /// buffer for the whole walk); `None` at the level-0 locus. The
+    /// simulator's meter ([`query`](Self::query)) and the engine's forwarder
+    /// both advance through this and differ only in what they do with each
+    /// range visited.
+    pub(crate) fn walk_step(
+        &self,
+        (level, set_idx, r): (usize, usize, RangeId),
+        q: &D::Query,
+        links: &mut Vec<RangeId>,
+    ) -> Option<(usize, usize, RangeId)> {
+        let set = &self.levels[level].sets[set_idx];
+        if let Some(next) = set.structure.search_step(r, q) {
+            return Some((level, set_idx, next));
+        }
+        let below = level.checked_sub(1)?;
+        let (parent_idx, entry) = self.descend(level as u32, set, r, q, links);
+        Some((below, parent_idx, entry))
     }
 
     /// The §2.3 level descent, the step between two levels of every query
@@ -616,7 +633,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// there, the hyperlink target best placed for `q`
     /// ([`RangeDetermined::best_entry`]). The hyperlinks are computed into
     /// `links`, the caller's scratch buffer for the whole walk.
-    pub(crate) fn descend(
+    fn descend(
         &self,
         level: u32,
         set: &LevelSet<D>,

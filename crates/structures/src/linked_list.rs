@@ -197,18 +197,8 @@ impl RangeDetermined for SortedLinkedList {
         }
     }
 
-    fn search_path(&self, from: RangeId, q: &u64) -> Vec<RangeId> {
-        let target = self.locate(q);
-        let (a, b) = (self.position(from), self.position(target));
-        if a <= b {
-            (a..=b).map(|p| self.id_at(p)).collect()
-        } else {
-            (b..=a).rev().map(|p| self.id_at(p)).collect()
-        }
-    }
-
     fn search_step(&self, from: RangeId, q: &u64) -> Option<RangeId> {
-        // O(1) positional comparison instead of materializing the path.
+        // Ranges are contiguous on the line: compare positions.
         let target = self.position(self.locate(q));
         let at = self.position(from);
         match at.cmp(&target) {
@@ -238,12 +228,6 @@ impl RangeDetermined for SortedLinkedList {
         // A singleton list's node range is just `[item, item]`; skip the
         // structure build the default would pay per update.
         KeyInterval::singleton(*item)
-    }
-
-    fn conflicts(&self, external: &KeyInterval) -> Vec<RangeId> {
-        let mut out = Vec::new();
-        self.conflicts_into(external, &mut out);
-        out
     }
 
     fn conflicts_into(&self, external: &KeyInterval, out: &mut Vec<RangeId>) {
@@ -376,18 +360,19 @@ mod tests {
     }
 
     #[test]
-    fn search_step_reproduces_search_path_range_by_range() {
+    fn search_step_walks_the_line_to_the_locate_answer() {
         let l = list(&[10, 20, 30, 40]);
         for q in [0u64, 10, 15, 33, 40, 99] {
-            for item in 0..4 {
-                let from = l.entry_of_item(item);
-                let mut walked = vec![from];
+            for from in l.range_ids() {
+                let target = l.position(l.locate(&q));
                 let mut cur = from;
                 while let Some(next) = l.search_step(cur, &q) {
-                    walked.push(next);
+                    // One position along the line, toward the locus.
+                    let (a, b) = (l.position(cur), l.position(next));
+                    assert_eq!(a.abs_diff(b), 1, "q={q} from={from}");
+                    assert!(b.abs_diff(target) < a.abs_diff(target));
                     cur = next;
                 }
-                assert_eq!(walked, l.search_path(from, &q), "q={q} from={from}");
                 assert_eq!(cur, l.locate(&q));
             }
         }

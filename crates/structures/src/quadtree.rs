@@ -160,6 +160,16 @@ impl<const D: usize> CompressedQuadtree<D> {
         self.nodes[id.index()].parent.map(RangeId)
     }
 
+    /// Depth of the smallest cell containing points `lo..hi` (at least two):
+    /// the longest common Morton prefix of the sorted slice is that of its
+    /// ends.
+    fn split_depth(&self, lo: usize, hi: usize) -> u32 {
+        let diff = self.codes[lo] ^ self.codes[hi - 1];
+        let used_bits = (MAX_DEPTH as usize) * D;
+        let lead = (diff.leading_zeros() as usize).saturating_sub(128 - used_bits);
+        (lead / D) as u32
+    }
+
     fn build_rec(&mut self, lo: usize, hi: usize, parent: Option<u32>) -> u32 {
         debug_assert!(lo < hi);
         let node_idx = self.nodes.len() as u32;
@@ -176,11 +186,7 @@ impl<const D: usize> CompressedQuadtree<D> {
             self.item_leaf[lo] = node_idx;
             return node_idx;
         }
-        // Longest common Morton prefix of the (sorted) slice = LCP of ends.
-        let diff = self.codes[lo] ^ self.codes[hi - 1];
-        let used_bits = (MAX_DEPTH as usize) * D;
-        let lead = (diff.leading_zeros() as usize).saturating_sub(128 - used_bits);
-        let depth = (lead / D) as u32;
+        let depth = self.split_depth(lo, hi);
         debug_assert!(
             depth < MAX_DEPTH,
             "distinct points must split above unit depth"
@@ -262,20 +268,14 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
             link_ends: Vec::new(),
             item_leaf: vec![0; n],
         };
-        if n == 0 {
-            tree.nodes.push(Node {
-                cell: Cell::universe(),
-                parent: None,
-                parent_link: None,
-                children: Vec::new(),
-                child_links: Vec::new(),
-                point: None,
-                owner: 0,
-            });
+        // The root is always the universe cell so that every query point has
+        // a location. When the points span the universe (their Morton codes
+        // first differ in the top digit) the compressed top cell *is* that
+        // root; otherwise it hangs, an only child, below a universe node.
+        if n >= 2 && tree.split_depth(0, n) == 0 {
+            tree.build_rec(0, n, None);
             return tree;
         }
-        // The root is always the universe cell so that every query point has
-        // a location; the compressed top cell hangs below it when smaller.
         tree.nodes.push(Node {
             cell: Cell::universe(),
             parent: None,
@@ -285,37 +285,13 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
             point: None,
             owner: 0,
         });
-        let top = tree.build_rec(0, n, Some(0));
-        if tree.nodes[top as usize].cell == Cell::universe() {
-            // The compressed top cell *is* the universe: splice out the
-            // redundant root by re-rooting (keep ids dense: swap contents).
-            // Simplest: make the universe root adopt top's children/point.
-            let top_node = tree.nodes[top as usize].clone();
-            tree.nodes[0].children = top_node.children.clone();
-            tree.nodes[0].child_links = top_node.child_links.clone();
-            tree.nodes[0].point = top_node.point;
-            tree.nodes[0].owner = top_node.owner;
-            for &c in &top_node.children {
-                tree.nodes[c as usize].parent = Some(0);
-            }
-            for &l in &top_node.child_links {
-                tree.link_ends[l as usize].0 = 0;
-            }
-            if let Some(p) = top_node.point {
-                tree.item_leaf[p as usize] = 0;
-            }
-            // Orphan the old top node (unreachable; keep ids stable).
-            tree.nodes[top as usize].children.clear();
-            tree.nodes[top as usize].child_links.clear();
-            tree.nodes[top as usize].point = None;
-            tree.nodes[top as usize].parent = None;
-        } else {
+        if n > 0 {
+            let top = tree.build_rec(0, n, Some(0));
             let link_idx = tree.link_ends.len() as u32;
             tree.link_ends.push((0, top));
             tree.nodes[top as usize].parent_link = Some(link_idx);
             tree.nodes[0].children.push(top);
             tree.nodes[0].child_links.push(link_idx);
-            tree.nodes[0].owner = tree.nodes[top as usize].owner;
         }
         tree
     }
@@ -377,47 +353,11 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
         RangeId(cur as u32)
     }
 
-    fn search_path(&self, from: RangeId, q: &GridPoint<D>) -> Vec<RangeId> {
-        let n = self.nodes.len() as u32;
-        let mut path = vec![from];
-        // Normalize to a node: a link walks to its child endpoint first.
-        let mut cur = if from.index() < n as usize {
-            from.index()
-        } else {
-            let (_, child) = self.link_ends[from.index() - n as usize];
-            path.push(RangeId(child));
-            child as usize
-        };
-        // Ascend until the current cell contains q.
-        while !self.nodes[cur].cell.contains_point(q) {
-            let node = &self.nodes[cur];
-            let parent = node
-                .parent
-                .expect("the universe root contains every query point");
-            if let Some(pl) = node.parent_link {
-                path.push(RangeId(n + pl));
-            }
-            path.push(RangeId(parent));
-            cur = parent as usize;
-        }
-        // Descend while a child contains q.
-        while let Some(c) = self.child_containing(cur, q) {
-            if let Some(pl) = self.nodes[c as usize].parent_link {
-                path.push(RangeId(n + pl));
-            }
-            path.push(RangeId(c));
-            cur = c as usize;
-        }
-        path
-    }
-
     fn search_step(&self, from: RangeId, q: &GridPoint<D>) -> Option<RangeId> {
         let n = self.nodes.len();
         if from.index() >= n {
             // A link is direction-aware: descend to its child endpoint when
-            // that subtree still contains q, ascend to the parent otherwise
-            // (the default's child-first normalization would oscillate when
-            // stepping range by range through an ascent).
+            // that subtree still contains q, ascend to the parent otherwise.
             let (p, c) = self.link_ends[from.index() - n];
             return Some(if self.nodes[c as usize].cell.contains_point(q) {
                 RangeId(c)
@@ -458,12 +398,6 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
         *item
     }
 
-    fn conflicts(&self, external: &Cell<D>) -> Vec<RangeId> {
-        let mut out = Vec::new();
-        self.conflicts_into(external, &mut out);
-        out
-    }
-
     fn conflicts_into(&self, external: &Cell<D>, out: &mut Vec<RangeId>) {
         let n = self.nodes.len() as u32;
         let u = self.deepest_containing(external);
@@ -484,6 +418,7 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::assert_steps_reach_locate;
 
     fn pts2(v: &[[u32; 2]]) -> Vec<GridPoint<2>> {
         v.iter().map(|&c| GridPoint::new(c)).collect()
@@ -526,8 +461,8 @@ mod tests {
             [3 << 29, 5],
         ]));
         for (i, node) in qt.nodes.iter().enumerate() {
-            if i == 0 || node.point.is_some() || node.parent.is_none() {
-                continue; // root, leaves, or the orphaned splice slot
+            if i == 0 || node.point.is_some() {
+                continue; // root or leaves
             }
             assert!(
                 node.children.len() >= 2,
@@ -595,20 +530,27 @@ mod tests {
             [(1 << 31) + 9, 5],
         ]));
         for q in [[1u32 << 31, 1 << 31], [5, 5], [0, 0], [1 << 20, 1 << 10]] {
-            let q = GridPoint::new(q);
-            for item in 0..qt.len() {
-                let from = qt.entry_of_item(item);
-                let mut walked = vec![from];
-                let mut cur = from;
-                while let Some(next) = qt.search_step(cur, &q) {
-                    walked.push(next);
-                    cur = next;
-                    assert!(walked.len() <= 4 * qt.num_ranges(), "step walk diverged");
-                }
-                assert_eq!(cur, qt.locate(&q), "locus for {q:?}");
-                assert_eq!(walked, qt.search_path(from, &q), "path for {q:?}");
-            }
+            // From every range — nodes and links, and there is no dead one.
+            assert_steps_reach_locate(&qt, &GridPoint::new(q));
         }
+    }
+
+    #[test]
+    fn points_spanning_the_universe_build_no_unreachable_range() {
+        // The compressed top cell is the universe here: it must be the root
+        // itself, not a second node left dangling beside it.
+        let qt = CompressedQuadtree::<2>::build(pts2(&[[0, 0], [3, 3], [1 << 31, 1 << 31]]));
+        assert_eq!(qt.node_cell(RangeId(0)), Cell::universe());
+        // root + (cluster cell + 2 leaves) + far leaf, one link per non-root.
+        assert_eq!((qt.num_nodes(), qt.num_links()), (5, 4));
+        for id in (1..qt.num_nodes()).map(|i| RangeId(i as u32)) {
+            assert!(qt.parent_of(id).is_some(), "{id} hangs from nothing");
+        }
+        // A cluster confined to one quadrant keeps the universe root above
+        // its top cell.
+        let low = CompressedQuadtree::<2>::build(pts2(&[[0, 0], [3, 3]]));
+        assert_eq!(low.node_cell(RangeId(0)), Cell::universe());
+        assert_eq!((low.num_nodes(), low.num_links()), (4, 3));
     }
 
     #[test]

@@ -7,16 +7,22 @@
 //!   ([`RangeDetermined::build`]),
 //! * nodes and links are exposed uniformly as **ranges** with dense
 //!   [`RangeId`]s,
-//! * [`RangeDetermined::conflicts`] enumerates the ranges of `D(S)` that
-//!   intersect a given range of `D(T)` for `T ⊆ S` — the conflict list
+//! * [`RangeDetermined::conflicts_into`] enumerates the ranges of `D(S)`
+//!   that intersect a given range of `D(T)` for `T ⊆ S` — the conflict list
 //!   `C(Q, S)` of §2.2. The hierarchy stores no hyperlinks: every level
 //!   descent of a query materializes its locus
 //!   ([`RangeDetermined::range`]) and asks the parent structure for the
-//!   conflict list ([`RangeDetermined::conflicts_into`]), so both are
-//!   read-path hooks and should cost `O(answer)`, not `O(n)`,
-//! * [`RangeDetermined::search_path`] performs the *local* search a host runs
-//!   "as far as it can internally" (§2.5), reporting every range it touches so
-//!   the network meter can charge host crossings.
+//!   conflict list, so both are read-path hooks and should cost
+//!   `O(answer)`, not `O(n)`,
+//! * [`RangeDetermined::search_step`] is one step of the *local* search a
+//!   host runs "as far as it can internally" (§2.5). It is the only
+//!   navigation hook a structure writes: the cost-model simulator and the
+//!   distributed engine both advance a query through it one range at a
+//!   time, the first charging each visited range's host and the second
+//!   forwarding when the next range lives elsewhere.
+//!
+//! [`RangeDetermined::search_path`] and [`RangeDetermined::conflicts`] are
+//! allocating conveniences provided over those two.
 
 use std::fmt;
 
@@ -119,27 +125,31 @@ pub trait RangeDetermined: Clone + fmt::Debug {
     /// search for `q` terminates in this structure.
     fn locate(&self, q: &Self::Query) -> RangeId;
 
-    /// Walks from `from` to `locate(q)` along structure links, returning
-    /// every range touched, **including both endpoints**. The walk is what a
-    /// host executes internally; the engine meters each touched range's host.
-    fn search_path(&self, from: RangeId, q: &Self::Query) -> Vec<RangeId>;
+    /// One navigation step of the walk toward `locate(q)` (§2.5): a range
+    /// incident to `from` ([`neighbors`](Self::neighbors)) that is nearer
+    /// the locus, or `None` when `from` already is the locus.
+    ///
+    /// This is the hook every route advances through: a host holding `from`
+    /// moves one range at a time, continuing for free while the next range
+    /// lives on the same host and forwarding the query otherwise ("process
+    /// as far as you can internally"). Implementations must be memoryless —
+    /// the step depends on `from` and `q` alone — and stepping repeatedly
+    /// from *any* range, node or link, must reach `locate(q)` within
+    /// `O(num_ranges)` steps.
+    fn search_step(&self, from: RangeId, q: &Self::Query) -> Option<RangeId>;
 
-    /// One navigation step of the walk toward `locate(q)` (§2.5): the next
-    /// range after `from` on [`search_path`](Self::search_path), or `None`
-    /// when `from` already is the locus.
-    ///
-    /// This is the hook the *distributed* engine routes with: a host holding
-    /// `from` advances one range at a time, continuing for free while the
-    /// next range lives on the same host and forwarding the query otherwise
-    /// ("process as far as you can internally"). Implementations must be
-    /// memoryless — stepping repeatedly from any intermediate range must
-    /// converge on the same locus as a full `search_path` walk, which holds
-    /// for any walk that only depends on the current range and `q`.
-    ///
-    /// The default derives the step from `search_path`; structures with a
-    /// cheap positional comparison should override it.
-    fn search_step(&self, from: RangeId, q: &Self::Query) -> Option<RangeId> {
-        self.search_path(from, q).get(1).copied()
+    /// The whole walk from `from` to `locate(q)`: every range
+    /// [`search_step`](Self::search_step) visits, **including both
+    /// endpoints**. A convenience for callers that want the list; routes
+    /// step instead.
+    fn search_path(&self, from: RangeId, q: &Self::Query) -> Vec<RangeId> {
+        let mut path = vec![from];
+        let mut at = from;
+        while let Some(next) = self.search_step(at, q) {
+            path.push(next);
+            at = next;
+        }
+        path
     }
 
     /// Given the conflict list of the maximal range at a finer level, picks
@@ -157,21 +167,23 @@ pub trait RangeDetermined: Clone + fmt::Debug {
             .expect("conflict lists are nonempty for nonempty structures")
     }
 
-    /// The conflict list `C(external, S)` (§2.2): all ranges of this
-    /// structure whose range intersects `external`, where `external` comes
-    /// from the structure of a subset (or superset) of this ground set.
-    fn conflicts(&self, external: &Self::Range) -> Vec<RangeId>;
+    /// Appends the conflict list `C(external, S)` (§2.2) to `out`: all
+    /// ranges of this structure whose range intersects `external`, where
+    /// `external` comes from the structure of a subset (or superset) of
+    /// this ground set. Every level descent and repair walk calls this,
+    /// filling the walk's one buffer instead of allocating a list each
+    /// time: a range's hyperlinks are this list, computed when a route
+    /// reads them. What `out` already holds is left alone, and the order
+    /// appended must be a function of the two structures alone
+    /// ([`best_entry`](Self::best_entry) sees it).
+    fn conflicts_into(&self, external: &Self::Range, out: &mut Vec<RangeId>);
 
-    /// Appends [`conflicts(external)`](Self::conflicts) to `out` — the form
-    /// every level descent and repair walk calls, filling the walk's one
-    /// buffer instead of allocating a list each time: a range's hyperlinks
-    /// are this list, computed when a route reads them. The order must be a
-    /// function of the two structures alone ([`best_entry`](Self::best_entry)
-    /// sees it). The default goes through `conflicts`; structures that can
-    /// enumerate the list directly override it (and derive `conflicts` from
-    /// it).
-    fn conflicts_into(&self, external: &Self::Range, out: &mut Vec<RangeId>) {
-        out.extend(self.conflicts(external));
+    /// [`conflicts_into`](Self::conflicts_into) a fresh list — a convenience
+    /// for callers off the hot paths.
+    fn conflicts(&self, external: &Self::Range) -> Vec<RangeId> {
+        let mut out = Vec::new();
+        self.conflicts_into(external, &mut out);
+        out
     }
 
     /// A query point probing the location of `item` — used by updates (§4)
@@ -229,6 +241,24 @@ impl Iterator for RangeIds {
 }
 
 impl ExactSizeIterator for RangeIds {}
+
+/// The contract of [`RangeDetermined::search_step`], checked against hooks
+/// that do not go through it: from every range of `d`, each step follows a
+/// structure link, and the walk ends — within `2·num_ranges + 2` steps — at
+/// `locate(q)`. Shared by the structures' unit tests.
+#[cfg(test)]
+pub(crate) fn assert_steps_reach_locate<D: RangeDetermined>(d: &D, q: &D::Query) {
+    for from in d.range_ids() {
+        let (mut at, mut steps) = (from, 0);
+        while let Some(next) = d.search_step(at, q) {
+            assert!(d.neighbors(at).contains(&next), "{at} -> {next} for {q:?}");
+            at = next;
+            steps += 1;
+            assert!(steps <= 2 * d.num_ranges() + 2, "walk from {from} cycles");
+        }
+        assert_eq!(at, d.locate(q), "locus for {q:?} from {from}");
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -346,15 +346,6 @@ impl TrapezoidalMap {
         self.traps.len()
     }
 
-    fn resolve_node(&self, id: RangeId) -> usize {
-        let n = self.node_count();
-        if id.index() < n {
-            id.index()
-        } else {
-            self.link_ends[id.index() - n].1 as usize
-        }
-    }
-
     /// One BFS from `from` returning the link-hop distances to `to_a` and
     /// `to_b`, stopping as soon as both are settled (used to resolve the
     /// direction of a link during stepping).
@@ -381,13 +372,12 @@ impl TrapezoidalMap {
         )
     }
 
-    /// Breadth-first link path between two trapezoids (the local walk a
-    /// host executes; entry and target are O(1) apart in expectation by
-    /// Lemma 5, so the walk is short even though we compute it exactly).
-    fn bfs_path(&self, from: usize, to: usize) -> Vec<RangeId> {
-        if from == to {
-            return vec![RangeId(from as u32)];
-        }
+    /// The first link of a breadth-first shortest path from trapezoid `from`
+    /// to a different trapezoid `to` (entry and target are O(1) apart in
+    /// expectation by Lemma 5, so the search is short even though we compute
+    /// it exactly).
+    fn first_link_toward(&self, from: usize, to: usize) -> RangeId {
+        debug_assert_ne!(from, to);
         let n = self.node_count();
         let mut prev: Vec<Option<(u32, u32)>> = vec![None; n];
         let mut seen = vec![false; n];
@@ -405,17 +395,14 @@ impl TrapezoidalMap {
                 }
             }
         }
-        let mut path = Vec::new();
         let mut cur = to;
-        path.push(RangeId(cur as u32));
-        while cur != from {
+        loop {
             let (p, link) = prev[cur].expect("trapezoid adjacency graph is connected");
-            path.push(RangeId((n + link as usize) as u32));
-            path.push(RangeId(p));
+            if p as usize == from {
+                return RangeId((n + link as usize) as u32);
+            }
             cur = p as usize;
         }
-        path.reverse();
-        path
     }
 }
 
@@ -686,40 +673,26 @@ impl RangeDetermined for TrapezoidalMap {
         unreachable!("trapezoids tile the plane")
     }
 
-    fn search_path(&self, from: RangeId, q: &(i64, i64)) -> Vec<RangeId> {
-        let start = self.resolve_node(from);
-        let target = self.resolve_node(self.locate(q));
-        let mut path = self.bfs_path(start, target);
-        if from.index() >= self.node_count() {
-            path.insert(0, from);
-        }
-        path
-    }
-
     fn search_step(&self, from: RangeId, q: &(i64, i64)) -> Option<RangeId> {
         let n = self.node_count();
         // O(1) termination probe: the unique trapezoid strictly containing
         // q is its locate answer, so the locus needs no scan or BFS. (The
         // remaining steps do pay a locate + BFS each — acceptable because
-        // Lemma 5 keeps walks at O(1) expected ranges, but callers stepping
-        // through long walks on big maps should prefer `search_path`.)
+        // Lemma 5 keeps walks at O(1) expected ranges.)
         if from.index() < n && self.traps[from.index()].trap.contains(*q) {
             return None;
         }
-        let target = self.resolve_node(self.locate(q));
+        let target = self.locate(q).index();
         if from.index() < n {
             if from.index() == target {
                 return None;
             }
             // The link toward the target on a shortest path.
-            return self.bfs_path(from.index(), target).get(1).copied();
+            return Some(self.first_link_toward(from.index(), target));
         }
         // A link is direction-aware: continue to whichever endpoint is
-        // nearer the target (the default's fixed-endpoint normalization
-        // would oscillate when the walk entered from that endpoint). One
-        // BFS from the target resolves both endpoint distances; the walks
-        // themselves are expected O(1) ranges by Lemma 5, so stepping stays
-        // close to the one-shot `search_path` cost.
+        // nearer the target. One BFS from the target resolves both endpoint
+        // distances.
         let (a, b) = self.link_ends[from.index() - n];
         let (a, b) = (a as usize, b as usize);
         if a == target {
@@ -749,12 +722,6 @@ impl RangeDetermined for TrapezoidalMap {
         (xm, y.ceil_i64().saturating_add(1))
     }
 
-    fn conflicts(&self, external: &Trapezoid) -> Vec<RangeId> {
-        let mut out = Vec::new();
-        self.conflicts_into(external, &mut out);
-        out
-    }
-
     fn conflicts_into(&self, external: &Trapezoid, out: &mut Vec<RangeId>) {
         let n = self.node_count();
         let base = out.len();
@@ -777,6 +744,7 @@ impl RangeDetermined for TrapezoidalMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::assert_steps_reach_locate;
 
     fn seg(p: (i64, i64), q: (i64, i64)) -> Segment {
         Segment::new(p, q)
@@ -902,31 +870,14 @@ mod tests {
     }
 
     #[test]
-    fn search_step_converges_even_though_bfs_ties_may_reroute() {
-        // Stepping recomputes a shortest path from each intermediate range,
-        // so the walked route may differ from one `search_path` call on BFS
-        // ties — but every step shortens the distance, and the walk must
-        // land on the same locus within the path-length budget.
+    fn search_step_converges_on_the_locate_answer() {
         let m = TrapezoidalMap::build(vec![
             seg((0, 0), (9, 1)),
             seg((2, 5), (11, 6)),
             seg((13, 2), (20, -2)),
         ]);
         for q in [(10, 8), (-50, 0), (15, 0), (5, 3)] {
-            for item in 0..m.len() {
-                let from = m.entry_of_item(item);
-                let mut cur = from;
-                let mut steps = 0;
-                while let Some(next) = m.search_step(cur, &q) {
-                    cur = next;
-                    steps += 1;
-                    assert!(steps <= m.num_ranges(), "step walk diverged for {q:?}");
-                }
-                assert_eq!(cur, m.locate(&q), "locus for {q:?}");
-                // Every step shortens the BFS distance by one, so the walk
-                // length matches the one-shot path length even on reroutes.
-                assert_eq!(steps, m.search_path(from, &q).len() - 1, "steps for {q:?}");
-            }
+            assert_steps_reach_locate(&m, &q);
         }
     }
 

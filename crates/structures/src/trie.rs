@@ -276,83 +276,6 @@ impl CompressedTrie {
         (RangeId(node as u32), matched)
     }
 
-    /// The walk from `from` to `locate(q)` along trie links: `touch` sees
-    /// every range in order, both endpoints included, and ends the walk
-    /// early by returning `false`.
-    fn search_walk(&self, from: RangeId, q: &str, mut touch: impl FnMut(RangeId) -> bool) {
-        let n = self.nodes.len();
-        let qb = q.as_bytes();
-        let (target, matched) = self.locate_bytes(qb);
-        if !touch(from) {
-            return;
-        }
-        // Normalize the cursor to a node; an edge start walks to its deeper
-        // endpoint unless it already covers the locus.
-        let mut cur = if from.index() < n {
-            from.index()
-        } else {
-            if from == target {
-                return;
-            }
-            let (p, c) = self.edge_ends[from.index() - n];
-            // Move toward the locus: up if this edge is not on q's line.
-            let next = if is_prefix(self.str_of(c as usize), &qb[..matched]) {
-                c
-            } else {
-                p
-            };
-            if !touch(RangeId(next)) {
-                return;
-            }
-            next as usize
-        };
-        // Ascend until str(cur) lies on the matched line. The locus itself
-        // can be an edge on this ascent (the query diverges inside the edge
-        // the start node hangs from); the walk ends on first touch instead
-        // of overshooting to the parent and returning.
-        while !is_prefix(self.str_of(cur), &qb[..matched]) {
-            let node = &self.nodes[cur];
-            let parent = node.parent.expect("the root lies on every line");
-            if let Some(pe) = node.parent_edge {
-                let eid = RangeId((n + pe as usize) as u32);
-                if !touch(eid) || eid == target {
-                    return;
-                }
-            }
-            if !touch(RangeId(parent)) {
-                return;
-            }
-            cur = parent as usize;
-        }
-        // Descend along the matched line to the locus.
-        loop {
-            if RangeId(cur as u32) == target {
-                return;
-            }
-            let cur_len = self.nodes[cur].prefix_len as usize;
-            let mut moved = false;
-            for (&c, &e) in self.nodes[cur]
-                .children
-                .iter()
-                .zip(&self.nodes[cur].child_edges)
-            {
-                let cs = self.str_of(c as usize);
-                if cur_len < matched && cs[cur_len] == qb[cur_len] {
-                    let eid = RangeId((n + e as usize) as u32);
-                    if !touch(eid) || eid == target || !touch(RangeId(c)) {
-                        return;
-                    }
-                    cur = c as usize;
-                    moved = true;
-                    break;
-                }
-            }
-            if !moved {
-                return;
-            }
-        }
-    }
-
     fn build_rec(&mut self, lo: usize, hi: usize, parent: Option<u32>) -> u32 {
         debug_assert!(lo < hi);
         let node_idx = self.nodes.len() as u32;
@@ -517,28 +440,38 @@ impl RangeDetermined for CompressedTrie {
         self.locate_bytes(q.as_bytes()).0
     }
 
-    fn search_path(&self, from: RangeId, q: &String) -> Vec<RangeId> {
-        let mut path = Vec::new();
-        self.search_walk(from, q, |r| {
-            path.push(r);
-            true
-        });
-        path
-    }
-
     fn search_step(&self, from: RangeId, q: &String) -> Option<RangeId> {
-        // The same walk, cut short at the first range after `from` — no
-        // path is materialized per step.
-        let mut touched = 0;
-        let mut next = None;
-        self.search_walk(from, q, |r| {
-            touched += 1;
-            if touched == 2 {
-                next = Some(r);
-            }
-            touched < 2
-        });
-        next
+        let n = self.nodes.len();
+        let qb = q.as_bytes();
+        let (target, matched) = self.locate_bytes(qb);
+        if from == target {
+            return None;
+        }
+        let line = &qb[..matched];
+        let edge_id = |e: u32| RangeId((n + e as usize) as u32);
+        if from.index() >= n {
+            // An edge moves toward the locus: down while its child still
+            // spells a prefix of the matched line, up otherwise.
+            let (p, c) = self.edge_ends[from.index() - n];
+            let down = is_prefix(self.str_of(c as usize), line);
+            return Some(RangeId(if down { c } else { p }));
+        }
+        let node = &self.nodes[from.index()];
+        if !is_prefix(self.str_of(from.index()), line) {
+            // Off the matched line: ascend. The locus itself can be the
+            // parent edge (the query diverges inside it); the next step
+            // stops there.
+            let parent = node.parent.expect("the root lies on every line");
+            return Some(node.parent_edge.map_or(RangeId(parent), edge_id));
+        }
+        // On the line above the locus: descend through the edge spelling
+        // the query's next byte.
+        let at = node.prefix_len as usize;
+        node.children
+            .iter()
+            .zip(&node.child_edges)
+            .find(|(&c, _)| at < matched && self.str_of(c as usize)[at] == qb[at])
+            .map(|(_, &e)| edge_id(e))
     }
 
     fn best_entry(&self, candidates: &[RangeId], q: &String) -> RangeId {
@@ -557,12 +490,6 @@ impl RangeDetermined for CompressedTrie {
 
     fn item_query(item: &String) -> String {
         item.clone()
-    }
-
-    fn conflicts(&self, external: &TrieRange) -> Vec<RangeId> {
-        let mut out = Vec::new();
-        self.conflicts_into(external, &mut out);
-        out
     }
 
     fn conflicts_into(&self, external: &TrieRange, out: &mut Vec<RangeId>) {
@@ -634,6 +561,7 @@ impl RangeDetermined for CompressedTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::assert_steps_reach_locate;
 
     fn trie(words: &[&str]) -> CompressedTrie {
         CompressedTrie::build(words.iter().map(|s| s.to_string()).collect())
@@ -688,19 +616,7 @@ mod tests {
     fn search_step_converges_on_the_locate_answer() {
         let t = trie(&["car", "carpet", "cart", "dog", "dot", "x"]);
         for q in ["car", "care", "carpets", "do", "zebra", ""] {
-            let q = q.to_string();
-            for item in 0..t.len() {
-                let from = t.entry_of_item(item);
-                let mut walked = vec![from];
-                let mut cur = from;
-                while let Some(next) = t.search_step(cur, &q) {
-                    walked.push(next);
-                    cur = next;
-                    assert!(walked.len() <= 4 * t.num_ranges(), "step walk diverged");
-                }
-                assert_eq!(cur, t.locate(&q), "locus for {q:?}");
-                assert_eq!(walked, t.search_path(from, &q), "path for {q:?}");
-            }
+            assert_steps_reach_locate(&t, &q.to_string());
         }
     }
 

@@ -1,10 +1,10 @@
 //! Statistical validation of all four set-halving lemmas across seeds, plus
 //! property tests for the trapezoid conflict identity (Lemma 5) on random
-//! general-position inputs, for the agreement of every structure's hot-path
-//! forms (`search_step`, `conflicts_into`) with the list-returning ones they
-//! shortcut, and for the property a skip-web's derived hyperlinks rest on:
-//! a subset's range always conflicts with the superset range holding any of
-//! its points.
+//! general-position inputs, for every structure's required hot-path hooks
+//! (`search_step` against `neighbors` and `locate`, `conflicts_into` against
+//! its buffer contract), and for the property a skip-web's derived
+//! hyperlinks rest on: a subset's range always conflicts with the superset
+//! range holding any of its points.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -35,37 +35,24 @@ fn banded_segments(n: usize, seed: u64) -> Vec<Segment> {
         .collect()
 }
 
-/// Holds `d`'s allocation-free hot paths to the forms they shortcut, from
-/// every range, for every query, against a half-sample's ranges:
+/// Holds `d`'s two required hot-path hooks to oracles that do not go through
+/// them, from every range, for every query, against a half-sample's ranges:
 ///
-/// * `search_step(from, q)` is the second range of `search_path(from, q)`
-///   wherever `exact_from(from)` says the structure promises that — from
-///   any range for structures that derive the step from the path's walk,
-///   from node ranges for the two whose links step direction-aware (a link
-///   the walk just came up through continues upward instead of replaying
-///   the path's child-first normalization);
-/// * stepping repeatedly from any range ends where the path does;
+/// * every `search_step` lands in `neighbors` of the range it left — the
+///   walk only follows structure links;
+/// * stepping repeatedly from *any* range, node or link, terminates within
+///   `2·num_ranges + 2` steps, and ends at `locate(q)`;
 /// * `conflicts_into` appends exactly `conflicts`, leaving what the buffer
 ///   already held alone.
-fn assert_hot_paths_agree<D: RangeDetermined>(
-    d: &D,
-    coarse: &D,
-    queries: &[D::Query],
-    exact_from: impl Fn(RangeId) -> bool,
-) {
+fn assert_hot_paths_agree<D: RangeDetermined>(d: &D, coarse: &D, queries: &[D::Query]) {
     for q in queries {
         for from in d.range_ids() {
-            let path = d.search_path(from, q);
-            assert_eq!(path[0], from);
-            if exact_from(from) {
-                assert_eq!(
-                    d.search_step(from, q),
-                    path.get(1).copied(),
-                    "from {from} toward {q:?}"
-                );
-            }
             let (mut at, mut steps) = (from, 0);
             while let Some(next) = d.search_step(at, q) {
+                assert!(
+                    d.neighbors(at).contains(&next),
+                    "{at} -> {next} toward {q:?} is not a structure link"
+                );
                 at = next;
                 steps += 1;
                 assert!(
@@ -73,7 +60,7 @@ fn assert_hot_paths_agree<D: RangeDetermined>(
                     "stepping from {from} cycles"
                 );
             }
-            assert_eq!(Some(&at), path.last(), "from {from} toward {q:?}");
+            assert_eq!(at, d.locate(q), "from {from} toward {q:?}");
         }
     }
     let externals = coarse
@@ -330,7 +317,7 @@ proptest! {
         let half = keys.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
         let d = SortedLinkedList::build(keys);
         let coarse = SortedLinkedList::build(half);
-        assert_hot_paths_agree(&d, &coarse, &queries, |_| true);
+        assert_hot_paths_agree(&d, &coarse, &queries);
         assert_subset_ranges_link_into_the_superset(&d, &coarse, &queries, holds_the_locus);
     }
 
@@ -346,9 +333,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let half = pts.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
         let d = CompressedQuadtree::<2>::build(pts);
-        let nodes = d.num_nodes();
         let coarse = CompressedQuadtree::<2>::build(half);
-        assert_hot_paths_agree(&d, &coarse, &queries, |from| from.index() < nodes);
+        assert_hot_paths_agree(&d, &coarse, &queries);
         assert_subset_ranges_link_into_the_superset(&d, &coarse, &queries, |d, links, q| {
             links.iter().any(|&r| d.range(r).contains_point(q))
         });
@@ -374,7 +360,7 @@ proptest! {
             .flat_map(|w| (0..=w.len()).map(|len| w[..len].to_owned()))
             .collect();
         let d = CompressedTrie::build(words);
-        assert_hot_paths_agree(&d, &coarse, &queries, |_| true);
+        assert_hot_paths_agree(&d, &coarse, &queries);
         assert_subset_ranges_link_into_the_superset(&d, &coarse, &vertices, holds_the_locus);
     }
 
@@ -392,9 +378,8 @@ proptest! {
         let queries: Vec<(i64, i64)> =
             probes.into_iter().map(|(x, band)| (x * 4 + 3, band * 100 + 49)).collect();
         let d = TrapezoidalMap::build(all);
-        let nodes = d.num_trapezoids();
         let coarse = TrapezoidalMap::build(half);
-        assert_hot_paths_agree(&d, &coarse, &queries, |from| from.index() < nodes);
+        assert_hot_paths_agree(&d, &coarse, &queries);
         assert_subset_ranges_link_into_the_superset(&d, &coarse, &queries, holds_the_locus);
     }
 

@@ -282,9 +282,7 @@ proptest! {
             let kind = if web.len() <= 2 { 0 } else { action % 3 };
             match kind {
                 0 => {
-                    // Query: exact answer parity; trapezoid step walks may
-                    // reroute on BFS tie-breaks, so hops get a budget
-                    // rather than exact parity (as in the static suite).
+                    // Query: exact answer and hop parity.
                     let q = (
                         i64::from(slot) * 997 % 61_000 - 200,
                         i64::from(slot % 17) * 31 - 60,
@@ -292,10 +290,7 @@ proptest! {
                     let sim = web.locate_point(origin, q);
                     let reply = dist.query(&client, origin, q).expect("runtime alive");
                     prop_assert_eq!(reply.answer, sim.trapezoid, "locate {:?}", q);
-                    prop_assert!(
-                        u64::from(reply.hops) <= 4 * sim.messages + 16,
-                        "hops {} vs sim {} for {:?}", reply.hops, sim.messages, q
-                    );
+                    prop_assert_eq!(u64::from(reply.hops), sim.messages, "hops for {:?}", q);
                 }
                 _ => {
                     // Slots are in general position by construction, so the
@@ -308,7 +303,7 @@ proptest! {
                         _ => Update::Remove { item: seg },
                     };
                     let (hops, sim) = update_both(web.inner_mut(), &dist, &client, origin, &update);
-                    prop_assert!(hops <= 4 * sim + 16, "{:?}: hops {} vs sim {}", update, hops, sim);
+                    prop_assert_eq!(hops, sim, "hops of {:?}", update);
                 }
             }
             prop_assert!(!web.is_empty(), "churn never empties the web here");
