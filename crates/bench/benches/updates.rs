@@ -25,7 +25,7 @@ fn bench_updates(c: &mut Criterion) {
             i += 1;
             let key = (i * 7919) | 1;
             web.insert(key);
-            web.remove(key);
+            web.remove(&key);
         });
     });
 

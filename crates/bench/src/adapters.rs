@@ -68,15 +68,8 @@ impl OrderedDictionary for SkipWebDict {
         // item space (owner-hosted: identical; bucketed: any item whose
         // tower starts at that block).
         let origin_item = origin % self.web.len().max(1);
-        let outcome = self.web.inner().query(origin_item, &q, meter);
-        let locus = {
-            use skipweb_structures::traits::RangeDetermined;
-            self.web.inner().base().range(outcome.locus)
-        };
-        use skipweb_structures::linked_list::SortedLinkedList;
-        let base: &SortedLinkedList = self.web.inner().base();
-        crate::adapters::nearest_in(&locus, q)
-            .unwrap_or_else(|| base.nearest_key(q).expect("nonempty dictionary"))
+        let (nearest, _) = self.web.inner().ask(origin_item, &q, meter);
+        nearest.expect("nonempty dictionary")
     }
 
     fn insert(&mut self, key: u64, meter: &mut MessageMeter) -> bool {
@@ -88,26 +81,7 @@ impl OrderedDictionary for SkipWebDict {
     }
 
     fn account(&self, net: &mut SimNetwork) {
-        self.web.account(net)
-    }
-}
-
-/// Nearest key within a located level-0 interval (the local answer rule).
-fn nearest_in(locus: &skipweb_structures::KeyInterval, q: u64) -> Option<u64> {
-    use skipweb_structures::interval::Endpoint;
-    match (locus.lo(), locus.hi()) {
-        (Endpoint::Key(x), Endpoint::Key(y)) => Some(if q <= x {
-            x
-        } else if q >= y {
-            y
-        } else if q - x <= y - q {
-            x
-        } else {
-            y
-        }),
-        (Endpoint::NegInf, Endpoint::Key(y)) => Some(y),
-        (Endpoint::Key(x), Endpoint::PosInf) => Some(x),
-        _ => None,
+        self.web.inner().account(net)
     }
 }
 

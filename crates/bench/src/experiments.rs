@@ -246,7 +246,7 @@ pub fn fig2(sizes: &[usize], seed: u64) -> Table {
             q_owner.push(o.messages);
             q_bucket.push(bucket.nearest(bucket.random_origin(i as u64), q).messages);
         }
-        let split = owner.level_set_sizes(1);
+        let split = owner.inner().level_set_sizes(1);
         let split_str = if split.len() == 2 {
             format!("{}/{}", split[0], split[1])
         } else {
@@ -254,7 +254,7 @@ pub fn fig2(sizes: &[usize], seed: u64) -> Table {
         };
         t.push(vec![
             n.to_string(),
-            (owner.top_level() + 1).to_string(),
+            (owner.inner().top_level() + 1).to_string(),
             split_str,
             owner.network().max_memory().to_string(),
             f2(SeriesStats::from_samples(&q_owner).mean),
@@ -539,7 +539,7 @@ pub fn updates(sizes: &[usize], count: usize, seed: u64) -> Table {
                 .collect();
             let rem: Vec<u64> = fresh
                 .iter()
-                .map(|&k| web.remove(k).expect("present"))
+                .map(|k| web.remove(k).expect("present"))
                 .collect();
             let si = SeriesStats::from_samples(&ins);
             let sr = SeriesStats::from_samples(&rem);

@@ -202,21 +202,31 @@ impl fmt::Display for GlobalRef {
 /// of the navigation primitives of [`RangeDetermined`], it names the
 /// wire-level request/answer types, how the terminal host turns a level-0
 /// locus into an answer, and which items it will admit as live inserts.
+/// The simulator answers through the same hook ([`SkipWeb::ask`]).
 pub trait Routable: RangeDetermined<Item: Send + Sync + 'static> {
     /// What clients send: a query request (possibly richer than
     /// [`RangeDetermined::Query`] — e.g. an orthogonal box whose descent
     /// routes toward its centre point).
     type Request: Clone + Send + fmt::Debug + 'static;
-    /// What the terminal host replies with.
-    type Answer: Clone + Send + fmt::Debug + 'static;
+    /// What the terminal host replies with; the default value is what a
+    /// malformed scatter-gather exchange degrades to.
+    type Answer: Clone + Default + Send + fmt::Debug + 'static;
 
     /// The point of the universe the descent routes toward for `req`.
     fn target(req: &Self::Request) -> Self::Query;
 
     /// Computes the answer once the descent reached the maximal level-0
-    /// range containing the target — executed by the host anchoring that
-    /// locus, from its local neighbourhood.
-    fn answer(&self, locus: RangeId, req: &Self::Request) -> Self::Answer;
+    /// range `locus` containing the target — executed by the host anchoring
+    /// that locus. `touch` must visit, in reading order, every level-0 range
+    /// the answer reads beyond the locus's local neighbourhood (a box
+    /// report's ascent and scan; a point answer touches none): the
+    /// simulator charges each one's host a hop, the engine passes a no-op.
+    fn answer(
+        &self,
+        locus: RangeId,
+        req: &Self::Request,
+        touch: impl FnMut(RangeId),
+    ) -> Self::Answer;
 
     /// Whether `item` may be admitted as a live insert against the current
     /// ground set. Actors serve wire input and must never panic on it, so
@@ -250,21 +260,21 @@ pub trait Routable: RangeDetermined<Item: Send + Sync + 'static> {
 
     /// Computes the partial answer supported by a subset of the ranges
     /// [`report_ranges`](Self::report_ranges) returned — executed by the
-    /// host owning that subset during a scatter-gather report. Only called
-    /// when `report_ranges` is overridden to return `Some`.
+    /// host owning that subset during a scatter-gather report. The wire
+    /// decoder admits only scatters over ranges `report_ranges` names, so
+    /// the default (structures that never report) is unreachable.
     fn partial_answer(&self, ranges: &[RangeId], req: &Self::Request) -> Self::Answer {
         let _ = (ranges, req);
-        unreachable!("partial_answer must be overridden alongside report_ranges")
+        Self::Answer::default()
     }
 
     /// Merges the streamed partial answers of a scatter-gather report into
     /// the final answer. Must be insensitive to arrival order (partials
     /// stream back in parallel) and, over any partition of the report
-    /// ranges, equal the serial [`answer`](Self::answer). Only called when
-    /// `report_ranges` is overridden to return `Some`.
+    /// ranges, equal the serial [`answer`](Self::answer). The default keeps
+    /// the first partial: only a malformed reply can deliver one.
     fn merge_answers(parts: Vec<Self::Answer>) -> Self::Answer {
-        let _ = parts;
-        unreachable!("merge_answers must be overridden alongside report_ranges")
+        parts.into_iter().next().unwrap_or_default()
     }
 }
 
@@ -482,19 +492,6 @@ impl fmt::Display for ReplyMismatch {
 impl std::error::Error for ReplyMismatch {}
 
 impl<D: Routable> EngineReply<D> {
-    /// The query answer, or a [`ReplyMismatch`] if this reply belongs to an
-    /// update, a scatter partial, or was unavailable.
-    ///
-    /// # Errors
-    ///
-    /// Returns the mismatch describing what the reply actually carried.
-    pub fn try_answer(&self) -> Result<&D::Answer, ReplyMismatch> {
-        match &self.body {
-            ReplyBody::Answer(a) => Ok(a),
-            other => Err(other.mismatch(ReplyKind::Answer)),
-        }
-    }
-
     /// Consumes the reply, returning the query answer, or a
     /// [`ReplyMismatch`] if the reply carried something else.
     ///
@@ -981,11 +978,8 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                 if gather && self.try_scatter(locus, &msg, ctx, turn) {
                     return;
                 }
-                let answer = msg
-                    .topo
-                    .set(locus)
-                    .structure
-                    .answer(RangeId(locus.range), req);
+                let set = msg.topo.set(locus);
+                let answer = set.structure.answer(RangeId(locus.range), req, |_| {});
                 msg.reply(ctx, ReplyBody::Answer(answer));
             }
             RouteOutcome::Forward { next, host } => {
@@ -1405,13 +1399,6 @@ impl Timeouts {
     /// where short timeouts surface lost operations quickly.
     pub fn uniform(timeout: Duration) -> Self {
         Self::new(timeout, timeout)
-    }
-
-    /// Overrides both resubmit budgets.
-    pub fn with_resubmits(mut self, lossless: usize, lossy: usize) -> Self {
-        self.resubmits = lossless;
-        self.lossy_resubmits = lossy;
-        self
     }
 }
 

@@ -15,9 +15,16 @@
 //!   at every layer, [`Update`], and [`SkipWeb::apply`] resolves a batch of
 //!   them — inserts and removes in any mix, in op order — in one staging
 //!   pass and one dirty-set repair, byte-identical to the full rebuild
-//!   ([`SkipWeb::apply_full`], the test oracle).
+//!   ([`SkipWeb::apply_full`], the test oracle). A query's answer is one
+//!   computation everywhere: [`SkipWeb::ask`] routes to the locus and asks
+//!   the structure's [`Routable::answer`](engine::Routable::answer), the
+//!   same call the engine's locus host replies with.
+//! * [`web`] — [`Web<D>`](web::Web), the one typed wrapper: building,
+//!   sizes, metered updates and serving, written once for every structure.
 //! * [`onedim`] — one-dimensional nearest-neighbour skip-webs and the
-//!   bucketed variant (Table 1's last two rows).
+//!   bucketed variant (Table 1's last two rows), plus
+//!   [`DistributedOneDim`](onedim::DistributedOneDim), the served 1-D web
+//!   with its nearest-key conveniences.
 //! * [`multidim`] — quadtree/octree point location and approximate nearest
 //!   neighbour, trie prefix search, trapezoidal-map point location (§3).
 //! * [`engine`] — the generic distributed engine: any of the above served
@@ -28,8 +35,6 @@
 //!   applies as an atomic topology-snapshot swap, so concurrent queries
 //!   never observe a half-applied update. One admission path and one wait
 //!   loop serve every client call, single or batched.
-//! * [`distributed`] — the stable 1-D entry point, a thin wrapper over
-//!   [`engine`].
 //!
 //! # Quickstart
 //!
@@ -44,13 +49,13 @@
 //! ```
 
 mod csr;
-pub mod distributed;
 pub mod engine;
 pub mod levels;
 pub mod multidim;
 pub mod onedim;
 pub mod placement;
 pub mod skipweb;
+pub mod web;
 pub mod wire;
 
 pub use placement::Blocking;

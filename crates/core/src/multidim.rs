@@ -3,16 +3,15 @@
 //! point location — each `O(log n)` messages even when the underlying
 //! structure has `O(n)` depth.
 
-use skipweb_net::sim::{MessageMeter, SimNetwork};
+use skipweb_net::sim::MessageMeter;
 use skipweb_structures::geometry::Cell;
 use skipweb_structures::quadtree::{CompressedQuadtree, PointKey};
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 use skipweb_structures::trapezoid::{Segment, Trapezoid, TrapezoidalMap};
 use skipweb_structures::trie::CompressedTrie;
 
-use crate::engine::{DistributedSkipWeb, Routable};
-use crate::placement::{Blocking, Replication};
-use crate::skipweb::{SkipWeb, SkipWebBuilder};
+use crate::engine::Routable;
+use crate::web::Web;
 
 /// A request routed through a distributed quadtree skip-web.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,11 +75,17 @@ impl<const D: usize> Routable for CompressedQuadtree<D> {
         }
     }
 
-    fn answer(&self, locus: RangeId, req: &QuadtreeRequest<D>) -> QuadtreeAnswer<D> {
+    fn answer(
+        &self,
+        locus: RangeId,
+        req: &QuadtreeRequest<D>,
+        touch: impl FnMut(RangeId),
+    ) -> QuadtreeAnswer<D> {
         match req {
             QuadtreeRequest::Locate(q) => {
-                // Widen to the parent subtree for the approximate-NN
-                // candidate set, as in the simulator path.
+                // The located range is a node (search terminates on nodes);
+                // widen to its parent subtree for the approximate-NN
+                // candidate set.
                 let around = self.parent_of(locus).unwrap_or(locus);
                 QuadtreeAnswer::Located {
                     cell: RangeDetermined::range(self, locus),
@@ -89,27 +94,29 @@ impl<const D: usize> Routable for CompressedQuadtree<D> {
             }
             QuadtreeRequest::InBox { lo, hi } => {
                 let (lo, hi) = normalized_box(lo, hi);
-                QuadtreeAnswer::Points(scan_box(self, locus, &lo, &hi, |_| {}))
+                let nodes = box_report_nodes(self, locus, &lo, &hi, touch);
+                QuadtreeAnswer::Points(points_from_nodes(self, &nodes, &lo, &hi))
             }
         }
     }
 
     fn report_ranges(&self, locus: RangeId, req: &QuadtreeRequest<D>) -> Option<Vec<RangeId>> {
         match req {
-            QuadtreeRequest::Locate(_) => None,
-            QuadtreeRequest::InBox { lo, hi } => {
+            // A walk ends on a node: only a malformed envelope names a link
+            // as the locus, and it reports nothing.
+            QuadtreeRequest::InBox { lo, hi } if locus.index() < self.num_nodes() => {
                 let (lo, hi) = normalized_box(lo, hi);
                 Some(box_report_nodes(self, locus, &lo, &hi, |_| {}))
             }
+            _ => None,
         }
     }
 
     fn partial_answer(&self, ranges: &[RangeId], req: &QuadtreeRequest<D>) -> QuadtreeAnswer<D> {
         match req {
-            // Wire input is never trusted enough to panic on: a locate can
-            // only reach here through a malformed message, so degrade to an
-            // empty report.
-            QuadtreeRequest::Locate(_) => QuadtreeAnswer::Points(Vec::new()),
+            // A locate never reports, so the wire decoder admits no
+            // scatter of one; degrade to the empty report all the same.
+            QuadtreeRequest::Locate(_) => QuadtreeAnswer::default(),
             QuadtreeRequest::InBox { lo, hi } => {
                 let (lo, hi) = normalized_box(lo, hi);
                 QuadtreeAnswer::Points(points_from_nodes(self, ranges, &lo, &hi))
@@ -132,8 +139,16 @@ impl<const D: usize> Routable for CompressedQuadtree<D> {
     }
 }
 
+/// The empty box report: what a malformed scatter-gather exchange degrades
+/// to (see [`Routable::partial_answer`]).
+impl<const D: usize> Default for QuadtreeAnswer<D> {
+    fn default() -> Self {
+        QuadtreeAnswer::Points(Vec::new())
+    }
+}
+
 /// The answer to a distributed trie prefix query.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefixAnswer {
     /// How many bytes of the query lie on the stored-set trie.
     pub matched_len: usize,
@@ -150,7 +165,7 @@ impl Routable for CompressedTrie {
         req.clone()
     }
 
-    fn answer(&self, _locus: RangeId, req: &String) -> PrefixAnswer {
+    fn answer(&self, _locus: RangeId, req: &String, _touch: impl FnMut(RangeId)) -> PrefixAnswer {
         let matched_len = self.matched_len(req.as_bytes());
         let matches = if matched_len == req.len() {
             self.strings_with_prefix(req.as_bytes())
@@ -221,7 +236,7 @@ impl Routable for TrapezoidalMap {
         *req
     }
 
-    fn answer(&self, locus: RangeId, _req: &(i64, i64)) -> Trapezoid {
+    fn answer(&self, locus: RangeId, _req: &(i64, i64), _touch: impl FnMut(RangeId)) -> Trapezoid {
         RangeDetermined::range(self, locus)
     }
 
@@ -489,28 +504,12 @@ mod codecs {
     }
 }
 
-/// Ascends from the descent locus to the smallest cell covering the whole
-/// box, then reports stored points output-sensitively by DFS with subtree
-/// pruning. `touch` observes every range acted on (the simulator meters its
-/// host; the distributed engine executes the scan on the anchoring host —
-/// or, under scatter-gather, splits [`box_report_nodes`] across the hosts
-/// owning them).
-pub(crate) fn scan_box<const D: usize>(
-    base: &CompressedQuadtree<D>,
-    locus: RangeId,
-    lo: &[u32; D],
-    hi: &[u32; D],
-    touch: impl FnMut(RangeId),
-) -> Vec<PointKey<D>> {
-    let nodes = box_report_nodes(base, locus, lo, hi, touch);
-    points_from_nodes(base, &nodes, lo, hi)
-}
-
 /// The node ranges supporting a box report: ascend from `locus` to the
 /// smallest cell covering the whole box, then DFS with subtree pruning —
-/// every node visited in walk order. The stored points of exactly these
-/// nodes (filtered through the box) are the report's answer, which is what
-/// lets a scatter-gather split them across owning hosts.
+/// every node visited in walk order, and observed by `touch` (the simulator
+/// meters its host). The stored points of exactly these nodes (filtered
+/// through the box) are the report's answer, which is what lets a
+/// scatter-gather split them across owning hosts.
 pub(crate) fn box_report_nodes<const D: usize>(
     base: &CompressedQuadtree<D>,
     locus: RangeId,
@@ -578,55 +577,6 @@ pub(crate) fn points_from_nodes<const D: usize>(
     points
 }
 
-/// Builder that produces a typed wrapper around a generic skip-web.
-#[derive(Debug, Clone)]
-pub struct WrappedBuilder<D: RangeDetermined, W> {
-    pub(crate) inner: SkipWebBuilder<D>,
-    pub(crate) wrap: fn(SkipWeb<D>) -> W,
-}
-
-impl<D: RangeDetermined, W> WrappedBuilder<D, W> {
-    /// Seeds the level randomization.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner = self.inner.seed(seed);
-        self
-    }
-
-    /// Uses bucketed placement with per-host memory `memory` (§2.4.1).
-    pub fn bucketed(mut self, memory: usize) -> Self {
-        self.inner = self.inner.bucketed(memory);
-        self
-    }
-
-    /// Uses an explicit blocking strategy.
-    pub fn blocking(mut self, blocking: Blocking) -> Self {
-        self.inner = self.inner.blocking(blocking);
-        self
-    }
-
-    /// Uses an explicit replication policy.
-    pub fn replication(mut self, replication: Replication) -> Self {
-        self.inner = self.inner.replication(replication);
-        self
-    }
-
-    /// Places every range on `k` hosts so the served web survives up to
-    /// `k - 1` host crashes (see [`Replication`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn replicate(mut self, k: usize) -> Self {
-        self.inner = self.inner.replicate(k);
-        self
-    }
-
-    /// Builds the wrapped skip-web.
-    pub fn build(self) -> W {
-        (self.wrap)(self.inner.build())
-    }
-}
-
 /// Outcome of a point-location query in a quadtree skip-web.
 #[derive(Debug, Clone)]
 pub struct CellOutcome<const D: usize> {
@@ -657,62 +607,26 @@ pub struct CellOutcome<const D: usize> {
 /// let out = web.locate_point(web.random_origin(0), PointKey::new([100, 230]));
 /// assert!(out.cell.contains_point(&PointKey::new([100, 230])));
 /// ```
-#[derive(Debug, Clone)]
-pub struct QuadtreeSkipWeb<const D: usize> {
-    web: SkipWeb<CompressedQuadtree<D>>,
-}
+pub type QuadtreeSkipWeb<const D: usize> = Web<CompressedQuadtree<D>>;
 
 impl<const D: usize> QuadtreeSkipWeb<D> {
-    /// Starts building over a point set.
-    pub fn builder(points: Vec<PointKey<D>>) -> WrappedBuilder<CompressedQuadtree<D>, Self> {
-        WrappedBuilder {
-            inner: SkipWeb::builder(points),
-            wrap: Self::from_web,
-        }
-    }
-
-    /// Wraps a built generic web.
-    pub fn from_web(web: SkipWeb<CompressedQuadtree<D>>) -> Self {
-        QuadtreeSkipWeb { web }
-    }
-
     /// The stored points (Morton order).
     pub fn points(&self) -> &[PointKey<D>] {
-        self.web.ground()
-    }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.web.len()
-    }
-
-    /// Whether the web is empty.
-    pub fn is_empty(&self) -> bool {
-        self.web.is_empty()
-    }
-
-    /// Number of hosts.
-    pub fn hosts(&self) -> usize {
-        self.web.hosts()
-    }
-
-    /// Deterministic pseudo-random origin item.
-    pub fn random_origin(&self, seed: u64) -> usize {
-        self.web.random_origin(seed)
+        self.inner().ground()
     }
 
     /// Point location: routes to the deepest level-0 cell containing `q`
     /// and extracts the approximate nearest neighbour (§3.1).
     pub fn locate_point(&self, origin_item: usize, q: PointKey<D>) -> CellOutcome<D> {
-        let mut meter = MessageMeter::new();
-        let outcome = self.web.query(origin_item, &q, &mut meter);
-        let base = self.web.base();
-        let cell = base.range(outcome.locus);
-        // The located range is a node (search terminates on nodes); widen to
-        // its parent subtree for the approximate-NN candidate set.
-        let node = outcome.locus;
-        let around = base.parent_of(node).unwrap_or(node);
-        let approx_nearest = base.nearest_in_subtree(around, &q);
+        let (req, meter) = (QuadtreeRequest::Locate(q), &mut MessageMeter::new());
+        let (answer, outcome) = self.inner().ask(origin_item, &req, meter);
+        let QuadtreeAnswer::Located {
+            cell,
+            approx_nearest,
+        } = answer
+        else {
+            unreachable!("a locate answers with a location");
+        };
         CellOutcome {
             cell,
             approx_nearest,
@@ -731,62 +645,15 @@ impl<const D: usize> QuadtreeSkipWeb<D> {
     /// Panics if the web is empty or `lo` exceeds `hi` on any axis.
     pub fn points_in_box(&self, origin_item: usize, lo: [u32; D], hi: [u32; D]) -> BoxOutcome<D> {
         assert!((0..D).all(|a| lo[a] <= hi[a]), "box corners out of order");
-        // Route toward the box centre.
-        let mut centre = [0u32; D];
-        for a in 0..D {
-            centre[a] = lo[a] + (hi[a] - lo[a]) / 2;
-        }
-        let mut meter = MessageMeter::new();
-        let outcome = self
-            .web
-            .query(origin_item, &PointKey::new(centre), &mut meter);
-        let levels = self.web.level_structs();
-        let set = &levels[0].sets[0];
-        let points = scan_box(&set.structure, outcome.locus, &lo, &hi, |r| {
-            meter.visit(self.web.primary(0, set, r))
-        });
+        let (req, meter) = (QuadtreeRequest::InBox { lo, hi }, &mut MessageMeter::new());
+        let (answer, outcome) = self.inner().ask(origin_item, &req, meter);
+        let QuadtreeAnswer::Points(points) = answer else {
+            unreachable!("a box answers with points");
+        };
         BoxOutcome {
             points,
-            messages: meter.messages(),
+            messages: outcome.messages,
         }
-    }
-
-    /// Serves this web over the threaded actor runtime (see
-    /// [`crate::engine`]): point-location and box-reporting requests — and
-    /// live point inserts/removes — are routed with real concurrent message
-    /// passing.
-    pub fn serve(&self) -> DistributedSkipWeb<CompressedQuadtree<D>> {
-        DistributedSkipWeb::builder(&self.web).spawn()
-    }
-
-    /// Inserts a point, returning the update's message cost (`None` for
-    /// duplicates).
-    pub fn insert(&mut self, p: PointKey<D>) -> Option<u64> {
-        let mut meter = MessageMeter::new();
-        self.web.insert(p, &mut meter).then(|| meter.messages())
-    }
-
-    /// Removes a point, returning the update's message cost (`None` when
-    /// absent).
-    pub fn remove(&mut self, p: &PointKey<D>) -> Option<u64> {
-        let mut meter = MessageMeter::new();
-        self.web.remove(p, &mut meter).then(|| meter.messages())
-    }
-
-    /// A simulated network with accounting applied.
-    pub fn network(&self) -> SimNetwork {
-        self.web.network()
-    }
-
-    /// The underlying generic skip-web.
-    pub fn inner(&self) -> &SkipWeb<CompressedQuadtree<D>> {
-        &self.web
-    }
-
-    /// Mutable access to the underlying generic skip-web (e.g. to drive
-    /// deterministic [`SkipWeb::insert_with`] updates for parity studies).
-    pub fn inner_mut(&mut self) -> &mut SkipWeb<CompressedQuadtree<D>> {
-        &mut self.web
     }
 }
 
@@ -830,111 +697,25 @@ pub struct PrefixOutcome {
 /// let out = web.prefix_search(web.random_origin(1), "9780201");
 /// assert_eq!(out.matches.len(), 2);
 /// ```
-#[derive(Debug, Clone)]
-pub struct TrieSkipWeb {
-    web: SkipWeb<CompressedTrie>,
-}
+pub type TrieSkipWeb = Web<CompressedTrie>;
 
 impl TrieSkipWeb {
-    /// Starts building over a string set.
-    pub fn builder(strings: Vec<String>) -> WrappedBuilder<CompressedTrie, Self> {
-        WrappedBuilder {
-            inner: SkipWeb::builder(strings),
-            wrap: Self::from_web,
-        }
-    }
-
-    /// Wraps a built generic web.
-    pub fn from_web(web: SkipWeb<CompressedTrie>) -> Self {
-        TrieSkipWeb { web }
-    }
-
     /// The stored strings (sorted).
     pub fn strings(&self) -> &[String] {
-        self.web.ground()
-    }
-
-    /// Number of stored strings.
-    pub fn len(&self) -> usize {
-        self.web.len()
-    }
-
-    /// Whether the web is empty.
-    pub fn is_empty(&self) -> bool {
-        self.web.is_empty()
-    }
-
-    /// Number of hosts.
-    pub fn hosts(&self) -> usize {
-        self.web.hosts()
-    }
-
-    /// Deterministic pseudo-random origin item.
-    pub fn random_origin(&self, seed: u64) -> usize {
-        self.web.random_origin(seed)
+        self.inner().ground()
     }
 
     /// Prefix search: routes to the trie locus of `prefix` and collects the
     /// stored strings extending it.
     pub fn prefix_search(&self, origin_item: usize, prefix: &str) -> PrefixOutcome {
-        let mut meter = MessageMeter::new();
-        let q = prefix.to_string();
-        let outcome = self.web.query(origin_item, &q, &mut meter);
-        let base = self.web.base();
-        let matched_len = base.matched_len(prefix.as_bytes());
-        let matches = if matched_len == prefix.len() {
-            base.strings_with_prefix(prefix.as_bytes())
-                .into_iter()
-                .map(str::to_owned)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let meter = &mut MessageMeter::new();
+        let (answer, outcome) = self.inner().ask(origin_item, &prefix.to_string(), meter);
         PrefixOutcome {
-            matched_len,
-            matches,
+            matched_len: answer.matched_len,
+            matches: answer.matches,
             messages: outcome.messages,
             per_level_touches: outcome.per_level_touches,
         }
-    }
-
-    /// Inserts a string, returning the update's message cost (`None` for
-    /// duplicates).
-    pub fn insert(&mut self, s: String) -> Option<u64> {
-        let mut meter = MessageMeter::new();
-        self.web.insert(s, &mut meter).then(|| meter.messages())
-    }
-
-    /// Removes a string, returning the update's message cost (`None` when
-    /// absent).
-    pub fn remove(&mut self, s: &str) -> Option<u64> {
-        let mut meter = MessageMeter::new();
-        self.web
-            .remove(&s.to_string(), &mut meter)
-            .then(|| meter.messages())
-    }
-
-    /// Serves this web over the threaded actor runtime (see
-    /// [`crate::engine`]): prefix requests — and live string
-    /// inserts/removes — are routed with real concurrent message passing.
-    pub fn serve(&self) -> DistributedSkipWeb<CompressedTrie> {
-        DistributedSkipWeb::builder(&self.web).spawn()
-    }
-
-    /// A simulated network with accounting applied.
-    pub fn network(&self) -> SimNetwork {
-        self.web.network()
-    }
-
-    /// The underlying generic skip-web.
-    pub fn inner(&self) -> &SkipWeb<CompressedTrie> {
-        &self.web
-    }
-
-    /// Mutable access to the underlying generic skip-web (e.g. to drive
-    /// deterministic [`SkipWeb::insert_with`] updates for parity studies).
-    pub fn inner_mut(&mut self) -> &mut SkipWeb<CompressedTrie> {
-        &mut self.web
     }
 }
 
@@ -965,104 +746,22 @@ pub struct TrapezoidOutcome {
 /// let out = web.locate_point(0, (5, 3));
 /// assert!(out.trapezoid.contains((5, 3)));
 /// ```
-#[derive(Debug, Clone)]
-pub struct TrapezoidSkipWeb {
-    web: SkipWeb<TrapezoidalMap>,
-}
+pub type TrapezoidSkipWeb = Web<TrapezoidalMap>;
 
 impl TrapezoidSkipWeb {
-    /// Starts building over a segment set.
-    pub fn builder(segments: Vec<Segment>) -> WrappedBuilder<TrapezoidalMap, Self> {
-        WrappedBuilder {
-            inner: SkipWeb::builder(segments),
-            wrap: Self::from_web,
-        }
-    }
-
-    /// Wraps a built generic web.
-    pub fn from_web(web: SkipWeb<TrapezoidalMap>) -> Self {
-        TrapezoidSkipWeb { web }
-    }
-
     /// The stored segments (sorted).
     pub fn segments(&self) -> &[Segment] {
-        self.web.ground()
-    }
-
-    /// Number of stored segments.
-    pub fn len(&self) -> usize {
-        self.web.len()
-    }
-
-    /// Whether the web is empty.
-    pub fn is_empty(&self) -> bool {
-        self.web.is_empty()
-    }
-
-    /// Number of hosts.
-    pub fn hosts(&self) -> usize {
-        self.web.hosts()
-    }
-
-    /// Deterministic pseudo-random origin item.
-    pub fn random_origin(&self, seed: u64) -> usize {
-        self.web.random_origin(seed)
+        self.inner().ground()
     }
 
     /// Point location: routes to the trapezoid containing `q`.
     pub fn locate_point(&self, origin_item: usize, q: (i64, i64)) -> TrapezoidOutcome {
-        let mut meter = MessageMeter::new();
-        let outcome = self.web.query(origin_item, &q, &mut meter);
+        let (trapezoid, outcome) = self.inner().ask(origin_item, &q, &mut MessageMeter::new());
         TrapezoidOutcome {
-            trapezoid: self.web.base().range(outcome.locus),
+            trapezoid,
             messages: outcome.messages,
             per_level_touches: outcome.per_level_touches,
         }
-    }
-
-    /// Inserts a segment, returning the update's message cost (`None` for
-    /// duplicates). The paper amortizes trapezoid-map insertions against
-    /// their output-sensitive fan-out (§4); the meter charges the conflict
-    /// neighbourhoods the new segment's trapezoids replace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segment violates general position against the stored
-    /// set (crossings, shared endpoint x-coordinates).
-    pub fn insert(&mut self, s: Segment) -> Option<u64> {
-        let mut meter = MessageMeter::new();
-        self.web.insert(s, &mut meter).then(|| meter.messages())
-    }
-
-    /// Removes a segment, returning the update's message cost (`None` when
-    /// absent).
-    pub fn remove(&mut self, s: &Segment) -> Option<u64> {
-        let mut meter = MessageMeter::new();
-        self.web.remove(s, &mut meter).then(|| meter.messages())
-    }
-
-    /// Serves this web over the threaded actor runtime (see
-    /// [`crate::engine`]): planar point-location requests — and live
-    /// segment inserts/removes, gated by the general-position admission
-    /// check — are routed with real concurrent message passing.
-    pub fn serve(&self) -> DistributedSkipWeb<TrapezoidalMap> {
-        DistributedSkipWeb::builder(&self.web).spawn()
-    }
-
-    /// A simulated network with accounting applied.
-    pub fn network(&self) -> SimNetwork {
-        self.web.network()
-    }
-
-    /// The underlying generic skip-web.
-    pub fn inner(&self) -> &SkipWeb<TrapezoidalMap> {
-        &self.web
-    }
-
-    /// Mutable access to the underlying generic skip-web (e.g. to drive
-    /// deterministic [`SkipWeb::insert_with`] updates for parity studies).
-    pub fn inner_mut(&mut self) -> &mut SkipWeb<TrapezoidalMap> {
-        &mut self.web
     }
 }
 
@@ -1167,7 +866,7 @@ mod tests {
         assert!(web.insert("w999x".into()).is_some());
         let out = web.prefix_search(0, "w999");
         assert_eq!(out.matches, vec!["w999x".to_string()]);
-        assert!(web.remove("w999x").is_some());
+        assert!(web.remove(&"w999x".to_string()).is_some());
         assert!(web.prefix_search(0, "w999").matches.is_empty());
     }
 

@@ -2,17 +2,16 @@
 //! (§2.4.1), including the bucketed variant from the last two rows of
 //! Table 1.
 
-use skipweb_net::sim::{MessageMeter, SimNetwork};
-use skipweb_net::HostId;
+use skipweb_net::runtime::RuntimeError;
+use skipweb_net::sim::MessageMeter;
 use skipweb_structures::interval::Endpoint;
 use skipweb_structures::linked_list::SortedLinkedList;
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 use skipweb_structures::KeyInterval;
 
-use crate::engine::{DistributedSkipWeb, Routable};
-use crate::multidim::WrappedBuilder;
-use crate::placement::Blocking;
-use crate::skipweb::SkipWeb;
+use crate::engine::{DistributedSkipWeb, EngineClient, Routable, UpdateReply};
+use crate::skipweb::Update;
+use crate::web::Web;
 
 /// The 1-D skip-web routes plain keys and answers with the nearest stored
 /// key, extracted from the level-0 locus interval alone — exactly the local
@@ -25,7 +24,7 @@ impl Routable for SortedLinkedList {
         *req
     }
 
-    fn answer(&self, locus: RangeId, req: &u64) -> Option<u64> {
+    fn answer(&self, locus: RangeId, req: &u64, _touch: impl FnMut(RangeId)) -> Option<u64> {
         nearest_from_locus(&RangeDetermined::range(self, locus), *req)
             .or_else(|| self.nearest_key(*req))
     }
@@ -119,67 +118,12 @@ pub struct RangeOutcome {
 ///     .build();
 /// assert!(bucket.hosts() < 200);
 /// ```
-#[derive(Debug, Clone)]
-pub struct OneDimSkipWeb {
-    web: SkipWeb<SortedLinkedList>,
-}
+pub type OneDimSkipWeb = Web<SortedLinkedList>;
 
 impl OneDimSkipWeb {
-    /// Starts building a 1-D skip-web over `keys`.
-    pub fn builder(keys: Vec<u64>) -> OneDimSkipWebBuilder {
-        WrappedBuilder {
-            inner: SkipWeb::builder(keys),
-            wrap: |web| OneDimSkipWeb { web },
-        }
-    }
-
     /// The stored keys in sorted order.
     pub fn keys(&self) -> &[u64] {
-        self.web.ground()
-    }
-
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.web.len()
-    }
-
-    /// Whether no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.web.is_empty()
-    }
-
-    /// Number of hosts `H`.
-    pub fn hosts(&self) -> usize {
-        self.web.hosts()
-    }
-
-    /// The blocking strategy in effect.
-    pub fn blocking(&self) -> Blocking {
-        self.web.blocking()
-    }
-
-    /// The top level index `⌈log₂ n⌉`.
-    pub fn top_level(&self) -> u32 {
-        self.web.top_level()
-    }
-
-    /// Set sizes at `level` (Figure 2 reproduction).
-    pub fn level_set_sizes(&self, level: u32) -> Vec<usize> {
-        self.web.level_set_sizes(level)
-    }
-
-    /// A deterministic pseudo-random query origin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the web is empty.
-    pub fn random_origin(&self, seed: u64) -> usize {
-        self.web.random_origin(seed)
-    }
-
-    /// The home host of a stored key's item.
-    pub fn host_of_item(&self, item: usize) -> HostId {
-        self.web.host_of_item(item)
+        self.inner().ground()
     }
 
     /// Routes a nearest-neighbour query for `q` from `origin_item`'s host.
@@ -189,12 +133,12 @@ impl OneDimSkipWeb {
     /// Panics if the web is empty.
     pub fn nearest(&self, origin_item: usize, q: u64) -> NearestOutcome {
         let mut meter = MessageMeter::new();
-        let outcome = self.web.query(origin_item, &q, &mut meter);
-        let locus = self.web.base().range(outcome.locus);
-        let nearest = nearest_from_locus(&locus, q)
-            .unwrap_or_else(|| self.web.base().nearest_key(q).expect("nonempty web"));
+        let (nearest, outcome) = self.inner().ask(origin_item, &q, &mut meter);
         NearestOutcome {
-            answer: NearestAnswer { nearest, locus },
+            answer: NearestAnswer {
+                nearest: nearest.expect("nonempty web"),
+                locus: self.inner().base().range(outcome.locus),
+            },
             messages: outcome.messages,
             per_level_touches: outcome.per_level_touches,
             meter,
@@ -210,15 +154,15 @@ impl OneDimSkipWeb {
     /// Panics if the web is empty or `lo > hi`.
     pub fn range(&self, origin_item: usize, lo: u64, hi: u64) -> RangeOutcome {
         assert!(lo <= hi, "range endpoints out of order");
+        let web = self.inner();
         let mut meter = MessageMeter::new();
-        let outcome = self.web.query(origin_item, &lo, &mut meter);
-        let levels = self.web.level_structs();
-        let set = &levels[0].sets[0];
+        let outcome = web.query(origin_item, &lo, &mut meter);
+        let set = &web.level_structs()[0].sets[0];
         let base = &set.structure;
         let mut keys = Vec::new();
         let mut cur = outcome.locus;
         loop {
-            meter.visit(self.web.primary(0, set, cur));
+            meter.visit(web.primary(0, set, cur));
             let iv = base.range(cur);
             if iv.is_singleton() {
                 if let Endpoint::Key(x) = iv.lo() {
@@ -246,53 +190,114 @@ impl OneDimSkipWeb {
             messages: meter.messages(),
         }
     }
-
-    /// Inserts `key`; returns the update's message cost, or `None` if the
-    /// key was already present (the lookup cost is still incurred).
-    pub fn insert(&mut self, key: u64) -> Option<u64> {
-        let mut meter = MessageMeter::new();
-        self.web.insert(key, &mut meter).then(|| meter.messages())
-    }
-
-    /// Removes `key`; returns the update's message cost, or `None` if the
-    /// key was absent.
-    pub fn remove(&mut self, key: u64) -> Option<u64> {
-        let mut meter = MessageMeter::new();
-        self.web.remove(&key, &mut meter).then(|| meter.messages())
-    }
-
-    /// A simulated network sized for this web with storage and reference
-    /// accounting applied.
-    pub fn network(&self) -> SimNetwork {
-        self.web.network()
-    }
-
-    /// Registers storage/reference accounting with an existing network.
-    pub fn account(&self, net: &mut SimNetwork) {
-        self.web.account(net)
-    }
-
-    /// Serves this web over the threaded actor runtime: spawns one actor
-    /// thread per host executing the same routing decisions under real
-    /// concurrent message passing (see [`crate::engine`]).
-    pub fn serve(&self) -> DistributedSkipWeb<SortedLinkedList> {
-        DistributedSkipWeb::builder(&self.web).spawn()
-    }
-
-    /// The underlying generic skip-web.
-    pub fn inner(&self) -> &SkipWeb<SortedLinkedList> {
-        &self.web
-    }
-
-    /// Mutable access to the underlying generic skip-web (e.g. to thread an
-    /// external [`MessageMeter`] through updates).
-    pub fn inner_mut(&mut self) -> &mut SkipWeb<SortedLinkedList> {
-        &mut self.web
-    }
 }
 
-/// Builder returned by [`OneDimSkipWeb::builder`].
-pub type OneDimSkipWebBuilder = WrappedBuilder<SortedLinkedList, OneDimSkipWeb>;
+/// A running distributed 1-D skip-web: one actor thread per host, answering
+/// nearest-neighbour queries — and applying live key inserts/removes (§4) —
+/// with real concurrent message passing.
+pub type DistributedOneDim = DistributedSkipWeb<SortedLinkedList>;
+
+impl DistributedOneDim {
+    /// Shards a built skip-web across actor threads and starts them
+    /// (routes through [`FabricBuilder`](crate::engine::FabricBuilder)).
+    pub fn spawn(web: &OneDimSkipWeb) -> Self {
+        web.serve()
+    }
+
+    /// Like [`spawn`](Self::spawn) but folding the web's logical hosts onto
+    /// at most `hosts` actor threads (see
+    /// [`FabricBuilder::consolidated`](crate::engine::FabricBuilder::consolidated)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosts` is zero.
+    pub fn spawn_consolidated(web: &OneDimSkipWeb, hosts: usize) -> Self {
+        Self::builder(web.inner()).consolidated(hosts).spawn()
+    }
+
+    /// Like [`spawn`](Self::spawn) but with `capacity` actor threads, which
+    /// may exceed the web's host count to leave headroom for live inserts
+    /// (see [`FabricBuilder::capacity`](crate::engine::FabricBuilder::capacity)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn spawn_with_capacity(web: &OneDimSkipWeb, capacity: usize) -> Self {
+        Self::builder(web.inner()).capacity(capacity).spawn()
+    }
+
+    /// [`query`](Self::query), returning just the answer.
+    ///
+    /// # Errors
+    ///
+    /// As [`query`](Self::query).
+    pub fn nearest(
+        &self,
+        client: &EngineClient<SortedLinkedList>,
+        origin_item: usize,
+        q: u64,
+    ) -> Result<Option<u64>, RuntimeError> {
+        self.query(client, origin_item, q).map(|r| r.answer)
+    }
+
+    /// Runs a whole batch of nearest-neighbour queries under one
+    /// correlation group (see [`query_batch`](Self::query_batch)): fewer
+    /// host crossings than the same queries run serially, byte-identical
+    /// answers, returned in submission order.
+    ///
+    /// # Errors
+    ///
+    /// As [`query`](Self::query).
+    pub fn nearest_batch(
+        &self,
+        client: &EngineClient<SortedLinkedList>,
+        origin_item: usize,
+        qs: Vec<u64>,
+    ) -> Result<Vec<Option<u64>>, RuntimeError> {
+        let replies = self.query_batch(client, origin_item, qs)?;
+        Ok(replies.into_iter().map(|r| r.answer).collect())
+    }
+
+    /// Inserts a batch of keys through [`update_batch`](Self::update_batch),
+    /// each with a lookup origin and level bits from
+    /// [`draw_entry`](Self::draw_entry), as [`insert`](Self::insert) draws
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// As [`query`](Self::query).
+    pub fn insert_batch(
+        &self,
+        client: &EngineClient<SortedLinkedList>,
+        keys: Vec<u64>,
+    ) -> Result<Vec<UpdateReply>, RuntimeError> {
+        let insert = |item| {
+            let (origin, bits) = self.draw_entry();
+            (origin, Update::Insert { item, bits })
+        };
+        self.update_batch(client, keys.into_iter().map(insert).collect())
+    }
+
+    /// Removes a batch of keys through [`update_batch`](Self::update_batch).
+    /// Absent keys complete as free no-ops, like the simulator.
+    ///
+    /// # Errors
+    ///
+    /// As [`query`](Self::query).
+    pub fn remove_batch(
+        &self,
+        client: &EngineClient<SortedLinkedList>,
+        keys: Vec<u64>,
+    ) -> Result<Vec<UpdateReply>, RuntimeError> {
+        let remove = |item| (self.draw_entry().0, Update::Remove { item });
+        self.update_batch(client, keys.into_iter().map(remove).collect())
+    }
+
+    /// A snapshot of the currently stored keys, sorted.
+    pub fn keys(&self) -> Vec<u64> {
+        self.ground()
+    }
+}
 
 /// Extracts the nearest stored key to `q` from the level-0 locus interval,
 /// which is exactly the local information the answering host holds.
@@ -397,10 +402,10 @@ mod tests {
     #[test]
     fn remove_then_query_falls_back_to_neighbor() {
         let mut web = OneDimSkipWeb::builder(keys(32)).seed(8).build();
-        web.remove(100).expect("100 present");
+        web.remove(&100).expect("100 present");
         let out = web.nearest(0, 100);
         assert!(out.answer.nearest == 90 || out.answer.nearest == 110);
-        assert!(web.remove(100).is_none());
+        assert!(web.remove(&100).is_none());
     }
 
     #[test]
@@ -465,6 +470,36 @@ mod tests {
     fn reversed_range_is_rejected() {
         let web = OneDimSkipWeb::builder(keys(8)).build();
         let _ = web.range(0, 10, 5);
+    }
+
+    #[test]
+    fn distributed_sugar_batches_and_applies_like_the_fabric() {
+        let keys: Vec<u64> = (0..256).map(|i| i * 9 + 1).collect();
+        let web = OneDimSkipWeb::builder(keys).seed(19).build();
+        let (serial, batched) = (
+            DistributedOneDim::spawn(&web),
+            DistributedOneDim::spawn(&web),
+        );
+        let (cs, cb) = (serial.client(), batched.client());
+        let qs: Vec<u64> = (0..48u64).map(|s| (s * 131) % 2400).collect();
+        let origin = web.random_origin(7);
+        let want: Vec<Option<u64>> = qs
+            .iter()
+            .map(|&q| serial.nearest(&cs, origin, q).expect("runtime alive"))
+            .collect();
+        assert_eq!(batched.nearest_batch(&cb, origin, qs).unwrap(), want);
+        assert!(batched.message_count() < serial.message_count());
+        let ins = batched.insert_batch(&cb, vec![5_000, 5_002]).unwrap();
+        assert!(ins.iter().all(|r| r.applied));
+        assert!(batched.keys().contains(&5_002));
+        let rem = batched
+            .remove_batch(&cb, vec![5_000, 5_002, 9_999])
+            .unwrap();
+        let applied: Vec<bool> = rem.iter().map(|r| r.applied).collect();
+        assert_eq!(applied, vec![true, true, false]);
+        assert!(!batched.keys().contains(&5_002));
+        serial.shutdown();
+        batched.shutdown();
     }
 
     #[test]

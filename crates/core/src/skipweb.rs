@@ -41,6 +41,7 @@ use skipweb_net::HostId;
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 
 use crate::csr::Csr;
+use crate::engine::Routable;
 use crate::levels::{draw_bits, group_by_key, level_count, parent_key, set_key};
 use crate::placement::{Blocking, Replication};
 
@@ -307,10 +308,12 @@ pub struct QueryOutcome {
 
 /// A distributed skip-web over structure `D` (§2).
 ///
-/// Build one with [`SkipWeb::builder`]; run queries with
-/// [`SkipWeb::query`]; apply updates with [`SkipWeb::insert`] /
-/// [`SkipWeb::remove`]. Domain-specific wrappers with typed answers live in
-/// [`crate::onedim`] and [`crate::multidim`].
+/// Build one with [`SkipWeb::builder`]; route queries with
+/// [`SkipWeb::query`] and answer them with [`SkipWeb::ask`] — the same
+/// [`Routable::answer`] the engine replies with; apply updates with
+/// [`SkipWeb::insert`] / [`SkipWeb::remove`]. [`Web<D>`](crate::web::Web)
+/// wraps one with the conveniences every structure shares; its aliases in
+/// [`crate::onedim`] and [`crate::multidim`] add typed answers.
 #[derive(Debug, Clone)]
 pub struct SkipWeb<D: RangeDetermined> {
     ground: Vec<D::Item>,
@@ -1704,6 +1707,33 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
     pub(crate) fn level_structs(&self) -> &[Level<D>] {
         &self.levels
+    }
+}
+
+impl<D: Routable> SkipWeb<D> {
+    /// Answers `req` exactly as the engine's locus host replies to it:
+    /// routes from `origin_item` toward [`Routable::target`] ([`query`](Self::query)),
+    /// then asks the structure at the level-0 locus ([`Routable::answer`]),
+    /// charging to `meter` the host of every range the answer reads beyond
+    /// the locus. The outcome's `messages` include those charges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the web is empty or `origin_item` is out of bounds.
+    pub fn ask(
+        &self,
+        origin_item: usize,
+        req: &D::Request,
+        meter: &mut MessageMeter,
+    ) -> (D::Answer, QueryOutcome) {
+        let start = meter.messages();
+        let mut outcome = self.query(origin_item, &D::target(req), meter);
+        let set = &self.levels[0].sets[0];
+        let answer = set.structure.answer(outcome.locus, req, |r| {
+            meter.visit(self.primary(0, set, r));
+        });
+        outcome.messages = meter.messages() - start;
+        (answer, outcome)
     }
 }
 

@@ -28,7 +28,9 @@
 //! the whole overlay, so every process of a deployment rebuilds an
 //! identical topology locally and the fabric-message decoder re-attaches the
 //! receiving process's own snapshot. Decoders never trust wire input:
-//! malformed bytes yield `None`, not a panic.
+//! malformed bytes yield `None`, not a panic — and so does a well-formed
+//! envelope whose address names no range of that snapshot, or whose
+//! scatter covers ranges the locus would not report.
 
 use std::sync::Arc;
 
@@ -175,7 +177,7 @@ fn decode_engine_msg<D: WireCodec>(
         }
         _ => return None,
     };
-    Some(EngineMsg {
+    admissible(&op, at, topo).then(|| EngineMsg {
         op,
         at,
         client,
@@ -183,6 +185,28 @@ fn decode_engine_msg<D: WireCodec>(
         hops,
         topo: Arc::clone(topo),
     })
+}
+
+/// Whether a decoded op may run under the receiving process's snapshot:
+/// `at` must name a range of it — the forwarding loop indexes levels, sets
+/// and ranges with it unchecked — and a scatter must cover a non-empty
+/// share of the ranges [`Routable::report_ranges`] names at that locus,
+/// which also rejects scatters to structures that never report.
+fn admissible<D: Routable>(op: &EngineOp<D>, at: GlobalRef, topo: &Topology<D>) -> bool {
+    let level = topo.web.level_structs().get(at.level as usize);
+    let Some(set) = level.and_then(|l| l.sets.get(at.set as usize)) else {
+        return false;
+    };
+    let named = (at.range as usize) < set.structure.num_ranges();
+    let EngineOp::Scatter { req, ranges, .. } = op else {
+        return named;
+    };
+    let reported = named.then(|| set.structure.report_ranges(RangeId(at.range), req));
+    let Some(mut reported) = reported.flatten() else {
+        return false;
+    };
+    reported.sort_unstable();
+    !ranges.is_empty() && ranges.iter().all(|r| reported.binary_search(r).is_ok())
 }
 
 /// Serializes a fabric envelope (without its topology snapshot — see the
@@ -351,18 +375,25 @@ mod tests {
     }
 
     /// Builds the three op shapes around a request/item pair, exercising
-    /// both update kinds and both update phases.
+    /// both update kinds and both update phases, at an address of `topo`
+    /// picked by `seed` — the decoder admits no other. A scatter is built
+    /// only where that locus reports, over a share of what it reports.
     fn msgs_around<D: WireCodec>(
         topo: &Arc<Topology<D>>,
         req: D::Request,
         item: D::Item,
         seed: u64,
     ) -> Vec<FabricMsg<D>> {
+        let levels = topo.web.level_structs();
+        let level = seed as usize % levels.len();
+        let set = seed as usize % levels[level].sets.len();
+        let structure = &levels[level].sets[set].structure;
         let at = GlobalRef {
-            level: (seed % 7) as u16,
-            set: (seed % 11) as u32,
-            range: (seed % 13) as u32,
+            level: level as u16,
+            set: set as u32,
+            range: (seed % structure.num_ranges() as u64) as u32,
         };
+        let reported = structure.report_ranges(RangeId(at.range), &req);
         let client = ClientId(seed);
         let mk = |op: EngineOp<D>| EngineMsg {
             op,
@@ -392,10 +423,13 @@ mod tests {
             },
             op_id: seed.wrapping_mul(5),
         }));
-        let scatter = mk(EngineOp::Scatter {
-            req: req.clone(),
-            ranges: (0..seed % 4).map(|r| RangeId(r as u32)).collect(),
-            of: (seed % 9) as u32,
+        let scatter = reported.map(|ranges| {
+            let share = 1 + seed as usize % ranges.len();
+            FabricMsg::One(mk(EngineOp::Scatter {
+                req: req.clone(),
+                ranges: ranges[..share].to_vec(),
+                of: (seed % 9) as u32,
+            }))
         });
         let batch = FabricMsg::Batch(BatchMsg {
             ops: vec![
@@ -407,13 +441,8 @@ mod tests {
                 })),
             ],
         });
-        vec![
-            FabricMsg::One(query),
-            FabricMsg::One(insert),
-            FabricMsg::One(remove),
-            FabricMsg::One(scatter),
-            batch,
-        ]
+        let msgs = [query, insert, remove].map(FabricMsg::One);
+        msgs.into_iter().chain([batch]).chain(scatter).collect()
     }
 
     /// All four reply bodies, with `Partial { of }` edge values and
@@ -638,6 +667,74 @@ mod tests {
             expected(&insert)
         );
         assert_eq!(encoded(Update::Remove { item: 42 }), expected(&[1]));
+    }
+
+    /// Well-formed envelopes the receiving snapshot cannot run decode to
+    /// `None` instead of reaching the forwarding loop: an address naming no
+    /// level, set or range of it; an empty scatter; and a scatter over a
+    /// range the locus does not report — on the list, which never reports,
+    /// any scatter at all.
+    fn assert_hostile_frames_rejected<D>(topo: &Arc<Topology<D>>, req: D::Request)
+    where
+        D: WireCodec + Send + Sync + 'static,
+    {
+        let locus = GlobalRef {
+            level: 0,
+            set: 0,
+            range: 0,
+        };
+        let base = topo.web.base();
+        let n = base.num_ranges() as u32;
+        let reported = base.report_ranges(RangeId(0), &req).unwrap_or_default();
+        let stray = (0..n).map(RangeId).find(|r| !reported.contains(r));
+        let frame = |at: GlobalRef, op: EngineOp<D>| {
+            encode_fabric_msg(&FabricMsg::One(EngineMsg {
+                op,
+                at,
+                client: ClientId(1),
+                corr: 2,
+                hops: 0,
+                topo: Arc::clone(topo),
+            }))
+        };
+        let query = || EngineOp::Query {
+            req: req.clone(),
+            gather: true,
+        };
+        let scatter = |ranges| EngineOp::Scatter {
+            req: req.clone(),
+            ranges,
+            of: 1,
+        };
+        let hostile = [
+            frame(GlobalRef { range: n, ..locus }, query()),
+            frame(GlobalRef { set: 1, ..locus }, query()),
+            frame(GlobalRef { level: 64, ..locus }, query()),
+            frame(locus, scatter(Vec::new())),
+            frame(
+                locus,
+                scatter(vec![stray.expect("a range outside the report")]),
+            ),
+        ];
+        for bytes in hostile {
+            assert!(decode_fabric_msg::<D>(&bytes, topo).is_none());
+        }
+        assert!(decode_fabric_msg::<D>(&frame(locus, query()), topo).is_some());
+    }
+
+    #[test]
+    fn hostile_addresses_and_scatters_decode_to_none() {
+        assert_hostile_frames_rejected(&topo::<SortedLinkedList>(vec![1, 2, 3]), 2);
+        let points = (0..9).map(|i| PointKey::new([i * 7, i * 5])).collect();
+        let box_req = QuadtreeRequest::InBox {
+            lo: [0, 0],
+            hi: [8, 6],
+        };
+        assert_hostile_frames_rejected(&topo::<CompressedQuadtree<2>>(points), box_req);
+        let words = ["alpha", "alps", "beta", "gamma"]
+            .map(String::from)
+            .to_vec();
+        assert_hostile_frames_rejected(&topo::<CompressedTrie>(words), "al".to_string());
     }
 
     /// A vertical or out-of-`i32` segment on the wire must decode to

@@ -53,7 +53,6 @@ pub mod metrics;
 pub mod runtime;
 pub mod sim;
 pub mod tcp;
-pub mod topology;
 pub mod transport;
 pub mod wan;
 pub mod wire;
@@ -61,7 +60,7 @@ pub mod wire;
 mod host;
 
 pub use host::HostId;
-pub use metrics::{CostReport, Histogram, HostTraffic, SeriesStats, TransportStats};
+pub use metrics::{CostReport, HostTraffic, SeriesStats, TransportStats};
 pub use runtime::{HostState, Membership};
 pub use sim::{MessageMeter, SimNetwork};
 pub use tcp::{TcpCodec, TcpConfig, TcpTransport};

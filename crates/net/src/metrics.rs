@@ -3,7 +3,6 @@
 //! The quantities tracked here are the columns of Table 1: `H`, `M`, `C(n)`,
 //! `Q(n)`, and `U(n)`. [`CostReport`] is the summary every experiment prints.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Summary statistics over a set of observed per-operation costs
@@ -73,96 +72,6 @@ impl fmt::Display for SeriesStats {
             "mean={:.2} p50={} p95={} max={} (n={})",
             self.mean, self.p50, self.p95, self.max, self.count
         )
-    }
-}
-
-/// A fixed-bucket histogram over `u64` observations, used for query-path and
-/// storage distributions in the figure reproductions.
-///
-/// # Example
-///
-/// ```
-/// use skipweb_net::Histogram;
-/// let mut h = Histogram::new();
-/// h.record(3);
-/// h.record(3);
-/// h.record(9);
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.count_at(3), 2);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: BTreeMap<u64, u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation of `value`.
-    pub fn record(&mut self, value: u64) {
-        *self.buckets.entry(value).or_insert(0) += 1;
-        self.total += 1;
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of observations exactly equal to `value`.
-    pub fn count_at(&self, value: u64) -> u64 {
-        self.buckets.get(&value).copied().unwrap_or(0)
-    }
-
-    /// Iterates over `(value, count)` pairs in increasing value order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(|(&v, &c)| (v, c))
-    }
-
-    /// Mean of the observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let sum: u128 = self
-            .buckets
-            .iter()
-            .map(|(&v, &c)| v as u128 * c as u128)
-            .sum();
-        sum as f64 / self.total as f64
-    }
-
-    /// Largest observed value (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.buckets.keys().next_back().copied().unwrap_or(0)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (v, c) in other.iter() {
-            *self.buckets.entry(v).or_insert(0) += c;
-            self.total += c;
-        }
-    }
-}
-
-impl Extend<u64> for Histogram {
-    fn extend<T: IntoIterator<Item = u64>>(&mut self, iter: T) {
-        for v in iter {
-            self.record(v);
-        }
-    }
-}
-
-impl FromIterator<u64> for Histogram {
-    fn from_iter<T: IntoIterator<Item = u64>>(iter: T) -> Self {
-        let mut h = Histogram::new();
-        h.extend(iter);
-        h
     }
 }
 
@@ -283,11 +192,6 @@ impl HostTraffic {
         self.batch_ops.iter().sum()
     }
 
-    /// Total update-class multi-op envelopes sent across all hosts.
-    pub fn total_update_batch_sent(&self) -> u64 {
-        self.update_batch_sent.iter().sum()
-    }
-
     /// Total update-class operations that rode inside multi-op envelopes.
     pub fn total_update_batch_ops(&self) -> u64 {
         self.update_batch_ops.iter().sum()
@@ -303,11 +207,6 @@ impl HostTraffic {
         self.total_batch_ops() as f64 / envelopes as f64
     }
 
-    /// Distribution statistics of the per-host update-tagged sent counters.
-    pub fn update_sent_stats(&self) -> SeriesStats {
-        SeriesStats::from_samples(&self.update_sent)
-    }
-
     /// Distribution statistics of the per-host sent counters (a hop-count
     /// load-balance diagnostic).
     pub fn sent_stats(&self) -> SeriesStats {
@@ -317,13 +216,6 @@ impl HostTraffic {
     /// Distribution statistics of the per-host received counters.
     pub fn received_stats(&self) -> SeriesStats {
         SeriesStats::from_samples(&self.received)
-    }
-
-    /// The busiest host by messages handled (sent + received), if any.
-    pub fn busiest_host(&self) -> Option<(usize, u64)> {
-        (0..self.hosts())
-            .map(|h| (h, self.sent[h] + self.received[h]))
-            .max_by_key(|&(h, load)| (load, usize::MAX - h))
     }
 }
 
@@ -457,33 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_and_mean() {
-        let h: Histogram = [1u64, 1, 2, 4].into_iter().collect();
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.count_at(1), 2);
-        assert_eq!(h.max(), 4);
-        assert!((h.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a: Histogram = [1u64, 2].into_iter().collect();
-        let b: Histogram = [2u64, 3].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.count_at(2), 2);
-        assert_eq!(a.count_at(3), 1);
-    }
-
-    #[test]
-    fn histogram_iter_is_sorted() {
-        let h: Histogram = [9u64, 1, 5].into_iter().collect();
-        let values: Vec<u64> = h.iter().map(|(v, _)| v).collect();
-        assert_eq!(values, vec![1, 5, 9]);
-    }
-
-    #[test]
-    fn host_traffic_totals_and_busiest() {
+    fn host_traffic_totals() {
         let t = HostTraffic {
             sent: vec![2, 5, 0],
             received: vec![3, 0, 4],
@@ -503,28 +369,14 @@ mod tests {
         assert_eq!(t.total_dropped(), 3);
         assert_eq!(t.total_batch_sent(), 2);
         assert_eq!(t.total_batch_ops(), 5);
-        assert_eq!(t.total_update_batch_sent(), 1);
         assert_eq!(t.total_update_batch_ops(), 2);
         assert!((t.mean_batch_size() - 2.5).abs() < 1e-12);
-        assert_eq!(t.update_sent_stats().max, 2);
-        assert_eq!(t.busiest_host(), Some((0, 5)));
         let s = t.to_string();
         assert!(s.contains("hosts=3"));
         assert!(s.contains("total=7"));
         assert!(s.contains("updates=2"));
         assert!(s.contains("batches=2"));
         assert!(s.contains("stale=2"));
-    }
-
-    #[test]
-    fn host_traffic_busiest_prefers_lowest_host_on_ties() {
-        let t = HostTraffic {
-            sent: vec![1, 1],
-            received: vec![1, 1],
-            ..Default::default()
-        };
-        assert_eq!(t.busiest_host(), Some((0, 2)));
-        assert_eq!(HostTraffic::default().busiest_host(), None);
     }
 
     #[test]

@@ -141,8 +141,9 @@ fn bound_y(seg: Option<&Segment>, x_num: i128, x_den: i128, positive: bool) -> O
 
 /// A trapezoid of the map: the open region bounded above by `top` (or `+∞`),
 /// below by `bottom` (or `-∞`), left by the vertical wall at `left_x` (or
-/// `-∞`) and right by the wall at `right_x` (or `+∞`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `-∞`) and right by the wall at `right_x` (or `+∞`). The default is the
+/// whole plane, the one trapezoid of an empty map.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Trapezoid {
     /// Upper bounding segment, `None` for `+∞`.
     pub top: Option<Segment>,

@@ -6,8 +6,7 @@
 //!
 //! Run with: `cargo run --example churn`
 
-use skipwebs::core::distributed::DistributedOneDim;
-use skipwebs::core::onedim::OneDimSkipWeb;
+use skipwebs::core::onedim::{DistributedOneDim, OneDimSkipWeb};
 
 fn main() {
     let mut web = OneDimSkipWeb::builder((0..300u64).map(|i| i * 20).collect())
@@ -39,7 +38,7 @@ fn main() {
     }
     for i in 0..30u64 {
         let key = i * 20;
-        if let Some(c) = web.remove(key) {
+        if let Some(c) = web.remove(&key) {
             leave_costs.push(c);
         }
         let live = dist.remove(&writer, key).expect("runtime alive");

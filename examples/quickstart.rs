@@ -6,8 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use skipwebs::core::distributed::DistributedOneDim;
-use skipwebs::core::onedim::OneDimSkipWeb;
+use skipwebs::core::onedim::{DistributedOneDim, OneDimSkipWeb};
 
 fn main() {
     // 1 000 keys, one host per key (the paper's H = n regime).
@@ -17,7 +16,7 @@ fn main() {
         "built a skip-web: n = {}, hosts = {}, levels = {}",
         web.len(),
         web.hosts(),
-        web.top_level() + 1
+        web.inner().top_level() + 1
     );
 
     // Nearest-neighbour queries from random hosts.
@@ -31,7 +30,7 @@ fn main() {
 
     // Dynamic updates (§4): messages stay logarithmic.
     let ins = web.insert(50_000).expect("new key");
-    let del = web.remove(50_000).expect("present");
+    let del = web.remove(&50_000).expect("present");
     println!("insert cost = {ins} messages, remove cost = {del} messages");
 
     // The same updates, live: serve the web with one actor thread per host

@@ -5,10 +5,23 @@
 
 use std::time::Duration;
 
+use skipwebs::core::engine::Routable;
 use skipwebs::core::multidim::{
     QuadtreeAnswer, QuadtreeRequest, QuadtreeSkipWeb, TrapezoidSkipWeb, TrieSkipWeb,
 };
+use skipwebs::core::web::Web;
+use skipwebs::net::MessageMeter;
 use skipwebs::structures::{PointKey, Segment};
+
+/// The simulator's whole answer to `req` from `origin`: the same
+/// `Routable::answer` the engine replies with.
+fn ask<D: Routable + Send + Sync + 'static>(
+    web: &Web<D>,
+    origin: usize,
+    req: &D::Request,
+) -> D::Answer {
+    web.inner().ask(origin, req, &mut MessageMeter::new()).0
+}
 
 fn spread_points(n: u32) -> Vec<PointKey<2>> {
     (0..n)
@@ -32,16 +45,11 @@ fn quadtree_runtime_agrees_with_simulator_for_both_placements() {
                 (s.wrapping_mul(0x1234_5677)) as u32,
             ]);
             let origin = web.random_origin(s);
-            let sim = web.locate_point(origin, q);
-            let reply = dist
-                .query(&client, origin, QuadtreeRequest::Locate(q))
-                .expect("runtime alive");
+            let req = QuadtreeRequest::Locate(q);
+            let reply = dist.query(&client, origin, req).expect("runtime alive");
             assert_eq!(
                 reply.answer,
-                QuadtreeAnswer::Located {
-                    cell: sim.cell,
-                    approx_nearest: sim.approx_nearest,
-                },
+                ask(&web, origin, &req),
                 "placement {memory:?}, query {q:?}"
             );
         }
@@ -62,13 +70,6 @@ fn quadtree_box_reports_match_the_filter_oracle_over_the_runtime() {
         ([9, 9], [10, 10]),
     ];
     for (lo, hi) in boxes {
-        let reply = dist
-            .query(
-                &client,
-                web.random_origin(1),
-                QuadtreeRequest::InBox { lo, hi },
-            )
-            .expect("runtime alive");
         let mut want: Vec<PointKey<2>> = web
             .points()
             .iter()
@@ -76,21 +77,22 @@ fn quadtree_box_reports_match_the_filter_oracle_over_the_runtime() {
             .filter(|p| p.in_box(&lo, &hi))
             .collect();
         want.sort_by_key(PointKey::morton);
-        assert_eq!(
-            reply.answer,
-            QuadtreeAnswer::Points(want.clone()),
-            "box {lo:?}..{hi:?}"
-        );
-        // Reversed corners are normalized on the wire instead of panicking
-        // an actor thread.
-        let reversed = dist
-            .query(
-                &client,
-                web.random_origin(1),
-                QuadtreeRequest::InBox { lo: hi, hi: lo },
-            )
-            .expect("runtime alive");
-        assert_eq!(reversed.answer, QuadtreeAnswer::Points(want));
+        let want = QuadtreeAnswer::Points(want);
+        // Serial and scattered, with reversed corners normalized on the wire
+        // instead of panicking an actor thread.
+        let origin = web.random_origin(1);
+        for req in [
+            QuadtreeRequest::InBox { lo, hi },
+            QuadtreeRequest::InBox { lo: hi, hi: lo },
+        ] {
+            assert_eq!(ask(&web, origin, &req), want, "box {lo:?}..{hi:?}");
+            for reply in [
+                dist.query(&client, origin, req),
+                dist.query_scatter(&client, origin, req),
+            ] {
+                assert_eq!(reply.expect("runtime alive").answer, want, "box {req:?}");
+            }
+        }
     }
     dist.shutdown();
 }
@@ -111,15 +113,11 @@ fn trie_runtime_serves_concurrent_clients_from_scoped_threads() {
                 for round in 0..8usize {
                     let prefix = format!("shelf-{:03}", (i * 8 + round) % 40);
                     let origin = web.random_origin((i + round) as u64);
-                    let sim = web.prefix_search(origin, &prefix);
+                    let want = ask(web, origin, &prefix);
                     let reply = dist
                         .query(client, origin, prefix.clone())
                         .expect("runtime alive");
-                    assert_eq!(
-                        reply.answer.matches, sim.matches,
-                        "client {i} round {round}"
-                    );
-                    assert_eq!(reply.answer.matched_len, sim.matched_len);
+                    assert_eq!(reply.answer, want, "client {i} round {round}");
                 }
             });
         }
@@ -173,9 +171,8 @@ fn trapezoid_runtime_agrees_with_simulator() {
     for s in 0..25i64 {
         let q = (s * 113 - 100, s * 17 - 60);
         let origin = web.random_origin(s as u64);
-        let sim = web.locate_point(origin, q);
         let reply = dist.query(&client, origin, q).expect("runtime alive");
-        assert_eq!(reply.answer, sim.trapezoid, "query {q:?}");
+        assert_eq!(reply.answer, ask(&web, origin, &q), "query {q:?}");
     }
     dist.shutdown();
 }

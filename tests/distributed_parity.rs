@@ -14,9 +14,7 @@ use proptest::collection;
 use proptest::prelude::*;
 
 use skipwebs::core::engine::{DistributedSkipWeb, EngineClient, Routable};
-use skipwebs::core::multidim::{
-    QuadtreeAnswer, QuadtreeRequest, QuadtreeSkipWeb, TrapezoidSkipWeb, TrieSkipWeb,
-};
+use skipwebs::core::multidim::{QuadtreeRequest, QuadtreeSkipWeb, TrapezoidSkipWeb, TrieSkipWeb};
 use skipwebs::core::onedim::OneDimSkipWeb;
 use skipwebs::core::{SkipWeb, Update};
 use skipwebs::net::MessageMeter;
@@ -29,6 +27,13 @@ fn slot_segment(slot: u32) -> Segment {
     let x = i64::from(slot) * 1_000;
     let y = i64::from(slot % 13) * 40;
     Segment::new((x, y), (x + 600, y + 3))
+}
+
+/// The simulator's whole answer to `req` from `origin` — the same
+/// `Routable::answer` the engine replies with — and its metered messages.
+fn ask<D: Routable>(web: &SkipWeb<D>, origin: usize, req: &D::Request) -> (D::Answer, u64) {
+    let (answer, outcome) = web.ask(origin, req, &mut MessageMeter::new());
+    (answer, outcome.messages)
 }
 
 /// Drives one update from the same origin through the simulator and the
@@ -68,11 +73,11 @@ proptest! {
         for s in 0..12u64 {
             let q = (s * 4001 + seed * 13) % 55_000;
             let origin = web.random_origin(s + seed);
-            let sim = web.nearest(origin, q);
-            sim_total += sim.messages;
+            let (want, messages) = ask(web.inner(), origin, &q);
+            sim_total += messages;
             let reply = dist.query(&client, origin, q).expect("runtime alive");
-            prop_assert_eq!(reply.answer, Some(sim.answer.nearest), "answer for q={}", q);
-            prop_assert_eq!(u64::from(reply.hops), sim.messages, "hops for q={}", q);
+            prop_assert_eq!(reply.answer, want, "answer for q={}", q);
+            prop_assert_eq!(u64::from(reply.hops), messages, "hops for q={}", q);
         }
         // Total remote hops equal the total metered host crossings.
         prop_assert_eq!(dist.message_count(), sim_total);
@@ -96,19 +101,25 @@ proptest! {
                 (s.wrapping_mul(0x85EB_CA6B).wrapping_add(seed * 59)) as u32,
             ]);
             let origin = web.random_origin(s + seed);
-            let sim = web.locate_point(origin, q);
-            sim_total += sim.messages;
-            let reply = dist
-                .query(&client, origin, QuadtreeRequest::Locate(q))
-                .expect("runtime alive");
-            prop_assert_eq!(
-                reply.answer,
-                QuadtreeAnswer::Located { cell: sim.cell, approx_nearest: sim.approx_nearest },
-                "cell for {:?}", q
-            );
-            prop_assert_eq!(u64::from(reply.hops), sim.messages, "hops for {:?}", q);
+            let req = QuadtreeRequest::Locate(q);
+            let (want, messages) = ask(web.inner(), origin, &req);
+            sim_total += messages;
+            let reply = dist.query(&client, origin, req).expect("runtime alive");
+            prop_assert_eq!(reply.answer, want, "cell for {:?}", q);
+            prop_assert_eq!(u64::from(reply.hops), messages, "hops for {:?}", q);
         }
         prop_assert_eq!(dist.message_count(), sim_total);
+        // Box reports, serial and scattered, with corners in any order: the
+        // engine normalizes them exactly as the simulator's answer does.
+        for s in 0..4u32 {
+            let (a, b) = (coords[s as usize], coords[coords.len() - 1 - s as usize]);
+            let req = QuadtreeRequest::InBox { lo: [a.0, b.1], hi: [b.0, a.1] };
+            let (want, _) = ask(web.inner(), s as usize, &req);
+            let serial = dist.query(&client, s as usize, req).expect("runtime alive");
+            prop_assert_eq!(&serial.answer, &want, "box {:?}", req);
+            let scattered = dist.query_scatter(&client, s as usize, req).expect("runtime alive");
+            prop_assert_eq!(scattered.answer, want, "scattered box {:?}", req);
+        }
         dist.shutdown();
     }
 
@@ -129,10 +140,10 @@ proptest! {
             match kind {
                 0 => {
                     // Query: answer and hop parity mid-churn.
-                    let sim = web.nearest(origin, value);
+                    let (want, messages) = ask(web.inner(), origin, &value);
                     let reply = dist.query(&client, origin, value).expect("runtime alive");
-                    prop_assert_eq!(reply.answer, Some(sim.answer.nearest), "q={}", value);
-                    prop_assert_eq!(u64::from(reply.hops), sim.messages, "query hops q={}", value);
+                    prop_assert_eq!(reply.answer, want, "q={}", value);
+                    prop_assert_eq!(u64::from(reply.hops), messages, "query hops q={}", value);
                 }
                 _ => {
                     // Insert with a shared (origin, bits) pair, or remove —
@@ -155,10 +166,10 @@ proptest! {
         for s in 0..8u64 {
             let q = (s * 4099 + seed) % 55_000;
             let origin = s as usize % web.len();
-            let sim = web.nearest(origin, q);
+            let (want, messages) = ask(web.inner(), origin, &q);
             let reply = dist.query(&client, origin, q).expect("runtime alive");
-            prop_assert_eq!(reply.answer, Some(sim.answer.nearest), "post-churn q={}", q);
-            prop_assert_eq!(u64::from(reply.hops), sim.messages, "post-churn hops q={}", q);
+            prop_assert_eq!(reply.answer, want, "post-churn q={}", q);
+            prop_assert_eq!(u64::from(reply.hops), messages, "post-churn hops q={}", q);
         }
         dist.shutdown();
     }
@@ -182,19 +193,11 @@ proptest! {
             let kind = if web.len() <= 2 { 0 } else { action % 3 };
             match kind {
                 0 => {
-                    let sim = web.locate_point(origin, p);
-                    let reply = dist
-                        .query(&client, origin, QuadtreeRequest::Locate(p))
-                        .expect("runtime alive");
-                    prop_assert_eq!(
-                        reply.answer,
-                        QuadtreeAnswer::Located {
-                            cell: sim.cell,
-                            approx_nearest: sim.approx_nearest,
-                        },
-                        "locate {:?}", p
-                    );
-                    prop_assert_eq!(u64::from(reply.hops), sim.messages, "hops {:?}", p);
+                    let req = QuadtreeRequest::Locate(p);
+                    let (want, messages) = ask(web.inner(), origin, &req);
+                    let reply = dist.query(&client, origin, req).expect("runtime alive");
+                    prop_assert_eq!(reply.answer, want, "locate {:?}", p);
+                    prop_assert_eq!(u64::from(reply.hops), messages, "hops {:?}", p);
                 }
                 _ => {
                     let update = match (kind, action % 2) {
@@ -236,15 +239,12 @@ proptest! {
             match kind {
                 0 => {
                     let prefix = format!("{:04}", value % 10_000);
-                    let sim = web.prefix_search(origin, &prefix);
+                    let (want, messages) = ask(web.inner(), origin, &prefix);
                     let reply = dist
                         .query(&client, origin, prefix.clone())
                         .expect("runtime alive");
-                    prop_assert_eq!(reply.answer.matched_len, sim.matched_len, "{:?}", &prefix);
-                    prop_assert_eq!(reply.answer.matches, sim.matches, "{:?}", &prefix);
-                    prop_assert_eq!(
-                        u64::from(reply.hops), sim.messages, "query hops {:?}", &prefix
-                    );
+                    prop_assert_eq!(reply.answer, want, "{:?}", &prefix);
+                    prop_assert_eq!(u64::from(reply.hops), messages, "query hops {:?}", &prefix);
                 }
                 _ => {
                     let update = match (kind, action % 2) {
@@ -287,10 +287,10 @@ proptest! {
                         i64::from(slot) * 997 % 61_000 - 200,
                         i64::from(slot % 17) * 31 - 60,
                     );
-                    let sim = web.locate_point(origin, q);
+                    let (want, messages) = ask(web.inner(), origin, &q);
                     let reply = dist.query(&client, origin, q).expect("runtime alive");
-                    prop_assert_eq!(reply.answer, sim.trapezoid, "locate {:?}", q);
-                    prop_assert_eq!(u64::from(reply.hops), sim.messages, "hops for {:?}", q);
+                    prop_assert_eq!(reply.answer, want, "locate {:?}", q);
+                    prop_assert_eq!(u64::from(reply.hops), messages, "hops for {:?}", q);
                 }
                 _ => {
                     // Slots are in general position by construction, so the
@@ -341,14 +341,13 @@ proptest! {
                 _ => "zzz-none".to_string(),
             };
             let origin = web.random_origin(s as u64 + seed);
-            let sim = web.prefix_search(origin, &prefix);
-            sim_total += sim.messages;
+            let (want, messages) = ask(web.inner(), origin, &prefix);
+            sim_total += messages;
             let reply = dist
                 .query(&client, origin, prefix.clone())
                 .expect("runtime alive");
-            prop_assert_eq!(reply.answer.matched_len, sim.matched_len, "len for {:?}", &prefix);
-            prop_assert_eq!(reply.answer.matches, sim.matches, "matches for {:?}", &prefix);
-            prop_assert_eq!(u64::from(reply.hops), sim.messages, "hops for {:?}", &prefix);
+            prop_assert_eq!(reply.answer, want, "answer for {:?}", &prefix);
+            prop_assert_eq!(u64::from(reply.hops), messages, "hops for {:?}", &prefix);
         }
         prop_assert_eq!(dist.message_count(), sim_total);
         dist.shutdown();

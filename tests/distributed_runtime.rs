@@ -4,8 +4,7 @@
 
 use std::time::Duration;
 
-use skipwebs::core::distributed::DistributedOneDim;
-use skipwebs::core::onedim::OneDimSkipWeb;
+use skipwebs::core::onedim::{DistributedOneDim, OneDimSkipWeb};
 
 #[test]
 fn runtime_agrees_with_simulator_owner_hosted() {
@@ -51,7 +50,7 @@ fn runtime_serves_post_churn_structures() {
         web.insert(i * 37 + 3);
     }
     for i in 0..20u64 {
-        web.remove(i * 10);
+        web.remove(&(i * 10));
     }
     let dist = DistributedOneDim::spawn(&web);
     let client = dist.client();

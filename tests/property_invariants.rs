@@ -79,6 +79,7 @@ proptest! {
         keys.sort_unstable();
         keys.dedup();
         let web = OneDimSkipWeb::builder(keys.clone()).seed(seed).build();
+        let web = web.inner();
         for level in 0..=web.top_level() {
             let total: usize = web.level_set_sizes(level).iter().sum();
             prop_assert_eq!(total, keys.len(), "level {} partition", level);
