@@ -37,6 +37,7 @@ struct Config {
     store_gets: usize,
     rebuild_ns: Vec<usize>,
     rebuild_trap_n: usize,
+    rebuild_batches: Vec<usize>,
     rebuild_reps: usize,
     tcp_workers: usize,
     tcp_hosts_per_worker: usize,
@@ -74,6 +75,7 @@ impl Config {
             // boundary-free cost.
             rebuild_ns: vec![1024, 3072, 4096],
             rebuild_trap_n: 128,
+            rebuild_batches: vec![1, 8, 64, 512],
             rebuild_reps: 5,
             tcp_workers: 4,
             tcp_hosts_per_worker: 2,
@@ -108,6 +110,7 @@ impl Config {
             store_gets: 400,
             rebuild_ns: vec![3072, 4096, 16_384],
             rebuild_trap_n: 128,
+            rebuild_batches: vec![1, 8, 64, 512],
             rebuild_reps: 5,
             tcp_workers: 4,
             tcp_hosts_per_worker: 4,
@@ -306,7 +309,7 @@ fn main() {
         let table = experiments::rebuild(
             &cfg.rebuild_ns,
             cfg.rebuild_trap_n,
-            &cfg.batch_sizes,
+            &cfg.rebuild_batches,
             cfg.rebuild_reps,
             cfg.seed,
         );

@@ -2730,14 +2730,11 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// canonical order — exactly what a durability layer checkpoints so
     /// recovery can rebuild the identical web, tower for tower
     /// ([`SkipWebBuilder::bits`](crate::skipweb::SkipWebBuilder::bits)).
+    /// Slots are not part of it: a recovered web has canonical slots.
     pub fn ground_with_bits(&self) -> Vec<(D::Item, u64)> {
         let st = self.shared.state.lock();
-        st.web
-            .ground()
-            .iter()
-            .cloned()
-            .zip(st.web.item_bits().iter().copied())
-            .collect()
+        let pairs = st.web.ground_with_bits();
+        pairs.map(|(item, bits)| (item.clone(), bits)).collect()
     }
 
     /// The idempotence ledger in eviction (FIFO) order: identity and
@@ -3322,6 +3319,79 @@ mod tests {
             rebuilt >= 2 && shared > 8 * rebuilt,
             "{shared} vs {rebuilt}"
         );
+        dist.shutdown();
+    }
+
+    /// Every stored item keeps its slot through updates to other items, so
+    /// nothing an update does re-homes them: inserts in front of every key
+    /// shift all canonical positions, and removes free slots that later
+    /// inserts reuse, yet each surviving key — looked up by key, not by
+    /// position — keeps its owner host in the simulator and the physical
+    /// host its level-0 node range folds onto in a consolidated fabric.
+    /// This is what hosts owning their own state will rely on.
+    #[test]
+    fn an_update_moves_no_other_items_ranges() {
+        use skipweb_structures::linked_list::SortedLinkedList;
+        let keys: Vec<u64> = (0..300).map(|i| 1_000 + i * 10).collect();
+        let tower = |key: u64| key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED;
+        let front: Vec<u64> = (0..40).map(|i| i * 7).collect();
+        let gone: Vec<u64> = keys.iter().copied().step_by(9).collect();
+        let survivors = || keys.iter().copied().filter(|k| !gone.contains(k));
+        let web = crate::onedim::OneDimSkipWeb::builder(keys.clone())
+            .seed(33)
+            .build();
+
+        // The simulator: a mixed batch, then one op at a time.
+        let mut sim = web.inner().clone();
+        let home = |web: &SkipWeb<SortedLinkedList>, key: u64| {
+            web.host_of_item(web.ground().binary_search(&key).expect("stored"))
+        };
+        let before: Vec<HostId> = survivors().map(|k| home(&sim, k)).collect();
+        let mut batch: Vec<Update<u64>> = front[..20]
+            .iter()
+            .map(|&item| Update::Insert {
+                item,
+                bits: tower(item),
+            })
+            .collect();
+        batch.extend(gone[..20].iter().map(|&item| Update::Remove { item }));
+        assert!(sim.apply(batch).iter().all(|&applied| applied));
+        for &item in &gone[20..] {
+            assert_eq!(sim.apply(vec![Update::Remove { item }]), [true]);
+        }
+        for &item in &front[20..] {
+            assert_eq!(sim.apply_insert_batch(vec![(item, tower(item))]), [true]);
+        }
+        let after: Vec<HostId> = survivors().map(|k| home(&sim, k)).collect();
+        assert_eq!(after, before, "simulator: surviving items re-homed");
+
+        // The engine: where each key's level-0 node range lives physically.
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(4)
+            .spawn();
+        let client = dist.client();
+        let node_host = |key: u64| {
+            let topo = dist.shared.current_topo();
+            let pos = topo.web.ground().binary_search(&key).expect("stored");
+            let at = GlobalRef {
+                level: 0,
+                set: 0,
+                range: topo.web.base().entry_of_item(pos).0,
+            };
+            topo.ctl.fold(topo.copies(at).next().expect("a copy"))
+        };
+        let before: Vec<HostId> = survivors().map(node_host).collect();
+        for (i, (&insert, &remove)) in front.iter().zip(&gone).enumerate() {
+            let origin = i * 13 % dist.len();
+            assert!(
+                dist.insert_with(&client, origin, insert, tower(insert))
+                    .unwrap()
+                    .applied
+            );
+            assert!(dist.remove_with(&client, origin, remove).unwrap().applied);
+        }
+        let after: Vec<HostId> = survivors().map(node_host).collect();
+        assert_eq!(after, before, "engine: surviving ranges re-homed");
         dist.shutdown();
     }
 

@@ -13,9 +13,10 @@
 //!
 //! * [`skipweb::SkipWeb`] — the generic structure. An update is one type
 //!   at every layer, [`Update`], and [`SkipWeb::apply`] resolves a batch of
-//!   them — inserts and removes in any mix, in op order — in one staging
-//!   pass and one dirty-set repair, byte-identical to the full rebuild
-//!   ([`SkipWeb::apply_full`], the test oracle). A query's answer is one
+//!   them — inserts and removes in any mix, in op order — against stable
+//!   item slots, splicing each op into the one set per level its tower
+//!   names, byte-identical to the full rebuild ([`SkipWeb::apply_full`],
+//!   the test oracle). A query's answer is one
 //!   computation everywhere: [`SkipWeb::ask`] routes to the locus and asks
 //!   the structure's [`Routable::answer`](engine::Routable::answer), the
 //!   same call the engine's locus host replies with.

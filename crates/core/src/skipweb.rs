@@ -3,15 +3,29 @@
 //!
 //! # Layout
 //!
-//! A web is a short list of `Level`s, and everything per range or per item
-//! inside a level is a flat array or is derived — nothing is one heap block
-//! per range:
+//! A web is a short list of `Level`s over a **slot table**, and everything
+//! per range or per item inside a level is a flat array or is derived —
+//! nothing is one heap block per range:
 //!
-//! * a level's sets partition the ground set, so their member lists are one
-//!   `members` array (a permutation of `0..n` grouped by key-sorted set; a
-//!   `LevelSet` keeps its `(start, len)`), with `set_of_item` as the one
-//!   inverse the read path needs. The sets are key-sorted, so a set is found
-//!   by key with a binary search;
+//! * every stored item keeps one *slot* for its lifetime: its index into the
+//!   per-slot bit strings (`item_bits`), into every level's `set_of_item`,
+//!   and — under owner-hosted placement — its host, `HostId(slot)`. A
+//!   removed item's slot goes on a free list; an insert takes the lowest
+//!   free slot, or a new one at the end of the table; free slots at the end
+//!   are truncated, so an insert followed by its remove restores the web
+//!   byte for byte. Nothing is keyed by canonical position, so an update
+//!   renumbers nothing and moves no other item's ranges;
+//! * the ground is level 0's items: level 0 is the one set of every stored
+//!   item, so its structure's `items()` *is* the canonical ground order and
+//!   its `members` map a canonical position to a slot. That is how
+//!   [`SkipWeb::ground`], `SkipWeb::bits_of`, query origins and
+//!   [`SkipWeb::host_of_item`] take positions while everything else keys by
+//!   slot — a web that was never updated has slot `i` at position `i`;
+//! * a level's sets partition the stored items, so their member lists are
+//!   one `members` array (slots grouped by key-sorted set, in canonical
+//!   order within a set; a `LevelSet` keeps its `(start, len)`), with
+//!   `set_of_item` (per slot) as the one inverse the read path needs. The
+//!   sets are key-sorted, so a set is found by key with a binary search;
 //! * hyperlinks are not stored: a range's links into the parent set are its
 //!   conflict list `C(Q, S_b')` there (§2.3), a pure function of the two
 //!   structures (§2.1), which `SkipWeb::hyperlinks` computes where a route,
@@ -23,14 +37,21 @@
 //!   Bucketed placement keeps one offset + data table (`Csr`) of hosts per
 //!   set, behind an `Arc`.
 //!
+//! An update splices its item into — or out of — the one set per level its
+//! tower names: `members` gets one insert or remove, the later sets'
+//! `start`s shift by one, and the set's structure becomes `D::build` of its
+//! old items plus or minus the item (once per batch, however many of the
+//! batch's items it gains or loses). Every other set is left as it was.
+//!
 //! A clone of the web — the copy-on-write an engine apply forces while a
 //! published snapshot still holds the previous web — therefore copies three
-//! arrays per level (`sets`, `members`, `set_of_item`) and three per web
-//! (`ground`, `item_bits`, `host_of_item`), and bumps a reference count for
-//! every structure (and host table); dropping the previous web frees those
-//! arrays plus whatever the repair replaced.
+//! arrays per level (`sets`, `members`, `set_of_item`, each with room for a
+//! few splices) and the slot table (`item_bits` and the free list), and
+//! bumps a reference count for every structure (and host table); it copies
+//! no item. Dropping the previous web frees those arrays plus the
+//! structures the splices replaced.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -58,7 +79,7 @@ pub(crate) struct LevelSet<D: RangeDetermined> {
     pub structure: Arc<D>,
     /// Where this set's members start in its level's `members` array.
     pub start: u32,
-    /// How many members it has. Structure item `i` is ground item
+    /// How many members it has. Structure item `i` is the item in slot
     /// `members[start + i]`.
     pub len: u32,
     /// Per range: the hosts storing a copy of it, under bucketed placement —
@@ -82,21 +103,48 @@ impl<D: RangeDetermined> LevelSet<D> {
     }
 }
 
+/// `set_of_item`'s entry for a free slot: it sits in no set.
+const NO_SET: u32 = u32::MAX;
+
+/// Room for this many splices past a cloned array's length, so the first
+/// inserts after a copy-on-write clone do not reallocate it.
+const SPLICE_HEADROOM: usize = 16;
+
+/// A copy of `items` with [`SPLICE_HEADROOM`] spare capacity.
+fn with_headroom<T: Clone>(items: &[T]) -> Vec<T> {
+    let mut copy = Vec::with_capacity(items.len() + SPLICE_HEADROOM);
+    copy.extend_from_slice(items);
+    copy
+}
+
 /// All sets of one level.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Level<D: RangeDetermined> {
     /// The level's sets, strictly ascending by key.
     pub sets: Vec<LevelSet<D>>,
-    /// Every ground item index exactly once, grouped by set in `sets` order
-    /// and ascending — which is canonical order — within a set.
+    /// Every live slot exactly once, grouped by set in `sets` order and in
+    /// canonical item order within a set.
     pub members: Vec<u32>,
-    /// Ground item index → set index within this level (the inverse of
-    /// `members`' grouping).
+    /// Slot → set index within this level (the inverse of `members`'
+    /// grouping); [`NO_SET`] for a free slot.
     pub set_of_item: Vec<u32>,
 }
 
+/// Copies the three arrays with room for a few splices: the apply that
+/// follows a copy-on-write clone inserts into them, and an exact-capacity
+/// copy would reallocate each one on its first insert.
+impl<D: RangeDetermined> Clone for Level<D> {
+    fn clone(&self) -> Self {
+        Level {
+            sets: with_headroom(&self.sets),
+            members: with_headroom(&self.members),
+            set_of_item: with_headroom(&self.set_of_item),
+        }
+    }
+}
+
 impl<D: RangeDetermined> Level<D> {
-    /// The ground item indices of `set`, in its structure's item order.
+    /// The slots of `set`'s members, in its structure's item order.
     pub(crate) fn members_of(&self, set: &LevelSet<D>) -> &[u32] {
         &self.members[set.span()]
     }
@@ -108,29 +156,139 @@ impl<D: RangeDetermined> Level<D> {
 
     /// Appends a freshly built set — `members` in its structure's item
     /// order — with no host table yet; the placement stage fills that in.
-    fn push_built(&mut self, key: u64, structure: Arc<D>, members: &[u32]) {
-        debug_assert_eq!(structure.len(), members.len());
+    fn push_built(&mut self, key: u64, structure: Arc<D>, members: impl Iterator<Item = u32>) {
+        let start = self.members.len();
+        self.members.extend(members);
+        let len = self.members.len() - start;
+        debug_assert_eq!(structure.len(), len);
         self.sets.push(LevelSet {
             key,
             structure,
-            start: self.members.len() as u32,
-            len: members.len() as u32,
+            start: start as u32,
+            len: len as u32,
             hosted: None,
         });
-        self.members.extend_from_slice(members);
     }
 
-    /// Recomputes `set_of_item` from `members` for a ground set of `n`.
-    fn index_members(&mut self, n: usize) {
+    /// Recomputes `set_of_item` from `members` for a slot table of `slots`.
+    fn index_members(&mut self, slots: usize) {
         self.set_of_item.clear();
-        self.set_of_item.resize(n, 0);
+        self.set_of_item.resize(slots, NO_SET);
         for (si, set) in self.sets.iter().enumerate() {
             for &g in &self.members[set.span()] {
                 self.set_of_item[g as usize] = si as u32;
             }
         }
     }
+
+    /// A batch's working copy of the items of the set keyed `key` at level
+    /// `li`: on the batch's first splice into the set, its structure's
+    /// items — none for a set the level does not have yet.
+    fn batch_items<'p>(
+        &self,
+        li: u32,
+        key: u64,
+        batch: &'p mut BatchItems<D::Item>,
+    ) -> &'p mut Vec<D::Item> {
+        batch
+            .entry((li, key))
+            .or_insert_with(|| match self.set_index(key) {
+                Some(si) => with_headroom(self.sets[si].structure.items()),
+                None => Vec::new(),
+            })
+    }
+
+    /// Splices `item`, stored in `slot`, into the set keyed `key` — a new
+    /// set when the level has none: the item joins `items`, the set's
+    /// working copy, its slot lands at the same place in `members`, and the
+    /// later sets shift up one entry (and, past a new set, one index).
+    fn splice_in(&mut self, key: u64, items: &mut Vec<D::Item>, item: &D::Item, slot: u32) {
+        let Err(local) = items.binary_search_by(|g| D::canonical_cmp(g, item)) else {
+            unreachable!("an insert splices in an absent item");
+        };
+        items.insert(local, item.clone());
+        let (si, at) = match self.sets.binary_search_by_key(&key, |s| s.key) {
+            Ok(si) => {
+                self.sets[si].len += 1;
+                (si, self.sets[si].start as usize + local)
+            }
+            Err(si) => {
+                let start = self
+                    .sets
+                    .get(si)
+                    .map_or(self.members.len(), |s| s.start as usize);
+                let set = LevelSet {
+                    key,
+                    // Built from `items` when the batch ends.
+                    structure: Arc::new(D::build(Vec::new())),
+                    start: start as u32,
+                    len: 1,
+                    hosted: None,
+                };
+                self.sets.insert(si, set);
+                for &g in &self.members[start..] {
+                    self.set_of_item[g as usize] += 1;
+                }
+                (si, start)
+            }
+        };
+        self.members.insert(at, slot);
+        for later in &mut self.sets[si + 1..] {
+            later.start += 1;
+        }
+        self.set_of_item[slot as usize] = si as u32;
+    }
+
+    /// Splices `item`, stored in `slot`, out of the set keyed `key`, whose
+    /// working copy is `items`: the inverse of
+    /// [`splice_in`](Self::splice_in). A set it empties is dropped, unless
+    /// `keep_empty` (level 0 is the ground set, empty or not).
+    fn splice_out(
+        &mut self,
+        key: u64,
+        items: &mut Vec<D::Item>,
+        item: &D::Item,
+        slot: u32,
+        keep_empty: bool,
+    ) {
+        let (Some(si), Ok(local)) = (
+            self.set_index(key),
+            items.binary_search_by(|g| D::canonical_cmp(g, item)),
+        ) else {
+            unreachable!("a stored item sits in its set at every level");
+        };
+        items.remove(local);
+        let at = self.sets[si].start as usize + local;
+        debug_assert_eq!(self.members[at], slot, "the set holds the item's slot");
+        let later = if self.sets[si].len == 1 && !keep_empty {
+            self.sets.remove(si);
+            for &g in &self.members[at + 1..] {
+                self.set_of_item[g as usize] -= 1;
+            }
+            si
+        } else {
+            self.sets[si].len -= 1;
+            si + 1
+        };
+        self.members.remove(at);
+        for later in &mut self.sets[later..] {
+            later.start -= 1;
+        }
+        self.set_of_item[slot as usize] = NO_SET;
+    }
 }
+
+/// The working copies of the items of every set a batch splices, by
+/// `(level, key)`: each set's structure is built from its copy once, when
+/// the batch's ops are all in.
+type BatchItems<I> = BTreeMap<(u32, u64), Vec<I>>;
+
+/// A batch of `n / this` ops or more is rebuilt whole rather than spliced:
+/// by then it touches most sets of the lower levels, and shifting `members`
+/// once per op costs more than building every level once. Measured with
+/// `repro rebuild`: splicing wins at 64 ops for every structure and `n`
+/// from 1024 to 4096, and loses at 512 ops (n / 2 to n / 9) by 10–50 %.
+const INCREMENTAL_DIRTY_FACTOR: usize = 10;
 
 /// The hosts storing a copy of one range, primary first — see
 /// [`SkipWeb::copies`]. Cloneable and allocation-free, so a caller can scan
@@ -205,95 +363,6 @@ impl<I> Update<I> {
     }
 }
 
-/// One item a batch touches, while [`SkipWeb::stage`] resolves the batch's
-/// ops against it in order.
-struct Touched<I> {
-    item: I,
-    /// Where the item sits in the pre-batch ground order (`Ok`), or where it
-    /// would be spliced in (`Err`).
-    slot: Result<usize, usize>,
-    /// The item's bits after the ops so far; `None` while it is not stored.
-    now: Option<u64>,
-}
-
-/// Below this many stored items a full rebuild is cheaper than planning an
-/// incremental repair.
-const INCREMENTAL_MIN_N: usize = 64;
-
-/// Fall back to a full rebuild once a batch changes ≥ 1/this of the ground
-/// set: most level sets are dirty anyway at that point.
-const INCREMENTAL_DIRTY_FACTOR: usize = 4;
-
-/// The staged outcome of an incremental batch apply: the ground set and bit
-/// array are already spliced; these are the sets left to rebuild.
-#[derive(Debug)]
-struct RepairPlan {
-    /// The `(level, key)` pairs whose membership changed.
-    dirty: BTreeSet<(u32, u64)>,
-    /// One rebuild job per dirty set with surviving members, sorted by
-    /// `(level, key)`.
-    builds: Vec<BuildJob>,
-    /// Old ground index → new ground index (`u32::MAX` for removed items).
-    remap: Vec<u32>,
-}
-
-/// One dirty set to rebuild.
-#[derive(Debug)]
-struct BuildJob {
-    level: u32,
-    key: u64,
-    /// New ground indices of the members, ascending — which is canonical
-    /// order, since the spliced ground set is canonically sorted.
-    members: Vec<u32>,
-}
-
-/// Merges one level's rebuilt structures into its tables: old sets keep
-/// their structures and host tables verbatim, emptied sets are
-/// dropped, new sets land at their key-sorted position, and the level's two
-/// item arrays are rewritten for the spliced ground order — kept sets'
-/// members through `remap`, rebuilt ones from their jobs. `incoming` is the
-/// plan's `(level, key)`-sorted build jobs with their rebuilt structures,
-/// advanced past this level's.
-fn install_level<'a, D: RangeDetermined>(
-    level: &mut Level<D>,
-    li: u32,
-    incoming: &mut std::iter::Peekable<impl Iterator<Item = (&'a BuildJob, Arc<D>)>>,
-    plan: &RepairPlan,
-    n: usize,
-) {
-    let (dirty, remap) = (&plan.dirty, &plan.remap[..]);
-    let old_sets = std::mem::take(&mut level.sets);
-    let old_members = std::mem::replace(&mut level.members, Vec::with_capacity(n));
-    level.sets.reserve(old_sets.len() + 1);
-    for mut set in old_sets {
-        while let Some((job, fresh)) = incoming.next_if(|(j, _)| j.level == li && j.key < set.key) {
-            level.push_built(job.key, fresh, &job.members);
-        }
-        if dirty.contains(&(li, set.key)) {
-            // Replaced by its rebuilt version — or emptied: dropped.
-            if let Some((job, rebuilt)) =
-                incoming.next_if(|(j, _)| j.level == li && j.key == set.key)
-            {
-                level.push_built(job.key, rebuilt, &job.members);
-            }
-            continue;
-        }
-        // Untouched sets never contain removed items (a removed item dirties
-        // its set at every level), so every member remaps cleanly — and
-        // monotonically, so the slice stays ascending.
-        let old = &old_members[set.span()];
-        set.start = level.members.len() as u32;
-        level.members.extend(old.iter().map(|&g| remap[g as usize]));
-        debug_assert!(level.members_of(&set).iter().all(|&g| g != u32::MAX));
-        level.sets.push(set);
-    }
-    while let Some((job, fresh)) = incoming.next_if(|(j, _)| j.level == li) {
-        level.push_built(job.key, fresh, &job.members);
-    }
-    debug_assert_eq!(level.members.len(), n, "the sets partition the ground");
-    level.index_members(n);
-}
-
 /// Result of a skip-web query descent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryOutcome {
@@ -314,32 +383,50 @@ pub struct QueryOutcome {
 /// [`SkipWeb::insert`] / [`SkipWeb::remove`]. [`Web<D>`](crate::web::Web)
 /// wraps one with the conveniences every structure shares; its aliases in
 /// [`crate::onedim`] and [`crate::multidim`] add typed answers.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SkipWeb<D: RangeDetermined> {
-    ground: Vec<D::Item>,
+    /// Per slot: the level bit string of the item stored there (0 for a
+    /// free slot). Its length is the slot table's.
     item_bits: Vec<u64>,
+    /// The free slots below the end of the table, strictly descending, so
+    /// the lowest is last.
+    free: Vec<u32>,
     levels: Vec<Level<D>>,
-    host_of_item: Vec<HostId>,
     hosts: usize,
     blocking: Blocking,
     replication: Replication,
     rng: StdRng,
 }
 
-/// Structural equality: two webs are equal when their ground sets, bit
-/// assignments, level hierarchies (each set's key, structure, member slice
-/// and stored host table) and host maps all match byte for byte. Hyperlinks
-/// are not compared because nothing stores them: equal structures have
-/// equal conflict lists. The insertion rng is deliberately excluded — it
-/// only affects *future* random draws, not the structure — so the parity
-/// tests can compare an incrementally repaired web against a fully rebuilt
-/// one.
+/// Copies the slot table with room for a few new slots, like a level's
+/// arrays.
+impl<D: RangeDetermined> Clone for SkipWeb<D> {
+    fn clone(&self) -> Self {
+        SkipWeb {
+            item_bits: with_headroom(&self.item_bits),
+            free: self.free.clone(),
+            levels: self.levels.clone(),
+            hosts: self.hosts,
+            blocking: self.blocking,
+            replication: self.replication,
+            rng: self.rng.clone(),
+        }
+    }
+}
+
+/// Structural equality: two webs are equal when their slot tables, level
+/// hierarchies (each set's key, structure, member slice and stored host
+/// table) and host counts all match byte for byte — level 0's structure is
+/// the ground set. Hyperlinks are not compared because nothing stores them:
+/// equal structures have equal conflict lists. The insertion rng is
+/// deliberately excluded — it only affects *future* random draws, not the
+/// structure — so the parity tests can compare an incrementally repaired
+/// web against a fully rebuilt one.
 impl<D: RangeDetermined + PartialEq> PartialEq for SkipWeb<D> {
     fn eq(&self, other: &Self) -> bool {
-        self.ground == other.ground
-            && self.item_bits == other.item_bits
+        self.item_bits == other.item_bits
+            && self.free == other.free
             && self.levels == other.levels
-            && self.host_of_item == other.host_of_item
             && self.hosts == other.hosts
             && self.blocking == other.blocking
             && self.replication == other.replication
@@ -426,17 +513,18 @@ impl<D: RangeDetermined> SkipWebBuilder<D> {
             }
             None => draw_bits(ground.len(), &mut rng),
         };
+        // A fresh web's slots are its canonical positions.
+        let slots: Vec<u32> = (0..ground.len() as u32).collect();
         let mut web = SkipWeb {
-            ground,
             item_bits,
+            free: Vec::new(),
             levels: Vec::new(),
-            host_of_item: Vec::new(),
             hosts: 0,
             blocking: self.blocking,
             replication: self.replication,
             rng,
         };
-        web.rebuild();
+        web.rebuild(&ground, &slots);
         web
     }
 }
@@ -453,31 +541,31 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
     }
 
-    /// A copy of this web rebuilt under replication policy `replication` —
-    /// same ground set, same towers (the level bits are kept), different
-    /// range-to-host placement. This is how
+    /// A copy of this web placed under replication policy `replication` —
+    /// same ground set, same slots and towers, different range-to-host
+    /// placement. This is how
     /// [`FabricBuilder::replicate`](crate::engine::FabricBuilder::replicate)
     /// overrides a build-time policy at deployment time.
     pub fn with_replication(&self, replication: Replication) -> SkipWeb<D> {
         let mut web = self.clone();
         web.replication = replication;
-        web.rebuild();
+        web.assign_hosts();
         web
     }
 
-    /// The canonical ground set.
+    /// The canonical ground set: level 0's items.
     pub fn ground(&self) -> &[D::Item] {
-        &self.ground
+        self.base().items()
     }
 
     /// Number of stored items `n`.
     pub fn len(&self) -> usize {
-        self.ground.len()
+        self.levels[0].members.len()
     }
 
     /// Whether the web stores no items.
     pub fn is_empty(&self) -> bool {
-        self.ground.is_empty()
+        self.len() == 0
     }
 
     /// Number of hosts `H`.
@@ -527,13 +615,22 @@ impl<D: RangeDetermined> SkipWeb<D> {
         &self.levels[0].sets[0].structure
     }
 
-    /// The host owning ground item `item` (query origins start here).
+    /// The host owning the item at canonical position `item` (query origins
+    /// start here): under owner-hosted placement the host of its slot,
+    /// under bucketed placement the host of its top-level entry range.
     ///
     /// # Panics
     ///
     /// Panics if `item >= self.len()`.
     pub fn host_of_item(&self, item: usize) -> HostId {
-        self.host_of_item[item]
+        match self.blocking {
+            Blocking::OwnerHosted => HostId(self.levels[0].members[item]),
+            Blocking::Bucketed { .. } => {
+                let top = self.top_level() as usize;
+                let (set, entry) = self.origin_entry(item);
+                self.primary(top, &self.levels[top].sets[set], entry)
+            }
+        }
     }
 
     /// A deterministic pseudo-random query origin (ground item index).
@@ -685,23 +782,24 @@ impl<D: RangeDetermined> SkipWeb<D> {
         self.levels[(level - 1) as usize].set_of_item[first as usize] as usize
     }
 
-    /// Where operations from `origin_item` enter the web — the "root node
-    /// for that host" of §1.1: the item's top-level set index and its entry
-    /// range there. A top-level set is a handful of items, so the item's
-    /// position in it is a short binary search of its (ascending) members.
+    /// Where operations from the item at canonical position `origin_item`
+    /// enter the web — the "root node for that host" of §1.1: the item's
+    /// top-level set index (through its slot) and its entry range there —
+    /// the item's place in the set's canonical order, a short binary search.
     pub(crate) fn origin_entry(&self, origin_item: usize) -> (usize, RangeId) {
+        let slot = self.levels[0].members[origin_item];
+        let item = &self.ground()[origin_item];
         let top = &self.levels[self.top_level() as usize];
-        let set_idx = top.set_of_item[origin_item] as usize;
+        let set_idx = top.set_of_item[slot as usize] as usize;
         let set = &top.sets[set_idx];
-        let local = top
-            .members_of(set)
-            .partition_point(|&g| (g as usize) < origin_item);
+        let items = set.structure.items();
+        let local = items.partition_point(|g| D::canonical_cmp(g, item).is_lt());
         (set_idx, set.structure.entry_of_item(local))
     }
 
-    /// The ground item owning range `r` of `set` (a level-`level` set), as
-    /// a host id — the owner-hosted home of the range (§2.4): an item's
-    /// tower of ranges lives on the item's host.
+    /// The slot of the item owning range `r` of `set` (a level-`level`
+    /// set), as a host id — the owner-hosted home of the range (§2.4): an
+    /// item's tower of ranges lives on the item's host.
     fn owner_host(&self, level: usize, set: &LevelSet<D>, r: RangeId) -> HostId {
         let members = self.levels[level].members_of(set);
         if members.is_empty() {
@@ -839,38 +937,158 @@ impl<D: RangeDetermined> SkipWeb<D> {
         true
     }
 
-    /// Applies a batch of updates — inserts and removes in any mix — in
-    /// **one** structural repair: the apply half of every update path, with
-    /// no metering (the distributed engine calls it once its repair walks
-    /// have paid the messages).
+    /// Applies a batch of updates — inserts and removes in any mix — the
+    /// apply half of every update path, with no metering (the distributed
+    /// engine calls it once its repair walks have paid the messages).
     ///
-    /// The ops resolve in order, with sequential semantics: the returned
-    /// per-op flags are the ones applying the ops one at a time would give
-    /// (`false` for an insert of an item stored at that point and for a
-    /// remove of one that is not), so a batch may insert, remove and
-    /// re-insert one item, and a re-insert may carry new bits. The final
-    /// structure is identical to that of the one-at-a-time applies (the
-    /// hierarchy is fully determined by the surviving ground set and its
-    /// bit strings) and byte-identical to a from-scratch
-    /// [`apply_full`](Self::apply_full), but only the level sets the
-    /// batch's *net* change dirties are rebuilt: an item with bit string
-    /// `b` belongs at level `ℓ` to exactly the set keyed by its `ℓ`-bit
-    /// prefix, so a batch touches a bounded `(level, key)` collection and
-    /// every other set is reused verbatim.
+    /// The ops resolve in order against the slot table, with sequential
+    /// semantics: the returned per-op flags are the ones applying the ops
+    /// one at a time would give (`false` for an insert of an item stored at
+    /// that point and for a remove of one that is not), so a batch may
+    /// insert, remove and re-insert one item, and a re-insert may carry new
+    /// bits. Each applied op is spliced into — or out of — exactly the sets
+    /// its tower names, one per level (an item with bit string `b` belongs
+    /// at level `ℓ` to the set keyed by its `ℓ`-bit prefix); every other set
+    /// is left as it was, and no other item changes slot. A spliced set's
+    /// structure becomes `D::build` of its old items plus and minus the
+    /// batch's, once per batch. A batch that changes the level count drops
+    /// the vanished top levels — hyperlinks only point downward — or builds
+    /// the new ones from level 0. A batch of `n / 10` ops or more goes
+    /// through `apply_full` instead (measured: by then it touches most sets
+    /// of the lower levels, and a full rebuild is the cheaper). The result
+    /// is byte-identical to the one-at-a-time applies and to
+    /// [`apply_full`](Self::apply_full).
     pub fn apply(&mut self, ops: Vec<Update<D::Item>>) -> Vec<bool> {
-        let (applied, plan) = self.stage(ops, false);
-        if let Some(plan) = plan {
-            self.repair(plan);
+        if ops.len() * INCREMENTAL_DIRTY_FACTOR >= self.len() {
+            return self.apply_full(ops);
         }
+        let mut batch = BatchItems::new();
+        let applied = ops
+            .into_iter()
+            .map(|op| self.splice(op, &mut batch))
+            .collect();
+        if batch.is_empty() {
+            return applied;
+        }
+        let want = level_count(self.len()) as usize + 1;
+        self.levels.truncate(want);
+        for ((li, key), items) in batch {
+            let Some(level) = self.levels.get_mut(li as usize) else {
+                continue;
+            };
+            // A set the batch emptied is gone.
+            if let Some(si) = level.set_index(key) {
+                level.sets[si].structure = Arc::new(D::build(items));
+                level.sets[si].hosted = None;
+            }
+        }
+        while self.levels.len() < want {
+            let level = self.levels.len() as u32;
+            let top = self.build_level(self.ground(), &self.levels[0].members, level);
+            self.levels.push(top);
+        }
+        self.assign_hosts();
+        self.debug_check_invariants();
         applied
     }
 
-    /// [`apply`](Self::apply) through the full-rebuild path: every level
-    /// set is rebuilt from scratch. The reference oracle — the parity
-    /// proptests hold the incremental path to it byte for byte, and the
-    /// `rebuild` bench experiment measures the two against each other.
+    /// [`apply`](Self::apply) through the full-rebuild path: the ops take
+    /// and free slots exactly as `apply`'s do, against a plain copy of the
+    /// canonical ground, and then every level set is rebuilt from scratch.
+    /// The reference oracle — the parity proptests hold the splicing path to
+    /// it byte for byte, and the `rebuild` bench experiment measures the two
+    /// against each other.
     pub fn apply_full(&mut self, ops: Vec<Update<D::Item>>) -> Vec<bool> {
-        self.stage(ops, true).0
+        let mut ground = self.ground().to_vec();
+        let mut slots = self.levels[0].members.clone();
+        let applied = ops
+            .into_iter()
+            .map(|op| {
+                let at = ground.binary_search_by(|g| D::canonical_cmp(g, op.item()));
+                match (op, at) {
+                    (Update::Insert { item, bits }, Err(pos)) => {
+                        ground.insert(pos, item);
+                        slots.insert(pos, self.take_slot(bits));
+                    }
+                    (Update::Remove { .. }, Ok(pos)) => {
+                        ground.remove(pos);
+                        self.release_slot(slots.remove(pos));
+                    }
+                    _ => return false,
+                }
+                true
+            })
+            .collect();
+        self.rebuild(&ground, &slots);
+        applied
+    }
+
+    /// Resolves one op of a batch against the web as the batch has left it
+    /// and splices it in: an absent item's insert takes a slot and joins
+    /// its set at every level; a stored item's remove leaves them and frees
+    /// its slot. The sets' items change in `batch`, their structures when
+    /// the batch ends. Returns whether the op applied.
+    fn splice(&mut self, op: Update<D::Item>, batch: &mut BatchItems<D::Item>) -> bool {
+        let ground = batch.get(&(0, 0)).map_or(self.ground(), Vec::as_slice);
+        let at = ground.binary_search_by(|g| D::canonical_cmp(g, op.item()));
+        match (op, at) {
+            (Update::Insert { item, bits }, Err(_)) => {
+                let slot = self.take_slot(bits);
+                for (li, level) in (0u32..).zip(&mut self.levels) {
+                    let key = set_key(bits, li);
+                    let items = level.batch_items(li, key, batch);
+                    level.splice_in(key, items, &item, slot);
+                }
+            }
+            (Update::Remove { item }, Ok(pos)) => {
+                let slot = self.levels[0].members[pos];
+                let bits = self.item_bits[slot as usize];
+                for (li, level) in (0u32..).zip(&mut self.levels) {
+                    let key = set_key(bits, li);
+                    let items = level.batch_items(li, key, batch);
+                    level.splice_out(key, items, &item, slot, li == 0);
+                }
+                self.release_slot(slot);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Gives an item with tower `bits` a slot: the lowest free one, or a
+    /// new one at the end of the table (and of every level's
+    /// `set_of_item`). One of the two slot-table functions both apply paths
+    /// resolve ops with.
+    fn take_slot(&mut self, bits: u64) -> u32 {
+        let Some(slot) = self.free.pop() else {
+            self.item_bits.push(bits);
+            for level in &mut self.levels {
+                level.set_of_item.push(NO_SET);
+            }
+            return self.item_bits.len() as u32 - 1;
+        };
+        self.item_bits[slot as usize] = bits;
+        slot
+    }
+
+    /// Frees `slot`: onto the free list, or — at the end of the table —
+    /// off the table, together with the free slots just below it.
+    fn release_slot(&mut self, slot: u32) {
+        self.item_bits[slot as usize] = 0;
+        if slot as usize + 1 < self.item_bits.len() {
+            let at = self.free.partition_point(|&f| f > slot);
+            self.free.insert(at, slot);
+            return;
+        }
+        let mut end = slot;
+        while end > 0 && self.free.first() == Some(&(end - 1)) {
+            self.free.remove(0);
+            end -= 1;
+        }
+        self.item_bits.truncate(end as usize);
+        for level in &mut self.levels {
+            level.set_of_item.truncate(end as usize);
+        }
     }
 
     /// [`apply`](Self::apply) for a batch of inserts.
@@ -885,250 +1103,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
         self.apply(items.iter().map(remove).collect())
     }
 
-    /// Whether an incremental repair is impossible or not worth planning:
-    /// the web is tiny, the batch empties it, or the batch dirties too
-    /// large a fraction of the ground set — at which point most level sets
-    /// need rebuilding anyway and the full path's simplicity wins. A
-    /// level-count change of one is handled incrementally (a new top level
-    /// is planned wholesale, a vanishing one is dropped); larger jumps
-    /// would need multiple levels rebuilt, but the dirty-fraction bound
-    /// already makes them unreachable (crossing two power-of-two
-    /// boundaries requires changing more than a quarter of the items), so
-    /// the guard is defensive.
-    fn must_rebuild_fully(&self, n_old: usize, n_new: usize, changed: usize) -> bool {
-        n_old < INCREMENTAL_MIN_N
-            || n_new == 0
-            || level_count(n_old).abs_diff(level_count(n_new)) > 1
-            || changed * INCREMENTAL_DIRTY_FACTOR >= n_old
-    }
-
-    /// Grows or shrinks the level table to match the spliced ground size —
-    /// by at most one level, per [`must_rebuild_fully`]'s guard. A grown
-    /// top level starts empty and returns `true`: the caller's repair plan
-    /// marks every item's set there dirty, so the install stage populates
-    /// it. A dropped level just vanishes — hyperlinks only point downward.
-    fn sync_level_count(&mut self) -> bool {
-        let want = level_count(self.ground.len()) as usize + 1;
-        match want.cmp(&self.levels.len()) {
-            std::cmp::Ordering::Greater => {
-                debug_assert_eq!(want, self.levels.len() + 1);
-                self.levels.push(Level {
-                    sets: Vec::new(),
-                    members: Vec::new(),
-                    set_of_item: Vec::new(),
-                });
-                true
-            }
-            std::cmp::Ordering::Less => {
-                debug_assert_eq!(want, self.levels.len() - 1);
-                self.levels.pop();
-                false
-            }
-            std::cmp::Ordering::Equal => false,
-        }
-    }
-
-    /// The one staging pass: resolves a batch's ops in order against the
-    /// canonical ground set, merges their net change into the ground order
-    /// — fresh items spliced in, removed ones dropped, re-inserted ones
-    /// re-bitted, in a single pass with no whole-set `D::build` reorder —
-    /// and computes the dirty-set repair plan. Returns the per-op applied
-    /// flags, plus `None` when nothing changed or the full rebuild already
-    /// ran (`force_full`, or [`must_rebuild_fully`](Self::must_rebuild_fully)).
-    fn stage(
-        &mut self,
-        ops: Vec<Update<D::Item>>,
-        force_full: bool,
-    ) -> (Vec<bool>, Option<RepairPlan>) {
-        let mut applied = Vec::with_capacity(ops.len());
-        // Every item the batch names, in canonical order: an op costs one
-        // binary search against the batch and — the first time its item
-        // comes up — one against the ground set.
-        let mut touched: Vec<Touched<D::Item>> = Vec::new();
-        for op in ops {
-            let (item, inserting) = match op {
-                Update::Insert { item, bits } => (item, Some(bits)),
-                Update::Remove { item } => (item, None),
-            };
-            let t = match touched.binary_search_by(|t| D::canonical_cmp(&t.item, &item)) {
-                Ok(t) => t,
-                Err(t) => {
-                    let slot = self.ground.binary_search_by(|g| D::canonical_cmp(g, &item));
-                    let now = slot.ok().map(|pos| self.item_bits[pos]);
-                    touched.insert(t, Touched { item, slot, now });
-                    t
-                }
-            };
-            // An insert applies to an absent item, a remove to a stored one.
-            let now = &mut touched[t].now;
-            let applies = inserting.is_some() == now.is_none();
-            if applies {
-                *now = inserting;
-            }
-            applied.push(applies);
-        }
-        // The batch's net change: what the ops left different from the
-        // stored state, however many of them it took.
-        let was = |t: &Touched<D::Item>| t.slot.ok().map(|pos| self.item_bits[pos]);
-        let changed = touched.iter().filter(|t| t.now != was(t)).count();
-        if changed == 0 {
-            return (applied, None);
-        }
-        let n_old = self.ground.len();
-        let n_new = n_old + touched.iter().filter(|t| t.now.is_some()).count()
-            - touched.iter().filter(|t| t.slot.is_ok()).count();
-        let full = force_full || self.must_rebuild_fully(n_old, n_new, changed);
-        // Merge: one pass over the (already canonical) ground order with
-        // the touched items riding along, recording the old→new index remap
-        // (`u32::MAX` for removed items) and the bits of every changed
-        // tower, old and new, as side effects.
-        let mut ground = Vec::with_capacity(n_new);
-        let mut bits_vec = Vec::with_capacity(n_new);
-        let mut remap = Vec::with_capacity(n_old);
-        let mut dirty_bits = Vec::with_capacity(changed);
-        let mut touched = touched.into_iter().peekable();
-        let mut old = std::mem::take(&mut self.ground)
-            .into_iter()
-            .zip(std::mem::take(&mut self.item_bits));
-        for pos in 0..=n_old {
-            // Fresh items that sort before the stored item at `pos`.
-            while let Some(t) = touched.next_if(|t| t.slot == Err(pos)) {
-                if let Some(bits) = t.now {
-                    dirty_bits.push(bits);
-                    ground.push(t.item);
-                    bits_vec.push(bits);
-                }
-            }
-            let Some((item, bits)) = old.next() else {
-                break;
-            };
-            // The stored item itself: kept, kept under new bits, or dropped.
-            let now = match touched.next_if(|t| t.slot == Ok(pos)) {
-                Some(t) => t.now,
-                None => Some(bits),
-            };
-            if now != Some(bits) {
-                dirty_bits.push(bits);
-                dirty_bits.extend(now);
-            }
-            match now {
-                Some(bits) => {
-                    remap.push(ground.len() as u32);
-                    ground.push(item);
-                    bits_vec.push(bits);
-                }
-                None => remap.push(u32::MAX),
-            }
-        }
-        self.ground = ground;
-        self.item_bits = bits_vec;
-        if full {
-            self.rebuild();
-            return (applied, None);
-        }
-        let grew_top = self.sync_level_count();
-        let plan = self.plan_from_dirty_bits(&dirty_bits, remap, grew_top);
-        (applied, Some(plan))
-    }
-
-    /// Collects the dirty `(level, key)` pairs selected by the changed
-    /// items' bit strings — plus, when `new_top` is set, every item's set
-    /// at the freshly grown top level — then scans the (already-spliced)
-    /// bit array once per level to compute each dirty set's surviving
-    /// membership — in ground order, which *is* the canonical order, so
-    /// the rebuild jobs need no per-set reorder.
-    fn plan_from_dirty_bits(
-        &self,
-        changed_bits: &[u64],
-        remap: Vec<u32>,
-        new_top: bool,
-    ) -> RepairPlan {
-        let k = level_count(self.ground.len());
-        debug_assert_eq!(
-            k as usize + 1,
-            self.levels.len(),
-            "sync_level_count runs before planning"
-        );
-        let mut dirty: BTreeSet<(u32, u64)> = BTreeSet::new();
-        for &bits in changed_bits {
-            for level in 0..=k {
-                dirty.insert((level, set_key(bits, level)));
-            }
-        }
-        if new_top {
-            for &bits in &self.item_bits {
-                dirty.insert((k, set_key(bits, k)));
-            }
-        }
-        // Dirty keys land in `builds` key-sorted per level (from the
-        // BTreeSet), so the membership scan resolves each item's set by
-        // binary search over a contiguous slice — much cheaper per probe
-        // than the tree-map this replaced.
-        let mut builds: Vec<BuildJob> = Vec::with_capacity(dirty.len());
-        let mut level_bounds: Vec<(usize, usize)> = Vec::with_capacity(k as usize + 1);
-        for level in 0..=k {
-            let start = builds.len();
-            builds.extend(
-                dirty
-                    .range((level, 0)..=(level, u64::MAX))
-                    .map(|&(_, key)| BuildJob {
-                        level,
-                        key,
-                        members: Vec::new(),
-                    }),
-            );
-            level_bounds.push((start, builds.len()));
-        }
-        // Content-dirtiness is downward-monotone in the level: a set is
-        // dirty iff it holds a changed item, and sharing an `ℓ`-bit prefix
-        // with that item implies sharing every shorter prefix. So each
-        // item's dirty sets occupy levels `[0, L]` — walk up and stop at
-        // the first clean level, instead of scanning every item at every
-        // level. A freshly grown top level is dirty by fiat (not by
-        // content), so it is excluded from the walk and scanned in full.
-        let walk_levels = if new_top { k } else { k + 1 };
-        for (g, &bits) in self.item_bits.iter().enumerate() {
-            for level in 0..walk_levels {
-                let (s, e) = level_bounds[level as usize];
-                let fresh = &mut builds[s..e];
-                match fresh.binary_search_by_key(&set_key(bits, level), |j| j.key) {
-                    Ok(i) => fresh[i].members.push(g as u32),
-                    Err(_) => break,
-                }
-            }
-        }
-        if new_top {
-            let (s, e) = level_bounds[k as usize];
-            let fresh = &mut builds[s..e];
-            for (g, &bits) in self.item_bits.iter().enumerate() {
-                if let Ok(i) = fresh.binary_search_by_key(&set_key(bits, k), |j| j.key) {
-                    fresh[i].members.push(g as u32);
-                }
-            }
-        }
-        // A dirty key with no surviving members is a set deletion: no build
-        // job; the install stage drops it.
-        builds.retain(|j| !j.members.is_empty());
-        RepairPlan {
-            dirty,
-            builds,
-            remap,
-        }
-    }
-
-    /// Runs a repair plan: rebuild the dirty sets, merge them into the level
-    /// tables, and finish the host tables. There is no link stage —
-    /// hyperlinks are derived ([`hyperlinks`](Self::hyperlinks)).
-    fn repair(&mut self, plan: RepairPlan) {
-        let built = plan.builds.iter().map(|j| self.exec_build(j)).collect();
-        self.install_sets(&plan, built);
-        self.assign_hosts();
-        self.debug_check_invariants();
-    }
-
-    /// Debug-build-only invariant sweep after an incremental repair: a
-    /// repair bug panics at the apply that corrupted the web instead of
-    /// surfacing as a rebuild-parity failure many batches later.
+    /// Debug-build-only invariant sweep after a spliced apply: a splice bug
+    /// panics at the apply that corrupted the web instead of surfacing as a
+    /// rebuild-parity failure many batches later.
     #[inline]
     fn debug_check_invariants(&self) {
         #[cfg(debug_assertions)]
@@ -1140,16 +1117,20 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// Checks every structural invariant the paper's framework guarantees
     /// (§2.1–§2.4), returning the first violation as a description.
     ///
-    /// * **Shape** — `item_bits` matches the ground set; the level table has
-    ///   exactly `level_count(n) + 1` levels.
+    /// * **Shape** — level 0 is one set, the ground, in strictly canonical
+    ///   order; the level table has exactly `level_count(n) + 1` levels.
+    /// * **Slots** — level 0's `members` give every stored item a distinct
+    ///   slot; the free list is strictly descending, below the table's last
+    ///   slot, and holds exactly the other slots, whose bits are 0 and which
+    ///   sit in no set at any level.
     /// * **Membership** — at every level, each item sits in exactly the set
     ///   keyed by its bit prefix (`set_key(bits, ℓ)`), which makes level
     ///   membership monotone in level (a level-`ℓ` set key extends the
     ///   level-`ℓ-1` key).
-    /// * **Layout** — the sets are strictly key-sorted; `members` is a
-    ///   permutation of `0..n` that the sets' `(start, len)` slices tile in
-    ///   order, each slice ascending and matching its structure's items;
-    ///   `set_of_item` is its inverse; a stored host table has
+    /// * **Layout** — the sets are strictly key-sorted; `members` holds each
+    ///   live slot once, the sets' `(start, len)` slices tile it in order,
+    ///   and each slice is in canonical order and matches its structure's
+    ///   items; `set_of_item` is its inverse; a stored host table has
     ///   `num_ranges + 1` monotone offsets.
     /// * **Hyperlinks** — every set above level 0 has its parent one level
     ///   down, and every range of it a non-empty conflict list there (§2.3):
@@ -1164,12 +1145,17 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// the sweep computes every conflict list, so it is far too slow for
     /// release hot paths.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let n = self.ground.len();
-        if self.item_bits.len() != n {
+        let ground_sets = self.levels.first().map_or(0, |l| l.sets.len());
+        if ground_sets != 1 || self.levels[0].sets[0].key != 0 {
             return Err(format!(
-                "item_bits has {} entries for {} ground items",
-                self.item_bits.len(),
-                n
+                "level 0 has {ground_sets} sets, not the one ground set"
+            ));
+        }
+        let (ground, n) = (self.ground(), self.len());
+        if let Some(i) = (1..n).find(|&i| D::canonical_cmp(&ground[i - 1], &ground[i]).is_ge()) {
+            return Err(format!(
+                "ground items {} and {i} out of canonical order",
+                i - 1
             ));
         }
         let want_levels = level_count(n) as usize + 1;
@@ -1181,28 +1167,47 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 want_levels
             ));
         }
-        if self.host_of_item.len() != n {
+
+        // The slot table: each live slot's canonical position, from level 0.
+        let slots = self.item_bits.len();
+        let mut position = vec![NO_SET; slots];
+        for (i, &g) in self.levels[0].members.iter().enumerate() {
+            match position.get_mut(g as usize) {
+                Some(p) if *p == NO_SET => *p = i as u32,
+                Some(_) => return Err(format!("slot {g} holds two ground items")),
+                None => return Err(format!("slot {g} is past the {slots}-slot table")),
+            }
+        }
+        if self.free.windows(2).any(|w| w[0] <= w[1]) {
+            return Err(format!("free list {:?} not strictly descending", self.free));
+        }
+        if self.free.first().is_some_and(|&g| g as usize + 1 >= slots) {
             return Err(format!(
-                "host_of_item has {} entries for {} ground items",
-                self.host_of_item.len(),
-                n
+                "free list {:?} reaches the table's end ({slots})",
+                self.free
             ));
         }
-        let hosts = self.hosts as u32;
-        for (g, host) in self.host_of_item.iter().enumerate() {
-            if host.0 >= hosts {
-                return Err(format!(
-                    "item {g} homed on host {} of {} hosts",
-                    host.0, hosts
-                ));
+        if n + self.free.len() != slots {
+            return Err(format!(
+                "{n} items and {} free slots in a {slots}-slot table",
+                self.free.len()
+            ));
+        }
+        for &g in &self.free {
+            if position[g as usize] != NO_SET || self.item_bits[g as usize] != 0 {
+                return Err(format!("free slot {g} holds an item or bits"));
             }
+        }
+        let hosts = self.hosts as u32;
+        if let Some(i) = (0..n).find(|&i| self.host_of_item(i).0 >= hosts) {
+            return Err(format!("item {i} homed past the web's {hosts} hosts"));
         }
 
         let bucketed = matches!(self.blocking, Blocking::Bucketed { .. });
         for (li, level) in self.levels.iter().enumerate() {
-            if level.set_of_item.len() != n || level.members.len() != n {
+            if level.set_of_item.len() != slots || level.members.len() != n {
                 return Err(format!(
-                    "level {li}: item arrays not sized to the ground set"
+                    "level {li}: item arrays not sized to the slot table and the ground"
                 ));
             }
             if let Some(w) = level.sets.windows(2).find(|w| w[0].key >= w[1].key) {
@@ -1211,7 +1216,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     w[0].key, w[1].key
                 ));
             }
-            let mut claimed = vec![false; n];
+            let mut claimed = vec![false; slots];
             let mut tiled = 0usize;
             for (si, set) in level.sets.iter().enumerate() {
                 if set.start as usize != tiled {
@@ -1248,16 +1253,18 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     ));
                 }
                 let members = level.members_of(set);
-                if members.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err(format!("level {li} set {si}: members not ascending"));
+                let live = |&g: &u32| position.get(g as usize).is_some_and(|&p| p != NO_SET);
+                if let Some(g) = members.iter().find(|g| !live(g)) {
+                    return Err(format!("level {li} set {si}: slot {g} holds no item"));
+                }
+                let unordered = |w: &[u32]| position[w[0] as usize] >= position[w[1] as usize];
+                if members.windows(2).any(unordered) {
+                    return Err(format!(
+                        "level {li} set {si}: members not in canonical order"
+                    ));
                 }
                 for (local, &g) in members.iter().enumerate() {
                     let g = g as usize;
-                    if g >= n {
-                        return Err(format!(
-                            "level {li} set {si}: ground index {g} out of bounds"
-                        ));
-                    }
                     if claimed[g] {
                         return Err(format!(
                             "level {li}: item {g} belongs to two sets (second: {si})"
@@ -1274,9 +1281,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
                             set.key
                         ));
                     }
-                    if set.structure.items()[local] != self.ground[g] {
+                    if set.structure.items()[local] != ground[position[g] as usize] {
                         return Err(format!(
-                            "level {li} set {si}: structure item {local} diverges from ground item {g}"
+                            "level {li} set {si}: structure item {local} diverges from the item in slot {g}"
                         ));
                     }
                     if level.set_of_item[g] as usize != si {
@@ -1287,10 +1294,13 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     }
                 }
             }
-            // With per-item claims unique and the slices tiling `members`,
-            // any unclaimed item means the level fails to cover the ground.
-            if let Some(g) = claimed.iter().position(|&c| !c) {
-                return Err(format!("level {li}: item {g} belongs to no set"));
+            // With per-slot claims unique and the slices tiling `members`, an
+            // unclaimed live slot means the level fails to cover the ground.
+            if let Some(g) = (0..slots).find(|&g| claimed[g] != (position[g] != NO_SET)) {
+                return Err(format!("level {li}: live slot {g} belongs to no set"));
+            }
+            if let Some(g) = (0..slots).find(|&g| !claimed[g] && level.set_of_item[g] != NO_SET) {
+                return Err(format!("level {li}: free slot {g} points at a set"));
             }
 
             let (mut links, mut copies) = (Vec::new(), Vec::new());
@@ -1345,48 +1355,14 @@ impl<D: RangeDetermined> SkipWeb<D> {
         Ok(())
     }
 
-    /// Rebuilds one dirty set's structure from its (already-spliced)
-    /// members; placement is filled in by the later stage.
-    fn exec_build(&self, job: &BuildJob) -> Arc<D> {
-        let items: Vec<D::Item> = job
-            .members
-            .iter()
-            .map(|&g| self.ground[g as usize].clone())
-            .collect();
-        let structure = D::build(items);
-        debug_assert!(
-            structure.items().len() == job.members.len()
-                && structure
-                    .items()
-                    .iter()
-                    .zip(&job.members)
-                    .all(|(it, &g)| *it == self.ground[g as usize]),
-            "splice must preserve the canonical order (canonical_cmp contract)"
-        );
-        Arc::new(structure)
-    }
-
-    /// Merges the rebuilt structures into the level tables, level by level
-    /// ([`install_level`]).
-    fn install_sets(&mut self, plan: &RepairPlan, built: Vec<Arc<D>>) {
-        let n = self.ground.len();
-        let mut incoming = plan.builds.iter().zip(built).peekable();
-        for (li, level) in (0u32..).zip(&mut self.levels) {
-            install_level(level, li, &mut incoming, plan, n);
-        }
-        debug_assert!(
-            incoming.next().is_none(),
-            "every rebuilt set must land on a level"
-        );
-    }
-
     /// The level bit string of `item` when it is stored — a binary search
-    /// against the canonical ground order.
+    /// against the canonical ground order, then its slot's entry.
     pub(crate) fn bits_of(&self, item: &D::Item) -> Option<u64> {
-        self.ground
+        let pos = self
+            .ground()
             .binary_search_by(|g| D::canonical_cmp(g, item))
-            .ok()
-            .map(|pos| self.item_bits[pos])
+            .ok()?;
+        Some(self.item_bits[self.levels[0].members[pos] as usize])
     }
 
     /// Whether `item` is stored.
@@ -1394,9 +1370,13 @@ impl<D: RangeDetermined> SkipWeb<D> {
         self.bits_of(item).is_some()
     }
 
-    /// Per-item level bit strings, aligned with [`ground`](Self::ground).
-    pub(crate) fn item_bits(&self) -> &[u64] {
-        &self.item_bits
+    /// Every stored item with its level bit string, in canonical order.
+    pub(crate) fn ground_with_bits(&self) -> impl Iterator<Item = (&D::Item, u64)> {
+        let bits = self.levels[0]
+            .members
+            .iter()
+            .map(|&g| self.item_bits[g as usize]);
+        self.ground().iter().zip(bits)
     }
 
     /// Charges `meter` the bottom-up repair of §4 for `item` with tower
@@ -1466,66 +1446,54 @@ impl<D: RangeDetermined> SkipWeb<D> {
         true
     }
 
-    /// Rebuilds levels and placement from the current ground set and bit
-    /// assignment. Deterministic: bit strings fully determine the hierarchy,
-    /// so queries and accounting are reproducible.
-    fn rebuild(&mut self) {
-        let n = self.ground.len();
-        let k = level_count(n);
-        // Canonical order may have changed after an update: reorder ground
-        // (and bits) through the structure builder once.
-        let canonical = D::build(self.ground.clone());
-        let order: Vec<usize> = {
-            let mut index: BTreeMap<&D::Item, usize> = BTreeMap::new();
-            for (i, it) in self.ground.iter().enumerate() {
-                index.insert(it, i);
-            }
-            canonical.items().iter().map(|it| index[it]).collect()
-        };
-        let bits: Vec<u64> = order.iter().map(|&i| self.item_bits[i]).collect();
-        self.ground = canonical.items().to_vec();
-        self.item_bits = bits;
-
-        // --- Levels ---------------------------------------------------------
-        let mut levels: Vec<Level<D>> = Vec::with_capacity(k as usize + 1);
-        for level in 0..=k {
-            let groups = group_by_key(&self.item_bits, level);
-            let mut tables = Level {
-                sets: Vec::with_capacity(groups.len().max(1)),
-                members: Vec::with_capacity(n),
-                set_of_item: Vec::new(),
-            };
-            for (key, members) in groups {
-                let job = BuildJob {
-                    level,
-                    key,
-                    members,
-                };
-                tables.push_built(key, self.exec_build(&job), &job.members);
-            }
-            if n == 0 {
-                // Keep a single empty level-0 set for uniformity.
-                tables.push_built(0, Arc::new(D::build(Vec::new())), &[]);
-            }
-            tables.index_members(n);
-            levels.push(tables);
-        }
-
-        self.levels = levels;
+    /// Rebuilds every level and the placement from the canonical `ground`,
+    /// whose item `i` sits in slot `slots[i]`, and the slot table's bit
+    /// strings. Deterministic: items and bit strings fully determine the
+    /// hierarchy, so queries and accounting are reproducible.
+    fn rebuild(&mut self, ground: &[D::Item], slots: &[u32]) {
+        self.levels = (0..=level_count(ground.len()))
+            .map(|level| self.build_level(ground, slots, level))
+            .collect();
         self.assign_hosts();
     }
 
-    /// Places every range per the blocking strategy, plus per-item home
-    /// hosts. Owner-hosted placement stores nothing per range — it is
-    /// derived from the sets' members ([`copies`](Self::copies)).
+    /// Builds level `level` from scratch over the canonical `ground`, whose
+    /// item `i` sits in slot `slots[i]`, with no host tables yet.
+    fn build_level(&self, ground: &[D::Item], slots: &[u32], level: u32) -> Level<D> {
+        let n = ground.len();
+        let bits: Vec<u64> = slots.iter().map(|&g| self.item_bits[g as usize]).collect();
+        let groups = group_by_key(&bits, level);
+        let mut tables = Level {
+            sets: Vec::with_capacity(groups.len().max(1)),
+            members: Vec::with_capacity(n),
+            set_of_item: Vec::new(),
+        };
+        for (key, at) in groups {
+            let items = at.iter().map(|&i| ground[i as usize].clone()).collect();
+            let structure = D::build(items);
+            debug_assert!(
+                at.iter()
+                    .map(|&i| &ground[i as usize])
+                    .eq(structure.items()),
+                "D::build must keep the canonical order (canonical_cmp contract)"
+            );
+            let members = at.iter().map(|&i| slots[i as usize]);
+            tables.push_built(key, Arc::new(structure), members);
+        }
+        if n == 0 {
+            // Level 0 is the one ground set, empty or not.
+            tables.push_built(0, Arc::new(D::build(Vec::new())), std::iter::empty());
+        }
+        tables.index_members(self.item_bits.len());
+        tables
+    }
+
+    /// Places every range per the blocking strategy. Owner-hosted placement
+    /// stores nothing per range — it is derived from the sets' members
+    /// ([`copies`](Self::copies)), one host per slot.
     fn assign_hosts(&mut self) {
         match self.blocking {
-            Blocking::OwnerHosted => {
-                let n = self.ground.len();
-                self.hosts = n.max(1);
-                self.host_of_item.clear();
-                self.host_of_item.extend((0..n).map(|i| HostId(i as u32)));
-            }
+            Blocking::OwnerHosted => self.hosts = self.item_bits.len().max(1),
             Blocking::Bucketed { .. } => self.assign_bucketed(),
         }
     }
@@ -1602,14 +1570,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
         self.hosts = (next_host as usize).max(1);
         self.extend_replicas();
-        // Item homes: the host of the item's top-level entry range.
-        let top = self.top_level() as usize;
-        self.host_of_item = (0..self.ground.len())
-            .map(|g| {
-                let (set_idx, entry) = self.origin_entry(g);
-                self.primary(top, &self.levels[top].sets[set_idx], entry)
-            })
-            .collect();
     }
 
     /// The replication pass over a bucketed placement: extends every range's
@@ -2236,8 +2196,8 @@ mod tests {
 
     #[test]
     fn batch_applies_match_sequential_applies() {
-        // 24 items: below the incremental minimum, so every apply here takes
-        // the full-rebuild fallback.
+        // 24 items: the one-op applies splice, the 12-op batch is past the
+        // dirty-fraction bound and takes the full rebuild.
         let (mut batch, mut seq) = (web(24, 13), web(24, 13));
         let insert = |item: u64, bits: u64| Update::Insert { item, bits };
         let mut ops: Vec<Update<u64>> = (0..6)
@@ -2255,6 +2215,39 @@ mod tests {
         assert_eq!(want[6..], [false, false, true, true, false, false]);
         assert_eq!(batch.apply(ops), want);
         assert!(batch == seq, "identical hierarchies");
+    }
+
+    /// A removed item's slot goes to the next insert — the lowest free slot
+    /// first — and free slots at the end of the table are truncated, so the
+    /// table, and with it the owner-hosted host count, never outgrows the
+    /// web's peak size.
+    #[test]
+    fn freed_slots_are_reused_lowest_first_and_truncated_at_the_end() {
+        let mut w = web(64, 14);
+        let slot_of = |w: &SkipWeb<SortedLinkedList>, key: u64| {
+            w.levels[0].members[w.ground().binary_search(&key).expect("stored")]
+        };
+        assert_eq!(
+            slot_of(&w, 300),
+            30,
+            "a fresh web's slots are its positions"
+        );
+        w.apply_remove_batch(&[300, 100]);
+        assert_eq!((w.free.as_slice(), w.hosts()), ([30, 10].as_slice(), 64));
+        w.apply_insert_batch(vec![(5, 0xA), (15, 0xB), (635, 0xC)]);
+        let slots = [5, 15, 635].map(|key| slot_of(&w, key));
+        assert_eq!(
+            slots,
+            [10, 30, 64],
+            "the lowest free slot first, then the end"
+        );
+        w.apply_remove_batch(&[635, 620]);
+        assert_eq!(w.item_bits.len(), 64, "slot 64 is truncated");
+        assert_eq!(w.free, [62]);
+        w.apply_remove_batch(&[630]);
+        assert_eq!((w.item_bits.len(), w.hosts()), (62, 62), "62 goes with 63");
+        assert!(w.free.is_empty());
+        assert_eq!(w.check_invariants(), Ok(()));
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Allocation budgets of the copy-on-write apply path and of a route.
 //!
 //! An engine apply clones the web while a published snapshot still holds the
-//! previous one, repairs the clone, and drops the previous web once its last
-//! reader drains. With flat level tables and derived hyperlinks each of the
-//! three steps costs heap traffic proportional to the levels and the sets
-//! the repair rebuilt — not to the web's total range count, and with no
-//! table per re-linked set — and a route computes the hyperlinks it follows
-//! into one buffer per walk. This file holds them to that with a counting
-//! allocator. (The budget counters are per thread; the one test that meters
-//! another thread's work counts process wide, so the tests take turns.)
+//! previous one, splices the update into the clone, and drops the previous
+//! web once its last reader drains. With flat level tables, stable slots and
+//! derived hyperlinks each of the three steps costs heap traffic
+//! proportional to the levels — the clone copies a few arrays per level and
+//! no item, and a splice rebuilds one set per level — not to the web's total
+//! range count; and a route computes the hyperlinks it follows into one
+//! buffer per walk. This file holds them to that with a counting allocator.
+//! (The budget counters are per thread; the one test that meters another
+//! thread's work counts process wide, so the tests take turns.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,9 +76,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Whether an apply's allocations are the repair's alone: a debug build
-/// follows every incremental apply with the full invariant sweep, which
-/// allocates per range.
+/// Whether an apply's allocations are the splices' alone: a debug build
+/// follows every apply with the full invariant sweep, which allocates per
+/// range.
 const APPLY_IS_BARE: bool = !cfg!(debug_assertions);
 
 /// Runs `f` and returns its result with the `(allocations, frees)` this
@@ -123,6 +124,9 @@ where
 fn a_list_update_allocates_per_level_and_per_dirty_set() {
     let _turn = take_turn();
     // The `onedim_churn` shape: 85 590 ranges in 5 718 sets over 13 levels.
+    // A splice allocates the one rebuilt list per level and its `Arc`, and
+    // the drop frees those plus the three arrays per level of the clone
+    // (measured 41 / 59 / 67; 43 / 148 / 69 before slots were stable).
     let build = || {
         let keys: Vec<u64> = (0..3072).map(|i| i * 2).collect();
         SkipWeb::<SortedLinkedList>::builder(keys).seed(7).build()
@@ -136,24 +140,28 @@ fn a_list_update_allocates_per_level_and_per_dirty_set() {
         "clone: {clone} allocations over {levels} levels"
     );
     assert!(
-        !APPLY_IS_BARE || apply <= 2_000,
-        "apply: {apply} allocations"
+        !APPLY_IS_BARE || apply <= 16 * levels,
+        "apply: {apply} allocations over {levels} levels"
     );
-    assert!(drop_old <= 2_000, "drop of the old web: {drop_old} frees");
+    assert!(
+        drop_old <= 16 * levels,
+        "drop of the old web: {drop_old} frees over {levels} levels"
+    );
 }
 
 #[test]
 fn a_trie_update_allocates_per_level_and_per_dirty_item() {
     let _turn = take_turn();
     // The `trie_churn` shape. The items are heap strings, a trie node owns
-    // its child lists and a trie range owns its two end strings, so a clone
-    // also copies the ground set's `n` strings, and rebuilding the dirty
-    // sets — level 0 holds every item, level `ℓ` about `n / 2^ℓ` — is
-    // `O(n)` allocations that the old web's drop frees. None of it grows
-    // with the web's range count the way one table per range did (29 063 /
-    // 25 764 / 36 593 once), and no range is materialized to re-link a set
-    // (805 / 12 587 / 3 845 with stored hyperlinks; measured 805 / 3 397 /
-    // 3 783).
+    // its child lists and a trie range owns its two end strings, so
+    // splicing one item into the sets of its tower — level 0 holds every
+    // item, level `ℓ` about `n / 2^ℓ` — is `O(n)` allocations that the old
+    // web's drop frees. The clone copies no string: the ground is level 0's
+    // structure, shared like every other (measured 35 / 3 333 / 3 012; 805 /
+    // 3 397 / 3 783 while the web kept its own ground array). None of it
+    // grows with the web's range count the way one table per range did
+    // (29 063 / 25 764 / 36 593 once), and no range is materialized to
+    // re-link a set (805 / 12 587 / 3 845 with stored hyperlinks).
     let n = 768u64;
     let build = || {
         let words: Vec<String> = (0..n)
@@ -166,8 +174,8 @@ fn a_trie_update_allocates_per_level_and_per_dirty_item() {
     let (clone, apply, drop_old) = update_costs(build, "978000999999".to_owned());
     eprintln!("TRIE clone {clone} apply {apply} drop {drop_old} levels {levels}");
     assert!(
-        clone <= n + 4 * levels,
-        "clone: {clone} allocations for {n} items over {levels} levels"
+        clone <= 4 * levels + 16,
+        "clone: {clone} allocations over {levels} levels"
     );
     assert!(
         !APPLY_IS_BARE || apply <= 5 * n,
