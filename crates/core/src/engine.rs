@@ -600,8 +600,13 @@ pub(crate) struct Topology<D: RangeDetermined> {
 }
 
 impl<D: RangeDetermined> Topology<D> {
-    fn set(&self, at: GlobalRef) -> &LevelSet<D> {
+    fn set(&self, at: GlobalRef) -> &LevelSet {
         &self.web.level_structs()[at.level as usize].sets[at.set as usize]
+    }
+
+    /// The structure of the set `at` names.
+    fn structure(&self, at: GlobalRef) -> &D {
+        self.web.level_structs()[at.level as usize].structure(self.set(at))
     }
 
     /// The logical hosts storing a copy of the range at `at`.
@@ -957,7 +962,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
             // host's share of the report's ranges, streamed straight back
             // to the client.
             EngineOp::Scatter { req, ranges, of } => {
-                let answer = msg.topo.set(msg.at).structure.partial_answer(ranges, req);
+                let answer = msg.topo.structure(msg.at).partial_answer(ranges, req);
                 msg.reply(ctx, ReplyBody::Partial { answer, of: *of });
             }
         }
@@ -978,8 +983,8 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                 if gather && self.try_scatter(locus, &msg, ctx, turn) {
                     return;
                 }
-                let set = msg.topo.set(locus);
-                let answer = set.structure.answer(RangeId(locus.range), req, |_| {});
+                let structure = msg.topo.structure(locus);
+                let answer = structure.answer(RangeId(locus.range), req, |_| {});
                 msg.reply(ctx, ReplyBody::Answer(answer));
             }
             RouteOutcome::Forward { next, host } => {
@@ -1009,8 +1014,8 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         let EngineOp::Query { ref req, .. } = msg.op else {
             return false;
         };
-        let set = msg.topo.set(locus);
-        let Some(ranges) = set.structure.report_ranges(RangeId(locus.range), req) else {
+        let structure = msg.topo.structure(locus);
+        let Some(ranges) = structure.report_ranges(RangeId(locus.range), req) else {
             return false;
         };
         if ranges.is_empty() {
@@ -1060,7 +1065,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
             );
         }
         if !local.is_empty() {
-            let answer = set.structure.partial_answer(&local, req);
+            let answer = structure.partial_answer(&local, req);
             msg.reply(ctx, ReplyBody::Partial { answer, of });
         }
         true
@@ -1253,9 +1258,6 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                 .any(|&i| outcomes[i])
                 .then(|| self.shared.republish(st, membership))
         };
-        // The previous web's last reference, typically: freed with neither
-        // lock held.
-        drop(retired);
         for ((client, corr, hops), applied) in metas.into_iter().zip(outcomes) {
             ctx.reply(
                 client,
@@ -1266,6 +1268,9 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                 },
             );
         }
+        // The previous web's last reference, typically: freed with neither
+        // lock held, and after the replies, so no writer waits it out.
+        drop(retired);
     }
 }
 
@@ -1473,8 +1478,7 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
         let mut stale = self.stale.lock();
         stale.insert(corr);
         while stale.len() > STALE_MARKER_CAP {
-            let oldest = *stale.iter().next().expect("nonempty past the cap");
-            stale.remove(&oldest);
+            stale.pop_first();
         }
     }
 
@@ -3205,11 +3209,12 @@ mod tests {
 
     /// The sharing contract of one publish: the structure of every set of
     /// `new` that the repair for an update with tower `bits` (`None`: no
-    /// update) did not rebuild is the very allocation `old` holds. A
-    /// bucketed web's host tables are shared across a copy that repairs
-    /// nothing; a repair renumbers the blocks of the whole web, so it
-    /// replaces them all. Returns how many structures were shared and how
-    /// many rebuilt.
+    /// update) did not rebuild is the very allocation `old` holds — the
+    /// structure tables share it through their pages, whichever ids the two
+    /// webs file it under. A bucketed web's host tables are shared across a
+    /// copy that repairs nothing; a repair renumbers the blocks of the whole
+    /// web, so it replaces them all. Returns how many structures were
+    /// shared and how many rebuilt.
     fn assert_untouched_sets_are_shared<D: Routable>(
         old: &SkipWeb<D>,
         new: &SkipWeb<D>,
@@ -3227,13 +3232,14 @@ mod tests {
                     continue;
                 };
                 let was = &old_tables.sets[i];
+                let (now, then) = (tables.structure(set), old_tables.structure(was));
                 if Some(set.key) == dirty {
-                    assert!(!Arc::ptr_eq(&set.structure, &was.structure));
+                    assert!(!Arc::ptr_eq(now, then));
                     rebuilt += 1;
                     continue;
                 }
                 assert!(
-                    Arc::ptr_eq(&set.structure, &was.structure),
+                    Arc::ptr_eq(now, then),
                     "L{level} set {:#x}: structure copied",
                     set.key
                 );

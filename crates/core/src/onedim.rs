@@ -158,7 +158,7 @@ impl OneDimSkipWeb {
         let mut meter = MessageMeter::new();
         let outcome = web.query(origin_item, &lo, &mut meter);
         let set = &web.level_structs()[0].sets[0];
-        let base = &set.structure;
+        let base = web.base();
         let mut keys = Vec::new();
         let mut cur = outcome.locus;
         loop {

@@ -26,6 +26,11 @@
 //!   order within a set; a `LevelSet` keeps its `(start, len)`), with
 //!   `set_of_item` (per slot) as the one inverse the read path needs. The
 //!   sets are key-sorted, so a set is found by key with a binary search;
+//! * a level's structures sit in a **structure table** under stable ids,
+//!   with the slot table's policy (lowest free id first, free ids at the end
+//!   truncated), `PAGE` (16) to a page and each page behind an `Arc`. A
+//!   `LevelSet` names its structure by id, so it is plain data — key, id,
+//!   `(start, len)` — but for the bucketed host table;
 //! * hyperlinks are not stored: a range's links into the parent set are its
 //!   conflict list `C(Q, S_b')` there (§2.3), a pure function of the two
 //!   structures (§2.1), which `SkipWeb::hyperlinks` computes where a route,
@@ -41,15 +46,19 @@
 //! tower names: `members` gets one insert or remove, the later sets'
 //! `start`s shift by one, and the set's structure becomes `D::build` of its
 //! old items plus or minus the item (once per batch, however many of the
-//! batch's items it gains or loses). Every other set is left as it was.
+//! batch's items it gains or loses), filed under the set's id. A set the
+//! update creates takes the lowest free id; one it empties frees its id.
+//! Every other set is left as it was.
 //!
 //! A clone of the web — the copy-on-write an engine apply forces while a
 //! published snapshot still holds the previous web — therefore copies three
-//! arrays per level (`sets`, `members`, `set_of_item`, each with room for a
-//! few splices) and the slot table (`item_bits` and the free list), and
-//! bumps a reference count for every structure (and host table); it copies
-//! no item. Dropping the previous web frees those arrays plus the
-//! structures the splices replaced.
+//! flat arrays per level (`sets`, `members`, `set_of_item`, each with room
+//! for a few splices) and the slot table (`item_bits` and the free list),
+//! and bumps one reference count per structure page (and, under bucketed
+//! placement, per host table); it copies no item and touches no structure.
+//! A one-op apply then copies about one page per level — the page of the
+//! set its tower rebuilds — and dropping the previous web frees those
+//! arrays and pages plus the structures the splices replaced.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -66,17 +75,17 @@ use crate::engine::Routable;
 use crate::levels::{draw_bits, group_by_key, level_count, parent_key, set_key};
 use crate::placement::{Blocking, Replication};
 
-/// One level-`ℓ` set `S_b` with its structure `D(S_b)` and — when it is not
-/// derived — host placement. Its hyperlinks into the parent set are derived
-/// ([`SkipWeb::hyperlinks`]). The structure and the host table sit behind
-/// `Arc`s: a clone of the web shares them with every set the repair did not
-/// rebuild.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LevelSet<D: RangeDetermined> {
+/// One level-`ℓ` set `S_b`: the id of its structure `D(S_b)` in its level's
+/// structure table ([`Level::structure`]), its slice of the level's members
+/// and — when it is not derived — host placement. Its hyperlinks into the
+/// parent set are derived ([`SkipWeb::hyperlinks`]). Plain data but for the
+/// bucketed host table, which sits behind an `Arc`.
+#[derive(Debug, Clone)]
+pub(crate) struct LevelSet {
     /// The `ℓ`-bit key `b` of this set.
     pub key: u64,
-    /// The structure `D(S_b)`.
-    pub structure: Arc<D>,
+    /// The id of its structure in the level's structure table.
+    id: u32,
     /// Where this set's members start in its level's `members` array.
     pub start: u32,
     /// How many members it has. Structure item `i` is the item in slot
@@ -90,7 +99,7 @@ pub(crate) struct LevelSet<D: RangeDetermined> {
     pub hosted: Option<Arc<Csr<HostId>>>,
 }
 
-impl<D: RangeDetermined> LevelSet<D> {
+impl LevelSet {
     /// This set's slice of its level's `members` array.
     fn span(&self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
@@ -117,35 +126,219 @@ fn with_headroom<T: Clone>(items: &[T]) -> Vec<T> {
     copy
 }
 
+/// Stable ids, the one policy behind the slot table and every level's
+/// structure table: a released id goes on a free list, the lowest free id
+/// is taken first, and free ids at the end are truncated — so taking an id
+/// and releasing it again restores the table exactly.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Ids {
+    /// One past the highest id in use: the table's length.
+    end: u32,
+    /// The free ids below `end`, strictly descending, so the lowest is last.
+    free: Vec<u32>,
+}
+
+impl Ids {
+    /// The lowest free id, or a new one at the end.
+    fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.end += 1;
+            self.end - 1
+        })
+    }
+
+    /// Frees `id`: onto the free list, or — at the end — off the table,
+    /// together with the free ids just below it.
+    fn release(&mut self, id: u32) {
+        if id + 1 < self.end {
+            let at = self.free.partition_point(|&f| f > id);
+            self.free.insert(at, id);
+            return;
+        }
+        self.end = id;
+        while self.end > 0 && self.free.first() == Some(&(self.end - 1)) {
+            self.free.remove(0);
+            self.end -= 1;
+        }
+    }
+
+    /// Whether `id` is in use: below the end and not free.
+    fn is_live(&self, id: u32) -> bool {
+        id < self.end && self.free.binary_search_by(|f| id.cmp(f)).is_err()
+    }
+
+    /// The free list's shape: strictly descending, below the last id.
+    fn check(&self, what: &str) -> Result<(), String> {
+        if self.free.windows(2).any(|w| w[0] <= w[1]) {
+            return Err(format!(
+                "{what} free list {:?} not strictly descending",
+                self.free
+            ));
+        }
+        if self.free.first().is_some_and(|&f| f + 1 >= self.end) {
+            return Err(format!(
+                "{what} free list {:?} reaches the table's end ({})",
+                self.free, self.end
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Structures per page of a level's structure table. A clone bumps one
+/// reference count per page and a one-set rebuild copies one page (one
+/// count per structure on it), so the page size trades the first against
+/// the second. Clone + one-op apply + drop of a 3072-key 1-D web on a
+/// 2-core VM: 49–52 µs with pages of 8, 46–48 with 16, 42–49 with 32 — 16
+/// and 32 tie inside the noise, and 16 copies half as much per rebuild.
+const PAGE: usize = 16;
+
+/// One page of a structure table: the structures of [`PAGE`] consecutive
+/// ids, `None` for a free id.
+type Page<D> = [Option<Arc<D>>; PAGE];
+
+/// A level's structure table: each set's structure `D(S_b)` under the set's
+/// stable id ([`Ids`]), in pages behind `Arc`s. A clone of the table bumps
+/// one count per page, not one per set; replacing a structure copies its
+/// page on write, sharing the page's other structures.
+#[derive(Debug, Clone)]
+struct Structures<D> {
+    pages: Vec<Arc<Page<D>>>,
+    ids: Ids,
+}
+
+impl<D> Structures<D> {
+    fn new() -> Self {
+        Structures {
+            pages: Vec::new(),
+            ids: Ids::default(),
+        }
+    }
+
+    /// The structure under live id `id`.
+    fn get(&self, id: u32) -> &Arc<D> {
+        match &self.pages[id as usize / PAGE][id as usize % PAGE] {
+            Some(structure) => structure,
+            None => unreachable!("structure id {id} is free"),
+        }
+    }
+
+    /// Puts `structure` under `id`, copying its page if a clone shares it.
+    fn put(&mut self, id: u32, structure: Option<Arc<D>>) {
+        Arc::make_mut(&mut self.pages[id as usize / PAGE])[id as usize % PAGE] = structure;
+    }
+
+    /// Files `structure` under the lowest free id and returns the id.
+    fn add(&mut self, structure: Arc<D>) -> u32 {
+        let id = self.ids.take();
+        if id as usize == self.pages.len() * PAGE {
+            self.pages.push(Arc::new(std::array::from_fn(|_| None)));
+        }
+        self.put(id, Some(structure));
+        id
+    }
+
+    /// Frees `id`, and the pages past the table's new end.
+    fn remove(&mut self, id: u32) {
+        self.put(id, None);
+        self.ids.release(id);
+        self.pages.truncate((self.ids.end as usize).div_ceil(PAGE));
+    }
+
+    /// The table against `sets`, the sets naming it: each names a live id
+    /// no other set names, the free list is strictly descending below the
+    /// end, every id below the end is named or free, exactly the named ids
+    /// hold a structure, and the pages end with the ids.
+    fn check(&self, sets: &[LevelSet]) -> Result<(), String> {
+        self.ids.check("structure id")?;
+        let end = self.ids.end as usize;
+        let mut named = vec![false; end];
+        for (si, set) in sets.iter().enumerate() {
+            if !self.ids.is_live(set.id) {
+                return Err(format!("set {si} names free structure id {}", set.id));
+            }
+            if std::mem::replace(&mut named[set.id as usize], true) {
+                return Err(format!("set {si} names structure id {} twice", set.id));
+            }
+        }
+        if sets.len() + self.ids.free.len() != end {
+            return Err(format!(
+                "{} sets and {} free ids in a {end}-id structure table",
+                sets.len(),
+                self.ids.free.len()
+            ));
+        }
+        if self.pages.len() != end.div_ceil(PAGE) {
+            return Err(format!(
+                "{} pages for {end} structure ids",
+                self.pages.len()
+            ));
+        }
+        let filled = self.pages.iter().flat_map(|page| page.iter());
+        match (0..)
+            .zip(filled)
+            .find(|(id, s)| s.is_some() != (*id < end && named[*id]))
+        {
+            Some((id, _)) => Err(format!("structure id {id}: filled and named disagree")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// All sets of one level.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct Level<D: RangeDetermined> {
     /// The level's sets, strictly ascending by key.
-    pub sets: Vec<LevelSet<D>>,
+    pub sets: Vec<LevelSet>,
     /// Every live slot exactly once, grouped by set in `sets` order and in
     /// canonical item order within a set.
     pub members: Vec<u32>,
     /// Slot → set index within this level (the inverse of `members`'
     /// grouping); [`NO_SET`] for a free slot.
     pub set_of_item: Vec<u32>,
+    /// The sets' structures, by id.
+    structures: Structures<D>,
 }
 
-/// Copies the three arrays with room for a few splices: the apply that
+/// Copies the three arrays with room for a few splices — the apply that
 /// follows a copy-on-write clone inserts into them, and an exact-capacity
-/// copy would reallocate each one on its first insert.
+/// copy would reallocate each one on its first insert — and shares the
+/// structure table's pages.
 impl<D: RangeDetermined> Clone for Level<D> {
     fn clone(&self) -> Self {
         Level {
             sets: with_headroom(&self.sets),
             members: with_headroom(&self.members),
             set_of_item: with_headroom(&self.set_of_item),
+            structures: self.structures.clone(),
         }
     }
 }
 
+/// Two levels are equal when their sets agree in key, member slice, host
+/// table and structure — compared through the ids, not as ids: a spliced
+/// level and a rebuilt one name the same structures differently.
+impl<D: RangeDetermined + PartialEq> PartialEq for Level<D> {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |(a, b): (&LevelSet, &LevelSet)| {
+            (a.key, a.start, a.len, &a.hosted) == (b.key, b.start, b.len, &b.hosted)
+                && self.structure(a) == other.structure(b)
+        };
+        self.members == other.members
+            && self.set_of_item == other.set_of_item
+            && self.sets.len() == other.sets.len()
+            && self.sets.iter().zip(&other.sets).all(same)
+    }
+}
+
 impl<D: RangeDetermined> Level<D> {
+    /// The structure `D(S_b)` of `set`, one of this level's sets.
+    pub(crate) fn structure(&self, set: &LevelSet) -> &Arc<D> {
+        self.structures.get(set.id)
+    }
+
     /// The slots of `set`'s members, in its structure's item order.
-    pub(crate) fn members_of(&self, set: &LevelSet<D>) -> &[u32] {
+    pub(crate) fn members_of(&self, set: &LevelSet) -> &[u32] {
         &self.members[set.span()]
     }
 
@@ -156,14 +349,14 @@ impl<D: RangeDetermined> Level<D> {
 
     /// Appends a freshly built set — `members` in its structure's item
     /// order — with no host table yet; the placement stage fills that in.
-    fn push_built(&mut self, key: u64, structure: Arc<D>, members: impl Iterator<Item = u32>) {
+    fn push_built(&mut self, key: u64, structure: D, members: impl Iterator<Item = u32>) {
         let start = self.members.len();
         self.members.extend(members);
         let len = self.members.len() - start;
         debug_assert_eq!(structure.len(), len);
         self.sets.push(LevelSet {
             key,
-            structure,
+            id: self.structures.add(Arc::new(structure)),
             start: start as u32,
             len: len as u32,
             hosted: None,
@@ -193,7 +386,7 @@ impl<D: RangeDetermined> Level<D> {
         batch
             .entry((li, key))
             .or_insert_with(|| match self.set_index(key) {
-                Some(si) => with_headroom(self.sets[si].structure.items()),
+                Some(si) => with_headroom(self.structure(&self.sets[si]).items()),
                 None => Vec::new(),
             })
     }
@@ -219,8 +412,9 @@ impl<D: RangeDetermined> Level<D> {
                     .map_or(self.members.len(), |s| s.start as usize);
                 let set = LevelSet {
                     key,
-                    // Built from `items` when the batch ends.
-                    structure: Arc::new(D::build(Vec::new())),
+                    // The lowest free id; built from `items` when the batch
+                    // ends.
+                    id: self.structures.add(Arc::new(D::build(Vec::new()))),
                     start: start as u32,
                     len: 1,
                     hosted: None,
@@ -241,8 +435,9 @@ impl<D: RangeDetermined> Level<D> {
 
     /// Splices `item`, stored in `slot`, out of the set keyed `key`, whose
     /// working copy is `items`: the inverse of
-    /// [`splice_in`](Self::splice_in). A set it empties is dropped, unless
-    /// `keep_empty` (level 0 is the ground set, empty or not).
+    /// [`splice_in`](Self::splice_in). A set it empties is dropped, freeing
+    /// its structure id, unless `keep_empty` (level 0 is the ground set,
+    /// empty or not).
     fn splice_out(
         &mut self,
         key: u64,
@@ -261,7 +456,8 @@ impl<D: RangeDetermined> Level<D> {
         let at = self.sets[si].start as usize + local;
         debug_assert_eq!(self.members[at], slot, "the set holds the item's slot");
         let later = if self.sets[si].len == 1 && !keep_empty {
-            self.sets.remove(si);
+            let emptied = self.sets.remove(si);
+            self.structures.remove(emptied.id);
             for &g in &self.members[at + 1..] {
                 self.set_of_item[g as usize] -= 1;
             }
@@ -388,9 +584,8 @@ pub struct SkipWeb<D: RangeDetermined> {
     /// Per slot: the level bit string of the item stored there (0 for a
     /// free slot). Its length is the slot table's.
     item_bits: Vec<u64>,
-    /// The free slots below the end of the table, strictly descending, so
-    /// the lowest is last.
-    free: Vec<u32>,
+    /// The slot table's ids: its end and its free slots.
+    slots: Ids,
     levels: Vec<Level<D>>,
     hosts: usize,
     blocking: Blocking,
@@ -404,7 +599,7 @@ impl<D: RangeDetermined> Clone for SkipWeb<D> {
     fn clone(&self) -> Self {
         SkipWeb {
             item_bits: with_headroom(&self.item_bits),
-            free: self.free.clone(),
+            slots: self.slots.clone(),
             levels: self.levels.clone(),
             hosts: self.hosts,
             blocking: self.blocking,
@@ -417,15 +612,17 @@ impl<D: RangeDetermined> Clone for SkipWeb<D> {
 /// Structural equality: two webs are equal when their slot tables, level
 /// hierarchies (each set's key, structure, member slice and stored host
 /// table) and host counts all match byte for byte — level 0's structure is
-/// the ground set. Hyperlinks are not compared because nothing stores them:
-/// equal structures have equal conflict lists. The insertion rng is
+/// the ground set. Structure ids are not compared: equal levels may file
+/// the same structures under different ids. Hyperlinks are not compared
+/// because nothing stores them: equal structures have equal conflict
+/// lists. The insertion rng is
 /// deliberately excluded — it only affects *future* random draws, not the
 /// structure — so the parity tests can compare an incrementally repaired
 /// web against a fully rebuilt one.
 impl<D: RangeDetermined + PartialEq> PartialEq for SkipWeb<D> {
     fn eq(&self, other: &Self) -> bool {
         self.item_bits == other.item_bits
-            && self.free == other.free
+            && self.slots == other.slots
             && self.levels == other.levels
             && self.hosts == other.hosts
             && self.blocking == other.blocking
@@ -517,7 +714,10 @@ impl<D: RangeDetermined> SkipWebBuilder<D> {
         let slots: Vec<u32> = (0..ground.len() as u32).collect();
         let mut web = SkipWeb {
             item_bits,
-            free: Vec::new(),
+            slots: Ids {
+                end: slots.len() as u32,
+                free: Vec::new(),
+            },
             levels: Vec::new(),
             hosts: 0,
             blocking: self.blocking,
@@ -605,14 +805,14 @@ impl<D: RangeDetermined> SkipWeb<D> {
     pub fn total_ranges(&self) -> usize {
         self.levels
             .iter()
-            .flat_map(|l| &l.sets)
-            .map(|s| s.structure.num_ranges())
+            .flat_map(|l| l.sets.iter().map(|s| l.structure(s).num_ranges()))
             .sum()
     }
 
     /// The level-0 structure `D(S)`.
     pub fn base(&self) -> &D {
-        &self.levels[0].sets[0].structure
+        let ground = &self.levels[0];
+        ground.structure(&ground.sets[0])
     }
 
     /// The host owning the item at canonical position `item` (query origins
@@ -717,8 +917,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
         q: &D::Query,
         links: &mut Vec<RangeId>,
     ) -> Option<(usize, usize, RangeId)> {
-        let set = &self.levels[level].sets[set_idx];
-        if let Some(next) = set.structure.search_step(r, q) {
+        let tables = &self.levels[level];
+        let set = &tables.sets[set_idx];
+        if let Some(next) = tables.structure(set).search_step(r, q) {
             return Some((level, set_idx, next));
         }
         let below = level.checked_sub(1)?;
@@ -736,7 +937,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     fn descend(
         &self,
         level: u32,
-        set: &LevelSet<D>,
+        set: &LevelSet,
         locus: RangeId,
         q: &D::Query,
         links: &mut Vec<RangeId>,
@@ -746,8 +947,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
             !links.is_empty(),
             "hyperlinks of a subset range into its superset cannot be empty"
         );
-        let parent = &self.levels[(level - 1) as usize].sets[parent_idx];
-        (parent_idx, parent.structure.best_entry(links, q))
+        let below = &self.levels[(level - 1) as usize];
+        let parent = below.structure(&below.sets[parent_idx]);
+        (parent_idx, parent.best_entry(links, q))
     }
 
     /// The hyperlinks of range `r` of `set`, a set of level `level ≥ 1`: its
@@ -759,16 +961,17 @@ impl<D: RangeDetermined> SkipWeb<D> {
     pub(crate) fn hyperlinks(
         &self,
         level: u32,
-        set: &LevelSet<D>,
+        set: &LevelSet,
         r: RangeId,
         out: &mut Vec<RangeId>,
     ) -> usize {
         let parent_idx = self.parent_set_index(level, set);
-        let parent = &self.levels[(level - 1) as usize].sets[parent_idx];
+        let below = &self.levels[(level - 1) as usize];
+        let range = self.levels[level as usize].structure(set).range(r);
         out.clear();
-        parent
-            .structure
-            .conflicts_into(&set.structure.range(r), out);
+        below
+            .structure(&below.sets[parent_idx])
+            .conflicts_into(&range, out);
         parent_idx
     }
 
@@ -777,7 +980,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// holding its items one level down (sets above level 0 are never
     /// empty). Two indexed reads rather than a key search: this sits on
     /// every level descent of a query.
-    pub(crate) fn parent_set_index(&self, level: u32, set: &LevelSet<D>) -> usize {
+    pub(crate) fn parent_set_index(&self, level: u32, set: &LevelSet) -> usize {
         let first = self.levels[level as usize].members[set.start as usize];
         self.levels[(level - 1) as usize].set_of_item[first as usize] as usize
     }
@@ -791,24 +994,25 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let item = &self.ground()[origin_item];
         let top = &self.levels[self.top_level() as usize];
         let set_idx = top.set_of_item[slot as usize] as usize;
-        let set = &top.sets[set_idx];
-        let items = set.structure.items();
+        let structure = top.structure(&top.sets[set_idx]);
+        let items = structure.items();
         let local = items.partition_point(|g| D::canonical_cmp(g, item).is_lt());
-        (set_idx, set.structure.entry_of_item(local))
+        (set_idx, structure.entry_of_item(local))
     }
 
     /// The slot of the item owning range `r` of `set` (a level-`level`
     /// set), as a host id — the owner-hosted home of the range (§2.4): an
     /// item's tower of ranges lives on the item's host.
-    fn owner_host(&self, level: usize, set: &LevelSet<D>, r: RangeId) -> HostId {
-        let members = self.levels[level].members_of(set);
+    fn owner_host(&self, level: usize, set: &LevelSet, r: RangeId) -> HostId {
+        let tables = &self.levels[level];
+        let members = tables.members_of(set);
         if members.is_empty() {
             // The one empty set of an empty web still has a (universe) range.
             return HostId(0);
         }
         // Indexed, not `get`: a range id from a corrupt address must stop
         // here rather than be routed on.
-        HostId(members[set.structure.owner(r)])
+        HostId(members[tables.structure(set).owner(r)])
     }
 
     /// The hosts storing a copy of range `r` of `set`, a set of level
@@ -816,12 +1020,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// the owner item's host and its next `k - 1` successors on the ring of
     /// host ids (all of them when there are fewer than `k` hosts). Under
     /// bucketed placement it is the row `assign_bucketed` stored.
-    pub(crate) fn copies<'a>(
-        &'a self,
-        level: usize,
-        set: &'a LevelSet<D>,
-        r: RangeId,
-    ) -> Copies<'a> {
+    pub(crate) fn copies<'a>(&'a self, level: usize, set: &'a LevelSet, r: RangeId) -> Copies<'a> {
         match &set.hosted {
             Some(table) => Copies::Listed(table.row(r.index()).iter().copied()),
             None => {
@@ -837,7 +1036,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
     /// The first of [`copies`](Self::copies): the authoritative copy the
     /// cost model charges.
-    pub(crate) fn primary(&self, level: usize, set: &LevelSet<D>, r: RangeId) -> HostId {
+    pub(crate) fn primary(&self, level: usize, set: &LevelSet, r: RangeId) -> HostId {
         match &set.hosted {
             Some(table) => table.row(r.index())[0],
             None => self.owner_host(level, set, r),
@@ -976,10 +1175,14 @@ impl<D: RangeDetermined> SkipWeb<D> {
             let Some(level) = self.levels.get_mut(li as usize) else {
                 continue;
             };
-            // A set the batch emptied is gone.
+            // A set the batch emptied is gone; a kept one is rebuilt in
+            // place, under its id.
             if let Some(si) = level.set_index(key) {
-                level.sets[si].structure = Arc::new(D::build(items));
-                level.sets[si].hosted = None;
+                let set = &mut level.sets[si];
+                set.hosted = None;
+                level
+                    .structures
+                    .put(set.id, Some(Arc::new(D::build(items))));
             }
         }
         while self.levels.len() < want {
@@ -1060,14 +1263,15 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// `set_of_item`). One of the two slot-table functions both apply paths
     /// resolve ops with.
     fn take_slot(&mut self, bits: u64) -> u32 {
-        let Some(slot) = self.free.pop() else {
+        let slot = self.slots.take();
+        if slot as usize == self.item_bits.len() {
             self.item_bits.push(bits);
             for level in &mut self.levels {
                 level.set_of_item.push(NO_SET);
             }
-            return self.item_bits.len() as u32 - 1;
-        };
-        self.item_bits[slot as usize] = bits;
+        } else {
+            self.item_bits[slot as usize] = bits;
+        }
         slot
     }
 
@@ -1075,19 +1279,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// off the table, together with the free slots just below it.
     fn release_slot(&mut self, slot: u32) {
         self.item_bits[slot as usize] = 0;
-        if slot as usize + 1 < self.item_bits.len() {
-            let at = self.free.partition_point(|&f| f > slot);
-            self.free.insert(at, slot);
-            return;
-        }
-        let mut end = slot;
-        while end > 0 && self.free.first() == Some(&(end - 1)) {
-            self.free.remove(0);
-            end -= 1;
-        }
-        self.item_bits.truncate(end as usize);
+        self.slots.release(slot);
+        let end = self.slots.end as usize;
+        self.item_bits.truncate(end);
         for level in &mut self.levels {
-            level.set_of_item.truncate(end as usize);
+            level.set_of_item.truncate(end);
         }
     }
 
@@ -1119,6 +1315,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
     ///
     /// * **Shape** — level 0 is one set, the ground, in strictly canonical
     ///   order; the level table has exactly `level_count(n) + 1` levels.
+    /// * **Structure tables** — at every level, each set names a live
+    ///   structure id no other set names; the free ids are strictly
+    ///   descending below the table's end and named by no set, and together
+    ///   with the named ones cover the table; exactly the named ids hold a
+    ///   structure.
     /// * **Slots** — level 0's `members` give every stored item a distinct
     ///   slot; the free list is strictly descending, below the table's last
     ///   slot, and holds exactly the other slots, whose bits are 0 and which
@@ -1151,6 +1352,12 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 "level 0 has {ground_sets} sets, not the one ground set"
             ));
         }
+        for (li, level) in self.levels.iter().enumerate() {
+            level
+                .structures
+                .check(&level.sets)
+                .map_err(|violation| format!("level {li}: {violation}"))?;
+        }
         let (ground, n) = (self.ground(), self.len());
         if let Some(i) = (1..n).find(|&i| D::canonical_cmp(&ground[i - 1], &ground[i]).is_ge()) {
             return Err(format!(
@@ -1178,22 +1385,16 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 None => return Err(format!("slot {g} is past the {slots}-slot table")),
             }
         }
-        if self.free.windows(2).any(|w| w[0] <= w[1]) {
-            return Err(format!("free list {:?} not strictly descending", self.free));
-        }
-        if self.free.first().is_some_and(|&g| g as usize + 1 >= slots) {
+        self.slots.check("slot")?;
+        let free = &self.slots.free;
+        if self.slots.end as usize != slots || n + free.len() != slots {
             return Err(format!(
-                "free list {:?} reaches the table's end ({slots})",
-                self.free
+                "{n} items and {} free slots in a {slots}-slot table ending at {}",
+                free.len(),
+                self.slots.end
             ));
         }
-        if n + self.free.len() != slots {
-            return Err(format!(
-                "{n} items and {} free slots in a {slots}-slot table",
-                self.free.len()
-            ));
-        }
-        for &g in &self.free {
+        for &g in free {
             if position[g as usize] != NO_SET || self.item_bits[g as usize] != 0 {
                 return Err(format!("free slot {g} holds an item or bits"));
             }
@@ -1229,14 +1430,15 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 if tiled > n {
                     return Err(format!("level {li} set {si}: members overrun the level"));
                 }
-                if set.structure.len() != set.len as usize {
+                let structure = level.structure(set);
+                if structure.len() != set.len as usize {
                     return Err(format!(
                         "level {li} set {si}: structure holds {} items, member slice {}",
-                        set.structure.len(),
+                        structure.len(),
                         set.len
                     ));
                 }
-                let num_ranges = set.structure.num_ranges();
+                let num_ranges = structure.num_ranges();
                 let table_fits = set
                     .hosted
                     .as_ref()
@@ -1281,7 +1483,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                             set.key
                         ));
                     }
-                    if set.structure.items()[local] != ground[position[g] as usize] {
+                    if structure.items()[local] != ground[position[g] as usize] {
                         return Err(format!(
                             "level {li} set {si}: structure item {local} diverges from the item in slot {g}"
                         ));
@@ -1316,7 +1518,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                         ));
                     }
                 }
-                for r in set.structure.range_ids() {
+                for r in level.structure(set).range_ids() {
                     if li > 0 {
                         self.hyperlinks(li as u32, set, r, &mut links);
                         if links.is_empty() {
@@ -1427,7 +1629,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
             let set = &tables.sets[set_idx];
             let basic = self.blocking.is_basic(level as u32);
             conflicts.clear();
-            set.structure.conflicts_into(&probe_range, &mut conflicts);
+            tables
+                .structure(set)
+                .conflicts_into(&probe_range, &mut conflicts);
             for (i, &r) in conflicts.iter().enumerate() {
                 let mut replicas = self.copies(level, set, r).map(&host_of);
                 let host = match anchor {
@@ -1467,6 +1671,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
             sets: Vec::with_capacity(groups.len().max(1)),
             members: Vec::with_capacity(n),
             set_of_item: Vec::new(),
+            structures: Structures::new(),
         };
         for (key, at) in groups {
             let items = at.iter().map(|&i| ground[i as usize].clone()).collect();
@@ -1478,11 +1683,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 "D::build must keep the canonical order (canonical_cmp contract)"
             );
             let members = at.iter().map(|&i| slots[i as usize]);
-            tables.push_built(key, Arc::new(structure), members);
+            tables.push_built(key, structure, members);
         }
         if n == 0 {
             // Level 0 is the one ground set, empty or not.
-            tables.push_built(0, Arc::new(D::build(Vec::new())), std::iter::empty());
+            tables.push_built(0, D::build(Vec::new()), std::iter::empty());
         }
         tables.index_members(self.item_bits.len());
         tables
@@ -1516,11 +1721,12 @@ impl<D: RangeDetermined> SkipWeb<D> {
             }
             let mut fill = 0usize;
             let mut started = false;
-            for set in &mut level.sets {
+            for si in 0..level.sets.len() {
                 // Contiguity: order ranges by (owning item, id) — owner order
                 // follows the structure's canonical layout.
-                let mut order: Vec<RangeId> = set.structure.range_ids().collect();
-                order.sort_by_key(|r| (set.structure.owner(*r), r.index()));
+                let structure = level.structure(&level.sets[si]);
+                let mut order: Vec<RangeId> = structure.range_ids().collect();
+                order.sort_by_key(|r| (structure.owner(*r), r.index()));
                 let mut block_of = vec![HostId(0); order.len()];
                 for r in order {
                     if fill == block_size || !started {
@@ -1533,7 +1739,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     block_of[r.index()] = HostId(next_host);
                     fill += 1;
                 }
-                set.hosted = Some(Arc::new(Csr::build(block_of.len(), |r, out| {
+                level.sets[si].hosted = Some(Arc::new(Csr::build(block_of.len(), |r, out| {
                     out.push(block_of[r]);
                 })));
             }
@@ -1551,8 +1757,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 continue;
             }
             for set_idx in 0..self.levels[level_idx].sets.len() {
-                let set = &self.levels[level_idx].sets[set_idx];
-                let cones = Csr::build(set.structure.num_ranges(), |r, out| {
+                let tables = &self.levels[level_idx];
+                let set = &tables.sets[set_idx];
+                let cones = Csr::build(tables.structure(set).num_ranges(), |r, out| {
                     let r = RangeId(r as u32);
                     let parent_idx = self.hyperlinks(level_idx as u32, set, r, &mut links);
                     let below = &self.levels[level_idx - 1].sets[parent_idx];
@@ -1582,21 +1789,24 @@ impl<D: RangeDetermined> SkipWeb<D> {
         if k <= 1 {
             return;
         }
-        for set in self.levels.iter_mut().flat_map(|l| &mut l.sets) {
-            let rows = set.structure.num_ranges();
-            set.hosted = Some(Arc::new(Csr::build(rows, |r, out| {
-                let start = out.len();
-                out.extend_from_slice(set.listed(RangeId(r as u32)));
-                let primary = out[start].0;
-                let mut next = (primary + 1) % hosts;
-                // A full circle means fewer hosts than `k`.
-                while out.len() - start < k && next != primary {
-                    if !out[start..].contains(&HostId(next)) {
-                        out.push(HostId(next));
+        for level in &mut self.levels {
+            for si in 0..level.sets.len() {
+                let rows = level.structure(&level.sets[si]).num_ranges();
+                let set = &mut level.sets[si];
+                set.hosted = Some(Arc::new(Csr::build(rows, |r, out| {
+                    let start = out.len();
+                    out.extend_from_slice(set.listed(RangeId(r as u32)));
+                    let primary = out[start].0;
+                    let mut next = (primary + 1) % hosts;
+                    // A full circle means fewer hosts than `k`.
+                    while out.len() - start < k && next != primary {
+                        if !out[start..].contains(&HostId(next)) {
+                            out.push(HostId(next));
+                        }
+                        next = (next + 1) % hosts;
                     }
-                    next = (next + 1) % hosts;
-                }
-            })));
+                })));
+            }
         }
     }
 
@@ -1618,8 +1828,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let mut links = Vec::new();
         for (li, level) in self.levels.iter().enumerate() {
             for set in &level.sets {
-                for r in set.structure.range_ids() {
-                    let neighbors = set.structure.neighbors(r);
+                let structure = level.structure(set);
+                for r in structure.range_ids() {
+                    let neighbors = structure.neighbors(r);
                     // Hyperlink references point across levels, into the
                     // parent set; level 0 has none.
                     links.clear();
@@ -1688,8 +1899,9 @@ impl<D: Routable> SkipWeb<D> {
     ) -> (D::Answer, QueryOutcome) {
         let start = meter.messages();
         let mut outcome = self.query(origin_item, &D::target(req), meter);
-        let set = &self.levels[0].sets[0];
-        let answer = set.structure.answer(outcome.locus, req, |r| {
+        let ground = &self.levels[0];
+        let set = &ground.sets[0];
+        let answer = ground.structure(set).answer(outcome.locus, req, |r| {
             meter.visit(self.primary(0, set, r));
         });
         outcome.messages = meter.messages() - start;
@@ -1717,11 +1929,11 @@ mod tests {
     /// `row(level, set, range)` of every range, level → set → range.
     fn per_range<D: RangeDetermined, T>(
         web: &SkipWeb<D>,
-        mut row: impl FnMut(usize, &LevelSet<D>, RangeId) -> T,
+        mut row: impl FnMut(usize, &LevelSet, RangeId) -> T,
     ) -> Vec<Vec<Vec<T>>> {
         let mut per_set = |(li, level): (usize, &Level<D>)| {
-            let per_range = |set: &LevelSet<D>| {
-                let ids = set.structure.range_ids();
+            let per_range = |set: &LevelSet| {
+                let ids = level.structure(set).range_ids();
                 ids.map(|r| row(li, set, r)).collect()
             };
             level.sets.iter().map(per_range).collect()
@@ -1739,12 +1951,13 @@ mod tests {
     /// owner-hosted placement sweep the full rebuild used to run.
     fn owner_host_sweep<D: RangeDetermined>(web: &SkipWeb<D>) -> RangeHost {
         let per_set = |level: &Level<D>| {
-            let per_range = |set: &LevelSet<D>| {
+            let per_range = |set: &LevelSet| {
                 let ground = level.members_of(set);
-                set.structure
+                let structure = level.structure(set);
+                structure
                     .range_ids()
                     .map(|r| {
-                        let owner_local = set.structure.owner(r);
+                        let owner_local = structure.owner(r);
                         let owner_ground = ground.get(owner_local).copied().unwrap_or(0);
                         vec![HostId(owner_ground)]
                     })
@@ -1842,9 +2055,8 @@ mod tests {
             let parent = below
                 .set_index(parent_key(set.key, li as u32))
                 .expect("a parent set");
-            below.sets[parent]
-                .structure
-                .conflicts(&set.structure.range(r))
+            let range = web.levels[li].structure(set).range(r);
+            below.structure(&below.sets[parent]).conflicts(&range)
         })
     }
 
@@ -2109,7 +2321,7 @@ mod tests {
         let plain = web(64, 5);
         for (li, level) in w.level_structs().iter().enumerate() {
             for (set, plain_set) in level.sets.iter().zip(&plain.level_structs()[li].sets) {
-                for r in set.structure.range_ids() {
+                for r in level.structure(set).range_ids() {
                     let copies: Vec<HostId> = w.copies(li, set, r).collect();
                     assert!(copies.len() >= 3, "range has {} copies", copies.len());
                     let mut unique = copies.clone();
@@ -2142,7 +2354,7 @@ mod tests {
             .build();
         for (li, level) in w.level_structs().iter().enumerate() {
             for set in &level.sets {
-                for r in set.structure.range_ids() {
+                for r in level.structure(set).range_ids() {
                     assert!(w.copies(li, set, r).count() <= w.hosts());
                 }
             }
@@ -2233,7 +2445,10 @@ mod tests {
             "a fresh web's slots are its positions"
         );
         w.apply_remove_batch(&[300, 100]);
-        assert_eq!((w.free.as_slice(), w.hosts()), ([30, 10].as_slice(), 64));
+        assert_eq!(
+            (w.slots.free.as_slice(), w.hosts()),
+            ([30, 10].as_slice(), 64)
+        );
         w.apply_insert_batch(vec![(5, 0xA), (15, 0xB), (635, 0xC)]);
         let slots = [5, 15, 635].map(|key| slot_of(&w, key));
         assert_eq!(
@@ -2243,11 +2458,60 @@ mod tests {
         );
         w.apply_remove_batch(&[635, 620]);
         assert_eq!(w.item_bits.len(), 64, "slot 64 is truncated");
-        assert_eq!(w.free, [62]);
+        assert_eq!(w.slots.free, [62]);
         w.apply_remove_batch(&[630]);
         assert_eq!((w.item_bits.len(), w.hosts()), (62, 62), "62 goes with 63");
-        assert!(w.free.is_empty());
+        assert!(w.slots.free.is_empty());
         assert_eq!(w.check_invariants(), Ok(()));
+    }
+
+    /// The copy-on-write contract of the structure tables, at the
+    /// `onedim_churn` shape: a clone shares every page — no structure's
+    /// reference count moves — and a one-op apply on the clone copies only
+    /// the pages of the sets its tower names, at most two per level (the
+    /// rebuilt set's, and a born or emptied set's), so every other set
+    /// still resolves to the structure the original holds.
+    #[test]
+    fn a_clone_and_one_splice_share_all_but_the_towers_pages() {
+        let original = SkipWeb::<SortedLinkedList>::builder((0..3072).map(|i| i * 2).collect())
+            .seed(7)
+            .build();
+        let counts = |w: &SkipWeb<SortedLinkedList>| -> Vec<usize> {
+            let per_level = |l: &Level<SortedLinkedList>| {
+                let counts = l.sets.iter().map(|s| Arc::strong_count(l.structure(s)));
+                counts.collect::<Vec<_>>()
+            };
+            w.levels.iter().flat_map(per_level).collect()
+        };
+        let before = counts(&original);
+        let mut copy = original.clone();
+        assert_eq!(counts(&original), before, "a clone bumps no structure");
+
+        let bits = 0x5EED_B175;
+        assert_eq!(copy.apply_insert_batch(vec![(3001, bits)]), [true]);
+        assert_eq!(copy.levels.len(), original.levels.len());
+        let levels = original.levels.len();
+        let mut copied = 0;
+        for (li, (now, was)) in (0u32..).zip(copy.levels.iter().zip(&original.levels)) {
+            let (pages, old) = (&now.structures.pages, &was.structures.pages);
+            let shared = pages.iter().zip(old).filter(|(a, b)| Arc::ptr_eq(a, b));
+            copied += pages.len().max(old.len()) - shared.count();
+            let tower = set_key(bits, li);
+            for set in now.sets.iter().filter(|s| s.key != tower) {
+                let same = was.set_index(set.key).map(|i| &was.sets[i]);
+                let same = same.expect("no set but the tower's is born");
+                assert!(
+                    Arc::ptr_eq(now.structure(set), was.structure(same)),
+                    "L{li} set {:#x}: structure copied",
+                    set.key
+                );
+            }
+        }
+        assert!(
+            (1..=2 * levels).contains(&copied),
+            "{copied} pages copied over {levels} levels"
+        );
+        assert_eq!(copy.check_invariants(), Ok(()));
     }
 
     #[test]

@@ -193,15 +193,18 @@ fn decode_engine_msg<D: WireCodec>(
 /// share of the ranges [`Routable::report_ranges`] names at that locus,
 /// which also rejects scatters to structures that never report.
 fn admissible<D: Routable>(op: &EngineOp<D>, at: GlobalRef, topo: &Topology<D>) -> bool {
-    let level = topo.web.level_structs().get(at.level as usize);
-    let Some(set) = level.and_then(|l| l.sets.get(at.set as usize)) else {
+    let Some(level) = topo.web.level_structs().get(at.level as usize) else {
         return false;
     };
-    let named = (at.range as usize) < set.structure.num_ranges();
+    let Some(set) = level.sets.get(at.set as usize) else {
+        return false;
+    };
+    let structure = level.structure(set);
+    let named = (at.range as usize) < structure.num_ranges();
     let EngineOp::Scatter { req, ranges, .. } = op else {
         return named;
     };
-    let reported = named.then(|| set.structure.report_ranges(RangeId(at.range), req));
+    let reported = named.then(|| structure.report_ranges(RangeId(at.range), req));
     let Some(mut reported) = reported.flatten() else {
         return false;
     };
@@ -387,7 +390,7 @@ mod tests {
         let levels = topo.web.level_structs();
         let level = seed as usize % levels.len();
         let set = seed as usize % levels[level].sets.len();
-        let structure = &levels[level].sets[set].structure;
+        let structure = levels[level].structure(&levels[level].sets[set]);
         let at = GlobalRef {
             level: level as u16,
             set: set as u32,

@@ -124,9 +124,11 @@ where
 fn a_list_update_allocates_per_level_and_per_dirty_set() {
     let _turn = take_turn();
     // The `onedim_churn` shape: 85 590 ranges in 5 718 sets over 13 levels.
-    // A splice allocates the one rebuilt list per level and its `Arc`, and
-    // the drop frees those plus the three arrays per level of the clone
-    // (measured 41 / 59 / 67; 43 / 148 / 69 before slots were stable).
+    // A splice allocates the one rebuilt list per level, its `Arc` and the
+    // structure-table page it copies, and the drop frees those plus the
+    // four arrays per level of the clone (measured 54 / 72 / 93; 41 / 59 /
+    // 67 while each set held its structure's `Arc` itself, 43 / 148 / 69
+    // before slots were stable).
     let build = || {
         let keys: Vec<u64> = (0..3072).map(|i| i * 2).collect();
         SkipWeb::<SortedLinkedList>::builder(keys).seed(7).build()
@@ -157,7 +159,7 @@ fn a_trie_update_allocates_per_level_and_per_dirty_item() {
     // splicing one item into the sets of its tower — level 0 holds every
     // item, level `ℓ` about `n / 2^ℓ` — is `O(n)` allocations that the old
     // web's drop frees. The clone copies no string: the ground is level 0's
-    // structure, shared like every other (measured 35 / 3 333 / 3 012; 805 /
+    // structure, shared like every other (measured 46 / 3 344 / 3 034; 805 /
     // 3 397 / 3 783 while the web kept its own ground array). None of it
     // grows with the web's range count the way one table per range did
     // (29 063 / 25 764 / 36 593 once), and no range is materialized to
