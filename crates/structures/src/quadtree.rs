@@ -23,6 +23,17 @@
 //!
 //! [`CompressedQuadtree::conflicts`] implements that set; `EXPERIMENTS.md`
 //! records the distinction.
+//!
+//! # Layout
+//!
+//! Cells are plain records reached by index, as the Skip Quadtree stores
+//! them: one node array, root first, in which no node owns heap memory. A
+//! node's children sit next to each other, in child-digit (Morton) order,
+//! in the tree's one `kids` array, named by the node's `first_kid` and
+//! `kid_count`; a child's link is its own `parent_link`. `build` fills
+//! `kids` at the end with one stable counting pass over the links, so a
+//! tree is a fixed handful of heap blocks whatever its size, and a descent
+//! scans one slice per cell.
 
 use crate::geometry::{Cell, GridPoint, MAX_DEPTH};
 use crate::traits::{RangeDetermined, RangeId};
@@ -35,8 +46,9 @@ struct Node<const D: usize> {
     cell: Cell<D>,
     parent: Option<u32>,
     parent_link: Option<u32>,
-    children: Vec<u32>,
-    child_links: Vec<u32>,
+    /// The children are `kids[first_kid..][..kid_count]`.
+    first_kid: u32,
+    kid_count: u32,
     /// Index of the stored point for leaves.
     point: Option<u32>,
     /// Representative item (minimum Morton code in the subtree); owns the
@@ -72,6 +84,8 @@ pub struct CompressedQuadtree<const D: usize> {
     nodes: Vec<Node<D>>,
     /// Link `l` joins `link_ends[l].0` (parent) to `link_ends[l].1` (child).
     link_ends: Vec<(u32, u32)>,
+    /// Every node's children, grouped by parent.
+    kids: Vec<u32>,
     /// Leaf node of each item.
     item_leaf: Vec<u32>,
 }
@@ -141,7 +155,7 @@ impl<const D: usize> CompressedQuadtree<D> {
             if let Some(p) = node.point {
                 out.push(p as usize);
             }
-            queue.extend(node.children.iter().map(|&c| c as usize));
+            queue.extend(self.kids_of(i).iter().map(|&c| c as usize));
         }
         out
     }
@@ -178,8 +192,8 @@ impl<const D: usize> CompressedQuadtree<D> {
                 cell: Cell::of_point(&self.points[lo]),
                 parent,
                 parent_link: None,
-                children: Vec::new(),
-                child_links: Vec::new(),
+                first_kid: 0,
+                kid_count: 0,
                 point: Some(lo as u32),
                 owner: lo as u32,
             });
@@ -196,8 +210,8 @@ impl<const D: usize> CompressedQuadtree<D> {
             cell,
             parent,
             parent_link: None,
-            children: Vec::new(),
-            child_links: Vec::new(),
+            first_kid: 0,
+            kid_count: 0,
             point: None,
             owner: lo as u32,
         });
@@ -213,18 +227,105 @@ impl<const D: usize> CompressedQuadtree<D> {
             let link_idx = self.link_ends.len() as u32;
             self.link_ends.push((node_idx, child));
             self.nodes[child as usize].parent_link = Some(link_idx);
-            self.nodes[node_idx as usize].children.push(child);
-            self.nodes[node_idx as usize].child_links.push(link_idx);
             start = end;
         }
-        debug_assert!(self.nodes[node_idx as usize].children.len() >= 2);
         node_idx
+    }
+
+    /// Lays every node's children out in `kids`, grouped by parent: one
+    /// stable counting pass over the links, whose ids rise in child-digit
+    /// order among siblings (a child's link is numbered after its whole
+    /// subtree, before its next sibling's).
+    fn fill_kids(&mut self) {
+        for &(p, _) in &self.link_ends {
+            self.nodes[p as usize].kid_count += 1;
+        }
+        let mut first = 0;
+        for node in &mut self.nodes {
+            node.first_kid = first;
+            first += node.kid_count;
+            node.kid_count = 0;
+        }
+        self.kids = vec![0; self.link_ends.len()];
+        for &(p, c) in &self.link_ends {
+            let node = &mut self.nodes[p as usize];
+            self.kids[(node.first_kid + node.kid_count) as usize] = c;
+            node.kid_count += 1;
+        }
+    }
+
+    /// Checks that the children table is exactly the inverse of the parent
+    /// pointers: the nodes' rows tile it in node order, every node but the
+    /// root sits in exactly one row, its parent's, each row runs in
+    /// child-digit order, and each child's link joins it to that parent.
+    /// `build` establishes this; tests call it.
+    pub fn check_tables(&self) -> Result<(), String> {
+        let mut placed = vec![false; self.nodes.len()];
+        let mut end = 0u32;
+        for (v, node) in self.nodes.iter().enumerate() {
+            if node.first_kid != end {
+                return Err(format!(
+                    "node {v}'s row starts at {}, not {end}",
+                    node.first_kid
+                ));
+            }
+            end += node.kid_count;
+            let row = self
+                .kids
+                .get(node.first_kid as usize..end as usize)
+                .ok_or(format!("node {v}'s row overruns the table"))?;
+            let mut last = None;
+            for &c in row {
+                let child = self
+                    .nodes
+                    .get(c as usize)
+                    .ok_or(format!("node {v} names child {c}, which is no node"))?;
+                if std::mem::replace(&mut placed[c as usize], true) {
+                    return Err(format!("node {c} sits in two rows"));
+                }
+                if child.parent != Some(v as u32) {
+                    return Err(format!("node {c} sits in node {v}'s row but not below it"));
+                }
+                let link = child
+                    .parent_link
+                    .and_then(|l| self.link_ends.get(l as usize));
+                if link != Some(&(v as u32, c)) {
+                    return Err(format!("node {c}'s link does not join it to node {v}"));
+                }
+                let digit = Some(node.cell.child_digit(self.codes[child.owner as usize]));
+                if digit <= last {
+                    return Err(format!("node {v}'s row leaves digit order at node {c}"));
+                }
+                last = digit;
+            }
+        }
+        if end as usize != self.kids.len() {
+            return Err(format!("the rows cover {end} of {} kids", self.kids.len()));
+        }
+        // The root has no parent, so the rows cannot name it.
+        match (1..self.nodes.len()).find(|&v| !placed[v]) {
+            Some(v) => Err(format!("node {v} sits in no row")),
+            None => Ok(()),
+        }
+    }
+
+    /// The children of node `idx`, in child-digit order.
+    fn kids_of(&self, idx: usize) -> &[u32] {
+        let node = &self.nodes[idx];
+        &self.kids[node.first_kid as usize..][..node.kid_count as usize]
+    }
+
+    /// The range id of the link hanging `child` from its parent.
+    fn link_into(&self, child: u32) -> RangeId {
+        let l = self.nodes[child as usize]
+            .parent_link
+            .expect("a child hangs from a link");
+        RangeId((self.nodes.len() + l as usize) as u32)
     }
 
     /// The child of node `idx` whose cell contains `q`, if any.
     fn child_containing(&self, idx: usize, q: &GridPoint<D>) -> Option<u32> {
-        self.nodes[idx]
-            .children
+        self.kids_of(idx)
             .iter()
             .copied()
             .find(|&c| self.nodes[c as usize].cell.contains_point(q))
@@ -234,7 +335,7 @@ impl<const D: usize> CompressedQuadtree<D> {
     fn deepest_containing(&self, target: &Cell<D>) -> usize {
         let mut cur = 0usize;
         'descend: loop {
-            for &c in &self.nodes[cur].children {
+            for &c in self.kids_of(cur) {
                 if self.nodes[c as usize].cell.contains_cell(target) {
                     cur = c as usize;
                     continue 'descend;
@@ -257,15 +358,19 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
     }
 
     fn build(mut items: Vec<GridPoint<D>>) -> Self {
-        items.sort_by_key(GridPoint::morton);
+        // One Morton code per point, not two per comparison; the cached-key
+        // sort allocates its key table once, whatever `n`.
+        items.sort_by_cached_key(GridPoint::morton);
         items.dedup();
         let codes: Vec<u128> = items.iter().map(GridPoint::morton).collect();
         let n = items.len();
+        // A compressed tree has at most `2n` nodes besides the root.
         let mut tree = CompressedQuadtree {
             points: items,
             codes,
             nodes: Vec::with_capacity(2 * n + 1),
-            link_ends: Vec::new(),
+            link_ends: Vec::with_capacity(2 * n),
+            kids: Vec::new(),
             item_leaf: vec![0; n],
         };
         // The root is always the universe cell so that every query point has
@@ -274,14 +379,15 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
         // root; otherwise it hangs, an only child, below a universe node.
         if n >= 2 && tree.split_depth(0, n) == 0 {
             tree.build_rec(0, n, None);
+            tree.fill_kids();
             return tree;
         }
         tree.nodes.push(Node {
             cell: Cell::universe(),
             parent: None,
             parent_link: None,
-            children: Vec::new(),
-            child_links: Vec::new(),
+            first_kid: 0,
+            kid_count: 0,
             point: None,
             owner: 0,
         });
@@ -290,9 +396,8 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
             let link_idx = tree.link_ends.len() as u32;
             tree.link_ends.push((0, top));
             tree.nodes[top as usize].parent_link = Some(link_idx);
-            tree.nodes[0].children.push(top);
-            tree.nodes[0].child_links.push(link_idx);
         }
+        tree.fill_kids();
         tree
     }
 
@@ -333,11 +438,11 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
         let idx = id.index();
         if idx < n {
             let node = &self.nodes[idx];
-            let mut out: Vec<RangeId> = Vec::with_capacity(node.children.len() + 1);
+            let mut out: Vec<RangeId> = Vec::with_capacity(node.kid_count as usize + 1);
             if let Some(pl) = node.parent_link {
                 out.push(RangeId(n as u32 + pl));
             }
-            out.extend(node.child_links.iter().map(|&l| RangeId(n as u32 + l)));
+            out.extend(self.kids_of(idx).iter().map(|&c| self.link_into(c)));
             out
         } else {
             let (parent, child) = self.link_ends[idx - n];
@@ -374,12 +479,8 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
                 None => RangeId(node.parent.expect("non-root nodes have parents")),
             });
         }
-        // Descend through the containing child's incoming link, if any.
-        let c = self.child_containing(cur, q)?;
-        Some(match self.nodes[c as usize].parent_link {
-            Some(pl) => RangeId((n + pl as usize) as u32),
-            None => RangeId(c),
-        })
+        // Descend through the containing child's incoming link.
+        self.child_containing(cur, q).map(|c| self.link_into(c))
     }
 
     fn best_entry(&self, candidates: &[RangeId], q: &GridPoint<D>) -> RangeId {
@@ -399,16 +500,11 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
     }
 
     fn conflicts_into(&self, external: &Cell<D>, out: &mut Vec<RangeId>) {
-        let n = self.nodes.len() as u32;
         let u = self.deepest_containing(external);
         out.push(RangeId(u as u32));
-        for (&c, &l) in self.nodes[u]
-            .children
-            .iter()
-            .zip(&self.nodes[u].child_links)
-        {
+        for &c in self.kids_of(u) {
             if external.contains_cell(&self.nodes[c as usize].cell) {
-                out.push(RangeId(n + l));
+                out.push(self.link_into(c));
                 out.push(RangeId(c));
             }
         }
@@ -465,7 +561,7 @@ mod tests {
                 continue; // root or leaves
             }
             assert!(
-                node.children.len() >= 2,
+                node.kid_count >= 2,
                 "compressed internal node {i} must branch"
             );
         }

@@ -16,6 +16,16 @@
 //! vertical segments, all endpoint x-coordinates distinct, coordinates
 //! within `i32` range (so the exact `i128` rational predicates cannot
 //! overflow).
+//!
+//! # Layout
+//!
+//! Trapezoids are plain records in one array and own no heap memory: a
+//! trapezoid's `(neighbour, link)` pairs sit next to each other, in link-id
+//! order, in the map's one `adjacency` array, named by the record's
+//! `first_adj` and `adj_count`. `build` fills that array once, after the
+//! link pass, with one stable counting pass over `link_ends`, and reuses one
+//! buffer of each kind across the slabs of its sweep, so a map is a fixed
+//! handful of heap blocks whatever its size.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -254,6 +264,20 @@ struct TrapRecord {
     /// Segment index of the bottom (preferred) or top bounding segment,
     /// used for ownership; 0 for the empty map's universe trapezoid.
     owner: u32,
+    /// The neighbours are `adjacency[first_adj..][..adj_count]`.
+    first_adj: u32,
+    adj_count: u32,
+}
+
+impl TrapRecord {
+    fn new(trap: Trapezoid, owner: u32) -> Self {
+        TrapRecord {
+            trap,
+            owner,
+            first_adj: 0,
+            adj_count: 0,
+        }
+    }
 }
 
 /// A trapezoidal map over pairwise-disjoint segments, exposed as a
@@ -279,8 +303,8 @@ pub struct TrapezoidalMap {
     traps: Vec<TrapRecord>,
     /// Link `l` joins `link_ends[l].0` and `link_ends[l].1` (trap indices).
     link_ends: Vec<(u32, u32)>,
-    /// Adjacency: per-trapezoid list of `(neighbor trap, link id)`.
-    adjacency: Vec<Vec<(u32, u32)>>,
+    /// `(neighbor trap, link id)` of every trapezoid, grouped by trapezoid.
+    adjacency: Vec<(u32, u32)>,
     /// A trapezoid bounded below by each segment (its entry).
     item_trap: Vec<u32>,
 }
@@ -347,6 +371,81 @@ impl TrapezoidalMap {
         self.traps.len()
     }
 
+    /// The `(neighbor trap, link id)` pairs of trapezoid `t`, in link order.
+    fn adjacent(&self, t: usize) -> &[(u32, u32)] {
+        let rec = &self.traps[t];
+        &self.adjacency[rec.first_adj as usize..][..rec.adj_count as usize]
+    }
+
+    /// Lays every trapezoid's `(neighbor, link)` pairs out in `adjacency`,
+    /// grouped by trapezoid: one stable counting pass over `link_ends`, so
+    /// each group runs in link-id order.
+    fn fill_adjacency(&mut self) {
+        for &(a, b) in &self.link_ends {
+            self.traps[a as usize].adj_count += 1;
+            self.traps[b as usize].adj_count += 1;
+        }
+        let mut first = 0;
+        for rec in &mut self.traps {
+            rec.first_adj = first;
+            first += rec.adj_count;
+            rec.adj_count = 0;
+        }
+        self.adjacency = vec![(0, 0); 2 * self.link_ends.len()];
+        for (link, &(a, b)) in self.link_ends.iter().enumerate() {
+            for (t, nb) in [(a, b), (b, a)] {
+                let rec = &mut self.traps[t as usize];
+                self.adjacency[(rec.first_adj + rec.adj_count) as usize] = (nb, link as u32);
+                rec.adj_count += 1;
+            }
+        }
+    }
+
+    /// Checks that the adjacency table is exactly the inverse of the links:
+    /// the trapezoids' rows tile it in trapezoid order, each row runs in
+    /// link-id order, and each link sits in the rows of both trapezoids it
+    /// joins, naming the other one, and in no other row. `build`
+    /// establishes this; tests call it.
+    pub fn check_tables(&self) -> Result<(), String> {
+        let mut rows_holding = vec![0u32; self.link_ends.len()];
+        let mut end = 0u32;
+        for (t, rec) in self.traps.iter().enumerate() {
+            if rec.first_adj != end {
+                return Err(format!(
+                    "trapezoid {t}'s row starts at {}, not {end}",
+                    rec.first_adj
+                ));
+            }
+            end += rec.adj_count;
+            let row = self
+                .adjacency
+                .get(rec.first_adj as usize..end as usize)
+                .ok_or(format!("trapezoid {t}'s row overruns the table"))?;
+            let (t, mut last) = (t as u32, None);
+            for &(nb, link) in row {
+                let ends = self.link_ends.get(link as usize);
+                if ends != Some(&(t, nb)) && ends != Some(&(nb, t)) {
+                    return Err(format!("link {link} does not join trapezoid {t} to {nb}"));
+                }
+                if Some(link) <= last {
+                    return Err(format!("trapezoid {t}'s row leaves link order at {link}"));
+                }
+                last = Some(link);
+                rows_holding[link as usize] += 1;
+            }
+        }
+        if end as usize != self.adjacency.len() {
+            return Err(format!(
+                "the rows cover {end} of {} entries",
+                self.adjacency.len()
+            ));
+        }
+        match rows_holding.iter().position(|&rows| rows != 2) {
+            Some(l) => Err(format!("link {l} sits in {} rows", rows_holding[l])),
+            None => Ok(()),
+        }
+    }
+
     /// One BFS from `from` returning the link-hop distances to `to_a` and
     /// `to_b`, stopping as soon as both are settled (used to resolve the
     /// direction of a link during stepping).
@@ -360,7 +459,7 @@ impl TrapezoidalMap {
                 break;
             }
             let d = dist[cur].expect("queued nodes have distances");
-            for &(nb, _) in &self.adjacency[cur] {
+            for &(nb, _) in self.adjacent(cur) {
                 if dist[nb as usize].is_none() {
                     dist[nb as usize] = Some(d + 1);
                     queue.push_back(nb as usize);
@@ -388,7 +487,7 @@ impl TrapezoidalMap {
             if cur == to {
                 break;
             }
-            for &(nb, link) in &self.adjacency[cur] {
+            for &(nb, link) in self.adjacent(cur) {
                 if !seen[nb as usize] {
                     seen[nb as usize] = true;
                     prev[nb as usize] = Some((cur as u32, link));
@@ -413,7 +512,9 @@ impl RangeDetermined for TrapezoidalMap {
     type Range = Trapezoid;
 
     fn build(mut items: Vec<Segment>) -> Self {
-        items.sort();
+        // Equal segments are indistinguishable, so the unstable sort is the
+        // stable one, without its temporary buffer.
+        items.sort_unstable();
         items.dedup();
         if let Err(msg) = Self::validate(&items) {
             panic!("invalid trapezoidal map input: {msg}");
@@ -421,22 +522,15 @@ impl RangeDetermined for TrapezoidalMap {
         let n = items.len();
         let mut map = TrapezoidalMap {
             segments: items,
-            traps: Vec::new(),
+            // A map of `n` segments in general position has `3n + 1`
+            // trapezoids.
+            traps: Vec::with_capacity(3 * n + 1),
             link_ends: Vec::new(),
             adjacency: Vec::new(),
             item_trap: vec![0; n],
         };
         if n == 0 {
-            map.traps.push(TrapRecord {
-                trap: Trapezoid {
-                    top: None,
-                    bottom: None,
-                    left_x: None,
-                    right_x: None,
-                },
-                owner: 0,
-            });
-            map.adjacency.push(Vec::new());
+            map.traps.push(TrapRecord::new(Trapezoid::default(), 0));
             return map;
         }
         // --- Slab decomposition -------------------------------------------------
@@ -444,38 +538,34 @@ impl RangeDetermined for TrapezoidalMap {
         xs.sort_unstable();
         // Cells of the previous slab keyed by (bottom, top) segment indices
         // (usize::MAX encodes the infinity sides) -> open trapezoid index.
-        let mut open: HashMap<(usize, usize), usize> = HashMap::new();
+        // A slab has at most `n + 1` gaps; every slab reuses these buffers.
+        let mut open: HashMap<(usize, usize), usize> = HashMap::with_capacity(n + 1);
+        let mut next_open: HashMap<(usize, usize), usize> = HashMap::with_capacity(n + 1);
+        let mut spanning: Vec<usize> = Vec::with_capacity(n);
+        let mut bounds: Vec<usize> = Vec::with_capacity(n + 2);
         // The leftmost slab (-inf, xs[0]) is a single unbounded cell.
-        map.traps.push(TrapRecord {
-            trap: Trapezoid {
-                top: None,
-                bottom: None,
-                left_x: None,
-                right_x: None,
-            },
-            owner: 0,
-        });
+        map.traps.push(TrapRecord::new(Trapezoid::default(), 0));
         open.insert((usize::MAX, usize::MAX), 0);
         for (i, &x) in xs.iter().enumerate() {
             // Slab (xs[i], xs[i+1]) — or (xs[last], +inf).
             let lo = x;
             let hi = xs.get(i + 1).copied();
             // Segments spanning the slab.
-            let mut spanning: Vec<usize> = (0..n)
-                .filter(|&s| {
-                    let seg = &map.segments[s];
-                    seg.x1 <= lo && hi.is_none_or(|h| seg.x2 >= h) && seg.x2 > lo
-                })
-                .collect();
-            // Vertical order at an interior x of the slab.
+            spanning.clear();
+            spanning.extend((0..n).filter(|&s| {
+                let seg = &map.segments[s];
+                seg.x1 <= lo && hi.is_none_or(|h| seg.x2 >= h) && seg.x2 > lo
+            }));
+            // Vertical order at an interior x of the slab (disjoint segments
+            // never tie there).
             let (mx_num, mx_den) = match hi {
                 Some(h) => (lo as i128 + h as i128, 2i128),
                 None => (lo as i128 + 1, 1),
             };
-            spanning.sort_by_key(|&s| map.segments[s].y_at(mx_num, mx_den));
+            spanning.sort_unstable_by_key(|&s| map.segments[s].y_at(mx_num, mx_den));
             // Gaps bottom-to-top: (-inf, s0), (s0, s1), ..., (sk-1, +inf).
-            let mut next_open: HashMap<(usize, usize), usize> = HashMap::new();
-            let mut bounds: Vec<usize> = Vec::with_capacity(spanning.len() + 2);
+            next_open.clear();
+            bounds.clear();
             bounds.push(usize::MAX);
             bounds.extend(&spanning);
             bounds.push(usize::MAX);
@@ -503,7 +593,7 @@ impl RangeDetermined for TrapezoidalMap {
                     } else {
                         0
                     };
-                    map.traps.push(TrapRecord { trap, owner });
+                    map.traps.push(TrapRecord::new(trap, owner));
                     next_open.insert(key, idx);
                 }
             }
@@ -513,7 +603,7 @@ impl RangeDetermined for TrapezoidalMap {
                     map.traps[t].trap.right_x = Some(lo);
                 }
             }
-            open = next_open;
+            std::mem::swap(&mut open, &mut next_open);
         }
         // Cells still open extend to +inf (right_x stays None).
         // --- Ownership entries ---------------------------------------------------
@@ -542,13 +632,10 @@ impl RangeDetermined for TrapezoidalMap {
         }
         // --- Adjacency ------------------------------------------------------------
         let t_count = map.traps.len();
-        map.adjacency = vec![Vec::new(); t_count];
-        let add_link = |map: &mut TrapezoidalMap, a: usize, b: usize| {
-            let link = map.link_ends.len() as u32;
-            map.link_ends.push((a as u32, b as u32));
-            map.adjacency[a].push((b as u32, link));
-            map.adjacency[b].push((a as u32, link));
-        };
+        // Fewer than three links a trapezoid: at most two across each
+        // endpoint's wall (4n), and across each segment one fewer than the
+        // trapezoids on its two sides (2T - n), so 3n + 2T = 3T - 1.
+        map.link_ends.reserve_exact(3 * t_count);
         for a in 0..t_count {
             for b in (a + 1)..t_count {
                 let (ta, tb) = (map.traps[a].trap, map.traps[b].trap);
@@ -595,10 +682,11 @@ impl RangeDetermined for TrapezoidalMap {
                     }
                 };
                 if wall(&ta, &tb) || wall(&tb, &ta) || stacked(&ta, &tb) || stacked(&tb, &ta) {
-                    add_link(&mut map, a, b);
+                    map.link_ends.push((a as u32, b as u32));
                 }
             }
         }
+        map.fill_adjacency();
         map
     }
 
@@ -641,7 +729,7 @@ impl RangeDetermined for TrapezoidalMap {
         let n = self.node_count();
         let idx = id.index();
         if idx < n {
-            self.adjacency[idx]
+            self.adjacent(idx)
                 .iter()
                 .map(|&(_, link)| RangeId((n + link as usize) as u32))
                 .collect()
@@ -844,7 +932,7 @@ mod tests {
         seen[0] = true;
         let mut visited = 1;
         while let Some(cur) = queue.pop_front() {
-            for &(nb, _) in &m.adjacency[cur] {
+            for &(nb, _) in m.adjacent(cur) {
                 if !seen[nb as usize] {
                     seen[nb as usize] = true;
                     visited += 1;

@@ -7,6 +7,16 @@
 //! Two ranges conflict when those paths share a vertex. Lemma 4 bounds the
 //! expected conflicts of a half-sample trie range by `O(1)` for fixed
 //! alphabets; [`crate::properties`] validates it statistically.
+//!
+//! # Layout
+//!
+//! Nodes are plain records in one array, root first, and own no heap
+//! memory: a node's children sit next to each other, in branching-byte
+//! order, in the trie's one `kids` array, named by the node's `first_kid`
+//! and `kid_count`; a child's edge is its own `parent_edge`. `build` fills
+//! `kids` at the end with one stable counting pass over the edges, so a
+//! trie is a fixed handful of heap blocks whatever its size, and a walk
+//! scans one slice per node.
 
 use std::fmt;
 
@@ -114,10 +124,25 @@ struct TrieNode {
     repr: u32,
     parent: Option<u32>,
     parent_edge: Option<u32>,
-    children: Vec<u32>,
-    child_edges: Vec<u32>,
+    /// The children are `kids[first_kid..][..kid_count]`.
+    first_kid: u32,
+    kid_count: u32,
     /// Item index when `str(v)` is itself a stored string.
     terminal: Option<u32>,
+}
+
+impl TrieNode {
+    fn new(prefix_len: u32, repr: u32, parent: Option<u32>, terminal: Option<u32>) -> Self {
+        TrieNode {
+            prefix_len,
+            repr,
+            parent,
+            parent_edge: None,
+            first_kid: 0,
+            kid_count: 0,
+            terminal,
+        }
+    }
 }
 
 /// A compressed (Patricia) trie over byte strings, exposed as a
@@ -145,6 +170,8 @@ pub struct CompressedTrie {
     nodes: Vec<TrieNode>,
     /// Edge `e` joins `edge_ends[e].0` (parent) to `edge_ends[e].1` (child).
     edge_ends: Vec<(u32, u32)>,
+    /// Every node's children, grouped by parent.
+    kids: Vec<u32>,
     /// Terminal node of each item.
     item_node: Vec<u32>,
 }
@@ -163,6 +190,34 @@ impl CompressedTrie {
     fn str_of(&self, node: usize) -> &[u8] {
         let n = &self.nodes[node];
         &self.items[n.repr as usize].as_bytes()[..n.prefix_len as usize]
+    }
+
+    /// The children of `node`, in branching-byte order.
+    fn kids_of(&self, node: usize) -> &[u32] {
+        let n = &self.nodes[node];
+        &self.kids[n.first_kid as usize..][..n.kid_count as usize]
+    }
+
+    /// The range id of the edge hanging `child` from its parent.
+    fn edge_into(&self, child: u32) -> RangeId {
+        let e = self.nodes[child as usize]
+            .parent_edge
+            .expect("a child hangs from an edge");
+        RangeId((self.nodes.len() + e as usize) as u32)
+    }
+
+    /// Range `idx`'s start length and end string, read from the tables
+    /// without building the [`TrieRange`].
+    fn range_parts(&self, idx: usize) -> (usize, &[u8]) {
+        let n = self.nodes.len();
+        if idx < n {
+            (self.nodes[idx].prefix_len as usize, self.str_of(idx))
+        } else {
+            // A child spells an extension of its parent's string.
+            let (p, c) = self.edge_ends[idx - n];
+            let start_len = self.nodes[p as usize].prefix_len as usize;
+            (start_len, self.str_of(c as usize))
+        }
     }
 
     /// The string spelled by the path to node `id`.
@@ -209,7 +264,7 @@ impl CompressedTrie {
             }
             let next_byte = q[cur_len];
             let mut advanced = false;
-            for &c in &self.nodes[cur].children {
+            for &c in self.kids_of(cur) {
                 let cs = self.str_of(c as usize);
                 if cs[cur_len] == next_byte {
                     // Match as much of the edge label as possible.
@@ -241,15 +296,11 @@ impl CompressedTrie {
             return Some(RangeId(node as u32));
         }
         // p sits strictly inside the child edge continuing with p[node_len].
-        for (&c, &e) in self.nodes[node]
-            .children
-            .iter()
-            .zip(&self.nodes[node].child_edges)
-        {
+        for &c in self.kids_of(node) {
             let cs = self.str_of(c as usize);
             if cs.len() > node_len && cs[node_len] == p[node_len] {
                 debug_assert!(is_prefix(p, cs));
-                return Some(RangeId((self.nodes.len() + e as usize) as u32));
+                return Some(self.edge_into(c));
             }
         }
         None
@@ -263,14 +314,10 @@ impl CompressedTrie {
             return (RangeId(node as u32), matched);
         }
         // The locus sits inside the child edge continuing with q[node_len].
-        for (&c, &e) in self.nodes[node]
-            .children
-            .iter()
-            .zip(&self.nodes[node].child_edges)
-        {
+        for &c in self.kids_of(node) {
             let cs = self.str_of(c as usize);
             if cs.len() > node_len && cs[node_len] == qb[node_len] {
-                return (RangeId((self.nodes.len() + e as usize) as u32), matched);
+                return (self.edge_into(c), matched);
             }
         }
         (RangeId(node as u32), matched)
@@ -288,15 +335,8 @@ impl CompressedTrie {
             terminal = Some(lo as u32);
             child_start = lo + 1;
         }
-        self.nodes.push(TrieNode {
-            prefix_len: l as u32,
-            repr: lo as u32,
-            parent,
-            parent_edge: None,
-            children: Vec::new(),
-            child_edges: Vec::new(),
-            terminal,
-        });
+        self.nodes
+            .push(TrieNode::new(l as u32, lo as u32, parent, terminal));
         if terminal.is_some() {
             self.item_node[lo] = node_idx;
         }
@@ -311,11 +351,86 @@ impl CompressedTrie {
             let edge_idx = self.edge_ends.len() as u32;
             self.edge_ends.push((node_idx, child));
             self.nodes[child as usize].parent_edge = Some(edge_idx);
-            self.nodes[node_idx as usize].children.push(child);
-            self.nodes[node_idx as usize].child_edges.push(edge_idx);
             start = end;
         }
         node_idx
+    }
+
+    /// Lays every node's children out in `kids`, grouped by parent: one
+    /// stable counting pass over the edges, whose ids rise in
+    /// branching-byte order among siblings (a child's edge is numbered
+    /// after its whole subtree, before its next sibling's).
+    fn fill_kids(&mut self) {
+        for &(p, _) in &self.edge_ends {
+            self.nodes[p as usize].kid_count += 1;
+        }
+        let mut first = 0;
+        for node in &mut self.nodes {
+            node.first_kid = first;
+            first += node.kid_count;
+            node.kid_count = 0;
+        }
+        self.kids = vec![0; self.edge_ends.len()];
+        for &(p, c) in &self.edge_ends {
+            let node = &mut self.nodes[p as usize];
+            self.kids[(node.first_kid + node.kid_count) as usize] = c;
+            node.kid_count += 1;
+        }
+    }
+
+    /// Checks that the children table is exactly the inverse of the parent
+    /// pointers: the nodes' rows tile it in node order, every node but the
+    /// root sits in exactly one row, its parent's, each row runs in
+    /// branching-byte order, and each child's edge joins it to that parent.
+    /// `build` establishes this; tests call it.
+    pub fn check_tables(&self) -> Result<(), String> {
+        let mut placed = vec![false; self.nodes.len()];
+        let mut end = 0u32;
+        for (v, node) in self.nodes.iter().enumerate() {
+            if node.first_kid != end {
+                return Err(format!(
+                    "node {v}'s row starts at {}, not {end}",
+                    node.first_kid
+                ));
+            }
+            end += node.kid_count;
+            let row = self
+                .kids
+                .get(node.first_kid as usize..end as usize)
+                .ok_or(format!("node {v}'s row overruns the table"))?;
+            let mut last = None;
+            for &c in row {
+                let child = self
+                    .nodes
+                    .get(c as usize)
+                    .ok_or(format!("node {v} names child {c}, which is no node"))?;
+                if std::mem::replace(&mut placed[c as usize], true) {
+                    return Err(format!("node {c} sits in two rows"));
+                }
+                if child.parent != Some(v as u32) {
+                    return Err(format!("node {c} sits in node {v}'s row but not below it"));
+                }
+                let edge = child
+                    .parent_edge
+                    .and_then(|e| self.edge_ends.get(e as usize));
+                if edge != Some(&(v as u32, c)) {
+                    return Err(format!("node {c}'s edge does not join it to node {v}"));
+                }
+                let digit = self.str_of(c as usize).get(node.prefix_len as usize);
+                if digit <= last {
+                    return Err(format!("node {v}'s row leaves byte order at node {c}"));
+                }
+                last = digit;
+            }
+        }
+        if end as usize != self.kids.len() {
+            return Err(format!("the rows cover {end} of {} kids", self.kids.len()));
+        }
+        // The root has no parent, so the rows cannot name it.
+        match (1..self.nodes.len()).find(|&v| !placed[v]) {
+            Some(v) => Err(format!("node {v} sits in no row")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -325,25 +440,21 @@ impl RangeDetermined for CompressedTrie {
     type Range = TrieRange;
 
     fn build(mut items: Vec<String>) -> Self {
-        items.sort();
+        // Equal strings are indistinguishable, so the unstable sort is the
+        // stable one, without its temporary buffer.
+        items.sort_unstable();
         items.dedup();
         let n = items.len();
+        // A compressed trie has at most `2n` nodes besides the root.
         let mut trie = CompressedTrie {
             items,
             nodes: Vec::with_capacity(2 * n + 1),
-            edge_ends: Vec::new(),
+            edge_ends: Vec::with_capacity(2 * n),
+            kids: Vec::new(),
             item_node: vec![0; n],
         };
         if n == 0 {
-            trie.nodes.push(TrieNode {
-                prefix_len: 0,
-                repr: 0,
-                parent: None,
-                parent_edge: None,
-                children: Vec::new(),
-                child_edges: Vec::new(),
-                terminal: None,
-            });
+            trie.nodes.push(TrieNode::new(0, 0, None, None));
             return trie;
         }
         // Force the root to spell the empty string so every query has a
@@ -356,22 +467,13 @@ impl RangeDetermined for CompressedTrie {
         if first_nonempty_lcp == 0 {
             trie.build_rec(0, n, None);
         } else {
-            trie.nodes.push(TrieNode {
-                prefix_len: 0,
-                repr: 0,
-                parent: None,
-                parent_edge: None,
-                children: Vec::new(),
-                child_edges: Vec::new(),
-                terminal: None,
-            });
+            trie.nodes.push(TrieNode::new(0, 0, None, None));
             let top = trie.build_rec(0, n, Some(0));
             let edge_idx = trie.edge_ends.len() as u32;
             trie.edge_ends.push((0, top));
             trie.nodes[top as usize].parent_edge = Some(edge_idx);
-            trie.nodes[0].children.push(top);
-            trie.nodes[0].child_edges.push(edge_idx);
         }
+        trie.fill_kids();
         trie
     }
 
@@ -384,18 +486,14 @@ impl RangeDetermined for CompressedTrie {
     }
 
     fn range(&self, id: RangeId) -> TrieRange {
-        let n = self.nodes.len();
-        let idx = id.index();
-        assert!(idx < self.num_ranges(), "range id out of bounds: {id}");
-        if idx < n {
-            TrieRange::point(self.str_of(idx).to_vec())
-        } else {
-            // A child spells an extension of its parent's string.
-            let (p, c) = self.edge_ends[idx - n];
-            TrieRange {
-                start_len: self.nodes[p as usize].prefix_len as usize,
-                end: self.str_of(c as usize).to_vec(),
-            }
+        assert!(
+            id.index() < self.num_ranges(),
+            "range id out of bounds: {id}"
+        );
+        let (start_len, end) = self.range_parts(id.index());
+        TrieRange {
+            start_len,
+            end: end.to_vec(),
         }
     }
 
@@ -420,15 +518,11 @@ impl RangeDetermined for CompressedTrie {
         let idx = id.index();
         if idx < n {
             let node = &self.nodes[idx];
-            let mut out = Vec::with_capacity(node.children.len() + 1);
+            let mut out = Vec::with_capacity(node.kid_count as usize + 1);
             if let Some(pe) = node.parent_edge {
                 out.push(RangeId((n + pe as usize) as u32));
             }
-            out.extend(
-                node.child_edges
-                    .iter()
-                    .map(|&e| RangeId((n + e as usize) as u32)),
-            );
+            out.extend(self.kids_of(idx).iter().map(|&c| self.edge_into(c)));
             out
         } else {
             let (p, c) = self.edge_ends[idx - n];
@@ -467,11 +561,10 @@ impl RangeDetermined for CompressedTrie {
         // On the line above the locus: descend through the edge spelling
         // the query's next byte.
         let at = node.prefix_len as usize;
-        node.children
+        self.kids_of(from.index())
             .iter()
-            .zip(&node.child_edges)
-            .find(|(&c, _)| at < matched && self.str_of(c as usize)[at] == qb[at])
-            .map(|(_, &e)| edge_id(e))
+            .find(|&&c| at < matched && self.str_of(c as usize)[at] == qb[at])
+            .map(|&c| self.edge_into(c))
     }
 
     fn best_entry(&self, candidates: &[RangeId], q: &String) -> RangeId {
@@ -479,13 +572,10 @@ impl RangeDetermined for CompressedTrie {
         let qb = q.as_bytes();
         candidates
             .iter()
-            .copied()
-            .filter(|id| is_prefix(self.range(*id).start(), qb))
-            .max_by_key(|id| {
-                let r = self.range(*id);
-                (r.start().len(), lcp_len(r.end(), qb))
-            })
-            .unwrap_or(candidates[0])
+            .map(|&id| (id, self.range_parts(id.index())))
+            .filter(|&(_, (start_len, end))| is_prefix(&end[..start_len], qb))
+            .max_by_key(|&(_, (start_len, end))| (start_len, lcp_len(end, qb)))
+            .map_or(candidates[0], |(id, _)| id)
     }
 
     fn item_query(item: &String) -> String {
@@ -537,13 +627,9 @@ impl RangeDetermined for CompressedTrie {
             // Every child edge touches str(cur) ∈ [a, b], hence conflicts.
             let cur_len = cur_s.len();
             let mut next: Option<usize> = None;
-            for (&c, &e) in self.nodes[cur]
-                .children
-                .iter()
-                .zip(&self.nodes[cur].child_edges)
-            {
+            for &c in self.kids_of(cur) {
                 if is_prefix(a, cur_s) {
-                    push(RangeId((n + e as usize) as u32), out);
+                    push(self.edge_into(c), out);
                 }
                 let cs = self.str_of(c as usize);
                 if cur_len < b.len() && cs[cur_len] == b[cur_len] && is_prefix(cs, b) {

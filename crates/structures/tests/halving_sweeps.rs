@@ -383,6 +383,48 @@ proptest! {
         assert_subset_ranges_link_into_the_superset(&d, &coarse, &queries, holds_the_locus);
     }
 
+    /// Over the hot-path tests' inputs, a quadtree's flat children table is
+    /// exactly the inverse of its parent pointers.
+    #[test]
+    fn quadtree_tables_invert_the_parent_links(
+        coords in proptest::collection::vec((0u32..64, 0u32..u32::MAX), 0..40),
+        seed in 0u64..100,
+    ) {
+        let pts: Vec<PointKey<2>> =
+            coords.into_iter().map(|(x, y)| PointKey::new([x << 26, y])).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let half = pts.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+        for d in [CompressedQuadtree::<2>::build(pts), CompressedQuadtree::<2>::build(half)] {
+            prop_assert_eq!(d.check_tables(), Ok(()));
+        }
+    }
+
+    /// The same for a trie's children table.
+    #[test]
+    fn trie_tables_invert_the_parent_edges(
+        words in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..7), 0..40),
+        seed in 0u64..100,
+    ) {
+        let word = |w: Vec<u8>| w.into_iter().map(|c| (b'a' + c) as char).collect::<String>();
+        let words: Vec<String> = words.into_iter().map(word).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let half = words.iter().filter(|_| rng.gen_bool(0.5)).cloned().collect();
+        for d in [CompressedTrie::build(words), CompressedTrie::build(half)] {
+            prop_assert_eq!(d.check_tables(), Ok(()));
+        }
+    }
+
+    /// And for a trapezoid map's adjacency table against its links.
+    #[test]
+    fn trapezoid_tables_invert_the_links(n in 0usize..10, seed in 0u64..500) {
+        let all = banded_segments(n, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5);
+        let half = all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+        for d in [TrapezoidalMap::build(all), TrapezoidalMap::build(half)] {
+            prop_assert_eq!(d.check_tables(), Ok(()));
+        }
+    }
+
     /// Quadtree descent work between a half-sample and the full set stays
     /// tiny for arbitrary point sets.
     #[test]
