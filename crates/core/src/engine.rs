@@ -4,7 +4,10 @@
 //! # Protocol (§2.3–§2.5, §4)
 //!
 //! The engine turns a built [`SkipWeb<D>`] into a live network of actor
-//! threads, one per host, executing the paper's routing protocol for real:
+//! threads, one per host, executing the paper's routing protocol for real.
+//! Where ranges live is the web's own choice (blocking and replication are
+//! set when it is built); [`FabricBuilder`] only picks the thread count,
+//! transport, client timeouts and write-ahead sink.
 //!
 //! * **Addressing (§2.3).** Every range of every level set gets a
 //!   [`GlobalRef`] — `(level, set, range)` — and the placement computed by
@@ -78,8 +81,8 @@
 //! make the served structure survive crashes:
 //!
 //! * **`k`-replica placement.** Building the web with
-//!   [`Replication`] (`.replicate(k)` on any
-//!   builder) puts every range on `k` hosts, so each [`GlobalRef`] resolves
+//!   [`Replication`](crate::placement::Replication) (`.replicate(k)` on any
+//!   web builder) puts every range on `k` hosts, so each [`GlobalRef`] resolves
 //!   to a replica set. With `k = 1` (the default) hop accounting matches
 //!   the cost-model simulator exactly; with `k ≥ 2` replicas add
 //!   co-location, so hops can only shrink — and any `k - 1` hosts may crash
@@ -175,7 +178,6 @@ use skipweb_net::wan::{SimWanConfig, SimWanTransport};
 use skipweb_net::{HostId, HostTraffic, TransportStats};
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 
-use crate::placement::Replication;
 use crate::skipweb::{Copies, LevelSet, SkipWeb, Update};
 
 /// Globally unique address of a range: level, set index, range index — the
@@ -1423,7 +1425,7 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
     ///
     /// A freshly spawned runtime hands out the same client ids as the one
     /// before it, so a deployment cold-started from a durability log
-    /// ([`FabricBuilder::restore_ledger`]) would mint `(client, op id)`
+    /// ([`DistributedSkipWeb::restore`]) would mint `(client, op id)`
     /// pairs already present in the recovered idempotence ledger — and the
     /// ledger would echo the old outcome instead of applying the new
     /// operation. Recovery layers call this with one past the highest
@@ -1447,16 +1449,6 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
     /// The current wait-and-retry policy.
     pub fn timeouts(&self) -> Timeouts {
         *self.timeouts.lock()
-    }
-
-    /// The current blocking-query timeout.
-    pub fn query_timeout(&self) -> Duration {
-        self.timeouts.lock().query
-    }
-
-    /// The current blocking-update timeout.
-    pub fn update_timeout(&self) -> Duration {
-        self.timeouts.lock().update
     }
 
     /// Abandons `corr`: already-parked replies are dropped now, and every
@@ -1544,15 +1536,6 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
             }
         }
     }
-
-    /// Compatibility alias of [`recv_any`](Self::recv_any).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<EngineReply<D>, RuntimeError> {
-        self.recv_any(timeout)
-    }
 }
 
 /// A client-side operation between admission and its final reply: what was
@@ -1602,27 +1585,16 @@ pub struct DistributedSkipWeb<D: Routable + Send + Sync + 'static> {
     tcp: Option<Arc<TcpTransport<FabricMsg<D>, EngineReply<D>>>>,
 }
 
-/// How many actor threads a [`FabricBuilder`] deployment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Threads {
-    /// One thread per host of the web's placement (the default).
-    PerHost,
-    /// Fold the web's logical hosts onto at most this many threads.
-    Consolidated(usize),
-    /// Exactly this many threads, possibly exceeding the web's host count
-    /// to leave headroom for live inserts.
-    Capacity(usize),
-}
-
-/// The one way to stand up a fabric: collects every deployment-time choice
-/// — thread count ([`consolidated`](Self::consolidated) /
-/// [`capacity`](Self::capacity)), replication override
-/// ([`replicate`](Self::replicate)), transport ([`wan`](Self::wan) /
-/// [`transport`](Self::transport) / [`spawn_tcp`](Self::spawn_tcp)),
-/// client timeout policy ([`timeouts`](Self::timeouts)), and durability
-/// ([`durability`](Self::durability) /
-/// [`restore_ledger`](Self::restore_ledger)) — then
-/// [`spawn`](Self::spawn)s the actor threads.
+/// The one way to stand up a fabric: four deployment-time choices — thread
+/// count ([`consolidated`](Self::consolidated)), transport
+/// ([`wan`](Self::wan), or [`spawn_tcp`](Self::spawn_tcp) instead of
+/// [`spawn`](Self::spawn)), client timeout policy
+/// ([`timeouts`](Self::timeouts)) and a write-ahead sink
+/// ([`durability`](Self::durability)) — then [`spawn`](Self::spawn)s the
+/// actor threads. Placement, replication included, is a property of the
+/// web ([`SkipWebBuilder::replicate`](crate::skipweb::SkipWebBuilder::replicate));
+/// state recovered from a log is installed into a running fabric with
+/// [`DistributedSkipWeb::restore`].
 ///
 /// ```
 /// use skipweb_core::engine::DistributedSkipWeb;
@@ -1638,12 +1610,12 @@ enum Threads {
 /// ```
 pub struct FabricBuilder<'w, D: Routable + Send + Sync + 'static> {
     web: &'w SkipWeb<D>,
-    threads: Threads,
-    replication: Option<Replication>,
+    /// Actor thread count; `None` is one thread per host of the web.
+    threads: Option<usize>,
+    /// `None` is the in-process channel transport.
     transport: Option<Arc<dyn Transport<FabricMsg<D>, EngineReply<D>>>>,
     timeouts: Timeouts,
     durability: Option<Arc<dyn Durability<D>>>,
-    ledger: Vec<((ClientId, u64), bool)>,
 }
 
 impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
@@ -1653,66 +1625,28 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
     pub fn new(web: &'w SkipWeb<D>) -> Self {
         FabricBuilder {
             web,
-            threads: Threads::PerHost,
-            replication: None,
+            threads: None,
             transport: None,
             timeouts: Timeouts::DEFAULT,
             durability: None,
-            ledger: Vec::new(),
         }
     }
 
-    /// Folds the web's logical hosts onto at most `hosts` physical actor
-    /// threads (`logical % hosts`), so the same structure can be served —
-    /// and its throughput measured — at any deployment size. Operations
-    /// between ranges folded onto the same physical host become free,
-    /// exactly like any other co-location.
+    /// Spawns exactly `hosts` physical actor threads and folds the web's
+    /// logical hosts onto them (`logical % hosts`), so the same structure
+    /// can be served — and its throughput measured — at any deployment
+    /// size. Operations between ranges folded onto the same physical host
+    /// become free, exactly like any other co-location. `hosts` may exceed
+    /// the web's host count, leaving headroom for live inserts: while the
+    /// logical hosts fit, the fold is the identity, so owner-hosted hop
+    /// counts keep matching the cost-model simulator as the web grows.
     ///
     /// # Panics
     ///
     /// Panics if `hosts` is zero.
     pub fn consolidated(mut self, hosts: usize) -> Self {
         assert!(hosts > 0, "a network needs at least one host");
-        self.threads = Threads::Consolidated(hosts);
-        self
-    }
-
-    /// Spawns exactly `capacity` actor threads, which may exceed the web's
-    /// current host count to leave headroom for live inserts: while the
-    /// web's logical host count stays within `capacity` the fold is the
-    /// identity, so owner-hosted hop counts keep matching the cost-model
-    /// simulator even as the structure grows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "a network needs at least one host");
-        self.threads = Threads::Capacity(capacity);
-        self
-    }
-
-    /// Overrides the web's replication policy for this deployment: the web
-    /// is re-placed (same ground set, same towers) with every range on `k`
-    /// hosts before serving, so any `k - 1` hosts may crash without losing
-    /// availability. Replication is otherwise a build-time property
-    /// ([`SkipWebBuilder::replicate`](crate::skipweb::SkipWebBuilder::replicate)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn replicate(mut self, k: usize) -> Self {
-        self.replication = Some(Replication::new(k));
-        self
-    }
-
-    /// Routes every message through `transport` instead of the default
-    /// in-process channel path — the hook custom fault models plug into.
-    pub fn transport(
-        mut self,
-        transport: Arc<dyn Transport<FabricMsg<D>, EngineReply<D>>>,
-    ) -> Self {
-        self.transport = Some(transport);
+        self.threads = Some(hosts);
         self
     }
 
@@ -1724,8 +1658,9 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
     /// # Panics
     ///
     /// Panics if the loss probability is outside `[0, 1]`.
-    pub fn wan(self, cfg: SimWanConfig) -> Self {
-        self.transport(Arc::new(SimWanTransport::new(cfg)))
+    pub fn wan(mut self, cfg: SimWanConfig) -> Self {
+        self.transport = Some(Arc::new(SimWanTransport::new(cfg)));
+        self
     }
 
     /// The wait-and-retry policy every client of this deployment starts
@@ -1744,56 +1679,23 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
         self
     }
 
-    /// Seeds the idempotence ledger with outcomes recovered from a log, so
-    /// replayed operations resubmitted after the recovery are echoed their
-    /// original outcome instead of double-applied.
-    pub fn restore_ledger(mut self, entries: Vec<((ClientId, u64), bool)>) -> Self {
-        self.ledger = entries;
-        self
-    }
-
-    fn resolve_capacity(&self, web: &SkipWeb<D>) -> usize {
-        match self.threads {
-            Threads::PerHost => web.hosts().max(1),
-            Threads::Consolidated(hosts) => hosts.min(web.hosts().max(1)),
-            Threads::Capacity(capacity) => capacity,
-        }
-    }
-
-    fn resolve_web(&self) -> std::borrow::Cow<'w, SkipWeb<D>> {
-        match self.replication {
-            Some(r) if r != self.web.replication() => {
-                std::borrow::Cow::Owned(self.web.with_replication(r))
-            }
-            _ => std::borrow::Cow::Borrowed(self.web),
-        }
-    }
-
     /// Engine state and first snapshot start as the same `Arc`: one clone
     /// of the caller's web, sharing its level sets' structures.
-    fn build_shared(&self, web: SkipWeb<D>, capacity: usize) -> Arc<Shared<D>> {
-        assert!(capacity > 0, "a network needs at least one host");
-        let placement = PlacementCtl::new(capacity);
-        let web = Arc::new(web);
+    fn build_shared(&self, threads: usize) -> Arc<Shared<D>> {
+        let placement = PlacementCtl::new(threads);
+        let web = Arc::new(self.web.clone());
         let topo = Arc::new(Topology {
             web: Arc::clone(&web),
             ctl: placement.clone(),
             version: 0,
         });
-        let mut applied_ops = HashMap::new();
-        let mut applied_order = std::collections::VecDeque::new();
-        for &(key, applied) in &self.ledger {
-            if applied_ops.insert(key, applied).is_none() {
-                applied_order.push_back(key);
-            }
-        }
         Arc::new(Shared {
             state: Mutex::new(EngineState {
                 web,
                 rng: StdRng::seed_from_u64(0x736b_6970_7765_6221),
                 placement,
-                applied_ops,
-                applied_order,
+                applied_ops: HashMap::new(),
+                applied_order: std::collections::VecDeque::new(),
             }),
             topo: Mutex::new(topo),
             durability: self.durability.clone(),
@@ -1803,16 +1705,15 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
 
     /// Spawns the actor threads and starts serving.
     pub fn spawn(self) -> DistributedSkipWeb<D> {
-        let web = self.resolve_web();
-        let capacity = self.resolve_capacity(&web);
-        let shared = self.build_shared(web.into_owned(), capacity);
+        let threads = self.threads.unwrap_or(self.web.hosts().max(1));
+        let shared = self.build_shared(threads);
         let runtime = match self.transport {
             Some(transport) => {
-                Runtime::spawn_with_transport(capacity, transport, |_h| EngineActor {
+                Runtime::spawn_with_transport(threads, transport, |_h| EngineActor {
                     shared: Arc::clone(&shared),
                 })
             }
-            None => Runtime::spawn(capacity, |_h| EngineActor {
+            None => Runtime::spawn(threads, |_h| EngineActor {
                 shared: Arc::clone(&shared),
             }),
         };
@@ -1846,11 +1747,9 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
     /// [`DistributedSkipWeb::serve_until_peer_shutdown`].
     ///
     /// The thread count comes from `cfg.owners` (one actor thread per
-    /// locally-owned host), so [`consolidated`](Self::consolidated) /
-    /// [`capacity`](Self::capacity) do not apply; any
-    /// [`transport`](Self::transport) choice is
-    /// replaced by the TCP transport. Timeouts, durability, and a restored
-    /// ledger are honored.
+    /// locally-owned host), so [`consolidated`](Self::consolidated) does
+    /// not apply, and a [`wan`](Self::wan) choice is replaced by the TCP
+    /// transport. Timeouts and durability are honored.
     ///
     /// # Errors
     ///
@@ -1861,9 +1760,8 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
     /// Panics if `cfg.owners` does not assign this process a contiguous
     /// (possibly empty) host range, or the config indexes are out of range.
     pub fn spawn_tcp(self, cfg: TcpConfig) -> std::io::Result<DistributedSkipWeb<D>> {
-        let web = self.resolve_web();
-        let capacity = cfg.owners.len().max(1);
-        let shared = self.build_shared(web.into_owned(), capacity);
+        let threads = cfg.owners.len().max(1);
+        let shared = self.build_shared(threads);
         let codec = {
             let enc_shared = Arc::clone(&shared);
             TcpCodec {
@@ -1888,7 +1786,7 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
             _ => 0..0,
         };
         let transport: Arc<dyn Transport<FabricMsg<D>, EngineReply<D>>> = tcp.clone();
-        let runtime = Runtime::spawn_partitioned(capacity, range, transport, |_h| EngineActor {
+        let runtime = Runtime::spawn_partitioned(threads, range, transport, |_h| EngineActor {
             shared: Arc::clone(&shared),
         });
         Ok(DistributedSkipWeb {
@@ -1940,60 +1838,6 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         req: D::Request,
     ) -> Result<u64, RuntimeError> {
         self.submit_op(client, origin_item, query_op(req, false))
-    }
-
-    /// Like [`submit`](Self::submit), but the query scatter-gathers at its
-    /// locus when the request is a range report (see
-    /// [`Routable::report_ranges`]): the receiver must gather the streamed
-    /// [`ReplyBody::Partial`]s — which the blocking
-    /// [`query_scatter`](Self::query_scatter) does.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](Self::submit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin_item` is out of bounds.
-    pub fn submit_scatter(
-        &self,
-        client: &EngineClient<D>,
-        origin_item: usize,
-        req: D::Request,
-    ) -> Result<u64, RuntimeError> {
-        self.submit_op(client, origin_item, query_op(req, true))
-    }
-
-    /// Submits a whole batch of queries under one snapshot without waiting,
-    /// returning the per-op correlation ids in submission order. All ops
-    /// enter at `origin_item`'s root in **one** envelope, and at every later
-    /// hop the ops that agree on their next host keep sharing an envelope
-    /// ([`FabricMsg::Batch`], metered as a single crossing) — so a batch of
-    /// N queries crosses strictly fewer host boundaries than N serial
-    /// submissions while returning byte-identical answers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors (host down or panicked), and
-    /// [`RuntimeError::Unavailable`] when every replica of the origin range
-    /// has crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin_item` is out of bounds (e.g. on an empty web).
-    pub fn submit_batch(
-        &self,
-        client: &EngineClient<D>,
-        origin_item: usize,
-        reqs: Vec<D::Request>,
-    ) -> Result<Vec<u64>, RuntimeError> {
-        let topo = self.shared.current_topo();
-        let flights: Vec<InFlight<D>> = reqs
-            .into_iter()
-            .map(|req| InFlight::new(client, origin_item, query_op(req, false)))
-            .collect();
-        self.admit(client, &topo, &flights)?;
-        Ok(flights.iter().map(|f| f.corr).collect())
     }
 
     /// Submits an insert with an explicit level bit string without waiting,
@@ -2415,12 +2259,15 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             .map(QueryReply::of)
     }
 
-    /// Runs a whole batch of queries end to end (see
-    /// [`submit_batch`](Self::submit_batch) for the coalescing), returning
-    /// the replies in submission order — answers byte-identical to running
-    /// each request through [`query`](Self::query) serially, while crossing
-    /// strictly fewer host boundaries. Each op that times out while a host
-    /// is dead is resubmitted once individually, like `query`.
+    /// Runs a whole batch of queries end to end under one snapshot,
+    /// returning the replies in submission order. All ops enter at
+    /// `origin_item`'s root in **one** envelope, and at every later hop the
+    /// ops that agree on their next host keep sharing an envelope
+    /// ([`FabricMsg::Batch`], metered as a single crossing) — so the answers
+    /// are byte-identical to running each request through
+    /// [`query`](Self::query) serially, while crossing strictly fewer host
+    /// boundaries. Each op that times out while a host is dead is
+    /// resubmitted once individually, like `query`.
     ///
     /// # Errors
     ///
@@ -2744,9 +2591,8 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// The idempotence ledger in eviction (FIFO) order: identity and
     /// recorded outcome of every remembered update that reached the apply
     /// step. Durability layers checkpoint this alongside the ground set and
-    /// seed it back via [`FabricBuilder::restore_ledger`] (cold start) or
-    /// [`restore`](Self::restore) (in-place recovery), so resubmits stay
-    /// exactly-once across a crash.
+    /// seed it back via [`restore`](Self::restore) — on a freshly spawned
+    /// fabric or in place — so resubmits stay exactly-once across a crash.
     pub fn applied_ledger(&self) -> Vec<((ClientId, u64), bool)> {
         let st = self.shared.state.lock();
         st.applied_order
@@ -2757,9 +2603,10 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
 
     /// Replaces the authoritative web and idempotence ledger with state
     /// recovered from a log, publishing a fresh topology snapshot — the
-    /// state half of crash recovery. Pair with
-    /// [`rejoin_host`](Self::rejoin_host) to bring the crashed hosts
-    /// themselves back.
+    /// state half of crash recovery, and the one way a log's state enters a
+    /// fabric, whether it was just spawned (over an empty web) or is
+    /// recovering in place. Pair with [`rejoin_host`](Self::rejoin_host) to
+    /// bring crashed hosts themselves back.
     pub fn restore(&self, web: SkipWeb<D>, ledger: Vec<((ClientId, u64), bool)>) {
         let retired = {
             let st = &mut *self.shared.state.lock();
@@ -3028,7 +2875,7 @@ mod tests {
         let mut sim = web.inner().clone();
         // Headroom so inserted items get their own hosts, as in the sim.
         let dist = DistributedSkipWeb::builder(web.inner())
-            .capacity(80 + 16)
+            .consolidated(80 + 16)
             .spawn();
         let client = dist.client();
         for i in 0..16u64 {
@@ -3095,7 +2942,9 @@ mod tests {
         let web = crate::onedim::OneDimSkipWeb::builder(vec![7])
             .seed(28)
             .build();
-        let dist = DistributedSkipWeb::builder(web.inner()).capacity(8).spawn();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(8)
+            .spawn();
         let client = dist.client();
         // Remove the last item (no lookup phase, like the simulator).
         assert!(dist.remove(&client, 7).unwrap().applied);
@@ -3116,7 +2965,7 @@ mod tests {
             .collect();
         let web = TrapezoidSkipWeb::builder(segments).seed(29).build();
         let dist = DistributedSkipWeb::builder(web.inner())
-            .capacity(16)
+            .consolidated(16)
             .spawn();
         let client = dist.client();
         // Shares an endpoint x-coordinate with a stored segment: violates
@@ -3142,7 +2991,7 @@ mod tests {
         let keys: Vec<u64> = (0..100).map(|i| i * 100).collect();
         let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(30).build();
         let dist = DistributedSkipWeb::builder(web.inner())
-            .capacity(100 + 32)
+            .consolidated(100 + 32)
             .spawn();
         std::thread::scope(|scope| {
             let writer = {
@@ -3660,10 +3509,10 @@ mod tests {
         let keys: Vec<u64> = (0..200).map(|i| i * 10).collect();
         let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(41).build();
         let serial = DistributedSkipWeb::builder(web.inner())
-            .capacity(200 + 16)
+            .consolidated(200 + 16)
             .spawn();
         let batched = DistributedSkipWeb::builder(web.inner())
-            .capacity(200 + 16)
+            .consolidated(200 + 16)
             .spawn();
         let (cs, cb) = (serial.client(), batched.client());
         // Queries: byte-identical answers, strictly fewer crossings.
@@ -3812,7 +3661,7 @@ mod tests {
         let keys: Vec<u64> = (0..32).map(|i| i * 4).collect();
         let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(45).build();
         let dist = DistributedSkipWeb::builder(web.inner())
-            .capacity(40)
+            .consolidated(40)
             .spawn();
         let client = dist.client();
         // First attempt of the logical insert lands normally.
@@ -4117,20 +3966,44 @@ mod tests {
             .build();
         let dist = DistributedSkipWeb::builder(web.inner()).spawn();
         let client = dist.client();
-        assert_eq!(client.query_timeout(), DEFAULT_QUERY_TIMEOUT);
-        assert_eq!(client.update_timeout(), DEFAULT_UPDATE_TIMEOUT);
+        assert_eq!(client.timeouts().query, DEFAULT_QUERY_TIMEOUT);
+        assert_eq!(client.timeouts().update, DEFAULT_UPDATE_TIMEOUT);
         client.set_timeouts(Timeouts::uniform(Duration::from_millis(250)));
-        assert_eq!(client.query_timeout(), Duration::from_millis(250));
-        assert_eq!(client.update_timeout(), Duration::from_millis(250));
+        assert_eq!(client.timeouts().query, Duration::from_millis(250));
+        assert_eq!(client.timeouts().update, Duration::from_millis(250));
         client.set_timeouts(Timeouts::new(
             Duration::from_secs(1),
             Duration::from_secs(2),
         ));
-        assert_eq!(client.query_timeout(), Duration::from_secs(1));
-        assert_eq!(client.update_timeout(), Duration::from_secs(2));
+        assert_eq!(client.timeouts().query, Duration::from_secs(1));
+        assert_eq!(client.timeouts().update, Duration::from_secs(2));
         // A second client keeps the defaults: the setting is per client.
         let other = dist.client();
-        assert_eq!(other.query_timeout(), DEFAULT_QUERY_TIMEOUT);
+        assert_eq!(other.timeouts().query, DEFAULT_QUERY_TIMEOUT);
         dist.shutdown();
+    }
+
+    #[test]
+    fn consolidated_spawns_exactly_the_threads_asked_for() {
+        let web = crate::onedim::OneDimSkipWeb::builder((0..5).map(|i| i * 10).collect())
+            .seed(53)
+            .build();
+        assert_eq!(web.hosts(), 5);
+        let per_host = web.serve();
+        let eight = DistributedSkipWeb::builder(web.inner())
+            .consolidated(8)
+            .spawn();
+        // More threads than the web has hosts: the fold is the identity, so
+        // every answer and every hop count is the per-host fabric's.
+        assert_eq!(eight.hosts(), 8);
+        let (cp, c8) = (per_host.client(), eight.client());
+        for s in 0..20u64 {
+            let (origin, q) = (web.random_origin(s), (s * 7) % 50);
+            let want = per_host.query(&cp, origin, q).unwrap();
+            let got = eight.query(&c8, origin, q).unwrap();
+            assert_eq!((got.answer, got.hops), (want.answer, want.hops), "q = {q}");
+        }
+        per_host.shutdown();
+        eight.shutdown();
     }
 }

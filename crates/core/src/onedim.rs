@@ -198,34 +198,6 @@ impl OneDimSkipWeb {
 pub type DistributedOneDim = DistributedSkipWeb<SortedLinkedList>;
 
 impl DistributedOneDim {
-    /// Shards a built skip-web across actor threads and starts them
-    /// (routes through [`FabricBuilder`](crate::engine::FabricBuilder)).
-    pub fn spawn(web: &OneDimSkipWeb) -> Self {
-        web.serve()
-    }
-
-    /// Like [`spawn`](Self::spawn) but folding the web's logical hosts onto
-    /// at most `hosts` actor threads (see
-    /// [`FabricBuilder::consolidated`](crate::engine::FabricBuilder::consolidated)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hosts` is zero.
-    pub fn spawn_consolidated(web: &OneDimSkipWeb, hosts: usize) -> Self {
-        Self::builder(web.inner()).consolidated(hosts).spawn()
-    }
-
-    /// Like [`spawn`](Self::spawn) but with `capacity` actor threads, which
-    /// may exceed the web's host count to leave headroom for live inserts
-    /// (see [`FabricBuilder::capacity`](crate::engine::FabricBuilder::capacity)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn spawn_with_capacity(web: &OneDimSkipWeb, capacity: usize) -> Self {
-        Self::builder(web.inner()).capacity(capacity).spawn()
-    }
-
     /// [`query`](Self::query), returning just the answer.
     ///
     /// # Errors
@@ -476,10 +448,7 @@ mod tests {
     fn distributed_sugar_batches_and_applies_like_the_fabric() {
         let keys: Vec<u64> = (0..256).map(|i| i * 9 + 1).collect();
         let web = OneDimSkipWeb::builder(keys).seed(19).build();
-        let (serial, batched) = (
-            DistributedOneDim::spawn(&web),
-            DistributedOneDim::spawn(&web),
-        );
+        let (serial, batched) = (web.serve(), web.serve());
         let (cs, cb) = (serial.client(), batched.client());
         let qs: Vec<u64> = (0..48u64).map(|s| (s * 131) % 2400).collect();
         let origin = web.random_origin(7);

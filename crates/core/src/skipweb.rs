@@ -741,18 +741,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
     }
 
-    /// A copy of this web placed under replication policy `replication` —
-    /// same ground set, same slots and towers, different range-to-host
-    /// placement. This is how
-    /// [`FabricBuilder::replicate`](crate::engine::FabricBuilder::replicate)
-    /// overrides a build-time policy at deployment time.
-    pub fn with_replication(&self, replication: Replication) -> SkipWeb<D> {
-        let mut web = self.clone();
-        web.replication = replication;
-        web.assign_hosts();
-        web
-    }
-
     /// The canonical ground set: level 0's items.
     pub fn ground(&self) -> &[D::Item] {
         self.base().items()
@@ -2000,7 +1988,10 @@ mod tests {
         let mut range_host = match web.blocking {
             Blocking::OwnerHosted => owner_host_sweep(web),
             Blocking::Bucketed { .. } => {
-                listed_range_host(&web.with_replication(Replication::NONE))
+                let mut plain = web.clone();
+                plain.replication = Replication::NONE;
+                plain.assign_hosts();
+                listed_range_host(&plain)
             }
         };
         extend_replicas(&mut range_host, web.replication, web.hosts);

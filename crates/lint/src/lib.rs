@@ -13,7 +13,8 @@
 //! workspace root, one per line: `rule<TAB>path<TAB>needle` (the needle must
 //! be a substring of the flagged line; `#` starts a comment). A violation
 //! not covered by the allowlist makes `skipweb-lint` exit nonzero, so CI
-//! blocks new ones while the committed debt stays visible and diffable.
+//! blocks new ones while the committed debt stays visible and diffable; so
+//! does an entry that covers nothing any more, so the list only shrinks.
 //!
 //! Lexical linting has known blind spots (macro-generated code, braces in
 //! string literals confusing the `#[cfg(test)]` tracker) — rules here are
@@ -50,8 +51,15 @@ pub struct Outcome {
     pub allowlisted: usize,
     /// Violations NOT covered by the allowlist — these fail the run.
     pub new_violations: Vec<Violation>,
-    /// Allowlist entries that matched nothing (candidates for deletion).
+    /// Allowlist entries that matched nothing — these fail the run too.
     pub stale_allow: Vec<String>,
+}
+
+impl Outcome {
+    /// Whether the run passes: no new violation and no stale entry.
+    pub fn passed(&self) -> bool {
+        self.new_violations.is_empty() && self.stale_allow.is_empty()
+    }
 }
 
 /// Crates whose non-test sources must be panic-free and ordering-disciplined.

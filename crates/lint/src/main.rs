@@ -3,7 +3,7 @@
 //! Run from anywhere inside the workspace:
 //!
 //! ```text
-//! cargo run -p skipweb-lint            # lint the workspace, exit 1 on new violations
+//! cargo run -p skipweb-lint            # exit 1 on new violations or stale allowlist entries
 //! cargo run -p skipweb-lint -- --list  # print every violation incl. allowlisted
 //! ```
 
@@ -34,7 +34,7 @@ fn main() -> ExitCode {
             format!(", {} stale allowlist entr(ies)", outcome.stale_allow.len())
         },
     );
-    if outcome.new_violations.is_empty() {
+    if outcome.passed() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

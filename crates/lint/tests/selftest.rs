@@ -3,7 +3,8 @@
 //! The fixtures are fed through [`skipweb_lint::lint_sources`] under
 //! synthetic workspace-relative paths, so these tests exercise exactly the
 //! code path the `skipweb-lint` binary runs — only the filesystem walk is
-//! bypassed.
+//! bypassed. The exit-status test runs the binary itself over a scratch
+//! workspace.
 
 use skipweb_lint::{apply_allowlist, lint_sources, parse_allowlist, Violation};
 
@@ -153,6 +154,44 @@ fn allowlist_splits_matched_fresh_and_stale() {
     assert_eq!(fresh[0].line_no, 9);
     assert_eq!(stale.len(), 1, "the gone.rs entry matched nothing");
     assert_eq!(stale[0].path, "crates/net/src/gone.rs");
+}
+
+/// Runs the `skipweb-lint` binary over a one-file workspace whose
+/// allowlist is `allow`, returning (exit success, stdout).
+fn run_binary_with_allowlist(tag: &str, allow: &str) -> (bool, String) {
+    let root = std::env::temp_dir().join(format!("skipweb-lint-{}-{tag}", std::process::id()));
+    let src = root.join("crates/core/src");
+    std::fs::create_dir_all(&src).expect("create scratch workspace");
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    std::fs::write(src.join("lib.rs"), "pub fn id(x: u32) -> u32 {\n    x\n}\n")
+        .expect("write source");
+    std::fs::write(root.join("lint.allow"), allow).expect("write allowlist");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_skipweb-lint"))
+        .current_dir(&root)
+        .output()
+        .expect("run skipweb-lint");
+    std::fs::remove_dir_all(&root).ok();
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn a_stale_allowlist_entry_fails_the_binary_and_is_named() {
+    let (ok, stdout) = run_binary_with_allowlist(
+        "stale",
+        "relaxed-ordering\tcrates/core/src/lib.rs\tcounter.fetch_add\n",
+    );
+    assert!(!ok, "a stale entry must fail the run:\n{stdout}");
+    assert!(
+        stdout
+            .contains("[stale allow] relaxed-ordering\tcrates/core/src/lib.rs\tcounter.fetch_add"),
+        "the stale entry is named:\n{stdout}"
+    );
+    // The same clean workspace with nothing stale passes.
+    let (ok, stdout) = run_binary_with_allowlist("clean", "# nothing allowed\n");
+    assert!(ok, "a clean workspace passes:\n{stdout}");
 }
 
 #[test]

@@ -81,23 +81,22 @@ impl fmt::Display for SeriesStats {
 ///
 /// `sent[h]` / `received[h]` count host-to-host messages only (self-sends
 /// and client injections/replies are free in the paper's cost model, so the
-/// runtime does not count them either). `total_sent()` therefore equals the
-/// runtime's global message count. `update_sent[h]` / `update_received[h]`
-/// break out the share tagged as update traffic (routing an insert/remove
-/// and its bottom-up repair) — the live counterpart of keeping the paper's
-/// `Q(n)` and `U(n)` columns apart. `dropped[h]` counts messages addressed
-/// to host `h` *after it crashed* — lost on the wire, never delivered or
-/// counted as sent.
+/// runtime does not count them either). `total_sent()` *is* the runtime's
+/// global message count. `update_sent[h]` breaks out the share tagged as
+/// update traffic (routing an insert/remove and its bottom-up repair) — the
+/// live counterpart of keeping the paper's `Q(n)` and `U(n)` columns apart.
+/// `dropped[h]` counts messages addressed to host `h` *after it crashed* —
+/// lost on the wire, never delivered or counted as sent.
 ///
 /// A coalesced multi-op envelope (batched operations sharing one host
 /// crossing) counts once in `sent`/`received` — that is the point of
 /// batching — and additionally in `batch_sent[h]` (envelopes) and
 /// `batch_ops[h]` (the operations that rode inside them), with the
-/// update-class share broken out in `update_batch_sent` /
-/// `update_batch_ops`. `stale_replies` counts late replies that clients
-/// discarded on arrival because their correlation id had been abandoned by
-/// a timeout-resubmit (a fabric-wide scalar: the runtime cannot attribute a
-/// client-side drop to one host).
+/// update-class share of the operations broken out in `update_batch_ops`.
+/// `stale_replies` counts late replies that clients discarded on arrival
+/// because their correlation id had been abandoned by a timeout-resubmit (a
+/// fabric-wide scalar: the runtime cannot attribute a client-side drop to
+/// one host).
 ///
 /// # Example
 ///
@@ -107,11 +106,9 @@ impl fmt::Display for SeriesStats {
 ///     sent: vec![3, 1],
 ///     received: vec![0, 4],
 ///     update_sent: vec![1, 0],
-///     update_received: vec![0, 1],
 ///     dropped: vec![0, 2],
 ///     batch_sent: vec![1, 0],
 ///     batch_ops: vec![4, 0],
-///     update_batch_sent: vec![0, 0],
 ///     update_batch_ops: vec![0, 0],
 ///     stale_replies: 1,
 /// };
@@ -133,8 +130,6 @@ pub struct HostTraffic {
     pub received: Vec<u64>,
     /// The update-tagged share of `sent`, indexed by host id.
     pub update_sent: Vec<u64>,
-    /// The update-tagged share of `received`, indexed by host id.
-    pub update_received: Vec<u64>,
     /// Messages lost at each host because it had crashed, indexed by host
     /// id.
     pub dropped: Vec<u64>,
@@ -143,8 +138,6 @@ pub struct HostTraffic {
     pub batch_sent: Vec<u64>,
     /// Operations that rode inside `batch_sent` envelopes, per host.
     pub batch_ops: Vec<u64>,
-    /// The update-tagged share of `batch_sent`, indexed by host id.
-    pub update_batch_sent: Vec<u64>,
     /// The update-tagged share of `batch_ops`, indexed by host id.
     pub update_batch_ops: Vec<u64>,
     /// Late replies clients dropped on arrival because their correlation id
@@ -354,11 +347,9 @@ mod tests {
             sent: vec![2, 5, 0],
             received: vec![3, 0, 4],
             update_sent: vec![0, 2, 0],
-            update_received: vec![1, 0, 1],
             dropped: vec![0, 0, 3],
             batch_sent: vec![1, 1, 0],
             batch_ops: vec![3, 2, 0],
-            update_batch_sent: vec![0, 1, 0],
             update_batch_ops: vec![0, 2, 0],
             stale_replies: 2,
         };

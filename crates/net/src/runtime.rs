@@ -283,7 +283,6 @@ struct HostSlot<M> {
     sent: AtomicU64,
     received: AtomicU64,
     update_sent: AtomicU64,
-    update_received: AtomicU64,
     /// Messages addressed to this host after it died — lost, like packets
     /// to a crashed machine.
     dropped: AtomicU64,
@@ -292,8 +291,6 @@ struct HostSlot<M> {
     batch_sent: AtomicU64,
     /// Operations that rode inside this host's multi-op envelopes.
     batch_ops: AtomicU64,
-    /// The update-class share of `batch_sent`.
-    update_batch_sent: AtomicU64,
     /// The update-class share of `batch_ops`.
     update_batch_ops: AtomicU64,
 }
@@ -306,11 +303,9 @@ impl<M> HostSlot<M> {
             sent: AtomicU64::new(0),
             received: AtomicU64::new(0),
             update_sent: AtomicU64::new(0),
-            update_received: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             batch_sent: AtomicU64::new(0),
             batch_ops: AtomicU64::new(0),
-            update_batch_sent: AtomicU64::new(0),
             update_batch_ops: AtomicU64::new(0),
         }
     }
@@ -319,7 +314,6 @@ impl<M> HostSlot<M> {
 struct Fabric<M, R> {
     slots: RwLock<Vec<HostSlot<M>>>,
     clients: RwLock<HashMap<ClientId, channel::Sender<R>>>,
-    message_count: AtomicU64,
     /// Late replies clients discarded on arrival because the correlation id
     /// they answered was abandoned by a timeout-resubmit.
     stale_replies: AtomicU64,
@@ -420,9 +414,6 @@ impl<M, R> Delivery<M, R> {
             }
             if matches!(self.from, Sender::Host(_)) {
                 dest.received.fetch_add(1, Ordering::Relaxed);
-                if self.class == TrafficClass::Update {
-                    dest.update_received.fetch_add(1, Ordering::Relaxed);
-                }
             }
             dest.tx.clone()
         };
@@ -629,7 +620,6 @@ impl<M: Send + 'static, R: Send + 'static> Context<'_, M, R> {
             // Sends are charged here; the receive side is charged by
             // `Delivery::deliver` when the message actually arrives, so a
             // message the transport loses is never counted as received.
-            self.net.message_count.fetch_add(1, Ordering::Relaxed);
             let me = &slots[self.host.index()];
             me.sent.fetch_add(1, Ordering::Relaxed);
             if class == TrafficClass::Update {
@@ -639,7 +629,6 @@ impl<M: Send + 'static, R: Send + 'static> Context<'_, M, R> {
                 me.batch_sent.fetch_add(1, Ordering::Relaxed);
                 me.batch_ops.fetch_add(u64::from(ops), Ordering::Relaxed);
                 if class == TrafficClass::Update {
-                    me.update_batch_sent.fetch_add(1, Ordering::Relaxed);
                     me.update_batch_ops
                         .fetch_add(u64::from(ops), Ordering::Relaxed);
                 }
@@ -881,7 +870,6 @@ impl<A: Actor> Runtime<A> {
         let net = Arc::new(Fabric {
             slots: RwLock::new(Vec::with_capacity(hosts)),
             clients: RwLock::new(HashMap::new()),
-            message_count: AtomicU64::new(0),
             stale_replies: AtomicU64::new(0),
             membership_cache: RwLock::new(Arc::new(Membership { states: Vec::new() })),
             transport,
@@ -1027,9 +1015,10 @@ impl<A: Actor> Runtime<A> {
 
     /// Total host-to-host messages sent so far (self-sends and messages
     /// dropped at dead hosts excluded), comparable to the simulated meter
-    /// counts.
+    /// counts: the sum of [`host_traffic`](Self::host_traffic)'s per-host
+    /// `sent`, the one place a message is counted.
     pub fn message_count(&self) -> u64 {
-        self.net.message_count.load(Ordering::Relaxed)
+        self.host_traffic().total_sent()
     }
 
     /// Per-host message counters accumulated since spawn: how many network
@@ -1046,18 +1035,14 @@ impl<A: Actor> Runtime<A> {
         // the total first, so this order keeps a concurrent snapshot from
         // ever observing more update-tagged sends than sends.
         let update_sent = load(|s| &s.update_sent);
-        let update_received = load(|s| &s.update_received);
-        let update_batch_sent = load(|s| &s.update_batch_sent);
         let update_batch_ops = load(|s| &s.update_batch_ops);
         HostTraffic {
             sent: load(|s| &s.sent),
             received: load(|s| &s.received),
             update_sent,
-            update_received,
             dropped: load(|s| &s.dropped),
             batch_sent: load(|s| &s.batch_sent),
             batch_ops: load(|s| &s.batch_ops),
-            update_batch_sent,
             update_batch_ops,
             stale_replies: self.net.stale_replies.load(Ordering::Relaxed),
         }
@@ -1323,7 +1308,7 @@ mod tests {
         assert_eq!(traffic.sent, vec![1, 0]);
         assert_eq!(traffic.batch_sent, vec![1, 0]);
         assert_eq!(traffic.batch_ops, vec![3, 0]);
-        assert_eq!(traffic.update_batch_sent, vec![1, 0]);
+        assert_eq!(traffic.update_sent, vec![1, 0]);
         assert_eq!(traffic.update_batch_ops, vec![3, 0]);
         assert!((traffic.mean_batch_size() - 3.0).abs() < 1e-12);
         rt.shutdown();

@@ -16,7 +16,10 @@
 //! range survives, the fabric keeps answering. The WAL masks *loss of the
 //! whole fabric*: after every host dies — or the process cold-starts —
 //! [`Store::recover`] (in place) or [`StoreBuilder::open`] (from scratch)
-//! rebuilds the exact store from disk:
+//! rebuilds the exact store from disk. Both are one path: `open` spawns
+//! the fabric over an empty web and then runs `recover` on it, which
+//! installs the directory's web and ledger with
+//! [`DistributedSkipWeb::restore`], so the two cannot disagree:
 //!
 //! * the key set **and each key's tower bits** come from the latest
 //!   [`wal::Checkpoint`] plus replayed [`wal::WalRecord`]s, so
@@ -344,8 +347,8 @@ fn rebuild_web(
 const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
 /// Configures and opens a [`Store`]. `open` on a directory with existing
-/// WAL/checkpoint files is a cold-start recovery; on an empty directory
-/// it creates a fresh store.
+/// WAL/checkpoint files is a cold-start recovery — [`Store::recover`] on a
+/// freshly spawned fabric; on an empty directory it creates a fresh store.
 #[derive(Debug, Clone)]
 pub struct StoreBuilder {
     dir: PathBuf,
@@ -402,49 +405,35 @@ impl StoreBuilder {
         self
     }
 
-    /// Opens the store: recovers whatever state the directory holds (an
-    /// empty directory recovers to an empty store), spawns the fabric
-    /// with the recovered web and idempotence ledger, and installs the
-    /// WAL hook.
+    /// Opens the store: spawns the fabric over an empty web with the WAL
+    /// hook installed, then runs [`Store::recover`] on it, so whatever the
+    /// directory holds is loaded by the same code as an in-place recovery.
+    /// An empty directory recovers to an empty store.
     ///
     /// # Errors
     ///
     /// I/O errors reading or creating the directory, checkpoint, or logs.
     pub fn open(self) -> Result<Store, StoreError> {
         fs::create_dir_all(&self.dir)?;
-        let disk = load_disk_state(&self.dir)?;
-        let web = rebuild_web(&disk.entries, self.seed, self.replication);
         let backing = Arc::new(Mutex::new(Backing {
             dir: self.dir.clone(),
-            values: disk.entries,
+            values: BTreeMap::new(),
             pending: HashMap::new(),
-            seq: disk.seq,
+            seq: 0,
             since_checkpoint: 0,
             writers: HashMap::new(),
             wal_error: None,
         }));
-        // The previous incarnation's op ids live on in the ledger; keep
-        // the new client's ids past all of them so a fresh put can never
-        // echo a recovered outcome.
-        let corr_floor = disk
-            .ledger
-            .iter()
-            .map(|((_, op_id), _)| op_id + 1)
-            .max()
-            .unwrap_or(0);
-        // `capacity`, not `consolidated`: the host count must hold even
-        // while the web is still empty (a fresh store grows into it).
-        let fabric = DistributedSkipWeb::builder(&web)
-            .capacity(self.hosts)
+        let empty = rebuild_web(&BTreeMap::new(), self.seed, self.replication);
+        let fabric = DistributedSkipWeb::builder(&empty)
+            .consolidated(self.hosts)
             .timeouts(self.timeouts)
             .durability(Arc::new(StoreDurability {
                 backing: Arc::clone(&backing),
             }))
-            .restore_ledger(disk.ledger)
             .spawn();
         let client = fabric.client();
-        client.advance_corr(corr_floor);
-        Ok(Store {
+        let store = Store {
             fabric,
             client,
             backing,
@@ -452,7 +441,12 @@ impl StoreBuilder {
             seed: self.seed,
             replication: self.replication,
             checkpoint_every: self.checkpoint_every,
-        })
+        };
+        if let Err(e) = store.recover() {
+            store.shutdown();
+            return Err(e);
+        }
+        Ok(store)
     }
 }
 
@@ -656,7 +650,8 @@ impl Store {
     /// ledger, revives every dead host under its original id, and heals
     /// the topology. After it returns the fabric answers again — even
     /// when **every** host had been killed — with a scan byte-identical
-    /// to the pre-crash store.
+    /// to the pre-crash store. [`StoreBuilder::open`] is this call on a
+    /// freshly spawned, empty fabric.
     ///
     /// # Errors
     ///
@@ -666,6 +661,16 @@ impl Store {
         self.flush()?;
         let disk = load_disk_state(&self.dir)?;
         let web = rebuild_web(&disk.entries, self.seed, self.replication);
+        // After a cold open the runtime hands out the previous incarnation's
+        // client ids again, and their op ids live on in the ledger: keep
+        // this client's ids past all of them so a fresh put never echoes a
+        // logged outcome.
+        let corr_floor = disk
+            .ledger
+            .iter()
+            .map(|((_, op_id), _)| op_id + 1)
+            .max()
+            .unwrap_or(0);
         // Revive the dead hosts before publishing the restored topology:
         // after a total crash the placement needs at least one live host
         // to route to.
@@ -676,6 +681,7 @@ impl Store {
             }
         }
         self.fabric.restore(web, disk.ledger);
+        self.client.advance_corr(corr_floor);
         {
             let mut b = self.backing.lock();
             b.values = disk.entries;

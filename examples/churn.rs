@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --example churn`
 
-use skipwebs::core::onedim::{DistributedOneDim, OneDimSkipWeb};
+use skipwebs::core::engine::DistributedSkipWeb;
+use skipwebs::core::onedim::OneDimSkipWeb;
 
 fn main() {
     let mut web = OneDimSkipWeb::builder((0..300u64).map(|i| i * 20).collect())
@@ -16,7 +17,9 @@ fn main() {
 
     // Serve the structure BEFORE the churn: the joins and departures below
     // are routed through the live network while it keeps answering queries.
-    let dist = DistributedOneDim::spawn_with_capacity(&web, web.hosts() + 60);
+    let dist = DistributedSkipWeb::builder(web.inner())
+        .consolidated(web.hosts() + 60)
+        .spawn();
     println!("spawned {} host threads", dist.hosts());
     let writer = dist.client();
 

@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use skipwebs::core::onedim::{DistributedOneDim, OneDimSkipWeb};
+use skipwebs::core::engine::DistributedSkipWeb;
+use skipwebs::core::onedim::OneDimSkipWeb;
 
 fn main() {
     // 1 000 keys, one host per key (the paper's H = n regime).
@@ -38,7 +39,9 @@ fn main() {
     // descends to its key's locus like a query, then repairs the conflict
     // neighbourhoods bottom-up; concurrent queries never observe it
     // half-applied.
-    let dist = DistributedOneDim::spawn_with_capacity(&web, web.hosts() + 8);
+    let dist = DistributedSkipWeb::builder(web.inner())
+        .consolidated(web.hosts() + 8)
+        .spawn();
     let client = dist.client();
     let live = dist.insert(&client, 50_001).expect("runtime alive");
     println!(

@@ -26,7 +26,7 @@ fn mixed_onedim_churn_under_concurrent_clients_stays_consistent() {
         .build();
     let capacity = web.len() + WRITERS * WRITER_OPS as usize;
     let dist = DistributedSkipWeb::builder(web.inner())
-        .capacity(capacity)
+        .consolidated(capacity)
         .spawn();
     std::thread::scope(|scope| {
         for w in 0..WRITERS as u64 {
@@ -115,7 +115,7 @@ fn mixed_trie_churn_under_concurrent_clients_stays_consistent() {
     let strings: Vec<String> = (0..96).map(|i| format!("base-{i:04}")).collect();
     let web = TrieSkipWeb::builder(strings).seed(42).build();
     let dist = DistributedSkipWeb::builder(web.inner())
-        .capacity(web.len() + 64)
+        .consolidated(web.len() + 64)
         .spawn();
     std::thread::scope(|scope| {
         for w in 0..2u64 {

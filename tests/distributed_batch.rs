@@ -255,7 +255,7 @@ fn mixed_update_batch_matches_serial_calls_and_recovers_the_same_web() {
             .expect("open store");
         let empty = OneDimSkipWeb::builder(Vec::new()).build();
         let serial = DistributedSkipWeb::builder(empty.inner())
-            .capacity(hosts)
+            .consolidated(hosts)
             .spawn();
         let batched = store.fabric();
 

@@ -131,7 +131,7 @@ proptest! {
     ) {
         let mut web = OneDimSkipWeb::builder(keys).seed(seed).build();
         let capacity = web.len() + ops.len();
-        let dist = DistributedSkipWeb::builder(web.inner()).capacity(capacity).spawn();
+        let dist = DistributedSkipWeb::builder(web.inner()).consolidated(capacity).spawn();
         let client = dist.client();
         for (i, &(value, bits, action)) in ops.iter().enumerate() {
             let origin = (i * 13 + 7) % web.len();
@@ -184,7 +184,7 @@ proptest! {
             coords.iter().map(|&(x, y)| PointKey::new([x, y])).collect();
         let mut web = QuadtreeSkipWeb::builder(points).seed(seed).build();
         let capacity = web.len() + ops.len();
-        let dist = DistributedSkipWeb::builder(web.inner()).capacity(capacity).spawn();
+        let dist = DistributedSkipWeb::builder(web.inner()).consolidated(capacity).spawn();
         let client = dist.client();
         for (i, &(value, bits, action)) in ops.iter().enumerate() {
             let origin = (i * 11 + 3) % web.len();
@@ -229,7 +229,7 @@ proptest! {
             .collect();
         let mut web = TrieSkipWeb::builder(strings).seed(seed).build();
         let capacity = web.len() + ops.len();
-        let dist = DistributedSkipWeb::builder(web.inner()).capacity(capacity).spawn();
+        let dist = DistributedSkipWeb::builder(web.inner()).consolidated(capacity).spawn();
         let client = dist.client();
         for (i, &(value, bits, action)) in ops.iter().enumerate() {
             let origin = (i * 17 + 5) % web.len();
@@ -273,7 +273,7 @@ proptest! {
         let segments: Vec<Segment> = slots.iter().map(|&s| slot_segment(s)).collect();
         let mut web = TrapezoidSkipWeb::builder(segments).seed(seed).build();
         let capacity = web.len() + ops.len();
-        let dist = DistributedSkipWeb::builder(web.inner()).capacity(capacity).spawn();
+        let dist = DistributedSkipWeb::builder(web.inner()).consolidated(capacity).spawn();
         let client = dist.client();
         for (i, &(slot, bits, action)) in ops.iter().enumerate() {
             let origin = (i * 7 + 3) % web.len();

@@ -4,14 +4,14 @@
 
 use std::time::Duration;
 
-use skipwebs::core::onedim::{DistributedOneDim, OneDimSkipWeb};
+use skipwebs::core::onedim::OneDimSkipWeb;
 
 #[test]
 fn runtime_agrees_with_simulator_owner_hosted() {
     let web = OneDimSkipWeb::builder((0..400u64).map(|i| i * 13 + 5).collect())
         .seed(31)
         .build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist = web.serve();
     let client = dist.client();
     for s in 0..80u64 {
         let q = (s * 211) % 6000;
@@ -29,7 +29,7 @@ fn runtime_agrees_with_simulator_bucketed() {
         .seed(32)
         .bucketed(40)
         .build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist = web.serve();
     let client = dist.client();
     for s in 0..60u64 {
         let q = (s * 389) % 5000;
@@ -52,7 +52,7 @@ fn runtime_serves_post_churn_structures() {
     for i in 0..20u64 {
         web.remove(&(i * 10));
     }
-    let dist = DistributedOneDim::spawn(&web);
+    let dist = web.serve();
     let client = dist.client();
     for s in 0..50u64 {
         let q = (s * 167) % 3000;
@@ -69,7 +69,7 @@ fn many_concurrent_clients_fan_out() {
     let web = OneDimSkipWeb::builder((0..300u64).map(|i| i * 8 + 1).collect())
         .seed(34)
         .build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist = web.serve();
     let clients: Vec<_> = (0..8).map(|_| dist.client()).collect();
     // All clients query concurrently from scoped threads.
     std::thread::scope(|scope| {
@@ -100,7 +100,7 @@ fn runtime_message_counts_stay_logarithmic() {
     let web = OneDimSkipWeb::builder((0..n).map(|i| i * 3).collect())
         .seed(35)
         .build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist = web.serve();
     let client = dist.client();
     let trials = 50u64;
     for s in 0..trials {
@@ -115,10 +115,10 @@ fn runtime_message_counts_stay_logarithmic() {
 #[test]
 fn client_timeout_surfaces_cleanly() {
     let web = OneDimSkipWeb::builder(vec![1, 2, 3]).seed(36).build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist = web.serve();
     let client = dist.client();
     // No query sent: the receive must time out, not hang.
-    let err = client.recv_timeout(Duration::from_millis(20)).unwrap_err();
+    let err = client.recv_any(Duration::from_millis(20)).unwrap_err();
     assert_eq!(err, skipwebs::net::runtime::RuntimeError::Timeout);
     dist.shutdown();
 }

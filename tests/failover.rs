@@ -29,7 +29,7 @@ fn killing_one_host_mid_churn_keeps_queries_and_updates_answering() {
         .replicate(2)
         .build();
     let dist = DistributedSkipWeb::builder(web.inner())
-        .capacity(web.hosts() + 32)
+        .consolidated(web.hosts() + 32)
         .spawn();
     let client = dist.client();
     client.set_timeouts(Timeouts::new(

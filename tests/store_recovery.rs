@@ -144,6 +144,62 @@ fn cold_open_recovers_from_disk_alone() {
 }
 
 #[test]
+fn cold_open_and_in_place_recovery_restore_the_same_state() {
+    const RESUBMITTED: u64 = 5_555;
+    let dir = scratch("same");
+    let open = || {
+        StoreBuilder::new(&dir)
+            .hosts(4)
+            .checkpoint_every(0)
+            .open()
+            .unwrap()
+    };
+    // A previous incarnation: a second fabric client's first update (op
+    // id 0) inserts a key the store then deletes.
+    {
+        let store = open();
+        let other = store.fabric().client();
+        assert!(store.fabric().insert(&other, RESUBMITTED).unwrap().applied);
+        assert!(store.delete(RESUBMITTED).unwrap());
+        store.flush().unwrap();
+        store.shutdown();
+    }
+    // A fabric spawned afresh registers that client id again, and the
+    // client's first update reuses op id 0: a resubmit of the logged
+    // insert, which must be echoed as applied without resurrecting the key.
+    let resubmit_is_echoed = |store: &Store| {
+        let again = store.fabric().client();
+        assert!(store.fabric().insert(&again, RESUBMITTED).unwrap().applied);
+        assert!(!store.fabric().ground().contains(&RESUBMITTED));
+        assert_eq!(store.get(RESUBMITTED).unwrap(), None);
+    };
+
+    let store = open();
+    churn(&store, 30);
+    store.flush().unwrap();
+    for host in store.fabric().health().alive {
+        store.fabric().kill_host(host);
+    }
+    store.recover().unwrap();
+    let state = |store: &Store| {
+        (
+            store.scan(..),
+            store.fabric().applied_ledger(),
+            store.fabric().ground_with_bits(),
+        )
+    };
+    let recovered = state(&store);
+    resubmit_is_echoed(&store);
+    store.shutdown();
+
+    let store = open();
+    assert_eq!(state(&store), recovered, "cold open ≡ in-place recovery");
+    resubmit_is_echoed(&store);
+    store.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn recovery_replays_past_the_checkpoint_and_skips_before_it() {
     let dir = scratch("ckpt");
     let store = StoreBuilder::new(&dir)
