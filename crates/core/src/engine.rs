@@ -45,8 +45,29 @@
 //!   neighbourhoods the structural change rewires, bottom-up, level by
 //!   level — paying one message per host crossing, exactly what the
 //!   cost-model simulator meters in [`SkipWeb::update_with`]. The host that
-//!   completes the repair applies the structural change
-//!   ([`SkipWeb::apply`]) and publishes a new topology snapshot.
+//!   completes the repair hands the structural change to the fabric's
+//!   *apply stage*, which applies it ([`SkipWeb::apply`]) and publishes a
+//!   new topology snapshot (below).
+//!
+//! # The apply stage
+//!
+//! Each fabric runs one apply stage: a dedicated thread that is not a host
+//! (it has no mailbox in the runtime, routes nothing and pays no messages),
+//! fed over a channel by the actors. An actor whose turn completes repair
+//! walks hands those updates off and goes straight back to its mailbox, so
+//! a read that hops through it never waits out someone else's apply — §4
+//! charges an update its `O(log n)` messages and a query its own route,
+//! nothing more. The stage blocks for the first hand-off, takes the state
+//! lock, and drains every hand-off queued meanwhile into **one** turn: the
+//! idempotence ledger claims in arrival order, one [`SkipWeb::apply`], one
+//! [`Durability`] append, one publish, then one reply per op — outside the
+//! lock, through the runtime's [`Replier`] for the host that handed the op
+//! off. Under load, updates queue while a turn runs, so turns grow and each
+//! op's share of the copy and the publish shrinks (the batch-dynamic
+//! amortisation). The copy-on-write target is recycled: the stage keeps up
+//! to two retired webs and refills one ([`Clone::clone_from`]) once its last
+//! snapshot has drained, so retired webs are freed and refilled by the
+//! stage, never on whichever actor dropped the last snapshot.
 //!
 //! # Consistency under concurrent churn
 //!
@@ -119,9 +140,10 @@
 //!   under one snapshot. Ops that share an entry host enter in one
 //!   message, and at every hop the ops that agree on their next host are
 //!   coalesced into a single [`FabricMsg::Batch`] envelope — metered as
-//!   **one** host crossing. Updates whose repair trails end on one host in
-//!   the same handler turn — inserts and removes in any mix — apply under
-//!   one state lock, one [`SkipWeb::apply`] and one snapshot publish.
+//!   **one** host crossing. Updates that reach the apply stage together —
+//!   whose repair trails end in one handler turn, or on any hosts while a
+//!   turn runs; inserts and removes in any mix — apply under one state
+//!   lock, one [`SkipWeb::apply`] and one snapshot publish.
 //!   Answers, applied flags, and final structures are byte-identical to
 //!   the serial paths; a batch of N ops crosses strictly fewer host
 //!   boundaries.
@@ -159,18 +181,21 @@
 //! dist.shutdown();
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crossbeam_channel as channel;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use skipweb_net::runtime::{
-    Actor, Client, ClientId, Context, Membership, Runtime, RuntimeError, Sender, TrafficClass,
+    Actor, Client, ClientId, Context, Membership, Replier, Runtime, RuntimeError, Sender,
+    TrafficClass,
 };
 use skipweb_net::tcp::{TcpCodec, TcpConfig, TcpTransport};
 use skipweb_net::transport::Transport;
@@ -781,15 +806,20 @@ fn repair_trail<D: Routable + Send + Sync + 'static>(
 /// entries are evicted FIFO once the ledger exceeds this.
 const APPLIED_OPS_CAP: usize = 1 << 16;
 
-/// The authoritative evolving web every host shares. Held only while an
-/// update applies (which includes the structural rebuild), so its lock is
-/// off the read path.
+/// The authoritative evolving web every host shares, with the idempotence
+/// ledger and the apply stage's spare webs. Taken by the apply stage for a
+/// turn (which includes the structural rebuild) and by the client-side
+/// membership calls — never by an actor — so its lock is off the read path.
 struct EngineState<D: Routable + Send + Sync + 'static> {
     /// The same `Arc` the current snapshot holds. An apply mutates it
-    /// clone-on-write (`Arc::make_mut`) under the state lock: in-flight
-    /// operations keep the previous web, and the copy shares every level
-    /// set's structure the repair does not replace.
+    /// copy-on-write under the state lock ([`recycle`](Self::recycle)):
+    /// in-flight operations keep the previous web, and the copy shares
+    /// every level set's structure the repair does not replace.
     web: Arc<SkipWeb<D>>,
+    /// Webs that earlier applies replaced, oldest first, at most
+    /// [`SPARE_WEBS`]: the copy-on-write targets the apply stage refills
+    /// once no snapshot holds them any more.
+    spares: VecDeque<Arc<SkipWeb<D>>>,
     /// Draws origins and level bits for the convenience
     /// [`DistributedSkipWeb::insert`] / [`DistributedSkipWeb::remove`]
     /// entry points (explicit-bits APIs bypass it).
@@ -803,8 +833,13 @@ struct EngineState<D: Routable + Send + Sync + 'static> {
     /// instead of applied again — the exactly-once guarantee.
     applied_ops: HashMap<(ClientId, u64), bool>,
     /// FIFO eviction order for `applied_ops` (bounded memory).
-    applied_order: std::collections::VecDeque<(ClientId, u64)>,
+    applied_order: VecDeque<(ClientId, u64)>,
 }
+
+/// Retired webs the apply stage keeps to refill. One is usually still held
+/// by in-flight operations admitted under the previous snapshot; the other
+/// has drained.
+const SPARE_WEBS: usize = 2;
 
 impl<D: Routable + Send + Sync + 'static> EngineState<D> {
     /// Claims the ledger slot of a logical update the first time it reaches
@@ -832,6 +867,37 @@ impl<D: Routable + Send + Sync + 'static> EngineState<D> {
             }
         }
     }
+
+    /// Makes `web` the only reference to its web, so the apply that follows
+    /// mutates it in place. The published snapshot holds the current web,
+    /// so this swaps in a copy: a spare no snapshot holds any more, refilled
+    /// in its own buffers (`clone_from`), else a fresh clone. The replaced
+    /// web joins the spares; a spare that falls off the end is returned,
+    /// for the caller to drop after releasing the state lock.
+    fn recycle(&mut self) -> Option<Arc<SkipWeb<D>>> {
+        if Arc::get_mut(&mut self.web).is_some() {
+            return None;
+        }
+        let drained = self
+            .spares
+            .iter_mut()
+            .position(|spare| Arc::get_mut(spare).is_some());
+        let copy = match drained.and_then(|i| self.spares.remove(i)) {
+            Some(mut spare) => {
+                // The only reference, so `make_mut` copies nothing.
+                Arc::make_mut(&mut spare).clone_from(&self.web);
+                spare
+            }
+            None => Arc::new(SkipWeb::clone(&self.web)),
+        };
+        let replaced = std::mem::replace(&mut self.web, copy);
+        self.spares.push_back(replaced);
+        if self.spares.len() > SPARE_WEBS {
+            self.spares.pop_front()
+        } else {
+            None
+        }
+    }
 }
 
 /// One update that reached the apply step, as handed to a [`Durability`]
@@ -856,28 +922,56 @@ pub struct DurableOp<'a, D: Routable> {
 
 /// A write-ahead sink for the engine's apply path. [`FabricBuilder::
 /// durability`](FabricBuilder::durability) installs one per deployment;
-/// the applying host then calls [`append`](Self::append) **under the same
-/// state lock as the structural change** ([`SkipWeb::apply`]), before the
-/// new topology snapshot publishes. Log order therefore equals apply order,
-/// and no operation can be observed by queries before it is logged.
+/// the fabric's apply stage then calls [`append`](Self::append) once per
+/// turn **under the same state lock as the structural change**
+/// ([`SkipWeb::apply`]), before the new topology snapshot publishes. Log
+/// order therefore equals apply order, and no operation can be observed by
+/// queries before it is logged. There is one stage per fabric and it is
+/// not a host, so the log has one writer and no per-host lanes.
 ///
 /// Only operations that reach the apply step arrive here: idempotence-
 /// ledger echoes (timeout-resubmits of already-landed ops) and locus-side
 /// no-op short-circuits are not re-logged. Implementations must not call
 /// back into the fabric (the state lock is held).
 pub trait Durability<D: Routable + Send + Sync + 'static>: Send + Sync {
-    /// Appends one apply turn's operations to the log, in apply order, on
-    /// behalf of `host` (the host whose repair walk completed them).
-    fn append(&self, host: HostId, ops: &[DurableOp<'_, D>]);
+    /// Appends one apply turn's operations to the log, in apply order.
+    fn append(&self, ops: &[DurableOp<'_, D>]);
 }
+
+/// What one actor turn hands the apply stage: the updates whose repair
+/// walks completed on its host, the locus-side no-ops to echo, the
+/// membership view the turn routed under, and the handle that replies for
+/// that host.
+struct Handoff<D: Routable> {
+    applies: Vec<EngineMsg<D>>,
+    /// Updates that stopped at their locus as no-ops — a duplicate insert
+    /// or an absent remove. Each is echoed the outcome the ledger holds for
+    /// it (a resubmit whose first attempt landed), or `false`; an echo
+    /// claims no ledger slot and is not logged.
+    echoes: Vec<EngineMsg<D>>,
+    membership: Arc<Membership>,
+    replier: Replier<FabricMsg<D>, EngineReply<D>>,
+}
+
+/// What the apply stage's channel carries: a hand-off, or `None` to stop.
+type StageMsg<D> = Option<Handoff<D>>;
 
 struct Shared<D: Routable + Send + Sync + 'static> {
     state: Mutex<EngineState<D>>,
     /// The current topology snapshot, in its own cell so submits only pay
     /// an `Arc` clone — never a wait on an in-progress rebuild. Swapped by
-    /// the applier *while still holding the state lock* (lock order is
+    /// the apply stage *while still holding the state lock* (lock order is
     /// always `state` then `topo`), so publish order equals apply order.
     topo: Mutex<Arc<Topology<D>>>,
+    /// The apply stage's inbox.
+    stage: channel::Sender<StageMsg<D>>,
+    /// Apply-stage turns that applied at least one update, and the updates
+    /// they applied (ledger replays included, locus-side echoes not). The
+    /// stage bumps `updates_applied` first and `apply_turns` second, with
+    /// release ordering, and [`DistributedSkipWeb::health`] loads them in
+    /// the other order, so a reading never counts a turn without its ops.
+    apply_turns: AtomicU64,
+    updates_applied: AtomicU64,
     /// Write-ahead sink fed by the apply path, when the deployment was
     /// built with one ([`FabricBuilder::durability`]).
     durability: Option<Arc<dyn Durability<D>>>,
@@ -899,10 +993,10 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
     /// state lock, so publish order equals apply order.
     ///
     /// Returns the snapshot it replaced. When no in-flight message holds
-    /// that snapshot any more, dropping it frees everything the previous
-    /// web did not share with the new one — so the caller drops it only
-    /// after releasing the state lock, and never under `topo`, which every
-    /// client submit takes.
+    /// that snapshot any more, dropping it frees what the previous web did
+    /// not share with the new one (the apply stage keeps that web as a
+    /// spare instead) — so the caller drops it only after releasing the
+    /// state lock, and never under `topo`, which every client submit takes.
     #[must_use = "drop the retired snapshot after releasing the state lock"]
     fn republish(&self, st: &EngineState<D>, membership: &Membership) -> Arc<Topology<D>> {
         let mut ctl = st.placement.clone();
@@ -920,6 +1014,174 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
         });
         std::mem::replace(&mut *topo, next)
     }
+
+    /// Stops the apply stage and joins its thread. Called once the actors
+    /// have been joined, so every update they handed off is applied and
+    /// answered first; a hand-off after this is answered
+    /// [`Unavailable`](ReplyBody::Unavailable).
+    fn stop_stage(&self, stage: JoinHandle<()>) {
+        let _ = self.stage.send(None);
+        let _ = stage.join();
+    }
+
+    /// The apply stage's thread body: one [`apply_turn`](Self::apply_turn)
+    /// per wake-up until a stop marker arrives. Its first allocation comes
+    /// before `started` fires (see [`start_stage`]).
+    fn run_stage(&self, inbox: &channel::Receiver<StageMsg<D>>, started: channel::Sender<()>) {
+        let mut turn: Vec<Handoff<D>> = Vec::with_capacity(16);
+        let _ = started.send(());
+        drop(started);
+        while let Ok(Some(first)) = inbox.recv() {
+            turn.push(first);
+            if !self.apply_turn(&mut turn, inbox) {
+                break;
+            }
+        }
+    }
+
+    /// One turn of the apply stage, over `turn`'s hand-off and every one
+    /// queued behind it by the time the state lock is taken: atomically
+    /// applies every structural change they carry — inserts and removes in
+    /// whatever mix, from any hosts, with **one** [`SkipWeb::apply`] (one
+    /// copy-on-write into a recycled web, one structural repair) and
+    /// **one** new topology snapshot — then replies per op, outside the
+    /// lock, through the replier of the host that handed the op off.
+    /// In-flight operations keep their old snapshots, so none of them ever
+    /// observes an update half-applied. Returns `false` once a stop marker
+    /// was drained.
+    ///
+    /// Exactly-once: each op claims its `(client, op_id)` slot in the
+    /// idempotence ledger, in arrival order. A timeout-resubmit whose first
+    /// attempt already landed — in an earlier turn, or earlier in this one,
+    /// when a delayed original shares a turn with its resubmit — finds the
+    /// slot taken and is *echoed* the recorded outcome instead of applied
+    /// again; without this, a resubmitted insert could double-apply (e.g.
+    /// re-insert an item a concurrent remove had since deleted). Admission
+    /// ([`Routable::admissible`]) is judged against the web as the turn
+    /// found it. Locus-side echoes read the ledger after the turn's claims.
+    fn apply_turn(
+        &self,
+        turn: &mut Vec<Handoff<D>>,
+        inbox: &channel::Receiver<StageMsg<D>>,
+    ) -> bool {
+        let mut st = self.state.lock();
+        let mut running = true;
+        while let Ok(next) = inbox.try_recv() {
+            match next {
+                Some(handoff) => turn.push(handoff),
+                None => running = false,
+            }
+        }
+        // Per op, in arrival order: the hand-off that replies for it, its
+        // client, correlation id and hops — the applies, then the echoes.
+        let mut replies: Vec<(usize, ClientId, u64, u32)> = Vec::new();
+        let mut keys: Vec<(ClientId, u64)> = Vec::new();
+        let mut updates: Vec<Update<D::Item>> = Vec::new();
+        for echoes in [false, true] {
+            for (h, handoff) in turn.iter_mut().enumerate() {
+                let msgs = if echoes {
+                    &mut handoff.echoes
+                } else {
+                    &mut handoff.applies
+                };
+                for msg in msgs.drain(..) {
+                    let EngineMsg {
+                        op: EngineOp::Update(u),
+                        client,
+                        corr,
+                        hops,
+                        ..
+                    } = msg
+                    else {
+                        unreachable!("hand-offs are updates");
+                    };
+                    replies.push((h, client, corr, hops));
+                    keys.push((client, u.op_id));
+                    if !echoes {
+                        updates.push(u.update);
+                    }
+                }
+            }
+        }
+        let n = updates.len();
+        // Ops that reach the apply step this turn (ledger replays are
+        // excluded) — what a durability sink gets to log — and, of those,
+        // the admissible ones `apply` gets to see.
+        let mut fresh: Vec<usize> = Vec::with_capacity(n);
+        let mut staged: Vec<usize> = Vec::with_capacity(n);
+        for (i, update) in updates.iter().enumerate() {
+            if !st.record_outcome(keys[i], false) {
+                continue; // a replay: echoed below
+            }
+            fresh.push(i);
+            if !update.is_insert() || st.web.base().admissible(update.item()) {
+                staged.push(i);
+            }
+        }
+        let mut evicted = None;
+        if !staged.is_empty() {
+            evicted = st.recycle();
+            let batch = staged.iter().map(|&i| updates[i].clone()).collect();
+            let applied = Arc::make_mut(&mut st.web).apply(batch);
+            for (&i, a) in staged.iter().zip(applied) {
+                st.applied_ops.insert(keys[i], a);
+            }
+        }
+        // Every claim is resolved: fresh ops read their own outcome,
+        // replays the one their first attempt recorded, echoes whatever the
+        // ledger holds.
+        let outcomes: Vec<bool> = keys
+            .iter()
+            .map(|key| st.applied_ops.get(key).copied().unwrap_or(false))
+            .collect();
+        st.trim_ledger();
+        if let (Some(durability), false) = (&self.durability, fresh.is_empty()) {
+            // Write-ahead append under the same state lock as the
+            // structural change, before the snapshot publishes: log order
+            // equals apply order, and nothing is observable by queries
+            // before it is durable.
+            let records: Vec<DurableOp<'_, D>> = fresh
+                .iter()
+                .map(|&i| DurableOp {
+                    client: keys[i].0,
+                    op_id: keys[i].1,
+                    update: &updates[i],
+                    applied: outcomes[i],
+                })
+                .collect();
+            durability.append(&records);
+        }
+        if n > 0 {
+            self.updates_applied.fetch_add(n as u64, Ordering::Release);
+            self.apply_turns.fetch_add(1, Ordering::Release);
+        }
+        // Publish while still holding the state lock so snapshot order
+        // equals apply order, under the freshest membership view the turn
+        // was handed; the topo lock itself is only held for the swap.
+        let retired = match turn.last() {
+            Some(latest) if fresh.iter().any(|&i| outcomes[i]) => {
+                Some(self.republish(&st, &latest.membership))
+            }
+            _ => None,
+        };
+        drop(st);
+        for ((h, client, corr, hops), applied) in replies.into_iter().zip(outcomes) {
+            turn[h].replier.reply(
+                client,
+                EngineReply {
+                    corr,
+                    hops,
+                    body: ReplyBody::Updated { applied },
+                },
+            );
+        }
+        turn.clear();
+        // Freed with neither lock held, and after the replies, so no writer
+        // waits it out: the previous snapshot (its web stays a spare) and a
+        // spare that fell off the end.
+        drop((retired, evicted));
+        running
+    }
 }
 
 /// Per-host actor executing the generic forwarding loop of §2.5 and the
@@ -930,17 +1192,19 @@ pub struct EngineActor<D: Routable + Send + Sync + 'static> {
 
 /// One handler turn: the host running it, the membership view it routes
 /// under, and what it accumulates before anything leaves the host — ops to
-/// hand off, bucketed per `(class, destination)` so every destination gets
-/// exactly one envelope (the batching layer's coalescing), and updates whose
-/// repair trail ended here, applied together under one state lock and one
-/// snapshot publish.
+/// forward, bucketed per `(class, destination)` so every destination gets
+/// exactly one envelope (the batching layer's coalescing), and the updates
+/// that end here, handed to the apply stage together.
 struct Turn<D: Routable> {
     me: HostId,
     /// One membership snapshot per hop: each forward re-checks liveness,
     /// which is what lets routing steer around hosts that die mid-query.
     membership: Arc<Membership>,
     forwards: BTreeMap<(TrafficClass, HostId), Vec<EngineMsg<D>>>,
+    /// Updates whose repair trail ended here.
     applies: Vec<EngineMsg<D>>,
+    /// Updates that stopped at their locus as no-ops (see [`Handoff`]).
+    echoes: Vec<EngineMsg<D>>,
 }
 
 impl<D: Routable> Turn<D> {
@@ -1099,19 +1363,11 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                         if u.update.is_insert() == present {
                             // The locus's current view can be the *result*
                             // of this very op's first attempt (applied, but
-                            // its reply was lost in transit): consult the
-                            // idempotence ledger so a timeout-resubmit is
-                            // echoed the recorded outcome instead of being
+                            // its reply was lost in transit): the apply
+                            // stage echoes it the idempotence ledger's
+                            // outcome, so a timeout-resubmit is not
                             // misreported as a no-op.
-                            let applied = self
-                                .shared
-                                .state
-                                .lock()
-                                .applied_ops
-                                .get(&(msg.client, u.op_id))
-                                .copied()
-                                .unwrap_or(false);
-                            msg.reply(ctx, ReplyBody::Updated { applied });
+                            turn.echoes.push(msg);
                         } else {
                             // The repair trail is computed exactly once,
                             // here at repair start, and rides in the
@@ -1139,7 +1395,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
     /// either forwards to the next alive host (one message — exactly a
     /// meter host transition, coalesced with other ops bound there) or,
     /// with the trail exhausted, queues the structural change for this
-    /// turn's apply step.
+    /// turn's hand-off to the apply stage.
     fn continue_repair(
         &self,
         start: usize,
@@ -1163,117 +1419,6 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
             turn.applies.push(msg);
         }
     }
-
-    /// The final step of the turn's updates: atomically apply every
-    /// structural change that completed its repair here — inserts and
-    /// removes in whatever mix, with **one** [`SkipWeb::apply`] (one
-    /// copy-on-write of the web, one structural repair) and **one** new
-    /// topology snapshot — then reply per op. In-flight operations keep
-    /// their old snapshots, so none of them ever observes an update
-    /// half-applied.
-    ///
-    /// Exactly-once: each op claims its `(client, op_id)` slot in the
-    /// idempotence ledger, in op order. A timeout-resubmit whose first
-    /// attempt already landed — in an earlier turn, or earlier in this one,
-    /// when a delayed original shares an envelope with its resubmit —
-    /// finds the slot taken and is *echoed* the recorded outcome instead of
-    /// applied again; without this, a resubmitted insert could double-apply
-    /// (e.g. re-insert an item a concurrent remove had since deleted).
-    /// Admission ([`Routable::admissible`]) is judged against the web as
-    /// the turn found it.
-    fn apply_turn(
-        &self,
-        applies: Vec<EngineMsg<D>>,
-        ctx: &mut Context<'_, FabricMsg<D>, EngineReply<D>>,
-        membership: &Membership,
-    ) {
-        let n = applies.len();
-        let mut metas: Vec<(ClientId, u64, u32)> = Vec::with_capacity(n);
-        let mut keys: Vec<(ClientId, u64)> = Vec::with_capacity(n);
-        let mut updates: Vec<Update<D::Item>> = Vec::with_capacity(n);
-        for msg in applies {
-            let EngineMsg {
-                op: EngineOp::Update(u),
-                client,
-                corr,
-                hops,
-                ..
-            } = msg
-            else {
-                unreachable!("applies are updates");
-            };
-            metas.push((client, corr, hops));
-            keys.push((client, u.op_id));
-            updates.push(u.update);
-        }
-        let mut outcomes: Vec<bool> = vec![false; n];
-        let retired = {
-            let st = &mut *self.shared.state.lock();
-            // Ops that reach the apply step this turn (ledger echoes are
-            // excluded) — what a durability sink gets to log — and, of
-            // those, the admissible ones `apply` gets to see.
-            let mut fresh: Vec<usize> = Vec::with_capacity(n);
-            let mut staged: Vec<usize> = Vec::with_capacity(n);
-            for (i, update) in updates.iter().enumerate() {
-                if !st.record_outcome(keys[i], false) {
-                    continue; // a replay: echoed below
-                }
-                fresh.push(i);
-                if !update.is_insert() || st.web.base().admissible(update.item()) {
-                    staged.push(i);
-                }
-            }
-            if !staged.is_empty() {
-                let batch = staged.iter().map(|&i| updates[i].clone()).collect();
-                let applied = Arc::make_mut(&mut st.web).apply(batch);
-                for (&i, a) in staged.iter().zip(applied) {
-                    st.applied_ops.insert(keys[i], a);
-                }
-            }
-            // Every claim is resolved: fresh ops read their own outcome,
-            // replays the one their first attempt recorded.
-            for (outcome, key) in outcomes.iter_mut().zip(&keys) {
-                *outcome = st.applied_ops[key];
-            }
-            st.trim_ledger();
-            if let (Some(durability), false) = (&self.shared.durability, fresh.is_empty()) {
-                // Write-ahead append under the same state lock as the
-                // structural change, before the snapshot publishes: log
-                // order equals apply order, and nothing is observable by
-                // queries before it is durable.
-                let records: Vec<DurableOp<'_, D>> = fresh
-                    .iter()
-                    .map(|&i| DurableOp {
-                        client: keys[i].0,
-                        op_id: keys[i].1,
-                        update: &updates[i],
-                        applied: outcomes[i],
-                    })
-                    .collect();
-                durability.append(ctx.host(), &records);
-            }
-            // Publish while still holding the state lock so snapshot order
-            // equals apply order; the topo lock itself is only held for the
-            // pointer swap.
-            fresh
-                .iter()
-                .any(|&i| outcomes[i])
-                .then(|| self.shared.republish(st, membership))
-        };
-        for ((client, corr, hops), applied) in metas.into_iter().zip(outcomes) {
-            ctx.reply(
-                client,
-                EngineReply {
-                    corr,
-                    hops,
-                    body: ReplyBody::Updated { applied },
-                },
-            );
-        }
-        // The previous web's last reference, typically: freed with neither
-        // lock held, and after the replies, so no writer waits it out.
-        drop(retired);
-    }
 }
 
 impl<D: Routable + Send + Sync + 'static> Actor for EngineActor<D> {
@@ -1291,6 +1436,7 @@ impl<D: Routable + Send + Sync + 'static> Actor for EngineActor<D> {
             membership: ctx.membership(),
             forwards: BTreeMap::new(),
             applies: Vec::new(),
+            echoes: Vec::new(),
         };
         match msg {
             FabricMsg::One(m) => self.drive(m, ctx, &mut turn),
@@ -1302,9 +1448,6 @@ impl<D: Routable + Send + Sync + 'static> Actor for EngineActor<D> {
                 }
             }
         }
-        // Forwards leave first: an op that only passes through this host
-        // must not wait out the apply of an update it shared an envelope
-        // with.
         for ((class, host), msgs) in turn.forwards {
             let ops = msgs.len() as u32;
             match envelope(msgs) {
@@ -1312,8 +1455,23 @@ impl<D: Routable + Send + Sync + 'static> Actor for EngineActor<D> {
                 batch => ctx.send_multi(host, batch, class, ops),
             }
         }
-        if !turn.applies.is_empty() {
-            self.apply_turn(turn.applies, ctx, &turn.membership);
+        if turn.applies.is_empty() && turn.echoes.is_empty() {
+            return;
+        }
+        // The updates that end here go to the apply stage, and this host
+        // back to its mailbox: nothing it serves waits out their apply.
+        let handoff = Handoff {
+            applies: turn.applies,
+            echoes: turn.echoes,
+            membership: turn.membership,
+            replier: ctx.replier(),
+        };
+        if let Err(channel::SendError(Some(handoff))) = self.shared.stage.send(Some(handoff)) {
+            // The stage has stopped: nothing will apply these, so fail them
+            // fast instead of leaving their clients to time out.
+            for msg in handoff.applies.iter().chain(&handoff.echoes) {
+                msg.reply(ctx, ReplyBody::Unavailable);
+            }
         }
     }
 }
@@ -1580,6 +1738,9 @@ fn update_op<D: Routable>(update: Update<D::Item>) -> EngineOp<D> {
 pub struct DistributedSkipWeb<D: Routable + Send + Sync + 'static> {
     runtime: Runtime<EngineActor<D>>,
     shared: Arc<Shared<D>>,
+    /// The apply stage's thread: started before the actors, stopped and
+    /// joined after them.
+    stage: JoinHandle<()>,
     /// Present on TCP deployments: the socket transport, kept for the
     /// driver's shutdown broadcast and the workers' teardown wait.
     tcp: Option<Arc<TcpTransport<FabricMsg<D>, EngineReply<D>>>>,
@@ -1639,7 +1800,8 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
     /// become free, exactly like any other co-location. `hosts` may exceed
     /// the web's host count, leaving headroom for live inserts: while the
     /// logical hosts fit, the fold is the identity, so owner-hosted hop
-    /// counts keep matching the cost-model simulator as the web grows.
+    /// counts keep matching the cost-model simulator as the web grows. The
+    /// apply stage's thread comes on top: it is not a host.
     ///
     /// # Panics
     ///
@@ -1671,17 +1833,18 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
         self
     }
 
-    /// Installs a write-ahead sink on the apply path: every update that
-    /// reaches the apply step is handed to `durability` under the same
-    /// state lock as the structural change (see [`Durability`]).
+    /// Installs a write-ahead sink on the apply path: the apply stage hands
+    /// `durability` every update that reaches the apply step, under the
+    /// same state lock as the structural change (see [`Durability`]).
     pub fn durability(mut self, durability: Arc<dyn Durability<D>>) -> Self {
         self.durability = Some(durability);
         self
     }
 
     /// Engine state and first snapshot start as the same `Arc`: one clone
-    /// of the caller's web, sharing its level sets' structures.
-    fn build_shared(&self, threads: usize) -> Arc<Shared<D>> {
+    /// of the caller's web, sharing its level sets' structures. Returns the
+    /// apply stage's inbox too, for [`start_stage`].
+    fn build_shared(&self, threads: usize) -> (Arc<Shared<D>>, channel::Receiver<StageMsg<D>>) {
         let placement = PlacementCtl::new(threads);
         let web = Arc::new(self.web.clone());
         let topo = Arc::new(Topology {
@@ -1689,24 +1852,32 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
             ctl: placement.clone(),
             version: 0,
         });
-        Arc::new(Shared {
+        let (stage, inbox) = channel::unbounded();
+        let shared = Arc::new(Shared {
             state: Mutex::new(EngineState {
                 web,
+                spares: VecDeque::with_capacity(SPARE_WEBS + 1),
                 rng: StdRng::seed_from_u64(0x736b_6970_7765_6221),
                 placement,
                 applied_ops: HashMap::new(),
-                applied_order: std::collections::VecDeque::new(),
+                applied_order: VecDeque::new(),
             }),
             topo: Mutex::new(topo),
+            stage,
+            apply_turns: AtomicU64::new(0),
+            updates_applied: AtomicU64::new(0),
             durability: self.durability.clone(),
             default_timeouts: self.timeouts,
-        })
+        });
+        (shared, inbox)
     }
 
-    /// Spawns the actor threads and starts serving.
+    /// Starts the apply stage, spawns the actor threads, and starts
+    /// serving.
     pub fn spawn(self) -> DistributedSkipWeb<D> {
         let threads = self.threads.unwrap_or(self.web.hosts().max(1));
-        let shared = self.build_shared(threads);
+        let (shared, inbox) = self.build_shared(threads);
+        let stage = start_stage(&shared, inbox);
         let runtime = match self.transport {
             Some(transport) => {
                 Runtime::spawn_with_transport(threads, transport, |_h| EngineActor {
@@ -1720,9 +1891,30 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
         DistributedSkipWeb {
             runtime,
             shared,
+            stage,
             tcp: None,
         }
     }
+}
+
+/// Starts the apply stage, and returns once it has made its first
+/// allocation — which must come before any actor thread exists. glibc's
+/// allocator hands each thread an arena at its first allocation, reusing
+/// the arenas of exited threads from a LIFO free list, so the order of
+/// first allocations decides who gets which arena. A stage started after
+/// the actors swapped arenas with one of them on every fabric a process
+/// stood up in turn; the allocation-heavy stage and a busy actor then
+/// shared one, and a second ≈ 10 MiB arena appeared (`perf`'s
+/// `onedim_churn` peak RSS read 26–45 MiB instead of ≈ 20 MiB).
+fn start_stage<D: Routable + Send + Sync + 'static>(
+    shared: &Arc<Shared<D>>,
+    inbox: channel::Receiver<StageMsg<D>>,
+) -> JoinHandle<()> {
+    let (started, first_allocation) = channel::unbounded();
+    let stage = Arc::clone(shared);
+    let handle = std::thread::spawn(move || stage.run_stage(&inbox, started));
+    let _ = first_allocation.recv();
+    handle
 }
 
 impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D> {
@@ -1761,7 +1953,7 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
     /// (possibly empty) host range, or the config indexes are out of range.
     pub fn spawn_tcp(self, cfg: TcpConfig) -> std::io::Result<DistributedSkipWeb<D>> {
         let threads = cfg.owners.len().max(1);
-        let shared = self.build_shared(threads);
+        let (shared, inbox) = self.build_shared(threads);
         let codec = {
             let enc_shared = Arc::clone(&shared);
             TcpCodec {
@@ -1786,12 +1978,14 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
             _ => 0..0,
         };
         let transport: Arc<dyn Transport<FabricMsg<D>, EngineReply<D>>> = tcp.clone();
+        let stage = start_stage(&shared, inbox);
         let runtime = Runtime::spawn_partitioned(threads, range, transport, |_h| EngineActor {
             shared: Arc::clone(&shared),
         });
         Ok(DistributedSkipWeb {
             runtime,
             shared,
+            stage,
             tcp: Some(tcp),
         })
     }
@@ -2496,12 +2690,17 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     pub fn health(&self) -> EngineHealth {
         let membership = self.runtime.membership();
         let topo = self.shared.current_topo();
+        // Turns before updates: see `Shared::apply_turns`.
+        let apply_turns = self.shared.apply_turns.load(Ordering::Acquire);
+        let updates_applied = self.shared.updates_applied.load(Ordering::Acquire);
         EngineHealth {
             alive: membership.alive_hosts(),
             dead: membership.dead_hosts(),
             decommissioned: membership.decommissioned_hosts(),
             replication: topo.web.replication().k,
             topology_version: topo.version,
+            apply_turns,
+            updates_applied,
         }
     }
 
@@ -2606,11 +2805,15 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// state half of crash recovery, and the one way a log's state enters a
     /// fabric, whether it was just spawned (over an empty web) or is
     /// recovering in place. Pair with [`rejoin_host`](Self::rejoin_host) to
-    /// bring crashed hosts themselves back.
+    /// bring crashed hosts themselves back. The apply stage's spare webs go
+    /// with the replaced one.
     pub fn restore(&self, web: SkipWeb<D>, ledger: Vec<((ClientId, u64), bool)>) {
         let retired = {
             let st = &mut *self.shared.state.lock();
             let replaced = std::mem::replace(&mut st.web, Arc::new(web));
+            // Webs of the replaced history are no copy-on-write target for
+            // the restored one.
+            let spares = std::mem::take(&mut st.spares);
             st.applied_ops.clear();
             st.applied_order.clear();
             for (key, applied) in ledger {
@@ -2619,10 +2822,11 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             st.trim_ledger();
             (
                 replaced,
+                spares,
                 self.shared.republish(st, &self.runtime.membership()),
             )
         };
-        drop(retired); // the old web and snapshot, outside the state lock
+        drop(retired); // the old webs and snapshot, outside the state lock
     }
 
     /// Revives a crashed host in place (fresh mailbox and actor thread,
@@ -2661,7 +2865,8 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         if let Some(tcp) = &self.tcp {
             tcp.broadcast_shutdown();
         }
-        self.runtime.shutdown()
+        self.runtime.shutdown();
+        self.shared.stop_stage(self.stage);
     }
 }
 
@@ -2676,6 +2881,7 @@ impl<D: crate::wire::WireCodec + Send + Sync + 'static> DistributedSkipWeb<D> {
             None => false,
         };
         self.runtime.shutdown();
+        self.shared.stop_stage(self.stage);
         closed
     }
 }
@@ -2683,7 +2889,8 @@ impl<D: crate::wire::WireCodec + Send + Sync + 'static> DistributedSkipWeb<D> {
 /// The fabric-health report returned by [`DistributedSkipWeb::health`]: the
 /// failover-relevant state in one read — which hosts can serve, which are
 /// gone, how many crashes the placement tolerates (`replication - 1`), and
-/// how many topology snapshots have been published.
+/// how many topology snapshots have been published — plus how many updates
+/// each apply-stage turn combined.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineHealth {
     /// Hosts currently accepting new work.
@@ -2698,18 +2905,35 @@ pub struct EngineHealth {
     /// Version of the currently published topology snapshot (bumped by
     /// every update apply, decommission, spawn-host, and heal).
     pub topology_version: u64,
+    /// Turns the apply stage has run that applied at least one update.
+    pub apply_turns: u64,
+    /// Updates those turns took through the apply step, timeout-resubmits
+    /// the ledger echoed included.
+    pub updates_applied: u64,
+}
+
+impl EngineHealth {
+    /// Updates per apply turn: how much one copy-on-write, one durability
+    /// append and one publish were shared (0 before the first turn).
+    pub fn ops_per_apply_turn(&self) -> f64 {
+        if self.apply_turns == 0 {
+            return 0.0;
+        }
+        self.updates_applied as f64 / self.apply_turns as f64
+    }
 }
 
 impl fmt::Display for EngineHealth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "alive={} dead={:?} decommissioned={:?} k={} topo=v{}",
+            "alive={} dead={:?} decommissioned={:?} k={} topo=v{} ops/turn={:.2}",
             self.alive.len(),
             self.dead,
             self.decommissioned,
             self.replication,
-            self.topology_version
+            self.topology_version,
+            self.ops_per_apply_turn()
         )
     }
 }
@@ -3842,6 +4066,179 @@ mod tests {
         let applied = client.recv_corr(write, Duration::from_secs(10)).unwrap();
         assert_eq!(applied.try_applied(), Ok(true));
         assert!(dist.ground().contains(&333));
+        dist.shutdown();
+    }
+
+    #[test]
+    fn a_read_through_the_host_that_ended_a_repair_does_not_wait_for_the_apply() {
+        let keys: Vec<u64> = (0..64).map(|i| i * 4).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(54).build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(4)
+            .spawn();
+        let client = dist.client();
+        let topo = dist.shared.current_topo();
+        let me = HostId(0);
+        let origin = (0..64usize)
+            .find(|&o| topo.origin(o).1.next().map(|h| topo.ctl.fold(h)) == Some(me))
+            .expect("some origin enters at host 0");
+        let q = 101u64;
+        let want = dist.query(&client, origin, q).unwrap().answer;
+        let (read, write) = (client.alloc_corr(), client.alloc_corr());
+        let msg = |op, corr| EngineMsg {
+            op,
+            at: topo.origin(origin).0,
+            client: client.id(),
+            corr,
+            hops: 0,
+            topo: Arc::clone(&topo),
+        };
+        // An update whose repair trail ends on host 0, then a read that
+        // enters there, each in its own envelope.
+        let update = msg(
+            EngineOp::Update(UpdateOp {
+                update: Update::Insert {
+                    item: 333,
+                    bits: 0xBEEF,
+                },
+                phase: UpdatePhase::Repair {
+                    cursor: 0,
+                    trail: vec![me],
+                },
+                op_id: write,
+            }),
+            write,
+        );
+        let query = msg(
+            EngineOp::Query {
+                req: q,
+                gather: false,
+            },
+            read,
+        );
+        // The update's apply waits for the lock this thread holds; host 0
+        // must answer the read meanwhile.
+        let st = dist.shared.state.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let client = &client;
+            scope.spawn(move || {
+                client.inner.send(me, FabricMsg::One(update)).unwrap();
+                client.inner.send(me, FabricMsg::One(query)).unwrap();
+                tx.send(client.recv_corr(read, Duration::from_secs(5)))
+                    .unwrap();
+            });
+            // Release the lock before judging, so a failure cannot hang.
+            let answered = rx.recv_timeout(Duration::from_secs(10));
+            drop(st);
+            let reply = answered
+                .expect("the helper reports")
+                .expect("the read waited out the apply");
+            assert_eq!(reply.try_into_answer().unwrap(), want);
+        });
+        let applied = client.recv_corr(write, Duration::from_secs(10)).unwrap();
+        assert_eq!(applied.try_applied(), Ok(true));
+        assert!(dist.ground().contains(&333));
+        dist.shutdown();
+    }
+
+    #[test]
+    fn updates_handed_off_while_the_state_lock_is_held_apply_in_one_turn() {
+        let keys: Vec<u64> = (0..64).map(|i| i * 4).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(55).build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(1)
+            .spawn();
+        let client = dist.client();
+        let topo = dist.shared.current_topo();
+        let before = dist.health();
+        let me = HostId(0);
+        let msg = |op, corr| EngineMsg {
+            op,
+            at: topo.origin(0).0,
+            client: client.id(),
+            corr,
+            hops: 0,
+            topo: Arc::clone(&topo),
+        };
+        let writes: Vec<u64> = (0..3).map(|_| client.alloc_corr()).collect();
+        let read = client.alloc_corr();
+        let mut envelopes: Vec<_> = writes
+            .iter()
+            .zip([1u64, 5, 9])
+            .map(|(&corr, item)| {
+                let update = Update::Insert {
+                    item,
+                    bits: item.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                };
+                let phase = UpdatePhase::Repair {
+                    cursor: 0,
+                    trail: vec![me],
+                };
+                let op = EngineOp::Update(UpdateOp {
+                    update,
+                    phase,
+                    op_id: corr,
+                });
+                FabricMsg::One(msg(op, corr))
+            })
+            .collect();
+        let query = EngineOp::Query {
+            req: 0u64,
+            gather: false,
+        };
+        envelopes.push(FabricMsg::One(msg(query, read)));
+        let st = dist.shared.state.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let client = &client;
+            scope.spawn(move || {
+                // One handler turn per envelope: three hand-offs, then a
+                // read whose answer shows the host has made all three.
+                for envelope in envelopes {
+                    client.inner.send(me, envelope).unwrap();
+                }
+                tx.send(client.recv_corr(read, Duration::from_secs(5)))
+                    .unwrap();
+            });
+            let answered = rx.recv_timeout(Duration::from_secs(10));
+            drop(st);
+            answered
+                .expect("the helper reports")
+                .expect("the host answered the read");
+        });
+        for corr in writes {
+            let reply = client.recv_corr(corr, Duration::from_secs(10)).unwrap();
+            assert_eq!(reply.try_applied(), Ok(true), "write {corr}");
+        }
+        let after = dist.health();
+        assert_eq!(after.apply_turns, before.apply_turns + 1);
+        assert_eq!(after.updates_applied, before.updates_applied + 3);
+        assert_eq!(after.topology_version, before.topology_version + 1);
+        assert!(after.to_string().ends_with("ops/turn=3.00"), "{after}");
+        assert_eq!(dist.len(), 67);
+        dist.shutdown();
+    }
+
+    #[test]
+    fn a_hand_off_to_a_stopped_stage_is_answered_unavailable() {
+        let keys: Vec<u64> = (0..32).map(|i| i * 4).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(56).build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(2)
+            .spawn();
+        let client = dist.client();
+        assert!(dist.shared.stage.send(None).is_ok(), "the stage runs");
+        while !dist.stage.is_finished() {
+            std::thread::yield_now();
+        }
+        // An update fails fast instead of waiting out its timeout; reads,
+        // which never reach the stage, still answer.
+        assert_eq!(
+            dist.insert_with(&client, 0, 333, 0xBEEF).unwrap_err(),
+            RuntimeError::Unavailable
+        );
+        assert_eq!(dist.query(&client, 0, 101).unwrap().answer, Some(100));
         dist.shutdown();
     }
 

@@ -121,21 +121,48 @@ const SPLICE_HEADROOM: usize = 16;
 
 /// A copy of `items` with [`SPLICE_HEADROOM`] spare capacity.
 fn with_headroom<T: Clone>(items: &[T]) -> Vec<T> {
-    let mut copy = Vec::with_capacity(items.len() + SPLICE_HEADROOM);
-    copy.extend_from_slice(items);
+    let mut copy = Vec::new();
+    refill_with_headroom(&mut copy, items);
     copy
+}
+
+/// Overwrites `copy` with `items` in its own buffer. The buffer grows only
+/// when it has no room for a splice past them, and then to
+/// [`SPLICE_HEADROOM`] past them: a buffer refilled from a web one update
+/// away keeps the headroom it has.
+fn refill_with_headroom<T: Clone>(copy: &mut Vec<T>, items: &[T]) {
+    copy.clear();
+    if copy.capacity() <= items.len() {
+        copy.reserve_exact(items.len() + SPLICE_HEADROOM);
+    }
+    copy.extend_from_slice(items);
 }
 
 /// Stable ids, the one policy behind the slot table and every level's
 /// structure table: a released id goes on a free list, the lowest free id
 /// is taken first, and free ids at the end are truncated — so taking an id
 /// and releasing it again restores the table exactly.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 struct Ids {
     /// One past the highest id in use: the table's length.
     end: u32,
     /// The free ids below `end`, strictly descending, so the lowest is last.
     free: Vec<u32>,
+}
+
+/// `clone_from` refills the free list's buffer.
+impl Clone for Ids {
+    fn clone(&self) -> Self {
+        Ids {
+            end: self.end,
+            free: self.free.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.end = source.end;
+        self.free.clone_from(&source.free);
+    }
 }
 
 impl Ids {
@@ -201,10 +228,25 @@ type Page<D> = [Option<Arc<D>>; PAGE];
 /// stable id ([`Ids`]), in pages behind `Arc`s. A clone of the table bumps
 /// one count per page, not one per set; replacing a structure copies its
 /// page on write, sharing the page's other structures.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Structures<D> {
     pages: Vec<Arc<Page<D>>>,
     ids: Ids,
+}
+
+/// `clone_from` refills the page list's buffer, sharing the source's pages.
+impl<D> Clone for Structures<D> {
+    fn clone(&self) -> Self {
+        Structures {
+            pages: self.pages.clone(),
+            ids: self.ids.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.pages.clone_from(&source.pages);
+        self.ids.clone_from(&source.ids);
+    }
 }
 
 impl<D> Structures<D> {
@@ -303,7 +345,8 @@ pub(crate) struct Level<D: RangeDetermined> {
 /// Copies the three arrays with room for a few splices — the apply that
 /// follows a copy-on-write clone inserts into them, and an exact-capacity
 /// copy would reallocate each one on its first insert — and shares the
-/// structure table's pages.
+/// structure table's pages. `clone_from` does the same into the level's own
+/// buffers, allocating only for an array that outgrew its headroom.
 impl<D: RangeDetermined> Clone for Level<D> {
     fn clone(&self) -> Self {
         Level {
@@ -312,6 +355,13 @@ impl<D: RangeDetermined> Clone for Level<D> {
             set_of_item: with_headroom(&self.set_of_item),
             structures: self.structures.clone(),
         }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        refill_with_headroom(&mut self.sets, &source.sets);
+        refill_with_headroom(&mut self.members, &source.members);
+        refill_with_headroom(&mut self.set_of_item, &source.set_of_item);
+        self.structures.clone_from(&source.structures);
     }
 }
 
@@ -594,7 +644,10 @@ pub struct SkipWeb<D: RangeDetermined> {
 }
 
 /// Copies the slot table with room for a few new slots, like a level's
-/// arrays.
+/// arrays. `clone_from` refills a retired web's buffers instead — the
+/// engine's apply stage recycles its copy-on-write target this way — so a
+/// web of the source's shape is overwritten without allocating, and shares
+/// every structure page with the source just as a clone does.
 impl<D: RangeDetermined> Clone for SkipWeb<D> {
     fn clone(&self) -> Self {
         SkipWeb {
@@ -606,6 +659,18 @@ impl<D: RangeDetermined> Clone for SkipWeb<D> {
             replication: self.replication,
             rng: self.rng.clone(),
         }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        refill_with_headroom(&mut self.item_bits, &source.item_bits);
+        self.slots.clone_from(&source.slots);
+        // Level by level through `Level::clone_from`; only levels the source
+        // has beyond this web's are cloned afresh.
+        self.levels.clone_from(&source.levels);
+        self.hosts = source.hosts;
+        self.blocking = source.blocking;
+        self.replication = source.replication;
+        self.rng.clone_from(&source.rng);
     }
 }
 
@@ -787,6 +852,17 @@ impl<D: RangeDetermined> SkipWeb<D> {
             .iter()
             .map(|s| s.len as usize)
             .collect()
+    }
+
+    /// Whether every level's structure table is `other`'s very pages, page
+    /// for page — what a clone, or a refill with `clone_from`, leaves until
+    /// either web is updated: the two copies share every structure.
+    pub fn shares_structures_with(&self, other: &Self) -> bool {
+        let same = |(a, b): (&Level<D>, &Level<D>)| {
+            let (a, b) = (&a.structures.pages, &b.structures.pages);
+            a.len() == b.len() && a.iter().zip(b).all(|(p, q)| Arc::ptr_eq(p, q))
+        };
+        self.levels.len() == other.levels.len() && self.levels.iter().zip(&other.levels).all(same)
     }
 
     /// Total ranges stored across all levels (structure nodes + links).

@@ -648,12 +648,41 @@ impl<M: Send + 'static, R: Send + 'static> Context<'_, M, R> {
     /// counts routing messages only; experiments that want to charge for
     /// the final answer hop do so explicitly).
     pub fn reply(&mut self, client: ClientId, reply: R) {
-        let delivery = ReplyDelivery {
+        carry_reply(self.net, self.host, client, reply);
+    }
+
+    /// A handle that replies on this host's behalf after the handler has
+    /// returned, for work the handler passes to another thread.
+    pub fn replier(&self) -> Replier<M, R> {
+        Replier {
             net: Arc::clone(self.net),
-            from: self.host,
-            client,
-        };
-        self.net.transport.carry_reply(reply, delivery);
+            host: self.host,
+        }
+    }
+}
+
+/// Hands `reply` from `host` to the transport, bound for `client`.
+fn carry_reply<M, R>(net: &Arc<Fabric<M, R>>, host: HostId, client: ClientId, reply: R) {
+    let delivery = ReplyDelivery {
+        net: Arc::clone(net),
+        from: host,
+        client,
+    };
+    net.transport.carry_reply(reply, delivery);
+}
+
+/// Replies to clients on behalf of the host whose handler took it
+/// ([`Context::replier`]), from outside that handler: each reply travels
+/// through [`Transport::carry_reply`] exactly as [`Context::reply`]'s does.
+pub struct Replier<M, R> {
+    net: Arc<Fabric<M, R>>,
+    host: HostId,
+}
+
+impl<M, R> Replier<M, R> {
+    /// Delivers `reply` to `client`, as [`Context::reply`] does.
+    pub fn reply(&self, client: ClientId, reply: R) {
+        carry_reply(&self.net, self.host, client, reply);
     }
 }
 

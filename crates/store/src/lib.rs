@@ -42,7 +42,6 @@ use parking_lot::Mutex;
 use skipweb_core::engine::{DistributedSkipWeb, Durability, DurableOp, EngineClient, Timeouts};
 use skipweb_core::skipweb::{SkipWeb, Update};
 use skipweb_net::runtime::RuntimeError;
-use skipweb_net::HostId;
 use skipweb_structures::SortedLinkedList;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -115,7 +114,7 @@ struct Backing {
     /// Records logged since the last checkpoint.
     since_checkpoint: u64,
     /// Open WAL appenders, one per lane file, created lazily.
-    writers: HashMap<String, File>,
+    writers: HashMap<&'static str, File>,
     /// First WAL write failure, surfaced on the next store call (the hook
     /// runs under the engine's apply lock and cannot return errors).
     wal_error: Option<io::Error>,
@@ -124,9 +123,9 @@ struct Backing {
 impl Backing {
     /// Appends `rec` to lane file `lane` (creating it on first use),
     /// recording rather than returning a failure.
-    fn append(&mut self, lane: String, rec: &WalRecord) {
+    fn append(&mut self, lane: &'static str, rec: &WalRecord) {
         let result = (|| -> io::Result<()> {
-            let path = self.dir.join(&lane);
+            let path = self.dir.join(lane);
             let file = match self.writers.entry(lane) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::hash_map::Entry::Vacant(e) => {
@@ -149,22 +148,22 @@ impl Backing {
     }
 }
 
-/// WAL lane file for host `host`'s applies.
-fn host_lane(host: HostId) -> String {
-    format!("wal-{:04}.log", host.index())
-}
+/// WAL lane file for the engine's applies. (Stores written before the
+/// engine had one apply stage kept a lane per host, `wal-NNNN.log`;
+/// recovery reads every `wal-*.log`, so those still replay.)
+const APPLY_LANE: &str = "wal-apply.log";
 
 /// WAL lane file for store-side records (value-only upserts).
 const STORE_LANE: &str = "wal-store.log";
 
-/// The apply-path sink: invoked by the applying host under the engine's
-/// state lock, before the new topology snapshot publishes.
+/// The apply-path sink: invoked by the engine's apply stage under its state
+/// lock, before the new topology snapshot publishes.
 struct StoreDurability {
     backing: Arc<Mutex<Backing>>,
 }
 
 impl Durability<SortedLinkedList> for StoreDurability {
-    fn append(&self, host: HostId, ops: &[DurableOp<'_, SortedLinkedList>]) {
+    fn append(&self, ops: &[DurableOp<'_, SortedLinkedList>]) {
         let mut b = self.backing.lock();
         for op in ops {
             b.seq += 1;
@@ -207,7 +206,7 @@ impl Durability<SortedLinkedList> for StoreDurability {
                     }
                 }
             };
-            b.append(host_lane(host), &rec);
+            b.append(APPLY_LANE, &rec);
         }
     }
 }
@@ -503,7 +502,7 @@ impl Store {
                 key,
                 value: value.clone(),
             };
-            b.append(STORE_LANE.to_string(), &rec);
+            b.append(STORE_LANE, &rec);
             if let Some(e) = b.values.get_mut(&key) {
                 e.value = value;
             }

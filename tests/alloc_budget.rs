@@ -196,6 +196,70 @@ fn a_trie_update_allocates_per_level_and_per_dirty_item() {
     );
 }
 
+/// What refilling a retired web costs the allocator, as the engine's apply
+/// stage does before its copy-on-write: `retired` is a copy of the web
+/// `build` makes from before an insert of `fresh` (and then from before
+/// its remove), and `retired.clone_from(&web)` must equal a clone and share
+/// every structure page with `web`. Returns the worse refill's allocations.
+fn refill_allocs<D>(build: impl Fn() -> SkipWeb<D>, fresh: D::Item) -> u64
+where
+    D: RangeDetermined + PartialEq,
+{
+    let mut web = build();
+    let mut retired = web.clone();
+    let mut refill = |web: &SkipWeb<D>| {
+        let ((), allocs, _) = counted(|| retired.clone_from(web));
+        assert!(retired == web.clone(), "a refill is a clone");
+        assert!(retired.shares_structures_with(web), "a refill shares pages");
+        allocs
+    };
+    assert_eq!(
+        web.apply_insert_batch(vec![(fresh.clone(), 0x5EED_B175)]),
+        [true]
+    );
+    let grown = refill(&web);
+    assert_eq!(web.apply_remove_batch(&[fresh]), [true]);
+    grown.max(refill(&web))
+}
+
+#[test]
+fn refilling_a_retired_web_allocates_at_most_one_block_per_level() {
+    let _turn = take_turn();
+    // The `onedim_churn` and `trie_churn` shapes. A refill copies into the
+    // retired web's own arrays, which kept their headroom, and bumps one
+    // count per page, so a web one update away costs no allocation unless
+    // an array outgrew that headroom — at most one block per level
+    // (measured 0 for both; 27 and 23 while a refill demanded the whole
+    // headroom back).
+    let list = || {
+        let keys: Vec<u64> = (0..3072).map(|i| i * 2).collect();
+        SkipWeb::<SortedLinkedList>::builder(keys).seed(7).build()
+    };
+    let trie = || {
+        SkipWeb::<CompressedTrie>::builder(isbns(768))
+            .seed(7)
+            .build()
+    };
+    for (name, levels, allocs) in [
+        (
+            "list",
+            u64::from(list().top_level()) + 1,
+            refill_allocs(list, 3001),
+        ),
+        (
+            "trie",
+            u64::from(trie().top_level()) + 1,
+            refill_allocs(trie, "978000999999".to_owned()),
+        ),
+    ] {
+        eprintln!("{name} refill: {allocs} allocations over {levels} levels");
+        assert!(
+            allocs <= levels,
+            "{name} refill: {allocs} allocations over {levels} levels"
+        );
+    }
+}
+
 /// The allocations `D::build` makes over `items`.
 fn build_allocs<D: RangeDetermined>(items: Vec<D::Item>) -> u64 {
     let (built, allocs, _) = counted(|| D::build(items));
