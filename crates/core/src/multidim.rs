@@ -134,7 +134,7 @@ impl<const D: usize> Routable for CompressedQuadtree<D> {
                 QuadtreeAnswer::Located { .. } => Vec::new(),
             })
             .collect();
-        points.sort_by_key(PointKey::morton);
+        points.sort_by_cached_key(PointKey::morton);
         QuadtreeAnswer::Points(points)
     }
 }
@@ -509,7 +509,9 @@ mod codecs {
 /// every node visited in walk order, and observed by `touch` (the simulator
 /// meters its host). The stored points of exactly these nodes (filtered
 /// through the box) are the report's answer, which is what lets a
-/// scatter-gather split them across owning hosts.
+/// scatter-gather split them across owning hosts. The box's corners are
+/// encoded once and a node's children read in place, so the walk allocates
+/// only the two lists it grows, nothing per node.
 pub(crate) fn box_report_nodes<const D: usize>(
     base: &CompressedQuadtree<D>,
     locus: RangeId,
@@ -517,12 +519,11 @@ pub(crate) fn box_report_nodes<const D: usize>(
     hi: &[u32; D],
     mut touch: impl FnMut(RangeId),
 ) -> Vec<RangeId> {
-    let lo_pt = PointKey::new(*lo);
-    let hi_pt = PointKey::new(*hi);
+    let (lo_code, hi_code) = (PointKey::new(*lo).morton(), PointKey::new(*hi).morton());
     // Ascend to the smallest node whose cell covers the whole box.
     let mut node = locus;
-    while !(base.node_cell(node).contains_point(&lo_pt)
-        && base.node_cell(node).contains_point(&hi_pt))
+    while !(base.node_cell(node).contains_code(lo_code)
+        && base.node_cell(node).contains_code(hi_code))
     {
         match base.parent_of(node) {
             Some(p) => {
@@ -541,21 +542,12 @@ pub(crate) fn box_report_nodes<const D: usize>(
         }
         touch(v);
         visited.push(v);
-        for nb in base.neighbors(v) {
-            // children sit behind the node's child links
-            if nb.index() >= base.num_nodes() {
-                let cell = RangeDetermined::range(base, nb);
-                if cell.depth() > base.node_cell(v).depth() && cell.intersects_box(lo, hi) {
-                    // link target = child node; resolve through link id
-                    let child = base
-                        .neighbors(nb)
-                        .into_iter()
-                        .find(|c| *c != v)
-                        .expect("links join two nodes");
-                    stack.push(child);
-                }
-            }
-        }
+        stack.extend(
+            base.children(v)
+                .iter()
+                .map(|&c| RangeId(c))
+                .filter(|&c| base.node_cell(c).intersects_box(lo, hi)),
+        );
     }
     visited
 }
@@ -573,7 +565,8 @@ pub(crate) fn points_from_nodes<const D: usize>(
         .filter_map(|&v| base.leaf_point(v))
         .filter(|p| p.in_box(lo, hi))
         .collect();
-    points.sort_by_key(PointKey::morton);
+    // One code per point, not two per comparison.
+    points.sort_by_cached_key(PointKey::morton);
     points
 }
 

@@ -12,6 +12,30 @@ pub const COORD_BITS: u32 = 32;
 /// Maximum quadtree depth (unit cells at depth [`COORD_BITS`]).
 pub const MAX_DEPTH: u32 = COORD_BITS;
 
+/// `SPREAD[D - 1][b]` is the byte `b` with bit `i` moved to bit `i * D`:
+/// one byte of a coordinate spread out to its places in a `D`-dimensional
+/// Morton code.
+static SPREAD: [[u32; 256]; 4] = [
+    spread_table(1),
+    spread_table(2),
+    spread_table(3),
+    spread_table(4),
+];
+
+const fn spread_table(d: usize) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            table[b] |= ((b as u32 >> bit) & 1) << (bit * d);
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
 /// A point in `D`-dimensional space with unsigned 32-bit coordinates.
 ///
 /// # Example
@@ -49,14 +73,31 @@ impl<const D: usize> GridPoint<D> {
 
     /// The Morton (Z-order) code: coordinate bits interleaved MSB-first, so
     /// that the top `depth * D` bits identify the depth-`depth` quadtree cell
-    /// containing the point.
+    /// containing the point. Within each `D`-bit digit axis 0 is the most
+    /// significant bit.
+    ///
+    /// The interleave is table-driven: each coordinate is spread one byte at
+    /// a time through a 256-entry table built at compile time for `D` (four
+    /// lookups per coordinate), so a code costs `4·D` loads, not a loop over
+    /// all `32·D` bits. A quadtree hook encodes its query once and compares
+    /// prefixes from there ([`Cell::contains_code`]). `D` outside `1..=4`
+    /// does not compile:
+    ///
+    /// ```compile_fail
+    /// use skipweb_structures::geometry::GridPoint;
+    /// let _ = GridPoint::new([0u32; 5]).morton();
+    /// ```
     pub fn morton(&self) -> u128 {
-        debug_assert!(D >= 1 && D <= 4, "supported dimensions: 1..=4");
+        const { assert!(D >= 1 && D <= 4, "supported dimensions: 1..=4") };
+        let table = &SPREAD[D - 1];
         let mut code: u128 = 0;
-        for bit in (0..COORD_BITS).rev() {
-            for axis in 0..D {
-                code = (code << 1) | ((self.coords[axis] >> bit) & 1) as u128;
+        for (axis, &c) in self.coords.iter().enumerate() {
+            let mut spread: u128 = 0;
+            for byte in 0..4 {
+                let bits = table[((c >> (8 * byte)) & 0xFF) as usize];
+                spread |= u128::from(bits) << (8 * byte * D);
             }
+            code |= spread << (D - 1 - axis);
         }
         code
     }
@@ -165,15 +206,23 @@ impl<const D: usize> Cell<D> {
 
     /// Whether the cell contains the point.
     pub fn contains_point(&self, p: &GridPoint<D>) -> bool {
-        Cell::<D>::at_depth(p.morton(), self.depth).prefix == self.prefix
+        self.contains_code(p.morton())
+    }
+
+    /// Whether the cell contains the point whose Morton code is `code`:
+    /// whether the code's top `depth * D` bits are the cell's prefix. One
+    /// shift and one compare — a hook that tests one query against many
+    /// cells encodes the query once ([`GridPoint::morton`]) and calls this.
+    pub fn contains_code(&self, code: u128) -> bool {
+        let shift = (MAX_DEPTH - self.depth) as usize * D;
+        // A shift of all 128 bits is the universe cell of `D = 4`.
+        shift >= 128 || (code ^ self.prefix) >> shift == 0
     }
 
     /// Whether this cell contains (or equals) `other`.
     pub fn contains_cell(&self, other: &Cell<D>) -> bool {
-        matches!(
-            self.relation(other),
-            CellRelation::Equal | CellRelation::Contains
-        )
+        // A cell's prefix is the code of its lowest point.
+        self.depth <= other.depth && self.contains_code(other.prefix)
     }
 
     /// The nesting relation between two cells.
@@ -350,6 +399,89 @@ impl Ord for Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-at-a-time interleave the tables replace: the reference the
+    /// table encoding is held to.
+    fn morton_by_bits<const D: usize>(p: &GridPoint<D>) -> u128 {
+        let mut code: u128 = 0;
+        for bit in (0..COORD_BITS).rev() {
+            for axis in 0..D {
+                code = (code << 1) | ((p.coord(axis) >> bit) & 1) as u128;
+            }
+        }
+        code
+    }
+
+    fn assert_morton_matches_bits<const D: usize>(coords: [u32; D]) {
+        let p = GridPoint::new(coords);
+        assert_eq!(p.morton(), morton_by_bits(&p), "{p}");
+    }
+
+    const EDGES: [u32; 3] = [0, u32::MAX, 1 << 31];
+
+    #[test]
+    fn morton_tables_match_the_bit_loop_on_edge_values() {
+        for a in EDGES {
+            assert_morton_matches_bits([a]);
+            for b in EDGES {
+                assert_morton_matches_bits([a, b]);
+                for c in EDGES {
+                    assert_morton_matches_bits([a, b, c]);
+                    for d in EDGES {
+                        assert_morton_matches_bits([a, b, c, d]);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn morton_tables_match_the_bit_loop(
+            (a, b, c, d) in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>())
+        ) {
+            prop_assert_eq!(GridPoint::new([a]).morton(), morton_by_bits(&GridPoint::new([a])));
+            let p2 = GridPoint::new([a, b]);
+            prop_assert_eq!(p2.morton(), morton_by_bits(&p2));
+            let p3 = GridPoint::new([a, b, c]);
+            prop_assert_eq!(p3.morton(), morton_by_bits(&p3));
+            let p4 = GridPoint::new([a, b, c, d]);
+            prop_assert_eq!(p4.morton(), morton_by_bits(&p4));
+        }
+
+        #[test]
+        fn code_containment_matches_cell_truncation(
+            (a, b, c) in (any::<u32>(), any::<u32>(), any::<u32>()),
+            (depth, other_depth) in (0u32..=MAX_DEPTH, 0u32..=MAX_DEPTH)
+        ) {
+            // A cell around one point, tested against itself and a second.
+            let (p, q) = (GridPoint::new([a, b]), GridPoint::new([b, c]));
+            let cell = Cell::<2>::at_depth(p.morton(), depth);
+            prop_assert!(cell.contains_code(p.morton()));
+            prop_assert_eq!(
+                cell.contains_code(q.morton()),
+                Cell::<2>::at_depth(q.morton(), depth) == cell
+            );
+            // Cell containment by code agrees with the nesting relation, for
+            // a cell around either point.
+            for other in [p, q].map(|o| Cell::<2>::at_depth(o.morton(), other_depth)) {
+                prop_assert_eq!(
+                    cell.contains_cell(&other),
+                    matches!(cell.relation(&other), CellRelation::Equal | CellRelation::Contains)
+                );
+            }
+            let (p4, q4) = (GridPoint::new([a, b, c, a]), GridPoint::new([c, b, a, c]));
+            let cell4 = Cell::<4>::at_depth(p4.morton(), depth);
+            prop_assert!(cell4.contains_code(p4.morton()));
+            prop_assert_eq!(
+                cell4.contains_code(q4.morton()),
+                Cell::<4>::at_depth(q4.morton(), depth) == cell4
+            );
+        }
+    }
 
     #[test]
     fn morton_interleaves_msb_first_2d() {

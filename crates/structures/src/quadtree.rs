@@ -34,6 +34,14 @@
 //! `kids` at the end with one stable counting pass over the links, so a
 //! tree is a fixed handful of heap blocks whatever its size, and a descent
 //! scans one slice per cell.
+//!
+//! Cells are addressed by Morton prefix, as the Skip Quadtree addresses
+//! them, and a hook encodes its query once: `locate`, `search_step` and
+//! `best_entry` compute the query point's Morton code on entry and test
+//! every cell they meet with [`Cell::contains_code`] — a shift and a compare
+//! — instead of re-encoding the point per cell. `build` encodes each point
+//! once too and keeps the codes beside the points, so a leaf's cell is read
+//! off its code.
 
 use crate::geometry::{Cell, GridPoint, MAX_DEPTH};
 use crate::traits::{RangeDetermined, RangeId};
@@ -189,7 +197,7 @@ impl<const D: usize> CompressedQuadtree<D> {
         let node_idx = self.nodes.len() as u32;
         if hi - lo == 1 {
             self.nodes.push(Node {
-                cell: Cell::of_point(&self.points[lo]),
+                cell: Cell::at_depth(self.codes[lo], MAX_DEPTH),
                 parent,
                 parent_link: None,
                 first_kid: 0,
@@ -309,6 +317,17 @@ impl<const D: usize> CompressedQuadtree<D> {
         }
     }
 
+    /// The children of node `id` (node ids, not links), in child-digit —
+    /// Morton — order. Borrowed from the tree's one table, so a walk over a
+    /// subtree allocates nothing per node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a node.
+    pub fn children(&self, id: RangeId) -> &[u32] {
+        self.kids_of(id.index())
+    }
+
     /// The children of node `idx`, in child-digit order.
     fn kids_of(&self, idx: usize) -> &[u32] {
         let node = &self.nodes[idx];
@@ -323,12 +342,13 @@ impl<const D: usize> CompressedQuadtree<D> {
         RangeId((self.nodes.len() + l as usize) as u32)
     }
 
-    /// The child of node `idx` whose cell contains `q`, if any.
-    fn child_containing(&self, idx: usize, q: &GridPoint<D>) -> Option<u32> {
+    /// The child of node `idx` whose cell contains the point with Morton
+    /// code `code`, if any.
+    fn child_containing(&self, idx: usize, code: u128) -> Option<u32> {
         self.kids_of(idx)
             .iter()
             .copied()
-            .find(|&c| self.nodes[c as usize].cell.contains_point(q))
+            .find(|&c| self.nodes[c as usize].cell.contains_code(code))
     }
 
     /// Deepest node whose cell contains (or equals) `target`.
@@ -358,11 +378,16 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
     }
 
     fn build(mut items: Vec<GridPoint<D>>) -> Self {
-        // One Morton code per point, not two per comparison; the cached-key
-        // sort allocates its key table once, whatever `n`.
-        items.sort_by_cached_key(GridPoint::morton);
-        items.dedup();
-        let codes: Vec<u128> = items.iter().map(GridPoint::morton).collect();
+        // One Morton code per point: sort the (code, point) pairs once, then
+        // split them. Distinct points have distinct codes, so the order is
+        // the points' Morton order and a duplicate is a repeated pair.
+        let mut keyed: Vec<(u128, GridPoint<D>)> =
+            items.drain(..).map(|p| (p.morton(), p)).collect();
+        keyed.sort_unstable_by_key(|&(code, _)| code);
+        keyed.dedup();
+        items.extend(keyed.iter().map(|&(_, p)| p));
+        let codes: Vec<u128> = keyed.iter().map(|&(code, _)| code).collect();
+        drop(keyed);
         let n = items.len();
         // A compressed tree has at most `2n` nodes besides the root.
         let mut tree = CompressedQuadtree {
@@ -451,27 +476,28 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
     }
 
     fn locate(&self, q: &GridPoint<D>) -> RangeId {
+        let code = q.morton();
         let mut cur = 0usize;
-        while let Some(c) = self.child_containing(cur, q) {
+        while let Some(c) = self.child_containing(cur, code) {
             cur = c as usize;
         }
         RangeId(cur as u32)
     }
 
     fn search_step(&self, from: RangeId, q: &GridPoint<D>) -> Option<RangeId> {
-        let n = self.nodes.len();
+        let (n, code) = (self.nodes.len(), q.morton());
         if from.index() >= n {
             // A link is direction-aware: descend to its child endpoint when
             // that subtree still contains q, ascend to the parent otherwise.
             let (p, c) = self.link_ends[from.index() - n];
-            return Some(if self.nodes[c as usize].cell.contains_point(q) {
+            return Some(if self.nodes[c as usize].cell.contains_code(code) {
                 RangeId(c)
             } else {
                 RangeId(p)
             });
         }
         let cur = from.index();
-        if !self.nodes[cur].cell.contains_point(q) {
+        if !self.nodes[cur].cell.contains_code(code) {
             // Ascend through the parent link (the root contains everything).
             let node = &self.nodes[cur];
             return Some(match node.parent_link {
@@ -480,15 +506,16 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
             });
         }
         // Descend through the containing child's incoming link.
-        self.child_containing(cur, q).map(|c| self.link_into(c))
+        self.child_containing(cur, code).map(|c| self.link_into(c))
     }
 
     fn best_entry(&self, candidates: &[RangeId], q: &GridPoint<D>) -> RangeId {
         assert!(!candidates.is_empty(), "conflict list may not be empty");
+        let code = q.morton();
         candidates
             .iter()
             .copied()
-            .filter(|id| self.range_cell(*id).contains_point(q))
+            .filter(|id| self.range_cell(*id).contains_code(code))
             // Deepest containing cell; on ties prefer the node over its
             // incoming link (both carry the same cell).
             .max_by_key(|id| (self.range_cell(*id).depth(), id.index() < self.nodes.len()))
@@ -497,6 +524,11 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
 
     fn item_query(item: &GridPoint<D>) -> GridPoint<D> {
         *item
+    }
+
+    /// A one-point tree's entry is the point's leaf: its unit cell.
+    fn probe_range(item: &GridPoint<D>) -> Cell<D> {
+        Cell::of_point(item)
     }
 
     fn conflicts_into(&self, external: &Cell<D>, out: &mut Vec<RangeId>) {
@@ -515,6 +547,8 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
 mod tests {
     use super::*;
     use crate::traits::assert_steps_reach_locate;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pts2(v: &[[u32; 2]]) -> Vec<GridPoint<2>> {
         v.iter().map(|&c| GridPoint::new(c)).collect()
@@ -706,6 +740,54 @@ mod tests {
         let qt = CompressedQuadtree::<3>::build(pts);
         for (i, p) in qt.items().iter().enumerate() {
             assert_eq!(qt.locate(p), qt.entry_of_item(i));
+        }
+    }
+
+    #[test]
+    fn probe_range_is_the_one_point_trees_entry() {
+        // The trait default, which the override replaces: build a one-item
+        // tree and read its entry's range.
+        fn by_build<const D: usize>(p: GridPoint<D>) -> Cell<D> {
+            let probe = CompressedQuadtree::<D>::build(vec![p]);
+            probe.range(probe.entry_of_item(0))
+        }
+        let mut rng = StdRng::seed_from_u64(0x9B0BE);
+        for _ in 0..256 {
+            let p2 = GridPoint::new([rng.gen(), rng.gen()]);
+            assert_eq!(CompressedQuadtree::<2>::probe_range(&p2), by_build(p2));
+            let p3 = GridPoint::new([rng.gen(), rng.gen(), rng.gen()]);
+            assert_eq!(CompressedQuadtree::<3>::probe_range(&p3), by_build(p3));
+        }
+        for edge in [0, u32::MAX, 1 << 31] {
+            let p = GridPoint::new([edge, edge]);
+            assert_eq!(CompressedQuadtree::<2>::probe_range(&p), by_build(p));
+        }
+    }
+
+    #[test]
+    fn children_are_the_child_links_far_ends_in_morton_order() {
+        let qt = CompressedQuadtree::<2>::build(pts2(&[
+            [0, 0],
+            [3, 3],
+            [7, 1],
+            [1 << 31, 1 << 31],
+            [(1 << 31) + 9, 5],
+        ]));
+        for v in 0..qt.num_nodes() {
+            let id = RangeId(v as u32);
+            let via_links: Vec<u32> = qt
+                .neighbors(id)
+                .into_iter()
+                .filter(|l| qt.depth_of(*l) > qt.depth_of(id))
+                .map(|l| qt.link_ends[l.index() - qt.num_nodes()].1)
+                .collect();
+            assert_eq!(qt.children(id), via_links, "node {v}");
+            let codes: Vec<u128> = qt
+                .children(id)
+                .iter()
+                .map(|&c| qt.node_cell(RangeId(c)).prefix())
+                .collect();
+            assert!(codes.windows(2).all(|w| w[0] < w[1]), "node {v}");
         }
     }
 

@@ -16,7 +16,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use skipwebs::core::engine::DistributedSkipWeb;
+use skipwebs::core::engine::{DistributedSkipWeb, Routable};
+use skipwebs::core::multidim::QuadtreeRequest;
 use skipwebs::core::SkipWeb;
 use skipwebs::net::sim::MessageMeter;
 use skipwebs::structures::{
@@ -267,6 +268,13 @@ fn build_allocs<D: RangeDetermined>(items: Vec<D::Item>) -> u64 {
     allocs
 }
 
+/// `n` scattered 2-D points, distinct for `n < 2^32`.
+fn points(n: u32) -> Vec<PointKey<2>> {
+    (0..n)
+        .map(|i| PointKey::new([i.wrapping_mul(0x9E37_79B9), i.wrapping_mul(0x85EB_CA6B)]))
+        .collect()
+}
+
 #[test]
 fn a_structure_build_allocates_a_constant_number_of_blocks() {
     let _turn = take_turn();
@@ -276,11 +284,6 @@ fn a_structure_build_allocates_a_constant_number_of_blocks() {
     // blocks whatever its size (measured 4 for the trie, 6 for the
     // quadtree, 10 for the map; two per internal node while each node owned
     // its child lists).
-    let points = |n: u32| -> Vec<PointKey<2>> {
-        (0..n)
-            .map(|i| PointKey::new([i.wrapping_mul(0x9E37_79B9), i.wrapping_mul(0x85EB_CA6B)]))
-            .collect()
-    };
     // Stacked bands over interleaved spans: distinct endpoint x's, no two
     // segments touching, and up to `n` segments spanning one slab.
     let segments = |n: i64| -> Vec<Segment> {
@@ -380,4 +383,54 @@ fn a_level_descent_allocates_nothing() {
         trie <= levels + 1 + 3 * BUFFER,
         "trie SkipWeb::query: {trie} allocations over {levels} levels"
     );
+    // A quadtree walk encodes its query point once per hook and tests cells
+    // by code, and its ranges are plain cells: it allocates what the list's
+    // walk does (measured: 8 over 13 levels, before and after the query
+    // was encoded once).
+    let web = SkipWeb::<CompressedQuadtree<2>>::builder(points(4096))
+        .seed(7)
+        .build();
+    let (origin, q) = (
+        web.random_origin(3),
+        PointKey::new([0x1234_5678, 0x0BAD_CAFE]),
+    );
+    let quadtree = (0..4)
+        .map(|_| counted(|| web.query(origin, &q, &mut MessageMeter::new())).1)
+        .min()
+        .unwrap_or(0);
+    let levels = u64::from(web.top_level()) + 1;
+    assert!(
+        quadtree <= levels + 1 + 3 * BUFFER,
+        "quadtree SkipWeb::query: {quadtree} allocations over {levels} levels"
+    );
+}
+
+#[test]
+fn a_box_report_allocates_per_doubling_not_per_node() {
+    let _turn = take_turn();
+    // A box report at its locus: ascend to the cell covering the box, then a
+    // pruned walk of that subtree reading each node's children in place.
+    // What it allocates is the growth of three lists — the nodes visited,
+    // the walk's stack and the points found — and the sort's key table, so
+    // the count rises by a few blocks each time the visited nodes double,
+    // however many nodes that is (measured 5 / 18 / 29 allocations over
+    // 20 / 139 / 6 901 touched ranges; 36 / 286 / 13 822 while each visited
+    // node built two neighbour lists).
+    let qt = CompressedQuadtree::<2>::build(points(4096));
+    let centre = 0x8000_0000u32;
+    for half in [1u32 << 26, 1 << 28, u32::MAX / 2] {
+        let req = QuadtreeRequest::InBox {
+            lo: [centre - half, centre - half],
+            hi: [centre.saturating_add(half), centre.saturating_add(half)],
+        };
+        let locus = qt.locate(&CompressedQuadtree::target(&req));
+        let mut touched = 0u64;
+        let (_, allocs, _) = counted(|| qt.answer(locus, &req, |_| touched += 1));
+        let doublings = u64::from(touched.max(1).ilog2()) + 1;
+        eprintln!("box ±{half:#x}: {allocs} allocations over {touched} touched ranges");
+        assert!(
+            allocs <= 3 * doublings + 2,
+            "box report: {allocs} allocations over {touched} touched ranges"
+        );
+    }
 }
