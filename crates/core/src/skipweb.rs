@@ -713,31 +713,23 @@ impl<D: RangeDetermined> SkipWebBuilder<D> {
         self
     }
 
-    /// Chooses the blocking strategy (default [`Blocking::OwnerHosted`]).
-    pub fn blocking(mut self, blocking: Blocking) -> Self {
-        self.blocking = blocking;
-        self
-    }
-
-    /// Bucketed placement with per-host memory `memory` (§2.4.1).
-    pub fn bucketed(self, memory: usize) -> Self {
-        self.blocking(Blocking::Bucketed { memory })
-    }
-
-    /// Chooses the replication policy (default [`Replication::NONE`]).
-    pub fn replication(mut self, replication: Replication) -> Self {
-        self.replication = replication;
+    /// Bucketed placement with per-host memory `memory` (§2.4.1), instead
+    /// of the default [`Blocking::OwnerHosted`].
+    pub fn bucketed(mut self, memory: usize) -> Self {
+        self.blocking = Blocking::Bucketed { memory };
         self
     }
 
     /// Places every range on `k` hosts (the primary plus ring successors),
-    /// so the served structure survives up to `k - 1` host crashes.
+    /// so the served structure survives up to `k - 1` host crashes
+    /// (default [`Replication::NONE`]).
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero.
-    pub fn replicate(self, k: usize) -> Self {
-        self.replication(Replication::new(k))
+    pub fn replicate(mut self, k: usize) -> Self {
+        self.replication = Replication::new(k);
+        self
     }
 
     /// Pins the per-item level bit strings instead of drawing them from the
@@ -1170,24 +1162,20 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// update)` yields identical structures and message counts.
     ///
     /// Returns `false` when nothing changed: a duplicate insert pays its
-    /// lookup and stops at the locus, an absent remove is free.
+    /// lookup and stops at the locus, an absent remove is free. `origin` is
+    /// ignored where the engine skips the lookup too: on an insert into an
+    /// empty web and a remove of an absent item or of the only one.
     ///
     /// # Panics
     ///
-    /// Panics if `origin` is out of bounds.
+    /// Panics if `origin` is out of bounds when the lookup runs.
     pub fn update_with(
         &mut self,
         origin: Option<usize>,
         update: Update<D::Item>,
         meter: &mut MessageMeter,
     ) -> bool {
-        let stored = self.bits_of(update.item());
-        // The tower whose neighbourhoods the repair rewires: an insert's
-        // own, a remove's stored one — none when the update is a no-op.
-        let (routes, tower) = match update {
-            Update::Insert { bits, .. } => (true, stored.is_none().then_some(bits)),
-            Update::Remove { .. } => (stored.is_some(), stored),
-        };
+        let (routes, tower) = self.plan(&update);
         if let Some(o) = origin.filter(|_| routes) {
             let _ = self.query(o, &D::item_query(update.item()), meter);
         }
@@ -1198,6 +1186,21 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let applied = self.apply(vec![update]);
         debug_assert!(applied[0], "the update was just checked against the ground");
         true
+    }
+
+    /// The §4 plan of `update` against this web — the one rule the
+    /// simulator's [`update_with`](Self::update_with) and the engine both
+    /// follow: whether it routes to the item's locus (all but an insert
+    /// into an empty web and a remove of an absent item or of the only
+    /// one), and the tower its repair walks (the insert's own or the
+    /// removed item's stored one; `None` for a duplicate insert or an
+    /// absent remove, which change nothing).
+    pub(crate) fn plan(&self, update: &Update<D::Item>) -> (bool, Option<u64>) {
+        let stored = self.bits_of(update.item());
+        match *update {
+            Update::Insert { bits, .. } => (!self.is_empty(), stored.is_none().then_some(bits)),
+            Update::Remove { .. } => (self.len() > 1 && stored.is_some(), stored),
+        }
     }
 
     /// Applies a batch of updates — inserts and removes in any mix — the

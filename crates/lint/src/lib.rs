@@ -126,9 +126,13 @@ fn count_braces(code: &str) -> i64 {
 }
 
 /// Marks each line that belongs to a `#[cfg(test)]` item (the attribute
-/// line, the item header, and everything until its closing brace).
+/// line, the item header, and everything until its closing brace) — every
+/// line of a file that is a test module itself (`#![cfg(test)]`).
 fn test_line_mask(lines: &[&str]) -> Vec<bool> {
-    let mut mask = vec![false; lines.len()];
+    let test_file = lines
+        .iter()
+        .any(|l| l.trim_start().starts_with("#![cfg(test)]"));
+    let mut mask = vec![test_file; lines.len()];
     let mut i = 0;
     while i < lines.len() {
         let code = strip_line_comment(lines[i]);

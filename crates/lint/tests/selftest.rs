@@ -41,6 +41,13 @@ fn no_unwrap_flags_both_calls_but_not_test_module() {
 }
 
 #[test]
+fn an_out_of_line_test_module_is_masked_whole() {
+    let body = format!("#![cfg(test)]\n\n{NO_UNWRAP}");
+    let vs = lint_one("crates/core/src/engine/tests.rs", &body);
+    assert!(by_rule(&vs, "no-unwrap").is_empty(), "{vs:?}");
+}
+
+#[test]
 fn no_unwrap_only_applies_to_strict_crates() {
     let vs = lint_one("crates/bench/src/fixture.rs", NO_UNWRAP);
     assert!(

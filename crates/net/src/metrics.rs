@@ -59,7 +59,7 @@ impl SeriesStats {
             mean: sum as f64 / count as f64,
             p50: pct(0.50),
             p95: pct(0.95),
-            max: *sorted.last().expect("nonempty"),
+            max: sorted[count - 1],
             min: sorted[0],
         }
     }

@@ -34,7 +34,8 @@
 //!
 //! A put of an existing key never reaches the web's apply step (the
 //! insert is a duplicate), so the store logs those as value-only
-//! [`Upsert`](wal::WalRecord::Upsert) records on its own lane.
+//! [`Upsert`](wal::WalRecord::Upsert) records, into the same log file and
+//! sequence as the applies.
 
 pub mod wal;
 
@@ -96,45 +97,33 @@ struct Entry {
 }
 
 /// The store-side state shared with the durability hook. One lock guards
-/// values, pending puts, the sequence counter, and the WAL writers, so
-/// the hook (already serialized by the engine's state lock) and the
-/// store-lane paths (upserts, flush, checkpoint) interleave atomically.
-/// Lock order is engine-state → backing; nothing here ever calls back
-/// into the fabric.
+/// values, pending puts, the sequence counter, and the WAL file, so the
+/// hook (already serialized by the engine's state lock) and the store's
+/// own paths (upserts, flush, checkpoint) interleave atomically. Lock
+/// order is engine-state → backing; nothing here ever calls back into the
+/// fabric.
 struct Backing {
-    dir: PathBuf,
     /// The materialized view: key → (tower bits, value), maintained
     /// write-through by the durability hook for applied operations.
     values: BTreeMap<u64, Entry>,
     /// Values of in-flight puts, registered before the insert is
     /// submitted so the apply-side hook can log them.
     pending: HashMap<u64, Vec<u8>>,
-    /// Global apply-order sequence number, shared by every lane.
+    /// Global sequence number of logged records.
     seq: u64,
     /// Records logged since the last checkpoint.
     since_checkpoint: u64,
-    /// Open WAL appenders, one per lane file, created lazily.
-    writers: HashMap<&'static str, File>,
+    /// The WAL appender, [`WAL_FILE`] opened when the store is.
+    wal: File,
     /// First WAL write failure, surfaced on the next store call (the hook
     /// runs under the engine's apply lock and cannot return errors).
     wal_error: Option<io::Error>,
 }
 
 impl Backing {
-    /// Appends `rec` to lane file `lane` (creating it on first use),
-    /// recording rather than returning a failure.
-    fn append(&mut self, lane: &'static str, rec: &WalRecord) {
-        let result = (|| -> io::Result<()> {
-            let path = self.dir.join(lane);
-            let file = match self.writers.entry(lane) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(OpenOptions::new().append(true).create(true).open(path)?)
-                }
-            };
-            wal::append_record(file, rec)
-        })();
-        if let Err(e) = result {
+    /// Appends `rec` to the WAL, recording rather than returning a failure.
+    fn append(&mut self, rec: &WalRecord) {
+        if let Err(e) = wal::append_record(&mut self.wal, rec) {
             self.wal_error.get_or_insert(e);
         }
         self.since_checkpoint += 1;
@@ -148,13 +137,12 @@ impl Backing {
     }
 }
 
-/// WAL lane file for the engine's applies. (Stores written before the
-/// engine had one apply stage kept a lane per host, `wal-NNNN.log`;
-/// recovery reads every `wal-*.log`, so those still replay.)
-const APPLY_LANE: &str = "wal-apply.log";
-
-/// WAL lane file for store-side records (value-only upserts).
-const STORE_LANE: &str = "wal-store.log";
+/// The WAL file: the engine's applies and the store's value-only upserts,
+/// in one sequence. (Stores written before the engine had one apply stage
+/// kept a lane per host, `wal-NNNN.log`, and their upserts in
+/// `wal-store.log`; recovery reads every `wal-*.log`, so those still
+/// replay.)
+const WAL_FILE: &str = "wal-apply.log";
 
 /// The apply-path sink: invoked by the engine's apply stage under its state
 /// lock, before the new topology snapshot publishes.
@@ -206,7 +194,7 @@ impl Durability<SortedLinkedList> for StoreDurability {
                     }
                 }
             };
-            b.append(APPLY_LANE, &rec);
+            b.append(&rec);
         }
     }
 }
@@ -218,7 +206,7 @@ pub struct RecoveryReport {
     pub rejoined: usize,
     /// Keys restored straight from the checkpoint.
     pub checkpoint_ops: usize,
-    /// Total WAL records found on disk (all lanes).
+    /// Total WAL records found on disk (every `wal-*.log` file).
     pub wal_records: usize,
     /// Records replayed (`seq` past the checkpoint).
     pub replayed: usize,
@@ -414,13 +402,14 @@ impl StoreBuilder {
     /// I/O errors reading or creating the directory, checkpoint, or logs.
     pub fn open(self) -> Result<Store, StoreError> {
         fs::create_dir_all(&self.dir)?;
+        let path = self.dir.join(WAL_FILE);
+        let wal = OpenOptions::new().append(true).create(true).open(path)?;
         let backing = Arc::new(Mutex::new(Backing {
-            dir: self.dir.clone(),
             values: BTreeMap::new(),
             pending: HashMap::new(),
             seq: 0,
             since_checkpoint: 0,
-            writers: HashMap::new(),
+            wal,
             wal_error: None,
         }));
         let empty = rebuild_web(&BTreeMap::new(), self.seed, self.replication);
@@ -495,14 +484,14 @@ impl Store {
         };
         if !reply.applied {
             // The key was already in the web, so the insert never reached
-            // the apply step: log the overwrite on the store lane.
+            // the apply step: log the overwrite here.
             b.seq += 1;
             let rec = WalRecord::Upsert {
                 seq: b.seq,
                 key,
                 value: value.clone(),
             };
-            b.append(STORE_LANE, &rec);
+            b.append(&rec);
             if let Some(e) = b.values.get_mut(&key) {
                 e.value = value;
             }
@@ -584,7 +573,7 @@ impl Store {
         self.backing.lock().values.is_empty()
     }
 
-    /// Forces every WAL lane to stable storage (`fsync`).
+    /// Forces the WAL to stable storage (`fsync`).
     ///
     /// # Errors
     ///
@@ -593,10 +582,8 @@ impl Store {
     pub fn flush(&self) -> Result<(), StoreError> {
         let mut b = self.backing.lock();
         b.take_error()?;
-        for file in b.writers.values_mut() {
-            file.flush()?;
-            file.sync_data()?;
-        }
+        b.wal.flush()?;
+        b.wal.sync_data()?;
         Ok(())
     }
 
@@ -643,7 +630,7 @@ impl Store {
         Ok(())
     }
 
-    /// Recovers the store from disk, in place: flushes the lanes, reads
+    /// Recovers the store from disk, in place: flushes the WAL, reads
     /// the checkpoint and WAL back, rebuilds the web tower-for-tower from
     /// the logged bits, restores the engine's state and idempotence
     /// ledger, revives every dead host under its original id, and heals
@@ -707,7 +694,7 @@ impl Store {
         &self.client
     }
 
-    /// The directory holding the WAL lanes and checkpoint.
+    /// The directory holding the WAL and checkpoint.
     pub fn dir(&self) -> &Path {
         &self.dir
     }

@@ -98,8 +98,8 @@ pub enum WalRecord {
     },
     /// A value-only overwrite of a key already in the web. Puts on
     /// existing keys never reach the apply step (the insert is a
-    /// duplicate), so the store logs the new bytes itself, on the store
-    /// lane rather than an apply host's lane.
+    /// duplicate), so the store logs the new bytes itself, in sequence
+    /// with the applies.
     Upsert {
         /// Global apply-order sequence number.
         seq: u64,
