@@ -23,21 +23,24 @@ use super::{
 };
 use crate::skipweb::SkipWeb;
 
-/// The one way to stand up a fabric: four deployment-time choices — thread
+/// The one way to stand up a fabric: four deployment-time choices — host
 /// count ([`consolidated`](Self::consolidated)), transport
 /// ([`wan`](Self::wan), or [`spawn_tcp`](Self::spawn_tcp) instead of
 /// [`spawn`](Self::spawn)), client timeout policy
 /// ([`timeouts`](Self::timeouts)) and a write-ahead sink
 /// ([`durability`](Self::durability)) — then [`spawn`](Self::spawn)s the
-/// actor threads. Placement, replication included, is a property of the
-/// web ([`SkipWebBuilder::replicate`](crate::skipweb::SkipWebBuilder::replicate));
+/// actors. However many hosts a fabric has, they run on the runtime's
+/// worker pool: `min(hosts, available_parallelism)` threads, each running
+/// one host's turn at a time (see [`skipweb_net::runtime`]). Placement,
+/// replication included, is a property of the web
+/// ([`SkipWebBuilder::replicate`](crate::skipweb::SkipWebBuilder::replicate));
 /// state recovered from a log is installed into a running fabric with
 /// [`DistributedSkipWeb::restore`]. The [module docs](super) show one in
 /// use.
 pub struct FabricBuilder<'w, D: Routable + Send + Sync + 'static> {
     web: &'w SkipWeb<D>,
-    /// Actor thread count; `None` is one thread per host of the web.
-    threads: Option<usize>,
+    /// Physical host count; `None` is one per host of the web.
+    hosts: Option<usize>,
     transport: Arc<dyn Transport<FabricMsg<D>, EngineReply<D>>>,
     timeouts: Timeouts,
     durability: Option<Arc<dyn Durability<D>>>,
@@ -47,32 +50,34 @@ pub struct FabricBuilder<'w, D: Routable + Send + Sync + 'static> {
 const DRAW_SEED: u64 = 0x736b_6970_7765_6221;
 
 impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
-    /// Starts a deployment of `web` with the defaults: one actor thread
-    /// per host, the in-process channel transport, default [`Timeouts`],
+    /// Starts a deployment of `web` with the defaults: one actor per host
+    /// of the web, the in-process channel transport, default [`Timeouts`],
     /// no durability.
     pub fn new(web: &'w SkipWeb<D>) -> Self {
         FabricBuilder {
             web,
-            threads: None,
+            hosts: None,
             transport: Arc::new(ChannelTransport),
             timeouts: Timeouts::DEFAULT,
             durability: None,
         }
     }
 
-    /// Spawns exactly `hosts` physical actor threads and folds the web's
-    /// logical hosts onto them (`logical % hosts`); ranges folded onto one
-    /// host are co-located, so operations between them are free. While the
-    /// logical hosts fit, the fold is the identity, so owner-hosted hop
-    /// counts keep matching the simulator as live inserts grow the web. The
-    /// apply stage's thread comes on top: it is not a host.
+    /// Spawns exactly `hosts` physical hosts — actors, for placement and
+    /// metering — and folds the web's logical hosts onto them
+    /// (`logical % hosts`); ranges folded onto one host are co-located, so
+    /// operations between them are free. While the logical hosts fit, the
+    /// fold is the identity, so owner-hosted hop counts keep matching the
+    /// simulator as live inserts grow the web. The hosts share the
+    /// runtime's worker pool; the apply stage's thread comes on top: it is
+    /// not a host.
     ///
     /// # Panics
     ///
     /// Panics if `hosts` is zero.
     pub fn consolidated(mut self, hosts: usize) -> Self {
         assert!(hosts > 0, "a network needs at least one host");
-        self.threads = Some(hosts);
+        self.hosts = Some(hosts);
         self
     }
 
@@ -104,33 +109,26 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
         self
     }
 
-    /// Starts the apply stage, spawns the actor threads, and starts
-    /// serving.
+    /// Starts the apply stage, spawns the actors, and starts serving.
     pub fn spawn(self) -> DistributedSkipWeb<D> {
-        let threads = self.threads.unwrap_or(self.web.hosts().max(1));
-        let shared = Shared::new(self.web, threads, self.durability.clone());
-        self.launch(
-            shared,
-            threads,
-            0..threads,
-            Arc::clone(&self.transport),
-            None,
-        )
+        let hosts = self.hosts.unwrap_or(self.web.hosts().max(1));
+        let shared = Shared::new(self.web, hosts, self.durability.clone());
+        self.launch(shared, hosts, 0..hosts, Arc::clone(&self.transport), None)
     }
 
-    /// Starts the apply stage of `shared`, then the actor threads of the
-    /// `local` hosts of `threads`, over `transport`.
+    /// Starts the apply stage of `shared`, then the actors of the `local`
+    /// hosts of `hosts`, over `transport`.
     fn launch(
         &self,
         (shared, inbox): (Arc<Shared<D>>, channel::Receiver<StageMsg<D>>),
-        threads: usize,
+        hosts: usize,
         local: Range<usize>,
         transport: Arc<dyn Transport<FabricMsg<D>, EngineReply<D>>>,
         tcp: Option<Arc<TcpTransport<FabricMsg<D>, EngineReply<D>>>>,
     ) -> DistributedSkipWeb<D> {
         let stage = start_stage(&shared, inbox);
         let runtime =
-            Runtime::spawn_partitioned(threads, local, transport, |_h| EngineActor::new(&shared));
+            Runtime::spawn_partitioned(hosts, local, transport, |_h| EngineActor::new(&shared));
         DistributedSkipWeb {
             runtime,
             shared,
@@ -144,7 +142,7 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
 
 impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D> {
     /// Serves this process's share of the web over TCP: one OS process per
-    /// endpoint of `cfg`, each running actor threads only for the hosts
+    /// endpoint of `cfg`, each running actors only for the hosts
     /// `cfg.owners` assigns it (so [`consolidated`](Self::consolidated) and
     /// [`wan`](Self::wan) do not apply), every cross-process message
     /// serialized through [`WireCodec`](crate::wire::WireCodec).
@@ -167,8 +165,8 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
     /// Panics if `cfg.owners` does not assign this process a contiguous
     /// (possibly empty) host range, or the config indexes are out of range.
     pub fn spawn_tcp(self, cfg: TcpConfig) -> std::io::Result<DistributedSkipWeb<D>> {
-        let threads = cfg.owners.len().max(1);
-        let (shared, inbox) = Shared::new(self.web, threads, self.durability.clone());
+        let hosts = cfg.owners.len().max(1);
+        let (shared, inbox) = Shared::new(self.web, hosts, self.durability.clone());
         let codec = {
             let enc_shared = Arc::clone(&shared);
             TcpCodec {
@@ -193,7 +191,7 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
             _ => 0..0,
         };
         let transport: Arc<dyn Transport<FabricMsg<D>, EngineReply<D>>> = tcp.clone();
-        Ok(self.launch((shared, inbox), threads, range, transport, Some(tcp)))
+        Ok(self.launch((shared, inbox), hosts, range, transport, Some(tcp)))
     }
 }
 
@@ -373,7 +371,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         drop(retired); // the old webs and snapshot, outside the state lock
     }
 
-    /// Revives a crashed host in place (fresh mailbox and actor thread,
+    /// Revives a crashed host in place (fresh mailbox and actor,
     /// same id — see [`Runtime::revive`]) and publishes a topology
     /// snapshot that routes to it again: the rejoin-with-state path, so a
     /// recovered host returns to live membership instead of staying
@@ -396,8 +394,8 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         self.runtime.transport_stats()
     }
 
-    /// Stops all host threads. On a TCP deployment this first broadcasts
-    /// the teardown to every peer process, so their
+    /// Stops all hosts and the worker pool. On a TCP deployment this first
+    /// broadcasts the teardown to every peer process, so their
     /// [`serve_until_peer_shutdown`](Self::serve_until_peer_shutdown)
     /// calls return instead of reporting a severed transport.
     pub fn shutdown(self) {
@@ -411,7 +409,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
 
 impl<D: crate::wire::WireCodec + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// Worker-side teardown: blocks until the driver broadcasts shutdown
-    /// (or `timeout` elapses), then stops the local host threads. Returns
+    /// (or `timeout` elapses), then stops the local hosts. Returns
     /// `true` when the deployment was torn down on purpose, `false` on
     /// timeout.
     pub fn serve_until_peer_shutdown(self, timeout: Duration) -> bool {

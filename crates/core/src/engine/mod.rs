@@ -1,11 +1,12 @@
 //! The generic distributed skip-web engine: any range-determined structure
-//! served by the threaded actor runtime — queries *and* dynamic updates.
+//! served by the actor runtime — queries *and* dynamic updates.
 //!
 //! [`DistributedSkipWeb`] turns a built [`SkipWeb`](crate::skipweb::SkipWeb)
-//! into actor threads, one per host, executing the paper's protocol.
-//! Where ranges live is the web's own choice (blocking and replication are
-//! set when it is built); [`FabricBuilder`] only picks the thread count,
-//! transport, client timeouts and write-ahead sink.
+//! into actors, one per host, executing the paper's protocol on the
+//! runtime's worker pool. Where ranges live is the web's own choice
+//! (blocking and replication are set when it is built); [`FabricBuilder`]
+//! only picks the host count, transport, client timeouts and write-ahead
+//! sink.
 //!
 //! * **Addressing (§2.3).** Every range of every level set gets a
 //!   [`GlobalRef`] — `(level, set, range)` — and `(host, GlobalRef)` is the
@@ -195,7 +196,7 @@ pub trait Routable: RangeDetermined<Item: Send + Sync + 'static> {
     }
 }
 
-/// A running distributed skip-web over structure `D`: one actor thread per
+/// A running distributed skip-web over structure `D`: one actor per
 /// (physical) host, executing the forwarding protocol of §2.5 — and the
 /// update repairs of §4 — under real concurrent message passing. Its client
 /// calls live in `client.rs`, its lifecycle and membership calls in

@@ -65,14 +65,14 @@ impl<D: RangeDetermined> Topology<D> {
     }
 }
 
-/// How the web's logical hosts map onto physical actor threads: the fold
+/// How the web's logical hosts map onto physical hosts: the fold
 /// modulus plus the hosts excluded from placement (decommissioned, or dead
 /// hosts healed around). Part of the engine's evolving state, serialized by
 /// the state lock.
 #[derive(Debug, Clone)]
 pub(crate) struct PlacementCtl {
-    /// Number of physical actor threads; logical hosts fold onto them
-    /// (`logical % phys`), so the web may grow past the thread count.
+    /// Number of physical hosts; logical hosts fold onto them
+    /// (`logical % phys`), so the web may grow past the host count.
     pub(super) phys: usize,
     /// Physical hosts no new placement may target. Ranges that would fold
     /// onto one are re-homed to the next non-excluded host on the ring.

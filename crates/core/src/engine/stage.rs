@@ -218,16 +218,16 @@ pub(super) struct Shared<D: Routable + Send + Sync + 'static> {
 }
 
 impl<D: Routable + Send + Sync + 'static> Shared<D> {
-    /// The state of a fabric over `web` folded onto `threads` actor
-    /// threads, and the apply stage's inbox, for [`start_stage`]. Engine
+    /// The state of a fabric over `web` folded onto `hosts` physical
+    /// hosts, and the apply stage's inbox, for [`start_stage`]. Engine
     /// state and first snapshot start as the same `Arc`: one clone of the
     /// caller's web, sharing its level sets' structures.
     pub(super) fn new(
         web: &SkipWeb<D>,
-        threads: usize,
+        hosts: usize,
         durability: Option<Arc<dyn Durability<D>>>,
     ) -> (Arc<Self>, channel::Receiver<StageMsg<D>>) {
-        let placement = PlacementCtl::new(threads);
+        let placement = PlacementCtl::new(hosts);
         let web = Arc::new(web.clone());
         let topo = Arc::new(Topology {
             web: Arc::clone(&web),
@@ -454,13 +454,13 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
 }
 
 /// Starts the apply stage, and returns once it has made its first
-/// allocation — which must come before any actor thread exists. glibc's
+/// allocation — which must come before any worker thread exists. glibc's
 /// allocator hands each thread an arena at its first allocation, reusing
 /// the arenas of exited threads from a LIFO free list, so the order of
 /// first allocations decides who gets which arena. A stage started after
-/// the actors swapped arenas with one of them on every fabric a process
-/// stood up in turn; the allocation-heavy stage and a busy actor then
-/// shared one, and a second ≈ 10 MiB arena appeared (`perf`'s
+/// the actors' threads swapped arenas with one of them on every fabric a
+/// process stood up in turn; the allocation-heavy stage and a busy actor
+/// thread then shared one, and a second ≈ 10 MiB arena appeared (`perf`'s
 /// `onedim_churn` peak RSS read 26–45 MiB instead of ≈ 20 MiB).
 pub(super) fn start_stage<D: Routable + Send + Sync + 'static>(
     shared: &Arc<Shared<D>>,

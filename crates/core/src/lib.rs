@@ -29,7 +29,7 @@
 //! * [`multidim`] — quadtree/octree point location and approximate nearest
 //!   neighbour, trie prefix search, trapezoidal-map point location (§3).
 //! * [`engine`] — the generic distributed engine: any of the above served
-//!   by the threaded actor runtime with real message passing, correlation-id
+//!   by the actor runtime with real message passing, correlation-id
 //!   clients, per-host traffic counters, and live dynamic updates (§4):
 //!   an [`Update`] routes to its locus, repairs the conflict
 //!   neighbourhoods bottom-up paying one message per host crossing, and

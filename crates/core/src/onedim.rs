@@ -192,7 +192,7 @@ impl OneDimSkipWeb {
     }
 }
 
-/// A running distributed 1-D skip-web: one actor thread per host, answering
+/// A running distributed 1-D skip-web: one actor per host, answering
 /// nearest-neighbour queries — and applying live key inserts/removes (§4) —
 /// with real concurrent message passing.
 pub type DistributedOneDim = DistributedSkipWeb<SortedLinkedList>;

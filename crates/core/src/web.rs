@@ -72,8 +72,8 @@ impl<D: Routable + Send + Sync + 'static> Web<D> {
         self.web.remove(item, &mut meter).then(|| meter.messages())
     }
 
-    /// Serves this web over the threaded actor runtime (see
-    /// [`crate::engine`]): one actor thread per host answering the
+    /// Serves this web over the actor runtime (see [`crate::engine`]): one
+    /// actor per host, run by a core-sized worker pool, answering the
     /// structure's requests — and applying live inserts/removes — with real
     /// concurrent message passing.
     pub fn serve(&self) -> DistributedSkipWeb<D> {

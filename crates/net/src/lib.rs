@@ -17,8 +17,9 @@
 //! 1. [`sim`] — a deterministic, single-threaded network that measures those
 //!    costs *exactly* while structure walks execute. This is what every
 //!    benchmark and experiment uses.
-//! 2. [`runtime`] — a threaded actor runtime (one OS thread per host,
-//!    crossbeam channels) used by examples and integration tests to
+//! 2. [`runtime`] — an actor runtime (every host an actor with a mailbox,
+//!    run by a worker pool of at most one thread per core, crossbeam
+//!    channels) used by examples and integration tests to
 //!    demonstrate that the very same routing steps work under real
 //!    concurrent message passing. Unlike the paper's model, the runtime
 //!    *does* let hosts fail: a crash tombstones only that host

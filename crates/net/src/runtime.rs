@@ -1,5 +1,5 @@
-//! Threaded actor runtime: one OS thread per host, crossbeam channels as the
-//! network fabric — with a crash-tolerant failure model.
+//! Actor runtime: every host is an actor with a mailbox, and a small pool of
+//! worker threads runs them — with a crash-tolerant failure model.
 //!
 //! The deterministic [`sim`](crate::sim) substrate measures costs; this
 //! runtime demonstrates that the same routing steps execute correctly under
@@ -7,6 +7,22 @@
 //! [`Client`]s inject requests at any host and receive replies on their own
 //! channel, mirroring the paper's "root node for that host" query entry
 //! points.
+//!
+//! # Execution
+//!
+//! A host is not a thread. `min(local hosts, available_parallelism)` worker
+//! threads run the hosts of a runtime, one *turn* at a time: up to a fixed
+//! budget of envelopes from one host's mailbox, in FIFO order. A delivery
+//! into an idle mailbox puts the host on the runtime's run queue; a host
+//! whose mailbox still holds work after its turn goes to the back of it.
+//! A host that a worker's own turn schedules runs next on that worker, for
+//! a few turns in a row at most, so a message hop between hosts is an
+//! enqueue, not a thread wake-up. The paper charges an operation its
+//! messages and treats work inside a host as free; this keeps the runtime's
+//! own cost per message close to that. A parked worker is woken only when
+//! the shared run queue gains work, and no worker spins. Each host's turns
+//! run one at a time, so an actor is never re-entered and the messages
+//! between two hosts keep their order.
 //!
 //! # Failure model
 //!
@@ -63,10 +79,12 @@
 //! rt.shutdown();
 //! ```
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -96,10 +114,29 @@ pub enum Sender {
     Client(ClientId),
 }
 
-pub(crate) enum Envelope<M> {
-    User { from: Sender, msg: M },
-    Stop,
+enum Envelope<M> {
+    User {
+        from: Sender,
+        msg: M,
+    },
+    /// Stops the host once everything queued ahead of it is handled.
+    /// `_done` goes with the envelope — when the host stops, or when its
+    /// queue is discarded — and [`Runtime::shutdown`] waits for the last
+    /// one to go.
+    Stop {
+        _done: channel::Sender<()>,
+    },
 }
+
+/// Envelopes one turn takes from a host's mailbox before its worker moves
+/// on; a host with more queued goes to the back of the run queue, so a
+/// flooded host cannot starve the others.
+const TURN_BUDGET: usize = 64;
+
+/// Turns a worker takes in a row from its next-slot before it serves the
+/// shared run queue (Tokio caps its LIFO slot the same way), so hosts
+/// handing one another work cannot keep the rest of the queue waiting.
+const NEXT_SLOT_RUN: usize = 3;
 
 /// What a host-to-host message carries, for the per-host traffic split the
 /// paper's `Q(n)` / `U(n)` columns keep apart: query routing versus update
@@ -272,14 +309,164 @@ impl fmt::Display for Membership {
     }
 }
 
-/// One host's slot in the fabric: mailbox sender, lifecycle state, and
-/// per-host counters. Slots are only ever appended, never removed, so host
-/// ids stay dense and stable.
-struct HostSlot<M> {
+/// An actor, erased to its handler so that one worker pool, and the
+/// transports' delivery handles, serve hosts of any actor type.
+type Handler<M, R> = Box<dyn FnMut(Sender, M, &mut Context<'_, M, R>) + Send>;
+
+/// One incarnation of a host: its mailbox, its lifecycle state, and the
+/// actor the worker pool runs. [`Runtime::revive`] gives the slot a fresh
+/// incarnation, so a turn still running for the old one can never touch the
+/// new mailbox.
+struct Host<M, R> {
+    id: HostId,
+    /// `STATE_*` constant, read before every envelope so a tombstone takes
+    /// effect at once.
+    state: AtomicU8,
     tx: channel::Sender<Envelope<M>>,
-    /// `STATE_*` constant; shared with the host thread so a tombstone is
-    /// visible to it without locking.
-    state: Arc<AtomicU8>,
+    /// Set while the host is on the run queue, in a next-slot or in a turn.
+    /// A delivery that finds it clear schedules the host.
+    scheduled: AtomicBool,
+    /// The mailbox's receiving end and the actor; `None` once the host has
+    /// stopped or crashed (dropping the receiver closes the mailbox and
+    /// discards its queue) and for a host in another process. Only the
+    /// worker running this host's turn locks it, and `scheduled` admits one
+    /// turn at a time, so the lock never waits. It is a `std` lock on
+    /// purpose: lockdep reports channel sends under `parking_lot` locks,
+    /// and this one is held across `on_message`, which sends.
+    live: std::sync::Mutex<Option<Live<M, R>>>,
+}
+
+struct Live<M, R> {
+    rx: channel::Receiver<Envelope<M>>,
+    actor: Handler<M, R>,
+}
+
+impl<M, R> Host<M, R> {
+    /// A host running `actor` here, or — with `None` — one that executes in
+    /// another process: an address and a state, but a closed mailbox, so
+    /// nothing can queue behind it.
+    fn new(id: HostId, actor: Option<Handler<M, R>>) -> Self {
+        let (tx, rx) = channel::unbounded();
+        Host {
+            id,
+            state: AtomicU8::new(STATE_ALIVE),
+            tx,
+            scheduled: AtomicBool::new(false),
+            live: std::sync::Mutex::new(actor.map(|actor| Live { rx, actor })),
+        }
+    }
+
+    fn is_dead(&self) -> bool {
+        self.state.load(Ordering::Acquire) == STATE_DEAD
+    }
+
+    /// Runs one turn: up to [`TURN_BUDGET`] envelopes, in FIFO order. A
+    /// stop marker, a tombstone or a panicking handler closes the host: its
+    /// actor is dropped and its queue discarded. Returns whether the actor
+    /// panicked.
+    fn turn(&self, net: &Arc<Fabric<M, R>>) -> bool {
+        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(Live { rx, actor }) = live.as_mut() else {
+            return false;
+        };
+        let mut panicked = false;
+        let mut stopped = false;
+        for _ in 0..TURN_BUDGET {
+            if self.is_dead() {
+                break;
+            }
+            match rx.try_recv() {
+                Ok(Envelope::User { from, msg }) => {
+                    let mut ctx = Context { host: self.id, net };
+                    panicked =
+                        catch_unwind(AssertUnwindSafe(|| actor(from, msg, &mut ctx))).is_err();
+                    if panicked {
+                        break;
+                    }
+                }
+                Ok(Envelope::Stop { .. }) => {
+                    stopped = true;
+                    break;
+                }
+                Err(_) => break,
+            }
+        }
+        if panicked || stopped || self.is_dead() {
+            *live = None;
+        }
+        panicked
+    }
+}
+
+thread_local! {
+    /// The pool (by address) and next-slot index of the worker running on
+    /// this thread; `(0, 0)` on any other thread.
+    static WORKER: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+/// A worker's next-slot: the host its own turn scheduled last.
+type NextSlot<M, R> = std::sync::Mutex<Option<Arc<Host<M, R>>>>;
+
+/// A runtime's worker pool: the shared run queue and one next-slot per
+/// worker.
+struct Pool<M, R> {
+    /// Hosts with work, in the order they became ready; `None` tells one
+    /// worker to exit.
+    queue: channel::Sender<Option<Arc<Host<M, R>>>>,
+    ready: channel::Receiver<Option<Arc<Host<M, R>>>>,
+    /// One per possible worker (`available_parallelism` of them), each only
+    /// ever locked by its own worker's thread.
+    next: Box<[NextSlot<M, R>]>,
+}
+
+impl<M, R> Pool<M, R> {
+    fn new() -> Self {
+        let (queue, ready) = channel::unbounded();
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Pool {
+            queue,
+            ready,
+            next: (0..workers).map(|_| std::sync::Mutex::new(None)).collect(),
+        }
+    }
+
+    fn key(&self) -> usize {
+        self as *const Self as usize
+    }
+
+    fn next_slot(&self, index: usize) -> std::sync::MutexGuard<'_, Option<Arc<Host<M, R>>>> {
+        self.next[index]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Puts a host that has just become ready where a worker will run it:
+    /// into the next-slot when one of this pool's workers scheduled it from
+    /// its own turn (the slot's previous occupant goes to the run queue),
+    /// else onto the run queue, which wakes a parked worker if there is one.
+    fn schedule(&self, host: Arc<Host<M, R>>) {
+        let (pool, index) = WORKER.with(Cell::get);
+        let host = if pool == self.key() {
+            let displaced = self.next_slot(index).replace(host);
+            match displaced {
+                Some(displaced) => displaced,
+                None => return,
+            }
+        } else {
+            host
+        };
+        let _ = self.queue.send(Some(host));
+    }
+}
+
+/// One host's slot in the fabric: its current incarnation and its per-host
+/// counters, which span incarnations (traffic accounting outlives a crash,
+/// like a persistent host name). Slots are only ever appended, never
+/// removed, so host ids stay dense and stable.
+struct HostSlot<M, R> {
+    host: Arc<Host<M, R>>,
+    /// Whether the host executes in this process.
+    local: bool,
     sent: AtomicU64,
     received: AtomicU64,
     update_sent: AtomicU64,
@@ -295,11 +482,11 @@ struct HostSlot<M> {
     update_batch_ops: AtomicU64,
 }
 
-impl<M> HostSlot<M> {
-    fn new(tx: channel::Sender<Envelope<M>>) -> Self {
+impl<M, R> HostSlot<M, R> {
+    fn new(host: Host<M, R>, local: bool) -> Self {
         HostSlot {
-            tx,
-            state: Arc::new(AtomicU8::new(STATE_ALIVE)),
+            host: Arc::new(host),
+            local,
             sent: AtomicU64::new(0),
             received: AtomicU64::new(0),
             update_sent: AtomicU64::new(0),
@@ -312,7 +499,8 @@ impl<M> HostSlot<M> {
 }
 
 struct Fabric<M, R> {
-    slots: RwLock<Vec<HostSlot<M>>>,
+    slots: RwLock<Vec<HostSlot<M, R>>>,
+    pool: Pool<M, R>,
     clients: RwLock<HashMap<ClientId, channel::Sender<R>>>,
     /// Late replies clients discarded on arrival because the correlation id
     /// they answered was abandoned by a timeout-resubmit.
@@ -343,27 +531,89 @@ impl<M, R> Fabric<M, R> {
             .slots
             .read()
             .iter()
-            .map(|s| decode_state(s.state.load(Ordering::Acquire)))
+            .map(|s| decode_state(s.host.state.load(Ordering::Acquire)))
             .collect();
         *self.membership_cache.write() = Arc::new(Membership { states });
     }
 
-    /// Tombstones `host` (crash semantics) and wakes the host thread so it
-    /// drains and exits. Idempotent.
+    /// Tombstones `host` (crash semantics) and schedules a turn that
+    /// closes it: its queue is discarded and its actor dropped. Idempotent.
     fn mark_dead(&self, host: HostId) {
-        let tx = {
+        let dead = {
             let slots = self.slots.read();
             let Some(slot) = slots.get(host.index()) else {
                 return;
             };
-            slot.state.store(STATE_DEAD, Ordering::Release);
-            slot.tx.clone()
+            slot.host.state.store(STATE_DEAD, Ordering::Release);
+            Arc::clone(&slot.host)
         };
-        // Wake the thread (it may be blocked on an empty mailbox) so it
-        // observes the tombstone, discards its queue, and exits. Sent after
-        // the slots guard is released: never block a channel under a lock.
-        let _ = tx.send(Envelope::Stop);
+        // Scheduled after the slots guard is released: never send on a
+        // channel under a lock.
+        self.wake(&dead);
         self.rebuild_membership();
+    }
+
+    /// Queues `envelope` in `host`'s mailbox and schedules the host if it
+    /// was idle. Returns `false` if the mailbox is closed.
+    fn post(&self, host: &Arc<Host<M, R>>, envelope: Envelope<M>) -> bool {
+        if host.tx.send(envelope).is_err() {
+            return false;
+        }
+        self.wake(host);
+        true
+    }
+
+    /// Schedules `host` unless it already is: on the run queue, in a
+    /// next-slot, or in a turn that will look at its mailbox again.
+    fn wake(&self, host: &Arc<Host<M, R>>) {
+        if !host.scheduled.swap(true, Ordering::AcqRel) {
+            self.pool.schedule(Arc::clone(host));
+        }
+    }
+
+    /// One worker: runs turns from its next-slot, [`NEXT_SLOT_RUN`] in a
+    /// row at most, and otherwise from the shared run queue, parking while
+    /// that is empty, until it is told to exit.
+    fn work(self: &Arc<Self>, index: usize) {
+        WORKER.with(|w| w.set((self.pool.key(), index)));
+        let mut in_a_row = 0;
+        loop {
+            let next = self.pool.next_slot(index).take();
+            let host = match next {
+                Some(host) if in_a_row < NEXT_SLOT_RUN => {
+                    in_a_row += 1;
+                    host
+                }
+                displaced => {
+                    in_a_row = 0;
+                    if let Some(host) = displaced {
+                        let _ = self.pool.queue.send(Some(host));
+                    }
+                    match self.pool.ready.recv() {
+                        Ok(Some(host)) => host,
+                        Ok(None) | Err(_) => return,
+                    }
+                }
+            };
+            self.run_turn(&host);
+        }
+    }
+
+    /// Runs one turn of `host`, tombstones it if its actor panicked — this
+    /// incarnation only, the worker lives on — and releases it.
+    fn run_turn(self: &Arc<Self>, host: &Arc<Host<M, R>>) {
+        if host.turn(self) {
+            host.state.store(STATE_DEAD, Ordering::Release);
+            self.rebuild_membership();
+        }
+        // A swap, not a store: reading the flag synchronizes with the
+        // delivery that last set it, so the emptiness check below sees that
+        // delivery's envelope. Work that arrived during the turn and has
+        // not re-scheduled the host sends it to the back of the run queue.
+        host.scheduled.swap(false, Ordering::AcqRel);
+        if !host.tx.is_empty() && !host.scheduled.swap(true, Ordering::AcqRel) {
+            let _ = self.pool.queue.send(Some(Arc::clone(host)));
+        }
     }
 }
 
@@ -400,30 +650,38 @@ impl<M, R> Delivery<M, R> {
     /// Injects the message into the destination mailbox. Messages arriving
     /// at a dead host are dropped (and counted in
     /// [`crate::HostTraffic::dropped`]), like packets to a crashed machine.
+    /// A host-to-host message is counted as received once its mailbox has
+    /// taken it; one a closed mailbox refuses is not.
     pub fn deliver(self, msg: M) -> CarryStatus {
         // Bookkeeping under the slots lock, the mailbox send after it is
         // released: never block a channel under a lock.
-        let tx = {
+        let host = {
             let slots = self.net.slots.read();
             let Some(dest) = slots.get(self.to.index()) else {
                 return CarryStatus::Closed;
             };
-            if dest.state.load(Ordering::Acquire) == STATE_DEAD {
+            if dest.host.is_dead() {
                 dest.dropped.fetch_add(1, Ordering::Relaxed);
                 return CarryStatus::InFlight;
             }
-            if matches!(self.from, Sender::Host(_)) {
-                dest.received.fetch_add(1, Ordering::Relaxed);
-            }
-            dest.tx.clone()
+            Arc::clone(&dest.host)
         };
-        match tx.send(Envelope::User {
+        let envelope = Envelope::User {
             from: self.from,
             msg,
-        }) {
-            Ok(()) => CarryStatus::Delivered,
-            Err(_) => CarryStatus::Closed,
+        };
+        if host.tx.send(envelope).is_err() {
+            return CarryStatus::Closed;
         }
+        if matches!(self.from, Sender::Host(_)) {
+            // Counted before the host is woken: an idle host cannot take
+            // the message, let alone reply to it, before it is counted.
+            if let Some(dest) = self.net.slots.read().get(self.to.index()) {
+                dest.received.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.net.wake(&host);
+        CarryStatus::Delivered
     }
 }
 
@@ -512,23 +770,6 @@ impl<M, R> Inbound<M, R> {
     }
 }
 
-/// Armed for the lifetime of a host thread; if the thread unwinds (actor
-/// panic), the drop handler tombstones *that host only*: its state flips to
-/// [`HostState::Dead`] and later messages to it are dropped, while every
-/// other host — and every client — keeps operating.
-struct PanicWatch<M, R> {
-    host: HostId,
-    net: Arc<Fabric<M, R>>,
-}
-
-impl<M, R> Drop for PanicWatch<M, R> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.net.mark_dead(self.host);
-        }
-    }
-}
-
 /// Handler context: lets an actor forward messages, reply to clients, and
 /// observe the membership view.
 pub struct Context<'a, M, R> {
@@ -553,7 +794,7 @@ impl<M: Send + 'static, R: Send + 'static> Context<'_, M, R> {
         let slots = self.net.slots.read();
         slots
             .get(host.index())
-            .is_some_and(|s| s.state.load(Ordering::Acquire) == STATE_ALIVE)
+            .is_some_and(|s| s.host.state.load(Ordering::Acquire) == STATE_ALIVE)
     }
 
     /// Sends `msg` to another host; counts one network message (both in the
@@ -594,15 +835,16 @@ impl<M: Send + 'static, R: Send + 'static> Context<'_, M, R> {
             // fault model: deliver straight to our own mailbox (unbounded,
             // so this cannot block inside a handler). The send happens after
             // the slots guard drops: never block a channel under a lock.
-            let tx = {
+            let host = {
                 let slots = self.net.slots.read();
-                slots.get(to.index()).map(|dest| dest.tx.clone())
+                slots.get(to.index()).map(|dest| Arc::clone(&dest.host))
             };
-            if let Some(tx) = tx {
-                let _ = tx.send(Envelope::User {
+            if let Some(host) = host {
+                let envelope = Envelope::User {
                     from: Sender::Host(self.host),
                     msg,
-                });
+                };
+                let _ = self.net.post(&host, envelope);
             }
             return;
         }
@@ -611,7 +853,7 @@ impl<M: Send + 'static, R: Send + 'static> Context<'_, M, R> {
             let Some(dest) = slots.get(to.index()) else {
                 return;
             };
-            if dest.state.load(Ordering::Acquire) == STATE_DEAD {
+            if dest.host.is_dead() {
                 // Lost on the wire: the destination crashed. One envelope,
                 // one loss — however many ops rode inside it.
                 dest.dropped.fetch_add(1, Ordering::Relaxed);
@@ -694,6 +936,10 @@ pub trait Actor: Send + 'static {
     type Reply: Send + 'static;
 
     /// Handles one incoming message. Forward or reply through `ctx`.
+    ///
+    /// Hosts share a worker pool of at most one thread per core, so a
+    /// handler should not block waiting on another host: it would hold a
+    /// worker that host may need.
     fn on_message(
         &mut self,
         from: Sender,
@@ -735,7 +981,7 @@ impl<M: Send + 'static, R: Send + 'static> Client<M, R> {
             let Some(dest) = slots.get(host.index()) else {
                 return Err(RuntimeError::HostDown(host));
             };
-            if dest.state.load(Ordering::Acquire) == STATE_DEAD {
+            if dest.host.is_dead() {
                 dest.dropped.fetch_add(1, Ordering::Relaxed);
                 return Err(RuntimeError::HostPanicked(host));
             }
@@ -808,47 +1054,25 @@ impl<M: Send + 'static, R: Send + 'static> Client<M, R> {
     }
 }
 
-/// The running network: host threads plus client plumbing. Hosts can crash
-/// ([`kill`](Self::kill) or an actor panic), leave gracefully
-/// ([`decommission`](Self::decommission)), and join live
+/// The running network: hosts, the worker pool that runs them, and client
+/// plumbing. Hosts can crash ([`kill`](Self::kill) or an actor panic),
+/// leave gracefully ([`decommission`](Self::decommission)), and join live
 /// ([`add_host`](Self::add_host)); the rest of the fabric keeps serving
 /// throughout.
 pub struct Runtime<A: Actor> {
     net: Arc<Fabric<A::Msg, A::Reply>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// The worker threads: `min(local hosts, available_parallelism)`.
+    workers: Mutex<Vec<JoinHandle<()>>>,
     next_client: AtomicU64,
 }
 
-fn run_host<A: Actor>(
-    host: HostId,
-    mut actor: A,
-    rx: channel::Receiver<Envelope<A::Msg>>,
-    net: Arc<Fabric<A::Msg, A::Reply>>,
-    state: Arc<AtomicU8>,
-) {
-    let _watch = PanicWatch {
-        host,
-        net: Arc::clone(&net),
-    };
-    while let Ok(envelope) = rx.recv() {
-        match envelope {
-            Envelope::Stop => break,
-            Envelope::User { from, msg } => {
-                if state.load(Ordering::Acquire) == STATE_DEAD {
-                    // Tombstoned by an injected kill: drain and discard the
-                    // mailbox, exactly like messages lost in a crash.
-                    continue;
-                }
-                let mut ctx = Context { host, net: &net };
-                actor.on_message(from, msg, &mut ctx);
-            }
-        }
-    }
+fn handler<A: Actor>(mut actor: A) -> Handler<A::Msg, A::Reply> {
+    Box::new(move |from, msg, ctx| actor.on_message(from, msg, ctx))
 }
 
 impl<A: Actor> Runtime<A> {
-    /// Spawns `hosts` actor threads over the default [`ChannelTransport`];
-    /// `make_actor` builds the per-host state.
+    /// Spawns a fabric of `hosts` actors over the default
+    /// [`ChannelTransport`]; `make_actor` builds the per-host state.
     ///
     /// # Panics
     ///
@@ -873,13 +1097,13 @@ impl<A: Actor> Runtime<A> {
         Self::spawn_partitioned(hosts, 0..hosts, transport, make_actor)
     }
 
-    /// Spawns a fabric of `hosts` slots but actor threads only for the
+    /// Spawns a fabric of `hosts` slots but runs actors only for the
     /// `local` id range — the multi-process deployment shape: every process
     /// holds the full (dense, stable) slot table so addressing and
     /// membership work globally, while only its own partition executes.
     /// Messages to non-local hosts are the transport's problem (a byte-
     /// moving transport like [`crate::TcpTransport`] ships them to the
-    /// owning process; remote mailboxes in this process are never used).
+    /// owning process; remote mailboxes in this process are closed).
     ///
     /// # Panics
     ///
@@ -896,8 +1120,16 @@ impl<A: Actor> Runtime<A> {
             local.end <= hosts,
             "local partition reaches past the fabric"
         );
+        let slots = (0..hosts)
+            .map(|i| {
+                let id = HostId(i as u32);
+                let here = local.contains(&i);
+                HostSlot::new(Host::new(id, here.then(|| handler(make_actor(id)))), here)
+            })
+            .collect();
         let net = Arc::new(Fabric {
-            slots: RwLock::new(Vec::with_capacity(hosts)),
+            slots: RwLock::new(slots),
+            pool: Pool::new(),
             clients: RwLock::new(HashMap::new()),
             stale_replies: AtomicU64::new(0),
             membership_cache: RwLock::new(Arc::new(Membership { states: Vec::new() })),
@@ -909,50 +1141,38 @@ impl<A: Actor> Runtime<A> {
         });
         let runtime = Runtime {
             net,
-            handles: Mutex::new(Vec::with_capacity(local.len())),
+            workers: Mutex::new(Vec::new()),
             next_client: AtomicU64::new(0),
         };
-        for i in 0..hosts {
-            if local.contains(&i) {
-                runtime.add_host_inner(make_actor(HostId(i as u32)), false);
-            } else {
-                runtime.add_remote_slot();
-            }
-        }
+        runtime.staff();
         runtime.net.rebuild_membership();
         runtime
     }
 
-    /// Appends a slot for a host that executes in another process: it has
-    /// an address and counters, but no thread — its mailbox receiver is
-    /// dropped so nothing can queue behind it.
-    fn add_remote_slot(&self) {
-        let (tx, _rx) = channel::unbounded();
-        self.net.slots.write().push(HostSlot::new(tx));
+    /// Spawns workers until there are `min(local hosts, available_parallelism)`
+    /// of them.
+    fn staff(&self) {
+        let local = self.net.slots.read().iter().filter(|s| s.local).count();
+        let want = local.min(self.net.pool.next.len());
+        let mut workers = self.workers.lock();
+        while workers.len() < want {
+            let net = Arc::clone(&self.net);
+            let index = workers.len();
+            workers.push(std::thread::spawn(move || net.work(index)));
+        }
     }
 
     /// Adds one host to the running fabric, returning its (dense, stable)
     /// id. The host starts alive and immediately receives traffic.
     pub fn add_host(&self, actor: A) -> HostId {
-        self.add_host_inner(actor, true)
-    }
-
-    fn add_host_inner(&self, actor: A, publish: bool) -> HostId {
-        let (tx, rx) = channel::unbounded();
-        let slot = HostSlot::new(tx);
-        let state = Arc::clone(&slot.state);
         let host = {
             let mut slots = self.net.slots.write();
             let host = HostId(slots.len() as u32);
-            slots.push(slot);
+            slots.push(HostSlot::new(Host::new(host, Some(handler(actor))), true));
             host
         };
-        let net = Arc::clone(&self.net);
-        let handle = std::thread::spawn(move || run_host(host, actor, rx, net, state));
-        self.handles.lock().push(handle);
-        if publish {
-            self.net.rebuild_membership();
-        }
+        self.staff();
+        self.net.rebuild_membership();
         host
     }
 
@@ -965,7 +1185,7 @@ impl<A: Actor> Runtime<A> {
     }
 
     /// Restarts a crashed host in place: the tombstoned slot gets a fresh
-    /// mailbox and a fresh actor thread, and the host rejoins the live
+    /// incarnation — mailbox and actor — and the host rejoins the live
     /// membership under its original id — the rejoin-with-state path a
     /// durability layer uses after replaying the host's write-ahead log.
     /// Returns `false` (without spawning anything) unless the host is
@@ -974,28 +1194,23 @@ impl<A: Actor> Runtime<A> {
     ///
     /// The slot keeps its lifetime counters across the revival (traffic
     /// accounting spans crashes, like a persistent host name). The old
-    /// thread — which may still be draining its pre-crash mailbox — keeps
-    /// observing its own tombstoned state cell and exits on the stop marker
-    /// [`kill`](Self::kill) queued; the revived thread watches a fresh cell,
-    /// so a slow drain can never resurrect pre-crash messages into the
-    /// recovered host.
+    /// incarnation — whose pre-crash mailbox a turn may still be
+    /// discarding — keeps its own tombstone, mailbox and actor; the revived
+    /// one starts from a fresh mailbox, so a slow drain can never resurrect
+    /// pre-crash messages into the recovered host.
     pub fn revive(&self, host: HostId, actor: A) -> bool {
-        let handle = {
+        {
             let mut slots = self.net.slots.write();
             let Some(slot) = slots.get_mut(host.index()) else {
                 return false;
             };
-            if decode_state(slot.state.load(Ordering::Acquire)) != HostState::Dead {
+            if !slot.host.is_dead() {
                 return false;
             }
-            let (tx, rx) = channel::unbounded();
-            let state = Arc::new(AtomicU8::new(STATE_ALIVE));
-            slot.tx = tx;
-            slot.state = Arc::clone(&state);
-            let net = Arc::clone(&self.net);
-            std::thread::spawn(move || run_host(host, actor, rx, net, state))
-        };
-        self.handles.lock().push(handle);
+            slot.host = Arc::new(Host::new(host, Some(handler(actor))));
+            slot.local = true;
+        }
+        self.staff();
         self.net.rebuild_membership();
         true
     }
@@ -1008,7 +1223,7 @@ impl<A: Actor> Runtime<A> {
         {
             let slots = self.net.slots.read();
             if let Some(slot) = slots.get(host.index()) {
-                let _ = slot.state.compare_exchange(
+                let _ = slot.host.state.compare_exchange(
                     STATE_ALIVE,
                     STATE_DECOMMISSIONED,
                     Ordering::AcqRel,
@@ -1057,7 +1272,7 @@ impl<A: Actor> Runtime<A> {
     /// broken out per host.
     pub fn host_traffic(&self) -> HostTraffic {
         let slots = self.net.slots.read();
-        let load = |f: fn(&HostSlot<A::Msg>) -> &AtomicU64| -> Vec<u64> {
+        let load = |f: fn(&HostSlot<A::Msg, A::Reply>) -> &AtomicU64| -> Vec<u64> {
             slots.iter().map(|s| f(s).load(Ordering::Relaxed)).collect()
         };
         // Load the update share before the totals: `send_class` increments
@@ -1090,20 +1305,39 @@ impl<A: Actor> Runtime<A> {
         self.net.transport.is_lossy()
     }
 
-    /// Stops all hosts, joins their threads, then shuts the transport down.
+    /// Stops all hosts, then the workers, then shuts the transport down.
     /// Queued messages ahead of the stop marker are still processed (except
-    /// on dead hosts, which already discarded theirs). Stop markers go
-    /// straight to the mailboxes — a lossy or wedged transport cannot block
-    /// shutdown.
+    /// on dead hosts, which discard theirs). Stop markers go straight to the
+    /// mailboxes — a lossy or wedged transport cannot block shutdown.
     pub fn shutdown(self) {
-        // Snapshot the mailbox senders, then send with the slots lock
-        // released: never block a channel under a lock.
-        let txs: Vec<_> = self.net.slots.read().iter().map(|s| s.tx.clone()).collect();
-        for tx in txs {
-            let _ = tx.send(Envelope::Stop);
+        // Snapshot the hosts, then send with the slots lock released: never
+        // block a channel under a lock.
+        let hosts: Vec<_> = self
+            .net
+            .slots
+            .read()
+            .iter()
+            .map(|s| Arc::clone(&s.host))
+            .collect();
+        let (done, stopped) = channel::unbounded::<()>();
+        for host in &hosts {
+            let _ = self.net.post(
+                host,
+                Envelope::Stop {
+                    _done: done.clone(),
+                },
+            );
         }
-        for handle in self.handles.into_inner() {
-            let _ = handle.join();
+        drop(done);
+        // Nothing is sent on `done`: this returns once every stop marker is
+        // gone, each with its host stopped or its queue discarded.
+        let _ = stopped.recv();
+        let workers = self.workers.into_inner();
+        for _ in &workers {
+            let _ = self.net.pool.queue.send(None);
+        }
+        for worker in workers {
+            let _ = worker.join();
         }
         self.net.transport.shutdown();
     }
@@ -1555,6 +1789,226 @@ mod tests {
         assert!(rt.membership().is_alive(new));
         c.send(new, Ask(c.id(), 3)).unwrap();
         assert_eq!(c.recv_timeout(Duration::from_secs(5)).unwrap(), (new, 3));
+        rt.shutdown();
+    }
+
+    /// Host 0 hands every request on to host 1, then answers it itself.
+    struct Handoff;
+
+    impl Actor for Handoff {
+        type Msg = Ask;
+        type Reply = (HostId, u64);
+        fn on_message(
+            &mut self,
+            _from: Sender,
+            Ask(c, v): Ask,
+            ctx: &mut Context<'_, Ask, (HostId, u64)>,
+        ) {
+            if ctx.host() == HostId(0) {
+                ctx.send(HostId(1), Ask(c, v));
+            }
+            ctx.reply(c, (ctx.host(), v));
+        }
+    }
+
+    #[test]
+    fn a_closed_mailbox_refuses_a_message_without_counting_it_received() {
+        // Host 1 runs in another process: its mailbox here is closed.
+        let rt = Runtime::spawn_partitioned(2, 0..1, Arc::new(ChannelTransport), |_| Handoff);
+        let c = rt.client();
+        c.send(HostId(0), Ask(c.id(), 5)).unwrap();
+        assert_eq!(
+            c.recv_timeout(Duration::from_secs(5)).unwrap(),
+            (HostId(0), 5)
+        );
+        let traffic = rt.host_traffic();
+        assert_eq!(traffic.sent[0], 1);
+        assert_eq!(traffic.received[1], 0);
+        rt.shutdown();
+    }
+
+    fn workers_cap() -> usize {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+
+    /// Relays a token around a ring, noting the thread each hop ran on.
+    struct Relay {
+        hosts: u32,
+        threads: Arc<Mutex<std::collections::HashSet<std::thread::ThreadId>>>,
+    }
+
+    impl Actor for Relay {
+        type Msg = Fwd;
+        type Reply = ();
+        fn on_message(&mut self, _from: Sender, msg: Fwd, ctx: &mut Context<'_, Fwd, ()>) {
+            self.threads.lock().insert(std::thread::current().id());
+            if msg.left == 0 {
+                ctx.reply(msg.client, ());
+            } else {
+                let next = HostId((ctx.host().0 + 1) % self.hosts);
+                ctx.send(
+                    next,
+                    Fwd {
+                        left: msg.left - 1,
+                        client: msg.client,
+                    },
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_pool_runs_many_hosts_on_at_most_available_parallelism_threads() {
+        let hosts = 64u32;
+        let threads = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let rt = Runtime::spawn(hosts as usize, |_| Relay {
+            hosts,
+            threads: Arc::clone(&threads),
+        });
+        let clients: Vec<_> = (0..4).map(|_| rt.client()).collect();
+        for (i, c) in clients.iter().enumerate() {
+            let start = HostId(i as u32 * 16);
+            c.send(
+                start,
+                Fwd {
+                    left: hosts * 3,
+                    client: c.id(),
+                },
+            )
+            .unwrap();
+        }
+        for c in &clients {
+            c.recv_timeout(Duration::from_secs(10)).unwrap();
+        }
+        assert_eq!(rt.message_count(), 4 * u64::from(hosts) * 3);
+        let used = threads.lock().len();
+        assert!(
+            (1..=workers_cap()).contains(&used),
+            "{hosts} hosts ran on {used} threads, cap {}",
+            workers_cap()
+        );
+        rt.shutdown();
+    }
+
+    /// Either floods itself forever once started, or echoes.
+    enum Flood {
+        Flooder,
+        Quiet,
+    }
+    #[derive(Debug)]
+    enum FloodMsg {
+        Again,
+        Ask(ClientId),
+    }
+
+    impl Actor for Flood {
+        type Msg = FloodMsg;
+        type Reply = HostId;
+        fn on_message(
+            &mut self,
+            _from: Sender,
+            msg: FloodMsg,
+            ctx: &mut Context<'_, FloodMsg, HostId>,
+        ) {
+            match (self, msg) {
+                (Flood::Flooder, _) => ctx.send(ctx.host(), FloodMsg::Again),
+                (Flood::Quiet, FloodMsg::Ask(c)) => ctx.reply(c, ctx.host()),
+                (Flood::Quiet, FloodMsg::Again) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_quiet_host_answers_while_more_hosts_than_workers_flood_themselves() {
+        let flooders = workers_cap() + 2;
+        let rt = Runtime::spawn(flooders + 1, |h| {
+            if h.index() < flooders {
+                Flood::Flooder
+            } else {
+                Flood::Quiet
+            }
+        });
+        let c = rt.client();
+        for h in 0..flooders {
+            c.send(HostId(h as u32), FloodMsg::Again).unwrap();
+        }
+        let quiet = HostId(flooders as u32);
+        for _ in 0..3 {
+            c.send(quiet, FloodMsg::Ask(c.id())).unwrap();
+            assert_eq!(c.recv_timeout(Duration::from_secs(1)), Ok(quiet));
+        }
+        rt.shutdown();
+    }
+
+    #[test]
+    fn more_panics_than_workers_leave_every_other_host_answering() {
+        let grenades = workers_cap() + 1;
+        let hosts = 2 * grenades + 2;
+        let is_grenade = |h: HostId| h.index() % 2 == 1 && h.index() < 2 * grenades;
+        let rt = Runtime::spawn(hosts, |h| {
+            if is_grenade(h) {
+                Err(Grenade)
+            } else {
+                Ok(Echo)
+            }
+        });
+        let c = rt.client();
+        for h in (0..hosts as u32).map(HostId).filter(|&h| is_grenade(h)) {
+            c.send(h, Ask(c.id(), 0)).unwrap();
+            await_dead(&rt, h);
+        }
+        // Every panic tombstoned its own host only; the workers that ran
+        // them live on and serve everyone else.
+        for h in (0..hosts as u32).map(HostId).filter(|&h| !is_grenade(h)) {
+            c.send(h, Ask(c.id(), u64::from(h.0))).unwrap();
+            assert_eq!(
+                c.recv_timeout(Duration::from_secs(5)).unwrap(),
+                (h, u64::from(h.0))
+            );
+        }
+        assert_eq!(rt.membership().dead_hosts().len(), grenades);
+        rt.shutdown();
+    }
+
+    /// Host 0 sends a numbered burst to host 1, which reports each number.
+    struct Burst;
+    #[derive(Debug)]
+    enum BurstMsg {
+        Go { client: ClientId, n: u64 },
+        Seq { client: ClientId, i: u64 },
+    }
+
+    impl Actor for Burst {
+        type Msg = BurstMsg;
+        type Reply = u64;
+        fn on_message(
+            &mut self,
+            _from: Sender,
+            msg: BurstMsg,
+            ctx: &mut Context<'_, BurstMsg, u64>,
+        ) {
+            match msg {
+                BurstMsg::Go { client, n } => {
+                    for i in 0..n {
+                        ctx.send(HostId(1), BurstMsg::Seq { client, i });
+                    }
+                }
+                BurstMsg::Seq { client, i } => ctx.reply(client, i),
+            }
+        }
+    }
+
+    #[test]
+    fn one_senders_messages_arrive_in_order_across_turn_budgets() {
+        let n = 20 * TURN_BUDGET as u64 + 7;
+        let rt = Runtime::spawn(2, |_| Burst);
+        let c = rt.client();
+        c.send(HostId(0), BurstMsg::Go { client: c.id(), n })
+            .unwrap();
+        for want in 0..n {
+            assert_eq!(c.recv_timeout(Duration::from_secs(5)), Ok(want));
+        }
+        assert_eq!(rt.host_traffic().received, vec![0, n]);
         rt.shutdown();
     }
 }

@@ -124,7 +124,7 @@ pub trait Transport<M, R>: Send + Sync {
 
     /// Releases transport resources (timer threads, sockets). Called by
     /// [`Runtime::shutdown`](crate::runtime::Runtime::shutdown) after the
-    /// host threads have stopped; must be idempotent.
+    /// hosts and their workers have stopped; must be idempotent.
     fn shutdown(&self) {}
 }
 

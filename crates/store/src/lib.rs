@@ -243,22 +243,31 @@ fn load_disk_state(dir: &Path) -> io::Result<DiskState> {
         .map(|(c, op, applied)| ((skipweb_net::runtime::ClientId(c), op), applied))
         .collect();
 
-    let mut records = Vec::new();
+    // Each lane with its next record. Lanes are individually ordered, the
+    // global order is by seq: replay merges them a record at a time, so
+    // memory stays constant in the length of the log.
+    let mut lanes = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if name.starts_with("wal-") && name.ends_with(".log") {
-            records.extend(wal::read_wal(&entry.path())?.records);
+            let mut lane = wal::WalReader::open(&entry.path())?;
+            if let Some(rec) = lane.next_record()? {
+                lanes.push((rec, lane));
+            }
         }
     }
-    // Lanes are individually ordered; the global order is by seq.
-    records.sort_by_key(WalRecord::seq);
-    let wal_records = records.len();
+    let mut wal_records = 0usize;
     let mut seq = ck.last_seq;
     let mut replayed = 0usize;
     let mut skipped = 0usize;
-    for rec in records {
+    while let Some(i) = (0..lanes.len()).min_by_key(|&i| lanes[i].0.seq()) {
+        let rec = match lanes[i].1.next_record()? {
+            Some(next) => std::mem::replace(&mut lanes[i].0, next),
+            None => lanes.remove(i).0,
+        };
+        wal_records += 1;
         if rec.seq() <= ck.last_seq {
             skipped += 1;
             continue;
@@ -699,7 +708,7 @@ impl Store {
         &self.dir
     }
 
-    /// Stops the fabric's host threads. Does not flush; call
+    /// Stops the fabric's hosts and workers. Does not flush; call
     /// [`flush`](Self::flush) first for a clean shutdown.
     pub fn shutdown(self) {
         self.fabric.shutdown();

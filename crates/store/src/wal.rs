@@ -301,46 +301,115 @@ fn le_u64(bytes: &[u8], at: usize) -> u64 {
 ///
 /// Propagates I/O errors other than the file not existing.
 pub fn read_wal(path: &Path) -> io::Result<WalScan> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
+    let mut reader = WalReader::open(path)?;
     let mut records = Vec::new();
-    let mut at = 0usize;
-    let tail = loop {
-        if at == bytes.len() {
-            break WalTail::Clean;
-        }
-        let torn = |reason| WalTail::Torn {
-            offset: at as u64,
-            reason,
-        };
-        if bytes.len() - at < 4 {
-            break torn(TornReason::TruncatedFrame);
-        }
-        let len = le_u32(&bytes, at) as usize;
-        if len > MAX_FRAME as usize {
-            break torn(TornReason::Oversized);
-        }
-        if bytes.len() - at < 4 + len + 4 {
-            break torn(TornReason::TruncatedFrame);
-        }
-        let payload = &bytes[at + 4..at + 4 + len];
-        let stored = le_u32(&bytes, at + 4 + len);
-        if crc32(payload) != stored {
-            break torn(TornReason::CrcMismatch);
-        }
-        let Some(rec) = WalRecord::decode(payload) else {
-            break torn(TornReason::Malformed);
-        };
+    while let Some(rec) = reader.next_record()? {
         records.push(rec);
-        at += 8 + len;
-    };
-    Ok(WalScan { records, tail })
+    }
+    Ok(WalScan {
+        records,
+        tail: reader.tail(),
+    })
+}
+
+/// Decodes a WAL file one record at a time through a small buffer, so
+/// recovery replays a log of any length in constant memory. Stops at the
+/// end of the file or at a torn tail, exactly where [`read_wal`] does.
+pub struct WalReader {
+    file: Option<io::BufReader<File>>,
+    /// The current frame's payload and CRC trailer.
+    frame: Vec<u8>,
+    /// Byte offset of the next frame.
+    at: u64,
+    tail: WalTail,
+}
+
+impl WalReader {
+    /// Opens `path`; a missing file reads as an empty clean log.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors other than the file not existing.
+    pub fn open(path: &Path) -> io::Result<Self> {
+        let file = match File::open(path) {
+            Ok(f) => Some(io::BufReader::new(f)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        Ok(WalReader {
+            file,
+            frame: Vec::new(),
+            at: 0,
+            tail: WalTail::Clean,
+        })
+    }
+
+    /// The next cleanly framed record, or `None` once the log has ended
+    /// ([`tail`](Self::tail) says how).
+    ///
+    /// # Errors
+    ///
+    /// Propagates read errors.
+    pub fn next_record(&mut self) -> io::Result<Option<WalRecord>> {
+        let Some(file) = self.file.as_mut() else {
+            return Ok(None);
+        };
+        match read_frame(file, &mut self.frame)? {
+            Ok(rec) => {
+                self.at += self.frame.len() as u64 + 4;
+                Ok(Some(rec))
+            }
+            Err(torn) => {
+                if let Some(reason) = torn {
+                    self.tail = WalTail::Torn {
+                        offset: self.at,
+                        reason,
+                    };
+                }
+                self.file = None;
+                Ok(None)
+            }
+        }
+    }
+
+    /// How the log ended: [`WalTail::Clean`] until a tear is met.
+    pub fn tail(&self) -> WalTail {
+        self.tail
+    }
+}
+
+/// Reads one `[len][payload][crc]` frame into `frame` (payload and
+/// trailer) and decodes it: the record, or why the log ends here (`None`
+/// at a clean end of file).
+fn read_frame(
+    file: &mut impl Read,
+    frame: &mut Vec<u8>,
+) -> io::Result<Result<WalRecord, Option<TornReason>>> {
+    match fill(file, frame, 4)? {
+        0 => return Ok(Err(None)),
+        4 => {}
+        _ => return Ok(Err(Some(TornReason::TruncatedFrame))),
+    }
+    let len = le_u32(frame, 0) as usize;
+    if len > MAX_FRAME as usize {
+        return Ok(Err(Some(TornReason::Oversized)));
+    }
+    if fill(file, frame, len + 4)? < len + 4 {
+        return Ok(Err(Some(TornReason::TruncatedFrame)));
+    }
+    let (payload, trailer) = frame.split_at(len);
+    if crc32(payload) != le_u32(trailer, 0) {
+        return Ok(Err(Some(TornReason::CrcMismatch)));
+    }
+    Ok(WalRecord::decode(payload).ok_or(Some(TornReason::Malformed)))
+}
+
+/// Replaces `buf` with up to `n` bytes of `file`, returning how many it
+/// got. `buf` grows only as bytes arrive, so a garbage length allocates no
+/// more than the file holds.
+fn fill(file: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> io::Result<usize> {
+    buf.clear();
+    file.by_ref().take(n as u64).read_to_end(buf)
 }
 
 /// Magic prefix of a checkpoint file.

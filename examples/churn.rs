@@ -1,7 +1,7 @@
 //! Churn: keys join and leave a live 1-D skip-web (§4's updates). The same
 //! burst is applied twice — once in the cost-model simulator, once routed
-//! through real actor threads (one per host, crossbeam channels as the
-//! network) — and the two must agree key for key, while concurrent queries
+//! through real actors (one per host, run by a core-sized worker pool,
+//! crossbeam channels as the network) — and the two must agree key for key, while concurrent queries
 //! keep getting consistent answers throughout.
 //!
 //! Run with: `cargo run --example churn`
@@ -20,7 +20,7 @@ fn main() {
     let dist = DistributedSkipWeb::builder(web.inner())
         .consolidated(web.hosts() + 60)
         .spawn();
-    println!("spawned {} host threads", dist.hosts());
+    println!("spawned {} hosts", dist.hosts());
     let writer = dist.client();
 
     // A churn burst: 60 joins and 30 departures, applied to the simulator
@@ -94,5 +94,5 @@ fn main() {
         traffic.total_update_sent()
     );
     dist.shutdown();
-    println!("all host threads joined cleanly");
+    println!("all hosts stopped and workers joined cleanly");
 }

@@ -1,6 +1,6 @@
-//! Multi-dimensional skip-webs on the threaded actor runtime: a quadtree
-//! (GIS point location + box reporting) and a trie (ISBN prefix search)
-//! served by real host threads, with many queries in flight per client,
+//! Multi-dimensional skip-webs on the actor runtime: a quadtree (GIS point
+//! location + box reporting) and a trie (ISBN prefix search) served by
+//! real concurrent hosts, with many queries in flight per client,
 //! matched to answers by correlation id.
 //!
 //! Run with: `cargo run --example distributed_multidim`
@@ -11,14 +11,14 @@ use skipwebs::core::multidim::{QuadtreeAnswer, QuadtreeRequest, QuadtreeSkipWeb,
 use skipwebs::structures::PointKey;
 
 fn main() {
-    // --- Quadtree: 2-D point location over actor threads -----------------
+    // --- Quadtree: 2-D point location over live actors -------------------
     let points: Vec<PointKey<2>> = (0..256u32)
         .map(|i| PointKey::new([i.wrapping_mul(2_654_435_761), i.wrapping_mul(40_503) + 11]))
         .collect();
     let quadtree = QuadtreeSkipWeb::builder(points).seed(5).build();
     let dist = quadtree.serve();
     println!(
-        "quadtree: n = {}, spawned {} host threads",
+        "quadtree: n = {}, spawned {} hosts",
         quadtree.len(),
         dist.hosts()
     );
@@ -81,17 +81,13 @@ fn main() {
     println!("  traffic: {traffic}");
     dist.shutdown();
 
-    // --- Trie: prefix search over actor threads ---------------------------
+    // --- Trie: prefix search over live actors -----------------------------
     let strings: Vec<String> = (0..200usize)
         .map(|i| format!("978-0-{:02}-{:05}", i % 20, i * 37))
         .collect();
     let trie = TrieSkipWeb::builder(strings).seed(6).build();
     let dist = trie.serve();
-    println!(
-        "trie: n = {}, spawned {} host threads",
-        trie.len(),
-        dist.hosts()
-    );
+    println!("trie: n = {}, spawned {} hosts", trie.len(), dist.hosts());
     let client = dist.client();
     let mut answered = 0usize;
     for s in 0..20usize {
@@ -130,5 +126,5 @@ fn main() {
             .applied
     );
     dist.shutdown();
-    println!("all host threads joined cleanly");
+    println!("all hosts stopped and workers joined cleanly");
 }

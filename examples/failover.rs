@@ -64,5 +64,5 @@ fn main() {
     let dropped = dist.traffic().total_dropped();
     println!("messages lost at the crashed host: {dropped}");
     dist.shutdown();
-    println!("all host threads joined cleanly");
+    println!("all hosts stopped and workers joined cleanly");
 }

@@ -1,6 +1,6 @@
 //! Quickstart: build a one-dimensional skip-web over a simulated
 //! peer-to-peer network, run nearest-neighbour queries, apply updates —
-//! first in the cost-model simulator, then live over actor threads — and
+//! first in the cost-model simulator, then live over actors — and
 //! inspect the paper's cost measures (messages, per-host memory,
 //! congestion).
 //!
@@ -34,8 +34,8 @@ fn main() {
     let del = web.remove(&50_000).expect("present");
     println!("insert cost = {ins} messages, remove cost = {del} messages");
 
-    // The same updates, live: serve the web with one actor thread per host
-    // and route inserts/removes through real message passing. An update
+    // The same updates, live: serve the web with one actor per host and
+    // route inserts/removes through real message passing. An update
     // descends to its key's locus like a query, then repairs the conflict
     // neighbourhoods bottom-up; concurrent queries never observe it
     // half-applied.
