@@ -20,8 +20,7 @@
 //! * [`experiments::ablation`] — NoN-vs-skip-web trade-off,
 //! * [`experiments::chord`] — the §1.2 DHT contrast.
 //!
-//! The `repro` binary prints any of them as TSV; the Criterion benches time
-//! the same code paths.
+//! The `repro` binary prints any of them as TSV.
 
 pub mod adapters;
 pub mod experiments;

@@ -173,7 +173,9 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
         wanted: impl Fn(u64) -> bool,
         timeout: Duration,
     ) -> Result<EngineReply<D>, RuntimeError> {
-        let deadline = Instant::now() + timeout;
+        // No deadline when it is past what an `Instant` can hold (say,
+        // `Duration::MAX`): the wait goes on until the reply comes.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             {
                 let mut pending = self.pending.lock();
@@ -181,14 +183,17 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
                     return Ok(pending.remove(i));
                 }
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let left = match deadline {
+                Some(d) => d.saturating_duration_since(Instant::now()),
+                None => Duration::MAX,
+            };
+            if left.is_zero() {
                 return Err(RuntimeError::Timeout);
             }
             // Short slices so concurrent users of a shared client notice
             // replies another thread drained from the channel and parked
             // for them.
-            let slice = (deadline - now).min(Duration::from_millis(25));
+            let slice = left.min(Duration::from_millis(25));
             match self.inner.recv_timeout(slice) {
                 Ok(reply) if self.is_stale(reply.corr) => self.inner.note_stale_reply(),
                 Ok(reply) if wanted(reply.corr) => return Ok(reply),

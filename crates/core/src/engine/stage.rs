@@ -111,9 +111,13 @@ impl<D: Routable + Send + Sync + 'static> EngineState<D> {
     /// Makes `web` the only reference to its web, so the apply that follows
     /// mutates it in place. The published snapshot holds the current web,
     /// so this swaps in a copy: a spare no snapshot holds any more, refilled
-    /// in its own buffers (`clone_from`), else a fresh clone. The replaced
-    /// web joins the spares; a spare that falls off the end is returned,
-    /// for the caller to drop after releasing the state lock.
+    /// in its own buffers (`clone_from`), else a fresh clone. Either copies
+    /// the slot table's bit strings, each level's sets (16 bytes each) and
+    /// page list, and bumps one count per structure page — no slot list and
+    /// no structure: 123 KB for a 3072-key 1-D web, where each level's two
+    /// arrays of one entry per item once made it 540 KB. The replaced web
+    /// joins the spares; a spare that falls off the end is returned, for the
+    /// caller to drop after releasing the state lock.
     fn recycle(&mut self) -> Option<Arc<SkipWeb<D>>> {
         if Arc::get_mut(&mut self.web).is_some() {
             return None;

@@ -417,17 +417,17 @@ fn assert_untouched_sets_are_shared<D: Routable>(
             let was = &old_tables.sets[i];
             let (now, then) = (tables.structure(set), old_tables.structure(was));
             if Some(set.key) == dirty {
-                assert!(!Arc::ptr_eq(now, then));
+                assert!(!std::ptr::eq(now, then));
                 rebuilt += 1;
                 continue;
             }
             assert!(
-                Arc::ptr_eq(now, then),
+                std::ptr::eq(now, then),
                 "L{level} set {:#x}: structure copied",
                 set.key
             );
             shared += 1;
-            match (&set.hosted, &was.hosted) {
+            match (tables.host_table(set), old_tables.host_table(was)) {
                 (None, None) => {}
                 (Some(now), Some(then)) => assert_eq!(
                     Arc::ptr_eq(now, then),
@@ -1568,4 +1568,27 @@ fn consolidated_spawns_exactly_the_threads_asked_for() {
     }
     per_host.shutdown();
     eight.shutdown();
+}
+
+/// `Duration::MAX` is the natural way to say "wait for ever": a client set
+/// to it waits without a deadline, and answers as a client with the
+/// default timeouts does.
+#[test]
+fn a_client_that_waits_for_ever_answers() {
+    let web = crate::onedim::OneDimSkipWeb::builder((0..64).map(|i| i * 10).collect())
+        .seed(54)
+        .build();
+    let dist = DistributedSkipWeb::builder(web.inner())
+        .consolidated(4)
+        .spawn();
+    let (patient, plain) = (dist.client(), dist.client());
+    patient.set_timeouts(Timeouts::uniform(Duration::MAX));
+    for s in 0..8u64 {
+        let (origin, q) = (web.random_origin(s), s * 73 % 640);
+        let want = dist.query(&plain, origin, q).unwrap();
+        let got = dist.query(&patient, origin, q).unwrap();
+        assert_eq!((got.answer, got.hops), (want.answer, want.hops), "q = {q}");
+    }
+    assert!(dist.insert_with(&patient, 3, 5, 0x5EED).unwrap().applied);
+    dist.shutdown();
 }

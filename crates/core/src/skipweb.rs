@@ -3,34 +3,36 @@
 //!
 //! # Layout
 //!
-//! A web is a short list of `Level`s over a **slot table**, and everything
-//! per range or per item inside a level is a flat array or is derived —
-//! nothing is one heap block per range:
+//! A web is a short list of `Level`s over a **slot table**, and each level
+//! is a key-sorted array of plain-data sets over a paged table of what each
+//! set owns — nothing is one heap block per range:
 //!
 //! * every stored item keeps one *slot* for its lifetime: its index into the
-//!   per-slot bit strings (`item_bits`), into every level's `set_of_item`,
-//!   and — under owner-hosted placement — its host, `HostId(slot)`. A
-//!   removed item's slot goes on a free list; an insert takes the lowest
-//!   free slot, or a new one at the end of the table; free slots at the end
-//!   are truncated, so an insert followed by its remove restores the web
-//!   byte for byte. Nothing is keyed by canonical position, so an update
+//!   per-slot bit strings (`item_bits`), the entry its sets list it by, and
+//!   — under owner-hosted placement — its host, `HostId(slot)`. A removed
+//!   item's slot goes on a free list; an insert takes the lowest free slot,
+//!   or a new one at the end of the table; free slots at the end are
+//!   truncated, so an insert followed by its remove restores the web byte
+//!   for byte. Nothing is keyed by canonical position, so an update
 //!   renumbers nothing and moves no other item's ranges;
+//! * each set owns its **slot list**: the slots of its items, in its
+//!   structure's item order (structure item `i` is the item in slot
+//!   `slots[i]`). A slot is found in its level-`ℓ` set by key: the set keyed
+//!   by the slot's `ℓ`-bit prefix (`set_key`). The sets are key-sorted, so
+//!   that is a binary search, over a window one set wide on the levels that
+//!   take every key — which is also how a set finds its parent one level
+//!   down (`parent_key`);
 //! * the ground is level 0's items: level 0 is the one set of every stored
 //!   item, so its structure's `items()` *is* the canonical ground order and
-//!   its `members` map a canonical position to a slot. That is how
+//!   its slot list maps a canonical position to a slot. That is how
 //!   [`SkipWeb::ground`], `SkipWeb::bits_of`, query origins and
 //!   [`SkipWeb::host_of_item`] take positions while everything else keys by
 //!   slot — a web that was never updated has slot `i` at position `i`;
-//! * a level's sets partition the stored items, so their member lists are
-//!   one `members` array (slots grouped by key-sorted set, in canonical
-//!   order within a set; a `LevelSet` keeps its `(start, len)`), with
-//!   `set_of_item` (per slot) as the one inverse the read path needs. The
-//!   sets are key-sorted, so a set is found by key with a binary search;
-//! * a level's structures sit in a **structure table** under stable ids,
-//!   with the slot table's policy (lowest free id first, free ids at the end
-//!   truncated), `PAGE` (16) to a page and each page behind an `Arc`. A
-//!   `LevelSet` names its structure by id, so it is plain data — key, id,
-//!   `(start, len)` — but for the bucketed host table;
+//! * a level's sets' structures and slot lists sit together in a
+//!   **structure table** under stable ids, with the slot table's policy
+//!   (lowest free id first, free ids at the end truncated), `PAGE` (16) to a
+//!   page and each page behind an `Arc`. A `LevelSet` names its entry by id,
+//!   so it is 16 bytes of plain data: key, entry id and host-table index;
 //! * hyperlinks are not stored: a range's links into the parent set are its
 //!   conflict list `C(Q, S_b')` there (§2.3), a pure function of the two
 //!   structures (§2.1), which `SkipWeb::hyperlinks` computes where a route,
@@ -38,27 +40,27 @@
 //!   has no link stage: rebuilding a set re-links nothing, neither the set
 //!   nor the children whose links index the rebuilt structure's ids;
 //! * owner-hosted placement is not stored either: a range lives on its owner
-//!   item's host (§2.4), which `SkipWeb::copies` reads off the set's members.
-//!   Bucketed placement keeps one offset + data table (`Csr`) of hosts per
-//!   set, behind an `Arc`.
+//!   item's host (§2.4), which `SkipWeb::copies` reads off the set's slot
+//!   list. Bucketed placement keeps one offset + data table (`Csr`) of hosts
+//!   per set, behind an `Arc`, in a list per level that each set indexes.
 //!
 //! An update splices its item into — or out of — the one set per level its
-//! tower names: `members` gets one insert or remove, the later sets'
-//! `start`s shift by one, and the set's structure becomes `D::build` of its
-//! old items plus or minus the item (once per batch, however many of the
-//! batch's items it gains or loses), filed under the set's id. A set the
+//! tower names, and nothing else: the set's items and slot list gain or lose
+//! the item, at `O(set)` cost, and the set's structure becomes `D::build` of
+//! its new items (once per batch, however many of the batch's items it gains
+//! or loses), filed with the new slot list under the set's id. A set the
 //! update creates takes the lowest free id; one it empties frees its id.
-//! Every other set is left as it was.
+//! Every other set is left as it was, and no other set is renumbered.
 //!
 //! A clone of the web — the copy-on-write an engine apply forces while a
-//! published snapshot still holds the previous web — therefore copies three
-//! flat arrays per level (`sets`, `members`, `set_of_item`, each with room
-//! for a few splices) and the slot table (`item_bits` and the free list),
-//! and bumps one reference count per structure page (and, under bucketed
-//! placement, per host table); it copies no item and touches no structure.
+//! published snapshot still holds the previous web — therefore copies the
+//! slot table (`item_bits` and the free list) and, per level, the sets (16
+//! bytes each, with room for a few splices) and the page list, and bumps one
+//! reference count per structure page (and, under bucketed placement, per
+//! host table); it copies no item, no slot list and touches no structure.
 //! A one-op apply then copies about one page per level — the page of the
 //! set its tower rebuilds — and dropping the previous web frees those
-//! arrays and pages plus the structures the splices replaced.
+//! arrays and pages plus the structures and slot lists the splices replaced.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -75,54 +77,49 @@ use crate::engine::Routable;
 use crate::levels::{draw_bits, group_by_key, level_count, parent_key, set_key};
 use crate::placement::{Blocking, Replication};
 
-/// One level-`ℓ` set `S_b`: the id of its structure `D(S_b)` in its level's
-/// structure table ([`Level::structure`]), its slice of the level's members
-/// and — when it is not derived — host placement. Its hyperlinks into the
-/// parent set are derived ([`SkipWeb::hyperlinks`]). Plain data but for the
-/// bucketed host table, which sits behind an `Arc`.
-#[derive(Debug, Clone)]
+/// One level-`ℓ` set `S_b`: its key, the id of its entry — structure
+/// `D(S_b)` and slot list — in its level's structure table
+/// ([`Level::structure`], [`Level::slots_of`]) and, under bucketed
+/// placement, the index of its host table ([`Level::host_table`]). Its
+/// hyperlinks into the parent set are derived ([`SkipWeb::hyperlinks`]).
+/// What a route reads and nothing more, as plain data: a clone of a level
+/// copies its sets as one block.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct LevelSet {
     /// The `ℓ`-bit key `b` of this set.
     pub key: u64,
-    /// The id of its structure in the level's structure table.
+    /// The id of its entry in the level's structure table.
     id: u32,
-    /// Where this set's members start in its level's `members` array.
-    pub start: u32,
-    /// How many members it has. Structure item `i` is the item in slot
-    /// `members[start + i]`.
-    pub len: u32,
-    /// Per range: the hosts storing a copy of it, under bucketed placement —
-    /// which replicates non-basic ranges onto every block host whose cone
-    /// they belong to (§2.4.1 notes that "copies of some of these ranges may
-    /// be stored on multiple hosts"). `None` under owner-hosted placement,
-    /// where the copies are a function of the set ([`SkipWeb::copies`]).
-    pub hosted: Option<Arc<Csr<HostId>>>,
+    /// Its host table's index in the level's `host_tables`;
+    /// [`NO_HOST_TABLE`] under owner-hosted placement, where the copies are
+    /// a function of the set ([`SkipWeb::copies`]).
+    host_table: u32,
 }
 
-impl LevelSet {
-    /// This set's slice of its level's `members` array.
-    fn span(&self) -> std::ops::Range<usize> {
-        self.start as usize..(self.start + self.len) as usize
-    }
+// A clone copies every level's sets: keep them to key and two ids.
+const _: () = assert!(std::mem::size_of::<LevelSet>() <= 16);
 
-    /// The stored host list of range `r`: empty while placement is derived
-    /// or not yet assigned.
-    fn listed(&self, r: RangeId) -> &[HostId] {
-        self.hosted.as_ref().map_or(&[], |t| t.row(r.index()))
-    }
+/// [`LevelSet::host_table`] of a set with no stored host table.
+const NO_HOST_TABLE: u32 = u32::MAX;
+
+/// What a structure table files under a set's id: the set's structure
+/// `D(S_b)` and the slots of its items, in the structure's item order —
+/// structure item `i` is the item in slot `slots[i]`. Replaced whole when a
+/// splice rebuilds the set, never edited in place.
+#[derive(Debug, PartialEq)]
+struct SetBody<D> {
+    structure: D,
+    slots: Vec<u32>,
 }
-
-/// `set_of_item`'s entry for a free slot: it sits in no set.
-const NO_SET: u32 = u32::MAX;
 
 /// Room for this many splices past a cloned array's length, so the first
 /// inserts after a copy-on-write clone do not reallocate it.
 const SPLICE_HEADROOM: usize = 16;
 
-/// A copy of `items` with [`SPLICE_HEADROOM`] spare capacity.
-fn with_headroom<T: Clone>(items: &[T]) -> Vec<T> {
-    let mut copy = Vec::new();
-    refill_with_headroom(&mut copy, items);
+/// A copy of `items` with capacity for `room` more.
+fn with_room<T: Clone>(items: &[T], room: usize) -> Vec<T> {
+    let mut copy = Vec::with_capacity(items.len() + room);
+    copy.extend_from_slice(items);
     copy
 }
 
@@ -220,14 +217,15 @@ impl Ids {
 /// and 32 tie inside the noise, and 16 copies half as much per rebuild.
 const PAGE: usize = 16;
 
-/// One page of a structure table: the structures of [`PAGE`] consecutive
-/// ids, `None` for a free id.
-type Page<D> = [Option<Arc<D>>; PAGE];
+/// One page of a structure table: the entries of [`PAGE`] consecutive ids,
+/// `None` for a free id.
+type Page<D> = [Option<Arc<SetBody<D>>>; PAGE];
 
-/// A level's structure table: each set's structure `D(S_b)` under the set's
-/// stable id ([`Ids`]), in pages behind `Arc`s. A clone of the table bumps
-/// one count per page, not one per set; replacing a structure copies its
-/// page on write, sharing the page's other structures.
+/// A level's structure table: each set's structure `D(S_b)` and slot list
+/// ([`SetBody`]) under the set's stable id ([`Ids`]), in pages behind
+/// `Arc`s. A clone of the table bumps one count per page, not one per set;
+/// replacing an entry copies its page on write, sharing the page's other
+/// entries.
 #[derive(Debug)]
 struct Structures<D> {
     pages: Vec<Arc<Page<D>>>,
@@ -257,26 +255,26 @@ impl<D> Structures<D> {
         }
     }
 
-    /// The structure under live id `id`.
-    fn get(&self, id: u32) -> &Arc<D> {
+    /// The entry under live id `id`.
+    fn get(&self, id: u32) -> &Arc<SetBody<D>> {
         match &self.pages[id as usize / PAGE][id as usize % PAGE] {
-            Some(structure) => structure,
+            Some(body) => body,
             None => unreachable!("structure id {id} is free"),
         }
     }
 
-    /// Puts `structure` under `id`, copying its page if a clone shares it.
-    fn put(&mut self, id: u32, structure: Option<Arc<D>>) {
-        Arc::make_mut(&mut self.pages[id as usize / PAGE])[id as usize % PAGE] = structure;
+    /// Puts `body` under `id`, copying its page if a clone shares it.
+    fn put(&mut self, id: u32, body: Option<Arc<SetBody<D>>>) {
+        Arc::make_mut(&mut self.pages[id as usize / PAGE])[id as usize % PAGE] = body;
     }
 
-    /// Files `structure` under the lowest free id and returns the id.
-    fn add(&mut self, structure: Arc<D>) -> u32 {
+    /// Files `body` under the lowest free id and returns the id.
+    fn add(&mut self, body: SetBody<D>) -> u32 {
         let id = self.ids.take();
         if id as usize == self.pages.len() * PAGE {
             self.pages.push(Arc::new(std::array::from_fn(|_| None)));
         }
-        self.put(id, Some(structure));
+        self.put(id, Some(Arc::new(body)));
         id
     }
 
@@ -332,208 +330,212 @@ impl<D> Structures<D> {
 pub(crate) struct Level<D: RangeDetermined> {
     /// The level's sets, strictly ascending by key.
     pub sets: Vec<LevelSet>,
-    /// Every live slot exactly once, grouped by set in `sets` order and in
-    /// canonical item order within a set.
-    pub members: Vec<u32>,
-    /// Slot → set index within this level (the inverse of `members`'
-    /// grouping); [`NO_SET`] for a free slot.
-    pub set_of_item: Vec<u32>,
-    /// The sets' structures, by id.
+    /// Under bucketed placement, one host table per set, each behind an
+    /// `Arc`; empty under owner-hosted placement.
+    host_tables: Vec<Arc<Csr<HostId>>>,
+    /// The sets' structures and slot lists, by id.
     structures: Structures<D>,
 }
 
-/// Copies the three arrays with room for a few splices — the apply that
-/// follows a copy-on-write clone inserts into them, and an exact-capacity
-/// copy would reallocate each one on its first insert — and shares the
-/// structure table's pages. `clone_from` does the same into the level's own
-/// buffers, allocating only for an array that outgrew its headroom.
+/// Copies the sets with room for a few splices — the apply that follows a
+/// copy-on-write clone may insert into them, and an exact-capacity copy
+/// would reallocate on its first insert — and shares the host tables and
+/// the structure table's pages. `clone_from` does the same into the level's
+/// own buffers, allocating only for sets that outgrew their headroom.
 impl<D: RangeDetermined> Clone for Level<D> {
     fn clone(&self) -> Self {
         Level {
-            sets: with_headroom(&self.sets),
-            members: with_headroom(&self.members),
-            set_of_item: with_headroom(&self.set_of_item),
+            sets: with_room(&self.sets, SPLICE_HEADROOM),
+            host_tables: self.host_tables.clone(),
             structures: self.structures.clone(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         refill_with_headroom(&mut self.sets, &source.sets);
-        refill_with_headroom(&mut self.members, &source.members);
-        refill_with_headroom(&mut self.set_of_item, &source.set_of_item);
+        self.host_tables.clone_from(&source.host_tables);
         self.structures.clone_from(&source.structures);
     }
 }
 
-/// Two levels are equal when their sets agree in key, member slice, host
-/// table and structure — compared through the ids, not as ids: a spliced
-/// level and a rebuilt one name the same structures differently.
+/// Two levels are equal when their sets agree in key, host table, structure
+/// and slot list — compared through the ids, not as ids: a spliced level
+/// and a rebuilt one file the same entries differently.
 impl<D: RangeDetermined + PartialEq> PartialEq for Level<D> {
     fn eq(&self, other: &Self) -> bool {
         let same = |(a, b): (&LevelSet, &LevelSet)| {
-            (a.key, a.start, a.len, &a.hosted) == (b.key, b.start, b.len, &b.hosted)
-                && self.structure(a) == other.structure(b)
+            (a.key, self.host_table(a)) == (b.key, other.host_table(b))
+                && self.structures.get(a.id) == other.structures.get(b.id)
         };
-        self.members == other.members
-            && self.set_of_item == other.set_of_item
-            && self.sets.len() == other.sets.len()
-            && self.sets.iter().zip(&other.sets).all(same)
+        self.sets.len() == other.sets.len() && self.sets.iter().zip(&other.sets).all(same)
     }
 }
 
 impl<D: RangeDetermined> Level<D> {
     /// The structure `D(S_b)` of `set`, one of this level's sets.
-    pub(crate) fn structure(&self, set: &LevelSet) -> &Arc<D> {
-        self.structures.get(set.id)
+    pub(crate) fn structure(&self, set: &LevelSet) -> &D {
+        &self.structures.get(set.id).structure
     }
 
-    /// The slots of `set`'s members, in its structure's item order.
-    pub(crate) fn members_of(&self, set: &LevelSet) -> &[u32] {
-        &self.members[set.span()]
+    /// The slots of `set`'s items, in its structure's item order.
+    pub(crate) fn slots_of(&self, set: &LevelSet) -> &[u32] {
+        &self.structures.get(set.id).slots
     }
 
-    /// Index of the set keyed `key`, when the level has one.
+    /// Per range of `set`: the hosts storing a copy of it, under bucketed
+    /// placement — which replicates non-basic ranges onto every block host
+    /// whose cone they belong to (§2.4.1 notes that "copies of some of these
+    /// ranges may be stored on multiple hosts"). `None` under owner-hosted
+    /// placement.
+    pub(crate) fn host_table(&self, set: &LevelSet) -> Option<&Arc<Csr<HostId>>> {
+        self.host_tables.get(set.host_table as usize)
+    }
+
+    /// The stored host list of range `r` of `set`: empty while placement is
+    /// derived or not yet assigned.
+    fn listed(&self, set: &LevelSet, r: RangeId) -> &[HostId] {
+        self.host_table(set).map_or(&[], |t| t.row(r.index()))
+    }
+
+    /// Stores `tables`, one per set in order, as the sets' host tables.
+    fn place(&mut self, tables: Vec<Csr<HostId>>) {
+        debug_assert_eq!(tables.len(), self.sets.len());
+        self.host_tables = tables.into_iter().map(Arc::new).collect();
+        for (i, set) in (0..).zip(&mut self.sets) {
+            set.host_table = i;
+        }
+    }
+
+    /// Index of the set keyed `key`, when the level has one. The keys are
+    /// distinct and ascending, so at most `key` sets come before it, and at
+    /// least `key` less the keys up to the largest that no set takes: the
+    /// binary search runs in that window, which is one set wide on the lower
+    /// levels, where every key is taken.
     pub(crate) fn set_index(&self, key: u64) -> Option<usize> {
-        self.sets.binary_search_by_key(&key, |s| s.key).ok()
+        let last = self.sets.last()?.key;
+        if key > last {
+            return None;
+        }
+        let untaken = last - (self.sets.len() as u64 - 1);
+        let (lo, hi) = (key.saturating_sub(untaken) as usize, key as usize);
+        let window = &self.sets[lo..=hi.min(self.sets.len() - 1)];
+        let found = window.binary_search_by_key(&key, |s| s.key).ok()?;
+        Some(lo + found)
     }
 
-    /// Appends a freshly built set — `members` in its structure's item
-    /// order — with no host table yet; the placement stage fills that in.
-    fn push_built(&mut self, key: u64, structure: D, members: impl Iterator<Item = u32>) {
-        let start = self.members.len();
-        self.members.extend(members);
-        let len = self.members.len() - start;
-        debug_assert_eq!(structure.len(), len);
+    /// Appends a freshly built set — `slots` in its structure's item order —
+    /// with no host table yet; the placement stage fills that in.
+    fn push_built(&mut self, key: u64, structure: D, slots: Vec<u32>) {
+        debug_assert_eq!(structure.len(), slots.len());
+        let id = self.structures.add(SetBody { structure, slots });
         self.sets.push(LevelSet {
             key,
-            id: self.structures.add(Arc::new(structure)),
-            start: start as u32,
-            len: len as u32,
-            hosted: None,
+            id,
+            host_table: NO_HOST_TABLE,
         });
     }
 
-    /// Recomputes `set_of_item` from `members` for a slot table of `slots`.
-    fn index_members(&mut self, slots: usize) {
-        self.set_of_item.clear();
-        self.set_of_item.resize(slots, NO_SET);
-        for (si, set) in self.sets.iter().enumerate() {
-            for &g in &self.members[set.span()] {
-                self.set_of_item[g as usize] = si as u32;
-            }
-        }
-    }
-
-    /// A batch's working copy of the items of the set keyed `key` at level
-    /// `li`: on the batch's first splice into the set, its structure's
-    /// items — none for a set the level does not have yet.
-    fn batch_items<'p>(
+    /// A batch's draft of the set keyed `key` at level `li`: on the batch's
+    /// first splice into the set, a copy of its items and slots, with room
+    /// for the batch's `inserts` — empty for a set the level does not have
+    /// yet. The room makes the set's new entry exact for a one-op batch.
+    fn draft<'p>(
         &self,
-        li: u32,
-        key: u64,
-        batch: &'p mut BatchItems<D::Item>,
-    ) -> &'p mut Vec<D::Item> {
-        batch
-            .entry((li, key))
-            .or_insert_with(|| match self.set_index(key) {
-                Some(si) => with_headroom(self.structure(&self.sets[si]).items()),
-                None => Vec::new(),
-            })
+        (li, key): (u32, u64),
+        inserts: usize,
+        drafts: &'p mut Drafts<D>,
+    ) -> &'p mut Draft<D> {
+        drafts.entry((li, key)).or_insert_with(|| {
+            let Some(si) = self.set_index(key) else {
+                return Draft {
+                    items: Vec::new(),
+                    slots: Vec::new(),
+                };
+            };
+            let body = self.structures.get(self.sets[si].id);
+            Draft {
+                items: with_room(body.structure.items(), inserts),
+                slots: with_room(&body.slots, inserts),
+            }
+        })
     }
 
-    /// Splices `item`, stored in `slot`, into the set keyed `key` — a new
-    /// set when the level has none: the item joins `items`, the set's
-    /// working copy, its slot lands at the same place in `members`, and the
-    /// later sets shift up one entry (and, past a new set, one index).
-    fn splice_in(&mut self, key: u64, items: &mut Vec<D::Item>, item: &D::Item, slot: u32) {
-        let Err(local) = items.binary_search_by(|g| D::canonical_cmp(g, item)) else {
-            unreachable!("an insert splices in an absent item");
+    /// Files the finished `draft` of the set keyed `key`: a kept set's
+    /// structure becomes `D::build` of the draft's items, filed with its
+    /// slots under the set's id, and it has no host table until placement
+    /// runs again; a new set takes the lowest free id; a set the batch
+    /// emptied is dropped, freeing its id, unless `keep_empty` (level 0 is
+    /// the ground set, empty or not).
+    fn commit(&mut self, key: u64, draft: Draft<D>, keep_empty: bool) {
+        let found = self.sets.binary_search_by_key(&key, |s| s.key);
+        if draft.slots.is_empty() && !keep_empty {
+            if let Ok(si) = found {
+                let emptied = self.sets.remove(si);
+                self.structures.remove(emptied.id);
+            }
+            return;
+        }
+        let body = SetBody {
+            structure: D::build(draft.items),
+            slots: draft.slots,
         };
-        items.insert(local, item.clone());
-        let (si, at) = match self.sets.binary_search_by_key(&key, |s| s.key) {
+        match found {
             Ok(si) => {
-                self.sets[si].len += 1;
-                (si, self.sets[si].start as usize + local)
+                let set = &mut self.sets[si];
+                set.host_table = NO_HOST_TABLE;
+                self.structures.put(set.id, Some(Arc::new(body)));
             }
             Err(si) => {
-                let start = self
-                    .sets
-                    .get(si)
-                    .map_or(self.members.len(), |s| s.start as usize);
                 let set = LevelSet {
                     key,
-                    // The lowest free id; built from `items` when the batch
-                    // ends.
-                    id: self.structures.add(Arc::new(D::build(Vec::new()))),
-                    start: start as u32,
-                    len: 1,
-                    hosted: None,
+                    id: self.structures.add(body),
+                    host_table: NO_HOST_TABLE,
                 };
                 self.sets.insert(si, set);
-                for &g in &self.members[start..] {
-                    self.set_of_item[g as usize] += 1;
-                }
-                (si, start)
             }
-        };
-        self.members.insert(at, slot);
-        for later in &mut self.sets[si + 1..] {
-            later.start += 1;
         }
-        self.set_of_item[slot as usize] = si as u32;
-    }
-
-    /// Splices `item`, stored in `slot`, out of the set keyed `key`, whose
-    /// working copy is `items`: the inverse of
-    /// [`splice_in`](Self::splice_in). A set it empties is dropped, freeing
-    /// its structure id, unless `keep_empty` (level 0 is the ground set,
-    /// empty or not).
-    fn splice_out(
-        &mut self,
-        key: u64,
-        items: &mut Vec<D::Item>,
-        item: &D::Item,
-        slot: u32,
-        keep_empty: bool,
-    ) {
-        let (Some(si), Ok(local)) = (
-            self.set_index(key),
-            items.binary_search_by(|g| D::canonical_cmp(g, item)),
-        ) else {
-            unreachable!("a stored item sits in its set at every level");
-        };
-        items.remove(local);
-        let at = self.sets[si].start as usize + local;
-        debug_assert_eq!(self.members[at], slot, "the set holds the item's slot");
-        let later = if self.sets[si].len == 1 && !keep_empty {
-            let emptied = self.sets.remove(si);
-            self.structures.remove(emptied.id);
-            for &g in &self.members[at + 1..] {
-                self.set_of_item[g as usize] -= 1;
-            }
-            si
-        } else {
-            self.sets[si].len -= 1;
-            si + 1
-        };
-        self.members.remove(at);
-        for later in &mut self.sets[later..] {
-            later.start -= 1;
-        }
-        self.set_of_item[slot as usize] = NO_SET;
     }
 }
 
-/// The working copies of the items of every set a batch splices, by
-/// `(level, key)`: each set's structure is built from its copy once, when
-/// the batch's ops are all in.
-type BatchItems<I> = BTreeMap<(u32, u64), Vec<I>>;
+/// A batch's working copy of one set it splices: the set's items and their
+/// slots, both in canonical order. The set's entry is built from it once,
+/// when the batch's ops are all in ([`Level::commit`]).
+struct Draft<D: RangeDetermined> {
+    items: Vec<D::Item>,
+    slots: Vec<u32>,
+}
+
+impl<D: RangeDetermined> Draft<D> {
+    /// Splices `item`, stored in `slot`, in at its canonical place.
+    fn splice_in(&mut self, item: &D::Item, slot: u32) {
+        let Err(at) = self.items.binary_search_by(|g| D::canonical_cmp(g, item)) else {
+            unreachable!("an insert splices in an absent item");
+        };
+        self.items.insert(at, item.clone());
+        self.slots.insert(at, slot);
+    }
+
+    /// Splices `item`, stored in `slot`, out: the inverse of
+    /// [`splice_in`](Self::splice_in).
+    fn splice_out(&mut self, item: &D::Item, slot: u32) {
+        let Ok(at) = self.items.binary_search_by(|g| D::canonical_cmp(g, item)) else {
+            unreachable!("a stored item sits in its set at every level");
+        };
+        debug_assert_eq!(self.slots[at], slot, "the set holds the item's slot");
+        self.items.remove(at);
+        self.slots.remove(at);
+    }
+}
+
+/// The drafts of every set a batch splices, by `(level, key)`.
+type Drafts<D> = BTreeMap<(u32, u64), Draft<D>>;
 
 /// A batch of `n / this` ops or more is rebuilt whole rather than spliced:
-/// by then it touches most sets of the lower levels, and shifting `members`
-/// once per op costs more than building every level once. Measured with
-/// `repro rebuild`: splicing wins at 64 ops for every structure and `n`
-/// from 1024 to 4096, and loses at 512 ops (n / 2 to n / 9) by 10–50 %.
+/// by then it touches most sets of the lower levels, and splicing each op
+/// into level 0's draft — an `O(n)` shift per op — costs more than building
+/// every level once. Measured with `repro rebuild`: splicing wins at 64 ops
+/// for every structure and `n` from 1024 to 4096, and loses at 512 ops
+/// (n / 2 to n / 9) by 10–50 %.
 const INCREMENTAL_DIRTY_FACTOR: usize = 10;
 
 /// The hosts storing a copy of one range, primary first — see
@@ -644,14 +646,14 @@ pub struct SkipWeb<D: RangeDetermined> {
 }
 
 /// Copies the slot table with room for a few new slots, like a level's
-/// arrays. `clone_from` refills a retired web's buffers instead — the
+/// sets. `clone_from` refills a retired web's buffers instead — the
 /// engine's apply stage recycles its copy-on-write target this way — so a
 /// web of the source's shape is overwritten without allocating, and shares
 /// every structure page with the source just as a clone does.
 impl<D: RangeDetermined> Clone for SkipWeb<D> {
     fn clone(&self) -> Self {
         SkipWeb {
-            item_bits: with_headroom(&self.item_bits),
+            item_bits: with_room(&self.item_bits, SPLICE_HEADROOM),
             slots: self.slots.clone(),
             levels: self.levels.clone(),
             hosts: self.hosts,
@@ -805,7 +807,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
     /// Number of stored items `n`.
     pub fn len(&self) -> usize {
-        self.levels[0].members.len()
+        self.ground_slots().len()
     }
 
     /// Whether the web stores no items.
@@ -839,11 +841,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
     ///
     /// Panics if `level` exceeds [`top_level`](Self::top_level).
     pub fn level_set_sizes(&self, level: u32) -> Vec<usize> {
-        self.levels[level as usize]
-            .sets
-            .iter()
-            .map(|s| s.len as usize)
-            .collect()
+        let tables = &self.levels[level as usize];
+        let len = |set| tables.slots_of(set).len();
+        tables.sets.iter().map(len).collect()
     }
 
     /// Whether every level's structure table is `other`'s very pages, page
@@ -871,6 +871,12 @@ impl<D: RangeDetermined> SkipWeb<D> {
         ground.structure(&ground.sets[0])
     }
 
+    /// Level 0's slot list: the slot of the item at each canonical position.
+    fn ground_slots(&self) -> &[u32] {
+        let ground = &self.levels[0];
+        ground.slots_of(&ground.sets[0])
+    }
+
     /// The host owning the item at canonical position `item` (query origins
     /// start here): under owner-hosted placement the host of its slot,
     /// under bucketed placement the host of its top-level entry range.
@@ -880,7 +886,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// Panics if `item >= self.len()`.
     pub fn host_of_item(&self, item: usize) -> HostId {
         match self.blocking {
-            Blocking::OwnerHosted => HostId(self.levels[0].members[item]),
+            Blocking::OwnerHosted => HostId(self.ground_slots()[item]),
             Blocking::Bucketed { .. } => {
                 let top = self.top_level() as usize;
                 let (set, entry) = self.origin_entry(item);
@@ -1032,24 +1038,30 @@ impl<D: RangeDetermined> SkipWeb<D> {
     }
 
     /// Index, within level `level - 1`, of the parent of the level-`level`
-    /// set `set` — the set its hyperlinks point into, which is the one
-    /// holding its items one level down (sets above level 0 are never
-    /// empty). Two indexed reads rather than a key search: this sits on
-    /// every level descent of a query.
+    /// set `set` — the set its hyperlinks point into, which holds its items
+    /// one level down: the set keyed by its key's `level - 1`-bit prefix,
+    /// found by a binary search over that level's keys.
     pub(crate) fn parent_set_index(&self, level: u32, set: &LevelSet) -> usize {
-        let first = self.levels[level as usize].members[set.start as usize];
-        self.levels[(level - 1) as usize].set_of_item[first as usize] as usize
+        let below = &self.levels[(level - 1) as usize];
+        match below.set_index(parent_key(set.key, level)) {
+            Some(parent) => parent,
+            None => unreachable!("every set above level 0 has its parent"),
+        }
     }
 
     /// Where operations from the item at canonical position `origin_item`
     /// enter the web — the "root node for that host" of §1.1: the item's
-    /// top-level set index (through its slot) and its entry range there —
-    /// the item's place in the set's canonical order, a short binary search.
+    /// top-level set index (the set keyed by its slot's bit prefix) and its
+    /// entry range there — the item's place in the set's canonical order.
+    /// Two short binary searches.
     pub(crate) fn origin_entry(&self, origin_item: usize) -> (usize, RangeId) {
-        let slot = self.levels[0].members[origin_item];
+        let slot = self.ground_slots()[origin_item];
         let item = &self.ground()[origin_item];
-        let top = &self.levels[self.top_level() as usize];
-        let set_idx = top.set_of_item[slot as usize] as usize;
+        let top_level = self.top_level();
+        let top = &self.levels[top_level as usize];
+        let Some(set_idx) = top.set_index(set_key(self.item_bits[slot as usize], top_level)) else {
+            unreachable!("a stored item sits in a set at every level");
+        };
         let structure = top.structure(&top.sets[set_idx]);
         let items = structure.items();
         let local = items.partition_point(|g| D::canonical_cmp(g, item).is_lt());
@@ -1061,14 +1073,14 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// item's tower of ranges lives on the item's host.
     fn owner_host(&self, level: usize, set: &LevelSet, r: RangeId) -> HostId {
         let tables = &self.levels[level];
-        let members = tables.members_of(set);
-        if members.is_empty() {
+        let slots = tables.slots_of(set);
+        if slots.is_empty() {
             // The one empty set of an empty web still has a (universe) range.
             return HostId(0);
         }
         // Indexed, not `get`: a range id from a corrupt address must stop
         // here rather than be routed on.
-        HostId(members[tables.structure(set).owner(r)])
+        HostId(slots[tables.structure(set).owner(r)])
     }
 
     /// The hosts storing a copy of range `r` of `set`, a set of level
@@ -1077,7 +1089,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// host ids (all of them when there are fewer than `k` hosts). Under
     /// bucketed placement it is the row `assign_bucketed` stored.
     pub(crate) fn copies<'a>(&'a self, level: usize, set: &'a LevelSet, r: RangeId) -> Copies<'a> {
-        match &set.hosted {
+        match self.levels[level].host_table(set) {
             Some(table) => Copies::Listed(table.row(r.index()).iter().copied()),
             None => {
                 let hosts = self.hosts.max(1);
@@ -1093,7 +1105,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// The first of [`copies`](Self::copies): the authoritative copy the
     /// cost model charges.
     pub(crate) fn primary(&self, level: usize, set: &LevelSet, r: RangeId) -> HostId {
-        match &set.hosted {
+        match self.levels[level].host_table(set) {
             Some(table) => table.row(r.index())[0],
             None => self.owner_host(level, set, r),
         }
@@ -1228,33 +1240,27 @@ impl<D: RangeDetermined> SkipWeb<D> {
         if ops.len() * INCREMENTAL_DIRTY_FACTOR >= self.len() {
             return self.apply_full(ops);
         }
-        let mut batch = BatchItems::new();
+        let mut drafts = Drafts::new();
+        let inserts = ops.iter().filter(|op| op.is_insert()).count();
         let applied = ops
             .into_iter()
-            .map(|op| self.splice(op, &mut batch))
+            .map(|op| self.splice(op, inserts, &mut drafts))
             .collect();
-        if batch.is_empty() {
+        // Every applied op drafts the ground set, which tells the new size.
+        let Some(ground) = drafts.get(&(0, 0)) else {
             return applied;
-        }
-        let want = level_count(self.len()) as usize + 1;
+        };
+        let want = level_count(ground.slots.len()) as usize + 1;
         self.levels.truncate(want);
-        for ((li, key), items) in batch {
-            let Some(level) = self.levels.get_mut(li as usize) else {
-                continue;
-            };
-            // A set the batch emptied is gone; a kept one is rebuilt in
-            // place, under its id.
-            if let Some(si) = level.set_index(key) {
-                let set = &mut level.sets[si];
-                set.hosted = None;
-                level
-                    .structures
-                    .put(set.id, Some(Arc::new(D::build(items))));
+        for ((li, key), draft) in drafts {
+            // The drafts of vanished top levels go with them.
+            if let Some(level) = self.levels.get_mut(li as usize) {
+                level.commit(key, draft, li == 0);
             }
         }
         while self.levels.len() < want {
             let level = self.levels.len() as u32;
-            let top = self.build_level(self.ground(), &self.levels[0].members, level);
+            let top = self.build_level(self.ground(), self.ground_slots(), level);
             self.levels.push(top);
         }
         self.assign_hosts();
@@ -1270,7 +1276,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// against each other.
     pub fn apply_full(&mut self, ops: Vec<Update<D::Item>>) -> Vec<bool> {
         let mut ground = self.ground().to_vec();
-        let mut slots = self.levels[0].members.clone();
+        let mut slots = self.ground_slots().to_vec();
         let applied = ops
             .into_iter()
             .map(|op| {
@@ -1295,47 +1301,45 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
     /// Resolves one op of a batch against the web as the batch has left it
     /// and splices it in: an absent item's insert takes a slot and joins
-    /// its set at every level; a stored item's remove leaves them and frees
-    /// its slot. The sets' items change in `batch`, their structures when
-    /// the batch ends. Returns whether the op applied.
-    fn splice(&mut self, op: Update<D::Item>, batch: &mut BatchItems<D::Item>) -> bool {
-        let ground = batch.get(&(0, 0)).map_or(self.ground(), Vec::as_slice);
+    /// its set's draft at every level; a stored item's remove leaves them
+    /// and frees its slot. The sets change when the batch ends. Returns
+    /// whether the op applied.
+    fn splice(&mut self, op: Update<D::Item>, inserts: usize, drafts: &mut Drafts<D>) -> bool {
+        let (ground, slots) = match drafts.get(&(0, 0)) {
+            Some(draft) => (draft.items.as_slice(), draft.slots.as_slice()),
+            None => (self.ground(), self.ground_slots()),
+        };
         let at = ground.binary_search_by(|g| D::canonical_cmp(g, op.item()));
-        match (op, at) {
-            (Update::Insert { item, bits }, Err(_)) => {
-                let slot = self.take_slot(bits);
-                for (li, level) in (0u32..).zip(&mut self.levels) {
-                    let key = set_key(bits, li);
-                    let items = level.batch_items(li, key, batch);
-                    level.splice_in(key, items, &item, slot);
-                }
-            }
+        let (item, slot, bits) = match (op, at) {
+            (Update::Insert { item, bits }, Err(_)) => (item, self.take_slot(bits), bits),
             (Update::Remove { item }, Ok(pos)) => {
-                let slot = self.levels[0].members[pos];
-                let bits = self.item_bits[slot as usize];
-                for (li, level) in (0u32..).zip(&mut self.levels) {
-                    let key = set_key(bits, li);
-                    let items = level.batch_items(li, key, batch);
-                    level.splice_out(key, items, &item, slot, li == 0);
-                }
-                self.release_slot(slot);
+                let slot = slots[pos];
+                (item, slot, self.item_bits[slot as usize])
             }
             _ => return false,
+        };
+        let inserting = at.is_err();
+        for (li, level) in (0u32..).zip(&self.levels) {
+            let draft = level.draft((li, set_key(bits, li)), inserts, drafts);
+            if inserting {
+                draft.splice_in(&item, slot);
+            } else {
+                draft.splice_out(&item, slot);
+            }
+        }
+        if !inserting {
+            self.release_slot(slot);
         }
         true
     }
 
     /// Gives an item with tower `bits` a slot: the lowest free one, or a
-    /// new one at the end of the table (and of every level's
-    /// `set_of_item`). One of the two slot-table functions both apply paths
-    /// resolve ops with.
+    /// new one at the end of the table. One of the two slot-table functions
+    /// both apply paths resolve ops with.
     fn take_slot(&mut self, bits: u64) -> u32 {
         let slot = self.slots.take();
         if slot as usize == self.item_bits.len() {
             self.item_bits.push(bits);
-            for level in &mut self.levels {
-                level.set_of_item.push(NO_SET);
-            }
         } else {
             self.item_bits[slot as usize] = bits;
         }
@@ -1347,11 +1351,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     fn release_slot(&mut self, slot: u32) {
         self.item_bits[slot as usize] = 0;
         self.slots.release(slot);
-        let end = self.slots.end as usize;
-        self.item_bits.truncate(end);
-        for level in &mut self.levels {
-            level.set_of_item.truncate(end);
-        }
+        self.item_bits.truncate(self.slots.end as usize);
     }
 
     /// [`apply`](Self::apply) for a batch of inserts.
@@ -1387,7 +1387,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     ///   descending below the table's end and named by no set, and together
     ///   with the named ones cover the table; exactly the named ids hold a
     ///   structure.
-    /// * **Slots** — level 0's `members` give every stored item a distinct
+    /// * **Slots** — level 0's slot list gives every stored item a distinct
     ///   slot; the free list is strictly descending, below the table's last
     ///   slot, and holds exactly the other slots, whose bits are 0 and which
     ///   sit in no set at any level.
@@ -1395,11 +1395,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
     ///   keyed by its bit prefix (`set_key(bits, ℓ)`), which makes level
     ///   membership monotone in level (a level-`ℓ` set key extends the
     ///   level-`ℓ-1` key).
-    /// * **Layout** — the sets are strictly key-sorted; `members` holds each
-    ///   live slot once, the sets' `(start, len)` slices tile it in order,
-    ///   and each slice is in canonical order and matches its structure's
-    ///   items; `set_of_item` is its inverse; a stored host table has
-    ///   `num_ranges + 1` monotone offsets.
+    /// * **Layout** — the sets are strictly key-sorted and, above level 0,
+    ///   non-empty; each set's slot list is as long as its structure, in
+    ///   canonical order, and slot by slot the item its structure holds;
+    ///   every live slot appears in exactly one slot list per level; a
+    ///   stored host table has `num_ranges + 1` monotone offsets.
     /// * **Hyperlinks** — every set above level 0 has its parent one level
     ///   down, and every range of it a non-empty conflict list there (§2.3):
     ///   the property each level descent relies on. The lists themselves are
@@ -1444,10 +1444,10 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
         // The slot table: each live slot's canonical position, from level 0.
         let slots = self.item_bits.len();
-        let mut position = vec![NO_SET; slots];
-        for (i, &g) in self.levels[0].members.iter().enumerate() {
+        let mut position: Vec<Option<usize>> = vec![None; slots];
+        for (i, &g) in self.ground_slots().iter().enumerate() {
             match position.get_mut(g as usize) {
-                Some(p) if *p == NO_SET => *p = i as u32,
+                Some(p @ None) => *p = Some(i),
                 Some(_) => return Err(format!("slot {g} holds two ground items")),
                 None => return Err(format!("slot {g} is past the {slots}-slot table")),
             }
@@ -1462,7 +1462,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
             ));
         }
         for &g in free {
-            if position[g as usize] != NO_SET || self.item_bits[g as usize] != 0 {
+            if position[g as usize].is_some() || self.item_bits[g as usize] != 0 {
                 return Err(format!("free slot {g} holds an item or bits"));
             }
         }
@@ -1473,73 +1473,61 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
         let bucketed = matches!(self.blocking, Blocking::Bucketed { .. });
         for (li, level) in self.levels.iter().enumerate() {
-            if level.set_of_item.len() != slots || level.members.len() != n {
-                return Err(format!(
-                    "level {li}: item arrays not sized to the slot table and the ground"
-                ));
-            }
             if let Some(w) = level.sets.windows(2).find(|w| w[0].key >= w[1].key) {
                 return Err(format!(
                     "level {li}: set keys {:#x}, {:#x} not strictly ascending",
                     w[0].key, w[1].key
                 ));
             }
+            let want_tables = if bucketed { level.sets.len() } else { 0 };
+            if level.host_tables.len() != want_tables {
+                return Err(format!(
+                    "level {li}: {} host tables for {want_tables} placed sets",
+                    level.host_tables.len()
+                ));
+            }
             let mut claimed = vec![false; slots];
-            let mut tiled = 0usize;
             for (si, set) in level.sets.iter().enumerate() {
-                if set.start as usize != tiled {
+                let (structure, set_slots) = (level.structure(set), level.slots_of(set));
+                if structure.len() != set_slots.len() {
                     return Err(format!(
-                        "level {li} set {si}: members start at {}, previous sets end at {tiled}",
-                        set.start
-                    ));
-                }
-                tiled += set.len as usize;
-                if tiled > n {
-                    return Err(format!("level {li} set {si}: members overrun the level"));
-                }
-                let structure = level.structure(set);
-                if structure.len() != set.len as usize {
-                    return Err(format!(
-                        "level {li} set {si}: structure holds {} items, member slice {}",
+                        "level {li} set {si}: structure holds {} items, slot list {}",
                         structure.len(),
-                        set.len
+                        set_slots.len()
                     ));
+                }
+                if li > 0 && set_slots.is_empty() {
+                    return Err(format!("level {li} set {si} is empty"));
                 }
                 let num_ranges = structure.num_ranges();
-                let table_fits = set
-                    .hosted
-                    .as_ref()
-                    .is_none_or(|t| t.rows() == num_ranges && t.is_well_formed());
+                let table = level.host_table(set);
+                let table_fits = table.is_none_or(|t| t.rows() == num_ranges && t.is_well_formed());
                 if !table_fits {
                     return Err(format!(
                         "level {li} set {si}: the host table is not {num_ranges} well-formed rows"
                     ));
                 }
-                if set.hosted.is_some() != bucketed {
+                if table.is_some() != bucketed {
                     return Err(format!(
                         "level {li} set {si}: host table stored = {}, bucketed = {bucketed}",
-                        set.hosted.is_some()
+                        table.is_some()
                     ));
                 }
-                let members = level.members_of(set);
-                let live = |&g: &u32| position.get(g as usize).is_some_and(|&p| p != NO_SET);
-                if let Some(g) = members.iter().find(|g| !live(g)) {
-                    return Err(format!("level {li} set {si}: slot {g} holds no item"));
-                }
-                let unordered = |w: &[u32]| position[w[0] as usize] >= position[w[1] as usize];
-                if members.windows(2).any(unordered) {
-                    return Err(format!(
-                        "level {li} set {si}: members not in canonical order"
-                    ));
-                }
-                for (local, &g) in members.iter().enumerate() {
+                let mut previous = None;
+                for (local, &g) in set_slots.iter().enumerate() {
+                    let Some(Some(at)) = position.get(g as usize).copied() else {
+                        return Err(format!("level {li} set {si}: slot {g} holds no item"));
+                    };
+                    if previous.is_some_and(|p| p >= at) {
+                        return Err(format!("level {li} set {si}: slots not in canonical order"));
+                    }
+                    previous = Some(at);
                     let g = g as usize;
-                    if claimed[g] {
+                    if std::mem::replace(&mut claimed[g], true) {
                         return Err(format!(
-                            "level {li}: item {g} belongs to two sets (second: {si})"
+                            "level {li}: slot {g} listed twice (second: set {si})"
                         ));
                     }
-                    claimed[g] = true;
                     // Bit-prefix membership; keys nest across levels, so
                     // passing here at every level is exactly the "membership
                     // monotone in level" property.
@@ -1550,38 +1538,26 @@ impl<D: RangeDetermined> SkipWeb<D> {
                             set.key
                         ));
                     }
-                    if structure.items()[local] != ground[position[g] as usize] {
+                    if structure.items()[local] != ground[at] {
                         return Err(format!(
                             "level {li} set {si}: structure item {local} diverges from the item in slot {g}"
                         ));
                     }
-                    if level.set_of_item[g] as usize != si {
-                        return Err(format!(
-                            "level {li}: set_of_item points item {g} at set {}, members say {si}",
-                            level.set_of_item[g]
-                        ));
-                    }
                 }
             }
-            // With per-slot claims unique and the slices tiling `members`, an
-            // unclaimed live slot means the level fails to cover the ground.
-            if let Some(g) = (0..slots).find(|&g| claimed[g] != (position[g] != NO_SET)) {
+            // Every listed slot is live and listed once, so a live slot no
+            // list claims means the level fails to cover the ground.
+            if let Some(g) = (0..slots).find(|&g| claimed[g] != position[g].is_some()) {
                 return Err(format!("level {li}: live slot {g} belongs to no set"));
-            }
-            if let Some(g) = (0..slots).find(|&g| !claimed[g] && level.set_of_item[g] != NO_SET) {
-                return Err(format!("level {li}: free slot {g} points at a set"));
             }
 
             let (mut links, mut copies) = (Vec::new(), Vec::new());
             for (si, set) in level.sets.iter().enumerate() {
                 if li > 0 {
                     let pkey = parent_key(set.key, li as u32);
-                    let pi = self.levels[li - 1].set_index(pkey).ok_or_else(|| {
-                        format!("level {li} set {si}: no parent set keyed {pkey:#x} one level down")
-                    })?;
-                    if pi != self.parent_set_index(li as u32, set) {
+                    if self.levels[li - 1].set_index(pkey).is_none() {
                         return Err(format!(
-                            "level {li} set {si}: first member's set below is not the parent {pkey:#x}"
+                            "level {li} set {si}: no parent set keyed {pkey:#x} one level down"
                         ));
                     }
                 }
@@ -1631,7 +1607,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
             .ground()
             .binary_search_by(|g| D::canonical_cmp(g, item))
             .ok()?;
-        Some(self.item_bits[self.levels[0].members[pos] as usize])
+        Some(self.item_bits[self.ground_slots()[pos] as usize])
     }
 
     /// Whether `item` is stored.
@@ -1641,8 +1617,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
     /// Every stored item with its level bit string, in canonical order.
     pub(crate) fn ground_with_bits(&self) -> impl Iterator<Item = (&D::Item, u64)> {
-        let bits = self.levels[0]
-            .members
+        let bits = self
+            .ground_slots()
             .iter()
             .map(|&g| self.item_bits[g as usize]);
         self.ground().iter().zip(bits)
@@ -1731,13 +1707,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// Builds level `level` from scratch over the canonical `ground`, whose
     /// item `i` sits in slot `slots[i]`, with no host tables yet.
     fn build_level(&self, ground: &[D::Item], slots: &[u32], level: u32) -> Level<D> {
-        let n = ground.len();
         let bits: Vec<u64> = slots.iter().map(|&g| self.item_bits[g as usize]).collect();
         let groups = group_by_key(&bits, level);
         let mut tables = Level {
             sets: Vec::with_capacity(groups.len().max(1)),
-            members: Vec::with_capacity(n),
-            set_of_item: Vec::new(),
+            host_tables: Vec::new(),
             structures: Structures::new(),
         };
         for (key, at) in groups {
@@ -1749,19 +1723,18 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     .eq(structure.items()),
                 "D::build must keep the canonical order (canonical_cmp contract)"
             );
-            let members = at.iter().map(|&i| slots[i as usize]);
-            tables.push_built(key, structure, members);
+            let set_slots = at.into_iter().map(|i| slots[i as usize]).collect();
+            tables.push_built(key, structure, set_slots);
         }
-        if n == 0 {
+        if ground.is_empty() {
             // Level 0 is the one ground set, empty or not.
-            tables.push_built(0, D::build(Vec::new()), std::iter::empty());
+            tables.push_built(0, D::build(Vec::new()), Vec::new());
         }
-        tables.index_members(self.item_bits.len());
         tables
     }
 
     /// Places every range per the blocking strategy. Owner-hosted placement
-    /// stores nothing per range — it is derived from the sets' members
+    /// stores nothing per range — it is derived from the sets' slot lists
     /// ([`copies`](Self::copies)), one host per slot.
     fn assign_hosts(&mut self) {
         match self.blocking {
@@ -1788,10 +1761,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
             }
             let mut fill = 0usize;
             let mut started = false;
-            for si in 0..level.sets.len() {
+            let mut tables = Vec::with_capacity(level.sets.len());
+            for set in &level.sets {
                 // Contiguity: order ranges by (owning item, id) — owner order
                 // follows the structure's canonical layout.
-                let structure = level.structure(&level.sets[si]);
+                let structure = level.structure(set);
                 let mut order: Vec<RangeId> = structure.range_ids().collect();
                 order.sort_by_key(|r| (structure.owner(*r), r.index()));
                 let mut block_of = vec![HostId(0); order.len()];
@@ -1806,10 +1780,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     block_of[r.index()] = HostId(next_host);
                     fill += 1;
                 }
-                level.sets[si].hosted = Some(Arc::new(Csr::build(block_of.len(), |r, out| {
+                tables.push(Csr::build(block_of.len(), |r, out| {
                     out.push(block_of[r]);
-                })));
+                }));
             }
+            level.place(tables);
             if started {
                 next_host += 1; // close the level's last open block
             }
@@ -1823,24 +1798,24 @@ impl<D: RangeDetermined> SkipWeb<D> {
             if self.blocking.is_basic(level_idx as u32) {
                 continue;
             }
-            for set_idx in 0..self.levels[level_idx].sets.len() {
-                let tables = &self.levels[level_idx];
-                let set = &tables.sets[set_idx];
-                let cones = Csr::build(tables.structure(set).num_ranges(), |r, out| {
+            let (level, below) = (&self.levels[level_idx], &self.levels[level_idx - 1]);
+            let mut cones = |set: &LevelSet| {
+                Csr::build(level.structure(set).num_ranges(), |r, out| {
                     let r = RangeId(r as u32);
                     let parent_idx = self.hyperlinks(level_idx as u32, set, r, &mut links);
-                    let below = &self.levels[level_idx - 1].sets[parent_idx];
+                    let parent = &below.sets[parent_idx];
                     cone.clear();
                     for t in &links {
-                        cone.extend_from_slice(below.listed(*t));
+                        cone.extend_from_slice(below.listed(parent, *t));
                     }
                     cone.sort_unstable();
                     cone.dedup();
                     debug_assert!(!cone.is_empty(), "non-basic range must have a cone");
                     out.extend_from_slice(&cone);
-                });
-                self.levels[level_idx].sets[set_idx].hosted = Some(Arc::new(cones));
-            }
+                })
+            };
+            let tables = level.sets.iter().map(&mut cones).collect();
+            self.levels[level_idx].place(tables);
         }
         self.hosts = (next_host as usize).max(1);
         self.extend_replicas();
@@ -1856,24 +1831,21 @@ impl<D: RangeDetermined> SkipWeb<D> {
         if k <= 1 {
             return;
         }
-        for level in &mut self.levels {
-            for si in 0..level.sets.len() {
-                let rows = level.structure(&level.sets[si]).num_ranges();
-                let set = &mut level.sets[si];
-                set.hosted = Some(Arc::new(Csr::build(rows, |r, out| {
-                    let start = out.len();
-                    out.extend_from_slice(set.listed(RangeId(r as u32)));
-                    let primary = out[start].0;
-                    let mut next = (primary + 1) % hosts;
-                    // A full circle means fewer hosts than `k`.
-                    while out.len() - start < k && next != primary {
-                        if !out[start..].contains(&HostId(next)) {
-                            out.push(HostId(next));
-                        }
-                        next = (next + 1) % hosts;
+        for table in self.levels.iter_mut().flat_map(|l| &mut l.host_tables) {
+            let extended = Csr::build(table.rows(), |r, out| {
+                let start = out.len();
+                out.extend_from_slice(table.row(r));
+                let primary = out[start].0;
+                let mut next = (primary + 1) % hosts;
+                // A full circle means fewer hosts than `k`.
+                while out.len() - start < k && next != primary {
+                    if !out[start..].contains(&HostId(next)) {
+                        out.push(HostId(next));
                     }
-                })));
-            }
+                    next = (next + 1) % hosts;
+                }
+            });
+            *table = Arc::new(extended);
         }
     }
 
@@ -2019,7 +1991,7 @@ mod tests {
     fn owner_host_sweep<D: RangeDetermined>(web: &SkipWeb<D>) -> RangeHost {
         let per_set = |level: &Level<D>| {
             let per_range = |set: &LevelSet| {
-                let ground = level.members_of(set);
+                let ground = level.slots_of(set);
                 let structure = level.structure(set);
                 structure
                     .range_ids()
@@ -2507,7 +2479,7 @@ mod tests {
     fn freed_slots_are_reused_lowest_first_and_truncated_at_the_end() {
         let mut w = web(64, 14);
         let slot_of = |w: &SkipWeb<SortedLinkedList>, key: u64| {
-            w.levels[0].members[w.ground().binary_search(&key).expect("stored")]
+            w.ground_slots()[w.ground().binary_search(&key).expect("stored")]
         };
         assert_eq!(
             slot_of(&w, 300),
@@ -2548,7 +2520,10 @@ mod tests {
             .build();
         let counts = |w: &SkipWeb<SortedLinkedList>| -> Vec<usize> {
             let per_level = |l: &Level<SortedLinkedList>| {
-                let counts = l.sets.iter().map(|s| Arc::strong_count(l.structure(s)));
+                let counts = l
+                    .sets
+                    .iter()
+                    .map(|s| Arc::strong_count(l.structures.get(s.id)));
                 counts.collect::<Vec<_>>()
             };
             w.levels.iter().flat_map(per_level).collect()
@@ -2571,7 +2546,7 @@ mod tests {
                 let same = was.set_index(set.key).map(|i| &was.sets[i]);
                 let same = same.expect("no set but the tower's is born");
                 assert!(
-                    Arc::ptr_eq(now.structure(set), was.structure(same)),
+                    Arc::ptr_eq(now.structures.get(set.id), was.structures.get(same.id)),
                     "L{li} set {:#x}: structure copied",
                     set.key
                 );

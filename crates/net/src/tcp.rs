@@ -196,23 +196,27 @@ impl<M: Send + 'static, R: Send + 'static> TcpTransport<M, R> {
     /// `timeout`. Returns `true` when the deployment was torn down on
     /// purpose, `false` on timeout.
     pub fn wait_closed(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        // No deadline when it is past what an `Instant` can hold (say,
+        // `Duration::MAX`): the wait goes on until the BYE.
+        let deadline = Instant::now().checked_add(timeout);
         let mut bye = self
             .inner
             .bye
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let cv = &self.inner.bye_cv;
         while !*bye {
             let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (b, _) = self
-                .inner
-                .bye_cv
-                .wait_timeout(bye, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            bye = b;
+            bye = match deadline {
+                Some(d) if now >= d => return false,
+                Some(d) => {
+                    let waited = cv.wait_timeout(bye, d - now);
+                    waited.unwrap_or_else(std::sync::PoisonError::into_inner).0
+                }
+                None => cv
+                    .wait(bye)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            };
         }
         true
     }
@@ -576,6 +580,8 @@ mod tests {
 
         ta.broadcast_shutdown();
         assert!(tb.wait_closed(Duration::from_secs(5)));
+        // `Duration::MAX` is no deadline, not an overflow.
+        assert!(tb.wait_closed(Duration::MAX));
         driver.shutdown();
         worker.shutdown();
     }

@@ -2,12 +2,14 @@
 //!
 //! An engine apply clones the web while a published snapshot still holds the
 //! previous one, splices the update into the clone, and drops the previous
-//! web once its last reader drains. With flat level tables, stable slots and
-//! derived hyperlinks each of the three steps costs heap traffic
-//! proportional to the levels — the clone copies a few arrays per level and
-//! no item, and a splice rebuilds one set per level — not to the web's total
-//! range count; and a route computes the hyperlinks it follows into one
-//! buffer per walk. This file holds them to that with a counting allocator.
+//! web once its last reader drains. With per-set slot lists, stable slots
+//! and derived hyperlinks each of the three steps costs heap traffic
+//! proportional to the levels — the clone copies two arrays per level, of
+//! 16 bytes per set, and no item or slot list, and a splice rebuilds one
+//! set per level — not to the web's total range count; and a route computes
+//! the hyperlinks it follows into one buffer per walk. This file holds them
+//! to that with a counting allocator, by allocation and, for the clone, by
+//! byte.
 //! (The budget counters are per thread; the one test that meters another
 //! thread's work counts process wide, so the tests take turns.)
 
@@ -30,6 +32,9 @@ struct Counting;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static FREES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated: the size of every new block, a reallocated one's
+    /// whole new size.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocations of every thread of the process.
@@ -43,13 +48,14 @@ fn take_turn() -> MutexGuard<'static, ()> {
     TURN.lock().unwrap_or_else(|failed| failed.into_inner())
 }
 
-fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>, by: u64) {
     // A thread tearing down its locals still allocates; those are not ours.
-    let _ = counter.try_with(|c| c.set(c.get() + 1));
+    let _ = counter.try_with(|c| c.set(c.get() + by));
 }
 
-fn bump_allocs() {
-    bump(&ALLOCS);
+fn bump_allocs(bytes: usize) {
+    bump(&ALLOCS, 1);
+    bump(&BYTES, bytes as u64);
     // A statistic nothing synchronizes on.
     ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
@@ -59,19 +65,19 @@ fn bump_allocs() {
 // never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump_allocs();
+        bump_allocs(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        bump(&FREES);
+        bump(&FREES, 1);
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump_allocs();
+        bump_allocs(new_size);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -91,6 +97,21 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let (a0, f0) = (ALLOCS.get(), FREES.get());
     let out = f();
     (out, ALLOCS.get() - a0, FREES.get() - f0)
+}
+
+/// Runs `f` and returns its result with the bytes this thread allocated
+/// meanwhile.
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let b0 = BYTES.get();
+    let out = f();
+    (out, BYTES.get() - b0)
+}
+
+/// The `onedim_churn` shape: 3072 even keys, seed 7 — 85 590 ranges in
+/// 5 718 sets over 13 levels.
+fn list_web() -> SkipWeb<SortedLinkedList> {
+    let keys: Vec<u64> = (0..3072).map(|i| i * 2).collect();
+    SkipWeb::builder(keys).seed(7).build()
 }
 
 /// What one copy-on-write update costs the allocator, for an insert of
@@ -127,19 +148,16 @@ where
 #[test]
 fn a_list_update_allocates_per_level_and_per_dirty_set() {
     let _turn = take_turn();
-    // The `onedim_churn` shape: 85 590 ranges in 5 718 sets over 13 levels.
-    // A splice allocates the one rebuilt list per level, its `Arc` and the
-    // structure-table page it copies, and the drop frees those plus the
-    // four arrays per level of the clone (measured 54 / 72 / 93; 41 / 59 /
-    // 67 while each set held its structure's `Arc` itself, 43 / 148 / 69
-    // before slots were stable).
-    let build = || {
-        let keys: Vec<u64> = (0..3072).map(|i| i * 2).collect();
-        SkipWeb::<SortedLinkedList>::builder(keys).seed(7).build()
-    };
-    let levels = u64::from(build().top_level()) + 1;
-    assert!(build().total_ranges() > 80_000);
-    let (clone, apply, drop_old) = update_costs(build, 3001);
+    // The `onedim_churn` shape. A splice allocates per level the rebuilt
+    // list and slot list, their `Arc` and the structure-table page it
+    // copies, and the drop frees those plus the two arrays per level of the
+    // clone (measured 28 / 59 / 80; 54 / 72 / 93 while each level kept two
+    // arrays of one entry per item beside its sets, 41 / 59 / 67 while each
+    // set held its structure's `Arc` itself, 43 / 148 / 69 before slots
+    // were stable).
+    let levels = u64::from(list_web().top_level()) + 1;
+    assert!(list_web().total_ranges() > 80_000);
+    let (clone, apply, drop_old) = update_costs(list_web, 3001);
     eprintln!("LIST clone {clone} apply {apply} drop {drop_old} levels {levels}");
     assert!(
         clone <= 8 * levels + 16,
@@ -152,6 +170,29 @@ fn a_list_update_allocates_per_level_and_per_dirty_set() {
     assert!(
         drop_old <= 16 * levels,
         "drop of the old web: {drop_old} frees over {levels} levels"
+    );
+}
+
+#[test]
+fn a_clone_copies_per_set_not_per_item_per_level() {
+    let _turn = take_turn();
+    // A clone copies the slot table's bit strings (8 B per slot) and every
+    // level's sets (16 B each, plus a few of headroom) and page list, and
+    // no slot list: those sit in the shared pages (measured 123 768 B;
+    // 540 048 B while every level kept two arrays of one entry per item
+    // beside its sets).
+    let web = list_web();
+    let sets: usize = (0..=web.top_level())
+        .map(|level| web.level_set_sizes(level).len())
+        .sum();
+    let (copy, bytes) = counted_bytes(|| web.clone());
+    assert!(copy == web, "a clone is equal");
+    let budget = 24 * sets + 8 * web.len() + 32 * 1024;
+    eprintln!("clone: {bytes} B for {sets} sets and {} slots", web.len());
+    assert!(
+        bytes <= budget as u64,
+        "clone: {bytes} B for {sets} sets and {} slots (budget {budget} B)",
+        web.len()
     );
 }
 
@@ -170,8 +211,9 @@ fn a_trie_update_allocates_per_level_and_per_dirty_item() {
     // about `n / 2^ℓ` — clones about `2n` strings, which the old web's drop
     // frees; a trie itself is a fixed handful of blocks (its nodes name
     // their children in one shared table). The clone copies no string: the
-    // ground is level 0's structure, shared like every other (measured 46 /
-    // 1 670 / 1 683; 46 / 3 344 / 3 034 while every trie node owned two
+    // ground is level 0's structure, shared like every other (measured 24 /
+    // 1 654 / 1 672; 46 / 1 670 / 1 683 while each level kept two arrays of
+    // one entry per item, 46 / 3 344 / 3 034 while every trie node owned two
     // child lists, 805 / 3 397 / 3 783 while the web kept its own ground
     // array). None of it grows with the web's range count the way one table
     // per range did (29 063 / 25 764 / 36 593 once), and no range is
@@ -232,10 +274,6 @@ fn refilling_a_retired_web_allocates_at_most_one_block_per_level() {
     // an array outgrew that headroom — at most one block per level
     // (measured 0 for both; 27 and 23 while a refill demanded the whole
     // headroom back).
-    let list = || {
-        let keys: Vec<u64> = (0..3072).map(|i| i * 2).collect();
-        SkipWeb::<SortedLinkedList>::builder(keys).seed(7).build()
-    };
     let trie = || {
         SkipWeb::<CompressedTrie>::builder(isbns(768))
             .seed(7)
@@ -244,8 +282,8 @@ fn refilling_a_retired_web_allocates_at_most_one_block_per_level() {
     for (name, levels, allocs) in [
         (
             "list",
-            u64::from(list().top_level()) + 1,
-            refill_allocs(list, 3001),
+            u64::from(list_web().top_level()) + 1,
+            refill_allocs(list_web, 3001),
         ),
         (
             "trie",
