@@ -98,9 +98,9 @@ fn measure_dict(
     updates: usize,
     seed: u64,
 ) -> (u64, f64, f64, SeriesStats, SeriesStats) {
-    // Updates can add hosts (bucket splits, skip-web growth), so size the
-    // network past the current host count before absorbing update meters.
-    let mut net = skipweb_net::SimNetwork::new(dict.hosts() + 64 * updates + 64);
+    // `M` and the `n/H` congestion term are over the structure's own hosts;
+    // updates that add hosts only add touch counters.
+    let mut net = skipweb_net::SimNetwork::new(dict.hosts());
     dict.account(&mut net);
     let qs = workloads::query_keys(queries, seed);
     for (i, &q) in qs.iter().enumerate() {

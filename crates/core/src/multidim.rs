@@ -204,7 +204,8 @@ impl Routable for CompressedTrie {
         let matched_len = self.matched_len(req.as_bytes());
         let mut matches: Vec<String> = ranges
             .iter()
-            .map(|&r| self.items()[self.owner(r)].clone())
+            .filter_map(|&r| self.terminal_item(r))
+            .map(|i| self.items()[i].clone())
             .filter(|s| s.starts_with(req.as_str()))
             .collect();
         matches.sort();

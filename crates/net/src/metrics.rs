@@ -4,6 +4,7 @@
 //! `Q(n)`, and `U(n)`. [`CostReport`] is the summary every experiment prints.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Summary statistics over a set of observed per-operation costs
 /// (e.g. messages per query).
@@ -267,6 +268,35 @@ impl fmt::Display for TransportStats {
             self.bytes_sent,
             self.bytes_received
         )
+    }
+}
+
+/// The live counters behind a transport's [`TransportStats`], bumped by the
+/// transport as it works; each counts only what its doc on
+/// [`TransportStats`] says. A transport leaves the ones its wire cannot see
+/// at zero.
+#[derive(Debug, Default)]
+pub(crate) struct TransportCounters {
+    pub(crate) carried: AtomicU64,
+    pub(crate) delivered: AtomicU64,
+    pub(crate) lost: AtomicU64,
+    pub(crate) reordered: AtomicU64,
+    pub(crate) bytes_sent: AtomicU64,
+    pub(crate) bytes_received: AtomicU64,
+}
+
+impl TransportCounters {
+    /// The counters' values now.
+    pub(crate) fn snapshot(&self) -> TransportStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        TransportStats {
+            carried: load(&self.carried),
+            delivered: load(&self.delivered),
+            lost: load(&self.lost),
+            reordered: load(&self.reordered),
+            bytes_sent: load(&self.bytes_sent),
+            bytes_received: load(&self.bytes_received),
+        }
     }
 }
 

@@ -185,10 +185,15 @@ impl SimNetwork {
     }
 
     /// Absorbs a finished meter: merges its touch counts into the per-host
-    /// congestion counters and its message count into the running total.
+    /// congestion counters and its message count into the running total. A
+    /// host past [`hosts`](Self::hosts) (one an update added) gets a touch
+    /// counter on demand.
     pub fn absorb(&mut self, meter: &MessageMeter) {
         self.total_messages += meter.messages();
         for &(h, c) in &meter.touches {
+            if h.index() >= self.touches.len() {
+                self.touches.resize(h.index() + 1, 0);
+            }
             self.touches[h.index()] += c;
         }
     }
@@ -243,7 +248,7 @@ impl SimNetwork {
     /// Operational touch count for `host` (how many datum touches landed on
     /// it across all absorbed meters) — a load-balance diagnostic.
     pub fn touch_count(&self, host: HostId) -> u64 {
-        self.touches[host.index()]
+        self.touches.get(host.index()).copied().unwrap_or(0)
     }
 
     /// Maximum operational touch count over hosts.
@@ -330,6 +335,20 @@ mod tests {
         let report = net.metrics();
         assert_eq!(report.query_messages.count, 1);
         assert_eq!(report.query_messages.max, 1);
+    }
+
+    #[test]
+    fn a_host_added_after_placement_counts_touches_but_not_towards_h() {
+        let mut net = SimNetwork::new(2);
+        net.add_storage(HostId(0), 6);
+        let mut m = net.meter();
+        m.visit(HostId(0));
+        m.visit(HostId(5));
+        net.absorb_update(&m);
+        assert_eq!(net.touch_count(HostId(5)), 1);
+        assert_eq!(net.touch_count(HostId(4)), 0);
+        assert_eq!(net.hosts(), 2);
+        assert_eq!(net.mean_memory(), 3.0);
     }
 
     #[test]

@@ -32,12 +32,12 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::metrics::TransportStats;
+use crate::metrics::{TransportCounters, TransportStats};
 use crate::runtime::{ClientId, Delivery, Inbound, ReplyDelivery, Sender, TrafficClass};
 use crate::transport::{CarryStatus, Transport};
 use crate::wire::{read_frame, write_frame, WireReader};
@@ -87,15 +87,6 @@ pub struct TcpCodec<M, R> {
     pub decode_reply: Decoder<R>,
 }
 
-#[derive(Default)]
-struct Counters {
-    carried: AtomicU64,
-    delivered: AtomicU64,
-    lost: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-}
-
 struct Inner<M, R> {
     cfg: TcpConfig,
     codec: TcpCodec<M, R>,
@@ -106,7 +97,7 @@ struct Inner<M, R> {
     /// can sever them.
     accepted: Mutex<Vec<TcpStream>>,
     inbound: OnceLock<Inbound<M, R>>,
-    counters: Counters,
+    counters: TransportCounters,
     closing: AtomicBool,
     bye: Mutex<bool>,
     bye_cv: Condvar,
@@ -158,7 +149,7 @@ impl<M: Send + 'static, R: Send + 'static> TcpTransport<M, R> {
                 peers,
                 accepted: Mutex::new(Vec::new()),
                 inbound: OnceLock::new(),
-                counters: Counters::default(),
+                counters: TransportCounters::default(),
                 closing: AtomicBool::new(false),
                 bye: Mutex::new(false),
                 bye_cv: Condvar::new(),
@@ -455,15 +446,7 @@ impl<M: Send + 'static, R: Send + 'static> Transport<M, R> for TcpTransport<M, R
     }
 
     fn stats(&self) -> TransportStats {
-        let c = &self.inner.counters;
-        TransportStats {
-            carried: c.carried.load(Ordering::Relaxed),
-            delivered: c.delivered.load(Ordering::Relaxed),
-            lost: c.lost.load(Ordering::Relaxed),
-            reordered: 0,
-            bytes_sent: c.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: c.bytes_received.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 
     fn shutdown(&self) {

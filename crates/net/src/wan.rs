@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::TransportStats;
+use crate::metrics::{TransportCounters, TransportStats};
 use crate::runtime::{Delivery, ReplyDelivery, Sender};
 use crate::transport::{CarryStatus, Transport};
 use crate::HostId;
@@ -111,21 +111,13 @@ struct Wheel {
     closed: bool,
 }
 
-#[derive(Default)]
-struct Counters {
-    carried: AtomicU64,
-    delivered: AtomicU64,
-    lost: AtomicU64,
-    reordered: AtomicU64,
-}
-
 struct Shared {
     cfg: SimWanConfig,
     wheel: Mutex<Wheel>,
     cv: Condvar,
     links: Mutex<HashMap<(u64, u64), Link>>,
     seq: AtomicU64,
-    counters: Counters,
+    counters: TransportCounters,
     stopped: AtomicBool,
 }
 
@@ -172,7 +164,7 @@ impl SimWanTransport {
             cv: Condvar::new(),
             links: Mutex::new(HashMap::new()),
             seq: AtomicU64::new(0),
-            counters: Counters::default(),
+            counters: TransportCounters::default(),
             stopped: AtomicBool::new(false),
         });
         let timer = {
@@ -330,15 +322,7 @@ impl<M: Send + 'static, R: Send + 'static> Transport<M, R> for SimWanTransport {
     }
 
     fn stats(&self) -> TransportStats {
-        let c = &self.shared.counters;
-        TransportStats {
-            carried: c.carried.load(Ordering::Relaxed),
-            delivered: c.delivered.load(Ordering::Relaxed),
-            lost: c.lost.load(Ordering::Relaxed),
-            reordered: c.reordered.load(Ordering::Relaxed),
-            bytes_sent: 0,
-            bytes_received: 0,
-        }
+        self.shared.counters.snapshot()
     }
 
     fn shutdown(&self) {

@@ -29,6 +29,7 @@ pub mod properties;
 pub mod quadtree;
 pub mod traits;
 pub mod trapezoid;
+mod tree;
 pub mod trie;
 
 pub use interval::KeyInterval;

@@ -84,11 +84,6 @@ impl SortedLinkedList {
         }
     }
 
-    /// Whether `id` denotes a key node (as opposed to a link).
-    pub fn is_node(&self, id: RangeId) -> bool {
-        id.index() < self.m()
-    }
-
     /// The ranges immediately left and right of `id` on the line
     /// (`None` at the sentinels' outer ends). Used by distributed shards
     /// that materialize the doubly-linked list per host.

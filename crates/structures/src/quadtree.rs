@@ -26,14 +26,8 @@
 //!
 //! # Layout
 //!
-//! Cells are plain records reached by index, as the Skip Quadtree stores
-//! them: one node array, root first, in which no node owns heap memory. A
-//! node's children sit next to each other, in child-digit (Morton) order,
-//! in the tree's one `kids` array, named by the node's `first_kid` and
-//! `kid_count`; a child's link is its own `parent_link`. `build` fills
-//! `kids` at the end with one stable counting pass over the links, so a
-//! tree is a fixed handful of heap blocks whatever its size, and a descent
-//! scans one slice per cell.
+//! The tree is laid out as the `tree` module describes, a node's children
+//! in child-digit (Morton) order.
 //!
 //! Cells are addressed by Morton prefix, as the Skip Quadtree addresses
 //! them, and a hook encodes its query once: `locate`, `search_step` and
@@ -45,24 +39,20 @@
 
 use crate::geometry::{Cell, GridPoint, MAX_DEPTH};
 use crate::traits::{RangeDetermined, RangeId};
+use crate::tree::{Node, Tree};
 
 /// Point type stored in quadtrees — re-exported grid points.
 pub type PointKey<const D: usize> = GridPoint<D>;
 
+/// What a quadtree node records besides its place in the tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Node<const D: usize> {
+struct Cube<const D: usize> {
     cell: Cell<D>,
-    parent: Option<u32>,
-    parent_link: Option<u32>,
-    /// The children are `kids[first_kid..][..kid_count]`.
-    first_kid: u32,
-    kid_count: u32,
     /// Index of the stored point for leaves.
     point: Option<u32>,
-    /// Representative item (minimum Morton code in the subtree); owns the
-    /// node for host placement.
-    owner: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Node<Cube<2>>>() == 80);
 
 /// A compressed quadtree (`D = 2`) / octree (`D = 3`) over grid points,
 /// exposed as a range-determined link structure.
@@ -89,40 +79,30 @@ struct Node<const D: usize> {
 pub struct CompressedQuadtree<const D: usize> {
     points: Vec<GridPoint<D>>,
     codes: Vec<u128>,
-    nodes: Vec<Node<D>>,
-    /// Link `l` joins `link_ends[l].0` (parent) to `link_ends[l].1` (child).
-    link_ends: Vec<(u32, u32)>,
-    /// Every node's children, grouped by parent.
-    kids: Vec<u32>,
-    /// Leaf node of each item.
-    item_leaf: Vec<u32>,
+    /// Children in child-digit (Morton) order.
+    tree: Tree<Cube<D>>,
 }
 
 impl<const D: usize> CompressedQuadtree<D> {
     /// Number of tree nodes (internal + leaves + the universe root).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.tree.num_nodes()
     }
 
     /// Number of tree links.
     pub fn num_links(&self) -> usize {
-        self.link_ends.len()
+        self.tree.num_links()
     }
 
     /// Whether `id` denotes a leaf node holding a point.
     pub fn is_leaf(&self, id: RangeId) -> bool {
-        id.index() < self.nodes.len() && self.nodes[id.index()].point.is_some()
+        self.leaf_point(id).is_some()
     }
 
     /// The point stored at a leaf node, if `id` is a leaf.
     pub fn leaf_point(&self, id: RangeId) -> Option<GridPoint<D>> {
-        if id.index() < self.nodes.len() {
-            self.nodes[id.index()]
-                .point
-                .map(|p| self.points[p as usize])
-        } else {
-            None
-        }
+        let node = self.tree.nodes().get(id.index())?;
+        node.data.point.map(|p| self.points[p as usize])
     }
 
     /// The cell of a node id (not a link id).
@@ -131,7 +111,11 @@ impl<const D: usize> CompressedQuadtree<D> {
     ///
     /// Panics if `id` is not a node.
     pub fn node_cell(&self, id: RangeId) -> Cell<D> {
-        self.nodes[id.index()].cell
+        self.cell_of(id.index())
+    }
+
+    fn cell_of(&self, node: usize) -> Cell<D> {
+        self.tree.node(node).data.cell
     }
 
     /// Depth of a range's cell — deeper is more specific.
@@ -139,15 +123,9 @@ impl<const D: usize> CompressedQuadtree<D> {
         self.range_cell(id).depth()
     }
 
+    /// A link's range is its child's cell.
     fn range_cell(&self, id: RangeId) -> Cell<D> {
-        let n = self.nodes.len();
-        let idx = id.index();
-        if idx < n {
-            self.nodes[idx].cell
-        } else {
-            let (_, child) = self.link_ends[idx - n];
-            self.nodes[child as usize].cell
-        }
+        self.cell_of(self.tree.node_of(id))
     }
 
     /// Item indices of all points in the subtree rooted at node `id`,
@@ -159,11 +137,10 @@ impl<const D: usize> CompressedQuadtree<D> {
             if out.len() >= cap {
                 break;
             }
-            let node = &self.nodes[i];
-            if let Some(p) = node.point {
+            if let Some(p) = self.tree.node(i).data.point {
                 out.push(p as usize);
             }
-            queue.extend(self.kids_of(i).iter().map(|&c| c as usize));
+            queue.extend(self.tree.kids_of(i).iter().map(|&c| c as usize));
         }
         out
     }
@@ -179,7 +156,7 @@ impl<const D: usize> CompressedQuadtree<D> {
 
     /// Parent node id of a node, if any.
     pub fn parent_of(&self, id: RangeId) -> Option<RangeId> {
-        self.nodes[id.index()].parent.map(RangeId)
+        self.tree.node(id.index()).parent.map(RangeId)
     }
 
     /// Depth of the smallest cell containing points `lo..hi` (at least two):
@@ -194,19 +171,12 @@ impl<const D: usize> CompressedQuadtree<D> {
 
     fn build_rec(&mut self, lo: usize, hi: usize, parent: Option<u32>) -> u32 {
         debug_assert!(lo < hi);
-        let node_idx = self.nodes.len() as u32;
         if hi - lo == 1 {
-            self.nodes.push(Node {
+            let leaf = Cube {
                 cell: Cell::at_depth(self.codes[lo], MAX_DEPTH),
-                parent,
-                parent_link: None,
-                first_kid: 0,
-                kid_count: 0,
                 point: Some(lo as u32),
-                owner: lo as u32,
-            });
-            self.item_leaf[lo] = node_idx;
-            return node_idx;
+            };
+            return self.tree.push(parent, lo..hi, true, leaf);
         }
         let depth = self.split_depth(lo, hi);
         debug_assert!(
@@ -214,15 +184,9 @@ impl<const D: usize> CompressedQuadtree<D> {
             "distinct points must split above unit depth"
         );
         let cell = Cell::at_depth(self.codes[lo], depth);
-        self.nodes.push(Node {
-            cell,
-            parent,
-            parent_link: None,
-            first_kid: 0,
-            kid_count: 0,
-            point: None,
-            owner: lo as u32,
-        });
+        let node_idx = self
+            .tree
+            .push(parent, lo..hi, false, Cube { cell, point: None });
         // Partition by the D-bit digit at `depth` and recurse per group.
         let mut start = lo;
         while start < hi {
@@ -232,89 +196,18 @@ impl<const D: usize> CompressedQuadtree<D> {
                 end += 1;
             }
             let child = self.build_rec(start, end, Some(node_idx));
-            let link_idx = self.link_ends.len() as u32;
-            self.link_ends.push((node_idx, child));
-            self.nodes[child as usize].parent_link = Some(link_idx);
+            self.tree.hang(child);
             start = end;
         }
         node_idx
     }
 
-    /// Lays every node's children out in `kids`, grouped by parent: one
-    /// stable counting pass over the links, whose ids rise in child-digit
-    /// order among siblings (a child's link is numbered after its whole
-    /// subtree, before its next sibling's).
-    fn fill_kids(&mut self) {
-        for &(p, _) in &self.link_ends {
-            self.nodes[p as usize].kid_count += 1;
-        }
-        let mut first = 0;
-        for node in &mut self.nodes {
-            node.first_kid = first;
-            first += node.kid_count;
-            node.kid_count = 0;
-        }
-        self.kids = vec![0; self.link_ends.len()];
-        for &(p, c) in &self.link_ends {
-            let node = &mut self.nodes[p as usize];
-            self.kids[(node.first_kid + node.kid_count) as usize] = c;
-            node.kid_count += 1;
-        }
-    }
-
-    /// Checks that the children table is exactly the inverse of the parent
-    /// pointers: the nodes' rows tile it in node order, every node but the
-    /// root sits in exactly one row, its parent's, each row runs in
-    /// child-digit order, and each child's link joins it to that parent.
-    /// `build` establishes this; tests call it.
+    /// Checks the tree's tables (see the `tree` module): among other
+    /// things, that each node's children run in child-digit order. `build`
+    /// establishes this; tests call it.
     pub fn check_tables(&self) -> Result<(), String> {
-        let mut placed = vec![false; self.nodes.len()];
-        let mut end = 0u32;
-        for (v, node) in self.nodes.iter().enumerate() {
-            if node.first_kid != end {
-                return Err(format!(
-                    "node {v}'s row starts at {}, not {end}",
-                    node.first_kid
-                ));
-            }
-            end += node.kid_count;
-            let row = self
-                .kids
-                .get(node.first_kid as usize..end as usize)
-                .ok_or(format!("node {v}'s row overruns the table"))?;
-            let mut last = None;
-            for &c in row {
-                let child = self
-                    .nodes
-                    .get(c as usize)
-                    .ok_or(format!("node {v} names child {c}, which is no node"))?;
-                if std::mem::replace(&mut placed[c as usize], true) {
-                    return Err(format!("node {c} sits in two rows"));
-                }
-                if child.parent != Some(v as u32) {
-                    return Err(format!("node {c} sits in node {v}'s row but not below it"));
-                }
-                let link = child
-                    .parent_link
-                    .and_then(|l| self.link_ends.get(l as usize));
-                if link != Some(&(v as u32, c)) {
-                    return Err(format!("node {c}'s link does not join it to node {v}"));
-                }
-                let digit = Some(node.cell.child_digit(self.codes[child.owner as usize]));
-                if digit <= last {
-                    return Err(format!("node {v}'s row leaves digit order at node {c}"));
-                }
-                last = digit;
-            }
-        }
-        if end as usize != self.kids.len() {
-            return Err(format!("the rows cover {end} of {} kids", self.kids.len()));
-        }
-        // The root has no parent, so the rows cannot name it.
-        match (1..self.nodes.len()).find(|&v| !placed[v]) {
-            Some(v) => Err(format!("node {v} sits in no row")),
-            None => Ok(()),
-        }
+        self.tree
+            .check(|v, c| self.cell_of(v).child_digit(self.cell_of(c).prefix()))
     }
 
     /// The children of node `id` (node ids, not links), in child-digit —
@@ -325,38 +218,25 @@ impl<const D: usize> CompressedQuadtree<D> {
     ///
     /// Panics if `id` is not a node.
     pub fn children(&self, id: RangeId) -> &[u32] {
-        self.kids_of(id.index())
-    }
-
-    /// The children of node `idx`, in child-digit order.
-    fn kids_of(&self, idx: usize) -> &[u32] {
-        let node = &self.nodes[idx];
-        &self.kids[node.first_kid as usize..][..node.kid_count as usize]
-    }
-
-    /// The range id of the link hanging `child` from its parent.
-    fn link_into(&self, child: u32) -> RangeId {
-        let l = self.nodes[child as usize]
-            .parent_link
-            .expect("a child hangs from a link");
-        RangeId((self.nodes.len() + l as usize) as u32)
+        self.tree.kids_of(id.index())
     }
 
     /// The child of node `idx` whose cell contains the point with Morton
     /// code `code`, if any.
     fn child_containing(&self, idx: usize, code: u128) -> Option<u32> {
-        self.kids_of(idx)
+        self.tree
+            .kids_of(idx)
             .iter()
             .copied()
-            .find(|&c| self.nodes[c as usize].cell.contains_code(code))
+            .find(|&c| self.cell_of(c as usize).contains_code(code))
     }
 
     /// Deepest node whose cell contains (or equals) `target`.
     fn deepest_containing(&self, target: &Cell<D>) -> usize {
         let mut cur = 0usize;
         'descend: loop {
-            for &c in self.kids_of(cur) {
-                if self.nodes[c as usize].cell.contains_cell(target) {
+            for &c in self.tree.kids_of(cur) {
+                if self.cell_of(c as usize).contains_cell(target) {
                     cur = c as usize;
                     continue 'descend;
                 }
@@ -389,41 +269,30 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
         let codes: Vec<u128> = keyed.iter().map(|&(code, _)| code).collect();
         drop(keyed);
         let n = items.len();
-        // A compressed tree has at most `2n` nodes besides the root.
-        let mut tree = CompressedQuadtree {
+        let mut qt = CompressedQuadtree {
             points: items,
             codes,
-            nodes: Vec::with_capacity(2 * n + 1),
-            link_ends: Vec::with_capacity(2 * n),
-            kids: Vec::new(),
-            item_leaf: vec![0; n],
+            tree: Tree::with_capacity(n),
         };
         // The root is always the universe cell so that every query point has
         // a location. When the points span the universe (their Morton codes
         // first differ in the top digit) the compressed top cell *is* that
         // root; otherwise it hangs, an only child, below a universe node.
-        if n >= 2 && tree.split_depth(0, n) == 0 {
-            tree.build_rec(0, n, None);
-            tree.fill_kids();
-            return tree;
+        if n >= 2 && qt.split_depth(0, n) == 0 {
+            qt.build_rec(0, n, None);
+        } else {
+            let universe = Cube {
+                cell: Cell::universe(),
+                point: None,
+            };
+            let root = qt.tree.push(None, 0..n, false, universe);
+            if n > 0 {
+                let top = qt.build_rec(0, n, Some(root));
+                qt.tree.hang(top);
+            }
         }
-        tree.nodes.push(Node {
-            cell: Cell::universe(),
-            parent: None,
-            parent_link: None,
-            first_kid: 0,
-            kid_count: 0,
-            point: None,
-            owner: 0,
-        });
-        if n > 0 {
-            let top = tree.build_rec(0, n, Some(0));
-            let link_idx = tree.link_ends.len() as u32;
-            tree.link_ends.push((0, top));
-            tree.nodes[top as usize].parent_link = Some(link_idx);
-        }
-        tree.fill_kids();
-        tree
+        qt.tree.fill_kids();
+        qt
     }
 
     fn items(&self) -> &[GridPoint<D>] {
@@ -431,7 +300,7 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
     }
 
     fn num_ranges(&self) -> usize {
-        self.nodes.len() + self.link_ends.len()
+        self.tree.num_ranges()
     }
 
     fn range(&self, id: RangeId) -> Cell<D> {
@@ -443,36 +312,15 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
     }
 
     fn owner(&self, id: RangeId) -> usize {
-        let n = self.nodes.len();
-        let idx = id.index();
-        if idx < n {
-            self.nodes[idx].owner as usize
-        } else {
-            let (_, child) = self.link_ends[idx - n];
-            self.nodes[child as usize].owner as usize
-        }
+        self.tree.owner(id)
     }
 
     fn entry_of_item(&self, item: usize) -> RangeId {
-        assert!(item < self.points.len(), "item index out of bounds");
-        RangeId(self.item_leaf[item])
+        self.tree.entry_of_item(item)
     }
 
     fn neighbors(&self, id: RangeId) -> Vec<RangeId> {
-        let n = self.nodes.len();
-        let idx = id.index();
-        if idx < n {
-            let node = &self.nodes[idx];
-            let mut out: Vec<RangeId> = Vec::with_capacity(node.kid_count as usize + 1);
-            if let Some(pl) = node.parent_link {
-                out.push(RangeId(n as u32 + pl));
-            }
-            out.extend(self.kids_of(idx).iter().map(|&c| self.link_into(c)));
-            out
-        } else {
-            let (parent, child) = self.link_ends[idx - n];
-            vec![RangeId(parent), RangeId(child)]
-        }
+        self.tree.neighbors(id)
     }
 
     fn locate(&self, q: &GridPoint<D>) -> RangeId {
@@ -485,28 +333,21 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
     }
 
     fn search_step(&self, from: RangeId, q: &GridPoint<D>) -> Option<RangeId> {
-        let (n, code) = (self.nodes.len(), q.morton());
-        if from.index() >= n {
+        let code = q.morton();
+        if let Some((p, c)) = self.tree.link(from) {
             // A link is direction-aware: descend to its child endpoint when
             // that subtree still contains q, ascend to the parent otherwise.
-            let (p, c) = self.link_ends[from.index() - n];
-            return Some(if self.nodes[c as usize].cell.contains_code(code) {
-                RangeId(c)
-            } else {
-                RangeId(p)
-            });
+            let down = self.cell_of(c as usize).contains_code(code);
+            return Some(RangeId(if down { c } else { p }));
         }
         let cur = from.index();
-        if !self.nodes[cur].cell.contains_code(code) {
+        if !self.cell_of(cur).contains_code(code) {
             // Ascend through the parent link (the root contains everything).
-            let node = &self.nodes[cur];
-            return Some(match node.parent_link {
-                Some(pl) => RangeId((n + pl as usize) as u32),
-                None => RangeId(node.parent.expect("non-root nodes have parents")),
-            });
+            return Some(self.tree.link_into(from.0));
         }
         // Descend through the containing child's incoming link.
-        self.child_containing(cur, code).map(|c| self.link_into(c))
+        self.child_containing(cur, code)
+            .map(|c| self.tree.link_into(c))
     }
 
     fn best_entry(&self, candidates: &[RangeId], q: &GridPoint<D>) -> RangeId {
@@ -518,7 +359,7 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
             .filter(|id| self.range_cell(*id).contains_code(code))
             // Deepest containing cell; on ties prefer the node over its
             // incoming link (both carry the same cell).
-            .max_by_key(|id| (self.range_cell(*id).depth(), id.index() < self.nodes.len()))
+            .max_by_key(|id| (self.range_cell(*id).depth(), id.index() < self.num_nodes()))
             .unwrap_or(candidates[0])
     }
 
@@ -534,9 +375,9 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
     fn conflicts_into(&self, external: &Cell<D>, out: &mut Vec<RangeId>) {
         let u = self.deepest_containing(external);
         out.push(RangeId(u as u32));
-        for &c in self.kids_of(u) {
-            if external.contains_cell(&self.nodes[c as usize].cell) {
-                out.push(self.link_into(c));
+        for &c in self.tree.kids_of(u) {
+            if external.contains_cell(&self.cell_of(c as usize)) {
+                out.push(self.tree.link_into(c));
                 out.push(RangeId(c));
             }
         }
@@ -590,8 +431,8 @@ mod tests {
             [1 << 30, 1 << 30],
             [3 << 29, 5],
         ]));
-        for (i, node) in qt.nodes.iter().enumerate() {
-            if i == 0 || node.point.is_some() {
+        for (i, node) in qt.tree.nodes().iter().enumerate() {
+            if i == 0 || node.data.point.is_some() {
                 continue; // root or leaves
             }
             assert!(
@@ -779,7 +620,7 @@ mod tests {
                 .neighbors(id)
                 .into_iter()
                 .filter(|l| qt.depth_of(*l) > qt.depth_of(id))
-                .map(|l| qt.link_ends[l.index() - qt.num_nodes()].1)
+                .map(|l| qt.tree.link(l).unwrap().1)
                 .collect();
             assert_eq!(qt.children(id), via_links, "node {v}");
             let codes: Vec<u128> = qt

@@ -8,19 +8,13 @@
 //! expected conflicts of a half-sample trie range by `O(1)` for fixed
 //! alphabets; [`crate::properties`] validates it statistically.
 //!
-//! # Layout
-//!
-//! Nodes are plain records in one array, root first, and own no heap
-//! memory: a node's children sit next to each other, in branching-byte
-//! order, in the trie's one `kids` array, named by the node's `first_kid`
-//! and `kid_count`; a child's edge is its own `parent_edge`. `build` fills
-//! `kids` at the end with one stable counting pass over the edges, so a
-//! trie is a fixed handful of heap blocks whatever its size, and a walk
-//! scans one slice per node.
+//! The trie is laid out as the `tree` module describes: its edges are that
+//! layout's links, and a node's children run in branching-byte order.
 
 use std::fmt;
 
 use crate::traits::{RangeDetermined, RangeId};
+use crate::tree::{Node, Tree};
 
 fn is_prefix(a: &[u8], b: &[u8]) -> bool {
     a.len() <= b.len() && &b[..a.len()] == a
@@ -117,33 +111,17 @@ impl fmt::Display for TrieRange {
     }
 }
 
+/// What a trie node records besides its place in the tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct TrieNode {
-    /// `str(v)` is `items[repr][..prefix_len]`.
+struct Spelling {
+    /// `str(v)` is the first `prefix_len` bytes of every item below `v`; the
+    /// trie reads its owner's.
     prefix_len: u32,
-    repr: u32,
-    parent: Option<u32>,
-    parent_edge: Option<u32>,
-    /// The children are `kids[first_kid..][..kid_count]`.
-    first_kid: u32,
-    kid_count: u32,
     /// Item index when `str(v)` is itself a stored string.
     terminal: Option<u32>,
 }
 
-impl TrieNode {
-    fn new(prefix_len: u32, repr: u32, parent: Option<u32>, terminal: Option<u32>) -> Self {
-        TrieNode {
-            prefix_len,
-            repr,
-            parent,
-            parent_edge: None,
-            first_kid: 0,
-            kid_count: 0,
-            terminal,
-        }
-    }
-}
+const _: () = assert!(std::mem::size_of::<Node<Spelling>>() == 40);
 
 /// A compressed (Patricia) trie over byte strings, exposed as a
 /// range-determined link structure.
@@ -167,56 +145,37 @@ impl TrieNode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedTrie {
     items: Vec<String>,
-    nodes: Vec<TrieNode>,
-    /// Edge `e` joins `edge_ends[e].0` (parent) to `edge_ends[e].1` (child).
-    edge_ends: Vec<(u32, u32)>,
-    /// Every node's children, grouped by parent.
-    kids: Vec<u32>,
-    /// Terminal node of each item.
-    item_node: Vec<u32>,
+    /// Children in branching-byte order.
+    tree: Tree<Spelling>,
 }
 
 impl CompressedTrie {
     /// Number of trie nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.tree.num_nodes()
     }
 
     /// Number of trie edges.
     pub fn num_edges(&self) -> usize {
-        self.edge_ends.len()
+        self.tree.num_links()
+    }
+
+    fn prefix_len(&self, node: usize) -> usize {
+        self.tree.node(node).data.prefix_len as usize
     }
 
     fn str_of(&self, node: usize) -> &[u8] {
-        let n = &self.nodes[node];
-        &self.items[n.repr as usize].as_bytes()[..n.prefix_len as usize]
+        let n = self.tree.node(node);
+        &self.items[n.owner as usize].as_bytes()[..n.data.prefix_len as usize]
     }
 
-    /// The children of `node`, in branching-byte order.
-    fn kids_of(&self, node: usize) -> &[u32] {
-        let n = &self.nodes[node];
-        &self.kids[n.first_kid as usize..][..n.kid_count as usize]
-    }
-
-    /// The range id of the edge hanging `child` from its parent.
-    fn edge_into(&self, child: u32) -> RangeId {
-        let e = self.nodes[child as usize]
-            .parent_edge
-            .expect("a child hangs from an edge");
-        RangeId((self.nodes.len() + e as usize) as u32)
-    }
-
-    /// Range `idx`'s start length and end string, read from the tables
-    /// without building the [`TrieRange`].
-    fn range_parts(&self, idx: usize) -> (usize, &[u8]) {
-        let n = self.nodes.len();
-        if idx < n {
-            (self.nodes[idx].prefix_len as usize, self.str_of(idx))
-        } else {
-            // A child spells an extension of its parent's string.
-            let (p, c) = self.edge_ends[idx - n];
-            let start_len = self.nodes[p as usize].prefix_len as usize;
-            (start_len, self.str_of(c as usize))
+    /// Range `id`'s start length and end string, read from the tables
+    /// without building the [`TrieRange`]. A child spells an extension of
+    /// its parent's string.
+    fn range_parts(&self, id: RangeId) -> (usize, &[u8]) {
+        match self.tree.link(id) {
+            None => (self.prefix_len(id.index()), self.str_of(id.index())),
+            Some((p, c)) => (self.prefix_len(p as usize), self.str_of(c as usize)),
         }
     }
 
@@ -226,13 +185,14 @@ impl CompressedTrie {
     ///
     /// Panics if `id` is not a node.
     pub fn node_string(&self, id: RangeId) -> &str {
-        let n = &self.nodes[id.index()];
-        &self.items[n.repr as usize][..n.prefix_len as usize]
+        let n = self.tree.node(id.index());
+        &self.items[n.owner as usize][..n.data.prefix_len as usize]
     }
 
-    /// Whether `id` denotes a terminal node (a stored string).
-    pub fn is_terminal(&self, id: RangeId) -> bool {
-        id.index() < self.nodes.len() && self.nodes[id.index()].terminal.is_some()
+    /// The item `id` spells when it is a terminal node (a stored string).
+    pub fn terminal_item(&self, id: RangeId) -> Option<usize> {
+        let node = self.tree.nodes().get(id.index())?;
+        node.data.terminal.map(|t| t as usize)
     }
 
     /// All stored strings having `prefix` as a prefix, in sorted order —
@@ -258,13 +218,13 @@ impl CompressedTrie {
     fn walk(&self, q: &[u8]) -> (usize, usize) {
         let mut cur = 0usize;
         loop {
-            let cur_len = self.nodes[cur].prefix_len as usize;
+            let cur_len = self.prefix_len(cur);
             if cur_len == q.len() {
                 return (cur, cur_len);
             }
             let next_byte = q[cur_len];
             let mut advanced = false;
-            for &c in self.kids_of(cur) {
+            for &c in self.tree.kids_of(cur) {
                 let cs = self.str_of(c as usize);
                 if cs[cur_len] == next_byte {
                     // Match as much of the edge label as possible.
@@ -291,16 +251,16 @@ impl CompressedTrie {
         if matched < p.len() {
             return None; // p leaves the trie
         }
-        let node_len = self.nodes[node].prefix_len as usize;
+        let node_len = self.prefix_len(node);
         if node_len == p.len() {
             return Some(RangeId(node as u32));
         }
         // p sits strictly inside the child edge continuing with p[node_len].
-        for &c in self.kids_of(node) {
+        for &c in self.tree.kids_of(node) {
             let cs = self.str_of(c as usize);
             if cs.len() > node_len && cs[node_len] == p[node_len] {
                 debug_assert!(is_prefix(p, cs));
-                return Some(self.edge_into(c));
+                return Some(self.tree.link_into(c));
             }
         }
         None
@@ -309,15 +269,15 @@ impl CompressedTrie {
     /// The locus of `qb` and the number of its bytes that lie on the trie.
     fn locate_bytes(&self, qb: &[u8]) -> (RangeId, usize) {
         let (node, matched) = self.walk(qb);
-        let node_len = self.nodes[node].prefix_len as usize;
+        let node_len = self.prefix_len(node);
         if matched == node_len {
             return (RangeId(node as u32), matched);
         }
         // The locus sits inside the child edge continuing with q[node_len].
-        for &c in self.kids_of(node) {
+        for &c in self.tree.kids_of(node) {
             let cs = self.str_of(c as usize);
             if cs.len() > node_len && cs[node_len] == qb[node_len] {
-                return (self.edge_into(c), matched);
+                return (self.tree.link_into(c), matched);
             }
         }
         (RangeId(node as u32), matched)
@@ -325,22 +285,15 @@ impl CompressedTrie {
 
     fn build_rec(&mut self, lo: usize, hi: usize, parent: Option<u32>) -> u32 {
         debug_assert!(lo < hi);
-        let node_idx = self.nodes.len() as u32;
         let first = self.items[lo].as_bytes();
-        let last = self.items[hi - 1].as_bytes();
-        let l = lcp_len(first, last);
-        let mut terminal = None;
-        let mut child_start = lo;
-        if first.len() == l {
-            terminal = Some(lo as u32);
-            child_start = lo + 1;
-        }
-        self.nodes
-            .push(TrieNode::new(l as u32, lo as u32, parent, terminal));
-        if terminal.is_some() {
-            self.item_node[lo] = node_idx;
-        }
-        let mut start = child_start;
+        let l = lcp_len(first, self.items[hi - 1].as_bytes());
+        let terminal = (first.len() == l).then_some(lo as u32);
+        let spelling = Spelling {
+            prefix_len: l as u32,
+            terminal,
+        };
+        let node_idx = self.tree.push(parent, lo..hi, terminal.is_some(), spelling);
+        let mut start = lo + usize::from(terminal.is_some());
         while start < hi {
             let digit = self.items[start].as_bytes()[l];
             let mut end = start + 1;
@@ -348,89 +301,18 @@ impl CompressedTrie {
                 end += 1;
             }
             let child = self.build_rec(start, end, Some(node_idx));
-            let edge_idx = self.edge_ends.len() as u32;
-            self.edge_ends.push((node_idx, child));
-            self.nodes[child as usize].parent_edge = Some(edge_idx);
+            self.tree.hang(child);
             start = end;
         }
         node_idx
     }
 
-    /// Lays every node's children out in `kids`, grouped by parent: one
-    /// stable counting pass over the edges, whose ids rise in
-    /// branching-byte order among siblings (a child's edge is numbered
-    /// after its whole subtree, before its next sibling's).
-    fn fill_kids(&mut self) {
-        for &(p, _) in &self.edge_ends {
-            self.nodes[p as usize].kid_count += 1;
-        }
-        let mut first = 0;
-        for node in &mut self.nodes {
-            node.first_kid = first;
-            first += node.kid_count;
-            node.kid_count = 0;
-        }
-        self.kids = vec![0; self.edge_ends.len()];
-        for &(p, c) in &self.edge_ends {
-            let node = &mut self.nodes[p as usize];
-            self.kids[(node.first_kid + node.kid_count) as usize] = c;
-            node.kid_count += 1;
-        }
-    }
-
-    /// Checks that the children table is exactly the inverse of the parent
-    /// pointers: the nodes' rows tile it in node order, every node but the
-    /// root sits in exactly one row, its parent's, each row runs in
-    /// branching-byte order, and each child's edge joins it to that parent.
+    /// Checks the trie's tables (see the `tree` module): among other
+    /// things, that each node's children run in branching-byte order.
     /// `build` establishes this; tests call it.
     pub fn check_tables(&self) -> Result<(), String> {
-        let mut placed = vec![false; self.nodes.len()];
-        let mut end = 0u32;
-        for (v, node) in self.nodes.iter().enumerate() {
-            if node.first_kid != end {
-                return Err(format!(
-                    "node {v}'s row starts at {}, not {end}",
-                    node.first_kid
-                ));
-            }
-            end += node.kid_count;
-            let row = self
-                .kids
-                .get(node.first_kid as usize..end as usize)
-                .ok_or(format!("node {v}'s row overruns the table"))?;
-            let mut last = None;
-            for &c in row {
-                let child = self
-                    .nodes
-                    .get(c as usize)
-                    .ok_or(format!("node {v} names child {c}, which is no node"))?;
-                if std::mem::replace(&mut placed[c as usize], true) {
-                    return Err(format!("node {c} sits in two rows"));
-                }
-                if child.parent != Some(v as u32) {
-                    return Err(format!("node {c} sits in node {v}'s row but not below it"));
-                }
-                let edge = child
-                    .parent_edge
-                    .and_then(|e| self.edge_ends.get(e as usize));
-                if edge != Some(&(v as u32, c)) {
-                    return Err(format!("node {c}'s edge does not join it to node {v}"));
-                }
-                let digit = self.str_of(c as usize).get(node.prefix_len as usize);
-                if digit <= last {
-                    return Err(format!("node {v}'s row leaves byte order at node {c}"));
-                }
-                last = digit;
-            }
-        }
-        if end as usize != self.kids.len() {
-            return Err(format!("the rows cover {end} of {} kids", self.kids.len()));
-        }
-        // The root has no parent, so the rows cannot name it.
-        match (1..self.nodes.len()).find(|&v| !placed[v]) {
-            Some(v) => Err(format!("node {v} sits in no row")),
-            None => Ok(()),
-        }
+        self.tree
+            .check(|v, c| self.str_of(c).get(self.prefix_len(v)).copied())
     }
 }
 
@@ -445,35 +327,26 @@ impl RangeDetermined for CompressedTrie {
         items.sort_unstable();
         items.dedup();
         let n = items.len();
-        // A compressed trie has at most `2n` nodes besides the root.
         let mut trie = CompressedTrie {
+            tree: Tree::with_capacity(n),
             items,
-            nodes: Vec::with_capacity(2 * n + 1),
-            edge_ends: Vec::with_capacity(2 * n),
-            kids: Vec::new(),
-            item_node: vec![0; n],
         };
-        if n == 0 {
-            trie.nodes.push(TrieNode::new(0, 0, None, None));
-            return trie;
-        }
         // Force the root to spell the empty string so every query has a
         // location, hanging the compressed top below it when necessary.
-        let first_nonempty_lcp = {
-            let first = trie.items[0].as_bytes();
-            let last = trie.items[n - 1].as_bytes();
-            lcp_len(first, last)
-        };
-        if first_nonempty_lcp == 0 {
+        if n > 0 && lcp_len(trie.items[0].as_bytes(), trie.items[n - 1].as_bytes()) == 0 {
             trie.build_rec(0, n, None);
         } else {
-            trie.nodes.push(TrieNode::new(0, 0, None, None));
-            let top = trie.build_rec(0, n, Some(0));
-            let edge_idx = trie.edge_ends.len() as u32;
-            trie.edge_ends.push((0, top));
-            trie.nodes[top as usize].parent_edge = Some(edge_idx);
+            let spelling = Spelling {
+                prefix_len: 0,
+                terminal: None,
+            };
+            let root = trie.tree.push(None, 0..n, false, spelling);
+            if n > 0 {
+                let top = trie.build_rec(0, n, Some(root));
+                trie.tree.hang(top);
+            }
         }
-        trie.fill_kids();
+        trie.tree.fill_kids();
         trie
     }
 
@@ -482,7 +355,7 @@ impl RangeDetermined for CompressedTrie {
     }
 
     fn num_ranges(&self) -> usize {
-        self.nodes.len() + self.edge_ends.len()
+        self.tree.num_ranges()
     }
 
     fn range(&self, id: RangeId) -> TrieRange {
@@ -490,7 +363,7 @@ impl RangeDetermined for CompressedTrie {
             id.index() < self.num_ranges(),
             "range id out of bounds: {id}"
         );
-        let (start_len, end) = self.range_parts(id.index());
+        let (start_len, end) = self.range_parts(id);
         TrieRange {
             start_len,
             end: end.to_vec(),
@@ -498,36 +371,15 @@ impl RangeDetermined for CompressedTrie {
     }
 
     fn owner(&self, id: RangeId) -> usize {
-        let n = self.nodes.len();
-        let idx = id.index();
-        if idx < n {
-            self.nodes[idx].repr as usize
-        } else {
-            let (_, c) = self.edge_ends[idx - n];
-            self.nodes[c as usize].repr as usize
-        }
+        self.tree.owner(id)
     }
 
     fn entry_of_item(&self, item: usize) -> RangeId {
-        assert!(item < self.items.len(), "item index out of bounds");
-        RangeId(self.item_node[item])
+        self.tree.entry_of_item(item)
     }
 
     fn neighbors(&self, id: RangeId) -> Vec<RangeId> {
-        let n = self.nodes.len();
-        let idx = id.index();
-        if idx < n {
-            let node = &self.nodes[idx];
-            let mut out = Vec::with_capacity(node.kid_count as usize + 1);
-            if let Some(pe) = node.parent_edge {
-                out.push(RangeId((n + pe as usize) as u32));
-            }
-            out.extend(self.kids_of(idx).iter().map(|&c| self.edge_into(c)));
-            out
-        } else {
-            let (p, c) = self.edge_ends[idx - n];
-            vec![RangeId(p), RangeId(c)]
-        }
+        self.tree.neighbors(id)
     }
 
     fn locate(&self, q: &String) -> RangeId {
@@ -535,36 +387,33 @@ impl RangeDetermined for CompressedTrie {
     }
 
     fn search_step(&self, from: RangeId, q: &String) -> Option<RangeId> {
-        let n = self.nodes.len();
         let qb = q.as_bytes();
         let (target, matched) = self.locate_bytes(qb);
         if from == target {
             return None;
         }
         let line = &qb[..matched];
-        let edge_id = |e: u32| RangeId((n + e as usize) as u32);
-        if from.index() >= n {
+        if let Some((p, c)) = self.tree.link(from) {
             // An edge moves toward the locus: down while its child still
             // spells a prefix of the matched line, up otherwise.
-            let (p, c) = self.edge_ends[from.index() - n];
             let down = is_prefix(self.str_of(c as usize), line);
             return Some(RangeId(if down { c } else { p }));
         }
-        let node = &self.nodes[from.index()];
-        if !is_prefix(self.str_of(from.index()), line) {
-            // Off the matched line: ascend. The locus itself can be the
-            // parent edge (the query diverges inside it); the next step
-            // stops there.
-            let parent = node.parent.expect("the root lies on every line");
-            return Some(node.parent_edge.map_or(RangeId(parent), edge_id));
+        let v = from.index();
+        if !is_prefix(self.str_of(v), line) {
+            // Off the matched line: ascend (the root lies on every line).
+            // The locus itself can be the parent edge (the query diverges
+            // inside it); the next step stops there.
+            return Some(self.tree.link_into(from.0));
         }
         // On the line above the locus: descend through the edge spelling
         // the query's next byte.
-        let at = node.prefix_len as usize;
-        self.kids_of(from.index())
+        let at = self.prefix_len(v);
+        self.tree
+            .kids_of(v)
             .iter()
             .find(|&&c| at < matched && self.str_of(c as usize)[at] == qb[at])
-            .map(|&c| self.edge_into(c))
+            .map(|&c| self.tree.link_into(c))
     }
 
     fn best_entry(&self, candidates: &[RangeId], q: &String) -> RangeId {
@@ -572,7 +421,7 @@ impl RangeDetermined for CompressedTrie {
         let qb = q.as_bytes();
         candidates
             .iter()
-            .map(|&id| (id, self.range_parts(id.index())))
+            .map(|&id| (id, self.range_parts(id)))
             .filter(|&(_, (start_len, end))| is_prefix(&end[..start_len], qb))
             .max_by_key(|&(_, (start_len, end))| (start_len, lcp_len(end, qb)))
             .map_or(candidates[0], |(id, _)| id)
@@ -583,7 +432,6 @@ impl RangeDetermined for CompressedTrie {
     }
 
     fn conflicts_into(&self, external: &TrieRange, out: &mut Vec<RangeId>) {
-        let n = self.nodes.len();
         let a = external.start();
         let b = external.end();
         let Some(pos_a) = self.position_of(a) else {
@@ -599,20 +447,21 @@ impl RangeDetermined for CompressedTrie {
         };
         // Walk the b-line from the position of `a`, collecting every node on
         // the line and every edge touching it.
-        let mut cur: usize = if pos_a.index() < n {
-            pos_a.index()
-        } else {
-            // `a` sits strictly inside an edge: that edge conflicts; continue
-            // from its child endpoint if still on the line toward b.
-            push(pos_a, out);
-            let (_, c) = self.edge_ends[pos_a.index() - n];
-            let cs = self.str_of(c as usize);
-            if !is_prefix(cs, b) {
-                // The edge dives past b or off the line; if its child string
-                // extends b within the edge, the edge is the sole conflict.
-                return;
+        let mut cur = match self.tree.link(pos_a) {
+            None => pos_a.index(),
+            Some((_, c)) => {
+                // `a` sits strictly inside an edge: that edge conflicts;
+                // continue from its child endpoint if still on the line
+                // toward b.
+                push(pos_a, out);
+                if !is_prefix(self.str_of(c as usize), b) {
+                    // The edge dives past b or off the line; if its child
+                    // string extends b within the edge, the edge is the sole
+                    // conflict.
+                    return;
+                }
+                c as usize
             }
-            c as usize
         };
         loop {
             let cur_s = self.str_of(cur);
@@ -620,16 +469,16 @@ impl RangeDetermined for CompressedTrie {
             if is_prefix(a, cur_s) {
                 // Node on the path [a, b].
                 push(RangeId(cur as u32), out);
-                if let Some(pe) = self.nodes[cur].parent_edge {
-                    push(RangeId((n + pe as usize) as u32), out);
+                if let Some(up) = self.tree.link_above(cur) {
+                    push(up, out);
                 }
             }
             // Every child edge touches str(cur) ∈ [a, b], hence conflicts.
             let cur_len = cur_s.len();
             let mut next: Option<usize> = None;
-            for &c in self.kids_of(cur) {
+            for &c in self.tree.kids_of(cur) {
                 if is_prefix(a, cur_s) {
-                    push(self.edge_into(c), out);
+                    push(self.tree.link_into(c), out);
                 }
                 let cs = self.str_of(c as usize);
                 if cur_len < b.len() && cs[cur_len] == b[cur_len] && is_prefix(cs, b) {
@@ -681,7 +530,7 @@ mod tests {
         let t = trie(&["car", "cart", "dog"]);
         for (i, s) in t.items().iter().enumerate() {
             let node = t.entry_of_item(i);
-            assert!(t.is_terminal(node));
+            assert_eq!(t.terminal_item(node), Some(i));
             assert_eq!(t.node_string(node), s);
         }
     }
@@ -695,7 +544,7 @@ mod tests {
             .map(|v| RangeId(v as u32))
             .find(|id| t.node_string(*id) == "abcd")
             .expect("lcp node exists");
-        assert!(!t.is_terminal(inner));
+        assert_eq!(t.terminal_item(inner), None);
     }
 
     #[test]
@@ -710,7 +559,7 @@ mod tests {
     fn locate_exact_match_hits_terminal_node() {
         let t = trie(&["car", "cart", "dog"]);
         let id = t.locate(&"cart".to_string());
-        assert!(t.is_terminal(id));
+        assert_eq!(t.terminal_item(id), Some(1));
         assert_eq!(t.node_string(id), "cart");
     }
 
