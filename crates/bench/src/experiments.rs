@@ -853,7 +853,7 @@ pub fn distributed(
                 dist.hosts().to_string(),
                 clients.to_string(),
                 (clients * queries).to_string(),
-                f2(dist.message_count() as f64 / total),
+                f2(dist.traffic().total_sent() as f64 / total),
                 f2(total / elapsed.max(f64::MIN_POSITIVE)),
             ]);
             dist.shutdown();
@@ -1029,7 +1029,7 @@ pub fn batch(
             .take(ops)
             .map(|&q| serial.query(&sc, origin, q).expect("runtime alive").answer)
             .collect();
-        let serial_msgs = serial.message_count();
+        let serial_msgs = serial.traffic().total_sent();
         serial.shutdown();
         for &batch in batch_sizes {
             let dist = DistributedSkipWeb::builder(web.inner())
@@ -1049,7 +1049,7 @@ pub fn batch(
             let elapsed = start.elapsed().as_secs_f64();
             assert_eq!(got, want, "batch answers must match serial");
             let traffic = dist.traffic();
-            let batch_msgs = dist.message_count();
+            let batch_msgs = traffic.total_sent();
             t.push(vec![
                 "onedim-nearest".to_string(),
                 dist.hosts().to_string(),
@@ -1215,7 +1215,7 @@ pub fn wan(
             }
         });
         let elapsed = start.elapsed().as_secs_f64();
-        let stats = dist.transport_stats();
+        let stats = dist.traffic().transport;
         let total = (clients * queries) as f64;
         t.push(vec![
             latency_us.to_string(),
@@ -1389,7 +1389,7 @@ pub fn tcp(
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let stats = dist.transport_stats();
+    let stats = dist.traffic().transport;
     let total = (clients * queries) as f64;
     t.push(vec![
         workers.to_string(),
@@ -1593,19 +1593,28 @@ fn rebuild_rows<D>(
 
         // Seconds per rep: [insert, remove] × [full rebuild, incremental].
         let mut secs = [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]];
+        let mut inserted = base.clone();
+        inserted.apply(inserts.clone());
         for rep in 0..reps {
-            let (mut oracle, mut w) = (base.clone(), base.clone());
+            // Both incremental applies are timed before the oracle runs: right
+            // after `apply_full` frees a whole web of small blocks, an apply
+            // would pay for glibc consolidating them.
+            let (mut w, mut oracle) = (base.clone(), base.clone());
             for (op, batch) in [&inserts, &removes].into_iter().enumerate() {
-                let (for_full, for_incr) = (batch.clone(), batch.clone());
-                let start = Instant::now();
-                oracle.apply_full(for_full);
-                secs[op][0].push(start.elapsed().as_secs_f64());
+                let for_incr = batch.clone();
                 let start = Instant::now();
                 w.apply(for_incr);
                 secs[op][1].push(start.elapsed().as_secs_f64());
+            }
+            let wants = [(&inserts, &inserted), (&removes, &w)];
+            for (op, (batch, want)) in wants.into_iter().enumerate() {
+                let for_full = batch.clone();
+                let start = Instant::now();
+                oracle.apply_full(for_full);
+                secs[op][0].push(start.elapsed().as_secs_f64());
                 // Parity insurance on the numbers being reported.
                 assert!(
-                    rep > 0 || w == oracle,
+                    rep > 0 || *want == oracle,
                     "incremental apply diverged from full rebuild"
                 );
             }

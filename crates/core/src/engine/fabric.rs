@@ -15,7 +15,7 @@ use skipweb_net::runtime::{ClientId, Membership, Runtime, RuntimeError};
 use skipweb_net::tcp::{TcpCodec, TcpConfig, TcpTransport};
 use skipweb_net::transport::{ChannelTransport, Transport};
 use skipweb_net::wan::{SimWanConfig, SimWanTransport};
-use skipweb_net::{HostId, HostTraffic, TransportStats};
+use skipweb_net::{HostId, HostTraffic};
 
 use super::stage::{start_stage, Shared, StageMsg};
 use super::{
@@ -221,13 +221,9 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         self.len() == 0
     }
 
-    /// Total host-to-host messages since spawn.
-    pub fn message_count(&self) -> u64 {
-        self.runtime.message_count()
-    }
-
     /// Per-host sent/received message counters since spawn, with the
-    /// update-tagged share broken out (routing + repair messages of §4).
+    /// update-tagged share broken out (routing + repair messages of §4) and
+    /// the transport's own counters alongside.
     pub fn traffic(&self) -> HostTraffic {
         self.runtime.host_traffic()
     }
@@ -385,13 +381,6 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                 .then(|| self.shared.republish(st, &self.runtime.membership()))
         };
         retired.is_some() // and dropped here, outside the state lock
-    }
-
-    /// Cumulative transport-level counters (messages carried, losses,
-    /// reorders, bytes on the wire). All zeros for the default in-process
-    /// channel transport, which has nothing to count.
-    pub fn transport_stats(&self) -> TransportStats {
-        self.runtime.transport_stats()
     }
 
     /// Stops all hosts and the worker pool. On a TCP deployment this first

@@ -457,7 +457,7 @@ mod tests {
             .map(|&q| serial.nearest(&cs, origin, q).expect("runtime alive"))
             .collect();
         assert_eq!(batched.nearest_batch(&cb, origin, qs).unwrap(), want);
-        assert!(batched.message_count() < serial.message_count());
+        assert!(batched.traffic().total_sent() < serial.traffic().total_sent());
         let ins = batched.insert_batch(&cb, vec![5_000, 5_002]).unwrap();
         assert!(ins.iter().all(|r| r.applied));
         assert!(batched.keys().contains(&5_002));

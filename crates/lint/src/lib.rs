@@ -5,7 +5,7 @@
 //! | rule | scope | what it enforces |
 //! |------|-------|------------------|
 //! | `no-unwrap` | non-test `crates/net`, `crates/core`, `crates/store` src | no `.unwrap()` / `.expect(` — fallible paths must return errors |
-//! | `relaxed-ordering` | same | no `Ordering::Relaxed` on atomics; publish/ledger state needs `Acquire`/`Release`, metrics counters go on the allowlist |
+//! | `relaxed-ordering` | same | no `Ordering::Relaxed` on atomics; publish/ledger state needs `Acquire`/`Release`; metrics counters go through `skipweb_net::metrics::Counter`, not onto the allowlist |
 //! | `wire-cap` | same | every allocation sized by a wire-read length (`vec![0u8; n as usize]`, `with_capacity(n as usize)`) must have a `MAX_FRAME` cap check in the preceding lines |
 //! | `deprecated-api` | whole workspace | no internal use of items marked `#[deprecated]` |
 //!

@@ -76,6 +76,30 @@ impl fmt::Display for SeriesStats {
     }
 }
 
+/// A monotone event counter: messages, bytes, losses, ids handed out.
+///
+/// Every counter of the live fabric is one of these. Its value publishes no
+/// other memory (nothing synchronizes on a count), so `Relaxed` is the
+/// right ordering, and this type is the one place in the crate that says
+/// so. [`add`](Self::add) is a single atomic read-modify-write.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds `n` and returns the value before the add (so a counter doubles
+    /// as a unique-id allocator).
+    #[inline]
+    pub fn add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// The current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 /// Per-host message counters observed on a running network — the live
 /// counterpart of the simulator's absorbed meters, produced by
 /// [`Runtime::host_traffic`](crate::runtime::Runtime::host_traffic).
@@ -97,12 +121,13 @@ impl fmt::Display for SeriesStats {
 /// `stale_replies` counts late replies that clients discarded on arrival
 /// because their correlation id had been abandoned by a timeout-resubmit (a
 /// fabric-wide scalar: the runtime cannot attribute a client-side drop to
-/// one host).
+/// one host). `transport` is what the wire itself counted, read in the
+/// same snapshot.
 ///
 /// # Example
 ///
 /// ```
-/// use skipweb_net::HostTraffic;
+/// use skipweb_net::{HostTraffic, TransportStats};
 /// let t = HostTraffic {
 ///     sent: vec![3, 1],
 ///     received: vec![0, 4],
@@ -112,6 +137,7 @@ impl fmt::Display for SeriesStats {
 ///     batch_ops: vec![4, 0],
 ///     update_batch_ops: vec![0, 0],
 ///     stale_replies: 1,
+///     transport: TransportStats::default(),
 /// };
 /// assert_eq!(t.total_sent(), 4);
 /// assert_eq!(t.total_update_sent(), 1);
@@ -121,7 +147,7 @@ impl fmt::Display for SeriesStats {
 /// assert_eq!(t.total_batch_ops(), 4);
 /// assert_eq!(t.mean_batch_size(), 4.0);
 /// assert_eq!(t.hosts(), 2);
-/// assert_eq!(t.sent_stats().max, 3);
+/// assert!(t.to_string().contains("hosts=2 total=4 updates=1 batches=1 batched_ops=4 stale=1"));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostTraffic {
@@ -144,6 +170,8 @@ pub struct HostTraffic {
     /// Late replies clients dropped on arrival because their correlation id
     /// was abandoned by a timeout-resubmit (fabric-wide).
     pub stale_replies: u64,
+    /// What the transport itself counted (see [`TransportStats`]).
+    pub transport: TransportStats,
 }
 
 impl HostTraffic {
@@ -200,17 +228,6 @@ impl HostTraffic {
         }
         self.total_batch_ops() as f64 / envelopes as f64
     }
-
-    /// Distribution statistics of the per-host sent counters (a hop-count
-    /// load-balance diagnostic).
-    pub fn sent_stats(&self) -> SeriesStats {
-        SeriesStats::from_samples(&self.sent)
-    }
-
-    /// Distribution statistics of the per-host received counters.
-    pub fn received_stats(&self) -> SeriesStats {
-        SeriesStats::from_samples(&self.received)
-    }
 }
 
 impl fmt::Display for HostTraffic {
@@ -224,18 +241,18 @@ impl fmt::Display for HostTraffic {
             self.total_batch_sent(),
             self.total_batch_ops(),
             self.stale_replies,
-            self.sent_stats(),
-            self.received_stats()
+            SeriesStats::from_samples(&self.sent),
+            SeriesStats::from_samples(&self.received)
         )
     }
 }
 
 /// Cumulative counters of a [`Transport`](crate::transport::Transport):
 /// what the wire itself did, as opposed to the per-host routing accounting
-/// of [`HostTraffic`]. The in-process
-/// [`ChannelTransport`](crate::ChannelTransport) reports all zeros; the
-/// simulated WAN counts its fault-model decisions; the TCP transport counts
-/// frames and bytes.
+/// of [`HostTraffic`], which carries them as its `transport` field. The
+/// in-process [`ChannelTransport`](crate::ChannelTransport) reports all
+/// zeros; the simulated WAN counts its fault-model decisions; the TCP
+/// transport counts frames and bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Messages handed to the transport (host-to-host sends, client
@@ -277,25 +294,24 @@ impl fmt::Display for TransportStats {
 /// at zero.
 #[derive(Debug, Default)]
 pub(crate) struct TransportCounters {
-    pub(crate) carried: AtomicU64,
-    pub(crate) delivered: AtomicU64,
-    pub(crate) lost: AtomicU64,
-    pub(crate) reordered: AtomicU64,
-    pub(crate) bytes_sent: AtomicU64,
-    pub(crate) bytes_received: AtomicU64,
+    pub(crate) carried: Counter,
+    pub(crate) delivered: Counter,
+    pub(crate) lost: Counter,
+    pub(crate) reordered: Counter,
+    pub(crate) bytes_sent: Counter,
+    pub(crate) bytes_received: Counter,
 }
 
 impl TransportCounters {
     /// The counters' values now.
     pub(crate) fn snapshot(&self) -> TransportStats {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         TransportStats {
-            carried: load(&self.carried),
-            delivered: load(&self.delivered),
-            lost: load(&self.lost),
-            reordered: load(&self.reordered),
-            bytes_sent: load(&self.bytes_sent),
-            bytes_received: load(&self.bytes_received),
+            carried: self.carried.get(),
+            delivered: self.delivered.get(),
+            lost: self.lost.get(),
+            reordered: self.reordered.get(),
+            bytes_sent: self.bytes_sent.get(),
+            bytes_received: self.bytes_received.get(),
         }
     }
 }
@@ -372,32 +388,18 @@ mod tests {
     }
 
     #[test]
-    fn host_traffic_totals() {
-        let t = HostTraffic {
-            sent: vec![2, 5, 0],
-            received: vec![3, 0, 4],
-            update_sent: vec![0, 2, 0],
-            dropped: vec![0, 0, 3],
-            batch_sent: vec![1, 1, 0],
-            batch_ops: vec![3, 2, 0],
-            update_batch_ops: vec![0, 2, 0],
-            stale_replies: 2,
-        };
-        assert_eq!(t.hosts(), 3);
-        assert_eq!(t.total_sent(), 7);
-        assert_eq!(t.total_update_sent(), 2);
-        assert_eq!(t.total_query_sent(), 5);
-        assert_eq!(t.total_dropped(), 3);
-        assert_eq!(t.total_batch_sent(), 2);
-        assert_eq!(t.total_batch_ops(), 5);
-        assert_eq!(t.total_update_batch_ops(), 2);
-        assert!((t.mean_batch_size() - 2.5).abs() < 1e-12);
-        let s = t.to_string();
-        assert!(s.contains("hosts=3"));
-        assert!(s.contains("total=7"));
-        assert!(s.contains("updates=2"));
-        assert!(s.contains("batches=2"));
-        assert!(s.contains("stale=2"));
+    fn counter_sums_concurrent_adds_exactly() {
+        let c = Counter::default();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        c.add(1);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 40_000);
     }
 
     #[test]

@@ -83,7 +83,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -92,7 +92,7 @@ use crossbeam_channel as channel;
 use parking_lot::{Mutex, RwLock};
 
 use crate::host::HostId;
-use crate::metrics::{HostTraffic, TransportStats};
+use crate::metrics::{Counter, HostTraffic};
 use crate::transport::{CarryStatus, ChannelTransport, Transport};
 
 /// Identifier for an external client attached to the runtime.
@@ -467,19 +467,19 @@ struct HostSlot<M, R> {
     host: Arc<Host<M, R>>,
     /// Whether the host executes in this process.
     local: bool,
-    sent: AtomicU64,
-    received: AtomicU64,
-    update_sent: AtomicU64,
+    sent: Counter,
+    received: Counter,
+    update_sent: Counter,
     /// Messages addressed to this host after it died — lost, like packets
     /// to a crashed machine.
-    dropped: AtomicU64,
+    dropped: Counter,
     /// Coalesced multi-op envelopes this host sent (each also counted once
     /// in `sent`: one envelope is one host crossing).
-    batch_sent: AtomicU64,
+    batch_sent: Counter,
     /// Operations that rode inside this host's multi-op envelopes.
-    batch_ops: AtomicU64,
+    batch_ops: Counter,
     /// The update-class share of `batch_ops`.
-    update_batch_ops: AtomicU64,
+    update_batch_ops: Counter,
 }
 
 impl<M, R> HostSlot<M, R> {
@@ -487,13 +487,13 @@ impl<M, R> HostSlot<M, R> {
         HostSlot {
             host: Arc::new(host),
             local,
-            sent: AtomicU64::new(0),
-            received: AtomicU64::new(0),
-            update_sent: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            batch_sent: AtomicU64::new(0),
-            batch_ops: AtomicU64::new(0),
-            update_batch_ops: AtomicU64::new(0),
+            sent: Counter::default(),
+            received: Counter::default(),
+            update_sent: Counter::default(),
+            dropped: Counter::default(),
+            batch_sent: Counter::default(),
+            batch_ops: Counter::default(),
+            update_batch_ops: Counter::default(),
         }
     }
 }
@@ -504,7 +504,7 @@ struct Fabric<M, R> {
     clients: RwLock<HashMap<ClientId, channel::Sender<R>>>,
     /// Late replies clients discarded on arrival because the correlation id
     /// they answered was abandoned by a timeout-resubmit.
-    stale_replies: AtomicU64,
+    stale_replies: Counter,
     /// Cached membership snapshot, rebuilt only when a host's state changes
     /// (crash, decommission, join) — so per-message membership reads are an
     /// `Arc` clone, not an O(hosts) allocation.
@@ -661,7 +661,7 @@ impl<M, R> Delivery<M, R> {
                 return CarryStatus::Closed;
             };
             if dest.host.is_dead() {
-                dest.dropped.fetch_add(1, Ordering::Relaxed);
+                dest.dropped.add(1);
                 return CarryStatus::InFlight;
             }
             Arc::clone(&dest.host)
@@ -677,7 +677,7 @@ impl<M, R> Delivery<M, R> {
             // Counted before the host is woken: an idle host cannot take
             // the message, let alone reply to it, before it is counted.
             if let Some(dest) = self.net.slots.read().get(self.to.index()) {
-                dest.received.fetch_add(1, Ordering::Relaxed);
+                dest.received.add(1);
             }
         }
         self.net.wake(&host);
@@ -856,23 +856,22 @@ impl<M: Send + 'static, R: Send + 'static> Context<'_, M, R> {
             if dest.host.is_dead() {
                 // Lost on the wire: the destination crashed. One envelope,
                 // one loss — however many ops rode inside it.
-                dest.dropped.fetch_add(1, Ordering::Relaxed);
+                dest.dropped.add(1);
                 return;
             }
             // Sends are charged here; the receive side is charged by
             // `Delivery::deliver` when the message actually arrives, so a
             // message the transport loses is never counted as received.
             let me = &slots[self.host.index()];
-            me.sent.fetch_add(1, Ordering::Relaxed);
+            me.sent.add(1);
             if class == TrafficClass::Update {
-                me.update_sent.fetch_add(1, Ordering::Relaxed);
+                me.update_sent.add(1);
             }
             if let Some(ops) = batch {
-                me.batch_sent.fetch_add(1, Ordering::Relaxed);
-                me.batch_ops.fetch_add(u64::from(ops), Ordering::Relaxed);
+                me.batch_sent.add(1);
+                me.batch_ops.add(u64::from(ops));
                 if class == TrafficClass::Update {
-                    me.update_batch_ops
-                        .fetch_add(u64::from(ops), Ordering::Relaxed);
+                    me.update_batch_ops.add(u64::from(ops));
                 }
             }
         }
@@ -982,7 +981,7 @@ impl<M: Send + 'static, R: Send + 'static> Client<M, R> {
                 return Err(RuntimeError::HostDown(host));
             };
             if dest.host.is_dead() {
-                dest.dropped.fetch_add(1, Ordering::Relaxed);
+                dest.dropped.add(1);
                 return Err(RuntimeError::HostPanicked(host));
             }
         }
@@ -1023,7 +1022,7 @@ impl<M: Send + 'static, R: Send + 'static> Client<M, R> {
     /// [`crate::HostTraffic::stale_replies`], so lost-and-retried
     /// operations leave an observable trace instead of silently vanishing.
     pub fn note_stale_reply(&self) {
-        self.net.stale_replies.fetch_add(1, Ordering::Relaxed);
+        self.net.stale_replies.add(1);
     }
 
     /// Waits up to `timeout` for a reply.
@@ -1063,7 +1062,7 @@ pub struct Runtime<A: Actor> {
     net: Arc<Fabric<A::Msg, A::Reply>>,
     /// The worker threads: `min(local hosts, available_parallelism)`.
     workers: Mutex<Vec<JoinHandle<()>>>,
-    next_client: AtomicU64,
+    next_client: Counter,
 }
 
 fn handler<A: Actor>(mut actor: A) -> Handler<A::Msg, A::Reply> {
@@ -1131,7 +1130,7 @@ impl<A: Actor> Runtime<A> {
             slots: RwLock::new(slots),
             pool: Pool::new(),
             clients: RwLock::new(HashMap::new()),
-            stale_replies: AtomicU64::new(0),
+            stale_replies: Counter::default(),
             membership_cache: RwLock::new(Arc::new(Membership { states: Vec::new() })),
             transport,
             transport_closed: std::sync::atomic::AtomicBool::new(false),
@@ -1142,7 +1141,7 @@ impl<A: Actor> Runtime<A> {
         let runtime = Runtime {
             net,
             workers: Mutex::new(Vec::new()),
-            next_client: AtomicU64::new(0),
+            next_client: Counter::default(),
         };
         runtime.staff();
         runtime.net.rebuild_membership();
@@ -1247,7 +1246,7 @@ impl<A: Actor> Runtime<A> {
 
     /// Registers a new external client.
     pub fn client(&self) -> Client<A::Msg, A::Reply> {
-        let id = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
+        let id = ClientId(self.next_client.add(1));
         let (tx, rx) = channel::unbounded();
         self.net.clients.write().insert(id, tx);
         Client {
@@ -1257,23 +1256,16 @@ impl<A: Actor> Runtime<A> {
         }
     }
 
-    /// Total host-to-host messages sent so far (self-sends and messages
-    /// dropped at dead hosts excluded), comparable to the simulated meter
-    /// counts: the sum of [`host_traffic`](Self::host_traffic)'s per-host
-    /// `sent`, the one place a message is counted.
-    pub fn message_count(&self) -> u64 {
-        self.host_traffic().total_sent()
-    }
-
     /// Per-host message counters accumulated since spawn: how many network
-    /// messages each host sent and received (self-sends and client traffic
-    /// excluded, mirroring [`message_count`](Self::message_count)), with
-    /// the update-tagged share and the messages dropped at dead hosts
-    /// broken out per host.
+    /// messages each host sent and received, with the update-tagged share
+    /// and the messages dropped at dead hosts broken out per host, and the
+    /// transport's own counters alongside. Self-sends, client traffic and
+    /// drops are never counted as sent, so `total_sent()` compares with the
+    /// simulated meter counts.
     pub fn host_traffic(&self) -> HostTraffic {
         let slots = self.net.slots.read();
-        let load = |f: fn(&HostSlot<A::Msg, A::Reply>) -> &AtomicU64| -> Vec<u64> {
-            slots.iter().map(|s| f(s).load(Ordering::Relaxed)).collect()
+        let load = |f: fn(&HostSlot<A::Msg, A::Reply>) -> &Counter| -> Vec<u64> {
+            slots.iter().map(|s| f(s).get()).collect()
         };
         // Load the update share before the totals: `send_class` increments
         // the total first, so this order keeps a concurrent snapshot from
@@ -1288,14 +1280,9 @@ impl<A: Actor> Runtime<A> {
             batch_sent: load(|s| &s.batch_sent),
             batch_ops: load(|s| &s.batch_ops),
             update_batch_ops,
-            stale_replies: self.net.stale_replies.load(Ordering::Relaxed),
+            stale_replies: self.net.stale_replies.get(),
+            transport: self.net.transport.stats(),
         }
-    }
-
-    /// Cumulative counters of the transport carrying this fabric's messages
-    /// (all zero for the default in-process [`ChannelTransport`]).
-    pub fn transport_stats(&self) -> TransportStats {
-        self.net.transport.stats()
     }
 
     /// Whether this fabric's transport can lose messages (see
@@ -1411,23 +1398,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forwarding_counts_inter_host_messages() {
-        let rt = Runtime::spawn(4, |_| Forwarder { hops: 0 });
-        let c = rt.client();
-        c.send(
-            HostId(0),
-            Fwd {
-                left: 8,
-                client: c.id(),
-            },
-        )
-        .unwrap();
-        let _ = c.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(rt.message_count(), 8);
-        rt.shutdown();
-    }
-
     struct SelfSender;
     #[derive(Debug)]
     enum Loop {
@@ -1452,7 +1422,7 @@ mod tests {
         let c = rt.client();
         c.send(HostId(0), Loop::Start(c.id())).unwrap();
         c.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(rt.message_count(), 0);
+        assert_eq!(rt.host_traffic().total_sent(), 0);
         rt.shutdown();
     }
 
@@ -1509,12 +1479,12 @@ mod tests {
         .unwrap();
         let _ = c.recv_timeout(Duration::from_secs(5)).unwrap();
         let traffic = rt.host_traffic();
-        assert_eq!(traffic.total_sent(), rt.message_count());
-        assert_eq!(traffic.sent.iter().sum::<u64>(), 8);
         assert_eq!(traffic.received.iter().sum::<u64>(), 8);
         // The ring visits each of the 4 hosts twice.
         assert_eq!(traffic.sent, vec![2, 2, 2, 2]);
         assert_eq!(traffic.total_dropped(), 0);
+        // The in-process channel has no wire of its own to count.
+        assert_eq!(traffic.transport, crate::TransportStats::default());
         rt.shutdown();
     }
 
@@ -1566,7 +1536,6 @@ mod tests {
         }
         // One envelope carried three ops: one metered crossing, three in the
         // batch-op counter, all of it update-class.
-        assert_eq!(rt.message_count(), 1);
         let traffic = rt.host_traffic();
         assert_eq!(traffic.sent, vec![1, 0]);
         assert_eq!(traffic.batch_sent, vec![1, 0]);
@@ -1880,7 +1849,7 @@ mod tests {
         for c in &clients {
             c.recv_timeout(Duration::from_secs(10)).unwrap();
         }
-        assert_eq!(rt.message_count(), 4 * u64::from(hosts) * 3);
+        assert_eq!(rt.host_traffic().total_sent(), 4 * u64::from(hosts) * 3);
         let used = threads.lock().len();
         assert!(
             (1..=workers_cap()).contains(&used),

@@ -226,10 +226,7 @@ impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
         let stream = slot.as_mut().expect("just connected");
         match write_frame(stream, payload) {
             Ok(()) => {
-                inner
-                    .counters
-                    .bytes_sent
-                    .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
+                inner.counters.bytes_sent.add(payload.len() as u64 + 4);
                 Ok(())
             }
             Err(e) => {
@@ -291,12 +288,9 @@ impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
         loop {
             match read_frame(&mut stream) {
                 Ok(Some(payload)) => {
-                    inner
-                        .counters
-                        .bytes_received
-                        .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
+                    inner.counters.bytes_received.add(payload.len() as u64 + 4);
                     if !Self::dispatch(inner, &payload) {
-                        inner.counters.lost.fetch_add(1, Ordering::Relaxed);
+                        inner.counters.lost.add(1);
                     }
                 }
                 Ok(None) | Err(_) => {
@@ -348,7 +342,7 @@ impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
                 let Some(msg) = (inner.codec.decode_msg)(r.rest()) else {
                     return false;
                 };
-                inner.counters.delivered.fetch_add(1, Ordering::Relaxed);
+                inner.counters.delivered.add(1);
                 inbound.deliver_msg(from, HostId(to), class, msg);
                 true
             }
@@ -362,7 +356,7 @@ impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
                 let Some(reply) = (inner.codec.decode_reply)(r.rest()) else {
                     return false;
                 };
-                inner.counters.delivered.fetch_add(1, Ordering::Relaxed);
+                inner.counters.delivered.add(1);
                 inbound.deliver_reply(ClientId(client), reply);
                 true
             }
@@ -382,7 +376,7 @@ impl<M: Send + 'static, R: Send + 'static> Inner<M, R> {
 impl<M: Send + 'static, R: Send + 'static> Transport<M, R> for TcpTransport<M, R> {
     fn carry(&self, msg: M, delivery: Delivery<M, R>) -> CarryStatus {
         let inner = &self.inner;
-        inner.counters.carried.fetch_add(1, Ordering::Relaxed);
+        inner.counters.carried.add(1);
         let to = delivery.to();
         let owner = match inner.cfg.owners.get(to.index()) {
             Some(&o) => o,
@@ -417,7 +411,7 @@ impl<M: Send + 'static, R: Send + 'static> Transport<M, R> for TcpTransport<M, R
 
     fn carry_reply(&self, reply: R, delivery: ReplyDelivery<M, R>) {
         let inner = &self.inner;
-        inner.counters.carried.fetch_add(1, Ordering::Relaxed);
+        inner.counters.carried.add(1);
         if inner.cfg.reply_endpoint == inner.cfg.me {
             delivery.deliver(reply);
             return;
@@ -556,8 +550,8 @@ mod tests {
             client.send(HostId(0), v).unwrap();
             assert_eq!(client.recv_timeout(Duration::from_secs(10)).unwrap(), v * 2);
         }
-        let sent = Transport::<u64, u64>::stats(&*ta);
-        let got = Transport::<u64, u64>::stats(&*tb);
+        let sent = driver.host_traffic().transport;
+        let got = worker.host_traffic().transport;
         assert!(sent.bytes_sent > 0, "driver wrote frames: {sent}");
         assert!(got.bytes_received > 0, "worker read frames: {got}");
 

@@ -18,21 +18,21 @@
 //! # Implementing a transport
 //!
 //! ```
-//! use std::sync::atomic::{AtomicU64, Ordering};
 //! use std::sync::Arc;
 //!
+//! use skipweb_net::metrics::Counter;
 //! use skipweb_net::runtime::{Actor, Context, Delivery, ReplyDelivery, Runtime, Sender};
 //! use skipweb_net::transport::{CarryStatus, Transport};
 //! use skipweb_net::HostId;
 //!
 //! /// Counts every carried message, then delivers it in-process.
 //! struct Counting {
-//!     carried: AtomicU64,
+//!     carried: Counter,
 //! }
 //!
 //! impl<M, R> Transport<M, R> for Counting {
 //!     fn carry(&self, msg: M, delivery: Delivery<M, R>) -> CarryStatus {
-//!         self.carried.fetch_add(1, Ordering::Relaxed);
+//!         self.carried.add(1);
 //!         delivery.deliver(msg)
 //!     }
 //!     fn carry_reply(&self, reply: R, delivery: ReplyDelivery<M, R>) {
@@ -56,13 +56,13 @@
 //!     }
 //! }
 //!
-//! let transport = Arc::new(Counting { carried: AtomicU64::new(0) });
+//! let transport = Arc::new(Counting { carried: Counter::default() });
 //! let rt = Runtime::spawn_with_transport(2, transport.clone(), |_| Hop);
 //! let client = rt.client();
 //! client.send(HostId(0), Ping(client.id())).unwrap();
 //! assert_eq!(client.recv().unwrap(), 7);
 //! // The client injection and the 0 -> 1 hop both rode the transport.
-//! assert_eq!(transport.carried.load(Ordering::Relaxed), 2);
+//! assert_eq!(transport.carried.get(), 2);
 //! rt.shutdown();
 //! ```
 

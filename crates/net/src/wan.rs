@@ -30,7 +30,7 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::{TransportCounters, TransportStats};
+use crate::metrics::{Counter, TransportCounters, TransportStats};
 use crate::runtime::{Delivery, ReplyDelivery, Sender};
 use crate::transport::{CarryStatus, Transport};
 use crate::HostId;
@@ -116,7 +116,7 @@ struct Shared {
     wheel: Mutex<Wheel>,
     cv: Condvar,
     links: Mutex<HashMap<(u64, u64), Link>>,
-    seq: AtomicU64,
+    seq: Counter,
     counters: TransportCounters,
     stopped: AtomicBool,
 }
@@ -163,7 +163,7 @@ impl SimWanTransport {
             }),
             cv: Condvar::new(),
             links: Mutex::new(HashMap::new()),
-            seq: AtomicU64::new(0),
+            seq: Counter::default(),
             counters: TransportCounters::default(),
             stopped: AtomicBool::new(false),
         });
@@ -237,9 +237,9 @@ impl SimWanTransport {
             rng: StdRng::seed_from_u64(mix(cfg.seed, from, to)),
             last_due: None,
         });
-        self.shared.counters.carried.fetch_add(1, Ordering::Relaxed);
+        self.shared.counters.carried.add(1);
         if cfg.loss > 0.0 && link.rng.gen_bool(cfg.loss) {
-            self.shared.counters.lost.fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.lost.add(1);
             return None;
         }
         let jitter_us = cfg.jitter.as_micros() as u64;
@@ -255,10 +255,7 @@ impl SimWanTransport {
         let due = Instant::now() + delay;
         match link.last_due {
             Some(last) if due < last => {
-                self.shared
-                    .counters
-                    .reordered
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.counters.reordered.add(1);
             }
             _ => link.last_due = Some(due),
         }
@@ -266,7 +263,7 @@ impl SimWanTransport {
     }
 
     fn enqueue(&self, due: Instant, job: Box<dyn FnOnce() + Send>) {
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.shared.seq.add(1);
         let mut wheel = self
             .shared
             .wheel
@@ -294,7 +291,7 @@ impl<M: Send + 'static, R: Send + 'static> Transport<M, R> for SimWanTransport {
             due,
             Box::new(move || {
                 if delivery.deliver(msg) == CarryStatus::Delivered {
-                    delivered.counters.delivered.fetch_add(1, Ordering::Relaxed);
+                    delivered.counters.delivered.add(1);
                 }
             }),
         );
@@ -312,7 +309,7 @@ impl<M: Send + 'static, R: Send + 'static> Transport<M, R> for SimWanTransport {
             due,
             Box::new(move || {
                 delivery.deliver(reply);
-                delivered.counters.delivered.fetch_add(1, Ordering::Relaxed);
+                delivered.counters.delivered.add(1);
             }),
         );
     }
@@ -361,7 +358,9 @@ impl Drop for SimWanTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{Actor, ClientId, Context, Runtime, RuntimeError, Sender};
+    use std::sync::OnceLock;
+
+    use crate::runtime::{Actor, ClientId, Context, Inbound, Runtime, RuntimeError, Sender};
 
     /// Echo actor: forwards to the next host until hops run out, then
     /// replies with the total hop count.
@@ -422,10 +421,10 @@ mod tests {
         // The `delivered` bump lands on the timer thread just after the
         // client sees the reply; give it a moment to settle.
         let deadline = Instant::now() + Duration::from_secs(2);
-        while rt.transport_stats().delivered < expect && Instant::now() < deadline {
+        while rt.host_traffic().transport.delivered < expect && Instant::now() < deadline {
             thread::yield_now();
         }
-        let stats = rt.transport_stats();
+        let stats = rt.host_traffic().transport;
         assert_eq!(stats.lost, 0);
         assert_eq!(stats.carried, expect);
         assert_eq!(stats.delivered, expect);
@@ -433,34 +432,69 @@ mod tests {
         rt.shutdown();
     }
 
+    /// The simulated WAN, plus the injection handle it ignores: a walk can
+    /// start at a host without a client send the WAN would lose.
+    struct Tapped(SimWanTransport, OnceLock<Inbound<Hop, u32>>);
+    impl Transport<Hop, u32> for Tapped {
+        fn carry(&self, msg: Hop, delivery: Delivery<Hop, u32>) -> CarryStatus {
+            self.0.carry(msg, delivery)
+        }
+        fn carry_reply(&self, reply: u32, delivery: ReplyDelivery<Hop, u32>) {
+            self.0.carry_reply(reply, delivery);
+        }
+        fn attach(&self, inbound: Inbound<Hop, u32>) {
+            let _ = self.1.set(inbound);
+        }
+        fn stats(&self) -> TransportStats {
+            Transport::<Hop, u32>::stats(&self.0)
+        }
+    }
+
     #[test]
     fn total_loss_times_out_and_counts_losses() {
-        let wan = Arc::new(SimWanTransport::new(SimWanConfig {
-            seed: 7,
-            latency: Duration::from_micros(50),
-            jitter: Duration::ZERO,
-            loss: 1.0,
-        }));
+        let wan = Arc::new(Tapped(
+            SimWanTransport::new(SimWanConfig {
+                seed: 7,
+                latency: Duration::from_micros(50),
+                jitter: Duration::ZERO,
+                loss: 1.0,
+            }),
+            OnceLock::new(),
+        ));
         let rt = Runtime::spawn_with_transport(2, wan.clone(), |_| Relay { hosts: 2 });
         let client = rt.client();
-        client
-            .send(
-                HostId(0),
-                Hop {
-                    client: client.id(),
-                    left: 1,
-                    taken: 0,
-                },
-            )
-            .unwrap();
+        let hop = || Hop {
+            client: client.id(),
+            left: 1,
+            taken: 0,
+        };
+        // The client's injection is lost on the wire ...
+        client.send(HostId(0), hop()).unwrap();
         assert!(matches!(
             client.recv_timeout(Duration::from_millis(100)),
             Err(RuntimeError::Timeout)
         ));
-        let stats = rt.transport_stats();
-        assert_eq!(stats.lost, 1);
-        assert_eq!(stats.delivered, 0);
-        assert!(rt.transport_lossy());
+        // ... and so is host 0's forward once the walk starts past the WAN.
+        let inbound = wan.1.get().expect("the runtime attaches its transport");
+        inbound.deliver_msg(
+            Sender::Client(client.id()),
+            HostId(0),
+            crate::runtime::TrafficClass::Query,
+            hop(),
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rt.host_traffic().transport.carried < 2 && Instant::now() < deadline {
+            thread::yield_now();
+        }
+        // One snapshot holds both sides: the routing layer counted the one
+        // host-to-host send, the wire counted it lost.
+        let traffic = rt.host_traffic();
+        assert_eq!(traffic.total_sent(), 1);
+        assert_eq!(traffic.received, vec![0, 0]);
+        assert_eq!(traffic.transport.carried, 2);
+        assert_eq!(traffic.transport.lost, traffic.transport.carried);
+        assert_eq!(traffic.transport.delivered, 0);
+        assert!(Transport::<Hop, u32>::is_lossy(&wan.0));
         rt.shutdown();
     }
 

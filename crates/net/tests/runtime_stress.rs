@@ -61,7 +61,7 @@ fn two_hundred_hosts_pass_tokens_losslessly() {
         .expect("ring completes");
     // hosts * laps forwards + 0 for the final reply (client replies are not
     // network messages).
-    assert_eq!(rt.message_count(), (hosts * laps) as u64);
+    assert_eq!(rt.host_traffic().total_sent(), (hosts * laps) as u64);
     rt.shutdown();
 }
 
@@ -86,7 +86,7 @@ fn concurrent_token_storms_do_not_interfere() {
     }
     // 16 tokens, each forwarded (100 + i) times.
     let expected: u64 = (0..16u64).map(|i| 100 + i).sum();
-    assert_eq!(rt.message_count(), expected);
+    assert_eq!(rt.host_traffic().total_sent(), expected);
     rt.shutdown();
 }
 

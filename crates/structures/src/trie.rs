@@ -166,7 +166,10 @@ impl CompressedTrie {
 
     fn str_of(&self, node: usize) -> &[u8] {
         let n = self.tree.node(node);
-        &self.items[n.owner as usize].as_bytes()[..n.data.prefix_len as usize]
+        // An empty trie's root is owned by item 0 of no items: it spells "".
+        self.items
+            .get(n.owner as usize)
+            .map_or(&[][..], |s| &s.as_bytes()[..n.data.prefix_len as usize])
     }
 
     /// Range `id`'s start length and end string, read from the tables
@@ -186,7 +189,9 @@ impl CompressedTrie {
     /// Panics if `id` is not a node.
     pub fn node_string(&self, id: RangeId) -> &str {
         let n = self.tree.node(id.index());
-        &self.items[n.owner as usize][..n.data.prefix_len as usize]
+        self.items
+            .get(n.owner as usize)
+            .map_or("", |s| &s[..n.data.prefix_len as usize])
     }
 
     /// The item `id` spells when it is a terminal node (a stored string).
@@ -500,6 +505,14 @@ mod tests {
 
     fn trie(words: &[&str]) -> CompressedTrie {
         CompressedTrie::build(words.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn empty_trie_reads_its_root_as_the_empty_string() {
+        let t = CompressedTrie::build(vec![]);
+        assert_eq!(t.node_string(RangeId(0)), "");
+        assert_eq!(t.range(RangeId(0)), TrieRange::point(vec![]));
+        assert_eq!(t.conflicts(&TrieRange::point(vec![])), vec![RangeId(0)]);
     }
 
     #[test]

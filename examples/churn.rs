@@ -90,7 +90,7 @@ fn main() {
         "{} concurrent queries answered identically to the simulator; \
          {} total messages ({} from updates)",
         answered,
-        dist.message_count(),
+        dist.traffic().total_sent(),
         traffic.total_update_sent()
     );
     dist.shutdown();

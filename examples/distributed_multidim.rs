@@ -104,7 +104,7 @@ fn main() {
     println!(
         "  {} prefix queries answered identically to the simulator; {} total messages",
         answered,
-        dist.message_count()
+        dist.traffic().total_sent()
     );
 
     // Live updates on the multi-dimensional webs go through the same

@@ -53,7 +53,7 @@ fn main() {
     assert!(dist.remove(&client, 50_001).expect("runtime alive").applied);
     println!(
         "live traffic: {} total messages, {} from updates",
-        dist.message_count(),
+        dist.traffic().total_sent(),
         dist.traffic().total_update_sent()
     );
     dist.shutdown();

@@ -64,7 +64,7 @@ fn main() {
     }
     println!("100 inserts, {applied} applied (duplicates and replays excluded)");
 
-    let stats = dist.transport_stats();
+    let stats = dist.traffic().transport;
     println!("transport weather: {stats}");
     assert_eq!(applied, 100, "all inserts were fresh keys");
     dist.shutdown();

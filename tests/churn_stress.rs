@@ -97,12 +97,10 @@ fn mixed_onedim_churn_under_concurrent_clients_stays_consistent() {
         assert_eq!(got, want, "post-churn q={q}");
     }
 
-    // The traffic split accounts for the churn: update messages flowed, and
-    // the per-host counters sum to the global counter.
+    // The traffic split accounts for the churn: update messages flowed.
     let traffic = dist.traffic();
     assert!(traffic.total_update_sent() > 0, "updates must pay messages");
     assert!(traffic.total_query_sent() > 0, "queries must pay messages");
-    assert_eq!(traffic.total_sent(), dist.message_count());
     assert!(
         dist.health().dead.is_empty(),
         "no actor may die under churn"

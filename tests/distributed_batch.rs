@@ -46,8 +46,6 @@ fn batch_of_256_queries_on_16_hosts_crosses_measurably_fewer_boundaries() {
         .collect();
     assert_eq!(got, want, "batch answers must be byte-identical");
     let (s, b) = (serial.traffic(), batched.traffic());
-    assert_eq!(s.total_sent(), serial.message_count());
-    assert_eq!(b.total_sent(), batched.message_count());
     assert!(
         b.total_sent() * 2 <= s.total_sent(),
         "256-query batch on 16 hosts must cross measurably fewer boundaries: \
@@ -191,13 +189,8 @@ proptest! {
                 prop_assert_eq!(batched.ground(), serial.ground(), "after removes {}", round);
             }
             // Coalescing can only remove crossings, never add them.
-            prop_assert!(
-                batched.message_count() <= serial.message_count(),
-                "hosts={}: batched {} vs serial {}",
-                hosts,
-                batched.message_count(),
-                serial.message_count()
-            );
+            let (b, s) = (batched.traffic().total_sent(), serial.traffic().total_sent());
+            prop_assert!(b <= s, "hosts={}: batched {} vs serial {}", hosts, b, s);
             serial.shutdown();
             batched.shutdown();
         }

@@ -80,7 +80,7 @@ proptest! {
             prop_assert_eq!(u64::from(reply.hops), messages, "hops for q={}", q);
         }
         // Total remote hops equal the total metered host crossings.
-        prop_assert_eq!(dist.message_count(), sim_total);
+        prop_assert_eq!(dist.traffic().total_sent(), sim_total);
         dist.shutdown();
     }
 
@@ -108,7 +108,7 @@ proptest! {
             prop_assert_eq!(reply.answer, want, "cell for {:?}", q);
             prop_assert_eq!(u64::from(reply.hops), messages, "hops for {:?}", q);
         }
-        prop_assert_eq!(dist.message_count(), sim_total);
+        prop_assert_eq!(dist.traffic().total_sent(), sim_total);
         // Box reports, serial and scattered, with corners in any order: the
         // engine normalizes them exactly as the simulator's answer does.
         for s in 0..4u32 {
@@ -349,7 +349,7 @@ proptest! {
             prop_assert_eq!(reply.answer, want, "answer for {:?}", &prefix);
             prop_assert_eq!(u64::from(reply.hops), messages, "hops for {:?}", &prefix);
         }
-        prop_assert_eq!(dist.message_count(), sim_total);
+        prop_assert_eq!(dist.traffic().total_sent(), sim_total);
         dist.shutdown();
     }
 }

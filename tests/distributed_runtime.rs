@@ -90,7 +90,7 @@ fn many_concurrent_clients_fan_out() {
             });
         }
     });
-    assert!(dist.message_count() > 0);
+    assert!(dist.traffic().total_sent() > 0);
     dist.shutdown();
 }
 
@@ -107,7 +107,7 @@ fn runtime_message_counts_stay_logarithmic() {
         dist.nearest(&client, web.random_origin(s), (s * 797) % 3200)
             .unwrap();
     }
-    let per_query = dist.message_count() as f64 / trials as f64;
+    let per_query = dist.traffic().total_sent() as f64 / trials as f64;
     assert!(per_query < 45.0, "per-query messages {per_query} too high");
     dist.shutdown();
 }

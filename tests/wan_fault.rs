@@ -85,7 +85,7 @@ fn lossy_wan_reports_loss_and_reordering_in_transport_stats() {
         }
     });
 
-    let stats = dist.transport_stats();
+    let stats = dist.traffic().transport;
     assert!(
         stats.lost > 0,
         "5% loss over this workload must drop frames: {stats}"
