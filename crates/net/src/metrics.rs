@@ -133,9 +133,9 @@ impl Counter {
 ///     received: vec![0, 4],
 ///     update_sent: vec![1, 0],
 ///     dropped: vec![0, 2],
-///     batch_sent: vec![1, 0],
-///     batch_ops: vec![4, 0],
-///     update_batch_ops: vec![0, 0],
+///     batch_sent: vec![1, 1],
+///     batch_ops: vec![3, 2],
+///     update_batch_ops: vec![2, 0],
 ///     stale_replies: 1,
 ///     transport: TransportStats::default(),
 /// };
@@ -143,11 +143,12 @@ impl Counter {
 /// assert_eq!(t.total_update_sent(), 1);
 /// assert_eq!(t.total_query_sent(), 3);
 /// assert_eq!(t.total_dropped(), 2);
-/// assert_eq!(t.total_batch_sent(), 1);
-/// assert_eq!(t.total_batch_ops(), 4);
-/// assert_eq!(t.mean_batch_size(), 4.0);
+/// assert_eq!(t.total_batch_sent(), 2);
+/// assert_eq!(t.total_batch_ops(), 5);
+/// assert_eq!(t.total_update_batch_ops(), 2);
+/// assert_eq!(t.mean_batch_size(), 2.5);
 /// assert_eq!(t.hosts(), 2);
-/// assert!(t.to_string().contains("hosts=2 total=4 updates=1 batches=1 batched_ops=4 stale=1"));
+/// assert!(t.to_string().contains("hosts=2 total=4 updates=1 batches=2 batched_ops=5 stale=1"));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostTraffic {

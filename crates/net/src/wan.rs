@@ -373,6 +373,16 @@ mod tests {
         left: u32,
         taken: u32,
     }
+    impl Hop {
+        /// A walk of `left` hops that answers `client`.
+        fn start(client: ClientId, left: u32) -> Self {
+            Hop {
+                client,
+                left,
+                taken: 0,
+            }
+        }
+    }
     impl Actor for Relay {
         type Msg = Hop;
         type Reply = u32;
@@ -404,16 +414,7 @@ mod tests {
         let rt = Runtime::spawn_with_transport(4, wan.clone(), |_| Relay { hosts: 4 });
         let client = rt.client();
         for _ in 0..8 {
-            client
-                .send(
-                    HostId(0),
-                    Hop {
-                        client: client.id(),
-                        left: 5,
-                        taken: 0,
-                    },
-                )
-                .unwrap();
+            client.send(HostId(0), Hop::start(client.id(), 5)).unwrap();
             assert_eq!(client.recv_timeout(Duration::from_secs(5)).unwrap(), 5);
         }
         // Per request: 1 injection + 5 forwards + 1 reply = 7 carries.
@@ -445,8 +446,14 @@ mod tests {
         fn attach(&self, inbound: Inbound<Hop, u32>) {
             let _ = self.1.set(inbound);
         }
+        fn is_lossy(&self) -> bool {
+            Transport::<Hop, u32>::is_lossy(&self.0)
+        }
         fn stats(&self) -> TransportStats {
             Transport::<Hop, u32>::stats(&self.0)
+        }
+        fn shutdown(&self) {
+            Transport::<Hop, u32>::shutdown(&self.0);
         }
     }
 
@@ -463,13 +470,8 @@ mod tests {
         ));
         let rt = Runtime::spawn_with_transport(2, wan.clone(), |_| Relay { hosts: 2 });
         let client = rt.client();
-        let hop = || Hop {
-            client: client.id(),
-            left: 1,
-            taken: 0,
-        };
         // The client's injection is lost on the wire ...
-        client.send(HostId(0), hop()).unwrap();
+        client.send(HostId(0), Hop::start(client.id(), 1)).unwrap();
         assert!(matches!(
             client.recv_timeout(Duration::from_millis(100)),
             Err(RuntimeError::Timeout)
@@ -480,7 +482,7 @@ mod tests {
             Sender::Client(client.id()),
             HostId(0),
             crate::runtime::TrafficClass::Query,
-            hop(),
+            Hop::start(client.id(), 1),
         );
         let deadline = Instant::now() + Duration::from_secs(5);
         while rt.host_traffic().transport.carried < 2 && Instant::now() < deadline {
@@ -494,7 +496,7 @@ mod tests {
         assert_eq!(traffic.transport.carried, 2);
         assert_eq!(traffic.transport.lost, traffic.transport.carried);
         assert_eq!(traffic.transport.delivered, 0);
-        assert!(Transport::<Hop, u32>::is_lossy(&wan.0));
+        assert!(rt.transport_lossy());
         rt.shutdown();
     }
 

@@ -186,12 +186,10 @@ impl CompressedTrie {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a node.
+    /// Panics if `id` is not a node, or if its string ends inside a
+    /// multi-byte character (the trie branches on bytes).
     pub fn node_string(&self, id: RangeId) -> &str {
-        let n = self.tree.node(id.index());
-        self.items
-            .get(n.owner as usize)
-            .map_or("", |s| &s[..n.data.prefix_len as usize])
+        std::str::from_utf8(self.str_of(id.index())).expect("node string ends on a char boundary")
     }
 
     /// The item `id` spells when it is a terminal node (a stored string).
