@@ -1,7 +1,8 @@
 //! How updates land: the authoritative web behind the state lock, the
-//! idempotence ledger, the recycled copy-on-write targets, the write-ahead
-//! sink, and the apply stage's turn that applies, logs, publishes and
-//! replies.
+//! idempotence ledger, the recycled copy-on-write targets — whose own stale
+//! copies of the sets a turn rebuilds donate their items to the rebuilds —
+//! the write-ahead sink, and the apply stage's turn that applies, logs,
+//! publishes and replies.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,7 +17,7 @@ use skipweb_net::runtime::{ClientId, Membership, Replier};
 use super::{
     EngineMsg, EngineOp, EngineReply, FabricMsg, PlacementCtl, ReplyBody, Routable, Topology,
 };
-use crate::skipweb::{SkipWeb, Update};
+use crate::skipweb::{Donors, SkipWeb, Update};
 
 /// Most recent update outcomes remembered for exactly-once resubmits; old
 /// entries are evicted FIFO once the ledger exceeds this.
@@ -34,7 +35,8 @@ pub(super) struct EngineState<D: Routable + Send + Sync + 'static> {
     pub(super) web: Arc<SkipWeb<D>>,
     /// Webs that earlier applies replaced, oldest first, at most
     /// [`SPARE_WEBS`]: the copy-on-write targets the apply stage refills
-    /// once no snapshot holds them any more.
+    /// once no snapshot holds them any more, and the donors of the sets a
+    /// refill's apply rebuilds.
     spares: VecDeque<Arc<SkipWeb<D>>>,
     /// The logical→physical host fold plus the excluded (decommissioned /
     /// healed-around) hosts.
@@ -108,39 +110,46 @@ impl<D: Routable + Send + Sync + 'static> EngineState<D> {
         (replaced, spares)
     }
 
-    /// Makes `web` the only reference to its web, so the apply that follows
-    /// mutates it in place. The published snapshot holds the current web,
-    /// so this swaps in a copy: a spare no snapshot holds any more, refilled
-    /// in its own buffers (`clone_from`), else a fresh clone. Either copies
+    /// Makes `web` the only reference to its web, so the apply of `ops`
+    /// that follows mutates it in place. The published snapshot holds the
+    /// current web, so this swaps in a copy: a spare no snapshot holds any
+    /// more, refilled in its own buffers, else a fresh clone. Either copies
     /// the slot table's bit strings, each level's sets (16 bytes each) and
     /// page list, and bumps one count per structure page — no slot list and
     /// no structure: 123 KB for a 3072-key 1-D web, where each level's two
-    /// arrays of one entry per item once made it 540 KB. The replaced web
-    /// joins the spares; a spare that falls off the end is returned, for the
-    /// caller to drop after releasing the state lock.
-    fn recycle(&mut self) -> Option<Arc<SkipWeb<D>>> {
+    /// arrays of one entry per item once made it 540 KB.
+    ///
+    /// The refill ([`SkipWeb::refill_from`]) first takes the spare's own,
+    /// one or more turns stale, structures of the sets the ops' towers name,
+    /// where no other web holds them: those are returned as the apply's
+    /// donors, which its rebuilds move their items out of instead of
+    /// cloning them. The replaced web joins the spares. A spare that falls
+    /// off the end and the donors the apply leaves are the caller's to drop
+    /// after releasing the state lock.
+    fn recycle(&mut self, ops: &[Update<D::Item>]) -> (Option<Arc<SkipWeb<D>>>, Donors<D>) {
         if Arc::get_mut(&mut self.web).is_some() {
-            return None;
+            return (None, Donors::default());
         }
         let drained = self
             .spares
             .iter_mut()
             .position(|spare| Arc::get_mut(spare).is_some());
-        let copy = match drained.and_then(|i| self.spares.remove(i)) {
+        let (copy, donors) = match drained.and_then(|i| self.spares.remove(i)) {
             Some(mut spare) => {
                 // The only reference, so `make_mut` copies nothing.
-                Arc::make_mut(&mut spare).clone_from(&self.web);
-                spare
+                let donors = Arc::make_mut(&mut spare).refill_from(&self.web, ops);
+                (spare, donors)
             }
-            None => Arc::new(SkipWeb::clone(&self.web)),
+            None => (Arc::new(SkipWeb::clone(&self.web)), Donors::default()),
         };
         let replaced = std::mem::replace(&mut self.web, copy);
         self.spares.push_back(replaced);
-        if self.spares.len() > SPARE_WEBS {
+        let evicted = if self.spares.len() > SPARE_WEBS {
             self.spares.pop_front()
         } else {
             None
-        }
+        };
+        (evicted, donors)
     }
 }
 
@@ -391,11 +400,11 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
                 staged.push(i);
             }
         }
-        let mut evicted = None;
+        let (mut evicted, mut donors) = (None, Donors::default());
         if !staged.is_empty() {
-            evicted = st.recycle();
-            let batch = staged.iter().map(|&i| updates[i].clone()).collect();
-            let applied = Arc::make_mut(&mut st.web).apply(batch);
+            let batch: Vec<_> = staged.iter().map(|&i| updates[i].clone()).collect();
+            (evicted, donors) = st.recycle(&batch);
+            let applied = Arc::make_mut(&mut st.web).apply_with(batch, &mut donors);
             for (&i, a) in staged.iter().zip(applied) {
                 st.applied_ops.insert(keys[i], a);
             }
@@ -450,9 +459,9 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
         }
         turn.clear();
         // Freed with neither lock held, and after the replies, so no writer
-        // waits it out: the previous snapshot (its web stays a spare) and a
-        // spare that fell off the end.
-        drop((retired, evicted));
+        // waits it out: the previous snapshot (its web stays a spare), a
+        // spare that fell off the end and the donors no rebuild took.
+        drop((retired, evicted, donors));
         running
     }
 }

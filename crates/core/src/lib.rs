@@ -60,4 +60,4 @@ pub mod web;
 pub mod wire;
 
 pub use placement::Blocking;
-pub use skipweb::{QueryOutcome, SkipWeb, SkipWebBuilder, Update};
+pub use skipweb::{Donors, QueryOutcome, SkipWeb, SkipWebBuilder, Update};

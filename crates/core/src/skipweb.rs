@@ -61,6 +61,17 @@
 //! A one-op apply then copies about one page per level — the page of the
 //! set its tower rebuilds — and dropping the previous web frees those
 //! arrays and pages plus the structures and slot lists the splices replaced.
+//!
+//! The set a splice rebuilds starts from a copy of its items, and the items
+//! are what a copy costs when they own heap memory (a trie's strings). So
+//! the copy is made only where the items are shared: a set whose entry no
+//! other web holds moves its items out of it; a shared set clones them,
+//! except those it can move out of a *donor* — a stale copy of the same set
+//! that no one else holds. The engine's apply stage refills a retired web
+//! rather than cloning afresh, and before the refill it takes that web's own
+//! structures of the sets the turn rebuilds as donors
+//! ([`SkipWeb::refill_from`]): they are a turn or two behind, so a rebuild
+//! moves nearly every item and clones only the few the set gained since.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -263,6 +274,16 @@ impl<D> Structures<D> {
         }
     }
 
+    /// Takes the entry under live id `id` out of the table when no one else
+    /// holds it — neither its page nor the entry is shared — and leaves the
+    /// id empty: the caller files a new entry under it, or drops the table.
+    fn take_unique(&mut self, id: u32) -> Option<SetBody<D>> {
+        let page = Arc::get_mut(&mut self.pages[id as usize / PAGE])?;
+        let entry = &mut page[id as usize % PAGE];
+        Arc::get_mut(entry.as_mut()?)?;
+        Arc::into_inner(entry.take()?)
+    }
+
     /// Puts `body` under `id`, copying its page if a clone shares it.
     fn put(&mut self, id: u32, body: Option<Arc<SetBody<D>>>) {
         Arc::make_mut(&mut self.pages[id as usize / PAGE])[id as usize % PAGE] = body;
@@ -436,14 +457,22 @@ impl<D: RangeDetermined> Level<D> {
     }
 
     /// A batch's draft of the set keyed `key` at level `li`: on the batch's
-    /// first splice into the set, a copy of its items and slots, with room
-    /// for the batch's `inserts` — empty for a set the level does not have
-    /// yet. The room makes the set's new entry exact for a one-op batch.
+    /// first splice into the set, its items and slots, with room for the
+    /// batch's `inserts` — empty for a set the level does not have yet. The
+    /// room makes the set's new entry exact for a one-op batch.
+    ///
+    /// The items come from the first of: the set's own entry, moved out when
+    /// no one else holds it (its id stays empty until [`commit`](Self::commit));
+    /// the set's donor, a stale copy no one else holds, which the current
+    /// items are moved out of where it has them ([`adopt`]); a clone of the
+    /// current items. The slots are moved with the own entry and copied
+    /// otherwise.
     fn draft<'p>(
-        &self,
+        &mut self,
         (li, key): (u32, u64),
         inserts: usize,
         drafts: &'p mut Drafts<D>,
+        donors: &mut Donors<D>,
     ) -> &'p mut Draft<D> {
         drafts.entry((li, key)).or_insert_with(|| {
             let Some(si) = self.set_index(key) else {
@@ -452,9 +481,20 @@ impl<D: RangeDetermined> Level<D> {
                     slots: Vec::new(),
                 };
             };
-            let body = self.structures.get(self.sets[si].id);
+            let id = self.sets[si].id;
+            if let Some(own) = self.structures.take_unique(id) {
+                let (mut items, mut slots) = (own.structure.into_items(), own.slots);
+                items.reserve_exact(inserts);
+                slots.reserve_exact(inserts);
+                return Draft { items, slots };
+            }
+            let body = self.structures.get(id);
+            let items = match donors.0.remove(&(li, key)) {
+                Some(donor) => adopt::<D>(body.structure.items(), donor.into_items(), inserts),
+                None => with_room(body.structure.items(), inserts),
+            };
             Draft {
-                items: with_room(body.structure.items(), inserts),
+                items,
                 slots: with_room(&body.slots, inserts),
             }
         })
@@ -529,6 +569,53 @@ impl<D: RangeDetermined> Draft<D> {
 
 /// The drafts of every set a batch splices, by `(level, key)`.
 type Drafts<D> = BTreeMap<(u32, u64), Draft<D>>;
+
+/// A copy of `items`, with room for `room` more, that moves each item out of
+/// `donor` — a stale copy of the same set's items, in the same canonical
+/// order — where the donor has it and clones the rest. One walk of both
+/// lists: equal items move, items the donor lacks are cloned, and items only
+/// the donor has are dropped.
+fn adopt<D: RangeDetermined>(items: &[D::Item], donor: Vec<D::Item>, room: usize) -> Vec<D::Item> {
+    let mut copy = Vec::with_capacity(items.len() + room);
+    let mut donor = donor.into_iter().peekable();
+    for item in items {
+        let moved = loop {
+            match donor.peek().map(|d| D::canonical_cmp(d, item)) {
+                Some(std::cmp::Ordering::Less) => drop(donor.next()),
+                Some(std::cmp::Ordering::Equal) => break donor.next(),
+                _ => break None,
+            }
+        };
+        copy.push(moved.unwrap_or_else(|| item.clone()));
+    }
+    copy
+}
+
+/// Set items an apply may move instead of cloning: the structures of sets,
+/// by `(level, key)`, taken from a retired web that no one else holds
+/// before it is refilled ([`SkipWeb::refill_from`]). A rebuild of the set
+/// with the same `(level, key)` moves the items it shares with the donor
+/// out of it ([`SkipWeb::apply_with`]); what no rebuild takes is dropped
+/// with the map.
+pub struct Donors<D: RangeDetermined>(BTreeMap<(u32, u64), D>);
+
+impl<D: RangeDetermined> Default for Donors<D> {
+    fn default() -> Self {
+        Donors(BTreeMap::new())
+    }
+}
+
+impl<D: RangeDetermined> Donors<D> {
+    /// How many sets donate items.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no set donates items.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
 
 /// A batch of `n / this` ops or more is rebuilt whole rather than spliced:
 /// by then it touches most sets of the lower levels, and splicing each op
@@ -1236,7 +1323,20 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// of the lower levels, and a full rebuild is the cheaper). The result
     /// is byte-identical to the one-at-a-time applies and to
     /// [`apply_full`](Self::apply_full).
+    ///
+    /// A spliced set's items are moved out of its entry when no other web
+    /// shares it — a web that was never cloned, or the sets an earlier apply
+    /// rebuilt since — and cloned otherwise.
     pub fn apply(&mut self, ops: Vec<Update<D::Item>>) -> Vec<bool> {
+        self.apply_with(ops, &mut Donors::default())
+    }
+
+    /// [`apply`](Self::apply) with `donors`: a spliced set that shares its
+    /// entry with another web and has a donor takes the items the donor
+    /// still holds out of it, and clones only the rest
+    /// ([`refill_from`](Self::refill_from)). The donors no set takes are
+    /// left in `donors`. The result is the same with any donors or none.
+    pub fn apply_with(&mut self, ops: Vec<Update<D::Item>>, donors: &mut Donors<D>) -> Vec<bool> {
         if ops.len() * INCREMENTAL_DIRTY_FACTOR >= self.len() {
             return self.apply_full(ops);
         }
@@ -1244,7 +1344,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let inserts = ops.iter().filter(|op| op.is_insert()).count();
         let applied = ops
             .into_iter()
-            .map(|op| self.splice(op, inserts, &mut drafts))
+            .map(|op| self.splice(op, inserts, &mut drafts, donors))
             .collect();
         // Every applied op drafts the ground set, which tells the new size.
         let Some(ground) = drafts.get(&(0, 0)) else {
@@ -1304,7 +1404,13 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// its set's draft at every level; a stored item's remove leaves them
     /// and frees its slot. The sets change when the batch ends. Returns
     /// whether the op applied.
-    fn splice(&mut self, op: Update<D::Item>, inserts: usize, drafts: &mut Drafts<D>) -> bool {
+    fn splice(
+        &mut self,
+        op: Update<D::Item>,
+        inserts: usize,
+        drafts: &mut Drafts<D>,
+        donors: &mut Donors<D>,
+    ) -> bool {
         let (ground, slots) = match drafts.get(&(0, 0)) {
             Some(draft) => (draft.items.as_slice(), draft.slots.as_slice()),
             None => (self.ground(), self.ground_slots()),
@@ -1319,8 +1425,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
             _ => return false,
         };
         let inserting = at.is_err();
-        for (li, level) in (0u32..).zip(&self.levels) {
-            let draft = level.draft((li, set_key(bits, li)), inserts, drafts);
+        for (li, level) in (0u32..).zip(&mut self.levels) {
+            let draft = level.draft((li, set_key(bits, li)), inserts, drafts, donors);
             if inserting {
                 draft.splice_in(&item, slot);
             } else {
@@ -1331,6 +1437,33 @@ impl<D: RangeDetermined> SkipWeb<D> {
             self.release_slot(slot);
         }
         true
+    }
+
+    /// [`clone_from`](Clone::clone_from) that first keeps what an apply of
+    /// `ops` to the refilled web can reuse: from every set the ops' towers
+    /// name (an insert's bits, a remove's stored bits in `source`), the
+    /// structure, when no one else holds it or its page — a set `source` has
+    /// since rebuilt. Returns them as the apply's donors
+    /// ([`apply_with`](Self::apply_with)). Only items that own heap memory
+    /// are worth moving: for any other item type this is `clone_from`, and
+    /// the donors are empty.
+    pub fn refill_from(&mut self, source: &Self, ops: &[Update<D::Item>]) -> Donors<D> {
+        let mut donors = Donors::default();
+        if std::mem::needs_drop::<D::Item>() {
+            for bits in ops.iter().filter_map(|op| source.plan(op).1) {
+                for (li, level) in (0u32..).zip(&mut self.levels) {
+                    let key = set_key(bits, li);
+                    let Some(si) = level.set_index(key) else {
+                        continue;
+                    };
+                    if let Some(body) = level.structures.take_unique(level.sets[si].id) {
+                        donors.0.insert((li, key), body.structure);
+                    }
+                }
+            }
+        }
+        self.clone_from(source);
+        donors
     }
 
     /// Gives an item with tower `bits` a slot: the lowest free one, or a
@@ -1954,6 +2087,7 @@ mod tests {
     use proptest::collection;
     use proptest::prelude::*;
     use skipweb_structures::linked_list::SortedLinkedList;
+    use skipweb_structures::trie::CompressedTrie;
 
     fn web(n: u64, seed: u64) -> SkipWeb<SortedLinkedList> {
         SkipWeb::builder((0..n).map(|i| i * 10).collect())
@@ -2580,5 +2714,93 @@ mod tests {
         let w = SkipWeb::<SortedLinkedList>::builder(vec![]).build();
         let mut meter = MessageMeter::new();
         let _ = w.query(0, &5, &mut meter);
+    }
+
+    #[test]
+    fn a_stale_donor_gives_the_items_it_shares_and_drops_the_rest() {
+        // Since the donor's copy, the set lost "a", "d" and "g" and gained
+        // "b" and "e".
+        let own = |words: &[&str]| -> Vec<String> { words.iter().map(|w| w.to_string()).collect() };
+        let items = own(&["b", "c", "e", "f"]);
+        let donor = own(&["a", "c", "d", "f", "g"]);
+        let shared = [donor[1].as_ptr(), donor[3].as_ptr()];
+        let copy = adopt::<CompressedTrie>(&items, donor, 2);
+        assert_eq!(copy, items);
+        assert!(copy.capacity() >= items.len() + 2, "room for the inserts");
+        assert_eq!([copy[1].as_ptr(), copy[3].as_ptr()], shared, "moved");
+    }
+
+    #[test]
+    fn a_refill_donates_the_sets_its_source_rebuilt_since() {
+        let words = (0..200u32).map(|i| format!("{:08b}", i.wrapping_mul(37) % 256));
+        let mut retired = SkipWeb::<CompressedTrie>::builder(words.collect())
+            .seed(3)
+            .build();
+        let (gone, fresh, next) = (
+            retired.ground()[17].clone(),
+            "zz-fresh".to_owned(),
+            "zz-next".to_owned(),
+        );
+        let bits = 0x5EED_B175;
+        // One turn: `current` is the copy `retired` was published beside,
+        // and drops an item `retired` keeps and gains one it lacks.
+        let mut current = retired.clone();
+        let turn = vec![
+            Update::Remove { item: gone.clone() },
+            Update::Insert {
+                item: fresh.clone(),
+                bits,
+            },
+        ];
+        assert_eq!(current.apply(turn), [true, true]);
+        // The next turn refills `retired` from `current`, which stays
+        // published, and applies an insert on the same tower.
+        let kept: Vec<*const u8> = retired
+            .ground()
+            .iter()
+            .filter(|&item| *item != gone)
+            .map(|item| item.as_ptr())
+            .collect();
+        let ops = vec![Update::Insert {
+            item: next.clone(),
+            bits,
+        }];
+        // Every set of the tower that `retired` has, `current` rebuilt.
+        let had = (0u32..)
+            .zip(&retired.levels)
+            .filter(|(li, l)| l.set_index(set_key(bits, *li)).is_some())
+            .count();
+        assert!(had > 2);
+        let mut donors = retired.refill_from(&current, &ops);
+        assert!(
+            retired.shares_structures_with(&current),
+            "a refill is a clone"
+        );
+        assert_eq!(donors.len(), had, "one donor per set of the tower");
+        let mut want = current.clone();
+        assert_eq!(want.apply(ops.clone()), [true]);
+        assert_eq!(retired.apply_with(ops, &mut donors), [true]);
+        assert!(donors.is_empty(), "every level's rebuild took its donor");
+        assert!(retired == want);
+        for item in retired.ground() {
+            let moved = kept.contains(&item.as_ptr());
+            assert_eq!(moved, *item != fresh && *item != next, "{item}");
+        }
+    }
+
+    #[test]
+    fn an_unshared_web_moves_its_own_items_into_a_rebuild() {
+        let words = (0..200u32).map(|i| format!("{:08b}", i.wrapping_mul(37) % 256));
+        let mut web = SkipWeb::<CompressedTrie>::builder(words.collect())
+            .seed(3)
+            .build();
+        let before: Vec<*const u8> = web.ground().iter().map(|item| item.as_ptr()).collect();
+        let item = "zz-own".to_owned();
+        assert_eq!(
+            web.apply_insert_batch(vec![(item.clone(), 0x5EED_B175)]),
+            [true]
+        );
+        let after = web.ground().iter().filter(|&g| *g != item);
+        assert!(after.map(|g| g.as_ptr()).eq(before), "moved, in order");
     }
 }

@@ -116,8 +116,7 @@ impl Counter {
 /// A coalesced multi-op envelope (batched operations sharing one host
 /// crossing) counts once in `sent`/`received` — that is the point of
 /// batching — and additionally in `batch_sent[h]` (envelopes) and
-/// `batch_ops[h]` (the operations that rode inside them), with the
-/// update-class share of the operations broken out in `update_batch_ops`.
+/// `batch_ops[h]` (the operations that rode inside them).
 /// `stale_replies` counts late replies that clients discarded on arrival
 /// because their correlation id had been abandoned by a timeout-resubmit (a
 /// fabric-wide scalar: the runtime cannot attribute a client-side drop to
@@ -135,7 +134,6 @@ impl Counter {
 ///     dropped: vec![0, 2],
 ///     batch_sent: vec![1, 1],
 ///     batch_ops: vec![3, 2],
-///     update_batch_ops: vec![2, 0],
 ///     stale_replies: 1,
 ///     transport: TransportStats::default(),
 /// };
@@ -145,7 +143,6 @@ impl Counter {
 /// assert_eq!(t.total_dropped(), 2);
 /// assert_eq!(t.total_batch_sent(), 2);
 /// assert_eq!(t.total_batch_ops(), 5);
-/// assert_eq!(t.total_update_batch_ops(), 2);
 /// assert_eq!(t.mean_batch_size(), 2.5);
 /// assert_eq!(t.hosts(), 2);
 /// assert!(t.to_string().contains("hosts=2 total=4 updates=1 batches=2 batched_ops=5 stale=1"));
@@ -166,8 +163,6 @@ pub struct HostTraffic {
     pub batch_sent: Vec<u64>,
     /// Operations that rode inside `batch_sent` envelopes, per host.
     pub batch_ops: Vec<u64>,
-    /// The update-tagged share of `batch_ops`, indexed by host id.
-    pub update_batch_ops: Vec<u64>,
     /// Late replies clients dropped on arrival because their correlation id
     /// was abandoned by a timeout-resubmit (fabric-wide).
     pub stale_replies: u64,
@@ -213,11 +208,6 @@ impl HostTraffic {
     /// Total operations that rode inside multi-op envelopes.
     pub fn total_batch_ops(&self) -> u64 {
         self.batch_ops.iter().sum()
-    }
-
-    /// Total update-class operations that rode inside multi-op envelopes.
-    pub fn total_update_batch_ops(&self) -> u64 {
-        self.update_batch_ops.iter().sum()
     }
 
     /// Mean operations per multi-op envelope (0 when no envelope was sent)

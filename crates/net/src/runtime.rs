@@ -478,8 +478,6 @@ struct HostSlot<M, R> {
     batch_sent: Counter,
     /// Operations that rode inside this host's multi-op envelopes.
     batch_ops: Counter,
-    /// The update-class share of `batch_ops`.
-    update_batch_ops: Counter,
 }
 
 impl<M, R> HostSlot<M, R> {
@@ -493,7 +491,6 @@ impl<M, R> HostSlot<M, R> {
             dropped: Counter::default(),
             batch_sent: Counter::default(),
             batch_ops: Counter::default(),
-            update_batch_ops: Counter::default(),
         }
     }
 }
@@ -870,9 +867,6 @@ impl<M: Send + 'static, R: Send + 'static> Context<'_, M, R> {
             if let Some(ops) = batch {
                 me.batch_sent.add(1);
                 me.batch_ops.add(u64::from(ops));
-                if class == TrafficClass::Update {
-                    me.update_batch_ops.add(u64::from(ops));
-                }
             }
         }
         let delivery = Delivery {
@@ -1271,7 +1265,6 @@ impl<A: Actor> Runtime<A> {
         // the total first, so this order keeps a concurrent snapshot from
         // ever observing more update-tagged sends than sends.
         let update_sent = load(|s| &s.update_sent);
-        let update_batch_ops = load(|s| &s.update_batch_ops);
         HostTraffic {
             sent: load(|s| &s.sent),
             received: load(|s| &s.received),
@@ -1279,7 +1272,6 @@ impl<A: Actor> Runtime<A> {
             dropped: load(|s| &s.dropped),
             batch_sent: load(|s| &s.batch_sent),
             batch_ops: load(|s| &s.batch_ops),
-            update_batch_ops,
             stale_replies: self.net.stale_replies.get(),
             transport: self.net.transport.stats(),
         }
@@ -1534,14 +1526,13 @@ mod tests {
         for _ in 0..3 {
             c.recv_timeout(Duration::from_secs(5)).unwrap();
         }
-        // One envelope carried three ops: one metered crossing, three in the
-        // batch-op counter, all of it update-class.
+        // One envelope carried three ops: one metered, update-class
+        // crossing, and three in the batch-op counter.
         let traffic = rt.host_traffic();
         assert_eq!(traffic.sent, vec![1, 0]);
         assert_eq!(traffic.batch_sent, vec![1, 0]);
         assert_eq!(traffic.batch_ops, vec![3, 0]);
         assert_eq!(traffic.update_sent, vec![1, 0]);
-        assert_eq!(traffic.update_batch_ops, vec![3, 0]);
         assert!((traffic.mean_batch_size() - 3.0).abs() < 1e-12);
         rt.shutdown();
     }

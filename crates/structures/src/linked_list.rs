@@ -114,6 +114,10 @@ impl RangeDetermined for SortedLinkedList {
         &self.keys
     }
 
+    fn into_items(self) -> Vec<u64> {
+        self.keys
+    }
+
     fn num_ranges(&self) -> usize {
         if self.keys.is_empty() {
             1

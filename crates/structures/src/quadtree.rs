@@ -299,6 +299,10 @@ impl<const D: usize> RangeDetermined for CompressedQuadtree<D> {
         &self.points
     }
 
+    fn into_items(self) -> Vec<GridPoint<D>> {
+        self.points
+    }
+
     fn num_ranges(&self) -> usize {
         self.tree.num_ranges()
     }

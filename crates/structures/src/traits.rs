@@ -81,6 +81,11 @@ pub trait RangeDetermined: Clone + fmt::Debug {
     /// The ground set in canonical order.
     fn items(&self) -> &[Self::Item];
 
+    /// The ground set in canonical order, moved out of the structure: what
+    /// a rebuild of a set reuses instead of cloning [`items`](Self::items)
+    /// when no one else holds the structure.
+    fn into_items(self) -> Vec<Self::Item>;
+
     /// Number of stored items.
     fn len(&self) -> usize {
         self.items().len()

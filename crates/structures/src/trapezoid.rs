@@ -694,6 +694,10 @@ impl RangeDetermined for TrapezoidalMap {
         &self.segments
     }
 
+    fn into_items(self) -> Vec<Segment> {
+        self.segments
+    }
+
     fn num_ranges(&self) -> usize {
         self.traps.len() + self.link_ends.len()
     }

@@ -182,14 +182,20 @@ impl CompressedTrie {
         }
     }
 
-    /// The string spelled by the path to node `id`.
+    /// The string spelled by the path to node `id`. The trie branches on
+    /// bytes, so a node's path may end inside a multi-byte character (`"é"`
+    /// and `"è"` share their first byte): this is then the longest prefix of
+    /// it that ends on a char boundary.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a node, or if its string ends inside a
-    /// multi-byte character (the trie branches on bytes).
+    /// Panics if `id` is not a node.
     pub fn node_string(&self, id: RangeId) -> &str {
-        std::str::from_utf8(self.str_of(id.index())).expect("node string ends on a char boundary")
+        let bytes = self.str_of(id.index());
+        std::str::from_utf8(bytes).unwrap_or_else(|cut| {
+            let whole = &bytes[..cut.valid_up_to()];
+            std::str::from_utf8(whole).unwrap_or_default()
+        })
     }
 
     /// The item `id` spells when it is a terminal node (a stored string).
@@ -357,6 +363,10 @@ impl RangeDetermined for CompressedTrie {
         &self.items
     }
 
+    fn into_items(self) -> Vec<String> {
+        self.items
+    }
+
     fn num_ranges(&self) -> usize {
         self.tree.num_ranges()
     }
@@ -511,6 +521,18 @@ mod tests {
         assert_eq!(t.node_string(RangeId(0)), "");
         assert_eq!(t.range(RangeId(0)), TrieRange::point(vec![]));
         assert_eq!(t.conflicts(&TrieRange::point(vec![])), vec![RangeId(0)]);
+    }
+
+    #[test]
+    fn a_node_inside_a_character_reads_up_to_its_last_whole_one() {
+        // "é" and "è" share their first byte, 0xC3: the node where they
+        // branch spells half a character.
+        let t = trie(&["é", "è"]);
+        let strings: Vec<&str> = (0..t.num_nodes())
+            .map(|node| t.node_string(RangeId(node as u32)))
+            .collect();
+        assert!(strings.contains(&"é") && strings.contains(&"è"));
+        assert_eq!(strings.iter().filter(|s| s.is_empty()).count(), 2);
     }
 
     #[test]

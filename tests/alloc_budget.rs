@@ -7,9 +7,13 @@
 //! proportional to the levels — the clone copies two arrays per level, of
 //! 16 bytes per set, and no item or slot list, and a splice rebuilds one
 //! set per level — not to the web's total range count; and a route computes
-//! the hyperlinks it follows into one buffer per walk. This file holds them
-//! to that with a counting allocator, by allocation and, for the clone, by
-//! byte.
+//! the hyperlinks it follows into one buffer per walk. A rebuilt set's items
+//! are the exception: a clone shares them, so the splice copies them, which
+//! for heap items (a trie's strings) is one allocation per item. The apply
+//! stage avoids that copy by refilling a retired web, whose own stale copies
+//! of the rebuilt sets donate their items, so a turn there allocates per
+//! level again. This file holds them to that with a counting allocator, by
+//! allocation and, for the clone, by byte.
 //! (The budget counters are per thread; the one test that meters another
 //! thread's work counts process wide, so the tests take turns.)
 
@@ -20,7 +24,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use skipwebs::core::engine::{DistributedSkipWeb, Routable};
 use skipwebs::core::multidim::QuadtreeRequest;
-use skipwebs::core::SkipWeb;
+use skipwebs::core::{SkipWeb, Update};
 use skipwebs::net::sim::MessageMeter;
 use skipwebs::structures::{
     CompressedQuadtree, CompressedTrie, PointKey, RangeDetermined, Segment, SortedLinkedList,
@@ -236,6 +240,47 @@ fn a_trie_update_allocates_per_level_and_per_dirty_item() {
     assert!(
         drop_old <= 3 * n,
         "drop of the old web: {drop_old} frees for {n} items"
+    );
+}
+
+#[test]
+fn a_trie_turn_on_a_refilled_spare_allocates_per_level() {
+    let _turn = take_turn();
+    // The `trie_churn` shape, as the engine's apply stage runs a turn. The
+    // turn before inserted an item into a copy of the web, which stays
+    // published; the web it copied has drained, is refilled from it, and
+    // takes the item's remove. The refilled web's own structures of the
+    // sets the remove rebuilds are a turn stale and no one else holds them,
+    // so the refill keeps them as donors, and each rebuild moves its items
+    // out of its donor instead of cloning about `2n` strings: what is left
+    // is the sets' rebuilds, a fixed handful of blocks per level (measured
+    // 109 over 11 levels; 1 654 while every rebuilt set cloned its items).
+    let n = 768u64;
+    let build = || SkipWeb::<CompressedTrie>::builder(isbns(n)).seed(7).build();
+    let levels = u64::from(build().top_level()) + 1;
+    let fresh = "978000999999".to_owned();
+    let mut retired = build();
+    let mut current = retired.clone();
+    assert_eq!(
+        current.apply_insert_batch(vec![(fresh.clone(), 0x5EED_B175)]),
+        [true]
+    );
+    let ops = vec![Update::Remove { item: fresh }];
+    let ((donated, applied, left), allocs, _) = counted(|| {
+        let mut donors = retired.refill_from(&current, &ops);
+        let donated = donors.len();
+        let applied = retired.apply_with(ops, &mut donors);
+        (donated, applied, donors)
+    });
+    assert_eq!(applied, [true]);
+    // The insert made the tower's top set, which the retired web lacks.
+    assert_eq!(donated as u64, levels - 1, "a donor for every older set");
+    assert!(left.is_empty(), "every rebuild took its donor");
+    assert!(retired == build(), "insert then remove restores the web");
+    eprintln!("TRIE donor turn: {allocs} allocations over {levels} levels");
+    assert!(
+        !APPLY_IS_BARE || allocs <= 16 * levels + 16,
+        "refill + apply: {allocs} allocations over {levels} levels"
     );
 }
 

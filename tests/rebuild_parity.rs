@@ -17,6 +17,12 @@
 //! interleaving — same-item insert → remove → insert under new bits,
 //! remove-then-reinsert of a stored item, duplicates — to the same ops
 //! applied one at a time and to [`SkipWeb::apply_full`].
+//!
+//! The engine's apply stage refills a retired web and applies a turn to it
+//! through donors ([`SkipWeb::refill_from`], [`SkipWeb::apply_with`]): the
+//! `stage_turns_*` case holds that to every other way of applying the turn.
+
+use std::collections::VecDeque;
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -323,4 +329,103 @@ fn mixed_batches_resolve_in_op_order_across_level_changes() {
         assert_mixed_parity::<CompressedQuadtree<2>>(&quadtree_pool(), bucketed, &batches, 7);
         assert_mixed_parity::<CompressedTrie>(&trie_pool(), bucketed, &batches, 7);
     }
+}
+
+/// Retired webs a turn may refill, beside the current one: the engine's
+/// apply stage keeps two, and a slow reader can hold one a turn longer.
+const RETIRED: usize = 3;
+
+/// A stream of mixed turns applied the way the engine's apply stage applies
+/// them: the web `lag` turns behind the current one (a fresh clone while
+/// there is none that old) is refilled from the current web, which stays
+/// published, taking its donors, and the turn is applied to it through
+/// them. Each turn must leave the same flags and a web equal to the full
+/// rebuild's, to a clone of the current web that the turn is applied to —
+/// the clone path — and to one web applied to in place, whose sets donate
+/// their own items. Returns how many sets donated items.
+fn assert_donor_parity<D>(pool: &[D::Item], turns: &[(Vec<MixedOp>, usize)], seed: u64) -> usize
+where
+    D: RangeDetermined + PartialEq,
+{
+    let build = || {
+        SkipWeb::<D>::builder(pool[..MIXED_INITIAL].to_vec())
+            .seed(seed)
+            .build()
+    };
+    // The current web first, then the retired ones, newest first.
+    let mut webs = VecDeque::from([build()]);
+    let (mut own, mut full) = (build(), build());
+    let mut donated = 0;
+    for (step, (turn, lag)) in turns.iter().enumerate() {
+        let ops: Vec<Update<D::Item>> = turn
+            .iter()
+            .map(|&op| mixed_update(pool, op, seed))
+            .collect();
+        let want = full.apply_full(ops.clone());
+        assert_eq!(
+            own.apply(ops.clone()),
+            want,
+            "in-place flags at step {step}"
+        );
+        let mut spare = match webs.remove(*lag) {
+            Some(mut spare) => {
+                let donors = spare.refill_from(&webs[0], &ops);
+                donated += donors.len();
+                (spare, donors)
+            }
+            None => (webs[0].clone(), Default::default()),
+        };
+        assert_eq!(
+            spare.0.apply_with(ops.clone(), &mut spare.1),
+            want,
+            "flags at step {step}"
+        );
+        let mut cloned = webs[0].clone();
+        assert_eq!(cloned.apply(ops), want, "clone-path flags at step {step}");
+        assert_eq!(spare.0, full, "donor apply vs full rebuild, step {step}");
+        assert_eq!(spare.0, cloned, "donor apply vs clone path, step {step}");
+        assert_eq!(spare.0, own, "donor apply vs in-place apply, step {step}");
+        assert_eq!(spare.0.check_invariants(), Ok(()), "step {step}");
+        drop(cloned);
+        webs.push_front(spare.0);
+        webs.truncate(RETIRED + 1);
+    }
+    donated
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random streams of small mixed turns on the trie, whose heap items
+    /// are what donors give, each applied to a retired web lagging one to
+    /// three turns behind.
+    #[test]
+    fn stage_turns_with_donors_match_full_clone_and_in_place_applies(
+        turns in collection::vec(
+            (collection::vec((0..WINDOW, 0u8..3), 1..6), 1..=RETIRED),
+            1..16,
+        ),
+        seed in 0u64..1000,
+    ) {
+        assert_donor_parity::<CompressedTrie>(&trie_pool(), &turns, seed);
+    }
+}
+
+/// A stream like the proptest's, spelled out so that donors are certain to
+/// be taken: every turn changes the ground, the first three find no web
+/// that far behind and clone, and the last four refill webs three, two and
+/// one turns behind.
+#[test]
+fn stage_turns_take_donors_from_every_lag() {
+    let turns: Vec<(Vec<MixedOp>, usize)> = vec![
+        (vec![(12, 1)], 3),
+        (vec![(3, 0), (13, 2)], 3),
+        (vec![(12, 0)], 3),
+        (vec![(3, 1), (14, 1)], 3),
+        (vec![(5, 0)], 2),
+        (vec![(13, 0), (5, 2)], 1),
+        (vec![(14, 0)], 1),
+    ];
+    let donated = assert_donor_parity::<CompressedTrie>(&trie_pool(), &turns, 7);
+    assert!(donated >= 4, "{donated} sets donated items");
 }
