@@ -766,8 +766,9 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     }
 
     /// Draws a lookup origin valid under `topo` (0 on an empty web, where
-    /// it is ignored) and a level bit string from the engine's seeded
-    /// generator, under its own lock: a draw never waits out an apply.
+    /// it is ignored) and a level bit string from the fabric's generator —
+    /// started as a copy of the served web's, so seeded by the web's build
+    /// seed — under its own lock: a draw never waits out an apply.
     fn draw(&self, topo: &Topology<D>) -> (usize, u64) {
         let len = topo.web.len();
         let mut rng = self.rng.lock();

@@ -8,8 +8,6 @@ use std::time::Duration;
 
 use crossbeam_channel as channel;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use skipweb_net::runtime::{ClientId, Membership, Runtime, RuntimeError};
 use skipweb_net::tcp::{TcpCodec, TcpConfig, TcpTransport};
@@ -45,9 +43,6 @@ pub struct FabricBuilder<'w, D: Routable + Send + Sync + 'static> {
     timeouts: Timeouts,
     durability: Option<Arc<dyn Durability<D>>>,
 }
-
-/// Seeds the generator [`DistributedSkipWeb::draw_entry`] draws from.
-const DRAW_SEED: u64 = 0x736b_6970_7765_6221;
 
 impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
     /// Starts a deployment of `web` with the defaults: one actor per host
@@ -134,7 +129,7 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
             shared,
             stage,
             tcp,
-            rng: Mutex::new(StdRng::seed_from_u64(DRAW_SEED)),
+            rng: Mutex::new(self.web.rng.clone()),
             default_timeouts: self.timeouts,
         }
     }

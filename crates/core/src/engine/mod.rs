@@ -212,7 +212,10 @@ pub struct DistributedSkipWeb<D: Routable + Send + Sync + 'static> {
     tcp: Option<Arc<TcpTransport<FabricMsg<D>, EngineReply<D>>>>,
     /// Draws origins and level bits for [`insert`](Self::insert) and
     /// [`remove`](Self::remove) (explicit-bits calls bypass it), under a
-    /// lock of its own: a draw never waits out an apply.
+    /// lock of its own: a draw never waits out an apply. It starts as a
+    /// copy of the served web's own generator, so the fabric draws what
+    /// [`SkipWeb::insert`](crate::skipweb::SkipWeb::insert) on a clone of
+    /// the web would.
     rng: Mutex<StdRng>,
     /// The wait-and-retry policy newly registered clients start with.
     default_timeouts: Timeouts,

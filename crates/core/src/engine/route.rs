@@ -16,7 +16,8 @@ use super::stage::{Handoff, Shared};
 use super::{
     EngineMsg, EngineOp, EngineReply, FabricMsg, GlobalRef, ReplyBody, Routable, UpdatePhase,
 };
-use crate::skipweb::{Copies, LevelSet, SkipWeb};
+use crate::placement::Copies;
+use crate::skipweb::{LevelSet, SkipWeb};
 
 /// One immutable snapshot of the routing topology: the web's own level
 /// sets — a [`GlobalRef`] indexes straight into them — plus the placement
@@ -49,7 +50,7 @@ impl<D: RangeDetermined> Topology<D> {
     /// The logical hosts storing a copy of the range at `at`.
     pub(super) fn copies(&self, at: GlobalRef) -> Copies<'_> {
         self.web
-            .copies(at.level as usize, self.set(at), RangeId(at.range))
+            .copies(at.level as usize, at.set as usize, RangeId(at.range))
     }
 
     /// The address where `origin_item`'s operations start (the "root node

@@ -391,9 +391,9 @@ fn in_flight_queries_never_observe_a_half_applied_update() {
 /// `new` that the repair for an update with tower `bits` (`None`: no
 /// update) did not rebuild is the very allocation `old` holds — the
 /// structure tables share it through their pages, whichever ids the two
-/// webs file it under. A bucketed web's host tables are shared across a
+/// webs file it under. A bucketed web's one host table is shared across a
 /// copy that repairs nothing; a repair renumbers the blocks of the whole
-/// web, so it replaces them all. Returns how many structures were
+/// web, so it replaces the table. Returns how many structures were
 /// shared and how many rebuilt.
 fn assert_untouched_sets_are_shared<D: Routable>(
     old: &SkipWeb<D>,
@@ -424,17 +424,14 @@ fn assert_untouched_sets_are_shared<D: Routable>(
                 set.key
             );
             shared += 1;
-            match (tables.host_table(set), old_tables.host_table(was)) {
-                (None, None) => {}
-                (Some(now), Some(then)) => assert_eq!(
-                    Arc::ptr_eq(now, then),
-                    bits.is_none(),
-                    "L{level} set {:#x}: host table",
-                    set.key
-                ),
-                _ => panic!("L{level} set {:#x}: placement changed kind", set.key),
-            }
         }
+    }
+    match (new.host_table(), old.host_table()) {
+        (None, None) => {}
+        (Some(now), Some(then)) => {
+            assert_eq!(Arc::ptr_eq(now, then), bits.is_none(), "host table")
+        }
+        _ => panic!("placement changed kind"),
     }
     (shared, rebuilt)
 }
@@ -481,8 +478,8 @@ fn a_publish_shares_every_set_the_repair_left_alone() {
     assert_eq!((v1.web.len(), v2.web.len()), (1025, 1024));
     dist.shutdown();
 
-    // Bucketed placement stores a host table per set: shared like the
-    // rest until a repair re-blocks the web.
+    // Bucketed placement stores one host table for the web: shared like
+    // the structures until a repair re-blocks the web.
     let keys: Vec<u64> = (0..512).map(|i| i * 10).collect();
     let web = crate::onedim::OneDimSkipWeb::builder(keys)
         .seed(48)
@@ -1384,6 +1381,37 @@ fn reads_answer_from_the_published_snapshot_while_an_apply_holds_the_state_lock(
         assert_eq!((len, empty, ground), (49, false, published));
         assert_eq!((health.replication, health.topology_version), (2, 1));
     });
+    dist.shutdown();
+}
+
+/// A fabric's draws start from a copy of the served web's generator:
+/// inserting fresh items draws the towers and lookup origins that
+/// [`SkipWeb::insert`] draws on a clone of the web, so the two end in the
+/// same web, having paid the same messages, with generators in step.
+#[test]
+fn a_fabric_draws_what_the_served_web_would() {
+    use rand::Rng;
+    let keys: Vec<u64> = (0..64).map(|i| i * 10).collect();
+    let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(61).build();
+    let mut sim = web.inner().clone();
+    let dist = DistributedSkipWeb::builder(web.inner()).spawn();
+    let client = dist.client();
+    for item in (0..12).map(|i| i * 50 + 5) {
+        let mut meter = MessageMeter::new();
+        assert!(sim.insert(item, &mut meter));
+        let reply = dist.insert(&client, item).unwrap();
+        assert!(reply.applied);
+        let served = dist.shared.current_topo();
+        assert_eq!(
+            served.web.bits_of(&item),
+            sim.bits_of(&item),
+            "{item}'s tower"
+        );
+        assert_eq!(u64::from(reply.hops), meter.messages(), "{item}'s messages");
+    }
+    assert!(*dist.shared.current_topo().web == sim);
+    let next = (sim.rng.gen_range(0..sim.len()), sim.rng.gen());
+    assert_eq!(dist.draw_entry(), next);
     dist.shutdown();
 }
 

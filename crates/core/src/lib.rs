@@ -49,7 +49,6 @@
 //! assert!(outcome.messages <= 40); // O(log n) expected
 //! ```
 
-mod csr;
 pub mod engine;
 pub mod levels;
 pub mod multidim;

@@ -157,12 +157,11 @@ impl OneDimSkipWeb {
         let web = self.inner();
         let mut meter = MessageMeter::new();
         let outcome = web.query(origin_item, &lo, &mut meter);
-        let set = &web.level_structs()[0].sets[0];
         let base = web.base();
         let mut keys = Vec::new();
         let mut cur = outcome.locus;
         loop {
-            meter.visit(web.primary(0, set, cur));
+            meter.visit(web.primary(0, 0, cur));
             let iv = base.range(cur);
             if iv.is_singleton() {
                 if let Endpoint::Key(x) = iv.lo() {

@@ -32,7 +32,7 @@
 //!   **structure table** under stable ids, with the slot table's policy
 //!   (lowest free id first, free ids at the end truncated), `PAGE` (16) to a
 //!   page and each page behind an `Arc`. A `LevelSet` names its entry by id,
-//!   so it is 16 bytes of plain data: key, entry id and host-table index;
+//!   so it is 16 bytes of plain data: key and entry id;
 //! * hyperlinks are not stored: a range's links into the parent set are its
 //!   conflict list `C(Q, S_b')` there (§2.3), a pure function of the two
 //!   structures (§2.1), which `SkipWeb::hyperlinks` computes where a route,
@@ -41,8 +41,11 @@
 //!   nor the children whose links index the rebuilt structure's ids;
 //! * owner-hosted placement is not stored either: a range lives on its owner
 //!   item's host (§2.4), which `SkipWeb::copies` reads off the set's slot
-//!   list. Bucketed placement keeps one offset + data table (`Csr`) of hosts
-//!   per set, behind an `Arc`, in a list per level that each set indexes.
+//!   list. Bucketed placement keeps one table for the whole web behind one
+//!   `Arc`, each range's unreplicated row of hosts (`placement::HostTable`),
+//!   recomputed whenever the web changes. Replicas are derived in both
+//!   cases: `placement::Copies` extends a range's base list — owner host or
+//!   row — along the ring of host ids to `k` hosts.
 //!
 //! An update splices its item into — or out of — the one set per level its
 //! tower names, and nothing else: the set's items and slot list gain or lose
@@ -56,8 +59,9 @@
 //! published snapshot still holds the previous web — therefore copies the
 //! slot table (`item_bits` and the free list) and, per level, the sets (16
 //! bytes each, with room for a few splices) and the page list, and bumps one
-//! reference count per structure page (and, under bucketed placement, per
-//! host table); it copies no item, no slot list and touches no structure.
+//! reference count per structure page (and, under bucketed placement, one
+//! for the host table); it copies no item, no slot list and touches no
+//! structure.
 //! A one-op apply then copies about one page per level — the page of the
 //! set its tower rebuilds — and dropping the previous web frees those
 //! arrays and pages plus the structures and slot lists the splices replaced.
@@ -83,35 +87,27 @@ use skipweb_net::sim::{MessageMeter, SimNetwork};
 use skipweb_net::HostId;
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 
-use crate::csr::Csr;
 use crate::engine::Routable;
 use crate::levels::{draw_bits, group_by_key, level_count, parent_key, set_key};
-use crate::placement::{Blocking, Replication};
+use crate::placement::{Blocking, Copies, HostTable, Replication};
 
-/// One level-`ℓ` set `S_b`: its key, the id of its entry — structure
+/// One level-`ℓ` set `S_b`: its key and the id of its entry — structure
 /// `D(S_b)` and slot list — in its level's structure table
-/// ([`Level::structure`], [`Level::slots_of`]) and, under bucketed
-/// placement, the index of its host table ([`Level::host_table`]). Its
-/// hyperlinks into the parent set are derived ([`SkipWeb::hyperlinks`]).
-/// What a route reads and nothing more, as plain data: a clone of a level
-/// copies its sets as one block.
+/// ([`Level::structure`], [`Level::slots_of`]). Its hyperlinks into the
+/// parent set are derived ([`SkipWeb::hyperlinks`]), and so are its ranges'
+/// hosts under owner-hosted placement ([`SkipWeb::copies`]). What a route
+/// reads and nothing more, as plain data: a clone of a level copies its
+/// sets as one block.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LevelSet {
     /// The `ℓ`-bit key `b` of this set.
     pub key: u64,
     /// The id of its entry in the level's structure table.
     id: u32,
-    /// Its host table's index in the level's `host_tables`;
-    /// [`NO_HOST_TABLE`] under owner-hosted placement, where the copies are
-    /// a function of the set ([`SkipWeb::copies`]).
-    host_table: u32,
 }
 
-// A clone copies every level's sets: keep them to key and two ids.
+// A clone copies every level's sets: keep them to key and id.
 const _: () = assert!(std::mem::size_of::<LevelSet>() <= 16);
-
-/// [`LevelSet::host_table`] of a set with no stored host table.
-const NO_HOST_TABLE: u32 = u32::MAX;
 
 /// What a structure table files under a set's id: the set's structure
 /// `D(S_b)` and the slots of its items, in the structure's item order —
@@ -351,42 +347,36 @@ impl<D> Structures<D> {
 pub(crate) struct Level<D: RangeDetermined> {
     /// The level's sets, strictly ascending by key.
     pub sets: Vec<LevelSet>,
-    /// Under bucketed placement, one host table per set, each behind an
-    /// `Arc`; empty under owner-hosted placement.
-    host_tables: Vec<Arc<Csr<HostId>>>,
     /// The sets' structures and slot lists, by id.
     structures: Structures<D>,
 }
 
 /// Copies the sets with room for a few splices — the apply that follows a
 /// copy-on-write clone may insert into them, and an exact-capacity copy
-/// would reallocate on its first insert — and shares the host tables and
-/// the structure table's pages. `clone_from` does the same into the level's
-/// own buffers, allocating only for sets that outgrew their headroom.
+/// would reallocate on its first insert — and shares the structure table's
+/// pages. `clone_from` does the same into the level's own buffers,
+/// allocating only for sets that outgrew their headroom.
 impl<D: RangeDetermined> Clone for Level<D> {
     fn clone(&self) -> Self {
         Level {
             sets: with_room(&self.sets, SPLICE_HEADROOM),
-            host_tables: self.host_tables.clone(),
             structures: self.structures.clone(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         refill_with_headroom(&mut self.sets, &source.sets);
-        self.host_tables.clone_from(&source.host_tables);
         self.structures.clone_from(&source.structures);
     }
 }
 
-/// Two levels are equal when their sets agree in key, host table, structure
-/// and slot list — compared through the ids, not as ids: a spliced level
-/// and a rebuilt one file the same entries differently.
+/// Two levels are equal when their sets agree in key, structure and slot
+/// list — compared through the ids, not as ids: a spliced level and a
+/// rebuilt one file the same entries differently.
 impl<D: RangeDetermined + PartialEq> PartialEq for Level<D> {
     fn eq(&self, other: &Self) -> bool {
         let same = |(a, b): (&LevelSet, &LevelSet)| {
-            (a.key, self.host_table(a)) == (b.key, other.host_table(b))
-                && self.structures.get(a.id) == other.structures.get(b.id)
+            a.key == b.key && self.structures.get(a.id) == other.structures.get(b.id)
         };
         self.sets.len() == other.sets.len() && self.sets.iter().zip(&other.sets).all(same)
     }
@@ -401,30 +391,6 @@ impl<D: RangeDetermined> Level<D> {
     /// The slots of `set`'s items, in its structure's item order.
     pub(crate) fn slots_of(&self, set: &LevelSet) -> &[u32] {
         &self.structures.get(set.id).slots
-    }
-
-    /// Per range of `set`: the hosts storing a copy of it, under bucketed
-    /// placement — which replicates non-basic ranges onto every block host
-    /// whose cone they belong to (§2.4.1 notes that "copies of some of these
-    /// ranges may be stored on multiple hosts"). `None` under owner-hosted
-    /// placement.
-    pub(crate) fn host_table(&self, set: &LevelSet) -> Option<&Arc<Csr<HostId>>> {
-        self.host_tables.get(set.host_table as usize)
-    }
-
-    /// The stored host list of range `r` of `set`: empty while placement is
-    /// derived or not yet assigned.
-    fn listed(&self, set: &LevelSet, r: RangeId) -> &[HostId] {
-        self.host_table(set).map_or(&[], |t| t.row(r.index()))
-    }
-
-    /// Stores `tables`, one per set in order, as the sets' host tables.
-    fn place(&mut self, tables: Vec<Csr<HostId>>) {
-        debug_assert_eq!(tables.len(), self.sets.len());
-        self.host_tables = tables.into_iter().map(Arc::new).collect();
-        for (i, set) in (0..).zip(&mut self.sets) {
-            set.host_table = i;
-        }
     }
 
     /// Index of the set keyed `key`, when the level has one. The keys are
@@ -444,16 +410,11 @@ impl<D: RangeDetermined> Level<D> {
         Some(lo + found)
     }
 
-    /// Appends a freshly built set — `slots` in its structure's item order —
-    /// with no host table yet; the placement stage fills that in.
+    /// Appends a freshly built set — `slots` in its structure's item order.
     fn push_built(&mut self, key: u64, structure: D, slots: Vec<u32>) {
         debug_assert_eq!(structure.len(), slots.len());
         let id = self.structures.add(SetBody { structure, slots });
-        self.sets.push(LevelSet {
-            key,
-            id,
-            host_table: NO_HOST_TABLE,
-        });
+        self.sets.push(LevelSet { key, id });
     }
 
     /// A batch's draft of the set keyed `key` at level `li`: on the batch's
@@ -502,10 +463,9 @@ impl<D: RangeDetermined> Level<D> {
 
     /// Files the finished `draft` of the set keyed `key`: a kept set's
     /// structure becomes `D::build` of the draft's items, filed with its
-    /// slots under the set's id, and it has no host table until placement
-    /// runs again; a new set takes the lowest free id; a set the batch
-    /// emptied is dropped, freeing its id, unless `keep_empty` (level 0 is
-    /// the ground set, empty or not).
+    /// slots under the set's id; a new set takes the lowest free id; a set
+    /// the batch emptied is dropped, freeing its id, unless `keep_empty`
+    /// (level 0 is the ground set, empty or not).
     fn commit(&mut self, key: u64, draft: Draft<D>, keep_empty: bool) {
         let found = self.sets.binary_search_by_key(&key, |s| s.key);
         if draft.slots.is_empty() && !keep_empty {
@@ -520,18 +480,10 @@ impl<D: RangeDetermined> Level<D> {
             slots: draft.slots,
         };
         match found {
-            Ok(si) => {
-                let set = &mut self.sets[si];
-                set.host_table = NO_HOST_TABLE;
-                self.structures.put(set.id, Some(Arc::new(body)));
-            }
+            Ok(si) => self.structures.put(self.sets[si].id, Some(Arc::new(body))),
             Err(si) => {
-                let set = LevelSet {
-                    key,
-                    id: self.structures.add(body),
-                    host_table: NO_HOST_TABLE,
-                };
-                self.sets.insert(si, set);
+                let id = self.structures.add(body);
+                self.sets.insert(si, LevelSet { key, id });
             }
         }
     }
@@ -625,40 +577,6 @@ impl<D: RangeDetermined> Donors<D> {
 /// (n / 2 to n / 9) by 10–50 %.
 const INCREMENTAL_DIRTY_FACTOR: usize = 10;
 
-/// The hosts storing a copy of one range, primary first — see
-/// [`SkipWeb::copies`]. Cloneable and allocation-free, so a caller can scan
-/// it for a particular host and then take the first alive one.
-#[derive(Debug, Clone)]
-pub(crate) enum Copies<'a> {
-    /// Owner-hosted: the owner item's host, then its ring successors.
-    Ring {
-        /// The next host to yield.
-        next: u32,
-        /// How many are left to yield.
-        left: u32,
-        /// The ring's size.
-        hosts: u32,
-    },
-    /// Bucketed: the stored list.
-    Listed(std::iter::Copied<std::slice::Iter<'a, HostId>>),
-}
-
-impl Iterator for Copies<'_> {
-    type Item = HostId;
-
-    fn next(&mut self) -> Option<HostId> {
-        match self {
-            Copies::Ring { next, left, hosts } => {
-                *left = left.checked_sub(1)?;
-                let host = HostId(*next);
-                *next = if *next + 1 == *hosts { 0 } else { *next + 1 };
-                Some(host)
-            }
-            Copies::Listed(row) => row.next(),
-        }
-    }
-}
-
 /// One structural change to a skip-web — the only form an update takes, from
 /// a client's call ([`DistributedSkipWeb::update_batch`]) through the wire
 /// and the durability log down to [`SkipWeb::apply`]. §4 of the paper
@@ -726,10 +644,17 @@ pub struct SkipWeb<D: RangeDetermined> {
     /// The slot table's ids: its end and its free slots.
     slots: Ids,
     levels: Vec<Level<D>>,
+    /// Under bucketed placement, every range's unreplicated hosts
+    /// ([`HostTable::bucketed`] of the levels); `None` under owner-hosted
+    /// placement, which is derived from the sets ([`copies`](Self::copies)).
+    host_table: Option<Arc<HostTable>>,
     hosts: usize,
     blocking: Blocking,
     replication: Replication,
-    rng: StdRng,
+    /// Draws query origins and towers for [`insert`](Self::insert) and
+    /// [`remove`](Self::remove); a fabric serving the web starts its own
+    /// draws from a copy of it.
+    pub(crate) rng: StdRng,
 }
 
 /// Copies the slot table with room for a few new slots, like a level's
@@ -743,6 +668,7 @@ impl<D: RangeDetermined> Clone for SkipWeb<D> {
             item_bits: with_room(&self.item_bits, SPLICE_HEADROOM),
             slots: self.slots.clone(),
             levels: self.levels.clone(),
+            host_table: self.host_table.clone(),
             hosts: self.hosts,
             blocking: self.blocking,
             replication: self.replication,
@@ -756,6 +682,7 @@ impl<D: RangeDetermined> Clone for SkipWeb<D> {
         // Level by level through `Level::clone_from`; only levels the source
         // has beyond this web's are cloned afresh.
         self.levels.clone_from(&source.levels);
+        self.host_table.clone_from(&source.host_table);
         self.hosts = source.hosts;
         self.blocking = source.blocking;
         self.replication = source.replication;
@@ -764,8 +691,8 @@ impl<D: RangeDetermined> Clone for SkipWeb<D> {
 }
 
 /// Structural equality: two webs are equal when their slot tables, level
-/// hierarchies (each set's key, structure, member slice and stored host
-/// table) and host counts all match byte for byte — level 0's structure is
+/// hierarchies (each set's key, structure and member slice), stored host
+/// tables and host counts all match byte for byte — level 0's structure is
 /// the ground set. Structure ids are not compared: equal levels may file
 /// the same structures under different ids. Hyperlinks are not compared
 /// because nothing stores them: equal structures have equal conflict
@@ -778,6 +705,7 @@ impl<D: RangeDetermined + PartialEq> PartialEq for SkipWeb<D> {
         self.item_bits == other.item_bits
             && self.slots == other.slots
             && self.levels == other.levels
+            && self.host_table == other.host_table
             && self.hosts == other.hosts
             && self.blocking == other.blocking
             && self.replication == other.replication
@@ -850,7 +778,9 @@ impl<D: RangeDetermined> SkipWebBuilder<D> {
                     "explicit bits must cover the canonical ground set"
                 );
                 // Advance the rng exactly as the drawing path would, so
-                // later live inserts draw the same towers either way.
+                // later inserts — into this web, or into a fabric serving
+                // it, which draws from a copy of this rng — draw the same
+                // towers either way.
                 let _ = draw_bits(ground.len(), &mut rng);
                 bits
             }
@@ -865,6 +795,7 @@ impl<D: RangeDetermined> SkipWebBuilder<D> {
                 free: Vec::new(),
             },
             levels: Vec::new(),
+            host_table: None,
             hosts: 0,
             blocking: self.blocking,
             replication: self.replication,
@@ -975,9 +906,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
         match self.blocking {
             Blocking::OwnerHosted => HostId(self.ground_slots()[item]),
             Blocking::Bucketed { .. } => {
-                let top = self.top_level() as usize;
                 let (set, entry) = self.origin_entry(item);
-                self.primary(top, &self.levels[top].sets[set], entry)
+                self.primary(self.top_level() as usize, set, entry)
             }
         }
     }
@@ -1023,9 +953,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let mut links: Vec<RangeId> = Vec::new();
         loop {
             let (level, set_idx, r) = at;
-            let set = &self.levels[level].sets[set_idx];
             if self.blocking.is_basic(level as u32) {
-                let host = self.primary(level, set, r);
+                let host = self.primary(level, set_idx, r);
                 for mut replicas in pending.drain(..) {
                     let co_located = replicas.clone().any(|h| h == host);
                     meter.visit(if co_located {
@@ -1036,7 +965,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 }
                 meter.visit(host);
             } else {
-                pending.push(self.copies(level, set, r));
+                pending.push(self.copies(level, set_idx, r));
             }
             per_level_touches[top - level] += 1;
             let Some(next) = self.walk_step(at, q, &mut links) else {
@@ -1155,11 +1084,12 @@ impl<D: RangeDetermined> SkipWeb<D> {
         (set_idx, structure.entry_of_item(local))
     }
 
-    /// The slot of the item owning range `r` of `set` (a level-`level`
-    /// set), as a host id — the owner-hosted home of the range (§2.4): an
-    /// item's tower of ranges lives on the item's host.
-    fn owner_host(&self, level: usize, set: &LevelSet, r: RangeId) -> HostId {
+    /// The slot of the item owning range `r` of set `set` at level `level`,
+    /// as a host id — the owner-hosted home of the range (§2.4): an item's
+    /// tower of ranges lives on the item's host.
+    fn owner_host(&self, level: usize, set: usize, r: RangeId) -> HostId {
         let tables = &self.levels[level];
+        let set = &tables.sets[set];
         let slots = tables.slots_of(set);
         if slots.is_empty() {
             // The one empty set of an empty web still has a (universe) range.
@@ -1170,30 +1100,23 @@ impl<D: RangeDetermined> SkipWeb<D> {
         HostId(slots[tables.structure(set).owner(r)])
     }
 
-    /// The hosts storing a copy of range `r` of `set`, a set of level
-    /// `level`, primary first. Under owner-hosted placement this is derived:
-    /// the owner item's host and its next `k - 1` successors on the ring of
-    /// host ids (all of them when there are fewer than `k` hosts). Under
-    /// bucketed placement it is the row `assign_bucketed` stored.
-    pub(crate) fn copies<'a>(&'a self, level: usize, set: &'a LevelSet, r: RangeId) -> Copies<'a> {
-        match self.levels[level].host_table(set) {
-            Some(table) => Copies::Listed(table.row(r.index()).iter().copied()),
-            None => {
-                let hosts = self.hosts.max(1);
-                Copies::Ring {
-                    next: self.owner_host(level, set, r).0,
-                    left: self.replication.k.min(hosts) as u32,
-                    hosts: hosts as u32,
-                }
-            }
-        }
+    /// The hosts storing a copy of range `r` of set `set` at level `level`,
+    /// primary first: its base list — the owner item's host, or its row of
+    /// the bucketed host table — extended to `k` hosts along the ring of
+    /// host ids ([`Copies`]).
+    pub(crate) fn copies(&self, level: usize, set: usize, r: RangeId) -> Copies<'_> {
+        let (primary, rest) = match &self.host_table {
+            Some(table) => table.base(level, set, r),
+            None => (self.owner_host(level, set, r), &[][..]),
+        };
+        Copies::new(primary, rest, self.replication, self.hosts)
     }
 
     /// The first of [`copies`](Self::copies): the authoritative copy the
     /// cost model charges.
-    pub(crate) fn primary(&self, level: usize, set: &LevelSet, r: RangeId) -> HostId {
-        match self.levels[level].host_table(set) {
-            Some(table) => table.row(r.index())[0],
+    pub(crate) fn primary(&self, level: usize, set: usize, r: RangeId) -> HostId {
+        match &self.host_table {
+            Some(table) => table.base(level, set, r).0,
             None => self.owner_host(level, set, r),
         }
     }
@@ -1531,16 +1454,15 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// * **Layout** — the sets are strictly key-sorted and, above level 0,
     ///   non-empty; each set's slot list is as long as its structure, in
     ///   canonical order, and slot by slot the item its structure holds;
-    ///   every live slot appears in exactly one slot list per level; a
-    ///   stored host table has `num_ranges + 1` monotone offsets.
+    ///   every live slot appears in exactly one slot list per level.
     /// * **Hyperlinks** — every set above level 0 has its parent one level
     ///   down, and every range of it a non-empty conflict list there (§2.3):
     ///   the property each level descent relies on. The lists themselves are
     ///   derived, so there is no stored copy to diverge.
-    /// * **Placement** — every range of every set is hosted somewhere, the
-    ///   copies are distinct, and all host ids (including `host_of_item`)
-    ///   are in range; a host table is stored exactly under bucketed
-    ///   placement.
+    /// * **Placement** — the stored host table and host count are the ones
+    ///   the levels give (no table under owner-hosted placement); every
+    ///   range of every set is hosted somewhere, the copies are distinct,
+    ///   and all host ids (including `host_of_item`) are in range.
     ///
     /// Intended for `debug_assert!` after incremental applies and for tests;
     /// the sweep computes every conflict list, so it is far too slow for
@@ -1599,24 +1521,12 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 return Err(format!("free slot {g} holds an item or bits"));
             }
         }
-        let hosts = self.hosts as u32;
-        if let Some(i) = (0..n).find(|&i| self.host_of_item(i).0 >= hosts) {
-            return Err(format!("item {i} homed past the web's {hosts} hosts"));
-        }
 
-        let bucketed = matches!(self.blocking, Blocking::Bucketed { .. });
         for (li, level) in self.levels.iter().enumerate() {
             if let Some(w) = level.sets.windows(2).find(|w| w[0].key >= w[1].key) {
                 return Err(format!(
                     "level {li}: set keys {:#x}, {:#x} not strictly ascending",
                     w[0].key, w[1].key
-                ));
-            }
-            let want_tables = if bucketed { level.sets.len() } else { 0 };
-            if level.host_tables.len() != want_tables {
-                return Err(format!(
-                    "level {li}: {} host tables for {want_tables} placed sets",
-                    level.host_tables.len()
                 ));
             }
             let mut claimed = vec![false; slots];
@@ -1631,20 +1541,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 }
                 if li > 0 && set_slots.is_empty() {
                     return Err(format!("level {li} set {si} is empty"));
-                }
-                let num_ranges = structure.num_ranges();
-                let table = level.host_table(set);
-                let table_fits = table.is_none_or(|t| t.rows() == num_ranges && t.is_well_formed());
-                if !table_fits {
-                    return Err(format!(
-                        "level {li} set {si}: the host table is not {num_ranges} well-formed rows"
-                    ));
-                }
-                if table.is_some() != bucketed {
-                    return Err(format!(
-                        "level {li} set {si}: host table stored = {}, bucketed = {bucketed}",
-                        table.is_some()
-                    ));
                 }
                 let mut previous = None;
                 for (local, &g) in set_slots.iter().enumerate() {
@@ -1684,7 +1580,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 return Err(format!("level {li}: live slot {g} belongs to no set"));
             }
 
-            let (mut links, mut copies) = (Vec::new(), Vec::new());
+            let mut links = Vec::new();
             for (si, set) in level.sets.iter().enumerate() {
                 if li > 0 {
                     let pkey = parent_key(set.key, li as u32);
@@ -1703,12 +1599,33 @@ impl<D: RangeDetermined> SkipWeb<D> {
                             ));
                         }
                     }
+                }
+            }
+        }
+
+        // Placement last: the bucketed table is derived through the
+        // hyperlinks checked above.
+        let (table, placed_hosts) = self.hosting();
+        if (self.host_table.as_deref(), self.hosts) != (table.as_ref(), placed_hosts) {
+            return Err(format!(
+                "the stored placement ({} hosts) is not the levels' ({placed_hosts} hosts)",
+                self.hosts
+            ));
+        }
+        let hosts = self.hosts as u32;
+        if let Some(i) = (0..n).find(|&i| self.host_of_item(i).0 >= hosts) {
+            return Err(format!("item {i} homed past the web's {hosts} hosts"));
+        }
+        let mut copies = Vec::new();
+        for (li, level) in self.levels.iter().enumerate() {
+            for (si, set) in level.sets.iter().enumerate() {
+                for r in level.structure(set).range_ids() {
                     copies.clear();
-                    copies.extend(self.copies(li, set, r));
+                    copies.extend(self.copies(li, si, r));
                     if copies.is_empty() {
                         return Err(format!("level {li} set {si}: {r} is hosted nowhere"));
                     }
-                    if copies[0] != self.primary(li, set, r) {
+                    if copies[0] != self.primary(li, si, r) {
                         return Err(format!(
                             "level {li} set {si}: {r} primary is not its first copy"
                         ));
@@ -1809,7 +1726,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 .structure(set)
                 .conflicts_into(&probe_range, &mut conflicts);
             for (i, &r) in conflicts.iter().enumerate() {
-                let mut replicas = self.copies(level, set, r).map(&host_of);
+                let mut replicas = self.copies(level, set_idx, r).map(&host_of);
                 let host = match anchor {
                     Some(a) if replicas.clone().any(|h| h == a) && alive(a) => a,
                     _ => match replicas.find(|&h| alive(h)) {
@@ -1838,13 +1755,12 @@ impl<D: RangeDetermined> SkipWeb<D> {
     }
 
     /// Builds level `level` from scratch over the canonical `ground`, whose
-    /// item `i` sits in slot `slots[i]`, with no host tables yet.
+    /// item `i` sits in slot `slots[i]`.
     fn build_level(&self, ground: &[D::Item], slots: &[u32], level: u32) -> Level<D> {
         let bits: Vec<u64> = slots.iter().map(|&g| self.item_bits[g as usize]).collect();
         let groups = group_by_key(&bits, level);
         let mut tables = Level {
             sets: Vec::with_capacity(groups.len().max(1)),
-            host_tables: Vec::new(),
             structures: Structures::new(),
         };
         for (key, at) in groups {
@@ -1866,119 +1782,23 @@ impl<D: RangeDetermined> SkipWeb<D> {
         tables
     }
 
-    /// Places every range per the blocking strategy. Owner-hosted placement
-    /// stores nothing per range — it is derived from the sets' slot lists
-    /// ([`copies`](Self::copies)), one host per slot.
+    /// Places every range per the blocking strategy ([`hosting`](Self::hosting)).
     fn assign_hosts(&mut self) {
+        let (table, hosts) = self.hosting();
+        (self.host_table, self.hosts) = (table.map(Arc::new), hosts);
+    }
+
+    /// The placement the levels give and its host count: one host per slot
+    /// under owner-hosted placement, which stores nothing per range — it is
+    /// derived from the sets' slot lists ([`copies`](Self::copies)) — and
+    /// the bucketed host table ([`HostTable::bucketed`]) otherwise.
+    fn hosting(&self) -> (Option<HostTable>, usize) {
         match self.blocking {
-            Blocking::OwnerHosted => self.hosts = self.item_bits.len().max(1),
-            Blocking::Bucketed { .. } => self.assign_bucketed(),
-        }
-    }
-
-    /// The bucketed placement of §2.4.1: basic levels are chopped into
-    /// blocks of contiguous ranges (one host each); non-basic ranges follow
-    /// their hyperlink chain down to the basic level and live with the block
-    /// they land on. The replication pass then extends every list to `k`
-    /// hosts.
-    fn assign_bucketed(&mut self) {
-        let block_size = self.blocking.block_size();
-        let mut next_host: u32 = 0;
-        // Pass 1: basic levels, blocks of contiguous ranges. Blocks fill
-        // across set boundaries (sets visited in key order) so that the many
-        // tiny sets of high levels share hosts instead of each burning one —
-        // keeping H within the paper's O(n log n / M).
-        for (level_idx, level) in self.levels.iter_mut().enumerate() {
-            if !self.blocking.is_basic(level_idx as u32) {
-                continue;
+            Blocking::OwnerHosted => (None, self.item_bits.len().max(1)),
+            Blocking::Bucketed { .. } => {
+                let (table, hosts) = HostTable::bucketed(self);
+                (Some(table), hosts)
             }
-            let mut fill = 0usize;
-            let mut started = false;
-            let mut tables = Vec::with_capacity(level.sets.len());
-            for set in &level.sets {
-                // Contiguity: order ranges by (owning item, id) — owner order
-                // follows the structure's canonical layout.
-                let structure = level.structure(set);
-                let mut order: Vec<RangeId> = structure.range_ids().collect();
-                order.sort_by_key(|r| (structure.owner(*r), r.index()));
-                let mut block_of = vec![HostId(0); order.len()];
-                for r in order {
-                    if fill == block_size || !started {
-                        if started {
-                            next_host += 1;
-                        }
-                        started = true;
-                        fill = 0;
-                    }
-                    block_of[r.index()] = HostId(next_host);
-                    fill += 1;
-                }
-                tables.push(Csr::build(block_of.len(), |r, out| {
-                    out.push(block_of[r]);
-                }));
-            }
-            level.place(tables);
-            if started {
-                next_host += 1; // close the level's last open block
-            }
-        }
-        // Pass 2: non-basic ranges are replicated onto every host holding a
-        // copy of a range they hyperlink to one level down (so each block's
-        // whole non-basic cone is co-located with it, as §2.4.1 describes).
-        // Ascending level order guarantees the level below is already placed.
-        let (mut links, mut cone) = (Vec::new(), Vec::new());
-        for level_idx in 1..self.levels.len() {
-            if self.blocking.is_basic(level_idx as u32) {
-                continue;
-            }
-            let (level, below) = (&self.levels[level_idx], &self.levels[level_idx - 1]);
-            let mut cones = |set: &LevelSet| {
-                Csr::build(level.structure(set).num_ranges(), |r, out| {
-                    let r = RangeId(r as u32);
-                    let parent_idx = self.hyperlinks(level_idx as u32, set, r, &mut links);
-                    let parent = &below.sets[parent_idx];
-                    cone.clear();
-                    for t in &links {
-                        cone.extend_from_slice(below.listed(parent, *t));
-                    }
-                    cone.sort_unstable();
-                    cone.dedup();
-                    debug_assert!(!cone.is_empty(), "non-basic range must have a cone");
-                    out.extend_from_slice(&cone);
-                })
-            };
-            let tables = level.sets.iter().map(&mut cones).collect();
-            self.levels[level_idx].place(tables);
-        }
-        self.hosts = (next_host as usize).max(1);
-        self.extend_replicas();
-    }
-
-    /// The replication pass over a bucketed placement: extends every range's
-    /// stored list to `k` distinct hosts by walking the ring of host ids
-    /// upward from the primary. The primary stays first, so all single-copy
-    /// accounting (and the `k = 1` default) is untouched.
-    fn extend_replicas(&mut self) {
-        let hosts = self.hosts.max(1) as u32;
-        let k = self.replication.k.min(hosts as usize);
-        if k <= 1 {
-            return;
-        }
-        for table in self.levels.iter_mut().flat_map(|l| &mut l.host_tables) {
-            let extended = Csr::build(table.rows(), |r, out| {
-                let start = out.len();
-                out.extend_from_slice(table.row(r));
-                let primary = out[start].0;
-                let mut next = (primary + 1) % hosts;
-                // A full circle means fewer hosts than `k`.
-                while out.len() - start < k && next != primary {
-                    if !out[start..].contains(&HostId(next)) {
-                        out.push(HostId(next));
-                    }
-                    next = (next + 1) % hosts;
-                }
-            });
-            *table = Arc::new(extended);
         }
     }
 
@@ -1999,22 +1819,19 @@ impl<D: RangeDetermined> SkipWeb<D> {
         net.set_items(self.len());
         let mut links = Vec::new();
         for (li, level) in self.levels.iter().enumerate() {
-            for set in &level.sets {
+            for (si, set) in level.sets.iter().enumerate() {
                 let structure = level.structure(set);
                 for r in structure.range_ids() {
                     let neighbors = structure.neighbors(r);
                     // Hyperlink references point across levels, into the
                     // parent set; level 0 has none.
                     links.clear();
-                    let parent = (li > 0).then(|| {
-                        let parent_idx = self.hyperlinks(li as u32, set, r, &mut links);
-                        &self.levels[li - 1].sets[parent_idx]
-                    });
-                    for (c, host) in self.copies(li, set, r).enumerate() {
+                    let parent = (li > 0).then(|| self.hyperlinks(li as u32, set, r, &mut links));
+                    for (c, host) in self.copies(li, si, r).enumerate() {
                         let here = |mut copies: Copies<'_>| copies.any(|h| h == host);
                         let mut local = 0u64;
                         for &nb in &neighbors {
-                            local += u64::from(here(self.copies(li, set, nb)));
+                            local += u64::from(here(self.copies(li, si, nb)));
                         }
                         if let Some(parent) = parent {
                             for &t in &links {
@@ -2071,10 +1888,8 @@ impl<D: Routable> SkipWeb<D> {
     ) -> (D::Answer, QueryOutcome) {
         let start = meter.messages();
         let mut outcome = self.query(origin_item, &D::target(req), meter);
-        let ground = &self.levels[0];
-        let set = &ground.sets[0];
-        let answer = ground.structure(set).answer(outcome.locus, req, |r| {
-            meter.visit(self.primary(0, set, r));
+        let answer = self.base().answer(outcome.locus, req, |r| {
+            meter.visit(self.primary(0, 0, r));
         });
         outcome.messages = meter.messages() - start;
         (answer, outcome)
@@ -2095,29 +1910,38 @@ mod tests {
             .build()
     }
 
+    impl<D: RangeDetermined> SkipWeb<D> {
+        /// The web's one bucketed host table, for tests of what a copy
+        /// shares.
+        pub(crate) fn host_table(&self) -> Option<&Arc<HostTable>> {
+            self.host_table.as_ref()
+        }
+    }
+
     /// The per-range copy lists the web used to store, level → set → range:
     /// the oracle [`SkipWeb::copies`] is held to.
     type RangeHost = Vec<Vec<Vec<Vec<HostId>>>>;
 
-    /// `row(level, set, range)` of every range, level → set → range.
+    /// `row(level, (set index, set), range)` of every range, level → set →
+    /// range.
     fn per_range<D: RangeDetermined, T>(
         web: &SkipWeb<D>,
-        mut row: impl FnMut(usize, &LevelSet, RangeId) -> T,
+        mut row: impl FnMut(usize, (usize, &LevelSet), RangeId) -> T,
     ) -> Vec<Vec<Vec<T>>> {
         let mut per_set = |(li, level): (usize, &Level<D>)| {
-            let per_range = |set: &LevelSet| {
+            let per_range = |(si, set): (usize, &LevelSet)| {
                 let ids = level.structure(set).range_ids();
-                ids.map(|r| row(li, set, r)).collect()
+                ids.map(|r| row(li, (si, set), r)).collect()
             };
-            level.sets.iter().map(per_range).collect()
+            level.sets.iter().enumerate().map(per_range).collect()
         };
         web.levels.iter().enumerate().map(&mut per_set).collect()
     }
 
-    /// The web's stored copy lists as they stand — meaningful for an
-    /// unreplicated bucketed web, whose rows are the block placement.
-    fn listed_range_host<D: RangeDetermined>(web: &SkipWeb<D>) -> RangeHost {
-        per_range(web, |li, set, r| web.copies(li, set, r).collect())
+    /// Every range's copies as the web gives them — for an unreplicated
+    /// bucketed web, the rows of its block placement.
+    fn copies_per_range<D: RangeDetermined>(web: &SkipWeb<D>) -> RangeHost {
+        per_range(web, |li, (si, _), r| web.copies(li, si, r).collect())
     }
 
     /// Points every range's copy list at its owning item's host — the
@@ -2144,7 +1968,11 @@ mod tests {
     /// The replication pass the web used to run over its stored lists:
     /// extends every copy list to `k` distinct hosts by walking the ring of
     /// host ids upward from the primary.
-    fn extend_replicas(range_host: &mut RangeHost, replication: Replication, hosts: usize) {
+    fn replicate_along_the_ring(
+        range_host: &mut RangeHost,
+        replication: Replication,
+        hosts: usize,
+    ) {
         let hosts = hosts.max(1) as u32;
         let k = replication.k.min(hosts as usize);
         if k <= 1 {
@@ -2176,10 +2004,10 @@ mod tests {
                 let mut plain = web.clone();
                 plain.replication = Replication::NONE;
                 plain.assign_hosts();
-                listed_range_host(&plain)
+                copies_per_range(&plain)
             }
         };
-        extend_replicas(&mut range_host, web.replication, web.hosts);
+        replicate_along_the_ring(&mut range_host, web.replication, web.hosts);
         range_host
     }
 
@@ -2215,7 +2043,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(web.check_invariants(), Ok(()));
-                prop_assert_eq!(listed_range_host(&web), materialized_range_host(&web));
+                prop_assert_eq!(copies_per_range(&web), materialized_range_host(&web));
             }
         }
     }
@@ -2224,7 +2052,7 @@ mod tests {
     /// by key and the list asked of its structure directly: what
     /// [`SkipWeb::hyperlinks`] must derive.
     fn conflict_lists_by_key<D: RangeDetermined>(web: &SkipWeb<D>) -> Vec<Vec<Vec<Vec<RangeId>>>> {
-        per_range(web, |li, set, r| {
+        per_range(web, |li, (_, set), r| {
             let Some(below) = li.checked_sub(1).map(|below| &web.levels[below]) else {
                 return Vec::new();
             };
@@ -2239,7 +2067,7 @@ mod tests {
     /// The same lists through [`SkipWeb::hyperlinks`].
     fn derived_hyperlinks<D: RangeDetermined>(web: &SkipWeb<D>) -> Vec<Vec<Vec<Vec<RangeId>>>> {
         let mut links = Vec::new();
-        per_range(web, |li, set, r| {
+        per_range(web, |li, (_, set), r| {
             if li > 0 {
                 let parent = web.hyperlinks(li as u32, set, r, &mut links);
                 assert_eq!(parent, web.parent_set_index(li as u32, set));
@@ -2496,16 +2324,16 @@ mod tests {
         assert_eq!(w.replication().k, 3);
         let plain = web(64, 5);
         for (li, level) in w.level_structs().iter().enumerate() {
-            for (set, plain_set) in level.sets.iter().zip(&plain.level_structs()[li].sets) {
+            for (si, set) in level.sets.iter().enumerate() {
                 for r in level.structure(set).range_ids() {
-                    let copies: Vec<HostId> = w.copies(li, set, r).collect();
+                    let copies: Vec<HostId> = w.copies(li, si, r).collect();
                     assert!(copies.len() >= 3, "range has {} copies", copies.len());
                     let mut unique = copies.clone();
                     unique.sort_unstable();
                     unique.dedup();
                     assert_eq!(unique.len(), copies.len(), "replicas must be distinct");
                     // The primary copy is exactly the unreplicated placement.
-                    assert_eq!(copies[0], plain.primary(li, plain_set, r));
+                    assert_eq!(copies[0], plain.primary(li, si, r));
                 }
             }
         }
@@ -2529,9 +2357,9 @@ mod tests {
             .replicate(64)
             .build();
         for (li, level) in w.level_structs().iter().enumerate() {
-            for set in &level.sets {
+            for (si, set) in level.sets.iter().enumerate() {
                 for r in level.structure(set).range_ids() {
-                    assert!(w.copies(li, set, r).count() <= w.hosts());
+                    assert!(w.copies(li, si, r).count() <= w.hosts());
                 }
             }
         }

@@ -395,7 +395,10 @@ impl StoreBuilder {
         self
     }
 
-    /// Seed for the engine's level-bit generator.
+    /// Seed of the store's web: the fabric draws the lookup origin and the
+    /// tower of every new key from a generator it seeds (default 42), so
+    /// stores opened with the same seed and fed the same puts hold the
+    /// same towers.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

@@ -116,6 +116,28 @@ fn recovery_does_not_double_apply_logged_operations() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The store's seed reaches the draws of new keys' towers: stores opened
+/// with the same seed and fed the same puts hold the same towers, and
+/// another seed gives other towers.
+#[test]
+fn the_seed_picks_the_towers_of_new_keys() {
+    let towers = |seed: u64| {
+        let dir = scratch("seed");
+        let store = StoreBuilder::new(&dir).seed(seed).open().unwrap();
+        for key in 0..32 {
+            assert!(store.put(key * 7, value_for(key, 0)).unwrap());
+        }
+        let towers = store.fabric().ground_with_bits();
+        store.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+        towers
+    };
+    let one = towers(1);
+    assert_eq!(one.len(), 32);
+    assert_eq!(one, towers(1), "the same seed, the same towers");
+    assert_ne!(one, towers(2), "another seed, other towers");
+}
+
 #[test]
 fn cold_open_recovers_from_disk_alone() {
     let dir = scratch("cold");
